@@ -74,8 +74,6 @@ from .absorbing import (
     AbsorptionFailure,
     AugmentationMove,
     absorb,
-    absorbing_from_json,
-    absorbing_to_json,
     almost_cover,
     build_absorbing_set,
     enumerate_absorbers,
@@ -112,6 +110,6 @@ from .graphio import (
 )
 from .generators import FAMILIES, generate, random_gnp, random_ore
 from .sweep import CHECKS, SweepReport, resolve_threads, sweep
-from .errors import PreconditionError, InternalContradiction, UnresolvedError
+from .errors import PreconditionError, InternalContradiction
 
 __version__ = "0.1.0"

@@ -37,8 +37,6 @@ __all__ = [
     "AbsorptionFailure",
     "AugmentationMove",
     "absorb",
-    "absorbing_from_json",
-    "absorbing_to_json",
     "almost_cover",
     "build_absorbing_set",
     "enumerate_absorbers",
@@ -558,49 +556,3 @@ def almost_cover(
             f"{len(uncovered)} uncovered vertices exceed the mu * n target"
         )
     return tiling, uncovered
-
-
-def absorbing_to_json(aset: AbsorbingSet) -> Dict[str, object]:
-    return {
-        "r": aset.r,
-        "epsilon": f"{aset.epsilon.numerator}/{aset.epsilon.denominator}",
-        "family": [sorted(s.members()) for s in aset.family],
-        "factors": [
-            [sorted(c.members()) for c in f] for f in aset.factors
-        ],
-        "fixed": [sorted(c.members()) for c in aset.fixed],
-    }
-
-
-def absorbing_from_json(doc: Dict[str, object]) -> AbsorbingSet:
-    try:
-        r = int(doc["r"])
-        eps = Fraction(str(doc["epsilon"]))
-        family = tuple(VertexSet(map(int, row)) for row in doc["family"])
-        factors = tuple(
-            tuple(VertexSet(map(int, c)) for c in f) for f in doc["factors"]
-        )
-        fixed = tuple(VertexSet(map(int, row)) for row in doc["fixed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed absorbing-set document: {exc}") from exc
-    if len(family) != len(factors):
-        raise PreconditionError("family and factors differ in length")
-    aset = AbsorbingSet(r, eps, family, factors, fixed)
-    seen = 0
-    for s in family:
-        if len(s) != r * r or (s.bits & seen):
-            raise PreconditionError("family members must be disjoint r^2-sets")
-        seen |= s.bits
-    for f, s in zip(factors, family):
-        covered = 0
-        for c in f:
-            if len(c) != r or (c.bits & covered) or (c.bits & ~s.bits):
-                raise PreconditionError("stored factor does not tile its absorber")
-            covered |= c.bits
-        if covered != s.bits:
-            raise PreconditionError("stored factor does not tile its absorber")
-    for c in fixed:
-        if len(c) != r or (c.bits & seen):
-            raise PreconditionError("fixed cliques must be disjoint r-sets")
-        seen |= c.bits
-    return aset

@@ -256,15 +256,13 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
 
 
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
-    """Tile `block` by d-cliques using the matching or exact machinery."""
+    """Tile `block` by d-cliques, d != 2, singly or by exact search.
+
+    Pairs are tiled by `parity_repair`, which matches the block itself.
+    """
     if d == 1:
         return Tiling(1, tuple(VertexSet(1 << v) for v in iter_bits(block.bits)))
     sub, labels = g.induced(block.bits)
-    if d == 2:
-        mm = maximum_matching(sub)
-        if 2 * mm.size != sub.n:
-            return None
-        return Tiling(2, tuple(VertexSet([labels[u], labels[v]]) for u, v in mm.pairs))
     if sub.n > FALLBACK_CAP or sub.n % d != 0:
         return None
     t = kr_factor_exact(sub, d)
@@ -307,17 +305,17 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
         used = used | t.covered
     seed_tiling = Tiling(r, tuple(cliques))
 
-    resid = strip_tiling(p, seed_tiling)
-    ts = _block_tiling(g, resid.b, d)
-    if ts is None and d == 2:
+    if d == 2:
         repaired = parity_repair(g, gp, baseset, seed_tiling)
         if isinstance(repaired, Ex2Signal):
             raise _Miss(f"parity repair gave out: {repaired.reason}")
-        seed_tiling = repaired
+        seed_tiling, ts = repaired
+        resid = strip_tiling(p, seed_tiling)
+    else:
         resid = strip_tiling(p, seed_tiling)
         ts = _block_tiling(g, resid.b, d)
-    if ts is None:
-        raise _Miss("leftover block admits no clique tiling")
+        if ts is None:
+            raise _Miss("leftover block admits no clique tiling")
 
     ci = contract_residual(g, resid, ts)
     mf = multipartite_factor(ci.parts, ci.graph)

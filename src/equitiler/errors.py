@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["PreconditionError", "InternalContradiction", "UnresolvedError"]
+__all__ = ["PreconditionError", "InternalContradiction"]
 
 
 class PreconditionError(ValueError):
@@ -15,7 +15,3 @@ class InternalContradiction(RuntimeError):
     Raised instead of returning a wrong answer; seeing this means either a
     bug or a falsified hypothesis, so the message carries the evidence.
     """
-
-
-class UnresolvedError(RuntimeError):
-    """The instance is outside every complete decision path."""

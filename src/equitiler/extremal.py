@@ -14,7 +14,7 @@ The two factor-blocking shapes on n = r*m vertices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .graphs import Graph, VertexSet, iter_bits, max_independent_set
 
@@ -246,19 +246,36 @@ def _independent_heuristic(g: Graph, target: int) -> Optional[VertexSet]:
             chosen |= 1 << v
     if chosen.bit_count() >= target:
         return VertexSet(chosen)
+
+    def lone(chosen: int) -> Dict[int, int]:
+        # w -> mask of the unchosen vertices whose only chosen neighbor is w.
+        masks: Dict[int, int] = {}
+        for u in range(g.n):
+            if not (chosen >> u) & 1:
+                c = g.adj[u] & chosen
+                if c & (c - 1) == 0:
+                    w = c.bit_length() - 1
+                    masks[w] = masks.get(w, 0) | (1 << u)
+        return masks
+
+    # `chosen` stays maximal, so after swapping v in for its one chosen
+    # neighbor w only the vertices whose lone chosen neighbor is w can join,
+    # and the first of them not adjacent to v always does.  So the swap
+    # gains exactly when such a vertex exists, and only then is it built.
+    lone_of = lone(chosen)
     for v in order:
         if (chosen >> v) & 1:
             continue
         conflicts = g.adj[v] & chosen
         if conflicts.bit_count() == 1:
             w = conflicts.bit_length() - 1
-            trial = (chosen & ~conflicts) | (1 << v)
-            # accept only if the swap frees room for an extra vertex
-            for u in order:
-                if not ((trial >> u) & 1) and not (g.adj[u] & trial):
-                    trial |= 1 << u
-            if trial.bit_count() > chosen.bit_count():
+            if lone_of[w] & ~g.adj[v] & ~(1 << v):
+                trial = (chosen & ~conflicts) | (1 << v)
+                for u in order:
+                    if not ((trial >> u) & 1) and not (g.adj[u] & trial):
+                        trial |= 1 << u
                 chosen = trial
+                lone_of = lone(chosen)
         if chosen.bit_count() >= target:
             return VertexSet(chosen)
     return None

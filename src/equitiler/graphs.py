@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -207,16 +208,23 @@ class Graph:
         return out & ~mask if mask else out
 
     def induced(self, mask: int) -> Tuple["Graph", List[int]]:
-        """Induced subgraph plus the old labels of its (reindexed) vertices."""
+        """Induced subgraph plus the old labels of its (reindexed) vertices.
+
+        Each kept row is compressed in C: rendered once as an n-character bit
+        string (most significant bit first), the kept columns picked out by
+        one precomputed `itemgetter` in descending label order, and the
+        picked characters read back as a base-2 integer.
+        """
         verts = list(iter_bits(mask))
-        pos = {v: i for i, v in enumerate(verts)}
-        sub = Graph.empty(len(verts))
-        for i, v in enumerate(verts):
-            row = 0
-            for w in iter_bits(self.adj[v] & mask):
-                row |= 1 << pos[w]
-            sub.adj[i] = row
-        return sub, verts
+        if len(verts) <= 1:
+            # No edges, and itemgetter on one index returns a bare character.
+            return Graph.empty(len(verts)), verts
+        n = self.n
+        width = f"0{n}b"
+        pick = itemgetter(*[n - 1 - v for v in reversed(verts)])
+        adj = self.adj
+        rows = [int("".join(pick(format(adj[v] & mask, width))), 2) for v in verts]
+        return Graph(len(verts), rows), verts
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph under v -> perm[v]."""

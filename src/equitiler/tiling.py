@@ -779,20 +779,24 @@ def contract_residual(
     originals.extend(ts.cliques)
     nn = t0 + len(ts.cliques)
 
-    part_key = {}
-    for i, a in enumerate(p.parts):
-        for v in iter_bits(a.bits):
-            part_key[v] = i
-
-    gg = Graph.empty(nn)
-    for ai, u in enumerate(part_verts):
-        for v in iter_bits(g.adj[u] & seen & ~((1 << (u + 1)) - 1)):
-            if part_key[u] != part_key[v]:
-                gg.add_edge(ai, new_id[v])
+    # The blocks were checked disjoint above, so the rows are written
+    # directly instead of through the validating add_edge.
+    adj = [0] * nn
+    for a in p.parts:
+        others = seen & ~a.bits
+        for u in iter_bits(a.bits):
+            ai = new_id[u]
+            for v in iter_bits(g.adj[u] & others & ~((1 << (u + 1)) - 1)):
+                vi = new_id[v]
+                adj[ai] |= 1 << vi
+                adj[vi] |= 1 << ai
     for j, cl in enumerate(ts.cliques):
-        commons = g.common_neighbors(cl.bits)
-        for u in iter_bits(commons & seen):
-            gg.add_edge(new_id[u], t0 + j)
+        cj = t0 + j
+        for u in iter_bits(g.common_neighbors(cl.bits) & seen):
+            ui = new_id[u]
+            adj[ui] |= 1 << cj
+            adj[cj] |= 1 << ui
+    gg = Graph(nn, adj)
 
     new_parts = [
         VertexSet(sum(1 << new_id[v] for v in iter_bits(a.bits))) for a in p.parts
@@ -852,12 +856,14 @@ def multipartite_factor(
         ok = True
         for layer in order[1:]:
             verts = layout[layer]
-            aux = Graph.empty(2 * m)
+            # Clique ci on the left, vertex vi of this layer at m + vi.
+            adj = [0] * (2 * m)
             for ci, cm in enumerate(cliques):
                 for vi, v in enumerate(verts):
-                    if cm & ~gstar.adj[v] == 0:
-                        aux.add_edge(ci, m + vi)
-            mm = maximum_matching(aux)
+                    if cm & gstar.adj[v] == cm:
+                        adj[ci] |= 1 << (m + vi)
+                        adj[m + vi] |= 1 << ci
+            mm = maximum_matching(Graph(2 * m, adj))
             if len(mm.pairs) < m:
                 ok = False
                 break
@@ -880,13 +886,15 @@ def multipartite_factor(
 # parity repair
 
 
-def _pm_exists(g: Graph, mask: int) -> bool:
+def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
+    """A perfect matching of G[mask] as a tiling by pairs, or None."""
     if mask.bit_count() % 2:
-        return False
-    if mask == 0:
-        return True
-    sub, _ = g.induced(mask)
-    return 2 * len(maximum_matching(sub).pairs) == sub.n
+        return None
+    sub, labels = g.induced(mask)
+    mm = maximum_matching(sub)
+    if 2 * mm.size != sub.n:
+        return None
+    return Tiling(2, tuple(VertexSet([labels[u], labels[v]]) for u, v in mm.pairs))
 
 
 def _attribute(bases: BaseSet, tiling: Tiling) -> List[Tuple[Base, Tuple[int, ...]]]:
@@ -916,22 +924,26 @@ def parity_repair(
     bases: BaseSet,
     tiling: Tiling,
     budget: int = 600,
-) -> Union[Tiling, Ex2Signal]:
+) -> Union[Tuple[Tiling, Tiling], Ex2Signal]:
     """Adjust the tiling until the leftover block admits a perfect matching.
 
-    Only meaningful when the leftover block tiles by pairs.  The search walks
-    a bounded move set: regrow a seed with different leftover-block choices,
-    rebuild a pair seed around a different small clique, or plant a fresh
-    pair seed on an edge inside a part.  Each candidate tiling is re-verified
-    in full before it is accepted; running out of moves returns the odd-split
-    signal, which is a legitimate outcome rather than an error.
+    Only meaningful when the leftover block tiles by pairs.  Returns the
+    seed tiling, unchanged when its leftover block already matches, together
+    with that leftover block's tiling by pairs, so no caller has to match
+    the block again.  The search walks a bounded move set: regrow a seed
+    with different leftover-block choices, rebuild a pair seed around a
+    different small clique, or plant a fresh pair seed on an edge inside a
+    part.  Each candidate tiling is re-verified in full before it is
+    accepted; running out of moves returns the odd-split signal, which is a
+    legitimate outcome rather than an error.
     """
     p, n, r, s = _context(g, q)
     if r - s != 2:
         raise PreconditionError("repair applies only when the leftover tiles by pairs")
     bmask = p.b.bits
-    if _pm_exists(g, bmask & ~tiling.covered.bits):
-        return tiling
+    pairs = _pair_tiling(g, bmask & ~tiling.covered.bits)
+    if pairs is not None:
+        return tiling, pairs
     cfg = q.constants
     ve = q.classification.excellent_everywhere().bits
     thin = classify(g, p, cfg.beta / 2)
@@ -939,19 +951,17 @@ def parity_repair(
     for i in range(s):
         obligations |= thin.exceptional[i].bits
 
-    def acceptable(t2: Tiling) -> bool:
+    def leftover_pairs(t2: Tiling) -> Optional[Tiling]:
+        # The leftover block's pair tiling when t2 is an acceptable repair.
         if not t2.verify(g, require_factor=False):
-            return False
+            return None
         cov = t2.covered.bits
         if obligations & ~cov:
-            return False
-        resid = bmask & ~cov
-        if resid.bit_count() % (r - s):
-            return False
+            return None
         psizes = {(a.bits & ~cov).bit_count() for a in p.parts}
         if len(psizes) > 1:
-            return False
-        return _pm_exists(g, resid)
+            return None
+        return _pair_tiling(g, bmask & ~cov)
 
     def candidates() -> Iterator[Tiling]:
         attributed = _attribute(bases, tiling)
@@ -1034,8 +1044,9 @@ def parity_repair(
         tried += 1
         if tried > budget:
             break
-        if acceptable(cand):
-            return cand
+        pairs = leftover_pairs(cand)
+        if pairs is not None:
+            return cand, pairs
     return Ex2Signal("no reachable tiling leaves a matchable leftover block")
 
 

@@ -2,7 +2,9 @@
 
 Everything here works on plain edge sets / frozensets via itertools, with no
 code shared with equitiler's bitset internals.  Exponential and meant for
-small instances only.
+small instances only.  The exception is the last section: earlier versions of
+kernels that were since rewritten for speed, kept verbatim so that the tests
+can require the rewrites to give identical output.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+from equitiler.graphs import VertexSet
+from equitiler.matching import Matching, _augment_once
 
 Edge = Tuple[int, int]
 
@@ -29,6 +34,15 @@ def adj_sets(n: int, edges: Iterable[Edge]) -> List[Set[int]]:
 def graph_edges(g) -> FrozenSet[Edge]:
     """Edge set of an equitiler Graph, via its public iterator only."""
     return norm_edges(g.edges())
+
+
+def brute_induced(n: int, edges: Iterable[Edge], mask: int) -> Tuple[int, FrozenSet[Edge], List[int]]:
+    """Vertex count, edge set and old labels of the subgraph induced by `mask`,
+    by relabelling the edges with both ends inside it."""
+    labels = [v for v in range(n) if (mask >> v) & 1]
+    pos = {v: i for i, v in enumerate(labels)}
+    inside = ((pos[u], pos[v]) for u, v in edges if u in pos and v in pos)
+    return len(labels), norm_edges(inside), labels
 
 
 def is_clique_set(adj: Sequence[Set[int]], vs: Iterable[int]) -> bool:
@@ -214,3 +228,60 @@ def has_biclique(n: int, edges: Iterable[Edge], a: int, b: int) -> bool:
         if len(common) >= b:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Earlier kernel versions, verbatim apart from their names.
+
+
+def seed_independent_heuristic(g, target: int):
+    """extremal._independent_heuristic before the plateau swap went linear."""
+    # Greedy by ascending degree with one round of plateau swaps.
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    chosen = 0
+    for v in order:
+        if not (g.adj[v] & chosen):
+            chosen |= 1 << v
+    if chosen.bit_count() >= target:
+        return VertexSet(chosen)
+    for v in order:
+        if (chosen >> v) & 1:
+            continue
+        conflicts = g.adj[v] & chosen
+        if conflicts.bit_count() == 1:
+            w = conflicts.bit_length() - 1
+            trial = (chosen & ~conflicts) | (1 << v)
+            # accept only if the swap frees room for an extra vertex
+            for u in order:
+                if not ((trial >> u) & 1) and not (g.adj[u] & trial):
+                    trial |= 1 << u
+            if trial.bit_count() > chosen.bit_count():
+                chosen = trial
+        if chosen.bit_count() >= target:
+            return VertexSet(chosen)
+    return None
+
+
+def seed_maximum_matching(g):
+    """matching.maximum_matching with its quadratic greedy seed."""
+    match = [-1] * g.n
+    # Greedy seed, then one augmentation pass per remaining exposed vertex.
+    for v in range(g.n):
+        if match[v] == -1:
+            free = g.adj[v] & ~_covered_bits(match)
+            if free:
+                u = (free & -free).bit_length() - 1
+                match[v] = u
+                match[u] = v
+    for v in range(g.n):
+        if match[v] == -1:
+            _augment_once(g, match, v)
+    return Matching.from_array(match)
+
+
+def _covered_bits(match: List[int]) -> int:
+    bits = 0
+    for v, m in enumerate(match):
+        if m != -1:
+            bits |= 1 << v
+    return bits

@@ -1,6 +1,5 @@
 """Absorption machinery: sampled absorbers, layered greedy factors, the set M."""
 
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,8 +16,6 @@ from equitiler import (
     PreconditionError,
     VertexSet,
     absorb,
-    absorbing_from_json,
-    absorbing_to_json,
     almost_cover,
     build_absorbing_set,
     build_ex2,
@@ -362,32 +359,3 @@ class TestAlmostCover:
     def test_r_below_two_rejected(self):
         with pytest.raises(PreconditionError):
             almost_cover(Graph.complete(6), 1)
-
-
-class TestAbsorbingJson:
-    def test_roundtrip(self):
-        aset = build_absorbing_set(Graph.complete(60), 3, seed=0)
-        doc = absorbing_to_json(aset)
-        json.dumps(doc)
-        assert absorbing_from_json(doc) == aset
-
-    def test_factor_rows_must_tile_member(self):
-        aset = build_absorbing_set(Graph.complete(60), 3, seed=0)
-        doc = absorbing_to_json(aset)
-        doc["factors"][0][0][0] = doc["family"][0][3]
-        with pytest.raises(PreconditionError):
-            absorbing_from_json(doc)
-
-    def test_family_factor_lengths_must_match(self):
-        aset = build_absorbing_set(Graph.complete(60), 3, seed=0)
-        doc = absorbing_to_json(aset)
-        doc["factors"] = []
-        with pytest.raises(PreconditionError):
-            absorbing_from_json(doc)
-
-    def test_fixed_pieces_must_be_disjoint(self):
-        aset = build_absorbing_set(Graph.complete(60), 3, seed=0)
-        doc = absorbing_to_json(aset)
-        doc["fixed"] = [[57, 58, 59], [55, 56, 57]]
-        with pytest.raises(PreconditionError):
-            absorbing_from_json(doc)

@@ -29,6 +29,8 @@ from equitiler import (
     pad_to_divisible,
     random_gnp,
 )
+from equitiler.matching import maximum_matching
+
 from conftest import random_graph
 
 
@@ -237,6 +239,35 @@ class TestFactorPipelines:
         c = decide_kr_factor(g, 3, cfg=DESK36)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
         assert c.certificate.verify(g)
+
+    def test_leftover_block_matched_once(self, monkeypatch):
+        # Record the mask behind every induced graph that reaches a maximum
+        # matching, wrapping both where their callers look them up.
+        n, m = 240, 80
+        g = build_ex2(n, 3, 1)
+        g.add_edge(2 * m, 2 * m + 1)
+        induced = Graph.induced
+        made, matched = [], []
+
+        def tracked_induced(self, mask):
+            sub, labels = induced(self, mask)
+            made.append((sub, mask))
+            return sub, labels
+
+        def tracked_matching(h):
+            matched.extend(mask for sub, mask in made if sub is h)
+            return maximum_matching(h)
+
+        monkeypatch.setattr(Graph, "induced", tracked_induced)
+        for mod in ("matching", "partition", "tiling", "absorbing", "decide"):
+            monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
+        c = decide_kr_factor(g, 3)
+        assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
+        assert c.certificate.verify(g)
+        # The leftover block lies inside the clique pair, vertices 0..2m-1.
+        leftover = [mask for mask in matched if mask and not mask >> (2 * m)]
+        assert leftover
+        assert len(leftover) == len(set(leftover))
 
     def test_weakened_split_stays_negative(self):
         g = without_edge(build_ex2(36, 3, 1), 5, 6)

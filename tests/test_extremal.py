@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
     Ex2Witness,
+    _independent_heuristic,
     build_ex1_like,
     build_ex2,
     build_obstruction,
@@ -16,7 +21,7 @@ from equitiler.extremal import (
 )
 from equitiler.graphs import Graph, VertexSet
 
-from _brute import has_biclique
+from _brute import has_biclique, seed_independent_heuristic
 from conftest import cycle, random_graph
 
 
@@ -155,3 +160,65 @@ class TestFindBiclique:
 
     def test_too_large(self):
         assert find_biclique(Graph.complete(4), 2, 3) is None
+
+
+def _greedy_size(g: Graph) -> int:
+    # Size of the heuristic's greedy start, before any plateau swap.
+    chosen = 0
+    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
+        if not g.adj[v] & chosen:
+            chosen |= 1 << v
+    return chosen.bit_count()
+
+
+def _flip_edges(g: Graph, rng: random.Random, count: int) -> Graph:
+    h = g.copy()
+    for _ in range(count):
+        u, v = rng.sample(range(g.n), 2)
+        h.adj[u] ^= 1 << v
+        h.adj[v] ^= 1 << u
+    return h
+
+
+class TestIndependentHeuristic:
+    """The linear plateau swap returns what the quadratic one did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=70),
+        st.sampled_from([0.05, 0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1, max_value=3),
+    )
+    def test_gnp_matches_seed(self, n, p, seed, extra):
+        # Targets around the greedy size are where the swaps decide.
+        g = random_graph(random.Random(seed), n, p)
+        target = _greedy_size(g) + extra
+        assert _independent_heuristic(g, target) == seed_independent_heuristic(g, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["ex1", "ex2"]),
+        st.sampled_from([60, 90, 120, 150]),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1, max_value=2),
+    )
+    def test_extremal_families_match_seed(self, family, n, flips, seed, extra):
+        base = build_ex1_like(n, 3) if family == "ex1" else build_ex2(n, 3, 1)
+        g = _flip_edges(base, random.Random(seed), flips)
+        for target in (n // 3 + 1, _greedy_size(g) + extra):
+            assert _independent_heuristic(g, target) == seed_independent_heuristic(g, target)
+
+    def test_swaps_fire_on_perturbed_ex2(self):
+        # One past the greedy size is reached only through an accepted swap.
+        grown = 0
+        for seed in range(10):
+            g = _flip_edges(build_ex2(90, 3, 1), random.Random(seed), 20)
+            target = _greedy_size(g) + 1
+            got = _independent_heuristic(g, target)
+            assert got == seed_independent_heuristic(g, target)
+            if got is not None:
+                assert g.is_independent(got.bits) and len(got) >= target
+                grown += 1
+        assert grown > 0

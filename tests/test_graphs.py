@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equitiler.extremal import build_ex1_like, build_ex2
@@ -24,7 +24,7 @@ from equitiler.graphs import (
     sigma,
 )
 
-from _brute import adj_sets, brute_independence_number, brute_sigma, graph_edges
+from _brute import adj_sets, brute_independence_number, brute_induced, brute_sigma, graph_edges
 from conftest import cycle, random_graph
 
 
@@ -89,6 +89,36 @@ class TestGraphBasics:
         g2 = Graph.from_edges(3, [(1, 2)])
         assert g1.content_hash() != g2.content_hash()
         assert g1.content_hash() == Graph.from_edges(3, [(0, 1)]).content_hash()
+
+
+@st.composite
+def graph_and_mask(draw):
+    # Sizes up to 130 cross several 64-bit words and are mostly not
+    # multiples of 8; the mask is empty, one vertex, full or arbitrary.
+    n = draw(st.integers(min_value=0, max_value=130))
+    p = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+    full = (1 << n) - 1
+    kinds = [st.just(0), st.just(full), st.integers(min_value=0, max_value=full)]
+    if n:
+        kinds.append(st.integers(min_value=0, max_value=n - 1).map(lambda v: 1 << v))
+    return g, draw(st.one_of(kinds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_mask())
+@example((Graph.empty(0), 0))
+@example((Graph.complete(13), 0))
+@example((Graph.complete(13), 1 << 12))
+@example((Graph.complete(13), (1 << 13) - 1))
+@example((Graph.from_edges(70, [(0, 69), (5, 64), (63, 64)]), (1 << 70) - 1 - (1 << 5)))
+def test_induced_matches_edge_relabel(gm):
+    g, mask = gm
+    sub, labels = g.induced(mask)
+    n, edges, ref_labels = brute_induced(g.n, g.edges(), mask)
+    assert labels == ref_labels
+    assert sub.n == n and graph_edges(sub) == edges
+    assert sub == Graph.from_edges(n, edges)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitiler.errors import PreconditionError
 from equitiler.graphs import Graph, VertexSet
@@ -17,7 +20,7 @@ from equitiler.matching import (
     sn_sets,
 )
 
-from _brute import brute_covering_matching_exists, brute_max_matching_size
+from _brute import brute_covering_matching_exists, brute_max_matching_size, seed_maximum_matching
 from conftest import random_graph
 
 
@@ -52,6 +55,17 @@ class TestMaximumMatching:
         m = Matching.from_array([1, 0, 3, 2])
         assert m.pairs == ((0, 1), (2, 3))
         assert m.covered == VertexSet([0, 1, 2, 3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from([0.02, 0.1, 0.3, 0.7]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_maximum_matching_pairs_match_quadratic_seed(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    assert maximum_matching(g).pairs == seed_maximum_matching(g).pairs
 
 
 class TestCoveringMatching:

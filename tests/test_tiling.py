@@ -598,7 +598,10 @@ class TestParityRepair:
     def test_matchable_leftover_needs_nothing(self):
         g, q = q_split18()
         t0 = Tiling(3, ())
-        assert parity_repair(g, q, BaseSet((), vs()), t0) is t0
+        t, pairs = parity_repair(g, q, BaseSet((), vs()), t0)
+        assert t is t0
+        assert pairs.r == 2 and pairs.covered == q.partition.b
+        assert pairs.verify(g, require_factor=False)
 
     def test_odd_split_signals(self):
         g = ex2_9()
@@ -610,11 +613,11 @@ class TestParityRepair:
     def test_part_edge_unlocks_a_repair(self):
         g = ex2_9_edge()
         q = q_ex2_9(g)
-        out = parity_repair(g, q, BaseSet((), vs()), Tiling(3, ()))
-        assert isinstance(out, Tiling)
+        out, pairs = parity_repair(g, q, BaseSet((), vs()), Tiling(3, ()))
         assert set(out.cliques) == {vs(0, 6, 7), vs(1, 2, 3)}
         resid = q.partition.b - out.covered
         assert resid == vs(4, 5)
+        assert pairs == Tiling(2, (vs(4, 5),))
         assert kr_factor_exact(g, 3) is not None
 
     def test_requires_pair_leftover(self):
@@ -638,15 +641,9 @@ class TestPipeline:
         more = cover_nonexcellent(g, q, seeds.covered)
         assert more.bases == ()
 
-        t = Tiling(3, ())
-        t = parity_repair(g, q, seeds, t)
-        assert isinstance(t, Tiling)
-
+        t, ts = parity_repair(g, q, seeds, Tiling(3, ()))
         resid = strip_tiling(q.partition, t)
-        sub, labels = g.induced(resid.b.bits)
-        mm = maximum_matching(sub)
-        assert 2 * len(mm.pairs) == len(resid.b)
-        ts = Tiling(2, tuple(vs(labels[u], labels[v]) for u, v in mm.pairs))
+        assert ts.covered == resid.b
 
         ci = contract_residual(g, resid, ts)
         mp = multipartite_factor(ci.parts, ci.graph)
