@@ -24,8 +24,8 @@ from .matching import (
     Matching,
     maximum_matching,
     covering_matching,
-    sn_sets,
     pm_or_structure,
+    TutteBarrier,
 )
 from .extremal import (
     Ex1Witness,
@@ -65,8 +65,6 @@ from .tiling import (
     contract_residual,
     multipartite_factor,
     parity_repair,
-    tiling_to_json,
-    tiling_from_json,
 )
 from .absorbing import (
     AbsorberFamily,
@@ -74,7 +72,6 @@ from .absorbing import (
     AbsorptionFailure,
     AugmentationMove,
     absorb,
-    almost_cover,
     build_absorbing_set,
     enumerate_absorbers,
     find_augmentation,

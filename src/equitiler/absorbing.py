@@ -1,13 +1,14 @@
 """Randomized absorption machinery for the dense, unstructured regime.
 
-The route has four stages.  `build_absorbing_set` assembles a small set M
+The route has three stages.  `build_absorbing_set` assembles a small set M
 out of disjoint verified absorbers (plus cliques covering the low-degree
-clique, when there is one).  `almost_cover` tiles the rest of the graph
-greedily and improves the tiling with local augmentation moves until only
-a small remainder is uncovered.  `absorb` then folds that remainder into
-M, one r-set per stored absorber.  Everything an absorber promises is
-checked by the exact oracle at storage time, and the final assembly is
-re-verified piece by piece, so a returned factor is always genuine.
+clique, when there is one).  `layered_greedy`, run by the decider on the
+graph outside M, tiles it greedily and improves the tiling with local
+augmentation moves until only a small remainder is uncovered.  `absorb`
+then folds that remainder into M, one r-set per stored absorber.
+Everything an absorber promises is checked by the exact oracle at storage
+time, and the final assembly is re-verified piece by piece, so a returned
+factor is always genuine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "AbsorptionFailure",
     "AugmentationMove",
     "absorb",
-    "almost_cover",
     "build_absorbing_set",
     "enumerate_absorbers",
     "find_augmentation",
@@ -525,34 +525,3 @@ def layered_greedy(g: Graph, r: int) -> LayeredFactor:
     for p in sorted(pieces, key=lambda c: c.bits):
         layers.setdefault(len(p), []).append(p)
     return LayeredFactor(r, {s: tuple(ps) for s, ps in layers.items()})
-
-
-def almost_cover(
-    g: Graph, r: int, cfg: Optional[ConstantsConfig] = None
-) -> Tuple[Tiling, VertexSet]:
-    """K_r-tiling covering all but a small remainder, plus that remainder.
-
-    The degree-sum floor is mandatory.  The no-sparse-set hypothesis is
-    re-checked; when the search proves it (small n, zero edge budget) the
-    mu * n bound on the remainder is enforced, otherwise the remainder is
-    simply reported and the caller decides.
-    """
-    if r < 2:
-        raise PreconditionError("need r >= 2")
-    if cfg is None:
-        cfg = default_constants(r)
-    n = g.n
-    _sigma_gate(g, r, cfg.alpha)
-    sparse = None
-    if n >= r:
-        sparse = _sparse_set(g, g.full_mask, n // r, cfg.gamma, n)
-    exact_check = n <= 64 and cfg.gamma * n * n < 1
-
-    lf = layered_greedy(g, r)
-    tiling = Tiling(r, lf.layers.get(r, ()))
-    uncovered = VertexSet(g.full_mask & ~tiling.covered.bits)
-    if sparse is None and exact_check and len(uncovered) > cfg.mu * n:
-        raise InternalContradiction(
-            f"{len(uncovered)} uncovered vertices exceed the mu * n target"
-        )
-    return tiling, uncovered

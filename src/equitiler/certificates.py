@@ -5,6 +5,12 @@ carries `schema: "equitiler.certificate/1"`.  Deserialization rebuilds the
 typed objects; `verify_certificate` re-checks a document against a graph
 from scratch, trusting nothing but the input edges, so a tampered or stale
 certificate is caught loudly.
+
+Witness types: an independent set (Ex1) and the odd split (Ex2) block a
+K_r-factor; a Tutte–Berge barrier blocks a K_2-factor (a perfect matching);
+a K_{k+1} clique or an odd biclique blocks an equitable k-coloring.  A NO of
+kind "exact" carries no witness: it yields no clause, and callers that
+report on it must say it went unchecked.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .extremal import (
     Ex2Witness,
 )
 from .graphs import Graph, VertexSet
-from .matching import NearIndependentSet, TwoOddComponents
+from .matching import TutteBarrier
 from .oracle import Coloring, Tiling
 
 __all__ = [
@@ -78,18 +84,8 @@ def _encode_payload(obj) -> Optional[Dict[str, object]]:
             "side_a": sorted(obj.side_a.members()),
             "side_b": sorted(obj.side_b.members()),
         }
-    if isinstance(obj, NearIndependentSet):
-        return {
-            "type": "near-independent-set",
-            "vertices": sorted(obj.vertices.members()),
-            "exposed_pair": list(obj.exposed_pair),
-        }
-    if isinstance(obj, TwoOddComponents):
-        return {
-            "type": "two-odd-components",
-            "sides": _enc_sets(obj.sides),
-            "clique_sides": list(obj.clique_sides),
-        }
+    if isinstance(obj, TutteBarrier):
+        return {"type": "tutte-barrier", "vertices": sorted(obj.vertices.members())}
     raise PreconditionError(f"cannot serialize payload of type {type(obj).__name__}")
 
 
@@ -116,15 +112,8 @@ def _decode_payload(doc) -> Optional[object]:
             return CliqueObstruction(_dec_set(doc["vertices"]))
         if kind == "biclique":
             return BicliqueObstruction(_dec_set(doc["side_a"]), _dec_set(doc["side_b"]))
-        if kind == "near-independent-set":
-            pair = doc["exposed_pair"]
-            return NearIndependentSet(_dec_set(doc["vertices"]), (int(pair[0]), int(pair[1])))
-        if kind == "two-odd-components":
-            sides = [_dec_set(s) for s in doc["sides"]]
-            flags = [bool(b) for b in doc["clique_sides"]]
-            if len(sides) != 2 or len(flags) != 2:
-                raise PreconditionError("two-odd-components needs exactly two sides")
-            return TwoOddComponents((sides[0], sides[1]), (flags[0], flags[1]))
+        if kind == "tutte-barrier":
+            return TutteBarrier(_dec_set(doc["vertices"]))
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed {kind} payload: {e}") from e
     raise PreconditionError(f"unknown payload type {kind!r}")
@@ -197,19 +186,9 @@ def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
     elif isinstance(obj, BicliqueObstruction):
         if not obj.verify(g, k_or_r):
             out.append("biclique witness fails")
-    elif isinstance(obj, NearIndependentSet):
-        if 2 * len(obj.vertices) < g.n:
-            out.append("near-independent set covers less than half the graph")
-    elif isinstance(obj, TwoOddComponents):
-        a, b = obj.sides
-        if a.bits & b.bits or (a | b).bits != g.full_mask:
-            out.append("component sides do not partition the graph")
-        elif len(a) % 2 == 0 or len(b) % 2 == 0:
-            out.append("component sides are not both odd")
-        elif any(
-            g.adj[u] & b.bits for u in a.members()
-        ):
-            out.append("edges cross between the claimed components")
+    elif isinstance(obj, TutteBarrier):
+        if mode != "factor" or not obj.verify(g, k_or_r):
+            out.append("Tutte barrier fails: it needs r = 2 and more odd components than vertices")
     elif obj is not None:
         out.append(f"unverifiable payload {type(obj).__name__}")
     return out

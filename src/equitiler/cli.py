@@ -2,7 +2,9 @@
 
 Exit codes follow one contract across commands: 0 for a positive answer
 (colorable, factorable, verified, clean sweep), 1 for a negative one, 2 for
-unresolved, 3 for usage and parse errors, 4 for internal failures.  All JSON
+unresolved, 3 for usage and parse errors, 4 for internal failures.  `verify`
+also exits 2, with `"ok": null` and an `"unchecked"` reason, on a NO that
+carries no witness (kind "exact"): nothing in it can be re-checked.  All JSON
 output is sorted and timing-free except `bench` and the sweep wall clock, so
 identical inputs and seeds produce identical bytes.
 """
@@ -16,7 +18,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .certificates import (
     certificate_from_json,
@@ -51,7 +53,6 @@ _CONSTANT_FIELDS = {
     "zeta",
     "xi",
     "epsilon",
-    "mu",
     "s",
     "ladder_ratio",
 }
@@ -196,16 +197,20 @@ def _verify_raw(g: Graph, doc: list, args) -> List[str]:
     return payload_clauses(g, Coloring(sets), args.k, "coloring")
 
 
-def _verify_envelope(g: Graph, doc: dict) -> List[str]:
+def _verify_envelope(g: Graph, doc: dict) -> Tuple[List[str], Optional[str]]:
+    """Violated clauses, and why the answer went unchecked if it did."""
     mode = doc.get("mode")
     value = doc.get("value")
     if mode not in ("coloring", "factor") or not isinstance(value, int):
         raise CliError("certificate lacks its mode/value envelope fields")
     stored = doc.get("graph_hash")
     if isinstance(stored, str) and stored != g.content_hash():
-        return ["graph hash mismatch: certificate was issued for a different graph"]
+        return ["graph hash mismatch: certificate was issued for a different graph"], None
     cert = certificate_from_json(doc)
-    return verify_certificate(g, cert, mode, value)
+    unchecked = None
+    if cert.answer is False and cert.kind != "obstructed":
+        unchecked = f"negative answer of kind {cert.kind} carries no witness to check"
+    return verify_certificate(g, cert, mode, value), unchecked
 
 
 def cmd_verify(args) -> int:
@@ -214,10 +219,11 @@ def cmd_verify(args) -> int:
         doc = json.loads(_read_text(args.certificate))
     except json.JSONDecodeError as exc:
         raise CliError(f"certificate is not JSON: {exc}") from None
+    unchecked = None
     if isinstance(doc, list):
         clauses = _verify_raw(g, doc, args)
     elif isinstance(doc, dict):
-        clauses = _verify_envelope(g, doc)
+        clauses, unchecked = _verify_envelope(g, doc)
     else:
         raise CliError("certificate must be a JSON object or a list of vertex lists")
     report = {
@@ -227,8 +233,15 @@ def cmd_verify(args) -> int:
     }
     if clauses:
         report["first_violated"] = clauses[0]
+        code = EXIT_NEGATIVE
+    elif unchecked is not None:
+        report["ok"] = None
+        report["unchecked"] = unchecked
+        code = EXIT_UNRESOLVED
+    else:
+        code = EXIT_POSITIVE
     _emit_json(report, args.out)
-    return EXIT_POSITIVE if not clauses else EXIT_NEGATIVE
+    return code
 
 
 def cmd_gen(args) -> int:

@@ -32,7 +32,6 @@ class ConstantsConfig:
     zeta: Fraction
     xi: Fraction = Fraction(2, 25)
     epsilon: Fraction = Fraction(1, 50)
-    mu: Fraction = Fraction(1, 10)
     s: Optional[int] = None
     ladder_ratio: Fraction = Fraction(1, 10)
 
@@ -68,7 +67,7 @@ class ConstantsConfig:
                     raise ValueError(
                         f"refinement scales must increase strictly: {chain}"
                     )
-        for name in ("xi", "epsilon", "mu"):
+        for name in ("xi", "epsilon"):
             v = getattr(self, name)
             if not (0 < v < 1):
                 raise ValueError(f"{name}={v} outside (0,1)")
@@ -103,7 +102,6 @@ class ConstantsConfig:
             "zeta": enc(self.zeta),
             "xi": enc(self.xi),
             "epsilon": enc(self.epsilon),
-            "mu": enc(self.mu),
             "s": self.s,
             "ladder_ratio": enc(self.ladder_ratio),
         }
@@ -120,7 +118,6 @@ class ConstantsConfig:
             zeta=as_fraction(doc["zeta"]),
             xi=as_fraction(doc.get("xi", Fraction(2, 25))),
             epsilon=as_fraction(doc.get("epsilon", Fraction(1, 50))),
-            mu=as_fraction(doc.get("mu", Fraction(1, 10))),
             s=None if doc.get("s") is None else int(doc["s"]),
             ladder_ratio=as_fraction(doc.get("ladder_ratio", Fraction(1, 10))),
         )

@@ -6,13 +6,15 @@ cliques of equal size.  Every positive answer ships with a certificate that
 is re-verified against the input graph before it leaves this module, every
 structural NO ships with a witness that re-verifies, and anything the
 pipeline cannot settle within its exact-search caps is reported as
-unresolved rather than guessed.
+unresolved rather than guessed.  At r = 2 the question is perfect matching,
+which the blossom search settles at every size: a YES is the matching, a NO
+its Tutte–Berge barrier.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 from .absorbing import AbsorptionFailure, absorb, build_absorbing_set, layered_greedy
@@ -33,9 +35,8 @@ from .graphs import (
     find_clique_of_size,
     iter_bits,
     ore_edge_bound,
-    sigma,
 )
-from .matching import maximum_matching, pm_or_structure
+from .matching import TutteBarrier, pm_or_structure
 from .oracle import Coloring, Tiling, equitable_coloring_exact, kr_factor_exact
 from .partition import peel_partition, refine_to_good
 from .tiling import (
@@ -77,9 +78,9 @@ class DecisionCertificate:
     `kind` is one of "factorable", "colorable", "obstructed", "exact", or
     "unresolved".  The first two carry a verified positive certificate; an
     obstructed answer carries a verified witness; "exact" is a negative
-    answer proved by exhaustive search or an exact matching bound without a
-    structural witness; "unresolved" means the instance is beyond both the
-    pipeline and the exact caps, and `answer` is None.
+    answer proved by exhaustive search, with no witness a reader can check;
+    "unresolved" means the instance is beyond both the pipeline and the
+    exact caps, and `answer` is None.
     """
 
     kind: str
@@ -90,13 +91,6 @@ class DecisionCertificate:
     verified: bool
     notes: Tuple[str, ...] = ()
     timings: Tuple[Tuple[str, float], ...] = ()
-
-    def with_notes(self, *extra: str) -> "DecisionCertificate":
-        return DecisionCertificate(
-            self.kind, self.answer, self.certificate, self.witness,
-            self.provenance, self.verified, self.notes + tuple(extra),
-            self.timings,
-        )
 
 
 class _Miss(Exception):
@@ -195,31 +189,14 @@ def _factor_by_oracle(g: Graph, r: int) -> DecisionCertificate:
     return DecisionCertificate("exact", False, None, None, "oracle", True)
 
 
-def _factor_r2(g: Graph, cfg: ConstantsConfig) -> DecisionCertificate:
-    mm = maximum_matching(g)
-    if 2 * mm.size == g.n:
-        t = Tiling(2, tuple(VertexSet([u, v]) for u, v in mm.pairs))
-        if not t.verify(g):
-            raise InternalContradiction("perfect matching failed verification")
-        return DecisionCertificate("factorable", True, t, None, "pipeline", True)
-    # The deficiency is exact, so the answer is already settled; the rest is
-    # a hunt for a structural witness.
-    w = _verified_witness(g, 2, recognize_extremal(g, 2))
-    if w is not None:
-        return DecisionCertificate("obstructed", False, None, w, "pipeline", True)
-    try:
-        outcome = pm_or_structure(g, cfg.gamma)
-    except PreconditionError:
-        outcome = None
-    if outcome is not None and not hasattr(outcome, "matching"):
-        return DecisionCertificate(
-            "obstructed", False, None, outcome, "pipeline", True,
-            notes=("witness verified inside the matching dichotomy",),
-        )
-    return DecisionCertificate(
-        "exact", False, None, None, "pipeline", True,
-        notes=(f"maximum matching covers {2 * mm.size} of {g.n} vertices",),
-    )
+def _factor_r2(g: Graph) -> DecisionCertificate:
+    out = pm_or_structure(g)
+    if isinstance(out, TutteBarrier):
+        return DecisionCertificate("obstructed", False, None, out, "pipeline", True)
+    t = Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs))
+    if not t.verify(g):
+        raise InternalContradiction("perfect matching failed verification")
+    return DecisionCertificate("factorable", True, t, None, "pipeline", True)
 
 
 def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Tiling:
@@ -337,11 +314,12 @@ def decide_kr_factor(
 ) -> DecisionCertificate:
     """Does G split into n/r vertex-disjoint copies of K_r?
 
-    Strategy ladder: structural recognizers, then exact search below
-    `exact_cap`, then the perfect-matching machinery at r=2, then the dense
-    absorption route or the extremal pipeline at r >= 3.  A pipeline miss at
-    n <= `fallback_cap` falls back to exact search; beyond that the honest
-    output is kind="unresolved".
+    Strategy ladder: the trivial cases (n = 0 or r = 1); at r = 2 the
+    perfect-matching decision, whose NO is obstructed by a Tutte–Berge
+    barrier; then, at r >= 3, the structural recognizers, exact search below
+    `exact_cap`, and the dense absorption route or the extremal pipeline.  A
+    pipeline miss at n <= `fallback_cap` falls back to exact search; beyond
+    that the honest output is kind="unresolved".
     """
     if r < 1:
         raise PreconditionError(f"r={r} must be positive")
@@ -355,6 +333,10 @@ def decide_kr_factor(
         assert t is not None
         return DecisionCertificate("factorable", True, t, None, "oracle", True)
 
+    if r == 2:
+        cert = _factor_r2(g)
+        return replace(cert, timings=(("matching", time.perf_counter() - t0),))
+
     w = _verified_witness(g, r, recognize_extremal(g, r))
     if w is not None and isinstance(w, Ex2Witness):
         # The odd split is an exact-match recognizer, so this costs little
@@ -366,21 +348,9 @@ def decide_kr_factor(
         t0 = time.perf_counter()
         cert = _factor_by_oracle(g, r)
         timings.append(("oracle", time.perf_counter() - t0))
-        return DecisionCertificate(
-            cert.kind, cert.answer, cert.certificate, cert.witness,
-            cert.provenance, cert.verified, cert.notes, tuple(timings),
-        )
+        return replace(cert, timings=tuple(timings))
 
-    cfg = cfg or default_constants(max(r, 2))
-
-    if r == 2:
-        t0 = time.perf_counter()
-        cert = _factor_r2(g, cfg)
-        timings.append(("matching", time.perf_counter() - t0))
-        return DecisionCertificate(
-            cert.kind, cert.answer, cert.certificate, cert.witness,
-            cert.provenance, cert.verified, cert.notes, tuple(timings),
-        )
+    cfg = cfg or default_constants(r)
 
     if w is not None:
         # An exact independent set beyond the clique count is conclusive at
@@ -420,11 +390,7 @@ def decide_kr_factor(
         t0 = time.perf_counter()
         cert = _factor_by_oracle(g, r)
         timings.append(("oracle", time.perf_counter() - t0))
-        return DecisionCertificate(
-            cert.kind, cert.answer, cert.certificate, cert.witness,
-            cert.provenance, cert.verified, tuple(notes) + cert.notes,
-            tuple(timings),
-        )
+        return replace(cert, notes=tuple(notes) + cert.notes, timings=tuple(timings))
     return DecisionCertificate(
         "unresolved", None, None, None, "pipeline", False,
         tuple(notes) + ("instance beyond the exact fallback cap",),

@@ -1,8 +1,14 @@
 """Maximum matchings (blossom algorithm), covering matchings, and the
-structured perfect-matching trichotomy for graphs with large degree-sum floor.
+perfect-matching decision with its Tutte–Berge certificate.
 
 The blossom search processes exposed roots in ascending order and scans
-neighbors in ascending order, so results are reproducible.
+neighbors in ascending order, so results are reproducible.  When a search
+from an exposed root of a maximum matching ends without augmenting, its outer
+vertices are exactly those reachable from the root by an even alternating
+path.  Their union over all exposed roots is the set D of the Gallai–Edmonds
+decomposition, and U = N(D) - D is a Tutte–Berge barrier: G - U has exactly
+n - 2*nu(G) more odd components than U has vertices (Lovász–Plummer,
+*Matching Theory*).
 """
 
 from __future__ import annotations
@@ -12,26 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
-from .graphs import (
-    Graph,
-    VertexSet,
-    as_fraction,
-    connected_components,
-    gamma_independent,
-    induced_edge_count,
-    iter_bits,
-    sigma,
-)
+from .graphs import Graph, VertexSet, connected_components, iter_bits
 
 __all__ = [
     "Matching",
+    "TutteBarrier",
     "maximum_matching",
     "covering_matching",
-    "sn_sets",
-    "PerfectMatching",
-    "NearIndependentSet",
-    "TwoOddComponents",
-    "PMOutcome",
     "pm_or_structure",
 ]
 
@@ -83,8 +76,12 @@ class Matching:
         return True
 
 
-def _augment_once(g: Graph, match: List[int], root: int) -> bool:
-    """Grow `match` by one edge via an alternating tree from exposed `root`."""
+def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
+    """Grow `match` by one edge via an alternating tree from exposed `root`.
+
+    Returns None after augmenting.  Otherwise `match` is untouched and the
+    result is the mask of the tree's outer vertices, root included.
+    """
     n = g.n
     parent = [-1] * n
     base = list(range(n))
@@ -141,7 +138,7 @@ def _augment_once(g: Graph, match: List[int], root: int) -> bool:
                     in_queue[w] = True
                     q.append(w)
     if finish == -1:
-        return False
+        return sum(1 << i for i in range(n) if in_queue[i])
     u = finish
     while u != -1:
         pv = parent[u]
@@ -149,7 +146,7 @@ def _augment_once(g: Graph, match: List[int], root: int) -> bool:
         match[u] = pv
         match[pv] = u
         u = nxt
-    return True
+    return None
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -206,102 +203,58 @@ def covering_matching(g: Graph, x: VertexSet, d: int) -> Optional[Matching]:
     return out
 
 
-def sn_sets(g: Graph, m: Matching, v: int) -> VertexSet:
-    """Partners of v's neighbors under m; requires v exposed.
+@dataclass(frozen=True)
+class TutteBarrier:
+    """A set U whose removal leaves more odd components than |U|.
 
-    Every neighbor of an exposed vertex is matched when m is maximum, so the
-    result has exactly deg(v) members there.
+    Each odd component of G - U needs a partner in U for one of its vertices,
+    so no perfect matching (a K_2-factor) exists; the surplus is exactly
+    n - 2*nu(G) for the barrier `pm_or_structure` returns.
     """
-    match = m.to_array(g.n)
-    if match[v] != -1:
-        raise PreconditionError(f"vertex {v} is covered")
-    bits = 0
-    for u in iter_bits(g.adj[v]):
-        if match[u] == -1:
-            raise PreconditionError(f"neighbor {u} of exposed {v} is exposed; matching not maximum")
-        bits |= 1 << match[u]
-    return VertexSet(bits)
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    matching: Matching
-
-
-@dataclass(frozen=True)
-class NearIndependentSet:
-    """Half the vertex set spanning at most 2*gamma*n^2 edges."""
 
     vertices: VertexSet
-    exposed_pair: Tuple[int, int]
 
+    def surplus(self, g: Graph) -> int:
+        """Odd components of G - U minus |U|."""
+        rest, _ = g.induced(g.full_mask & ~self.vertices.bits)
+        odd = sum(len(c) % 2 for c in connected_components(rest))
+        return odd - len(self.vertices)
 
-@dataclass(frozen=True)
-class TwoOddComponents:
-    sides: Tuple[VertexSet, VertexSet]
-    clique_sides: Tuple[bool, bool]
-
-
-PMOutcome = Union[PerfectMatching, NearIndependentSet, TwoOddComponents]
-
-
-def pm_or_structure(g: Graph, gamma) -> PMOutcome:
-    """Perfect matching, or one of the two obstructing shapes.
-
-    Requires n even and sigma(G) >= n - gamma*n.  Every returned structure is
-    verified before it is handed back; a verification failure raises
-    InternalContradiction since the hypotheses rule it out.
-    """
-    gam = as_fraction(gamma)
-    n = g.n
-    if n % 2 != 0:
-        raise PreconditionError(f"n={n} is odd")
-    st = sigma(g)
-    if not st.is_complete and st.sigma < n - gam * n:
-        raise PreconditionError(f"sigma={st.sigma} below n - gamma n = {n - gam * n}")
-
-    m = maximum_matching(g)
-    if 2 * m.size == n:
-        return PerfectMatching(m)
-
-    comps = connected_components(g)
-    if len(comps) == 2 and len(comps[0]) % 2 == 1 and len(comps[1]) % 2 == 1:
-        flags = []
-        for side in comps:
-            small = 2 * len(side) <= (1 - gam) * n
-            if small and not g.is_clique(side.bits):
-                raise InternalContradiction(
-                    f"odd component of size {len(side)} is small but not a clique"
-                )
-            flags.append(small)
-        return TwoOddComponents((comps[0], comps[1]), (flags[0], flags[1]))
-
-    exposed = [v for v in range(n) if v not in m.covered]
-    if len(exposed) < 2:
-        raise InternalContradiction("no perfect matching yet fewer than two exposed vertices")
-    x, y = exposed[0], exposed[1]
-    common = sn_sets(g, m, x) & sn_sets(g, m, y)
-    chosen = common.bits | (1 << x) | (1 << y)
-    # Pad to n/2 vertices, low degree first; the common-partner core is
-    # independent, so padding is what spends the edge budget.
-    pad_order = sorted(
-        (v for v in range(n) if not (chosen >> v) & 1), key=lambda v: (g.degree(v), v)
-    )
-    for v in pad_order:
-        if chosen.bit_count() >= n // 2:
-            break
-        chosen |= 1 << v
-    if chosen.bit_count() > n // 2:
-        # Core already larger than n/2: keep x, y and the lowest core members.
-        keep = (1 << x) | (1 << y)
-        for v in iter_bits(common.bits):
-            if keep.bit_count() >= n // 2:
-                break
-            keep |= 1 << v
-        chosen = keep
-    if chosen.bit_count() != n // 2 or not gamma_independent(g, chosen, 2 * gam):
-        raise InternalContradiction(
-            f"near-independent construction failed: size {chosen.bit_count()}, "
-            f"induced edges {induced_edge_count(g, chosen)}"
+    def verify(self, g: Graph, r: int) -> bool:
+        return (
+            r == 2
+            and not self.vertices.bits & ~g.full_mask
+            and self.surplus(g) > 0
         )
-    return NearIndependentSet(VertexSet(chosen), (x, y))
+
+
+def pm_or_structure(g: Graph) -> Union[Matching, TutteBarrier]:
+    """A perfect matching of G, or a Tutte–Berge barrier proving there is none.
+
+    The barrier is N(D) - D, where D collects the outer vertices of the
+    blossom search from every exposed vertex of a maximum matching.  Its
+    surplus is checked against the matching's deficiency n - 2*nu before it
+    is returned; a mismatch raises InternalContradiction.
+    """
+    m = maximum_matching(g)
+    n = g.n
+    if 2 * m.size == n:
+        return m
+    match = m.to_array(n)
+    d = 0
+    for v in range(n):
+        if match[v] == -1:
+            outer = _augment_once(g, match, v)
+            if outer is None:
+                raise InternalContradiction(f"maximum matching augmented from vertex {v}")
+            d |= outer
+    reach = 0
+    for v in iter_bits(d):
+        reach |= g.adj[v]
+    barrier = TutteBarrier(VertexSet(reach & ~d))
+    surplus = barrier.surplus(g)
+    if surplus != n - 2 * m.size:
+        raise InternalContradiction(
+            f"barrier surplus {surplus} differs from deficiency {n - 2 * m.size}"
+        )
+    return barrier

@@ -45,8 +45,6 @@ __all__ = [
     "contract_residual",
     "multipartite_factor",
     "parity_repair",
-    "tiling_to_json",
-    "tiling_from_json",
 ]
 
 
@@ -1048,35 +1046,3 @@ def parity_repair(
         if pairs is not None:
             return cand, pairs
     return Ex2Signal("no reachable tiling leaves a matchable leftover block")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def tiling_to_json(t: Tiling) -> List[List[int]]:
-    """Plain nested lists, each clique sorted; the verify command reads this."""
-    return [sorted(c.members()) for c in t.cliques]
-
-
-def tiling_from_json(data, r: Optional[int] = None) -> Tiling:
-    if not isinstance(data, list):
-        raise PreconditionError("tiling document must be a list of cliques")
-    cliques: List[VertexSet] = []
-    sizes = set()
-    for row in data:
-        if not isinstance(row, list) or not all(
-            isinstance(v, int) and v >= 0 for v in row
-        ):
-            raise PreconditionError("each clique must be a list of vertex ids")
-        vs = VertexSet(row)
-        if len(vs) != len(row):
-            raise PreconditionError("clique repeats a vertex")
-        cliques.append(vs)
-        sizes.add(len(vs))
-    if len(sizes) > 1:
-        raise PreconditionError("cliques must share one size")
-    inferred = sizes.pop() if sizes else 0
-    if r is not None and cliques and r != inferred:
-        raise PreconditionError(f"clique size {inferred} does not match r={r}")
-    return Tiling(r if r is not None else inferred, tuple(cliques))

@@ -16,7 +16,6 @@ from equitiler import (
     PreconditionError,
     VertexSet,
     absorb,
-    almost_cover,
     build_absorbing_set,
     build_ex2,
     count_absorbers_exact,
@@ -24,7 +23,6 @@ from equitiler import (
     enumerate_absorbers,
     find_augmentation,
     is_absorber_set,
-    kr_factor_exact,
     layered_factor_exact,
     layered_greedy,
     sigma,
@@ -332,30 +330,3 @@ class TestAbsorb:
         assert orphaned.validate(g) == []
         with pytest.raises(AbsorptionFailure):
             absorb(g, orphaned, vs(9, 10, 11))
-
-
-class TestAlmostCover:
-    def test_complete_tripartite_covers_fully(self):
-        t, uncovered = almost_cover(multipartite((4, 4, 4)), 3)
-        assert uncovered == vs()
-        assert len(t.cliques) == 4
-        assert t.verify(multipartite((4, 4, 4)))
-
-    def test_degree_sum_floor_enforced(self):
-        with pytest.raises(PreconditionError):
-            almost_cover(build_ex2(9, 3, 1), 3)
-
-    def test_dense_random_residual_is_tiny(self):
-        rng = random.Random(0xE0A1)
-        g = random_graph(rng, 90, 0.95)
-        t, uncovered = almost_cover(g, 3)
-        assert len(uncovered) <= 9
-        assert t.verify(g, require_factor=False)
-        assert (t.covered | uncovered) == VertexSet(range(90))
-        if len(uncovered):
-            sub, _ = g.induced(uncovered)
-            assert kr_factor_exact(sub, 3) is None
-
-    def test_r_below_two_rejected(self):
-        with pytest.raises(PreconditionError):
-            almost_cover(Graph.complete(6), 1)

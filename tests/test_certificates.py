@@ -21,7 +21,7 @@ from equitiler.extremal import (
     ex2_witness,
 )
 from equitiler.graphs import Graph, VertexSet
-from equitiler.matching import NearIndependentSet, TwoOddComponents
+from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling
 
 
@@ -115,8 +115,8 @@ class TestRoundtrip:
 
 
 class TestPayloadCodecs:
-    def roundtrip_payload(self, obj):
-        cert = DecisionCertificate(
+    def cert(self, obj):
+        return DecisionCertificate(
             kind="obstructed",
             answer=False,
             certificate=None,
@@ -124,7 +124,9 @@ class TestPayloadCodecs:
             provenance="pipeline",
             verified=True,
         )
-        return certificate_from_json(certificate_to_json(cert)).witness
+
+    def roundtrip_payload(self, obj):
+        return certificate_from_json(certificate_to_json(self.cert(obj))).witness
 
     def test_independent_set(self):
         w = Ex1Witness(vs(0, 1, 2, 3))
@@ -138,13 +140,28 @@ class TestPayloadCodecs:
         w = BicliqueObstruction(vs(0, 1, 2), vs(3, 4, 5))
         assert self.roundtrip_payload(w) == w
 
-    def test_near_independent_set(self):
-        w = NearIndependentSet(vs(0, 2, 4), (1, 3))
+    def test_tutte_barrier(self):
+        w = TutteBarrier(vs(0, 3))
         assert self.roundtrip_payload(w) == w
+        assert certificate_to_json(self.cert(w))["witness"] == {
+            "type": "tutte-barrier", "vertices": [0, 3],
+        }
+
+    # The two r = 2 shapes the Tutte barrier replaced no longer decode.
+    def test_near_independent_set(self):
+        doc = certificate_to_json(self.cert(TutteBarrier(vs())))
+        doc["witness"] = {"type": "near-independent-set", "vertices": [0, 2], "exposed_pair": [0, 2]}
+        with pytest.raises(PreconditionError, match="unknown payload type"):
+            certificate_from_json(doc)
 
     def test_two_odd_components(self):
-        w = TwoOddComponents((vs(0, 1, 2), vs(3, 4, 5)), (True, True))
-        assert self.roundtrip_payload(w) == w
+        doc = certificate_to_json(self.cert(TutteBarrier(vs())))
+        doc["witness"] = {
+            "type": "two-odd-components", "sides": [[0, 1, 2], [3, 4, 5]],
+            "clique_sides": [True, True],
+        }
+        with pytest.raises(PreconditionError, match="unknown payload type"):
+            certificate_from_json(doc)
 
 
 class TestStrictDecode:
@@ -367,20 +384,31 @@ class TestVerify:
 
 
 class TestPayloadClauses:
+    BARRIER_FAILS = ["Tutte barrier fails: it needs r = 2 and more odd components than vertices"]
+
     def test_two_odd_components_pass(self):
-        w = TwoOddComponents((vs(0, 1, 2), vs(3, 4, 5)), (True, True))
+        # The empty barrier leaves the two triangles: two odd components.
+        w = TutteBarrier(vs())
         assert payload_clauses(two_triangles(), w, 2, "factor") == []
 
     def test_two_odd_components_crossing_edges(self):
-        w = TwoOddComponents((vs(0, 1, 2), vs(3, 4, 5)), (True, True))
-        clauses = payload_clauses(Graph.complete(6), w, 2, "factor")
-        assert clauses == ["edges cross between the claimed components"]
+        # With every crossing edge present the six vertices form one even
+        # component, so the empty barrier proves nothing.
+        w = TutteBarrier(vs())
+        assert payload_clauses(Graph.complete(6), w, 2, "factor") == self.BARRIER_FAILS
 
-    def test_near_independent_set_size_floor(self):
-        w = NearIndependentSet(vs(0, 1, 2), (0, 1))
-        assert payload_clauses(Graph(6, [0] * 6), w, 2, "factor") == []
-        clauses = payload_clauses(Graph(8, [0] * 8), w, 2, "factor")
-        assert clauses == ["near-independent set covers less than half the graph"]
+    def test_forged_barriers_on_k4_rejected(self):
+        g = Graph.complete(4)
+        for forged in (TutteBarrier(vs()), TutteBarrier(vs(0))):
+            cert = DecisionCertificate("obstructed", False, None, forged, "pipeline", True)
+            assert verify_certificate(g, cert, "factor", 2) == self.BARRIER_FAILS
+
+    def test_barrier_checked_only_for_pairs(self):
+        g = two_triangles()
+        w = TutteBarrier(vs())
+        assert payload_clauses(g, w, 3, "factor") == self.BARRIER_FAILS
+        assert payload_clauses(g, w, 2, "coloring") == self.BARRIER_FAILS
+        assert payload_clauses(g, TutteBarrier(vs(6)), 2, "factor") == self.BARRIER_FAILS
 
     def test_ex1_blocks_its_construction(self):
         g = build_ex1_like(9, 3)

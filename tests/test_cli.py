@@ -172,6 +172,36 @@ class TestVerify:
         assert code == 1
         assert "hash mismatch" in json.loads(out)["first_violated"]
 
+    def test_barrier_roundtrip_and_forgery(self, capsys, tmp_path, write):
+        star = Graph(6, [0] * 6)
+        for v in range(1, 6):
+            star.add_edge(0, v)
+        graph = write("star.txt", dumps(star))
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, ["factor", graph, "--r", "2", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        assert code == 1
+        assert (doc["kind"], doc["witness"]) == ("obstructed", {"type": "tutte-barrier", "vertices": [0]})
+        code, out, _ = run(capsys, ["verify", graph, str(cert)])
+        assert code == 0 and json.loads(out)["ok"] is True
+        doc["witness"]["vertices"] = [1]
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["verify", graph, str(cert)])
+        assert code == 1 and "Tutte barrier" in json.loads(out)["first_violated"]
+
+    def test_exact_negative_unchecked(self, capsys, write):
+        graph = write("k4.txt", dumps(Graph.complete(4)))
+        doc = {
+            "schema": "equitiler.certificate/1", "kind": "exact", "answer": False,
+            "certificate": None, "witness": None, "provenance": "oracle",
+            "verified": True, "notes": [], "mode": "factor", "value": 2,
+        }
+        code, out, _ = run(capsys, ["verify", graph, write("no.json", json.dumps(doc))])
+        report = json.loads(out)
+        assert code == 2
+        assert report["ok"] is None and report["clauses"] == []
+        assert "kind exact" in report["unchecked"]
+
     def test_bare_payload_needs_one_flag(self, capsys, write):
         graph = write("k6.txt", dumps(Graph.complete(6)))
         cert = write("tile.json", json.dumps([[0, 1, 2], [3, 4, 5]]))

@@ -9,7 +9,6 @@ import pytest
 from equitiler import (
     BicliqueObstruction,
     CliqueObstruction,
-    Ex1Witness,
     Ex2Witness,
     Graph,
     InternalContradiction,
@@ -29,7 +28,8 @@ from equitiler import (
     pad_to_divisible,
     random_gnp,
 )
-from equitiler.matching import maximum_matching
+from equitiler.certificates import verify_certificate
+from equitiler.matching import TutteBarrier, maximum_matching
 
 from conftest import random_graph
 
@@ -186,22 +186,36 @@ class TestFactorLadder:
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
         assert c.certificate.verify(cycle(30))
 
-    def test_star_yields_independent_witness(self):
+    def test_star_yields_centre_barrier(self):
         star = Graph.from_edges(30, [(0, v) for v in range(1, 30)])
         c = decide_kr_factor(star, 2)
-        assert (c.kind, c.answer) == ("obstructed", False)
-        assert isinstance(c.witness, Ex1Witness)
-        assert c.witness.verify(star, 2)
+        assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "pipeline")
+        assert c.witness == TutteBarrier(vs(0))
+        assert c.witness.surplus(star) == 28
 
-    def test_two_odd_cliques_settled_without_witness(self):
+    def test_two_odd_cliques_give_empty_barrier(self):
         g = Graph.empty(30)
         for base in (0, 15):
             for u in range(base, base + 15):
                 for v in range(u + 1, base + 15):
                     g.add_edge(u, v)
         c = decide_kr_factor(g, 2)
-        assert (c.kind, c.answer) == ("exact", False)
-        assert any("28 of 30" in note for note in c.notes)
+        assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "pipeline")
+        assert c.witness == TutteBarrier(vs())
+        assert c.witness.verify(g, 2)
+
+    def test_every_pair_no_is_a_barrier(self, rng):
+        # Small inputs too: r = 2 never reaches the oracle or the recognizers.
+        seen = 0
+        for _ in range(60):
+            g = random_graph(rng, 2 * rng.randrange(1, 9), rng.choice([0.1, 0.25, 0.4]))
+            c = decide_kr_factor(g, 2)
+            assert c.provenance == "pipeline"
+            if c.answer is False:
+                seen += 1
+                assert c.kind == "obstructed" and isinstance(c.witness, TutteBarrier)
+                assert verify_certificate(g, c, "factor", 2) == []
+        assert seen
 
     def test_dense_even_graph_matches(self):
         rng = random.Random(3)
@@ -259,7 +273,7 @@ class TestFactorPipelines:
             return maximum_matching(h)
 
         monkeypatch.setattr(Graph, "induced", tracked_induced)
-        for mod in ("matching", "partition", "tiling", "absorbing", "decide"):
+        for mod in ("matching", "partition", "tiling", "absorbing"):
             monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +10,10 @@ from equitiler.errors import PreconditionError
 from equitiler.graphs import Graph, VertexSet
 from equitiler.matching import (
     Matching,
-    NearIndependentSet,
-    PerfectMatching,
-    TwoOddComponents,
+    TutteBarrier,
     covering_matching,
     maximum_matching,
     pm_or_structure,
-    sn_sets,
 )
 
 from _brute import brute_covering_matching_exists, brute_max_matching_size, seed_maximum_matching
@@ -101,89 +97,49 @@ class TestCoveringMatching:
         assert covering_matching(Graph.complete(4), VertexSet([0, 1, 2]), 3) is None
 
 
-class TestSnSets:
-    def test_partners_of_neighbors(self):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        m = maximum_matching(g)
-        assert m.size == 2
-        exposed = [v for v in range(5) if v not in m.covered]
-        assert len(exposed) == 1
-        v = exposed[0]
-        arr = m.to_array(5)
-        expect = VertexSet([arr[u] for u in range(5) if g.has_edge(v, u)])
-        assert sn_sets(g, m, v) == expect
-
-    def test_requires_exposed(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(PreconditionError, match="covered"):
-            sn_sets(g, maximum_matching(g), 0)
-
-    def test_no_edges_between_sn_sets_of_two_exposed(self, rng):
-        # With a maximum matching, an edge between the partner sets of two
-        # exposed vertices would extend into an augmenting path.
-        checked = 0
-        for _ in range(300):
-            n = rng.randrange(4, 12)
-            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
-            m = maximum_matching(g)
-            exposed = [v for v in range(n) if v not in m.covered]
-            if len(exposed) < 2:
-                continue
-            x, y = exposed[0], exposed[1]
-            sx, sy = sn_sets(g, m, x), sn_sets(g, m, y)
-            for u in sx:
-                for w in sy:
-                    if u != w:
-                        assert not g.has_edge(u, w)
-            checked += 1
-        assert checked >= 20
-
-
 class TestPmOrStructure:
     def test_perfect_matching_branch(self, rng):
         for _ in range(20):
             g = random_graph(rng, 12, 0.85)
-            if not sigma_at_least(g, Fraction(9, 10)):
+            if maximum_matching(g).size != 6:
                 continue
-            out = pm_or_structure(g, Fraction(1, 10))
-            assert isinstance(out, PerfectMatching)
-            assert out.matching.verify(g) and out.matching.size == 6
+            out = pm_or_structure(g)
+            assert isinstance(out, Matching)
+            assert out.verify(g) and out.size == 6
 
     def test_two_odd_components(self):
-        g = two_cliques(7, 5)
-        out = pm_or_structure(g, Fraction(1, 6))
-        assert isinstance(out, TwoOddComponents)
-        assert [len(s) for s in out.sides] == [7, 5]
-        # Only the side at or below (1 - gamma) n / 2 = 5 is flagged (and
-        # checked) as a clique.
-        assert out.clique_sides == (False, True)
+        out = pm_or_structure(two_cliques(7, 5))
+        assert out == TutteBarrier(VertexSet())
+        assert out.surplus(two_cliques(7, 5)) == 2
 
-    def test_near_independent_branch(self):
-        # Unbalanced complete bipartite graph: no perfect matching, one
-        # component; the big side comes back as the sparse half.
-        n = 12
+    def test_unbalanced_biclique_barrier(self):
+        # K_{5,7}: removing the 5-side strands seven odd singletons.
         g = biclique(5, 7)
-        out = pm_or_structure(g, Fraction(1, 6))
-        assert isinstance(out, NearIndependentSet)
-        assert len(out.vertices) == n // 2
-        x, y = out.exposed_pair
-        assert x in out.vertices and y in out.vertices
+        out = pm_or_structure(g)
+        assert out == TutteBarrier(VertexSet(range(5)))
+        assert out.surplus(g) == 2 and out.verify(g, 2)
 
-    def test_odd_n_rejected(self):
-        with pytest.raises(PreconditionError, match="odd"):
-            pm_or_structure(Graph.complete(5), Fraction(1, 10))
-
-    def test_low_sigma_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(PreconditionError, match="sigma"):
-            pm_or_structure(g, Fraction(1, 10))
+    def test_odd_n_gives_empty_barrier(self):
+        out = pm_or_structure(Graph.complete(5))
+        assert out == TutteBarrier(VertexSet())
+        assert out.verify(Graph.complete(5), 2)
 
 
-def sigma_at_least(g: Graph, frac: Fraction) -> bool:
-    from equitiler.graphs import sigma
-
-    st = sigma(g)
-    return st.is_complete or st.sigma >= frac * g.n
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=14),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_barrier_surplus_is_the_deficiency(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    nu = brute_max_matching_size(n, list(g.edges()))
+    out = pm_or_structure(g)
+    if 2 * nu == n:
+        assert isinstance(out, Matching) and out.verify(g) and out.size == nu
+    else:
+        assert isinstance(out, TutteBarrier)
+        assert out.surplus(g) == n - 2 * nu and out.verify(g, 2)
 
 
 def two_cliques(a: int, b: int) -> Graph:

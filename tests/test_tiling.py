@@ -30,8 +30,6 @@ from equitiler import (
     multipartite_factor,
     parity_repair,
     strip_tiling,
-    tiling_from_json,
-    tiling_to_json,
     validate_good,
 )
 from equitiler.errors import PreconditionError
@@ -651,25 +649,3 @@ class TestPipeline:
         full = ci.expand(mp)
         assert full.r == 3
         assert full.verify(g, require_factor=True)
-
-
-class TestTilingJson:
-    def test_roundtrip(self):
-        t = Tiling(3, (vs(0, 6, 7), vs(1, 2, 3)))
-        doc = tiling_to_json(t)
-        assert doc == [[0, 6, 7], [1, 2, 3]]
-        assert tiling_from_json(doc) == t
-
-    def test_rejects_mixed_sizes(self):
-        with pytest.raises(PreconditionError):
-            tiling_from_json([[0, 1], [2, 3, 4]])
-
-    def test_rejects_repeats_and_mismatched_r(self):
-        with pytest.raises(PreconditionError):
-            tiling_from_json([[1, 1, 2]])
-        with pytest.raises(PreconditionError):
-            tiling_from_json([[0, 1, 2]], r=4)
-
-    def test_empty_document(self):
-        assert tiling_from_json([]) == Tiling(0, ())
-        assert tiling_from_json([], r=3) == Tiling(3, ())
