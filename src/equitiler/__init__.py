@@ -17,8 +17,6 @@ from .oracle import (
     LayeredFactor,
     kr_factor_exact,
     equitable_coloring_exact,
-    count_absorbers_exact,
-    layered_factor_exact,
 )
 from .matching import (
     Matching,
@@ -55,7 +53,6 @@ from .tiling import (
     BaseSet,
     Ex2Signal,
     ExtensionFailure,
-    ContractedInstance,
     base_slack,
     is_base,
     cover_exceptional,

@@ -3,7 +3,7 @@
 The route has three stages.  `build_absorbing_set` assembles a small set M
 out of disjoint verified absorbers (plus cliques covering the low-degree
 clique, when there is one).  `layered_greedy`, run by the decider on the
-graph outside M, tiles it greedily and improves the tiling with local
+vertices outside M, tiles them greedily and improves the tiling with local
 augmentation moves until only a small remainder is uncovered.  `absorb`
 then folds that remainder into M, one r-set per stored absorber.
 Everything an absorber promises is checked by the exact oracle at storage
@@ -257,20 +257,6 @@ def enumerate_absorbers(
     return AbsorberFamily(q, tuple(found))
 
 
-def _factor_of(g: Graph, bits: int, r: int) -> Optional[Tuple[VertexSet, ...]]:
-    sub, labels = g.induced(bits)
-    t = kr_factor_exact(sub, r)
-    if t is None:
-        return None
-    out = []
-    for c in t.cliques:
-        m = 0
-        for v in iter_bits(c.bits):
-            m |= 1 << labels[v]
-        out.append(VertexSet(m))
-    return tuple(out)
-
-
 def build_absorbing_set(
     g: Graph,
     r: int,
@@ -331,10 +317,10 @@ def build_absorbing_set(
 
         factors = []
         for s in picked:
-            f = _factor_of(g, s.bits, r)
+            f = kr_factor_exact(g, r, s.bits)
             if f is None:
                 raise InternalContradiction("verified absorber lost its factor")
-            factors.append(f)
+            factors.append(f.cliques)
 
         fixed: List[VertexSet] = []
         if reserve:
@@ -407,10 +393,10 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
         if j not in assigned.values():
             pieces.extend(aset.factors[j])
     for i, j in assigned.items():
-        f = _factor_of(g, fam[j].bits | chunks[i].bits, r)
+        f = kr_factor_exact(g, r, fam[j].bits | chunks[i].bits)
         if f is None:
             raise InternalContradiction("matched absorber lost its joint factor")
-        pieces.extend(f)
+        pieces.extend(f.cliques)
 
     covered = 0
     for c in pieces:
@@ -485,18 +471,19 @@ def _profile(pieces: Sequence[VertexSet], r: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def layered_greedy(g: Graph, r: int) -> LayeredFactor:
+def layered_greedy(g: Graph, r: int, inside: Optional[int] = None) -> LayeredFactor:
     """Greedy size-descending clique extraction plus augmentation moves.
 
-    The greedy pass is maximal per layer but not maximum; the move loop
-    then pushes vertices upward until no move applies.  Every applied
-    move is checked and must improve the profile without losing K_r
-    copies.
+    Tiles G[inside], all of V by default.  The greedy pass is maximal per
+    layer but not maximum; the move loop then pushes vertices upward until
+    no move applies.  Every applied move is checked and must improve the
+    profile without losing K_r copies.
     """
     if r < 1:
         raise PreconditionError("need r >= 1")
     pieces: List[VertexSet] = []
-    mask = g.full_mask
+    mask = g.full_mask if inside is None else inside
+    n = mask.bit_count()
     for size in range(r, 0, -1):
         while True:
             c = find_clique_of_size(g, size, mask)
@@ -505,7 +492,7 @@ def layered_greedy(g: Graph, r: int) -> LayeredFactor:
             pieces.append(c)
             mask &= ~c.bits
 
-    for _ in range(g.n * r + 10):
+    for _ in range(n * r + 10):
         move = find_augmentation(g, pieces)
         if move is None:
             break

@@ -160,7 +160,12 @@ def certificate_from_json(doc: Dict[str, object]) -> DecisionCertificate:
 
 
 def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
-    """Clause list from re-verifying one payload object against g."""
+    """Clause list from re-verifying one payload object against g.
+
+    A witness counts only in its own mode: an independent set, an odd split
+    or a Tutte barrier blocks a factor, a clique or a biclique blocks a
+    coloring.
+    """
     out: List[str] = []
     if isinstance(obj, Tiling):
         if not obj.verify(g):
@@ -175,16 +180,16 @@ def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
             if sizes and max(sizes) - min(sizes) > 1:
                 out.append("equitability breaks: class sizes spread by more than one")
     elif isinstance(obj, Ex1Witness):
-        if not obj.verify(g, k_or_r):
+        if mode != "factor" or not obj.verify(g, k_or_r):
             out.append("independent set does not block the factor")
     elif isinstance(obj, Ex2Witness):
-        if not obj.verify(g, k_or_r):
+        if mode != "factor" or not obj.verify(g, k_or_r):
             out.append("odd-split witness does not match the graph")
     elif isinstance(obj, CliqueObstruction):
-        if not obj.verify(g, k_or_r):
+        if mode != "coloring" or not obj.verify(g, k_or_r):
             out.append("clique witness fails")
     elif isinstance(obj, BicliqueObstruction):
-        if not obj.verify(g, k_or_r):
+        if mode != "coloring" or not obj.verify(g, k_or_r):
             out.append("biclique witness fails")
     elif isinstance(obj, TutteBarrier):
         if mode != "factor" or not obj.verify(g, k_or_r):

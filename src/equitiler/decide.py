@@ -8,7 +8,9 @@ structural NO ships with a witness that re-verifies, and anything the
 pipeline cannot settle within its exact-search caps is reported as
 unresolved rather than guessed.  At r = 2 the question is perfect matching,
 which the blossom search settles at every size: a YES is the matching, a NO
-its Tutte–Berge barrier.
+its Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
+set, a leftover block, the units of the multipartite finish) are vertex
+masks of the input graph, so every clique found is already in its labels.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .graphs import (
     VertexSet,
     complement,
     find_clique_of_size,
-    iter_bits,
     ore_edge_bound,
 )
 from .matching import TutteBarrier, pm_or_structure
@@ -206,16 +207,9 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
         aset = build_absorbing_set(g, r, cfg=cfg, seed=seed + attempt)
         if aset is None:
             raise _Miss(last)
-        outside = VertexSet(range(g.n)) - aset.m
-        sub, labels = g.induced(outside.bits)
-        lf = layered_greedy(sub, r)
-        cliques = [
-            VertexSet([labels[v] for v in c]) for c in lf.layers.get(r, ())
-        ]
-        covered = VertexSet(0)
-        for c in cliques:
-            covered = covered | c
-        leftover = outside - covered
+        outside = g.full_mask & ~aset.m.bits
+        greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
+        leftover = VertexSet(outside & ~greedy.covered.bits)
         if len(leftover) > cfg.epsilon * g.n:
             raise _Miss(
                 f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
@@ -225,7 +219,7 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
         except AbsorptionFailure as e:
             last = str(e)
             continue
-        final = Tiling(r, tuple(cliques) + finish.cliques)
+        final = Tiling(r, greedy.cliques + finish.cliques)
         if not final.verify(g):
             raise InternalContradiction("assembled factor failed verification")
         return final
@@ -233,23 +227,18 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
 
 
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
-    """Tile `block` by d-cliques, d != 2, singly or by exact search.
+    """Tile `block` by d-cliques, d != 2: singly at d = 1, else by exact search.
 
     Pairs are tiled by `parity_repair`, which matches the block itself.
     """
-    if d == 1:
-        return Tiling(1, tuple(VertexSet(1 << v) for v in iter_bits(block.bits)))
-    sub, labels = g.induced(block.bits)
-    if sub.n > FALLBACK_CAP or sub.n % d != 0:
+    if d > 1 and (len(block) > FALLBACK_CAP or len(block) % d):
         return None
-    t = kr_factor_exact(sub, d)
-    if t is None:
-        return None
-    return Tiling(d, tuple(VertexSet([labels[v] for v in c]) for c in t.cliques))
+    return kr_factor_exact(g, d, block.bits)
 
 
 def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, Ex1Witness]:
-    """The extremal-side pipeline: partition, seed, grow, contract, repair."""
+    """The extremal-side pipeline: partition, seed, grow, repair, then join
+    the parts and the leftover block's cliques into a multipartite factor."""
     p, s = peel_partition(g, r, cfg)
     if s == 0:
         raise _Miss("no sparse parts peeled")
@@ -294,11 +283,10 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
         if ts is None:
             raise _Miss("leftover block admits no clique tiling")
 
-    ci = contract_residual(g, resid, ts)
-    mf = multipartite_factor(ci.parts, ci.graph)
+    mf = multipartite_factor(g, contract_residual(g, resid, ts))
     if mf is None:
         raise _Miss("contracted multipartite instance would not factor")
-    final = Tiling(r, seed_tiling.cliques + ci.expand(mf).cliques)
+    final = Tiling(r, seed_tiling.cliques + mf.cliques)
     if not final.verify(g):
         raise _Miss("pipeline tiling failed final verification")
     return final

@@ -1,5 +1,4 @@
-"""Exhaustive exact deciders for clique factors, equitable colorings, and
-layered clique partitions.
+"""Exhaustive exact deciders for clique factors and equitable colorings.
 
 These are the reference implementations: small-case complete searches with
 sound pruning, no heuristics that could change answers.  Branching always
@@ -20,9 +19,7 @@ __all__ = [
     "LayeredFactor",
     "kr_factor_exact",
     "equitable_coloring_exact",
-    "count_absorbers_exact",
     "is_absorber_set",
-    "layered_factor_exact",
 ]
 
 
@@ -86,8 +83,8 @@ class Coloring:
 class LayeredFactor:
     """Partition of V into cliques, bucketed by clique size s = r, r-1, ..., 1.
 
-    `profile()` is (count of K_r pieces, ..., count of K_1 pieces); the exact
-    solver maximizes it lexicographically.
+    `profile()` is (count of K_r pieces, ..., count of K_1 pieces);
+    `absorbing.layered_greedy` raises it lexicographically by local moves.
     """
 
     r: int
@@ -163,19 +160,24 @@ def _residual_infeasible(g: Graph, mask: int, r: int) -> bool:
     return False
 
 
-def kr_factor_exact(g: Graph, r: int) -> Optional[Tiling]:
-    """Exact K_r-factor: a partition of V into r-cliques, or None.
+def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[Tiling]:
+    """Exact K_r-factor of G[inside]: a partition of it into r-cliques, or None.
 
-    Requires r >= 1 and r | n.  Complete backtracking; prunes keep the
-    obstructed instances in this package's test families cheap, but the
-    worst case is exponential, so callers gate on an exact-size cap.
+    `inside` is a vertex mask, all of V by default.  Requires r >= 1 and r
+    dividing its size.  Complete backtracking; prunes keep the obstructed
+    instances in this package's test families cheap, but the worst case is
+    exponential, so callers gate on an exact-size cap.
     """
+    mask = g.full_mask if inside is None else inside
     if r < 1:
         raise ValueError("r must be positive")
-    if g.n % r != 0:
-        raise ValueError(f"r={r} does not divide n={g.n}")
+    if mask.bit_count() % r != 0:
+        raise ValueError(f"r={r} does not divide n={mask.bit_count()}")
     if r == 1:
-        return Tiling(1, tuple(VertexSet(1 << v) for v in range(g.n)))
+        # The sweeps make this call for every small graph; range() is the
+        # cheaper walk there.
+        verts = range(g.n) if inside is None else iter_bits(mask)
+        return Tiling(1, tuple(VertexSet(1 << v) for v in verts))
 
     pieces: List[int] = []
 
@@ -191,7 +193,7 @@ def kr_factor_exact(g: Graph, r: int) -> Optional[Tiling]:
             pieces.pop()
         return False
 
-    if search(g.full_mask):
+    if search(mask):
         return Tiling(r, tuple(VertexSet(c) for c in pieces))
     return None
 
@@ -288,83 +290,7 @@ def is_absorber_set(g: Graph, s_bits: int, q_bits: int, r: int) -> bool:
     """Whether S absorbs Q: both G[S] and G[S u Q] have K_r-factors."""
     if s_bits & q_bits:
         return False
-    sub, _ = g.induced(s_bits)
-    if kr_factor_exact(sub, r) is None:
-        return False
-    sub2, _ = g.induced(s_bits | q_bits)
-    return kr_factor_exact(sub2, r) is not None
-
-
-def count_absorbers_exact(
-    g: Graph, q: VertexSet, r: int, cap: int = 64
-) -> Tuple[int, Optional[Tuple[VertexSet, ...]]]:
-    """Count all r^2-sets disjoint from Q that absorb Q.
-
-    Returns (count, witnesses) with the witness list only when count <= cap.
-    Full enumeration over C(n - |Q|, r^2) subsets; intended for small n.
-    """
-    if len(q) != r:
-        raise ValueError(f"|Q|={len(q)} but r={r}")
-    size = r * r
-    pool = [v for v in range(g.n) if v not in q]
-    if len(pool) < size:
-        return 0, ()
-    from itertools import combinations
-
-    count = 0
-    found: List[VertexSet] = []
-    for combo in combinations(pool, size):
-        s_bits = 0
-        for v in combo:
-            s_bits |= 1 << v
-        if is_absorber_set(g, s_bits, q.bits, r):
-            count += 1
-            if count <= cap:
-                found.append(VertexSet(s_bits))
-    return count, (tuple(found) if count <= cap else None)
-
-
-def layered_factor_exact(g: Graph, r: int, cap: int = 16) -> LayeredFactor:
-    """Partition V into cliques of size <= r, maximizing the size profile.
-
-    The profile (#K_r, #K_{r-1}, ..., #K_1) is maximized lexicographically;
-    memoized search over uncovered-set masks, so n is capped (default 16).
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds the exact layered cap {cap}")
-
-    zero = (0,) * r
-    memo: Dict[int, Tuple[int, ...]] = {0: zero}
-    choice: Dict[int, Tuple[int, int]] = {}
-
-    def bump(profile: Tuple[int, ...], piece_size: int) -> Tuple[int, ...]:
-        i = r - piece_size
-        return profile[:i] + (profile[i] + 1,) + profile[i + 1 :]
-
-    def solve(mask: int) -> Tuple[int, ...]:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        best: Optional[Tuple[int, ...]] = None
-        best_piece = (0, 0)
-        for size in range(min(r, mask.bit_count()), 0, -1):
-            for c in _cliques_with_lowest(g, mask, size):
-                prof = bump(solve(mask & ~c), size)
-                if best is None or prof > best:
-                    best = prof
-                    best_piece = (size, c)
-        assert best is not None
-        memo[mask] = best
-        choice[mask] = best_piece
-        return best
-
-    solve(g.full_mask)
-    layers: Dict[int, List[VertexSet]] = {}
-    mask = g.full_mask
-    while mask:
-        size, c = choice[mask]
-        layers.setdefault(size, []).append(VertexSet(c))
-        mask &= ~c
-    return LayeredFactor(r, {s: tuple(ps) for s, ps in layers.items()})
+    return (
+        kr_factor_exact(g, r, s_bits) is not None
+        and kr_factor_exact(g, r, s_bits | q_bits) is not None
+    )

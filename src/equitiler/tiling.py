@@ -6,8 +6,9 @@ stays fat toward every block of the partition, planted so that every vertex
 with an unusual degree pattern sits inside one.  Each seed then grows into one
 or two full r-cliques through its common neighborhood.  What remains is
 block-respecting and dense, so the leftover block can be tiled by small
-cliques, contracted to single vertices, and finished as a balanced
-multipartite factor.
+cliques and the rest finished as a balanced multipartite factor: every final
+clique joins one unit per block, a vertex of each part and one small clique
+of the leftover block, all found on the input graph itself.
 
 Slack is tracked as an exact rational per seed: the largest margin by which
 its neighborhood inequalities hold.  Desk-sized instances certify with modest
@@ -35,7 +36,6 @@ __all__ = [
     "BaseSet",
     "Ex2Signal",
     "ExtensionFailure",
-    "ContractedInstance",
     "base_slack",
     "is_base",
     "cover_exceptional",
@@ -168,10 +168,6 @@ def _blocks(p: RsPartition, r: int) -> List[Tuple[Optional[int], int, int]]:
     ]
     out.append((None, p.b.bits, r - p.s))
     return out
-
-
-def _block_mask(p: RsPartition, key: Optional[int]) -> int:
-    return p.b.bits if key is None else p.parts[key].bits
 
 
 # ---------------------------------------------------------------------------
@@ -715,43 +711,15 @@ def strip_tiling(p: RsPartition, t: Tiling) -> RsPartition:
     return RsPartition(tuple(a - cov for a in p.parts), p.b - cov)
 
 
-@dataclass(frozen=True)
-class ContractedInstance:
-    """Quotient graph after tiling the leftover block with small cliques.
-
-    Vertices: surviving part vertices first in ascending original order, then
-    one vertex per tiled clique in tiling order.  `originals[v]` maps a new
-    vertex back to the original set it stands for.  Part vertices keep their
-    cross-part adjacency; a contracted vertex sees exactly the common
-    neighborhood of its clique; contracted vertices never see each other.
-    """
-
-    graph: Graph
-    parts: Tuple[VertexSet, ...]
-    originals: Tuple[VertexSet, ...]
-
-    def expand(self, t: Tiling) -> Tiling:
-        cliques = []
-        sizes = set()
-        for c in t.cliques:
-            bits = 0
-            for v in c:
-                bits |= self.originals[v].bits
-            cliques.append(VertexSet(bits))
-            sizes.add(len(cliques[-1]))
-        if len(sizes) > 1:
-            raise InternalContradiction("expanded cliques have mixed sizes")
-        rr = sizes.pop() if sizes else 0
-        return Tiling(rr, tuple(cliques))
-
-
 def contract_residual(
     g: Graph, p: RsPartition, ts: Tiling
-) -> ContractedInstance:
-    """Collapse each clique of `ts` (a tiling of the leftover block) to a point.
+) -> Tuple[Tuple[int, ...], ...]:
+    """The units of the multipartite finish, as vertex masks of g, per block.
 
-    The parts of `p` survive unchanged; the leftover block must be covered by
-    `ts` exactly, one clique share at a time.
+    Each part of `p` gives its vertices as single-vertex units, ascending;
+    the last block holds the cliques of `ts`, a tiling of the leftover block,
+    in tiling order.  The leftover block must be covered by `ts` exactly,
+    one clique share at a time.
     """
     if not p.parts:
         raise PreconditionError("need at least one part to contract against")
@@ -769,38 +737,9 @@ def contract_residual(
         raise PreconditionError("tiling is not a set of disjoint cliques")
     if ts.covered != p.b:
         raise PreconditionError("tiling is not a factor of the leftover block")
-
-    part_verts = sorted(iter_bits(seen))
-    new_id = {v: i for i, v in enumerate(part_verts)}
-    t0 = len(part_verts)
-    originals: List[VertexSet] = [VertexSet(1 << v) for v in part_verts]
-    originals.extend(ts.cliques)
-    nn = t0 + len(ts.cliques)
-
-    # The blocks were checked disjoint above, so the rows are written
-    # directly instead of through the validating add_edge.
-    adj = [0] * nn
-    for a in p.parts:
-        others = seen & ~a.bits
-        for u in iter_bits(a.bits):
-            ai = new_id[u]
-            for v in iter_bits(g.adj[u] & others & ~((1 << (u + 1)) - 1)):
-                vi = new_id[v]
-                adj[ai] |= 1 << vi
-                adj[vi] |= 1 << ai
-    for j, cl in enumerate(ts.cliques):
-        cj = t0 + j
-        for u in iter_bits(g.common_neighbors(cl.bits) & seen):
-            ui = new_id[u]
-            adj[ui] |= 1 << cj
-            adj[cj] |= 1 << ui
-    gg = Graph(nn, adj)
-
-    new_parts = [
-        VertexSet(sum(1 << new_id[v] for v in iter_bits(a.bits))) for a in p.parts
-    ]
-    new_parts.append(VertexSet(((1 << nn) - 1) ^ ((1 << t0) - 1)))
-    return ContractedInstance(gg, tuple(new_parts), tuple(originals))
+    blocks = [tuple(1 << v for v in iter_bits(a.bits)) for a in p.parts]
+    blocks.append(tuple(c.bits for c in ts.cliques))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -808,75 +747,68 @@ def contract_residual(
 
 
 def multipartite_factor(
-    parts: Sequence[VertexSet], gstar: Graph, retries: int = 20
+    g: Graph, blocks: Sequence[Sequence[int]], retries: int = 20
 ) -> Optional[Tiling]:
-    """Factor a balanced multipartite graph into cliques, one vertex per part.
+    """Cliques of g that each join one unit of every block.
 
-    Layer by layer: partial cliques meet the next part through a bipartite
-    matching.  The first pass is deterministic; when a layer matching comes
-    up short the whole build restarts with seeded shuffles.  Above the
-    cross-degree threshold of (1 - 1/2k) of a part the first pass always
-    lands; below it the routine stays best-effort and may return None.
+    `blocks` holds disjoint vertex masks of g, the units, the same number
+    per block and of one size within a block.  Layer by layer, partial
+    cliques meet the next block's units through a bipartite matching: a
+    partial clique P meets unit U when P lies in the common neighborhood of
+    U.  The first pass is deterministic; when a layer matching comes up
+    short the whole build restarts with seeded shuffles.  Above the
+    cross-degree threshold of (1 - 1/2k) of a block the first pass always
+    lands; below it the routine stays best-effort and may return None.  A
+    returned tiling is verified on g.
     """
-    k = len(parts)
+    k = len(blocks)
     if k == 0:
         raise PreconditionError("need at least one part")
-    sizes = {len(a) for a in parts}
+    sizes = {len(block) for block in blocks}
     if len(sizes) != 1:
         raise PreconditionError("parts must be balanced")
     seen = 0
-    for a in parts:
-        if seen & a.bits:
-            raise PreconditionError("parts overlap")
-        seen |= a.bits
-    if seen != gstar.full_mask:
-        raise PreconditionError("parts must cover the graph")
+    for block in blocks:
+        for u in block:
+            if seen & u:
+                raise PreconditionError("parts overlap")
+            if u.bit_count() != block[0].bit_count():
+                raise PreconditionError("units of one part differ in size")
+            seen |= u
     m = sizes.pop()
     if m == 0:
         return Tiling(k, ())
+    r = sum(block[0].bit_count() for block in blocks)
 
-    order0 = list(range(k))
-    members = [sorted(iter_bits(a.bits)) for a in parts]
+    # Each unit with its common neighborhood, the meeting test's right side.
+    units = [[(u, g.common_neighbors(u)) for u in block] for block in blocks]
     for attempt in range(max(1, retries)):
-        if attempt == 0:
-            order = order0
-            layout = [list(ms) for ms in members]
-        else:
+        order = list(range(k))
+        layout = [list(row) for row in units]
+        if attempt:
             rng = random.Random(0xC1A0 + attempt)
-            order = order0[:]
             rng.shuffle(order)
-            layout = []
-            for ms in members:
-                row = list(ms)
+            for row in layout:
                 rng.shuffle(row)
-                layout.append(row)
-        cliques = [1 << v for v in layout[order[0]]]
-        ok = True
+        cliques = [u for u, _ in layout[order[0]]]
         for layer in order[1:]:
-            verts = layout[layer]
-            # Clique ci on the left, vertex vi of this layer at m + vi.
+            row = layout[layer]
+            # Clique ci on the left, unit ui of this layer at m + ui.
             adj = [0] * (2 * m)
             for ci, cm in enumerate(cliques):
-                for vi, v in enumerate(verts):
-                    if cm & gstar.adj[v] == cm:
-                        adj[ci] |= 1 << (m + vi)
-                        adj[m + vi] |= 1 << ci
+                for ui, (_, common) in enumerate(row):
+                    if cm & common == cm:
+                        adj[ci] |= 1 << (m + ui)
+                        adj[m + ui] |= 1 << ci
             mm = maximum_matching(Graph(2 * m, adj))
             if len(mm.pairs) < m:
-                ok = False
                 break
             for a, b in mm.pairs:
-                cliques[a] |= 1 << verts[b - m]
-        if not ok:
-            continue
-        t = Tiling(k, tuple(VertexSet(c) for c in cliques))
-        if not t.verify(gstar, require_factor=True):
-            continue
-        balanced = all(
-            (c.bits & a.bits).bit_count() == 1 for c in t.cliques for a in parts
-        )
-        if balanced:
-            return t
+                cliques[a] |= row[b - m][0]
+        else:
+            t = Tiling(r, tuple(VertexSet(c) for c in cliques))
+            if t.verify(g, require_factor=False):
+                return t
     return None
 
 

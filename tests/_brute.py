@@ -2,19 +2,22 @@
 
 Everything here works on plain edge sets / frozensets via itertools, with no
 code shared with equitiler's bitset internals.  Exponential and meant for
-small instances only.  The exception is the last section: earlier versions of
-kernels that were since rewritten for speed, kept verbatim so that the tests
-can require the rewrites to give identical output.
+small instances only.  The exceptions are the last two sections: exact
+oracles that only the tests need, built on the package's own clique search,
+and earlier versions of kernels that were since rewritten, kept verbatim so
+that the tests can require the rewrites to give identical output.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from equitiler.graphs import VertexSet
-from equitiler.matching import Matching, _augment_once
+from equitiler.graphs import Graph, VertexSet, iter_bits
+from equitiler.matching import Matching, _augment_once, maximum_matching
+from equitiler.oracle import LayeredFactor, Tiling, _cliques_with_lowest, is_absorber_set
 
 Edge = Tuple[int, int]
 
@@ -231,7 +234,85 @@ def has_biclique(n: int, edges: Iterable[Edge], a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Earlier kernel versions, verbatim apart from their names.
+# Exact oracles used only by the tests.
+
+
+def count_absorbers_exact(
+    g: Graph, q: VertexSet, r: int, cap: int = 64
+) -> Tuple[int, Optional[Tuple[VertexSet, ...]]]:
+    """Count all r^2-sets disjoint from Q that absorb Q.
+
+    Returns (count, witnesses) with the witness list only when count <= cap.
+    Full enumeration over C(n - |Q|, r^2) subsets; intended for small n.
+    """
+    if len(q) != r:
+        raise ValueError(f"|Q|={len(q)} but r={r}")
+    size = r * r
+    pool = [v for v in range(g.n) if v not in q]
+    if len(pool) < size:
+        return 0, ()
+    count = 0
+    found: List[VertexSet] = []
+    for combo in itertools.combinations(pool, size):
+        s_bits = 0
+        for v in combo:
+            s_bits |= 1 << v
+        if is_absorber_set(g, s_bits, q.bits, r):
+            count += 1
+            if count <= cap:
+                found.append(VertexSet(s_bits))
+    return count, (tuple(found) if count <= cap else None)
+
+
+def layered_factor_exact(g: Graph, r: int, cap: int = 16) -> LayeredFactor:
+    """Partition V into cliques of size <= r, maximizing the size profile.
+
+    The profile (#K_r, #K_{r-1}, ..., #K_1) is maximized lexicographically;
+    memoized search over uncovered-set masks, so n is capped (default 16).
+    """
+    if r < 1:
+        raise ValueError("r must be positive")
+    if g.n > cap:
+        raise ValueError(f"n={g.n} exceeds the exact layered cap {cap}")
+
+    zero = (0,) * r
+    memo: Dict[int, Tuple[int, ...]] = {0: zero}
+    choice: Dict[int, Tuple[int, int]] = {}
+
+    def bump(profile: Tuple[int, ...], piece_size: int) -> Tuple[int, ...]:
+        i = r - piece_size
+        return profile[:i] + (profile[i] + 1,) + profile[i + 1 :]
+
+    def solve(mask: int) -> Tuple[int, ...]:
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        best: Optional[Tuple[int, ...]] = None
+        best_piece = (0, 0)
+        for size in range(min(r, mask.bit_count()), 0, -1):
+            for c in _cliques_with_lowest(g, mask, size):
+                prof = bump(solve(mask & ~c), size)
+                if best is None or prof > best:
+                    best = prof
+                    best_piece = (size, c)
+        assert best is not None
+        memo[mask] = best
+        choice[mask] = best_piece
+        return best
+
+    solve(g.full_mask)
+    layers: Dict[int, List[VertexSet]] = {}
+    mask = g.full_mask
+    while mask:
+        size, c = choice[mask]
+        layers.setdefault(size, []).append(VertexSet(c))
+        mask &= ~c
+    return LayeredFactor(r, {s: tuple(ps) for s, ps in layers.items()})
+
+
+# ---------------------------------------------------------------------------
+# Earlier kernel versions, verbatim apart from their names (the quotient
+# factor also drops its precondition checks).
 
 
 def seed_independent_heuristic(g, target: int):
@@ -285,3 +366,89 @@ def _covered_bits(match: List[int]) -> int:
         if m != -1:
             bits |= 1 << v
     return bits
+
+
+def seed_quotient_factor(g, p, ts, retries: int = 20):
+    """tiling.contract_residual and multipartite_factor while they built a
+    quotient graph: each clique of `ts` contracted to one vertex, the factor
+    found there and expanded back.  Preconditions are left out."""
+    # contract_residual
+    seen = 0
+    for a in p.parts:
+        seen |= a.bits
+    part_verts = sorted(iter_bits(seen))
+    new_id = {v: i for i, v in enumerate(part_verts)}
+    t0 = len(part_verts)
+    originals: List[VertexSet] = [VertexSet(1 << v) for v in part_verts]
+    originals.extend(ts.cliques)
+    nn = t0 + len(ts.cliques)
+    adj = [0] * nn
+    for a in p.parts:
+        others = seen & ~a.bits
+        for u in iter_bits(a.bits):
+            ai = new_id[u]
+            for v in iter_bits(g.adj[u] & others & ~((1 << (u + 1)) - 1)):
+                vi = new_id[v]
+                adj[ai] |= 1 << vi
+                adj[vi] |= 1 << ai
+    for j, cl in enumerate(ts.cliques):
+        cj = t0 + j
+        for u in iter_bits(g.common_neighbors(cl.bits) & seen):
+            ui = new_id[u]
+            adj[ui] |= 1 << cj
+            adj[cj] |= 1 << ui
+    gstar = Graph(nn, adj)
+    parts = [
+        VertexSet(sum(1 << new_id[v] for v in iter_bits(a.bits))) for a in p.parts
+    ]
+    parts.append(VertexSet(((1 << nn) - 1) ^ ((1 << t0) - 1)))
+
+    # multipartite_factor on the quotient
+    k = len(parts)
+    m = len(parts[0])
+    order0 = list(range(k))
+    members = [sorted(iter_bits(a.bits)) for a in parts]
+    for attempt in range(max(1, retries)):
+        if attempt == 0:
+            order = order0
+            layout = [list(ms) for ms in members]
+        else:
+            rng = random.Random(0xC1A0 + attempt)
+            order = order0[:]
+            rng.shuffle(order)
+            layout = []
+            for ms in members:
+                row = list(ms)
+                rng.shuffle(row)
+                layout.append(row)
+        cliques = [1 << v for v in layout[order[0]]]
+        ok = True
+        for layer in order[1:]:
+            verts = layout[layer]
+            adj = [0] * (2 * m)
+            for ci, cm in enumerate(cliques):
+                for vi, v in enumerate(verts):
+                    if cm & gstar.adj[v] == cm:
+                        adj[ci] |= 1 << (m + vi)
+                        adj[m + vi] |= 1 << ci
+            mm = maximum_matching(Graph(2 * m, adj))
+            if len(mm.pairs) < m:
+                ok = False
+                break
+            for a, b in mm.pairs:
+                cliques[a] |= 1 << verts[b - m]
+        if not ok:
+            continue
+        t = Tiling(k, tuple(VertexSet(c) for c in cliques))
+        if not t.verify(gstar, require_factor=True):
+            continue
+        if all((c.bits & a.bits).bit_count() == 1 for c in t.cliques for a in parts):
+            # expand
+            out = []
+            for c in t.cliques:
+                bits = 0
+                for v in c:
+                    bits |= originals[v].bits
+                out.append(VertexSet(bits))
+            return Tiling(len(out[0]), tuple(out))
+    return None

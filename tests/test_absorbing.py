@@ -18,15 +18,14 @@ from equitiler import (
     absorb,
     build_absorbing_set,
     build_ex2,
-    count_absorbers_exact,
     default_constants,
     enumerate_absorbers,
     find_augmentation,
     is_absorber_set,
-    layered_factor_exact,
     layered_greedy,
     sigma,
 )
+from _brute import count_absorbers_exact, layered_factor_exact
 from conftest import random_graph
 
 
@@ -191,6 +190,20 @@ class TestLayeredGreedy:
         assert lf.layers[3] == (vs(0, 1, 3),)
         assert lf.layers[2] == (vs(2, 4),)
         assert lf.verify(g)
+
+    def test_inside_matches_the_induced_copy(self):
+        rng = random.Random(0x1A7E)
+        for _ in range(40):
+            n = rng.randrange(4, 20)
+            g = random_graph(rng, n, rng.choice([0.5, 0.8, 0.95]))
+            mask = VertexSet(rng.sample(range(n), rng.randrange(1, n + 1))).bits
+            sub, labels = g.induced(mask)
+            want = layered_greedy(sub, 3)
+            got = layered_greedy(g, 3, mask)
+            assert got.layers == {
+                s: tuple(VertexSet(labels[v] for v in c) for c in cs)
+                for s, cs in want.layers.items()
+            }
 
     def test_augmentation_move_frozen(self):
         g = relay5()

@@ -410,6 +410,24 @@ class TestPayloadClauses:
         assert payload_clauses(g, w, 2, "coloring") == self.BARRIER_FAILS
         assert payload_clauses(g, TutteBarrier(vs(6)), 2, "factor") == self.BARRIER_FAILS
 
+    def test_factor_witness_rejected_for_a_coloring(self):
+        # Three independent vertices block a perfect matching of four
+        # isolated vertices, but those colour equitably with two colours.
+        g = Graph.empty(4)
+        cert = DecisionCertificate(
+            "obstructed", False, None, Ex1Witness(vs(0, 1, 2)), "pipeline", True
+        )
+        assert verify_certificate(g, cert, "factor", 2) == []
+        assert verify_certificate(g, cert, "coloring", 2) == [
+            "independent set does not block the factor"
+        ]
+
+    def test_coloring_witness_rejected_for_a_factor(self):
+        g = Graph.complete(4)
+        w = CliqueObstruction(vs(0, 1, 2, 3))
+        assert payload_clauses(g, w, 3, "coloring") == []
+        assert payload_clauses(g, w, 3, "factor") == ["clique witness fails"]
+
     def test_ex1_blocks_its_construction(self):
         g = build_ex1_like(9, 3)
         w = Ex1Witness(vs(0, 1, 2, 3))

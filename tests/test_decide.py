@@ -62,6 +62,19 @@ def without_edge(g, u, v):
     return out
 
 
+def cut_split(n, join_b0=True):
+    """build_ex2(n, 3, 1) with an edge inside A and vertex 5 of B1 cut off
+    from A; `join_b0` also joins vertex 5 to B0 = {0}."""
+    m = n // 3
+    g = build_ex2(n, 3, 1)
+    g.add_edge(2 * m, 2 * m + 1)
+    for v in range(2 * m, 3 * m):
+        g = without_edge(g, 5, v)
+    if join_b0:
+        g.add_edge(0, 5)
+    return g
+
+
 # Ladder window sized so peeling at n=36 accepts a once-perturbed part and
 # nothing else; the refinement scales derive as 2x/4x/8x the first rung.
 DESK36 = replace(
@@ -282,6 +295,45 @@ class TestFactorPipelines:
         leftover = [mask for mask in matched if mask and not mask >> (2 * m)]
         assert leftover
         assert len(leftover) == len(set(leftover))
+
+    def assert_pipeline_factor(self, g):
+        c = decide_kr_factor(g, 3)
+        assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
+        assert c.certificate.verify(g)
+
+    # Each of the next five inputs reaches one structured-route path that no
+    # other test and no benchmark case reaches.
+
+    def test_refinement_straddles_its_stage_matching(self):
+        # The peel leaves an endpoint of the A edge outside the part, thin
+        # toward it with no crowded vertex to swap against, so refinement
+        # matches its stage graph (partition._apply_straddle).
+        self.assert_pipeline_factor(cut_split(480))
+
+    def test_rescue_matchings_are_built(self):
+        # From n = 750 that endpoint is still thin toward the part after
+        # refinement and gets its A edge as a rescue edge
+        # (partition._rescue_matchings).
+        self.assert_pipeline_factor(cut_split(750))
+
+    def test_thin_low_vertex_gets_a_pair_seed(self):
+        # Without the edge 0-5, vertex 5 is thin toward the part and of low
+        # degree: the thin cover packs it into a small clique and pairs that
+        # with a companion clique of the part (tiling._companions).
+        self.assert_pipeline_factor(cut_split(480, join_b0=False))
+
+    def test_singleton_leftover_block(self):
+        # K_{20,20} joined to K_20: both sides peel off as parts and the
+        # leftover K_20 is tiled by single vertices (decide._block_tiling).
+        self.assert_pipeline_factor(multipartite((20, 20) + (1,) * 20))
+
+    def test_parity_repair_regrows_a_seed(self):
+        # The seed tiling leaves a leftover block with no perfect matching;
+        # regrowing a seed through other leftover-block vertices gives one
+        # that has (tiling._extensions).
+        g = build_ex2(120, 3, 5)
+        g.add_edge(92, 116)
+        self.assert_pipeline_factor(without_edge(g, 71, 92))
 
     def test_weakened_split_stays_negative(self):
         g = without_edge(build_ex2(36, 3, 1), 5, 6)

@@ -7,11 +7,9 @@ from equitiler.graphs import Graph, VertexSet
 from equitiler.oracle import (
     Coloring,
     Tiling,
-    count_absorbers_exact,
     equitable_coloring_exact,
     is_absorber_set,
     kr_factor_exact,
-    layered_factor_exact,
 )
 
 from _brute import (
@@ -19,6 +17,8 @@ from _brute import (
     brute_equitable_colorable,
     brute_kr_factor_exists,
     brute_layered_profile,
+    count_absorbers_exact,
+    layered_factor_exact,
 )
 from conftest import cycle, random_graph
 
@@ -35,9 +35,30 @@ class TestKrFactor:
             if got is not None:
                 assert got.verify(g)
 
+    def test_inside_matches_the_induced_copy(self, rng):
+        # A mask keeps vertex order, so the search on it finds the factor the
+        # relabelled copy gives, clique for clique.
+        for _ in range(120):
+            r = rng.choice([1, 2, 3, 3, 4])
+            n = rng.randrange(r, 16)
+            g = random_graph(rng, n, rng.choice([0.5, 0.8, 0.95]))
+            verts = rng.sample(range(n), r * rng.randrange(1, n // r + 1))
+            mask = VertexSet(verts).bits
+            sub, labels = g.induced(mask)
+            want = kr_factor_exact(sub, r)
+            got = kr_factor_exact(g, r, mask)
+            if want is None:
+                assert got is None
+            else:
+                assert got == Tiling(
+                    r, tuple(VertexSet(labels[v] for v in c) for c in want.cliques)
+                )
+
     def test_requires_divisibility(self):
         with pytest.raises(ValueError, match="divide"):
             kr_factor_exact(Graph.empty(5), 3)
+        with pytest.raises(ValueError, match="divide"):
+            kr_factor_exact(Graph.complete(6), 3, 0b1111)
 
     def test_r1_always_succeeds(self):
         t = kr_factor_exact(Graph.empty(4), 1)

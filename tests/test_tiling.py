@@ -9,7 +9,6 @@ import pytest
 from equitiler import (
     BaseSet,
     ConstantsConfig,
-    ContractedInstance,
     DoubleBase,
     Ex2Signal,
     ExtensionFailure,
@@ -37,6 +36,7 @@ from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
 from equitiler.tiling import _blocks
 
+from _brute import seed_quotient_factor
 from conftest import random_graph
 
 
@@ -452,15 +452,19 @@ class TestExtend:
         assert t.verify(g, require_factor=False)
 
 
+def units(*blocks):
+    """Blocks of single-vertex units, the shape the parts contribute."""
+    return tuple(tuple(1 << v for v in sorted(b)) for b in blocks)
+
+
 class TestContract:
     def test_single_vertex_cliques_keep_the_graph(self):
         g = k333()
         p = RsPartition((vs(0, 1, 2), vs(3, 4, 5)), vs(6, 7, 8))
         ts = Tiling(1, (vs(6), vs(7), vs(8)))
-        ci = contract_residual(g, p, ts)
-        assert ci.graph == g
-        assert ci.parts == (vs(0, 1, 2), vs(3, 4, 5), vs(6, 7, 8))
-        assert ci.originals[6] == vs(6)
+        assert contract_residual(g, p, ts) == units(
+            (0, 1, 2), (3, 4, 5), (6, 7, 8)
+        )
 
     def test_joined_triangles_contract_to_complete_bipartite(self):
         g = Graph.empty(12)
@@ -473,15 +477,13 @@ class TestContract:
                 g.add_edge(a, b)
         p = RsPartition((vs(9, 10, 11),), VertexSet(set(range(9))))
         ts = Tiling(3, (vs(0, 1, 2), vs(3, 4, 5), vs(6, 7, 8)))
-        ci = contract_residual(g, p, ts)
-        assert ci.graph.n == 6
-        assert ci.graph.edge_count() == 9
-        assert ci.parts == (vs(0, 1, 2), vs(3, 4, 5))
-        assert ci.originals[3] == vs(0, 1, 2)
-        t = multipartite_factor(ci.parts, ci.graph)
-        assert t is not None
-        full = ci.expand(t)
-        assert full.verify(g, require_factor=True)
+        blocks = contract_residual(g, p, ts)
+        assert blocks == units((9, 10, 11)) + ((0b111, 0b111 << 3, 0b111 << 6),)
+        # Every triangle unit meets every part vertex.
+        assert all(u & g.common_neighbors(c) for u in blocks[0] for c in blocks[1])
+        t = multipartite_factor(g, blocks)
+        assert t is not None and t.r == 4
+        assert t.verify(g, require_factor=True)
 
     def test_rejects_a_partial_tiling(self):
         g = k333()
@@ -489,34 +491,34 @@ class TestContract:
         with pytest.raises(PreconditionError):
             contract_residual(g, p, Tiling(1, (vs(6), vs(7))))
 
-    def test_contracted_adjacency_matches_common_neighborhoods(self, rng):
-        for _ in range(5):
-            g = random_graph(rng, 24, 0.9)
-            b = list(range(12, 24))
-            sub, labels = g.induced(VertexSet(b).bits)
-            mm = maximum_matching(sub)
-            assert 2 * len(mm.pairs) == 12
-            ts = Tiling(
-                2,
-                tuple(vs(labels[u], labels[v]) for u, v in mm.pairs),
-            )
-            p = RsPartition(
-                (VertexSet(set(range(6))), VertexSet(set(range(6, 12)))),
-                VertexSet(set(b)),
-            )
-            ci = contract_residual(g, p, ts)
-            assert ci.graph.n == 18
-            for j, cl in enumerate(ts.cliques):
-                common = g.common_neighbors(cl.bits)
-                for x in range(12):
-                    assert ci.graph.has_edge(x, 12 + j) == bool(common >> x & 1)
-            for x in range(12):
-                for y in range(x + 1, 12):
-                    want = g.has_edge(x, y) and (x // 6 != y // 6)
-                    assert ci.graph.has_edge(x, y) == want
-            for j in range(6):
-                for jj in range(j + 1, 6):
-                    assert not ci.graph.has_edge(12 + j, 12 + jj)
+    def test_factor_matches_the_quotient_reference(self, rng):
+        # The units keep vertex and tiling order, so the factor found on g
+        # is the one the contracted quotient graph gave, clique for clique,
+        # also when only a seeded retry finds it and when none does.
+        outcomes = set()
+        for density in (0.9, 0.75, 0.6):
+            for _ in range(6):
+                g = random_graph(rng, 24, density)
+                b = list(range(12, 24))
+                mm = maximum_matching(g.induced(VertexSet(b).bits)[0])
+                if 2 * len(mm.pairs) != 12:
+                    continue
+                ts = Tiling(2, tuple(vs(b[u], b[v]) for u, v in mm.pairs))
+                p = RsPartition(
+                    (VertexSet(set(range(6))), VertexSet(set(range(6, 12)))),
+                    VertexSet(set(b)),
+                )
+                blocks = contract_residual(g, p, ts)
+                assert blocks[:2] == units(range(6), range(6, 12))
+                assert blocks[2] == tuple(c.bits for c in ts.cliques)
+                got = multipartite_factor(g, blocks)
+                assert got == seed_quotient_factor(g, p, ts)
+                first = multipartite_factor(g, blocks, retries=1)
+                outcomes.add((first is not None, got is not None))
+                if got is not None:
+                    assert got.verify(g, require_factor=False)
+                    assert got.covered == p.cover | p.b
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def layered_random(rng, sizes, floor):
@@ -555,13 +557,13 @@ class TestMultipartite:
     def test_complete_parts(self):
         sizes = [5] * 4
         g, parts = layered_random(random.Random(1), sizes, 5)
-        t = multipartite_factor(parts, g)
+        t = multipartite_factor(g, units(*parts))
         assert t is not None and t.verify(g, require_factor=True)
 
     def test_bipartite_at_threshold(self, rng):
         for _ in range(5):
             g, parts = layered_random(rng, [16, 16], 12)
-            t = multipartite_factor(parts, g)
+            t = multipartite_factor(g, units(*parts))
             assert t is not None and t.verify(g, require_factor=True)
             # cross-check against the matching oracle on the same graph
             assert 2 * len(maximum_matching(g).pairs) == 32
@@ -569,26 +571,29 @@ class TestMultipartite:
     def test_tripartite_at_threshold(self, rng):
         for _ in range(5):
             g, parts = layered_random(rng, [12, 12, 12], 10)
-            t = multipartite_factor(parts, g)
+            t = multipartite_factor(g, units(*parts))
             assert t is not None and t.verify(g, require_factor=True)
             for c in t.cliques:
                 assert all(len(c & a) == 1 for a in parts)
 
     def test_rejects_unbalanced_or_overlapping_parts(self):
         g = Graph.complete(5)
-        with pytest.raises(PreconditionError):
-            multipartite_factor((vs(0, 1), vs(2, 3, 4)), g)
-        g2 = Graph.complete(4)
-        with pytest.raises(PreconditionError):
-            multipartite_factor((vs(0, 1), vs(1, 2)), g2)
+        with pytest.raises(PreconditionError, match="balanced"):
+            multipartite_factor(g, units((0, 1), (2, 3, 4)))
+        with pytest.raises(PreconditionError, match="overlap"):
+            multipartite_factor(g, units((0, 1), (1, 2)))
+
+    def test_rejects_mixed_unit_sizes(self):
+        with pytest.raises(PreconditionError, match="differ in size"):
+            multipartite_factor(Graph.complete(5), ((0b1, 0b10), (0b100, 0b11000)))
 
     def test_empty_instance(self):
-        t = multipartite_factor((vs(),), Graph.empty(0))
+        t = multipartite_factor(Graph.empty(0), ((),))
         assert t == Tiling(1, ())
 
     def test_gives_up_honestly_below_threshold(self):
         g = Graph.empty(4)
-        t = multipartite_factor((vs(0, 1), vs(2, 3)), g, retries=3)
+        t = multipartite_factor(g, units((0, 1), (2, 3)), retries=3)
         assert t is None
 
 
@@ -643,9 +648,6 @@ class TestPipeline:
         resid = strip_tiling(q.partition, t)
         assert ts.covered == resid.b
 
-        ci = contract_residual(g, resid, ts)
-        mp = multipartite_factor(ci.parts, ci.graph)
-        assert mp is not None
-        full = ci.expand(mp)
-        assert full.r == 3
-        assert full.verify(g, require_factor=True)
+        mp = multipartite_factor(g, contract_residual(g, resid, ts))
+        assert mp is not None and mp.r == 3
+        assert Tiling(3, t.cliques + mp.cliques).verify(g, require_factor=True)
