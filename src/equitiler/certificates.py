@@ -8,9 +8,10 @@ certificate is caught loudly.
 
 Witness types: an independent set (Ex1) and the odd split (Ex2) block a
 K_r-factor; a Tutte–Berge barrier blocks a K_2-factor (a perfect matching);
-a K_{k+1} clique or an odd biclique blocks an equitable k-coloring.  A NO of
-kind "exact" carries no witness: it yields no clause, and callers that
-report on it must say it went unchecked.
+a K_{k+1} clique, or an odd biclique K_{m,2k-m} whose sides cover all 2k
+vertices, blocks an equitable k-coloring.  A NO of kind "exact" carries no
+witness: it yields no clause, and callers that report on it must say it
+went unchecked.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
     """Clause list from re-verifying one payload object against g.
 
     A witness counts only in its own mode: an independent set, an odd split
-    or a Tutte barrier blocks a factor, a clique or a biclique blocks a
-    coloring.
+    or a Tutte barrier blocks a factor, a clique or a spanning odd biclique
+    blocks a coloring.
     """
     out: List[str] = []
     if isinstance(obj, Tiling):

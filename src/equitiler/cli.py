@@ -123,7 +123,9 @@ def _load_constants(path: str, r: int) -> ConstantsConfig:
                 raise CliError("gammas must be a list")
             kwargs[key] = tuple(_fraction(v) for v in value)
         elif key == "s":
-            kwargs[key] = None if value is None else int(value)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise CliError(f"s must be an integer, got {value!r}")
+            kwargs[key] = value
         else:
             kwargs[key] = _fraction(value)
     cfg = replace(default_constants(r), **kwargs)
@@ -154,15 +156,6 @@ def _exit_for(answer: Optional[bool]) -> int:
     return EXIT_UNRESOLVED
 
 
-def _decide_kwargs(args) -> dict:
-    kwargs: Dict[str, object] = {"seed": args.seed}
-    if args.exact_cap is not None:
-        if args.exact_cap < 0:
-            raise CliError("--exact-cap must be >= 0")
-        kwargs["exact_cap"] = args.exact_cap
-    return kwargs
-
-
 def cmd_decide(args) -> int:
     g = _load_graph(args.input, args.format)
     k = args.k
@@ -172,7 +165,7 @@ def cmd_decide(args) -> int:
     if args.constants is not None:
         q = (-g.n) % k
         cfg = _load_constants(args.constants, (g.n + q) // k)
-    cert = decide_equitable(g, k, cfg=cfg, **_decide_kwargs(args))
+    cert = decide_equitable(g, k, cfg=cfg, seed=args.seed)
     _emit_json(_envelope(cert, command="decide", mode="coloring", value=k, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -183,7 +176,7 @@ def cmd_factor(args) -> int:
     if r < 1:
         raise CliError(f"--r must be positive, got {r}")
     cfg = _load_constants(args.constants, r) if args.constants is not None else None
-    cert = decide_kr_factor(g, r, cfg=cfg, **_decide_kwargs(args))
+    cert = decide_kr_factor(g, r, cfg=cfg, seed=args.seed)
     _emit_json(_envelope(cert, command="factor", mode="factor", value=r, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -316,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_args(d)
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--exact-cap", type=int, default=None)
     d.add_argument("--constants", default=None, help="JSON file of scale overrides")
     d.set_defaults(fn=cmd_decide)
 
@@ -324,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_args(f)
     f.add_argument("--r", type=int, required=True)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--exact-cap", type=int, default=None)
     f.add_argument("--constants", default=None, help="JSON file of scale overrides")
     f.set_defaults(fn=cmd_factor)
 

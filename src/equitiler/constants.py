@@ -59,6 +59,8 @@ class ConstantsConfig:
                     f"gamma_{i + 1}={self.gammas[i]} too close to gamma_{i + 2}={self.gammas[i + 1]}"
                 )
         if self.s is not None:
+            if isinstance(self.s, bool) or not isinstance(self.s, int) or not 1 <= self.s <= r:
+                raise ValueError(f"s={self.s!r} must be an integer in 1..{r}")
             lo = self.gammas[self.s - 1]
             hi = self.gammas[self.s]
             chain = (lo, self.alpha, self.beta_prime, self.beta, hi)
@@ -118,7 +120,7 @@ class ConstantsConfig:
             zeta=as_fraction(doc["zeta"]),
             xi=as_fraction(doc.get("xi", Fraction(2, 25))),
             epsilon=as_fraction(doc.get("epsilon", Fraction(1, 50))),
-            s=None if doc.get("s") is None else int(doc["s"]),
+            s=doc.get("s"),
             ladder_ratio=as_fraction(doc.get("ladder_ratio", Fraction(1, 10))),
         )
         out.validate()

@@ -151,9 +151,10 @@ def lift_coloring(t: Tiling, q: int, k: int, g: Optional[Graph] = None) -> Color
 
 
 def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, BicliqueObstruction]]:
-    """A verified K_{k+1} or odd K_{m,2k-m} subgraph, or None.
+    """A verified K_{k+1} subgraph, or an odd K_{m,2k-m} spanning G, or None.
 
-    The clique is tried first; bicliques are scanned over odd m up to k.  A
+    The clique is tried first.  Bicliques prove a NO only when they cover
+    all of V, so they are scanned, over odd m up to k, only when n = 2k.  A
     None answer is a failed search, not a proof of absence.
     """
     hit = find_clique_of_size(g, k + 1)
@@ -162,6 +163,8 @@ def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, 
         if not w.verify(g, k):
             raise InternalContradiction("clique obstruction failed verification")
         return w
+    if g.n != 2 * k:
+        return None
     for m in range(1, k + 1, 2):
         pair = find_biclique(g, m, 2 * k - m)
         if pair is not None:
@@ -296,18 +299,16 @@ def decide_kr_factor(
     g: Graph,
     r: int,
     cfg: Optional[ConstantsConfig] = None,
-    exact_cap: int = EXACT_CAP,
-    fallback_cap: int = FALLBACK_CAP,
     seed: int = 0,
 ) -> DecisionCertificate:
     """Does G split into n/r vertex-disjoint copies of K_r?
 
     Strategy ladder: the trivial cases (n = 0 or r = 1); at r = 2 the
     perfect-matching decision, whose NO is obstructed by a Tutte–Berge
-    barrier; then, at r >= 3, the structural recognizers, exact search below
-    `exact_cap`, and the dense absorption route or the extremal pipeline.  A
-    pipeline miss at n <= `fallback_cap` falls back to exact search; beyond
-    that the honest output is kind="unresolved".
+    barrier; then, at r >= 3, the structural recognizers, exact search up to
+    EXACT_CAP vertices, and the dense absorption route or the extremal
+    pipeline.  A pipeline miss at n <= FALLBACK_CAP falls back to exact
+    search; beyond that the honest output is kind="unresolved".
     """
     if r < 1:
         raise PreconditionError(f"r={r} must be positive")
@@ -332,7 +333,7 @@ def decide_kr_factor(
         return DecisionCertificate("obstructed", False, None, w, "recognizer", True)
     timings.append(("recognize", time.perf_counter() - t0))
 
-    if g.n <= exact_cap:
+    if g.n <= EXACT_CAP:
         t0 = time.perf_counter()
         cert = _factor_by_oracle(g, r)
         timings.append(("oracle", time.perf_counter() - t0))
@@ -374,7 +375,7 @@ def decide_kr_factor(
         notes.append(f"structured route: {e}")
     timings.append(("pipeline", time.perf_counter() - t0))
 
-    if g.n <= fallback_cap:
+    if g.n <= FALLBACK_CAP:
         t0 = time.perf_counter()
         cert = _factor_by_oracle(g, r)
         timings.append(("oracle", time.perf_counter() - t0))
@@ -386,16 +387,15 @@ def decide_kr_factor(
     )
 
 
-def _translate_obstruction(
-    g: Graph, k: int, w: object
-) -> Optional[Union[CliqueObstruction, BicliqueObstruction]]:
-    """Map a complement-side witness onto a subgraph witness in G."""
+def _translate_obstruction(g: Graph, k: int, w: object) -> Optional[CliqueObstruction]:
+    """Map a complement-side witness onto a subgraph witness in G.
+
+    Only the independent set carries over, as a clique.  The odd split's
+    clique pair would become a biclique on 2k of the at least 2k + 1
+    vertices (an odd split needs r >= 3), which proves nothing.
+    """
     if isinstance(w, Ex1Witness):
         cand = CliqueObstruction(w.independent_set)
-        if cand.verify(g, k):
-            return cand
-    if isinstance(w, Ex2Witness):
-        cand = BicliqueObstruction(w.b0, w.b1)
         if cand.verify(g, k):
             return cand
     return None
@@ -405,8 +405,6 @@ def decide_equitable(
     g: Graph,
     k: int,
     cfg: Optional[ConstantsConfig] = None,
-    exact_cap: int = EXACT_CAP,
-    fallback_cap: int = FALLBACK_CAP,
     seed: int = 0,
 ) -> DecisionCertificate:
     """Does G have a proper k-coloring with class sizes within one?
@@ -441,7 +439,7 @@ def decide_equitable(
     # Between the caps the delegate would fall through to an exact clique
     # search on padded.n vertices.  Colouring the source graph settles the
     # same question at the smaller scale, so take that road directly.
-    if padded.n > exact_cap and g.n <= fallback_cap:
+    if padded.n > EXACT_CAP and g.n <= FALLBACK_CAP:
         t0 = time.perf_counter()
         col = equitable_coloring_exact(g, k)
         timings = (("oracle", time.perf_counter() - t0),)
@@ -464,7 +462,7 @@ def decide_equitable(
 
     comp = complement(padded)
     r = padded.n // k
-    cert = decide_kr_factor(comp, r, cfg, exact_cap, fallback_cap, seed)
+    cert = decide_kr_factor(comp, r, cfg, seed)
 
     if cert.answer is True:
         assert isinstance(cert.certificate, Tiling)
@@ -475,7 +473,7 @@ def decide_equitable(
         )
     if cert.answer is False:
         witness = _translate_obstruction(g, k, cert.witness)
-        if witness is None and g.n <= fallback_cap:
+        if witness is None and g.n <= FALLBACK_CAP:
             witness = coloring_obstruction(g, k)
         if witness is not None:
             return DecisionCertificate(

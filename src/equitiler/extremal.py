@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .graphs import Graph, VertexSet, iter_bits, max_independent_set
+from .graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
 
 __all__ = [
     "Ex1Witness",
@@ -96,7 +96,12 @@ class CliqueObstruction:
 
 @dataclass(frozen=True)
 class BicliqueObstruction:
-    """K_{m, 2k-m} subgraph with m odd; cross edges only are required."""
+    """K_{m, 2k-m} with m odd whose two sides cover all of V, so n = 2k.
+
+    Only cross edges are required.  Every class of an equitable k-colouring
+    of 2k vertices is then a pair inside one side, and the odd side cannot
+    be split into pairs.  A biclique that leaves vertices out proves nothing.
+    """
 
     side_a: VertexSet
     side_b: VertexSet
@@ -110,6 +115,8 @@ class BicliqueObstruction:
         if len(a) > len(b):
             a, b = b, a
         if len(a) % 2 == 0 or len(a) + len(b) != 2 * k or not a.isdisjoint(b):
+            return False
+        if (a | b).bits != g.full_mask:
             return False
         for v in iter_bits(a.bits):
             if b.bits & ~g.adj[v]:
@@ -293,12 +300,7 @@ def independent_set_of_size(g: Graph, size: int) -> Optional[VertexSet]:
     found = max_independent_set(g) if g.n <= 64 else _independent_heuristic(g, size)
     if found is None or len(found) < size:
         return None
-    bits = 0
-    for v in iter_bits(found.bits):
-        if bits.bit_count() == size:
-            break
-        bits |= 1 << v
-    return VertexSet(bits)
+    return VertexSet(lowest_vertices(found.bits, size))
 
 
 def recognize_extremal(g: Graph, r: int) -> Optional[ExtremalWitness]:

@@ -28,10 +28,12 @@ __all__ = [
     "gamma_independent",
     "induced_edge_count",
     "low_degree_set",
+    "iter_cliques",
     "find_clique_of_size",
     "max_clique",
     "max_independent_set",
     "connected_components",
+    "lowest_vertices",
 ]
 
 
@@ -328,15 +330,41 @@ def low_degree_set(g: Graph, threshold) -> VertexSet:
     return VertexSet(bits)
 
 
+def iter_cliques(g: Graph, size: int, inside: int, chosen: int = 0) -> Iterator[int]:
+    """Every `size`-clique made of `chosen` plus vertices of `inside`, as masks.
+
+    `chosen` must be a clique and `inside` must lie in its common
+    neighbourhood.  Cliques come in lexicographic order of their vertex
+    tuples: each picked vertex restricts the candidates to its higher-index
+    neighbours, and a branch whose candidates cannot fill the clique is
+    skipped, since it would yield nothing.
+    """
+    need = size - chosen.bit_count()
+    if need == 0:
+        yield chosen
+    elif 0 < need <= inside.bit_count():
+        yield from _clique_walk(g.adj, chosen, need, inside)
+
+
+def _clique_walk(adj: List[int], chosen: int, need: int, cand: int) -> Iterator[int]:
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if need == 1:
+            yield chosen | low
+            continue
+        nxt = rest & adj[low.bit_length() - 1]
+        if nxt.bit_count() >= need - 1:
+            yield from _clique_walk(adj, chosen | low, need - 1, nxt)
+        if rest.bit_count() < need:
+            return
+
+
 def find_clique_of_size(
     g: Graph, r: int, inside: VertexSet | int | None = None
 ) -> Optional[VertexSet]:
-    """Lexicographically first r-clique inside `inside` (default: all of V).
-
-    Backtracking over candidate masks; each chosen vertex restricts candidates
-    to its higher-index neighbors, so every clique is visited once, smallest
-    vertex tuple first.
-    """
+    """Lexicographically first r-clique inside `inside` (default: all of V)."""
     if r < 0:
         raise ValueError("clique size must be nonnegative")
     if inside is None:
@@ -345,33 +373,8 @@ def find_clique_of_size(
         allowed = inside.bits
     else:
         allowed = inside
-    if r == 0:
-        return VertexSet(0)
-
-    found: List[int] = []
-
-    def extend(chosen: int, count: int, cand: int) -> bool:
-        if count == r:
-            found.append(chosen)
-            return True
-        if count + cand.bit_count() < r:
-            return False
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            nxt = rest & g.adj[v]
-            if count + 1 + nxt.bit_count() >= r:
-                if extend(chosen | low, count + 1, nxt):
-                    return True
-            if count + rest.bit_count() < r:
-                return False
-        return False
-
-    if extend(0, 0, allowed):
-        return VertexSet(found[0])
-    return None
+    hit = next(iter_cliques(g, r, allowed), None)
+    return None if hit is None else VertexSet(hit)
 
 
 def max_clique(g: Graph, inside: int | None = None) -> VertexSet:
@@ -427,21 +430,33 @@ def max_independent_set(g: Graph, inside: int | None = None) -> VertexSet:
     return max_clique(complement(g), inside)
 
 
-def connected_components(g: Graph) -> List[VertexSet]:
-    """Components in ascending order of their smallest vertex."""
-    seen = 0
+def connected_components(g: Graph, inside: int | None = None) -> List[VertexSet]:
+    """Components of G[inside] (default: all of V), by ascending lowest vertex."""
+    allowed = g.full_mask if inside is None else inside
+    adj = g.adj
+    rest = allowed
     comps: List[VertexSet] = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        frontier = 1 << v
+    while rest:
+        frontier = rest & -rest
         comp = 0
         while frontier:
             comp |= frontier
             nxt = 0
             for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
+                nxt |= adj[u]
+            frontier = nxt & allowed & ~comp
         comps.append(VertexSet(comp))
-        seen |= comp
+        rest &= ~comp
     return comps
+
+
+def lowest_vertices(mask: int, count: int) -> int:
+    """The `count` lowest vertices of `mask` (all of them when it has fewer)."""
+    out = 0
+    for _ in range(count):
+        if not mask:
+            break
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out

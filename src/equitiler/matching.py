@@ -76,11 +76,15 @@ class Matching:
         return True
 
 
-def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
+def _augment_once(
+    g: Graph, match: List[int], root: int, inside: int, verts: List[int]
+) -> Optional[int]:
     """Grow `match` by one edge via an alternating tree from exposed `root`.
 
-    Returns None after augmenting.  Otherwise `match` is untouched and the
-    result is the mask of the tree's outer vertices, root included.
+    The tree stays inside the vertex mask `inside`, whose vertices `verts`
+    lists in ascending order.  Returns None after augmenting.  Otherwise
+    `match` is untouched and the result is the mask of the tree's outer
+    vertices, root included.
     """
     n = g.n
     parent = [-1] * n
@@ -114,7 +118,7 @@ def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
     finish = -1
     while q and finish == -1:
         v = q.popleft()
-        for u in iter_bits(g.adj[v]):
+        for u in iter_bits(g.adj[v] & inside):
             if base[v] == base[u] or match[v] == u:
                 continue
             if u == root or (match[u] != -1 and parent[match[u]] != -1):
@@ -122,7 +126,7 @@ def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
                 blossom = [False] * n
                 mark_path(v, b, u, blossom)
                 mark_path(u, b, v, blossom)
-                for i in range(n):
+                for i in verts:
                     if blossom[base[i]]:
                         base[i] = b
                         if not in_queue[i]:
@@ -138,7 +142,7 @@ def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
                     in_queue[w] = True
                     q.append(w)
     if finish == -1:
-        return sum(1 << i for i in range(n) if in_queue[i])
+        return sum(1 << i for i in verts if in_queue[i])
     u = finish
     while u != -1:
         pv = parent[u]
@@ -149,52 +153,60 @@ def _augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
     return None
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum matching: greedy seed, then blossom augmentation.
+def maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
+    """A maximum matching of G[inside] (default: all of V): greedy seed, then
+    blossom augmentation.
 
     The seed matches each exposed vertex, in ascending order, to its lowest
     exposed neighbor; a running mask of covered vertices keeps it at O(n)
     bit operations.  One augmentation pass per remaining exposed vertex
     then makes the matching maximum.
     """
+    if inside is None:
+        inside = g.full_mask
+    verts = list(iter_bits(inside))
     match = [-1] * g.n
     covered = 0
-    for v in range(g.n):
+    for v in verts:
         if match[v] == -1:
-            free = g.adj[v] & ~covered
+            free = g.adj[v] & inside & ~covered
             if free:
                 u = (free & -free).bit_length() - 1
                 match[v] = u
                 match[u] = v
                 covered |= (1 << v) | (1 << u)
-    for v in range(g.n):
+    for v in verts:
         if match[v] == -1:
-            _augment_once(g, match, v)
+            _augment_once(g, match, v, inside, verts)
     return Matching.from_array(match)
 
 
-def covering_matching(g: Graph, x: VertexSet, d: int) -> Optional[Matching]:
-    """A matching of exactly d edges covering all of X (|X| = d), or None.
+def covering_matching(
+    g: Graph, x: VertexSet, d: int, inside: Optional[int] = None
+) -> Optional[Matching]:
+    """A matching of exactly d edges of G[inside] covering all of X (|X| = d),
+    or None.  `inside` defaults to all of V and must contain X.
 
-    Exact via reduction to a perfect matching: add n - 2d auxiliary vertices
-    joined to V minus X; a perfect matching of the auxiliary graph restricts
-    to a d-matching of G covering X, and conversely.
+    Exact via reduction to a perfect matching: add |inside| - 2d auxiliary
+    vertices, numbered from n up, joined to inside minus X; a perfect
+    matching of the auxiliary graph restricts to a d-matching of G[inside]
+    covering X, and conversely.
     """
     if len(x) != d:
         raise PreconditionError(f"|X|={len(x)} must equal d={d}")
     n = g.n
-    if 2 * d > n:
+    if inside is None:
+        inside = g.full_mask
+    extra = inside.bit_count() - 2 * d
+    if extra < 0:
         return None
-    aux = Graph.empty(n + (n - 2 * d))
-    for u, v in g.edges():
-        aux.add_edge(u, v)
-    outside = g.full_mask & ~x.bits
-    for i in range(n - 2 * d):
-        z = n + i
-        for v in iter_bits(outside):
-            aux.add_edge(z, v)
-    pm = maximum_matching(aux)
-    if 2 * pm.size != aux.n:
+    outside = inside & ~x.bits
+    zs = ((1 << extra) - 1) << n
+    adj = g.adj + [outside] * extra
+    for v in iter_bits(outside):
+        adj[v] |= zs
+    pm = maximum_matching(Graph(n + extra, adj), inside | zs)
+    if 2 * pm.size != inside.bit_count() + extra:
         return None
     pairs = tuple(p for p in pm.pairs if p[1] < n)
     out = Matching(pairs)
@@ -216,8 +228,8 @@ class TutteBarrier:
 
     def surplus(self, g: Graph) -> int:
         """Odd components of G - U minus |U|."""
-        rest, _ = g.induced(g.full_mask & ~self.vertices.bits)
-        odd = sum(len(c) % 2 for c in connected_components(rest))
+        rest = g.full_mask & ~self.vertices.bits
+        odd = sum(len(c) % 2 for c in connected_components(g, rest))
         return odd - len(self.vertices)
 
     def verify(self, g: Graph, r: int) -> bool:
@@ -241,10 +253,11 @@ def pm_or_structure(g: Graph) -> Union[Matching, TutteBarrier]:
     if 2 * m.size == n:
         return m
     match = m.to_array(n)
+    verts = list(range(n))
     d = 0
-    for v in range(n):
+    for v in verts:
         if match[v] == -1:
-            outer = _augment_once(g, match, v)
+            outer = _augment_once(g, match, v, g.full_mask, verts)
             if outer is None:
                 raise InternalContradiction(f"maximum matching augmented from vertex {v}")
             d |= outer

@@ -9,9 +9,9 @@ lexicographic order, so returned witnesses are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits
+from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
 
 __all__ = [
     "Tiling",
@@ -103,31 +103,6 @@ class LayeredFactor:
         return seen == g.full_mask
 
 
-def _cliques_with_lowest(g: Graph, mask: int, size: int) -> Iterator[int]:
-    """Lex-ordered cliques of `size` inside mask that contain mask's lowest bit."""
-    low = mask & -mask
-    v = low.bit_length() - 1
-    if size == 1:
-        yield low
-        return
-
-    def gen(chosen: int, count: int, cand: int) -> Iterator[int]:
-        if count == size:
-            yield chosen
-            return
-        rest = cand
-        while rest:
-            b = rest & -rest
-            u = b.bit_length() - 1
-            rest ^= b
-            if count + 1 + (rest & g.adj[u]).bit_count() >= size:
-                yield from gen(chosen | b, count + 1, rest & g.adj[u])
-            if count + rest.bit_count() < size:
-                return
-
-    yield from gen(low, 1, g.adj[v] & mask & ~low)
-
-
 def _residual_infeasible(g: Graph, mask: int, r: int) -> bool:
     """Sound pruning for factor search on the uncovered set `mask`.
 
@@ -186,7 +161,8 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
             return True
         if _residual_infeasible(g, mask, r):
             return False
-        for c in _cliques_with_lowest(g, mask, r):
+        low = mask & -mask
+        for c in iter_cliques(g, r, mask & g.adj[low.bit_length() - 1], low):
             pieces.append(c)
             if search(mask & ~c):
                 return True

@@ -26,6 +26,7 @@ from .graphs import (
     induced_edge_count,
     iter_bits,
     low_degree_set,
+    lowest_vertices,
     max_independent_set,
 )
 from .matching import Matching, covering_matching, maximum_matching
@@ -232,12 +233,7 @@ def _sparse_set(
     else:
         found = _greedy_independent(g, universe, size)
     if found is not None and len(found) >= size:
-        bits = 0
-        for v in iter_bits(found.bits):
-            if bits.bit_count() == size:
-                break
-            bits |= 1 << v
-        return VertexSet(bits)
+        return VertexSet(lowest_vertices(found.bits, size))
     if limit < 1:
         return None
     # Hill climb from two deterministic starts, ejecting the most crowded
@@ -506,32 +502,27 @@ def _stage_matching(
     k: int,
 ):
     """Matching of `surplus` edges in the stage graph, or the Ex1 escape."""
-    h, labels = g.induced(stage_mask)
-    pos = {v: i for i, v in enumerate(labels)}
-    local_x = VertexSet(v for v in (pos[x] for x in leftovers))
-    m = covering_matching(h, local_x, surplus)
+    x = VertexSet(leftovers)
+    m = covering_matching(g, x, surplus, stage_mask)
     if m is None:
-        mm = maximum_matching(h)
+        mm = maximum_matching(g, stage_mask)
         if mm.size >= surplus:
             picked = sorted(
                 mm.pairs,
-                key=lambda e: (-((e[0] in local_x) + (e[1] in local_x)), e),
+                key=lambda e: (-((e[0] in x) + (e[1] in x)), e),
             )[:surplus]
             m = Matching(tuple(picked))
         else:
-            inside = max_independent_set(h) if h.n <= 64 else None
-            if inside is not None and len(inside) >= target:
-                bits = 0
-                for v in iter_bits(inside.bits):
-                    if bits.bit_count() == target:
-                        break
-                    bits |= 1 << labels[v]
-                return Ex1Witness(VertexSet(bits))
+            escape = None
+            if stage_mask.bit_count() <= 64:
+                escape = max_independent_set(g, stage_mask)
+            if escape is not None and len(escape) >= target:
+                return Ex1Witness(VertexSet(lowest_vertices(escape.bits, target)))
             raise InternalContradiction(
                 f"stage graph at round {k + 1} has matching number {mm.size} "
                 f"< {surplus} and no escape set"
             )
-    return Matching(tuple((labels[u], labels[v]) for u, v in m.pairs))
+    return m
 
 
 def _apply_straddle(

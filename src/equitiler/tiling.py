@@ -8,7 +8,9 @@ or two full r-cliques through its common neighborhood.  What remains is
 block-respecting and dense, so the leftover block can be tiled by small
 cliques and the rest finished as a balanced multipartite factor: every final
 clique joins one unit per block, a vertex of each part and one small clique
-of the leftover block, all found on the input graph itself.
+of the leftover block, all found on the input graph itself.  Sub-problems are
+vertex masks of that graph: cliques come from `graphs.iter_cliques` and the
+leftover block's pairs from the blossom search on its mask.
 
 Slack is tracked as an exact rational per seed: the largest margin by which
 its neighborhood inequalities hold.  Desk-sized instances certify with modest
@@ -24,7 +26,7 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
-from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits
+from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
 from .matching import maximum_matching
 from .oracle import Tiling
 from .partition import GoodPartition, RsPartition, classify
@@ -645,32 +647,6 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     return t
 
 
-def _iter_cliques(g: Graph, inside: int, size: int, cap: int) -> Iterator[int]:
-    """Lexicographic clique enumeration, at most `cap` results."""
-    if size == 0:
-        yield 0
-        return
-    emitted = 0
-
-    def walk(cand: int, cur: int, k: int) -> Iterator[int]:
-        nonlocal emitted
-        if k == 0:
-            yield cur
-            return
-        m = cand
-        while m and emitted < cap:
-            v = (m & -m).bit_length() - 1
-            bit = 1 << v
-            m &= m - 1
-            yield from walk(m & g.adj[v], cur | bit, k - 1)
-
-    for res in walk(inside, 0, size):
-        emitted += 1
-        yield res
-        if emitted >= cap:
-            return
-
-
 def _extensions(
     g: Graph, q: GoodPartition, h: Base, wmask: int, cap: int
 ) -> Iterator[Tuple[VertexSet, ...]]:
@@ -692,7 +668,7 @@ def _extensions(
         mask, need = units[idx]
         nb = need.get(None, 0)
         pool = g.common_neighbors(mask) & p.b.bits & ve & ~forbid
-        for bsub in _iter_cliques(g, pool, nb, cap):
+        for bsub in islice(iter_cliques(g, nb, pool), cap):
             got, _ = _grow(g, p, ve, mask, need, forbid, b_pick=bsub)
             if got is None:
                 continue
@@ -820,11 +796,10 @@ def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     """A perfect matching of G[mask] as a tiling by pairs, or None."""
     if mask.bit_count() % 2:
         return None
-    sub, labels = g.induced(mask)
-    mm = maximum_matching(sub)
-    if 2 * mm.size != sub.n:
+    mm = maximum_matching(g, mask)
+    if 2 * mm.size != mask.bit_count():
         return None
-    return Tiling(2, tuple(VertexSet([labels[u], labels[v]]) for u, v in mm.pairs))
+    return Tiling(2, tuple(VertexSet([u, v]) for u, v in mm.pairs))
 
 
 def _attribute(bases: BaseSet, tiling: Tiling) -> List[Tuple[Base, Tuple[int, ...]]]:
@@ -928,7 +903,7 @@ def parity_repair(
                     & ~wmask
                     & ~other
                 )
-                for alt in islice(_iter_cliques(g, pool, free, 24), 24):
+                for alt in islice(iter_cliques(g, free, pool), 24):
                     nm = fixed | alt
                     if nm == cm or not g.is_clique(nm):
                         continue
@@ -950,12 +925,12 @@ def parity_repair(
         tcov = tiling.covered.bits
         for i, part in enumerate(p.parts):
             free_part = part.bits & ~tcov
-            for uv in _iter_cliques(g, free_part, 2, 64):
+            for uv in islice(iter_cliques(g, 2, free_part), 64):
                 wc = g.common_neighbors(uv) & bmask & ve & ~tcov
                 for wv in islice(iter_bits(wc), 8):
                     left = uv | (1 << wv)
                     pool = bmask & ve & ~tcov & ~left
-                    for alt in islice(_iter_cliques(g, pool, r - s + 1, 24), 24):
+                    for alt in islice(iter_cliques(g, r - s + 1, pool), 24):
                         h2 = DoubleBase(
                             VertexSet(left), VertexSet(alt), i, None, Fraction(0)
                         )

@@ -3,21 +3,24 @@
 Everything here works on plain edge sets / frozensets via itertools, with no
 code shared with equitiler's bitset internals.  Exponential and meant for
 small instances only.  The exceptions are the last two sections: exact
-oracles that only the tests need, built on the package's own clique search,
-and earlier versions of kernels that were since rewritten, kept verbatim so
-that the tests can require the rewrites to give identical output.
+oracles that only the tests need, built on the package's exact search and on
+an earlier clique enumerator, and earlier versions of kernels that were since
+rewritten, kept verbatim so that the tests can require the rewrites to give
+identical output.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.graphs import Graph, VertexSet, iter_bits
-from equitiler.matching import Matching, _augment_once, maximum_matching
-from equitiler.oracle import LayeredFactor, Tiling, _cliques_with_lowest, is_absorber_set
+from equitiler.matching import Matching, maximum_matching
+from equitiler.oracle import LayeredFactor, Tiling, is_absorber_set
 
 Edge = Tuple[int, int]
 
@@ -290,7 +293,7 @@ def layered_factor_exact(g: Graph, r: int, cap: int = 16) -> LayeredFactor:
         best: Optional[Tuple[int, ...]] = None
         best_piece = (0, 0)
         for size in range(min(r, mask.bit_count()), 0, -1):
-            for c in _cliques_with_lowest(g, mask, size):
+            for c in seed_cliques_with_lowest(g, mask, size):
                 prof = bump(solve(mask & ~c), size)
                 if best is None or prof > best:
                     best = prof
@@ -356,7 +359,7 @@ def seed_maximum_matching(g):
                 match[u] = v
     for v in range(g.n):
         if match[v] == -1:
-            _augment_once(g, match, v)
+            seed_augment_once(g, match, v)
     return Matching.from_array(match)
 
 
@@ -452,3 +455,253 @@ def seed_quotient_factor(g, p, ts, retries: int = 20):
                 out.append(VertexSet(bits))
             return Tiling(len(out[0]), tuple(out))
     return None
+
+
+# The three ordered clique enumerations that `graphs.iter_cliques` replaced.
+
+
+def seed_find_clique_of_size(
+    g: Graph, r: int, inside: VertexSet | int | None = None
+) -> Optional[VertexSet]:
+    """Lexicographically first r-clique inside `inside` (default: all of V).
+
+    Backtracking over candidate masks; each chosen vertex restricts candidates
+    to its higher-index neighbors, so every clique is visited once, smallest
+    vertex tuple first.
+    """
+    if r < 0:
+        raise ValueError("clique size must be nonnegative")
+    if inside is None:
+        allowed = g.full_mask
+    elif isinstance(inside, VertexSet):
+        allowed = inside.bits
+    else:
+        allowed = inside
+    if r == 0:
+        return VertexSet(0)
+
+    found: List[int] = []
+
+    def extend(chosen: int, count: int, cand: int) -> bool:
+        if count == r:
+            found.append(chosen)
+            return True
+        if count + cand.bit_count() < r:
+            return False
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            nxt = rest & g.adj[v]
+            if count + 1 + nxt.bit_count() >= r:
+                if extend(chosen | low, count + 1, nxt):
+                    return True
+            if count + rest.bit_count() < r:
+                return False
+        return False
+
+    if extend(0, 0, allowed):
+        return VertexSet(found[0])
+    return None
+
+
+def seed_cliques_with_lowest(g: Graph, mask: int, size: int) -> Iterator[int]:
+    """Lex-ordered cliques of `size` inside mask that contain mask's lowest bit."""
+    low = mask & -mask
+    v = low.bit_length() - 1
+    if size == 1:
+        yield low
+        return
+
+    def gen(chosen: int, count: int, cand: int) -> Iterator[int]:
+        if count == size:
+            yield chosen
+            return
+        rest = cand
+        while rest:
+            b = rest & -rest
+            u = b.bit_length() - 1
+            rest ^= b
+            if count + 1 + (rest & g.adj[u]).bit_count() >= size:
+                yield from gen(chosen | b, count + 1, rest & g.adj[u])
+            if count + rest.bit_count() < size:
+                return
+
+    yield from gen(low, 1, g.adj[v] & mask & ~low)
+
+
+def seed_iter_cliques(g: Graph, inside: int, size: int, cap: int) -> Iterator[int]:
+    """Lexicographic clique enumeration, at most `cap` results."""
+    if size == 0:
+        yield 0
+        return
+    emitted = 0
+
+    def walk(cand: int, cur: int, k: int) -> Iterator[int]:
+        nonlocal emitted
+        if k == 0:
+            yield cur
+            return
+        m = cand
+        while m and emitted < cap:
+            v = (m & -m).bit_length() - 1
+            bit = 1 << v
+            m &= m - 1
+            yield from walk(m & g.adj[v], cur | bit, k - 1)
+
+    for res in walk(inside, 0, size):
+        emitted += 1
+        yield res
+        if emitted >= cap:
+            return
+
+
+# The matching kernels and components before they took a vertex mask.
+
+
+def seed_augment_once(g: Graph, match: List[int], root: int) -> Optional[int]:
+    """Grow `match` by one edge via an alternating tree from exposed `root`.
+
+    Returns None after augmenting.  Otherwise `match` is untouched and the
+    result is the mask of the tree's outer vertices, root included.
+    """
+    n = g.n
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+    in_queue[root] = True
+    q = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        up = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            up[x] = True
+            if match[x] == -1:
+                break
+            x = base[parent[match[x]]]
+        y = b
+        while not up[base[y]]:
+            y = base[parent[match[y]]]
+        return base[y]
+
+    def mark_path(v: int, b: int, child: int, blossom: List[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    finish = -1
+    while q and finish == -1:
+        v = q.popleft()
+        for u in iter_bits(g.adj[v]):
+            if base[v] == base[u] or match[v] == u:
+                continue
+            if u == root or (match[u] != -1 and parent[match[u]] != -1):
+                b = lca(v, u)
+                blossom = [False] * n
+                mark_path(v, b, u, blossom)
+                mark_path(u, b, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = b
+                        if not in_queue[i]:
+                            in_queue[i] = True
+                            q.append(i)
+            elif parent[u] == -1:
+                parent[u] = v
+                if match[u] == -1:
+                    finish = u
+                    break
+                w = match[u]
+                if not in_queue[w]:
+                    in_queue[w] = True
+                    q.append(w)
+    if finish == -1:
+        return sum(1 << i for i in range(n) if in_queue[i])
+    u = finish
+    while u != -1:
+        pv = parent[u]
+        nxt = match[pv]
+        match[u] = pv
+        match[pv] = u
+        u = nxt
+    return None
+
+
+def seed_unmasked_matching(g: Graph) -> Matching:
+    """A maximum matching: greedy seed, then blossom augmentation.
+
+    The seed matches each exposed vertex, in ascending order, to its lowest
+    exposed neighbor; a running mask of covered vertices keeps it at O(n)
+    bit operations.  One augmentation pass per remaining exposed vertex
+    then makes the matching maximum.
+    """
+    match = [-1] * g.n
+    covered = 0
+    for v in range(g.n):
+        if match[v] == -1:
+            free = g.adj[v] & ~covered
+            if free:
+                u = (free & -free).bit_length() - 1
+                match[v] = u
+                match[u] = v
+                covered |= (1 << v) | (1 << u)
+    for v in range(g.n):
+        if match[v] == -1:
+            seed_augment_once(g, match, v)
+    return Matching.from_array(match)
+
+
+def seed_covering_matching(g: Graph, x: VertexSet, d: int) -> Optional[Matching]:
+    """A matching of exactly d edges covering all of X (|X| = d), or None.
+
+    Exact via reduction to a perfect matching: add n - 2d auxiliary vertices
+    joined to V minus X; a perfect matching of the auxiliary graph restricts
+    to a d-matching of G covering X, and conversely.
+    """
+    if len(x) != d:
+        raise PreconditionError(f"|X|={len(x)} must equal d={d}")
+    n = g.n
+    if 2 * d > n:
+        return None
+    aux = Graph.empty(n + (n - 2 * d))
+    for u, v in g.edges():
+        aux.add_edge(u, v)
+    outside = g.full_mask & ~x.bits
+    for i in range(n - 2 * d):
+        z = n + i
+        for v in iter_bits(outside):
+            aux.add_edge(z, v)
+    pm = seed_unmasked_matching(aux)
+    if 2 * pm.size != aux.n:
+        return None
+    pairs = tuple(p for p in pm.pairs if p[1] < n)
+    out = Matching(pairs)
+    if out.size != d or not x.issubset(out.covered):
+        raise InternalContradiction("perfect-matching reduction produced a bad cover")
+    return out
+
+
+def seed_connected_components(g: Graph) -> List[VertexSet]:
+    """Components in ascending order of their smallest vertex."""
+    seen = 0
+    comps: List[VertexSet] = []
+    for v in range(g.n):
+        if (seen >> v) & 1:
+            continue
+        frontier = 1 << v
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= g.adj[u]
+            frontier = nxt & ~comp
+        comps.append(VertexSet(comp))
+        seen |= comp
+    return comps

@@ -428,6 +428,16 @@ class TestPayloadClauses:
         assert payload_clauses(g, w, 3, "coloring") == []
         assert payload_clauses(g, w, 3, "factor") == ["clique witness fails"]
 
+    def test_biclique_must_span_the_graph(self):
+        # K_{1,5} plus 6 isolated vertices colours equitably with 3 colours,
+        # so its star proves nothing; on K_{1,5} alone the star is the NO.
+        star = [(0, v) for v in range(1, 6)]
+        w = BicliqueObstruction(vs(0), vs(1, 2, 3, 4, 5))
+        padded = Graph.from_edges(12, star)
+        cert = DecisionCertificate("obstructed", False, None, w, "oracle", True)
+        assert verify_certificate(padded, cert, "coloring", 3) == ["biclique witness fails"]
+        assert verify_certificate(Graph.from_edges(6, star), cert, "coloring", 3) == []
+
     def test_ex1_blocks_its_construction(self):
         g = build_ex1_like(9, 3)
         w = Ex1Witness(vs(0, 1, 2, 3))

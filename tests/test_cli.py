@@ -278,6 +278,14 @@ class TestConstantsFile:
         assert code == 3
         assert "omega" in err
 
+    @pytest.mark.parametrize("s", ["abc", 7, 2.7])
+    def test_bad_part_count_is_a_usage_error(self, capsys, write, s):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"s": s}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "integer" in err
+
     def test_trivial_arity_refused(self, capsys, write):
         graph = write("e3.txt", dumps(Graph(3, [0] * 3)))
         cfg = write("c.json", json.dumps({"xi": "1/4"}))

@@ -68,6 +68,11 @@ class TestRefinement:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("s", [0, 4, 2.0, "2", True])
+    def test_part_count_must_be_an_integer_in_range(self, s):
+        with pytest.raises(ValueError, match="must be an integer"):
+            replace(default_constants(3), s=s).validate()
+
     def test_crowded_rungs_rejected(self):
         base = default_constants(3)
         with pytest.raises(ValueError, match="too close"):
@@ -105,6 +110,11 @@ class TestJson:
         doc = cfg.to_json()
         back = ConstantsConfig.from_json(doc)
         assert back == cfg
+
+    def test_fractional_part_count_rejected(self):
+        doc = dict(default_constants(4).for_s(2).to_json(), s=2.7)
+        with pytest.raises(ValueError, match="must be an integer"):
+            ConstantsConfig.from_json(doc)
 
     def test_fractions_encoded_exactly(self):
         doc = default_constants(3).to_json()

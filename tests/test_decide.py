@@ -268,24 +268,18 @@ class TestFactorPipelines:
         assert c.certificate.verify(g)
 
     def test_leftover_block_matched_once(self, monkeypatch):
-        # Record the mask behind every induced graph that reaches a maximum
-        # matching, wrapping both where their callers look them up.
+        # Record the vertex mask every maximum matching runs on, wrapping the
+        # matching where its callers look it up.
         n, m = 240, 80
         g = build_ex2(n, 3, 1)
         g.add_edge(2 * m, 2 * m + 1)
-        induced = Graph.induced
-        made, matched = [], []
+        matched = []
 
-        def tracked_induced(self, mask):
-            sub, labels = induced(self, mask)
-            made.append((sub, mask))
-            return sub, labels
+        def tracked_matching(h, inside=None):
+            if h is g:
+                matched.append(inside)
+            return maximum_matching(h, inside)
 
-        def tracked_matching(h):
-            matched.extend(mask for sub, mask in made if sub is h)
-            return maximum_matching(h)
-
-        monkeypatch.setattr(Graph, "induced", tracked_induced)
         for mod in ("matching", "partition", "tiling", "absorbing"):
             monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
         c = decide_kr_factor(g, 3)
@@ -395,14 +389,14 @@ class TestEquitable:
         assert any("fails at" in note for note in c.notes)
 
     def test_split_complement_witness(self):
-        # The complement of the 9-vertex odd split: the recognizer answer on
-        # the factor side surfaces as a K_{1,5} in the input graph.
+        # The complement of the 9-vertex odd split: the recognizer settles the
+        # factor side, but its clique pair is a K_{1,5} on 6 of the 9
+        # vertices, which proves nothing, so the NO goes out without a witness.
         g = complement(build_ex2(9, 3, 1))
         c = decide_equitable(g, 3)
-        assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "recognizer")
-        assert isinstance(c.witness, BicliqueObstruction)
-        assert (c.witness.side_a, c.witness.side_b) == (vs(0), vs(1, 2, 3, 4, 5))
-        assert c.witness.verify(g, 3)
+        assert (c.kind, c.answer, c.provenance) == ("exact", False, "recognizer")
+        assert c.witness is None
+        assert not BicliqueObstruction(vs(0), vs(1, 2, 3, 4, 5)).verify(g, 3)
 
     def test_random_agreement(self):
         rng = random.Random(5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +19,25 @@ from equitiler.graphs import (
     find_clique_of_size,
     gamma_independent,
     induced_edge_count,
+    iter_cliques,
     low_degree_set,
+    lowest_vertices,
     max_independent_set,
     ore_edge_bound,
     sigma,
 )
 
-from _brute import adj_sets, brute_independence_number, brute_induced, brute_sigma, graph_edges
+from _brute import (
+    adj_sets,
+    brute_independence_number,
+    brute_induced,
+    brute_sigma,
+    graph_edges,
+    seed_cliques_with_lowest,
+    seed_connected_components,
+    seed_find_clique_of_size,
+    seed_iter_cliques,
+)
 from conftest import cycle, random_graph
 
 
@@ -119,6 +132,35 @@ def test_induced_matches_edge_relabel(gm):
     assert labels == ref_labels
     assert sub.n == n and graph_edges(sub) == edges
     assert sub == Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_mask(), st.integers(min_value=0, max_value=6))
+@example((Graph.complete(7), (1 << 7) - 1), 3)
+@example((Graph.empty(5), 0b10110), 0)
+def test_iter_cliques_replays_the_three_enumerations(gm, size):
+    # The first 200 cliques only: dense graphs on 130 vertices hold billions.
+    g, mask = gm
+    got = list(islice(iter_cliques(g, size, mask), 200))
+    assert got == list(seed_iter_cliques(g, mask, size, 200))
+    first = seed_find_clique_of_size(g, size, mask)
+    assert find_clique_of_size(g, size, mask) == first
+    assert (got[0] if got else None) == (None if first is None else first.bits)
+    if mask and size:
+        low = mask & -mask
+        cand = mask & g.adj[low.bit_length() - 1]
+        assert list(islice(iter_cliques(g, size, cand, low), 200)) == list(
+            islice(seed_cliques_with_lowest(g, mask, size), 200)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_mask())
+def test_masked_components_match_the_induced_copy(gm):
+    g, mask = gm
+    sub, labels = g.induced(mask)
+    want = [VertexSet(labels[v] for v in c) for c in seed_connected_components(sub)]
+    assert connected_components(g, mask) == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -235,6 +277,12 @@ def test_connected_components():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components(g)
     assert [c.members() for c in comps] == [(0, 1, 2), (3,), (4, 5), (6,)]
+
+
+def test_lowest_vertices():
+    assert lowest_vertices(0b1011010, 2) == 0b1010
+    assert lowest_vertices(0b1011010, 9) == 0b1011010
+    assert lowest_vertices(0b1011010, 0) == 0
 
 
 def test_cycle_nine_has_independence_number_four():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equitiler.errors import PreconditionError
-from equitiler.graphs import Graph, VertexSet
+from equitiler.graphs import Graph, VertexSet, iter_bits
 from equitiler.matching import (
     Matching,
     TutteBarrier,
@@ -16,7 +16,13 @@ from equitiler.matching import (
     pm_or_structure,
 )
 
-from _brute import brute_covering_matching_exists, brute_max_matching_size, seed_maximum_matching
+from _brute import (
+    brute_covering_matching_exists,
+    brute_max_matching_size,
+    seed_covering_matching,
+    seed_maximum_matching,
+    seed_unmasked_matching,
+)
 from conftest import random_graph
 
 
@@ -62,6 +68,32 @@ class TestMaximumMatching:
 def test_maximum_matching_pairs_match_quadratic_seed(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
     assert maximum_matching(g).pairs == seed_maximum_matching(g).pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from([0.02, 0.1, 0.3, 0.7]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_masked_matchings_match_the_induced_copy(n, p, seed):
+    # The blossom search and the covering reduction on a vertex mask give the
+    # pairs the earlier kernels give on the induced copy, relabelled.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    mask = rng.getrandbits(n) if n else 0
+    sub, labels = g.induced(mask)
+    want = tuple((labels[u], labels[v]) for u, v in seed_unmasked_matching(sub).pairs)
+    assert maximum_matching(g, mask).pairs == want
+    verts = list(iter_bits(mask))
+    x = sorted(rng.sample(verts, rng.randint(0, len(verts) // 2 + 1) if verts else 0))
+    pos = {v: i for i, v in enumerate(verts)}
+    ref = seed_covering_matching(sub, VertexSet(pos[v] for v in x), len(x))
+    got = covering_matching(g, VertexSet(x), len(x), mask)
+    if ref is None:
+        assert got is None
+    else:
+        assert got.pairs == tuple((labels[u], labels[v]) for u, v in ref.pairs)
 
 
 class TestCoveringMatching:

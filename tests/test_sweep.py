@@ -81,14 +81,13 @@ class TestNoSet:
 
 
 class TestSharding:
-    def test_two_workers_match_inline(self):
-        inline = sweep(5, "equivalence", threads=1)
-        forked = sweep(5, "equivalence", threads=2)
-        assert (forked.instances, forked.no_instances, forked.anomalies) == (
-            inline.instances,
-            inline.no_instances,
-            inline.anomalies,
-        )
+    @pytest.mark.parametrize("check", ["equivalence", "edge-bound", "dichotomy"])
+    def test_two_workers_match_inline(self, check):
+        # At n = 5 every layer from n = 3 up goes through the process pool.
+        def counts(r):
+            return (r.instances, r.no_instances, r.witnesses, r.anomalies)
+
+        assert counts(sweep(5, check, threads=2)) == counts(sweep(5, check, threads=1))
 
     def test_three_workers_dichotomy(self):
         inline = sweep(4, "dichotomy", threads=1)
