@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Graph",
@@ -268,20 +268,37 @@ class OreStats:
         return self.witness is None
 
 
+def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
+    """(degree, mask of the vertices of that degree), ascending by degree."""
+    levels: Dict[int, int] = {}
+    for v, d in enumerate(degs):
+        levels[d] = levels.get(d, 0) | 1 << v
+    return sorted(levels.items())
+
+
 def sigma(g: Graph) -> OreStats:
-    degs = g.degrees()
-    best: float | int = math.inf
-    wit: Optional[Tuple[int, int]] = None
-    for u in range(g.n):
-        nonadj = ~g.adj[u] & (g.full_mask >> (u + 1) << (u + 1))
-        for v in iter_bits(nonadj):
-            s = degs[u] + degs[v]
-            if s < best:
-                best = s
-                wit = (u, v)
     if g.n == 0:
         return OreStats(math.inf, None, 0, 0)
-    return OreStats(best, wit, min(degs), max(degs))
+    degs = g.degrees()
+    levels = _degree_levels(degs)
+    full = g.full_mask
+    best: float | int = math.inf
+    wit: Optional[Tuple[int, int]] = None
+    # Each u, in ascending order, pairs with the lowest vertex of the
+    # lowest degree level among its higher-indexed non-neighbours; only a
+    # strictly smaller sum replaces the witness.
+    for u in range(g.n):
+        du = degs[u]
+        later = ~g.adj[u] & (full >> (u + 1) << (u + 1))
+        for d, level in levels:
+            if du + d >= best:
+                break
+            meet = later & level
+            if meet:
+                best = du + d
+                wit = (u, (meet & -meet).bit_length() - 1)
+                break
+    return OreStats(best, wit, levels[0][0], levels[-1][0])
 
 
 def complement(g: Graph) -> Graph:
@@ -296,13 +313,21 @@ def ore_edge_bound(g: Graph, k: int) -> Tuple[bool, Optional[Tuple[int, int]]]:
     ties); None iff the graph has no edges.
     """
     degs = g.degrees()
+    levels = _degree_levels(degs)[::-1]
     worst: Optional[Tuple[int, int]] = None
     worst_sum = -1
-    for u, v in g.edges():
-        s = degs[u] + degs[v]
-        if s > worst_sum:
-            worst_sum = s
-            worst = (u, v)
+    # The mirror of the level walk in `sigma`, from the highest degree down.
+    for u in range(g.n):
+        du = degs[u]
+        later = g.adj[u] >> (u + 1) << (u + 1)
+        for d, level in levels:
+            if du + d <= worst_sum:
+                break
+            meet = later & level
+            if meet:
+                worst_sum = du + d
+                worst = (u, (meet & -meet).bit_length() - 1)
+                break
     return worst_sum <= 2 * k, worst
 
 

@@ -1,9 +1,14 @@
 """Exhaustive exact deciders for clique factors and equitable colorings.
 
 These are the reference implementations: small-case complete searches with
-sound pruning, no heuristics that could change answers.  Branching always
-expands the lowest-index uncovered vertex and enumerates candidate cliques in
-lexicographic order, so returned witnesses are reproducible.
+sound pruning, no heuristics that could change answers.  The factor search
+always expands the lowest-index uncovered vertex and enumerates candidate
+cliques in lexicographic order; the colouring search places vertices in a
+fixed degree order and tries classes in index order.  Every prune cuts only
+subtrees that hold no solution and leaves the order of the rest alone, so the
+first solution found, and hence every returned witness, is reproducible and
+does not depend on which prunes ran.  The colouring search has two such
+prunes, fill and cover (see `equitable_coloring_exact`).
 """
 
 from __future__ import annotations
@@ -184,8 +189,22 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     """Exact equitable k-coloring (proper, class sizes within 1), or None.
 
     Greedy attempt first, then complete backtracking over a static
-    degree-descending vertex order with capacity and empty-class symmetry
-    pruning.  A (k+1)-clique short-circuits to None.
+    degree-descending vertex order, trying classes in index order, with
+    capacity and empty-class symmetry pruning.  A (k+1)-clique
+    short-circuits to None.
+
+    Two more prunes test each child after its vertex is placed.  Call the
+    unplaced vertices `rest`, and the vertices of `rest` that a non-full
+    class could still take its free set.  Fill: every non-full class needs
+    at least as many free vertices as it has places left.  Cover: every
+    vertex of `rest` must be free for some non-full class.  Each is a
+    necessary condition for completing the partial colouring, so a child
+    that fails one has no colouring below it, and skipping it leaves the
+    remaining children in the same order: the search returns the colouring
+    the unpruned search returns, class by class, and None exactly when it
+    does.  The tests cost O(k) mask operations per node, so they arm only at
+    the first dead end: an input that colours on the first descent never
+    pays for them.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -200,19 +219,14 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
         return None
 
     caps = _class_profile(n, k)
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-
-    def result_from(assign: List[int]) -> Coloring:
-        bits = [0] * k
-        for v, c in enumerate(assign):
-            bits[c] |= 1 << v
-        return Coloring(tuple(VertexSet(b) for b in bits))
+    degs = g.degrees()
+    # sorted stays stable under reverse=True: equal degrees keep index order.
+    order = sorted(range(n), key=degs.__getitem__, reverse=True)
 
     # Greedy: largest remaining capacity first, feasibility by neighbor masks.
     class_bits = [0] * k
     counts = [0] * k
     assign = [-1] * n
-    ok = True
     for v in order:
         best = -1
         for c in range(k):
@@ -221,45 +235,83 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
             if best == -1 or caps[c] - counts[c] > caps[best] - counts[best]:
                 best = c
         if best == -1:
-            ok = False
+            # The greedy is stuck; the complete search decides.
+            assign = _backtrack(g, caps, order)
+            if assign is None:
+                return None
             break
         assign[v] = best
         class_bits[best] |= 1 << v
         counts[best] += 1
-    if ok:
-        return result_from(assign)
 
-    class_bits = [0] * k
+    bits = [0] * k
+    for v, c in enumerate(assign):
+        bits[c] |= 1 << v
+    return Coloring(tuple(VertexSet(b) for b in bits))
+
+
+def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int]]:
+    """The class of each vertex in the first equitable colouring the
+    backtracking of `equitable_coloring_exact` reaches, or None.
+
+    Kept apart from the caller so that the short calls, which end before the
+    search, do not set up its closures.
+    """
+    n = g.n
+    k = len(caps)
+    adj = g.adj
+    # near[c] is the union of the neighbour rows of class c; a vertex can
+    # join c iff it is outside near[c].
+    near = [0] * k
     counts = [0] * k
     assign = [-1] * n
+    armed = False
 
-    def place(idx: int) -> bool:
+    def feasible(rest: int) -> bool:
+        # Fill: a non-full class needs enough unplaced vertices it can take.
+        # Cover: every unplaced vertex needs a non-full class that can take it.
+        stuck = rest
+        for c in range(k):
+            need = caps[c] - counts[c]
+            if need:
+                if (rest & ~near[c]).bit_count() < need:
+                    return False
+                stuck &= near[c]
+        return not stuck
+
+    def place(idx: int, rest: int) -> bool:
+        nonlocal armed
         if idx == n:
             return True
         v = order[idx]
-        seen_empty_cap = set()
+        bit = 1 << v
+        rest ^= bit
+        row = adj[v]
+        seen_empty_cap = 0
         for c in range(k):
-            if counts[c] >= caps[c]:
+            cnt = counts[c]
+            if cnt >= caps[c]:
                 continue
-            if counts[c] == 0:
-                if caps[c] in seen_empty_cap:
+            if cnt == 0:
+                if seen_empty_cap >> caps[c] & 1:
                     continue
-                seen_empty_cap.add(caps[c])
-            if class_bits[c] & g.adj[v]:
+                seen_empty_cap |= 1 << caps[c]
+            old = near[c]
+            if old & bit:
                 continue
-            class_bits[c] |= 1 << v
-            counts[c] += 1
+            near[c] = old | row
+            counts[c] = cnt + 1
             assign[v] = c
-            if place(idx + 1):
-                return True
-            class_bits[c] &= ~(1 << v)
-            counts[c] -= 1
+            if not armed or feasible(rest):
+                if place(idx + 1, rest):
+                    return True
+                armed = True
+            near[c] = old
+            counts[c] = cnt
             assign[v] = -1
         return False
 
-    if place(0):
-        return result_from(assign)
-    return None
+    return assign if place(0, g.full_mask) else None
 
 
 def is_absorber_set(g: Graph, s_bits: int, q_bits: int, r: int) -> bool:

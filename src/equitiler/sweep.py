@@ -115,9 +115,14 @@ def _tally_equivalence(g: Graph) -> Tally:
     return inst, nos, 0, bad
 
 
+def _worst_edge_sum(g: Graph) -> int:
+    """The largest d(x)+d(y) over the edges xy of g, 0 if it has none."""
+    _, worst = ore_edge_bound(g, 0)
+    return 0 if worst is None else g.degree(worst[0]) + g.degree(worst[1])
+
+
 def _tally_edge_bound(g: Graph) -> Tally:
-    degs = g.degrees()
-    worst = max((degs[u] + degs[v] for u, v in g.edges()), default=0)
+    worst = _worst_edge_sum(g)
     inst = fails = 0
     bad: List[str] = []
     for k in range(1, g.n + 1):
@@ -133,9 +138,9 @@ def _tally_edge_bound(g: Graph) -> Tally:
 def _tally_dichotomy(g: Graph) -> Tally:
     inst = nos = wits = 0
     bad: List[str] = []
+    worst = _worst_edge_sum(g)
     for k in range(3, g.n + 1):
-        held, _ = ore_edge_bound(g, k)
-        if not held:
+        if worst > 2 * k:
             continue
         inst += 1
         if equitable_coloring_exact(g, k) is not None:

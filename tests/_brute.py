@@ -18,9 +18,9 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from equitiler.errors import InternalContradiction, PreconditionError
-from equitiler.graphs import Graph, VertexSet, iter_bits
+from equitiler.graphs import Graph, VertexSet, find_clique_of_size, iter_bits
 from equitiler.matching import Matching, maximum_matching
-from equitiler.oracle import LayeredFactor, Tiling, is_absorber_set
+from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set
 
 Edge = Tuple[int, int]
 
@@ -70,6 +70,20 @@ def brute_sigma(n: int, edges: Iterable[Edge]):
         if v not in adj[u]
     ]
     return min(vals) if vals else None  # None for complete graphs
+
+
+def brute_sigma_witness(n: int, edges: Iterable[Edge]) -> Optional[Edge]:
+    """The lexicographically smallest non-adjacent pair of least degree sum."""
+    adj = adj_sets(n, edges)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if v not in adj[u]]
+    return min(pairs, key=lambda e: (len(adj[e[0]]) + len(adj[e[1]]), e), default=None)
+
+
+def brute_worst_edge(n: int, edges: Iterable[Edge]) -> Optional[Edge]:
+    """The lexicographically smallest edge of greatest degree sum."""
+    edges = norm_edges(edges)
+    adj = adj_sets(n, edges)
+    return min(edges, key=lambda e: (-len(adj[e[0]]) - len(adj[e[1]]), e), default=None)
 
 
 def brute_independence_number(n: int, edges: Iterable[Edge]) -> int:
@@ -705,3 +719,94 @@ def seed_connected_components(g: Graph) -> List[VertexSet]:
         comps.append(VertexSet(comp))
         seen |= comp
     return comps
+
+
+# The exact equitable-colouring search before the fill and cover prunes.
+
+
+def _seed_class_profile(n: int, k: int) -> List[int]:
+    big = n % k
+    q = n // k
+    return [q + 1] * big + [q] * (k - big)
+
+
+def seed_equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
+    """Exact equitable k-coloring (proper, class sizes within 1), or None.
+
+    Greedy attempt first, then complete backtracking over a static
+    degree-descending vertex order with capacity and empty-class symmetry
+    pruning.  A (k+1)-clique short-circuits to None.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    n = g.n
+    if n == 0:
+        return Coloring(tuple(VertexSet(0) for _ in range(k)))
+    if k >= n:
+        classes = [VertexSet(1 << v) for v in range(n)]
+        classes += [VertexSet(0)] * (k - n)
+        return Coloring(tuple(classes))
+    if find_clique_of_size(g, k + 1) is not None:
+        return None
+
+    caps = _seed_class_profile(n, k)
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+
+    def result_from(assign: List[int]) -> Coloring:
+        bits = [0] * k
+        for v, c in enumerate(assign):
+            bits[c] |= 1 << v
+        return Coloring(tuple(VertexSet(b) for b in bits))
+
+    # Greedy: largest remaining capacity first, feasibility by neighbor masks.
+    class_bits = [0] * k
+    counts = [0] * k
+    assign = [-1] * n
+    ok = True
+    for v in order:
+        best = -1
+        for c in range(k):
+            if counts[c] >= caps[c] or (class_bits[c] & g.adj[v]):
+                continue
+            if best == -1 or caps[c] - counts[c] > caps[best] - counts[best]:
+                best = c
+        if best == -1:
+            ok = False
+            break
+        assign[v] = best
+        class_bits[best] |= 1 << v
+        counts[best] += 1
+    if ok:
+        return result_from(assign)
+
+    class_bits = [0] * k
+    counts = [0] * k
+    assign = [-1] * n
+
+    def place(idx: int) -> bool:
+        if idx == n:
+            return True
+        v = order[idx]
+        seen_empty_cap = set()
+        for c in range(k):
+            if counts[c] >= caps[c]:
+                continue
+            if counts[c] == 0:
+                if caps[c] in seen_empty_cap:
+                    continue
+                seen_empty_cap.add(caps[c])
+            if class_bits[c] & g.adj[v]:
+                continue
+            class_bits[c] |= 1 << v
+            counts[c] += 1
+            assign[v] = c
+            if place(idx + 1):
+                return True
+            class_bits[c] &= ~(1 << v)
+            counts[c] -= 1
+            assign[v] = -1
+        return False
+
+    if place(0):
+        return result_from(assign)
+    return None

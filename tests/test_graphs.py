@@ -32,6 +32,8 @@ from _brute import (
     brute_independence_number,
     brute_induced,
     brute_sigma,
+    brute_sigma_witness,
+    brute_worst_edge,
     graph_edges,
     seed_cliques_with_lowest,
     seed_connected_components,
@@ -187,6 +189,21 @@ def test_sigma_matches_reference(ne):
         x, y = st_.witness
         assert not g.has_edge(x, y)
         assert g.degree(x) + g.degree(y) == ref
+        assert st_.witness == brute_sigma_witness(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_list_strategy(max_n=12), st.integers(min_value=0, max_value=12))
+@example((4, [(2, 3), (0, 1)]), 1)
+def test_ore_edge_bound_matches_edge_walk(ne, k):
+    # The worst edge is the lexicographically smallest of greatest degree sum.
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    want = brute_worst_edge(n, edges)
+    held, worst = ore_edge_bound(g, k)
+    assert worst == want
+    worst_sum = -1 if want is None else g.degree(want[0]) + g.degree(want[1])
+    assert held == (worst_sum <= 2 * k)
 
 
 def test_sigma_of_halved_join_matches_bound():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitiler.extremal import build_ex1_like, build_ex2
+from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet
 from equitiler.oracle import (
     Coloring,
@@ -19,6 +22,7 @@ from _brute import (
     brute_layered_profile,
     count_absorbers_exact,
     layered_factor_exact,
+    seed_equitable_coloring_exact,
 )
 from conftest import cycle, random_graph
 
@@ -137,6 +141,33 @@ class TestEquitableColoring:
         assert equitable_coloring_exact(g, 2) is None
         assert equitable_coloring_exact(g, 3) is None
         assert equitable_coloring_exact(g, 4) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_prunes_keep_the_seed_search_result(self, n, p, seed):
+        # The fill and cover prunes cut only subtrees without a colouring and
+        # keep the visiting order, so the first colouring found is the one
+        # the unpruned search returns, class by class.
+        g = random_gnp(n, p, seed)
+        for k in range(1, n + 1):
+            got = equitable_coloring_exact(g, k)
+            want = seed_equitable_coloring_exact(g, k)
+            if want is None:
+                assert got is None, k
+            else:
+                assert got is not None and got.classes == want.classes, k
+
+    def test_named_slow_inputs_decide(self):
+        # Without the prunes the k = 7 search runs for tens of seconds.
+        assert equitable_coloring_exact(random_gnp(48, 0.3, 7), 6) is None
+        for (n, p, seed), k in (((48, 0.3, 7), 7), ((40, 0.5, 7), 9)):
+            g = random_gnp(n, p, seed)
+            col = equitable_coloring_exact(g, k)
+            assert col is not None and col.k == k and col.verify(g)
 
 
 class TestLayeredFactor:
