@@ -236,6 +236,16 @@ def _sparse_set(
         return VertexSet(lowest_vertices(found.bits, size))
     if limit < 1:
         return None
+    # Degree floor: a member v of a size-subset S of the universe U misses at
+    # most |U| - size of its neighbours in U, so it keeps at least
+    # d_U(v) - (|U| - size) of them inside S, and 2 e(S) is at least the sum
+    # of the `size` smallest such terms (floored at 0) over U.  When that sum
+    # exceeds 2 * limit no subset meets the budget, so neither search below
+    # could return one: returning None here changes no answer.
+    slack = universe.bit_count() - size
+    inner = sorted((g.adj[v] & universe).bit_count() for v in iter_bits(universe))
+    if sum(max(0, d - slack) for d in inner[:size]) > 2 * limit:
+        return None
     # Hill climb from two deterministic starts, ejecting the most crowded
     # member for the best replacement until the edge budget is met.
     starts = [

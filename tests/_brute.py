@@ -2,7 +2,7 @@
 
 Everything here works on plain edge sets / frozensets via itertools, with no
 code shared with equitiler's bitset internals.  Exponential and meant for
-small instances only.  The exceptions are the last two sections: exact
+small instances only.  The exceptions are the later sections: exact
 oracles that only the tests need, built on the package's exact search and on
 an earlier clique enumerator, and earlier versions of kernels that were since
 rewritten, kept verbatim so that the tests can require the rewrites to give
@@ -18,9 +18,19 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from equitiler.errors import InternalContradiction, PreconditionError
-from equitiler.graphs import Graph, VertexSet, find_clique_of_size, iter_bits
+from equitiler.graphs import (
+    Graph,
+    VertexSet,
+    as_fraction,
+    find_clique_of_size,
+    induced_edge_count,
+    iter_bits,
+    lowest_vertices,
+    max_independent_set,
+)
 from equitiler.matching import Matching, maximum_matching
 from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set
+from equitiler.partition import _greedy_independent
 
 Edge = Tuple[int, int]
 
@@ -809,4 +819,76 @@ def seed_equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
 
     if place(0):
         return result_from(assign)
+    return None
+
+
+# The bit walk, degree threshold and sparse-set probe before wide masks were
+# walked in C; the probe calls the peel in place of `iter_bits`.
+
+
+def seed_iter_bits(mask: int) -> Iterator[int]:
+    """Yield set bit positions of `mask` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def seed_low_degree_set(g: Graph, threshold) -> VertexSet:
+    """Vertices of degree strictly below `threshold` (exact rational compare)."""
+    t = as_fraction(threshold)
+    bits = 0
+    for v in range(g.n):
+        if g.degree(v) < t:
+            bits |= 1 << v
+    return VertexSet(bits)
+
+
+def seed_sparse_set(
+    g: Graph, universe: int, size: int, budget, order: int
+) -> Optional[VertexSet]:
+    """A size-subset of `universe` inducing at most budget * order^2 edges.
+
+    Exact when zero edges are allowed and n <= 64 (independent-set branch
+    and bound); otherwise a bounded deterministic search, so None is
+    "not found", not a nonexistence proof.
+    """
+    if universe.bit_count() < size or size <= 0:
+        return None if size > 0 else VertexSet(0)
+    limit = as_fraction(budget) * order * order
+    if g.n <= 64:
+        found = max_independent_set(g, inside=universe)
+    else:
+        found = _greedy_independent(g, universe, size)
+    if found is not None and len(found) >= size:
+        return VertexSet(lowest_vertices(found.bits, size))
+    if limit < 1:
+        return None
+    # Hill climb from two deterministic starts, ejecting the most crowded
+    # member for the best replacement until the edge budget is met.
+    starts = [
+        sorted(seed_iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
+        sorted(seed_iter_bits(universe)),
+    ]
+    for order_list in starts:
+        cur = 0
+        for v in order_list[:size]:
+            cur |= 1 << v
+        for _ in range(200):
+            edges = induced_edge_count(g, cur)
+            if edges <= limit:
+                return VertexSet(cur)
+            worst = max(seed_iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
+            rest = cur & ~(1 << worst)
+            drop = (g.adj[worst] & cur).bit_count()
+            best_v, best_gain = -1, 0
+            for o in seed_iter_bits(universe & ~cur):
+                gain = drop - (g.adj[o] & rest).bit_count()
+                if gain > best_gain:
+                    best_v, best_gain = o, gain
+            if best_v < 0:
+                break
+            cur = rest | (1 << best_v)
+        if induced_edge_count(g, cur) <= limit:
+            return VertexSet(cur)
     return None

@@ -19,6 +19,7 @@ from equitiler.graphs import (
     find_clique_of_size,
     gamma_independent,
     induced_edge_count,
+    iter_bits,
     iter_cliques,
     low_degree_set,
     lowest_vertices,
@@ -38,7 +39,9 @@ from _brute import (
     seed_cliques_with_lowest,
     seed_connected_components,
     seed_find_clique_of_size,
+    seed_iter_bits,
     seed_iter_cliques,
+    seed_low_degree_set,
 )
 from conftest import cycle, random_graph
 
@@ -248,6 +251,52 @@ class TestGammaIndependent:
         g = Graph.from_edges(4, [(0, 1)])
         assert gamma_independent(g, VertexSet([1, 2, 3]), 0)
         assert not gamma_independent(g, VertexSet([0, 1]), 0)
+
+
+@st.composite
+def filled_masks(draw):
+    """A mask of exactly `width` bits, filled at a density from either side
+    of iter_bits' switch to the C walk (one bit in eight)."""
+    width = draw(st.integers(min_value=0, max_value=1100))
+    fill = draw(st.sampled_from((0.0, 0.02, 0.1, 0.12, 0.13, 0.2, 0.5, 0.9, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    mask = sum(1 << i for i in range(width) if rng.random() < fill)
+    return mask | (1 << width >> 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(filled_masks(), st.integers(min_value=0, max_value=1200))
+@example((1 << 64) - 1, 5)
+@example((1 << 65) - 1, 5)
+@example((1 << 65) - 1 - (1 << 7), 64)
+@example(1 << 64 | 1, 1)
+@example(1 << 1099 | (1 << 137) - 1, 140)
+def test_iter_bits_replays_the_peel(mask, cut):
+    want = list(seed_iter_bits(mask))
+    assert list(iter_bits(mask)) == want
+    assert list(islice(iter_bits(mask), cut)) == want[:cut]
+    assert list(islice(iter_bits(mask), cut, None, 3)) == want[cut::3]
+    it = iter_bits(mask)
+    assert iter(it) is it
+    head = [next(it) for _ in range(min(cut, len(want)))]
+    assert head == want[:cut]
+    assert list(it) == want[cut:]
+    assert next(it, None) is None
+    stop = next((v for v in iter_bits(mask) if v >= cut), None)
+    assert stop == next((v for v in want if v >= cut), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from((0.1, 0.5, 0.9)),
+    st.integers(min_value=-2, max_value=95),
+)
+def test_low_degree_set_replays_the_fraction_compare(seed, n, p, t):
+    g = random_graph(random.Random(seed), n, p)
+    for threshold in (t, Fraction(2 * t + 1, 2), Fraction(2 * t, 2), Fraction(8, 2), t - 0.5, str(t)):
+        assert low_degree_set(g, threshold) == seed_low_degree_set(g, threshold)
 
 
 def test_low_degree_set_splits_odd_split_shape():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,9 @@ from equitiler import (
 )
 from equitiler.errors import PreconditionError
 from equitiler.graphs import induced_edge_count, low_degree_set
-from equitiler.partition import slack_threshold
+from equitiler.partition import _sparse_set, slack_threshold
 
+from _brute import seed_sparse_set
 from conftest import random_graph
 
 
@@ -99,6 +101,78 @@ class TestPeel:
             order = n - i * size
             budget = cfg.gamma_i(i + 1) * order * order
             assert induced_edge_count(g, a.bits) <= budget
+
+
+def planted_sparse(rng: random.Random, n: int, size: int, p_in: float) -> Tuple[Graph, int]:
+    """A random `size`-set S, G(size, p_in) inside, joined to every other
+    vertex, and a complete graph on the rest; returns G and S's mask.
+
+    Each member of S then sees all of V - S, so the sparse-set degree floor
+    is exactly 2 e(S).
+    """
+    order = rng.sample(range(n), n)
+    inside = set(order[:size])
+    g = Graph.empty(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u not in inside or v not in inside or rng.random() < p_in:
+                g.add_edge(u, v)
+    return g, sum(1 << v for v in inside)
+
+
+class TestSparseSet:
+    """`_sparse_set` against the probe before its degree floor."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(65, 130),
+        p=st.sampled_from([0.7, 0.9]),
+        budget=st.sampled_from([Fraction(1, 30000), Fraction(1, 400), Fraction(1, 60), Fraction(1, 20)]),
+        drop=st.integers(0, 5),
+    )
+    def test_dense_gnp(self, seed, n, p, budget, drop):
+        # n > 64 skips the exact independent-set branch, so every probe
+        # with a budget of at least one edge reaches the degree floor.
+        g = random_graph(random.Random(seed), n, p)
+        universe = g.full_mask >> drop << drop
+        size = n // 3
+        assert _sparse_set(g, universe, size, budget, n) == seed_sparse_set(
+            g, universe, size, budget, n
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 130))
+    def test_sparse_gnp_greedy(self, seed, n):
+        g = random_graph(random.Random(seed), n, 0.03)
+        got = _sparse_set(g, g.full_mask, n // 3, Fraction(1, 100), n)
+        assert got is not None and g.is_independent(got.bits)
+        assert got == seed_sparse_set(g, g.full_mask, n // 3, Fraction(1, 100), n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(66, 120),
+        p_in=st.sampled_from([0.1, 0.3]),
+        slack=st.integers(0, 3),
+    )
+    def test_planted_set_found_by_hill_climb(self, seed, n, p_in, slack):
+        # The budget is e(S) plus `slack` edges: at slack 0 the floor meets
+        # 2 * limit exactly and must not refute the set.
+        size = n // 3
+        g, planted = planted_sparse(random.Random(seed), n, size, p_in)
+        edges = induced_edge_count(g, planted)
+        budget = Fraction(edges + slack, n * n)
+        got = _sparse_set(g, g.full_mask, size, budget, n)
+        assert got is not None and induced_edge_count(g, got.bits) <= edges + slack
+        assert got == seed_sparse_set(g, g.full_mask, size, budget, n)
+
+    def test_floor_refutes_what_the_hill_climb_cannot_find(self):
+        g, planted = planted_sparse(random.Random(5), 90, 30, 0.3)
+        edges = induced_edge_count(g, planted)
+        budget = Fraction(edges - 1, 90 * 90)
+        assert _sparse_set(g, g.full_mask, 30, budget, 90) is None
+        assert seed_sparse_set(g, g.full_mask, 30, budget, 90) is None
 
 
 class TestClassify:
