@@ -148,6 +148,11 @@ def certificate_from_json(doc: Dict[str, object]) -> DecisionCertificate:
     timings = doc.get("timings") or {}
     if not isinstance(timings, dict):
         raise PreconditionError("timings must be an object")
+    if not all(type(v) in (int, float) for v in timings.values()):
+        raise PreconditionError("timings must map stages to numbers of seconds")
+    notes = doc.get("notes", [])
+    if not isinstance(notes, list) or not all(isinstance(x, str) for x in notes):
+        raise PreconditionError("notes must be a list of strings")
     return DecisionCertificate(
         kind=str(kind),
         answer=answer,
@@ -155,7 +160,7 @@ def certificate_from_json(doc: Dict[str, object]) -> DecisionCertificate:
         witness=_decode_payload(doc.get("witness")),
         provenance=str(doc.get("provenance", "")),
         verified=bool(doc.get("verified", False)),
-        notes=tuple(str(x) for x in doc.get("notes", ())),
+        notes=tuple(notes),
         timings=tuple((str(k), float(v)) for k, v in timings.items()),
     )
 

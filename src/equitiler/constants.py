@@ -11,12 +11,9 @@ ladder with more room gets the wider 10x spacing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
-
-from .graphs import as_fraction
+from typing import Optional, Tuple
 
 __all__ = ["ConstantsConfig", "default_constants"]
 
@@ -89,47 +86,6 @@ class ConstantsConfig:
         out = replace(self, s=s, alpha=alpha, beta_prime=bp, beta=beta, zeta=hi)
         out.validate()
         return out
-
-    def to_json(self) -> Dict[str, object]:
-        def enc(f: Fraction) -> str:
-            return f"{f.numerator}/{f.denominator}"
-
-        return {
-            "r": self.r,
-            "gamma": enc(self.gamma),
-            "gammas": [enc(x) for x in self.gammas],
-            "alpha": enc(self.alpha),
-            "beta_prime": enc(self.beta_prime),
-            "beta": enc(self.beta),
-            "zeta": enc(self.zeta),
-            "xi": enc(self.xi),
-            "epsilon": enc(self.epsilon),
-            "s": self.s,
-            "ladder_ratio": enc(self.ladder_ratio),
-        }
-
-    @staticmethod
-    def from_json(doc: Dict[str, object]) -> "ConstantsConfig":
-        out = ConstantsConfig(
-            r=int(doc["r"]),
-            gamma=as_fraction(doc["gamma"]),
-            gammas=tuple(as_fraction(x) for x in doc["gammas"]),
-            alpha=as_fraction(doc["alpha"]),
-            beta_prime=as_fraction(doc["beta_prime"]),
-            beta=as_fraction(doc["beta"]),
-            zeta=as_fraction(doc["zeta"]),
-            xi=as_fraction(doc.get("xi", Fraction(2, 25))),
-            epsilon=as_fraction(doc.get("epsilon", Fraction(1, 50))),
-            s=doc.get("s"),
-            ladder_ratio=as_fraction(doc.get("ladder_ratio", Fraction(1, 10))),
-        )
-        out.validate()
-        return out
-
-    @staticmethod
-    def load(path: str) -> "ConstantsConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ConstantsConfig.from_json(json.load(fh))
 
 
 def default_constants(r: int) -> ConstantsConfig:

@@ -244,25 +244,25 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     return w if w.verify(g, r) else None
 
 
-def _independent_heuristic(g: Graph, target: int) -> Optional[VertexSet]:
-    # Greedy by ascending degree with one round of plateau swaps.
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+def _independent_heuristic(g: Graph, size: int, mask: int) -> Optional[VertexSet]:
+    # Greedy by ascending degree inside the mask, stopping at `size`
+    # vertices, with one round of plateau swaps when it falls short.
+    order = sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v))
     chosen = 0
     for v in order:
         if not (g.adj[v] & chosen):
             chosen |= 1 << v
-    if chosen.bit_count() >= target:
-        return VertexSet(chosen)
+            if chosen.bit_count() == size:
+                return VertexSet(chosen)
 
     def lone(chosen: int) -> Dict[int, int]:
         # w -> mask of the unchosen vertices whose only chosen neighbor is w.
         masks: Dict[int, int] = {}
-        for u in range(g.n):
-            if not (chosen >> u) & 1:
-                c = g.adj[u] & chosen
-                if c & (c - 1) == 0:
-                    w = c.bit_length() - 1
-                    masks[w] = masks.get(w, 0) | (1 << u)
+        for u in iter_bits(mask & ~chosen):
+            c = g.adj[u] & chosen
+            if c & (c - 1) == 0:
+                w = c.bit_length() - 1
+                masks[w] = masks.get(w, 0) | (1 << u)
         return masks
 
     # `chosen` stays maximal, so after swapping v in for its one chosen
@@ -283,31 +283,36 @@ def _independent_heuristic(g: Graph, target: int) -> Optional[VertexSet]:
                         trial |= 1 << u
                 chosen = trial
                 lone_of = lone(chosen)
-        if chosen.bit_count() >= target:
-            return VertexSet(chosen)
+        if chosen.bit_count() >= size:
+            return VertexSet(lowest_vertices(chosen, size))
     return None
 
 
-def independent_set_of_size(g: Graph, size: int) -> Optional[VertexSet]:
-    """An independent set of exactly `size` vertices, or None.
+def independent_set_of_size(
+    g: Graph, size: int, inside: Optional[int] = None
+) -> Optional[VertexSet]:
+    """An independent set of exactly `size` vertices of `inside`, or None.
 
-    Exact branch and bound up to 64 vertices, greedy with plateau swaps
-    beyond; a None answer is only conclusive in the exact regime.  When a
-    larger set is found it is trimmed to its `size` lowest members.
+    `inside` is a vertex mask, all of V by default.  The search is exact
+    up to 64 vertices of the mask (branch and bound, the result trimmed to
+    its `size` lowest members) and greedy with plateau swaps beyond, so a
+    None answer is only conclusive in the exact regime.
     """
     if size <= 0:
         return VertexSet(0)
-    found = max_independent_set(g) if g.n <= 64 else _independent_heuristic(g, size)
-    if found is None or len(found) < size:
-        return None
-    return VertexSet(lowest_vertices(found.bits, size))
+    mask = g.full_mask if inside is None else inside
+    if mask.bit_count() > 64:
+        return _independent_heuristic(g, size, mask)
+    found = max_independent_set(g, mask)
+    return VertexSet(lowest_vertices(found.bits, size)) if len(found) >= size else None
 
 
 def recognize_extremal(g: Graph, r: int) -> Optional[ExtremalWitness]:
     """Exact odd-split match, else an n/r + 1 independent set when one exists.
 
-    The independent-set search is exact branch and bound up to 64 vertices and
-    greedy beyond that, so a None answer is only conclusive at small n.
+    The independent-set search is exact up to 64 vertices of the mask (here
+    all of V) and greedy beyond, so a None answer is only conclusive at
+    small n.
     """
     if g.n % r != 0 or r < 2:
         return None

@@ -3,15 +3,17 @@
 The extremal pipeline wants V(G) split into parts A_1..A_s of size n/r,
 each inducing very few edges, plus a leftover block B with no sparse
 n/r-subset.  `peel_partition` extracts such parts greedily.  Vertices are
-then graded per part by exact rational degree thresholds (bad inside a
-part, exceptional or excellent toward it), and `refine_to_good` swaps
-misplaced vertices between parts until the partition passes the checks in
-`validate_good`.  Everything runs on bitmasks with Fraction thresholds,
-so results are reproducible and never depend on float rounding.
+then graded per part by exact degree thresholds (bad inside a part,
+exceptional or excellent toward it), and `refine_to_good` swaps misplaced
+vertices between parts until the partition passes the checks in
+`validate_good`.  Everything runs on bitmasks with Fraction constants
+rounded once to integer thresholds, so results are reproducible and never
+depend on float rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -26,8 +28,6 @@ from .graphs import (
     induced_edge_count,
     iter_bits,
     low_degree_set,
-    lowest_vertices,
-    max_independent_set,
 )
 from .matching import Matching, covering_matching, maximum_matching
 
@@ -134,7 +134,10 @@ def classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
     p.check(g.n)
     d = as_fraction(delta)
     n = g.n
-    lo = d * n
+    # Degrees are integers, so crowded means d >= ceil(delta*n), thin means
+    # d <= floor(delta*n) and excellent toward X means d >= |X| - floor(delta*n).
+    crowd = math.ceil(d * n)
+    thin = math.floor(d * n)
     slack = (
         low_degree_set(g, slack_threshold(n, n // len(p.parts[0])))
         if p.parts
@@ -147,14 +150,14 @@ def classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
     full = g.full_mask
     for part in p.parts:
         m = part.bits
-        hi = len(part) - lo
+        hi = len(part) - thin
         b_bits = x_bits = e_bits = 0
         for v in iter_bits(m):
-            if (g.adj[v] & m).bit_count() >= lo:
+            if (g.adj[v] & m).bit_count() >= crowd:
                 b_bits |= 1 << v
         for v in iter_bits(full & ~m):
             dv = (g.adj[v] & m).bit_count()
-            if dv <= lo:
+            if dv <= thin:
                 x_bits |= 1 << v
             if dv >= hi:
                 e_bits |= 1 << v
@@ -163,7 +166,7 @@ def classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
         exl.append(VertexSet(e_bits))
         nex.append(VertexSet(full & ~m & ~e_bits))
     bm = p.b.bits
-    hi_b = len(p.b) - lo
+    hi_b = len(p.b) - thin
     eb = 0
     for v in iter_bits(full & ~bm):
         if (g.adj[v] & bm).bit_count() >= hi_b:
@@ -203,37 +206,22 @@ def _check_thin_spread(g: Graph, cls: VertexClassification) -> None:
             )
 
 
-def _greedy_independent(g: Graph, universe: int, size: int) -> Optional[VertexSet]:
-    order = sorted(
-        iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)
-    )
-    chosen = 0
-    for v in order:
-        if not (g.adj[v] & chosen):
-            chosen |= 1 << v
-            if chosen.bit_count() == size:
-                return VertexSet(chosen)
-    return None
-
-
 def _sparse_set(
     g: Graph, universe: int, size: int, budget, order: int
 ) -> Optional[VertexSet]:
     """A size-subset of `universe` inducing at most budget * order^2 edges.
 
-    Exact when zero edges are allowed and n <= 64 (independent-set branch
-    and bound); otherwise a bounded deterministic search, so None is
-    "not found", not a nonexistence proof.
+    First an independent set from `independent_set_of_size`, exact up to
+    64 vertices of the mask (here the universe), so with zero edges allowed
+    a None there is a nonexistence proof.  Otherwise a bounded
+    deterministic search, so None is "not found", not a nonexistence proof.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
+    found = independent_set_of_size(g, size, universe)
+    if found is not None:
+        return found
     limit = as_fraction(budget) * order * order
-    if g.n <= 64:
-        found = max_independent_set(g, inside=universe)
-    else:
-        found = _greedy_independent(g, universe, size)
-    if found is not None and len(found) >= size:
-        return VertexSet(lowest_vertices(found.bits, size))
     if limit < 1:
         return None
     # Degree floor: a member v of a size-subset S of the universe U misses at
@@ -369,21 +357,6 @@ class GoodPartition:
     def low_degree(self) -> VertexSet:
         return self.classification.low_degree
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "parts": [sorted(p.members()) for p in self.partition.parts],
-            "b": sorted(self.partition.b.members()),
-            "low_degree": sorted(self.low_degree.members()),
-            "rescue": [sorted(m.pairs) for m in self.rescue],
-            "classification_delta": f"{self.classification.delta.numerator}"
-            f"/{self.classification.delta.denominator}",
-            "constants": self.constants.to_json(),
-        }
-
-
-def _part_masks(p: RsPartition) -> Tuple[List[int], int]:
-    return [x.bits for x in p.parts], p.b.bits
-
 
 def _assemble(parts: List[int], b: int) -> RsPartition:
     return RsPartition(tuple(VertexSet(x) for x in parts), VertexSet(b))
@@ -431,7 +404,7 @@ def refine_to_good(
     escape = independent_set_of_size(g, target)
     if escape is not None:
         return Ex1Witness(escape), RefinementTrace(())
-    parts, b = _part_masks(p)
+    parts, b = [x.bits for x in p.parts], p.b.bits
     steps: List[RefineStep] = []
     for k in range(s):
         delta = cfg.beta + k * cfg.alpha
@@ -523,11 +496,9 @@ def _stage_matching(
             )[:surplus]
             m = Matching(tuple(picked))
         else:
-            escape = None
-            if stage_mask.bit_count() <= 64:
-                escape = max_independent_set(g, stage_mask)
-            if escape is not None and len(escape) >= target:
-                return Ex1Witness(VertexSet(lowest_vertices(escape.bits, target)))
+            escape = independent_set_of_size(g, target, stage_mask)
+            if escape is not None:
+                return Ex1Witness(escape)
             raise InternalContradiction(
                 f"stage graph at round {k + 1} has matching number {mm.size} "
                 f"< {surplus} and no escape set"

@@ -1,20 +1,23 @@
 """Exhaustive small-graph enumeration: all labeled graphs, and canonical
 representatives of connected unlabeled graphs.
 
-Canonical form of an n-vertex graph is the minimum, over all n! relabelings,
-of its edge-indicator mask (pairs in lexicographic order).  The minimum is
-taken with one vectorized pass over a precomputed permutation table; float64
-holds the masks exactly (n <= 8 means masks < 2^28), which keeps the scan in
-BLAS.  Connected graphs are generated levelwise: every connected graph on
-n + 1 vertices arises from a connected n-vertex graph by attaching a new
-vertex to a nonempty neighborhood, because some non-cutvertex can be deleted.
+Labeled graphs are walked in Gray-code order by one in-place iterator over
+a range of Gray-code indices, so a sweep can split the space into ranges
+and hand each to a worker.  Canonical form of an n-vertex graph is the
+minimum, over all n! relabelings, of its edge-indicator mask (pairs in
+lexicographic order).  The minimum is taken for a batch of masks with one
+vectorized pass over a precomputed permutation table; float64 holds the
+masks exactly (n <= 8 means masks < 2^28), which keeps the scan in BLAS.
+Connected graphs are generated levelwise: every connected graph on n + 1
+vertices arises from a connected n-vertex graph by attaching a new vertex
+to a nonempty neighborhood, because some non-cutvertex can be deleted.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +27,6 @@ __all__ = [
     "pair_slots",
     "labeled_graph_count",
     "graph_from_pair_mask",
-    "iter_labeled_graphs",
     "iter_labeled_graphs_inplace",
     "canonical_form",
     "connected_graphs",
@@ -60,26 +62,27 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
     return g
 
 
-def iter_labeled_graphs(n: int) -> Iterator[Graph]:
-    for mask in range(labeled_graph_count(n)):
-        yield graph_from_pair_mask(n, mask)
+def iter_labeled_graphs_inplace(
+    n: int, lo: int = 0, hi: Optional[int] = None
+) -> Iterator[Tuple[int, Graph]]:
+    """Yield (mask, graph) for Gray-code indices lo..hi-1, mutating one Graph.
 
-
-def iter_labeled_graphs_inplace(n: int) -> Iterator[Tuple[int, Graph]]:
-    """Yield (mask, graph) over all labeled graphs, mutating one shared Graph.
-
-    Gray-code order flips a single edge per step, so the whole sweep costs
-    O(1) per graph.  Callers must not keep references across iterations.
+    Index i is the pair mask i ^ (i >> 1): the default range walks every
+    labeled graph once, and walks over any split of it into ranges
+    concatenate to that walk.  The first graph is built once and each later
+    step flips one edge.  Callers must not keep references across iterations.
     """
+    if hi is None:
+        hi = labeled_graph_count(n)
+    if lo >= hi:
+        return
     slots = pair_slots(n)
-    g = Graph.empty(n)
-    total = labeled_graph_count(n)
-    prev_gray = 0
-    yield 0, g
-    for i in range(1, total):
+    prev_gray = lo ^ (lo >> 1)
+    g = graph_from_pair_mask(n, prev_gray)
+    yield prev_gray, g
+    for i in range(lo + 1, hi):
         gray = i ^ (i >> 1)
-        changed = (gray ^ prev_gray).bit_length() - 1
-        u, v = slots[changed]
+        u, v = slots[(gray ^ prev_gray).bit_length() - 1]
         g.adj[u] ^= 1 << v
         g.adj[v] ^= 1 << u
         prev_gray = gray
@@ -102,24 +105,11 @@ def _perm_pow_table(n: int) -> np.ndarray:
     return table
 
 
-def _mask_to_vec(n: int, mask: int) -> np.ndarray:
-    m = n * (n - 1) // 2
-    vec = np.zeros(m, dtype=np.float64)
-    for s in range(m):
-        if (mask >> s) & 1:
-            vec[s] = 1.0
-    return vec
-
-
 def canonical_form(n: int, mask: int) -> int:
     """Minimum edge mask over all relabelings."""
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical forms supported up to n={MAX_CANONICAL_N}")
-    if n < 2:
-        return 0
-    table = _perm_pow_table(n)
-    values = table @ _mask_to_vec(n, mask)
-    return int(values.min())
+    return _canonical_batch(n, [mask])[0]
 
 
 def _canonical_batch(n: int, masks: List[int]) -> List[int]:

@@ -12,18 +12,18 @@ Four checks ship:
   must be exactly the complete graph on k+1 vertices plus, for odd k, the
   balanced biclique on 2k.
 
-Labeled sweeps run the full 2^C(n,2) space (n <= 7); the connected sweep
-runs the canonical enumeration (n <= 8).  Work shards across processes by
-contiguous mask prefix when more than one thread is requested.
+Labeled sweeps run the full 2^C(n,2) space (n <= 7) through one Gray-code
+walk; the connected sweep runs the canonical enumeration (n <= 8).  When
+more than one thread is requested, each layer splits into contiguous ranges
+of Gray-code indices, and worker processes walk one range each.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .decide import decide_equitable
 from .errors import PreconditionError
@@ -78,15 +78,9 @@ class SweepReport:
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    """Explicit argument, then EQUITILER_THREADS, then 1."""
+    """The worker count: `threads`, or 1 when it is None."""
     if threads is None:
-        raw = os.environ.get("EQUITILER_THREADS")
-        if raw is None or not raw.strip():
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise PreconditionError(f"EQUITILER_THREADS={raw!r} is not an integer") from None
+        return 1
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
     return threads
@@ -170,14 +164,10 @@ _LABELED = {
 }
 
 
-def _labeled_range_tally(args: Tuple[str, int, int, int]) -> Tally:
-    """Worker over one contiguous pair-mask range [lo, hi)."""
-    check, n, lo, hi = args
-    fn = _LABELED[check]
+def _sum(tallies: Iterable[Tally]) -> Tally:
     inst = nos = wits = 0
     bad: List[str] = []
-    for mask in range(lo, hi):
-        i, o, w, b = fn(graph_from_pair_mask(n, mask))
+    for i, o, w, b in tallies:
         inst += i
         nos += o
         wits += w
@@ -185,33 +175,21 @@ def _labeled_range_tally(args: Tuple[str, int, int, int]) -> Tally:
     return inst, nos, wits, bad
 
 
+def _labeled_range_tally(args: Tuple[str, int, int, int]) -> Tally:
+    """Worker over one contiguous range [lo, hi) of Gray-code indices."""
+    check, n, lo, hi = args
+    fn = _LABELED[check]
+    return _sum(fn(g) for _, g in iter_labeled_graphs_inplace(n, lo, hi))
+
+
 def _labeled_layer(check: str, n: int, threads: int) -> Tally:
     total = labeled_graph_count(n)
     if threads == 1 or total < 4 * threads:
-        fn = _LABELED[check]
-        inst = nos = wits = 0
-        bad: List[str] = []
-        for _, g in iter_labeled_graphs_inplace(n):
-            i, o, w, b = fn(g)
-            inst += i
-            nos += o
-            wits += w
-            bad.extend(b)
-        return inst, nos, wits, bad
+        return _labeled_range_tally((check, n, 0, total))
     step = -(-total // threads)
-    jobs = [
-        (check, n, lo, min(lo + step, total))
-        for lo in range(0, total, step)
-    ]
-    inst = nos = wits = 0
-    bad = []
+    jobs = [(check, n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for i, o, w, b in pool.map(_labeled_range_tally, jobs):
-            inst += i
-            nos += o
-            wits += w
-            bad.extend(b)
-    return inst, nos, wits, bad
+        return _sum(pool.map(_labeled_range_tally, jobs))
 
 
 def _is_expected_no(g: Graph, k: int) -> bool:
@@ -267,14 +245,9 @@ def sweep(n_max: int, check: str = "equivalence", threads: Optional[int] = None)
         if not 1 <= n_max <= LABELED_CAP:
             raise PreconditionError(f"labeled sweep needs 1 <= n_max <= {LABELED_CAP}")
         enumeration = "labeled"
-        inst = nos = wits = 0
-        bad = []
-        for n in range(1, n_max + 1):
-            i, o, w, b = _labeled_layer(check, n, workers)
-            inst += i
-            nos += o
-            wits += w
-            bad.extend(b)
+        inst, nos, wits, bad = _sum(
+            _labeled_layer(check, n, workers) for n in range(1, n_max + 1)
+        )
     bad.sort()
     if len(bad) > ANOMALY_LIMIT:
         bad = bad[:ANOMALY_LIMIT] + [f"... {len(bad) - ANOMALY_LIMIT} further anomalies suppressed"]

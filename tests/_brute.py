@@ -25,12 +25,18 @@ from equitiler.graphs import (
     find_clique_of_size,
     induced_edge_count,
     iter_bits,
+    low_degree_set,
     lowest_vertices,
     max_independent_set,
 )
 from equitiler.matching import Matching, maximum_matching
 from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set
-from equitiler.partition import _greedy_independent
+from equitiler.partition import (
+    RsPartition,
+    VertexClassification,
+    _check_thin_spread,
+    slack_threshold,
+)
 
 Edge = Tuple[int, int]
 
@@ -368,6 +374,72 @@ def seed_independent_heuristic(g, target: int):
         if chosen.bit_count() >= target:
             return VertexSet(chosen)
     return None
+
+
+def seed_independent_set_of_size(g: Graph, size: int) -> Optional[VertexSet]:
+    """extremal.independent_set_of_size before it took a vertex mask and
+    stopped its greedy pass at `size` vertices.  Its heuristic was output-equal
+    to seed_independent_heuristic, which stands in for it here."""
+    if size <= 0:
+        return VertexSet(0)
+    found = max_independent_set(g) if g.n <= 64 else seed_independent_heuristic(g, size)
+    if found is None or len(found) < size:
+        return None
+    return VertexSet(lowest_vertices(found.bits, size))
+
+
+def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
+    """partition.classify while it compared degrees against Fraction thresholds."""
+    p.check(g.n)
+    d = as_fraction(delta)
+    n = g.n
+    lo = d * n
+    slack = (
+        low_degree_set(g, slack_threshold(n, n // len(p.parts[0])))
+        if p.parts
+        else low_degree_set(g, slack_threshold(n, 1) if n else 0)
+    )
+    bad: List[VertexSet] = []
+    exc: List[VertexSet] = []
+    exl: List[VertexSet] = []
+    nex: List[VertexSet] = []
+    full = g.full_mask
+    for part in p.parts:
+        m = part.bits
+        hi = len(part) - lo
+        b_bits = x_bits = e_bits = 0
+        for v in iter_bits(m):
+            if (g.adj[v] & m).bit_count() >= lo:
+                b_bits |= 1 << v
+        for v in iter_bits(full & ~m):
+            dv = (g.adj[v] & m).bit_count()
+            if dv <= lo:
+                x_bits |= 1 << v
+            if dv >= hi:
+                e_bits |= 1 << v
+        bad.append(VertexSet(b_bits))
+        exc.append(VertexSet(x_bits))
+        exl.append(VertexSet(e_bits))
+        nex.append(VertexSet(full & ~m & ~e_bits))
+    bm = p.b.bits
+    hi_b = len(p.b) - lo
+    eb = 0
+    for v in iter_bits(full & ~bm):
+        if (g.adj[v] & bm).bit_count() >= hi_b:
+            eb |= 1 << v
+    out = VertexClassification(
+        partition=p,
+        delta=d,
+        low_degree=slack,
+        bad=tuple(bad),
+        exceptional=tuple(exc),
+        excellent=tuple(exl),
+        nonexcellent=tuple(nex),
+        excellent_b=VertexSet(eb),
+        nonexcellent_b=VertexSet(full & ~bm & ~eb),
+    )
+    _check_thin_spread(g, out)
+    return out
 
 
 def seed_maximum_matching(g):
@@ -844,6 +916,19 @@ def seed_low_degree_set(g: Graph, threshold) -> VertexSet:
     return VertexSet(bits)
 
 
+def seed_greedy_independent(g: Graph, universe: int, size: int) -> Optional[VertexSet]:
+    order = sorted(
+        iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)
+    )
+    chosen = 0
+    for v in order:
+        if not (g.adj[v] & chosen):
+            chosen |= 1 << v
+            if chosen.bit_count() == size:
+                return VertexSet(chosen)
+    return None
+
+
 def seed_sparse_set(
     g: Graph, universe: int, size: int, budget, order: int
 ) -> Optional[VertexSet]:
@@ -859,7 +944,7 @@ def seed_sparse_set(
     if g.n <= 64:
         found = max_independent_set(g, inside=universe)
     else:
-        found = _greedy_independent(g, universe, size)
+        found = seed_greedy_independent(g, universe, size)
     if found is not None and len(found) >= size:
         return VertexSet(lowest_vertices(found.bits, size))
     if limit < 1:

@@ -218,6 +218,20 @@ class TestVerify:
         assert code == 3
         assert "not JSON" in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("timings", {"oracle": "fast"}), ("notes", 5), ("notes", [1])]
+    )
+    def test_malformed_timings_or_notes(self, capsys, tmp_path, write, field, value):
+        graph = write("k4.txt", dumps(Graph.complete(4)))
+        cert = tmp_path / "cert.json"
+        run(capsys, ["decide", graph, "--k", "3", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc[field] = value
+        cert.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", graph, str(cert)])
+        assert code == 3
+        assert field in err
+
 
 class TestGen:
     def test_figure_instance(self, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from equitiler.constants import ConstantsConfig, default_constants
+from equitiler.constants import default_constants
 
 F = Fraction
 
@@ -102,28 +102,3 @@ class TestValidation:
             replace(base, xi=F(0)).validate()
         with pytest.raises(ValueError, match="zeta"):
             replace(base, zeta=F(1, 2)).validate()
-
-
-class TestJson:
-    def test_roundtrip(self):
-        cfg = default_constants(4).for_s(2)
-        doc = cfg.to_json()
-        back = ConstantsConfig.from_json(doc)
-        assert back == cfg
-
-    def test_fractional_part_count_rejected(self):
-        doc = dict(default_constants(4).for_s(2).to_json(), s=2.7)
-        with pytest.raises(ValueError, match="must be an integer"):
-            ConstantsConfig.from_json(doc)
-
-    def test_fractions_encoded_exactly(self):
-        doc = default_constants(3).to_json()
-        assert doc["gammas"][0] == "1/3000"
-        assert doc["r"] == 3
-
-    def test_load_from_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(default_constants(2).to_json()))
-        assert ConstantsConfig.load(str(path)) == default_constants(2)

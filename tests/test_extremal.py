@@ -17,11 +17,12 @@ from equitiler.extremal import (
     build_obstruction,
     ex2_witness,
     find_biclique,
+    independent_set_of_size,
     recognize_extremal,
 )
-from equitiler.graphs import Graph, VertexSet
+from equitiler.graphs import Graph, VertexSet, lowest_vertices, max_independent_set
 
-from _brute import has_biclique, seed_independent_heuristic
+from _brute import has_biclique, seed_independent_heuristic, seed_independent_set_of_size
 from conftest import cycle, random_graph
 
 
@@ -181,7 +182,21 @@ def _flip_edges(g: Graph, rng: random.Random, count: int) -> Graph:
 
 
 class TestIndependentHeuristic:
-    """The linear plateau swap returns what the quadratic one did."""
+    """The heuristic keeps the seed's swap phase and stops its greedy early."""
+
+    @staticmethod
+    def check(g: Graph, target: int) -> None:
+        # The greedy pass stops at `target` vertices, so its set is a prefix
+        # of the seed's maximal greedy set; when it falls short the swaps
+        # decide, and then the two agree after trimming.
+        got = _independent_heuristic(g, target, g.full_mask)
+        want = seed_independent_heuristic(g, target)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == target and got.issubset(want)
+            assert g.is_independent(got.bits)
+            if target > _greedy_size(g):
+                assert got.bits == lowest_vertices(want.bits, target)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -193,8 +208,7 @@ class TestIndependentHeuristic:
     def test_gnp_matches_seed(self, n, p, seed, extra):
         # Targets around the greedy size are where the swaps decide.
         g = random_graph(random.Random(seed), n, p)
-        target = _greedy_size(g) + extra
-        assert _independent_heuristic(g, target) == seed_independent_heuristic(g, target)
+        self.check(g, max(1, _greedy_size(g) + extra))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -208,7 +222,7 @@ class TestIndependentHeuristic:
         base = build_ex1_like(n, 3) if family == "ex1" else build_ex2(n, 3, 1)
         g = _flip_edges(base, random.Random(seed), flips)
         for target in (n // 3 + 1, _greedy_size(g) + extra):
-            assert _independent_heuristic(g, target) == seed_independent_heuristic(g, target)
+            self.check(g, target)
 
     def test_swaps_fire_on_perturbed_ex2(self):
         # One past the greedy size is reached only through an accepted swap.
@@ -216,9 +230,69 @@ class TestIndependentHeuristic:
         for seed in range(10):
             g = _flip_edges(build_ex2(90, 3, 1), random.Random(seed), 20)
             target = _greedy_size(g) + 1
-            got = _independent_heuristic(g, target)
-            assert got == seed_independent_heuristic(g, target)
-            if got is not None:
-                assert g.is_independent(got.bits) and len(got) >= target
+            self.check(g, target)
+            if _independent_heuristic(g, target, g.full_mask) is not None:
                 grown += 1
         assert grown > 0
+
+
+class TestIndependentSetOfSize:
+    """The one search against the version without a mask or an early stop."""
+
+    @staticmethod
+    def check(g: Graph, target: int) -> None:
+        got = independent_set_of_size(g, target)
+        want = seed_independent_set_of_size(g, target)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == target and g.is_independent(got.bits)
+        if target > _greedy_size(g):
+            assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=65, max_value=150),
+        st.sampled_from([0.05, 0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1, max_value=3),
+    )
+    def test_gnp(self, n, p, seed, extra):
+        g = random_graph(random.Random(seed), n, p)
+        for target in (n // 3 + 1, _greedy_size(g) + extra):
+            self.check(g, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["ex1", "ex2"]),
+        st.sampled_from([66, 90, 120, 150]),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1, max_value=2),
+    )
+    def test_perturbed_extremal(self, family, n, flips, seed, extra):
+        base = build_ex1_like(n, 3) if family == "ex1" else build_ex2(n, 3, 1)
+        g = _flip_edges(base, random.Random(seed), flips)
+        for target in (n // 3 + 1, _greedy_size(g) + extra):
+            self.check(g, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=120),
+        st.sampled_from([0.1, 0.5]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=20),
+    )
+    def test_inside_a_mask(self, n, p, seed, size):
+        # Exact up to 64 vertices of the mask, whatever n is.
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        inside = rng.getrandbits(n) & g.full_mask
+        got = independent_set_of_size(g, size, inside)
+        if got is not None:
+            assert len(got) == size and got.bits & ~inside == 0
+            assert g.is_independent(got.bits)
+        if inside.bit_count() <= 64:
+            best = max_independent_set(g, inside)
+            assert (got is None) == (len(best) < size)
+            if got is not None:
+                assert got.bits == lowest_vertices(best.bits, size)

@@ -27,7 +27,7 @@ from equitiler.errors import PreconditionError
 from equitiler.graphs import induced_edge_count, low_degree_set
 from equitiler.partition import _sparse_set, slack_threshold
 
-from _brute import seed_sparse_set
+from _brute import seed_classify, seed_sparse_set
 from conftest import random_graph
 
 
@@ -223,6 +223,28 @@ class TestClassify:
         assert scls.excellent_everywhere() == vs()
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        r=st.integers(2, 4),
+        m=st.integers(1, 12),
+        p=st.sampled_from([0.1, 0.5, 0.9]),
+        num=st.integers(0, 40),
+        den=st.sampled_from([None, 7, 13, 100]),
+    )
+    def test_integer_thresholds_match_fractions(self, seed, r, m, p, num, den):
+        # den None makes delta*n an integer; the others mostly do not.
+        rng = random.Random(seed)
+        n = r * m
+        g = random_graph(rng, n, p)
+        order = rng.sample(range(n), n)
+        s = rng.randint(0, r)
+        parts = tuple(VertexSet(order[i * m:(i + 1) * m]) for i in range(s))
+        part = RsPartition(parts, VertexSet(order[s * m:]))
+        delta = Fraction(num, n if den is None else den)
+        assert classify(g, part, delta) == seed_classify(g, part, delta)
+
+
 class TestRefine:
     def test_clean_odd_split_needs_no_moves(self):
         g = build_ex2(9, 3, 1)
@@ -307,14 +329,3 @@ class TestValidate:
         )
         report = validate_good(g, q)
         assert any("overlaps" in line for line in report)
-
-    def test_json_snapshot_round_trips_through_dumps(self):
-        import json
-
-        g = build_ex2(9, 3, 1)
-        p, _ = peel_partition(g, 3)
-        out, _ = refine_to_good(g, p)
-        doc = json.loads(json.dumps(out.to_json()))
-        assert doc["parts"] == [[6, 7, 8]]
-        assert doc["b"] == [0, 1, 2, 3, 4, 5]
-        assert doc["constants"]["s"] == 1

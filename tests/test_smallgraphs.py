@@ -13,7 +13,6 @@ from equitiler.smallgraphs import (
     canonical_form,
     connected_graphs,
     graph_from_pair_mask,
-    iter_labeled_graphs,
     iter_labeled_graphs_inplace,
     labeled_graph_count,
     pair_slots,
@@ -40,12 +39,34 @@ class TestLabeled:
         assert g.is_clique(g.full_mask)
 
     def test_iteration_is_exhaustive_and_distinct(self):
-        seen = {tuple(g.adj) for g in iter_labeled_graphs(3)}
+        seen = {tuple(g.adj) for _, g in iter_labeled_graphs_inplace(3)}
         assert len(seen) == 8
 
     def test_inplace_matches_rebuild(self):
         for mask, g in iter_labeled_graphs_inplace(4):
             assert g.adj == graph_from_pair_mask(4, mask).adj
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 5), data=st.data())
+    def test_ranges_concatenate_to_the_full_walk(self, n, data):
+        total = labeled_graph_count(n)
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
+        bounds = [0] + cuts + [total]
+
+        def walk(*rng):
+            return [(mask, tuple(g.adj)) for mask, g in iter_labeled_graphs_inplace(n, *rng)]
+
+        pieces = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            pieces.extend(walk(lo, hi))
+        assert pieces == walk()
+        assert len({mask for mask, _ in pieces}) == total
+
+    def test_empty_and_single_ranges(self):
+        assert list(iter_labeled_graphs_inplace(4, 5, 5)) == []
+        assert list(iter_labeled_graphs_inplace(4, 6, 2)) == []
+        ((mask, g),) = iter_labeled_graphs_inplace(4, 7, 8)
+        assert mask == 7 ^ 3 and g.adj == graph_from_pair_mask(4, mask).adj
 
 
 class TestCanonical:

@@ -7,22 +7,11 @@ from equitiler.sweep import CHECKS, SweepReport, resolve_threads, sweep
 
 
 class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("EQUITILER_THREADS", "8")
+    def test_explicit_wins(self):
         assert resolve_threads(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("EQUITILER_THREADS", "5")
-        assert resolve_threads(None) == 5
-
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("EQUITILER_THREADS", raising=False)
+    def test_default_single(self):
         assert resolve_threads(None) == 1
-
-    def test_env_garbage(self, monkeypatch):
-        monkeypatch.setenv("EQUITILER_THREADS", "many")
-        with pytest.raises(PreconditionError):
-            resolve_threads(None)
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
