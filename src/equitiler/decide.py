@@ -371,7 +371,7 @@ def decide_kr_factor(
             "factorable", True, got, None, "pipeline", True,
             tuple(notes), tuple(timings),
         )
-    except (PreconditionError, InternalContradiction, _Miss) as e:
+    except (PreconditionError, _Miss) as e:
         notes.append(f"structured route: {e}")
     timings.append(("pipeline", time.perf_counter() - t0))
 

@@ -247,7 +247,13 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
 def _independent_heuristic(g: Graph, size: int, mask: int) -> Optional[VertexSet]:
     # Greedy by ascending degree inside the mask, stopping at `size`
     # vertices, with one round of plateau swaps when it falls short.
-    order = sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v))
+    keyed = sorted(((g.adj[v] & mask).bit_count(), v) for v in iter_bits(mask))
+    # A member of an independent `size`-set misses the other size - 1
+    # members, so its degree inside the mask is at most |mask| - size.
+    room = len(keyed) - size
+    if sum(1 for d, _ in keyed if d <= room) < size:
+        return None
+    order = [v for _, v in keyed]
     chosen = 0
     for v in order:
         if not (g.adj[v] & chosen):

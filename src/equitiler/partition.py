@@ -385,9 +385,10 @@ def refine_to_good(
     first), and when thin vertices are left over, matches the enlarged
     stage graph so each surviving edge straddles A_k.  The other exit is
     an independent set of n/r + 1 vertices, which already rules every
-    clique factor out.  Failing both raises InternalContradiction: at this
-    n the configured constants cannot honour the guarantees, and callers
-    should fall back to an exact method.
+    clique factor out.  Failing both, when the stage graph has too small
+    a matching and no escape set or when the result is not good, raises
+    PreconditionError: at this n the configured constants cannot honour the
+    guarantees, and callers should fall back to an exact method.
     """
     n = g.n
     p.check(n)
@@ -460,7 +461,7 @@ def refine_to_good(
     )
     report = validate_good(g, good)
     if report:
-        raise InternalContradiction(
+        raise PreconditionError(
             "refinement stalled: " + "; ".join(report) + _trace_note(trace)
         )
     return good, trace
@@ -499,7 +500,7 @@ def _stage_matching(
             escape = independent_set_of_size(g, target, stage_mask)
             if escape is not None:
                 return Ex1Witness(escape)
-            raise InternalContradiction(
+            raise PreconditionError(
                 f"stage graph at round {k + 1} has matching number {mm.size} "
                 f"< {surplus} and no escape set"
             )

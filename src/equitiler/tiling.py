@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
@@ -138,10 +139,12 @@ class Ex2Signal:
     reason: str
 
 
-class ExtensionFailure(InternalContradiction):
+class ExtensionFailure(PreconditionError):
     """A completion step ran out of candidates.
 
-    `block` names where: a part index, or None for the leftover block.
+    The constants at this n need not leave a candidate, so this is a miss
+    of the route, not a bug.  `block` names where: a part index, or None
+    for the leftover block.
     """
 
     def __init__(self, message: str, block: Optional[int] = None):
@@ -445,8 +448,8 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
 
     `u` holds vertices already spoken for; targets inside `u` count as
     covered by the caller.  Unlike the thin cover this stage has no signal
-    path: a good partition guarantees the constructions here, so running out
-    of candidates raises InternalContradiction.
+    path: running out of candidates raises ExtensionFailure, and a seed
+    that fails its margin check raises InternalContradiction.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
@@ -730,12 +733,14 @@ def multipartite_factor(
     `blocks` holds disjoint vertex masks of g, the units, the same number
     per block and of one size within a block.  Layer by layer, partial
     cliques meet the next block's units through a bipartite matching: a
-    partial clique P meets unit U when P lies in the common neighborhood of
-    U.  The first pass is deterministic; when a layer matching comes up
-    short the whole build restarts with seeded shuffles.  Above the
-    cross-degree threshold of (1 - 1/2k) of a block the first pass always
-    lands; below it the routine stays best-effort and may return None.  A
-    returned tiling is verified on g.
+    partial clique P meets unit U when P lies in the common neighborhood
+    N(U) of U.  The first pass is deterministic; when a layer matching
+    comes up short the whole build restarts with seeded shuffles.  Above
+    the cross-degree threshold of (1 - 1/2k) of a block the first pass
+    always lands; below it the routine stays best-effort and may return
+    None.  A returned tiling is verified on g.  P and U are disjoint, so P
+    is inside N(U) exactly when U is inside N(P); `_layer_graph` builds the
+    layer graph from the units' side.
     """
     k = len(blocks)
     if k == 0:
@@ -756,36 +761,81 @@ def multipartite_factor(
         return Tiling(k, ())
     r = sum(block[0].bit_count() for block in blocks)
 
-    # Each unit with its common neighborhood, the meeting test's right side.
-    units = [[(u, g.common_neighbors(u)) for u in block] for block in blocks]
+    # Per block, its units' common neighborhoods, found when the block first
+    # serves as a layer.
+    neighborhoods: Dict[int, List[int]] = {}
     for attempt in range(max(1, retries)):
         order = list(range(k))
-        layout = [list(row) for row in units]
+        # Unit indices per block; a shuffle permutes by length alone.
+        layout = [list(range(m)) for _ in blocks]
         if attempt:
             rng = random.Random(0xC1A0 + attempt)
             rng.shuffle(order)
             for row in layout:
                 rng.shuffle(row)
-        cliques = [u for u, _ in layout[order[0]]]
+        cliques = [blocks[order[0]][i] for i in layout[order[0]]]
         for layer in order[1:]:
-            row = layout[layer]
-            # Clique ci on the left, unit ui of this layer at m + ui.
-            adj = [0] * (2 * m)
-            for ci, cm in enumerate(cliques):
-                for ui, (_, common) in enumerate(row):
-                    if cm & common == cm:
-                        adj[ci] |= 1 << (m + ui)
-                        adj[m + ui] |= 1 << ci
-            mm = maximum_matching(Graph(2 * m, adj))
+            block, row = blocks[layer], layout[layer]
+            if layer not in neighborhoods:
+                neighborhoods[layer] = [g.common_neighbors(u) for u in block]
+            common = neighborhoods[layer]
+            mm = maximum_matching(_layer_graph(g.n, cliques, [common[ui] for ui in row]))
             if len(mm.pairs) < m:
                 break
             for a, b in mm.pairs:
-                cliques[a] |= row[b - m][0]
+                cliques[a] |= block[row[b - m]]
         else:
             t = Tiling(r, tuple(VertexSet(c) for c in cliques))
             if t.verify(g, require_factor=False):
                 return t
     return None
+
+
+def _layer_graph(n: int, cliques: List[int], commons: List[int]) -> Graph:
+    """Clique ci at vertex ci, unit ui at m + ui, joined when the clique lies
+    inside the unit's common neighborhood `commons[ui]`.  The cliques' rows
+    are the transpose of the units' rows.
+    """
+    m = len(cliques)
+    # Built in their own call, so that the picks are freed before the
+    # transpose renders every row at once.
+    rows = _unit_rows(n, cliques, commons)
+    # Column j of the rows rendered from unit m - 1 down to unit 0 holds
+    # clique m - 1 - j's row.
+    row_width = f"0{m}b"
+    cols = zip(*[format(bits, row_width) for bits in reversed(rows)])
+    return Graph(2 * m, [int("".join(col), 2) << m for col in cols][::-1] + rows)
+
+
+def _unit_rows(n: int, cliques: List[int], commons: List[int]) -> List[int]:
+    """Per common neighborhood, the mask of the cliques that lie inside it.
+
+    Built in C, as `Graph.induced` compresses a row: the neighborhood is
+    rendered once as an n-character bit string, one `itemgetter` per member
+    position of the cliques (all of one size) picks that member of every
+    clique, the picked characters are read back as a base-2 integer, and
+    the picks are ANDed.
+    """
+    # Vertex v sits at character n - 1 - v, clique ci's pick at character
+    # m - 1 - ci; each pick takes the lowest member not yet picked of every
+    # clique.  On one index `itemgetter` returns a bare character, which
+    # "".join takes as well.
+    width = f"0{n}b"
+    rest = cliques[::-1]
+    picks = []
+    for _ in range(cliques[0].bit_count()):
+        low = [c & -c for c in rest]
+        picks.append(itemgetter(*[n - b.bit_length() for b in low]))
+        rest = [c ^ b for c, b in zip(rest, low)]
+    full = (1 << len(cliques)) - 1
+    rows = []
+    for common in commons:
+        text = format(common, width)
+        bits = full
+        for pick in picks:
+            bits &= int("".join(pick(text)), 2)
+        rows.append(bits)
+    return rows
 
 
 # ---------------------------------------------------------------------------

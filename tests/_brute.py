@@ -376,6 +376,53 @@ def seed_independent_heuristic(g, target: int):
     return None
 
 
+def seed_masked_independent_heuristic(
+    g: Graph, size: int, mask: int
+) -> Optional[VertexSet]:
+    """extremal._independent_heuristic before it refuted probes by degrees."""
+    # Greedy by ascending degree inside the mask, stopping at `size`
+    # vertices, with one round of plateau swaps when it falls short.
+    order = sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v))
+    chosen = 0
+    for v in order:
+        if not (g.adj[v] & chosen):
+            chosen |= 1 << v
+            if chosen.bit_count() == size:
+                return VertexSet(chosen)
+
+    def lone(chosen: int) -> Dict[int, int]:
+        # w -> mask of the unchosen vertices whose only chosen neighbor is w.
+        masks: Dict[int, int] = {}
+        for u in iter_bits(mask & ~chosen):
+            c = g.adj[u] & chosen
+            if c & (c - 1) == 0:
+                w = c.bit_length() - 1
+                masks[w] = masks.get(w, 0) | (1 << u)
+        return masks
+
+    # `chosen` stays maximal, so after swapping v in for its one chosen
+    # neighbor w only the vertices whose lone chosen neighbor is w can join,
+    # and the first of them not adjacent to v always does.  So the swap
+    # gains exactly when such a vertex exists, and only then is it built.
+    lone_of = lone(chosen)
+    for v in order:
+        if (chosen >> v) & 1:
+            continue
+        conflicts = g.adj[v] & chosen
+        if conflicts.bit_count() == 1:
+            w = conflicts.bit_length() - 1
+            if lone_of[w] & ~g.adj[v] & ~(1 << v):
+                trial = (chosen & ~conflicts) | (1 << v)
+                for u in order:
+                    if not ((trial >> u) & 1) and not (g.adj[u] & trial):
+                        trial |= 1 << u
+                chosen = trial
+                lone_of = lone(chosen)
+        if chosen.bit_count() >= size:
+            return VertexSet(lowest_vertices(chosen, size))
+    return None
+
+
 def seed_independent_set_of_size(g: Graph, size: int) -> Optional[VertexSet]:
     """extremal.independent_set_of_size before it took a vertex mask and
     stopped its greedy pass at `size` vertices.  Its heuristic was output-equal
@@ -550,6 +597,62 @@ def seed_quotient_factor(g, p, ts, retries: int = 20):
                     bits |= originals[v].bits
                 out.append(VertexSet(bits))
             return Tiling(len(out[0]), tuple(out))
+    return None
+
+
+def seed_multipartite_factor(
+    g: Graph, blocks: Sequence[Sequence[int]], retries: int = 20
+) -> Optional[Tiling]:
+    """tiling.multipartite_factor while it tested each clique against each
+    unit of a layer one pair at a time."""
+    k = len(blocks)
+    if k == 0:
+        raise PreconditionError("need at least one part")
+    sizes = {len(block) for block in blocks}
+    if len(sizes) != 1:
+        raise PreconditionError("parts must be balanced")
+    seen = 0
+    for block in blocks:
+        for u in block:
+            if seen & u:
+                raise PreconditionError("parts overlap")
+            if u.bit_count() != block[0].bit_count():
+                raise PreconditionError("units of one part differ in size")
+            seen |= u
+    m = sizes.pop()
+    if m == 0:
+        return Tiling(k, ())
+    r = sum(block[0].bit_count() for block in blocks)
+
+    # Each unit with its common neighborhood, the meeting test's right side.
+    units = [[(u, g.common_neighbors(u)) for u in block] for block in blocks]
+    for attempt in range(max(1, retries)):
+        order = list(range(k))
+        layout = [list(row) for row in units]
+        if attempt:
+            rng = random.Random(0xC1A0 + attempt)
+            rng.shuffle(order)
+            for row in layout:
+                rng.shuffle(row)
+        cliques = [u for u, _ in layout[order[0]]]
+        for layer in order[1:]:
+            row = layout[layer]
+            # Clique ci on the left, unit ui of this layer at m + ui.
+            adj = [0] * (2 * m)
+            for ci, cm in enumerate(cliques):
+                for ui, (_, common) in enumerate(row):
+                    if cm & common == cm:
+                        adj[ci] |= 1 << (m + ui)
+                        adj[m + ui] |= 1 << ci
+            mm = maximum_matching(Graph(2 * m, adj))
+            if len(mm.pairs) < m:
+                break
+            for a, b in mm.pairs:
+                cliques[a] |= row[b - m][0]
+        else:
+            t = Tiling(r, tuple(VertexSet(c) for c in cliques))
+            if t.verify(g, require_factor=False):
+                return t
     return None
 
 

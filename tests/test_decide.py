@@ -1,5 +1,7 @@
 """Decision ladder: padding, lifting, branch selection, honest fallbacks."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +30,8 @@ from equitiler import (
     pad_to_divisible,
     random_gnp,
 )
-from equitiler.certificates import verify_certificate
+from equitiler import decide as decide_module
+from equitiler.certificates import certificate_to_json, verify_certificate
 from equitiler.matching import TutteBarrier, maximum_matching
 
 from conftest import random_graph
@@ -335,9 +338,21 @@ class TestFactorPipelines:
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "oracle")
 
     def test_tripartite_resolves_by_fallback(self):
+        # Refinement misses (no stage matching and no escape set), a
+        # PreconditionError that leaves a note and falls through.
         c = decide_kr_factor(multipartite((9, 9, 9)), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert c.certificate.verify(multipartite((9, 9, 9)))
+        assert c.notes[-1].startswith("structured route: stage graph at round 2")
+
+    def test_structured_contradiction_propagates(self, monkeypatch):
+        # A contradiction is a bug, not a miss: it must not become a note.
+        def planted(g, blocks):
+            raise InternalContradiction("planted")
+
+        monkeypatch.setattr(decide_module, "multipartite_factor", planted)
+        with pytest.raises(InternalContradiction, match="planted"):
+            decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
 
     def test_midrange_density_is_unresolved(self):
         rng = random.Random(0xE0A1)
@@ -346,6 +361,44 @@ class TestFactorPipelines:
         assert (c.kind, c.answer, c.verified) == ("unresolved", None, False)
         assert any("absorption route" in note for note in c.notes)
         assert any("fallback cap" in note for note in c.notes)
+
+
+def ex2_plus(n, u, v):
+    g = build_ex2(n, 3, 1)
+    g.add_edge(u, v)
+    return g
+
+
+class TestStructuredCertificates:
+    """Certificate JSON, timings dropped, of three near-extremal inputs that
+    take the structured route, pinned by hash: a speedup that changes a
+    tiling or a note fails here."""
+
+    # n = 240, m = n/3: vertex 0 is B0, 1..2m-1 is B1, 2m..3m-1 is A.
+    CASES = {
+        "ex2+A": (
+            lambda: decide_kr_factor(ex2_plus(240, 160, 161), 3),
+            "4f899f974921b2922bb7e45add273311df1cf32024204c5f53f14c9c5c1621f3",
+        ),
+        "ex2+B0B1": (
+            lambda: decide_kr_factor(ex2_plus(240, 0, 1), 3),
+            "720c3b8d8c42535eeca79c7af7e96b04ed0423f5d0244fbf820c32254838f9de",
+        ),
+        "co(ex2+A)": (
+            lambda: decide_equitable(complement(ex2_plus(240, 160, 161)), 80),
+            "944672ea37fec22ae6a2a215ff85b471c04fe088165a0e31924721b314aa885e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_certificate_hash(self, name):
+        decide, want = self.CASES[name]
+        cert = decide()
+        assert (cert.provenance, cert.verified) == ("pipeline", True)
+        doc = certificate_to_json(cert)
+        del doc["timings"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 class TestEquitable:

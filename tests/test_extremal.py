@@ -22,7 +22,12 @@ from equitiler.extremal import (
 )
 from equitiler.graphs import Graph, VertexSet, lowest_vertices, max_independent_set
 
-from _brute import has_biclique, seed_independent_heuristic, seed_independent_set_of_size
+from _brute import (
+    has_biclique,
+    seed_independent_heuristic,
+    seed_independent_set_of_size,
+    seed_masked_independent_heuristic,
+)
 from conftest import cycle, random_graph
 
 
@@ -234,6 +239,38 @@ class TestIndependentHeuristic:
             if _independent_heuristic(g, target, g.full_mask) is not None:
                 grown += 1
         assert grown > 0
+
+
+class TestDegreeRefutation:
+    """The heuristic refutes hopeless probes by degrees and is otherwise the
+    version without that test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=90),
+        st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_matches_seed(self, n, p, seed, fill, extra):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        inside = rng.getrandbits(n) & g.full_mask if fill < 0.5 else g.full_mask
+        # Around the greedy size, where the refutation can bite or not.
+        base = _greedy_size(g) if inside == g.full_mask else inside.bit_count() // 3
+        size = max(1, base + extra)
+        got = _independent_heuristic(g, size, inside)
+        assert got == seed_masked_independent_heuristic(g, size, inside)
+
+    def test_refutes_by_degrees(self):
+        # K_4 plus an isolated vertex.  A pair may use vertices of degree at
+        # most 5 - 2 = 3, which all five are; a triple only vertices of
+        # degree at most 2, which the isolated vertex alone is.
+        g = Graph(5, Graph.complete(4).adj + [0])
+        assert _independent_heuristic(g, 2, g.full_mask) == VertexSet((0, 4))
+        assert _independent_heuristic(g, 3, g.full_mask) is None
+        assert seed_masked_independent_heuristic(g, 3, g.full_mask) is None
 
 
 class TestIndependentSetOfSize:

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitiler import (
     BaseSet,
@@ -36,7 +38,7 @@ from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
 from equitiler.tiling import _blocks
 
-from _brute import seed_quotient_factor
+from _brute import seed_multipartite_factor, seed_quotient_factor
 from conftest import random_graph
 
 
@@ -595,6 +597,73 @@ class TestMultipartite:
         g = Graph.empty(4)
         t = multipartite_factor(g, units((0, 1), (2, 3)), retries=3)
         assert t is None
+
+
+def clique_units(rng, unit_sizes, m, p, extra=0):
+    """Blocks of m clique units each, one unit size per block, on shuffled
+    labels with `extra` vertices outside every block; every other pair is an
+    edge with probability p."""
+    n = sum(unit_sizes) * m + extra
+    labels = list(range(n))
+    rng.shuffle(labels)
+    g = Graph.empty(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.add_edge(u, v)
+    blocks = []
+    for size in unit_sizes:
+        block = []
+        for _ in range(m):
+            unit, labels = labels[:size], labels[size:]
+            for i, u in enumerate(unit):
+                for v in unit[i + 1:]:
+                    if not g.has_edge(u, v):
+                        g.add_edge(u, v)
+            block.append(VertexSet(unit).bits)
+        blocks.append(tuple(block))
+    return g, tuple(blocks)
+
+
+class TestMultipartiteMatchesSeed:
+    """The row build in C against the pairwise meeting test it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        st.integers(1, 8),
+        st.sampled_from([0.5, 0.7, 0.9, 1.0]),
+        st.sampled_from([1, 20]),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_tiling(self, unit_sizes, m, p, retries, extra, seed):
+        g, blocks = clique_units(random.Random(seed), unit_sizes, m, p, extra)
+        got = multipartite_factor(g, blocks, retries)
+        assert got == seed_multipartite_factor(g, blocks, retries)
+        if got is not None:
+            assert got.verify(g, require_factor=False)
+
+    def test_same_tiling_after_retries(self):
+        # Three sparse blocks, where the first pass often comes up short: the
+        # factors found only by a shuffled retry agree as well.
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(60):
+            g, blocks = clique_units(rng, (1, 1, 1), rng.randint(2, 6), 0.7)
+            got = multipartite_factor(g, blocks)
+            assert got == seed_multipartite_factor(g, blocks)
+            first = multipartite_factor(g, blocks, retries=1)
+            outcomes.add((first is not None, got is not None))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_one_unit_per_block(self):
+        # One clique picks one character, which itemgetter returns bare.
+        blocks = ((0b1,), (0b110,))
+        t = multipartite_factor(Graph.complete(3), blocks)
+        assert t == Tiling(3, (VertexSet(0b111),))
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert multipartite_factor(path, blocks) is None
 
 
 class TestParityRepair:
