@@ -51,8 +51,6 @@ from .tiling import (
     SingleBase,
     DoubleBase,
     BaseSet,
-    Ex2Signal,
-    ExtensionFailure,
     base_slack,
     is_base,
     cover_exceptional,

@@ -11,6 +11,12 @@ which the blossom search settles at every size: a YES is the matching, a NO
 its Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
 set, a leftover block, the units of the multipartite finish) are vertex
 masks of the input graph, so every clique found is already in its labels.
+
+At r >= 3 absorption runs first and the structured route second.  A route
+that gives out because its constants do not carry at this n raises
+PreconditionError; the decision catches only that, records the message as
+a note and tries the next route.  An InternalContradiction is a bug, never
+a miss, and propagates to the caller.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .oracle import Coloring, Tiling, equitable_coloring_exact, kr_factor_exact
 from .partition import peel_partition, refine_to_good
 from .tiling import (
     BaseSet,
-    Ex2Signal,
     contract_residual,
     cover_exceptional,
     cover_nonexcellent,
@@ -92,10 +97,6 @@ class DecisionCertificate:
     verified: bool
     notes: Tuple[str, ...] = ()
     timings: Tuple[Tuple[str, float], ...] = ()
-
-
-class _Miss(Exception):
-    """Internal: this strategy cannot settle the instance; try the next."""
 
 
 def pad_to_divisible(g: Graph, k: int) -> Tuple[Graph, int]:
@@ -209,12 +210,12 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
     for attempt in range(3):
         aset = build_absorbing_set(g, r, cfg=cfg, seed=seed + attempt)
         if aset is None:
-            raise _Miss(last)
+            raise PreconditionError(last)
         outside = g.full_mask & ~aset.m.bits
         greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
         leftover = VertexSet(outside & ~greedy.covered.bits)
         if len(leftover) > cfg.epsilon * g.n:
-            raise _Miss(
+            raise PreconditionError(
                 f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
             )
         try:
@@ -226,7 +227,7 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Til
         if not final.verify(g):
             raise InternalContradiction("assembled factor failed verification")
         return final
-    raise _Miss(f"absorption retries exhausted: {last}")
+    raise PreconditionError(f"absorption retries exhausted: {last}")
 
 
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
@@ -241,10 +242,16 @@ def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
 
 def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, Ex1Witness]:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
-    the parts and the leftover block's cliques into a multipartite factor."""
+    the parts and the leftover block's cliques into a multipartite factor.
+
+    A stage that gives out because the constants do not carry at this n
+    raises PreconditionError, a miss of the route.  An InternalContradiction,
+    from a stage or from the final check of the tiling, is a bug and
+    propagates.
+    """
     p, s = peel_partition(g, r, cfg)
     if s == 0:
-        raise _Miss("no sparse parts peeled")
+        raise PreconditionError("no sparse parts peeled")
     got, _trace = refine_to_good(g, p, cfg)
     if isinstance(got, Ex1Witness):
         return got
@@ -253,12 +260,9 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
     s = p.s
     d = r - s
     if d <= 0:
-        raise _Miss(f"partition peeled {s} parts against r={r}")
+        raise PreconditionError(f"partition peeled {s} parts against r={r}")
 
-    out = cover_exceptional(g, gp)
-    if isinstance(out, Ex2Signal):
-        raise _Miss(f"thin cover signalled the odd split: {out.reason}")
-    bs1 = out
+    bs1 = cover_exceptional(g, gp)
     spoken = bs1.vertices() | bs1.covered
     bs2 = cover_nonexcellent(g, gp, spoken)
     bases = tuple(bs1.bases) + tuple(bs2.bases)
@@ -275,23 +279,20 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
     seed_tiling = Tiling(r, tuple(cliques))
 
     if d == 2:
-        repaired = parity_repair(g, gp, baseset, seed_tiling)
-        if isinstance(repaired, Ex2Signal):
-            raise _Miss(f"parity repair gave out: {repaired.reason}")
-        seed_tiling, ts = repaired
+        seed_tiling, ts = parity_repair(g, gp, baseset, seed_tiling)
         resid = strip_tiling(p, seed_tiling)
     else:
         resid = strip_tiling(p, seed_tiling)
         ts = _block_tiling(g, resid.b, d)
         if ts is None:
-            raise _Miss("leftover block admits no clique tiling")
+            raise PreconditionError("leftover block admits no clique tiling")
 
     mf = multipartite_factor(g, contract_residual(g, resid, ts))
     if mf is None:
-        raise _Miss("contracted multipartite instance would not factor")
+        raise PreconditionError("contracted multipartite instance would not factor")
     final = Tiling(r, seed_tiling.cliques + mf.cliques)
     if not final.verify(g):
-        raise _Miss("pipeline tiling failed final verification")
+        raise InternalContradiction("pipeline tiling failed final verification")
     return final
 
 
@@ -306,8 +307,8 @@ def decide_kr_factor(
     Strategy ladder: the trivial cases (n = 0 or r = 1); at r = 2 the
     perfect-matching decision, whose NO is obstructed by a Tutte–Berge
     barrier; then, at r >= 3, the structural recognizers, exact search up to
-    EXACT_CAP vertices, and the dense absorption route or the extremal
-    pipeline.  A pipeline miss at n <= FALLBACK_CAP falls back to exact
+    EXACT_CAP vertices, then the dense absorption route and the extremal
+    pipeline in turn.  When both miss, n <= FALLBACK_CAP falls back to exact
     search; beyond that the honest output is kind="unresolved".
     """
     if r < 1:
@@ -347,33 +348,28 @@ def decide_kr_factor(
         return DecisionCertificate("obstructed", False, None, w, "recognizer", True)
 
     notes: List[str] = []
-    t0 = time.perf_counter()
-    try:
-        t = _absorption_factor(g, r, cfg, seed)
-        timings.append(("absorption", time.perf_counter() - t0))
-        return DecisionCertificate(
-            "factorable", True, t, None, "pipeline", True, (), tuple(timings)
-        )
-    except (PreconditionError, _Miss) as e:
-        notes.append(f"absorption route: {e}")
-    timings.append(("absorption", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    try:
-        got = _structured_factor(g, r, cfg)
-        timings.append(("pipeline", time.perf_counter() - t0))
+    routes = (
+        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg, seed)),
+        ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
+    )
+    for route, stage, run in routes:
+        t0 = time.perf_counter()
+        got = None
+        try:
+            got = run()
+        except PreconditionError as e:
+            notes.append(f"{route} route: {e}")
+        timings.append((stage, time.perf_counter() - t0))
         if isinstance(got, Ex1Witness):
             return DecisionCertificate(
                 "obstructed", False, None, got, "pipeline", True,
                 tuple(notes), tuple(timings),
             )
-        return DecisionCertificate(
-            "factorable", True, got, None, "pipeline", True,
-            tuple(notes), tuple(timings),
-        )
-    except (PreconditionError, _Miss) as e:
-        notes.append(f"structured route: {e}")
-    timings.append(("pipeline", time.perf_counter() - t0))
+        if got is not None:
+            return DecisionCertificate(
+                "factorable", True, got, None, "pipeline", True,
+                tuple(notes), tuple(timings),
+            )
 
     if g.n <= FALLBACK_CAP:
         t0 = time.perf_counter()

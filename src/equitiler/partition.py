@@ -435,7 +435,7 @@ def refine_to_good(
             )
             if isinstance(matching, Ex1Witness):
                 return matching, RefinementTrace(tuple(steps))
-            b = _apply_straddle(g, parts, b, k, matching, leftovers, origins)
+            b = _apply_straddle(parts, b, k, matching, leftovers, origins)
         steps.append(
             RefineStep(
                 k=k + 1,
@@ -508,7 +508,6 @@ def _stage_matching(
 
 
 def _apply_straddle(
-    g: Graph,
     parts: List[int],
     b: int,
     k: int,

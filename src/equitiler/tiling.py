@@ -37,8 +37,6 @@ __all__ = [
     "DoubleBase",
     "Base",
     "BaseSet",
-    "Ex2Signal",
-    "ExtensionFailure",
     "base_slack",
     "is_base",
     "cover_exceptional",
@@ -130,26 +128,6 @@ class BaseSet:
         if self.covered.bits & ~seen:
             out.append("covered vertices escape the seeds")
         return out
-
-
-@dataclass(frozen=True)
-class Ex2Signal:
-    """Construction gave out in a way that points at the odd-split shape."""
-
-    reason: str
-
-
-class ExtensionFailure(PreconditionError):
-    """A completion step ran out of candidates.
-
-    The constants at this n need not leave a candidate, so this is a miss
-    of the route, not a bug.  `block` names where: a part index, or None
-    for the leftover block.
-    """
-
-    def __init__(self, message: str, block: Optional[int] = None):
-        super().__init__(message)
-        self.block = block
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +232,9 @@ def is_base(g: Graph, q: GoodPartition, b: Base) -> bool:
 # covering the thin-degree vertices
 
 
-class _Degenerate(Exception):
-    """Internal bail-out that turns into an Ex2Signal."""
+def _odd_split(reason: str) -> PreconditionError:
+    """The thin cover's miss: the instance is tangled like the odd split."""
+    return PreconditionError(f"thin cover signalled the odd split: {reason}")
 
 
 def _companions(
@@ -327,20 +306,21 @@ def _companions(
             used |= built
             allowed &= ~built
     if len(out) < need:
-        raise _Degenerate(
+        raise _odd_split(
             f"part {part_index}: not enough companion edges for its thin rows"
         )
     return out, used
 
 
-def cover_exceptional(g: Graph, q: GoodPartition) -> Union[BaseSet, Ex2Signal]:
+def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
     """Seed set absorbing every vertex thin toward some part.
 
     Low-degree thin vertices are packed into small cliques completed inside
     the leftover block, each paired with a companion to form a pair seed.
     The remaining thin vertices keep their rescue edges as lone seeds.  Any
-    structural failure returns a signal instead of raising: an instance this
-    tangled is handled by the odd-split recognizers instead.
+    structural failure is a miss of the route, not a bug: it raises
+    PreconditionError, since an instance this tangled is left to the
+    odd-split recognizers.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
@@ -357,85 +337,78 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> Union[BaseSet, Ex2Signal]:
     for i in range(s):
         obligations |= thin.exceptional[i].bits
 
-    try:
-        bases: List[Base] = []
-        used = 0
-        chunk = r - s + 1
-        for i in range(s):
-            exc = thin.exceptional[i].bits
-            exs = exc & low
-            exl = exc & ~low
-            if exl & ~q.rescue[i].covered.bits:
-                raise _Degenerate(f"part {i}: a thin vertex has no rescue edge")
-            if not exs:
-                continue
-            if r == s:
-                raise _Degenerate(
-                    f"part {i}: thin low-degree vertex with no leftover block"
-                )
-            if not g.is_clique(exs):
-                raise _Degenerate(f"part {i}: low-degree thin set is not a clique")
-            verts = sorted(iter_bits(exs))
-            groups: List[int] = []
-            for lo in range(0, len(verts), chunk):
-                gmask = 0
-                for v in verts[lo : lo + chunk]:
-                    gmask |= 1 << v
-                groups.append(gmask)
-            packed: List[int] = []
-            for gmask in groups:
-                short = chunk - gmask.bit_count()
-                if short:
-                    cand = g.common_neighbors(gmask) & bmask & ve & ~used
-                    sub = find_clique_of_size(g, short, inside=cand)
-                    if sub is None:
-                        raise _Degenerate(
-                            f"part {i}: cannot complete a thin clique in the leftover block"
-                        )
-                    gmask |= sub.bits
-                packed.append(gmask)
-                used |= gmask
-            comps, used = _companions(
-                g, q, i, len(packed), thin, crowded, ve, rescue_all, used
-            )
-            for gmask, cmask in zip(packed, comps):
-                db = DoubleBase(
-                    left=VertexSet(gmask),
-                    right=VertexSet(cmask),
-                    heavy_left=None,
-                    heavy_right=i,
-                    slack=Fraction(0),
-                )
-                sl = base_slack(g, q, db)
-                if sl is None or sl <= 0:
-                    raise _Degenerate(
-                        f"part {i}: thin-clique pairing fails the margin check"
+    bases: List[Base] = []
+    used = 0
+    chunk = r - s + 1
+    for i in range(s):
+        exc = thin.exceptional[i].bits
+        exs = exc & low
+        exl = exc & ~low
+        if exl & ~q.rescue[i].covered.bits:
+            raise _odd_split(f"part {i}: a thin vertex has no rescue edge")
+        if not exs:
+            continue
+        if r == s:
+            raise _odd_split(f"part {i}: thin low-degree vertex with no leftover block")
+        if not g.is_clique(exs):
+            raise _odd_split(f"part {i}: low-degree thin set is not a clique")
+        verts = sorted(iter_bits(exs))
+        groups: List[int] = []
+        for lo in range(0, len(verts), chunk):
+            gmask = 0
+            for v in verts[lo : lo + chunk]:
+                gmask |= 1 << v
+            groups.append(gmask)
+        packed: List[int] = []
+        for gmask in groups:
+            short = chunk - gmask.bit_count()
+            if short:
+                cand = g.common_neighbors(gmask) & bmask & ve & ~used
+                sub = find_clique_of_size(g, short, inside=cand)
+                if sub is None:
+                    raise _odd_split(
+                        f"part {i}: cannot complete a thin clique in the leftover block"
                     )
-                bases.append(DoubleBase(db.left, db.right, None, i, sl))
-                used |= gmask | cmask
-        # surviving rescue edges stand alone
-        for j in range(s):
-            exc = thin.exceptional[j].bits & ~low
-            for u, v in q.rescue[j].pairs:
-                em = (1 << u) | (1 << v)
-                if not em & exc:
-                    continue  # spare edge of the matching, no obligation on it
-                if em & used:
-                    if exc & em & ~used:
-                        raise _Degenerate(
-                            f"part {j}: a rescue edge lost its thin endpoint"
-                        )
-                    continue
-                sb = SingleBase(VertexSet(em), Fraction(0))
-                sl = base_slack(g, q, sb)
-                if sl is None or sl <= 0:
-                    raise _Degenerate(f"part {j}: rescue edge fails the margin check")
-                bases.append(SingleBase(VertexSet(em), sl))
-                used |= em
-        if obligations & ~used:
-            raise _Degenerate("a thin vertex was left uncovered")
-    except _Degenerate as exc:
-        return Ex2Signal(str(exc))
+                gmask |= sub.bits
+            packed.append(gmask)
+            used |= gmask
+        comps, used = _companions(
+            g, q, i, len(packed), thin, crowded, ve, rescue_all, used
+        )
+        for gmask, cmask in zip(packed, comps):
+            db = DoubleBase(
+                left=VertexSet(gmask),
+                right=VertexSet(cmask),
+                heavy_left=None,
+                heavy_right=i,
+                slack=Fraction(0),
+            )
+            sl = base_slack(g, q, db)
+            if sl is None or sl <= 0:
+                raise _odd_split(
+                    f"part {i}: thin-clique pairing fails the margin check"
+                )
+            bases.append(DoubleBase(db.left, db.right, None, i, sl))
+            used |= gmask | cmask
+    # surviving rescue edges stand alone
+    for j in range(s):
+        exc = thin.exceptional[j].bits & ~low
+        for u, v in q.rescue[j].pairs:
+            em = (1 << u) | (1 << v)
+            if not em & exc:
+                continue  # spare edge of the matching, no obligation on it
+            if em & used:
+                if exc & em & ~used:
+                    raise _odd_split(f"part {j}: a rescue edge lost its thin endpoint")
+                continue
+            sb = SingleBase(VertexSet(em), Fraction(0))
+            sl = base_slack(g, q, sb)
+            if sl is None or sl <= 0:
+                raise _odd_split(f"part {j}: rescue edge fails the margin check")
+            bases.append(SingleBase(VertexSet(em), sl))
+            used |= em
+    if obligations & ~used:
+        raise _odd_split("a thin vertex was left uncovered")
     return BaseSet(tuple(bases), VertexSet(obligations))
 
 
@@ -447,9 +420,9 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
     """Seeds for vertices that are neither excellent everywhere nor thin.
 
     `u` holds vertices already spoken for; targets inside `u` count as
-    covered by the caller.  Unlike the thin cover this stage has no signal
-    path: running out of candidates raises ExtensionFailure, and a seed
-    that fails its margin check raises InternalContradiction.
+    covered by the caller.  Running out of candidates is a miss and raises
+    PreconditionError; a seed that fails its margin check is a bug and
+    raises InternalContradiction.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
@@ -489,16 +462,13 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
                     w = c
                     break
             if w is None:
-                raise ExtensionFailure(
-                    f"vertex {v}: no calm partner inside its part", block=i
-                )
+                raise PreconditionError(f"vertex {v}: no calm partner inside its part")
             pair = (1 << v) | (1 << w)
             cand = bmask & ve & ~avoid & ~pair
             sub = find_clique_of_size(g, r - s + 1, inside=cand)
             if sub is None:
-                raise ExtensionFailure(
-                    f"vertex {v}: leftover block holds no clique for its seed",
-                    block=None,
+                raise PreconditionError(
+                    f"vertex {v}: leftover block holds no clique for its seed"
                 )
             db = DoubleBase(VertexSet(pair), sub, i, None, Fraction(0))
             sl = base_slack(g, q, db)
@@ -512,9 +482,7 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
             cand = g.adj[v] & bmask & ve & ~avoid
             sub = find_clique_of_size(g, r - s - 1, inside=cand)
             if sub is None:
-                raise ExtensionFailure(
-                    f"vertex {v}: leftover block too thin around it", block=None
-                )
+                raise PreconditionError(f"vertex {v}: leftover block too thin around it")
             cm = (1 << v) | sub.bits
             sb = SingleBase(VertexSet(cm), Fraction(0))
             sl = base_slack(g, q, sb)
@@ -555,9 +523,8 @@ def _units(
                 target = quota - 1
             have = (mask & bmask).bit_count()
             if have > target:
-                raise ExtensionFailure(
-                    "seed already exceeds the block share its twin must give up",
-                    block=key,
+                raise PreconditionError(
+                    "seed already exceeds the block share its twin must give up"
                 )
             if target > have:
                 need[key] = target - have
@@ -613,7 +580,9 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
 
     The result keeps exact block balance: each grown clique takes its block
     share, with the pair seed trading one vertex between its two overfilled
-    blocks.  Raises ExtensionFailure naming the block that ran dry.
+    blocks.  Running out of candidates is a miss and raises
+    PreconditionError naming the block that ran dry; grown cliques that
+    fail re-verification raise InternalContradiction.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
@@ -635,7 +604,7 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
         got, stuck = _grow(g, p, ve, mask, need, forbid)
         if got is None:
             where = "leftover block" if stuck is None else f"part {stuck}"
-            raise ExtensionFailure(f"no candidates left in the {where}", block=stuck)
+            raise PreconditionError(f"no candidates left in the {where}")
         grown.append(got)
         forbid |= got
     cliques = tuple(VertexSet(c) for c in grown)
@@ -658,7 +627,7 @@ def _extensions(
     ve = q.classification.excellent_everywhere().bits
     try:
         units = _units(q, r, h)
-    except ExtensionFailure:
+    except PreconditionError:
         return
     base_forbid = wmask
     for mask, _ in units:
@@ -879,7 +848,7 @@ def parity_repair(
     bases: BaseSet,
     tiling: Tiling,
     budget: int = 600,
-) -> Union[Tuple[Tiling, Tiling], Ex2Signal]:
+) -> Tuple[Tiling, Tiling]:
     """Adjust the tiling until the leftover block admits a perfect matching.
 
     Only meaningful when the leftover block tiles by pairs.  Returns the
@@ -889,8 +858,8 @@ def parity_repair(
     with different leftover-block choices, rebuild a pair seed around a
     different small clique, or plant a fresh pair seed on an edge inside a
     part.  Each candidate tiling is re-verified in full before it is
-    accepted; running out of moves returns the odd-split signal, which is a
-    legitimate outcome rather than an error.
+    accepted.  Running out of moves is a miss of the route, not an error,
+    and raises PreconditionError; an InternalContradiction propagates.
     """
     p, n, r, s = _context(g, q)
     if r - s != 2:
@@ -990,7 +959,7 @@ def parity_repair(
                         h2 = DoubleBase(h2.left, h2.right, i, None, sl)
                         try:
                             ext = extend_base(g, q, h2, VertexSet(tcov))
-                        except (ExtensionFailure, PreconditionError):
+                        except PreconditionError:
                             continue
                         yield Tiling(r, tiling.cliques + ext.cliques)
 
@@ -1002,4 +971,6 @@ def parity_repair(
         pairs = leftover_pairs(cand)
         if pairs is not None:
             return cand, pairs
-    return Ex2Signal("no reachable tiling leaves a matchable leftover block")
+    raise PreconditionError(
+        "parity repair gave out: no reachable tiling leaves a matchable leftover block"
+    )

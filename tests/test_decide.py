@@ -29,6 +29,7 @@ from equitiler import (
     ore_edge_bound,
     pad_to_divisible,
     random_gnp,
+    random_ore,
 )
 from equitiler import decide as decide_module
 from equitiler.certificates import certificate_to_json, verify_certificate
@@ -354,6 +355,15 @@ class TestFactorPipelines:
         with pytest.raises(InternalContradiction, match="planted"):
             decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
 
+    def test_failed_final_verification_propagates(self, monkeypatch):
+        # The seed tiling and the multipartite factor are disjoint and cover
+        # V by construction, so a final tiling that fails its check is a bug.
+        monkeypatch.setattr(
+            decide_module, "multipartite_factor", lambda g, blocks: Tiling(3, ())
+        )
+        with pytest.raises(InternalContradiction, match="final verification"):
+            decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
+
     def test_midrange_density_is_unresolved(self):
         rng = random.Random(0xE0A1)
         g = random_graph(rng, 60, 0.5)
@@ -399,6 +409,77 @@ class TestStructuredCertificates:
         del doc["timings"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def edited_ex2(n, s, add=(), drop=()):
+    g = build_ex2(n, 3, s)
+    for u, v in add:
+        g.add_edge(u, v)
+    for u, v in drop:
+        g = without_edge(g, u, v)
+    return g
+
+
+class TestMissNotes:
+    """The full notes of inputs on which a route misses: each miss reaches
+    the decision as one PreconditionError, whose text is the note."""
+
+    CASES = {
+        "tripartite-9": (
+            lambda: multipartite((9, 9, 9)),
+            (
+                "absorption route: no absorbing set could be built",
+                "structured route: stage graph at round 2 has matching number"
+                " 13 < 18 and no escape set",
+            ),
+        ),
+        "parity-repair": (
+            lambda: edited_ex2(36, 1, drop=[(5, 6)]),
+            (
+                "absorption route: degree-sum floor 45 at pair (0, 5) is below 5994/125",
+                "structured route: parity repair gave out: no reachable tiling"
+                " leaves a matchable leftover block",
+            ),
+        ),
+        "no-calm-partner": (
+            lambda: edited_ex2(120, 1, add=[(0, 24), (110, 106)], drop=[(10, 95)]),
+            (
+                "absorption route: degree-sum floor 158 at pair (0, 10) is below 3996/25",
+                "structured route: vertex 95: no calm partner inside its part",
+                "instance beyond the exact fallback cap",
+            ),
+        ),
+        "refinement-stalled": (
+            lambda: edited_ex2(120, 5, add=[(114, 108), (103, 110)]),
+            (
+                "absorption route: degree-sum floor 158 at pair (0, 5) is below 3996/25",
+                "structured route: refinement stalled: (A3) part 1 has 4 crowded"
+                " vertices [round 1: thin=0 crowded=4 swapped=0 surplus=0]",
+                "instance beyond the exact fallback cap",
+            ),
+        ),
+        "no-sparse-parts": (
+            lambda: random_ore(60, 3, Fraction(1, 50), 0),
+            (
+                "absorption route: degree-sum floor 78 at pair (0, 19) is below 1998/25",
+                "structured route: no sparse parts peeled",
+                "instance beyond the exact fallback cap",
+            ),
+        ),
+        "tripartite-12": (
+            lambda: multipartite((12, 12, 12)),
+            (
+                "absorption route: no absorbing set could be built",
+                "structured route: stage graph at round 2 has matching number"
+                " 18 < 24 and no escape set",
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_notes(self, name):
+        build, want = self.CASES[name]
+        assert decide_kr_factor(build(), 3).notes == want
 
 
 class TestEquitable:

@@ -25,7 +25,7 @@ from equitiler import (
 )
 from equitiler.errors import PreconditionError
 from equitiler.graphs import induced_edge_count, low_degree_set
-from equitiler.partition import _sparse_set, slack_threshold
+from equitiler.partition import _apply_straddle, _sparse_set, slack_threshold
 
 from _brute import seed_classify, seed_sparse_set
 from conftest import random_graph
@@ -294,6 +294,22 @@ class TestRefine:
                 (g.adj[v] & after).bit_count() - (g.adj[v] & before).bit_count()
             )
             assert drift <= moved
+
+
+class TestApplyStraddle:
+    def test_leftover_pulled_in_and_part_vertex_evicted_to_its_origin(self):
+        # Part 0 = {0, 1, 2}, part 1 = {3, 4, 5}, B = {6, 7, 8}.  The
+        # leftovers are 3 (from part 1) and 6 (from B); the matching joins
+        # them and holds the edge 0-1 inside part 0.  Each edge excludes its
+        # larger endpoint, 6 and 1: leftover 3 is pulled into part 0 and 1
+        # takes its slot in part 1.
+        parts = [vs(0, 1, 2).bits, vs(3, 4, 5).bits]
+        matching = Matching(((0, 1), (3, 6)))
+        b = _apply_straddle(parts, vs(6, 7, 8).bits, 0, matching, [3, 6], {3: 1, 6: None})
+        assert parts == [vs(0, 2, 3).bits, vs(1, 4, 5).bits]
+        assert b == vs(6, 7, 8).bits
+        for u, v in matching.pairs:
+            assert ((parts[0] >> u) & 1) + ((parts[0] >> v) & 1) == 1
 
 
 class TestValidate:
