@@ -269,6 +269,11 @@ def build_absorbing_set(
     the structured route) or when the sampling budget runs out before
     enough disjoint absorbers are found.  The degree-sum floor is checked
     outright.
+
+    Each probe samples one absorber: every sample avoids the vertices
+    already taken, so the first one found is always the one kept, and a
+    larger budget would only sample and verify absorbers that are thrown
+    away.
     """
     if r < 2:
         raise PreconditionError("need r >= 2")
@@ -304,14 +309,16 @@ def build_absorbing_set(
                 break
             probe = VertexSet(rng.sample(pool, r))
             fam = enumerate_absorbers(
-                g, probe, r, budget=4, cfg=cfg,
+                g, probe, r, budget=1, cfg=cfg,
                 seed=rng.randrange(1 << 30), exclude=taken,
             )
-            for s in fam.members:
-                if not (s.bits & taken):
-                    picked.append(s)
-                    taken |= s.bits
-                    break
+            if not fam.members:
+                continue
+            s = fam.members[0]
+            if s.bits & taken:
+                raise InternalContradiction("sampled absorber overlaps the absorbing set")
+            picked.append(s)
+            taken |= s.bits
         if len(picked) < needed:
             continue
 
