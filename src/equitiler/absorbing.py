@@ -170,14 +170,24 @@ def _sigma_gate(g: Graph, r: int, alpha: Fraction) -> None:
 def _random_clique(
     g: Graph, rng: random.Random, pool: int, size: int
 ) -> Optional[int]:
-    """Greedy clique on a shuffled order; None when the order yields nothing."""
+    """Greedy clique on a uniform random order of the pool, drawn lazily.
+
+    Step i swaps a uniform pick from order[i:] into place i (a front-to-back
+    Fisher-Yates shuffle), so each prefix is a uniform draw without
+    replacement; the walk stops as soon as `size` vertices are chosen, and
+    costs one draw per vertex looked at rather than one per pool vertex.
+    None when the whole order yields no `size`-clique.
+    """
     if size == 0:
         return 0
     order = list(iter_bits(pool))
-    rng.shuffle(order)
+    end = len(order)
     chosen = 0
     count = 0
-    for v in order:
+    for i in range(end):
+        j = rng.randrange(i, end)
+        v = order[j]
+        order[j] = order[i]
         if chosen & ~g.adj[v]:
             continue
         chosen |= 1 << v
