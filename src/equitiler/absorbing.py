@@ -219,12 +219,25 @@ def enumerate_absorbers(
         raise PreconditionError(f"target has {len(q)} vertices, wants r={r}")
     if cfg is None:
         cfg = default_constants(max(r, 2))
-    n = g.n
-    slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * n)
-    exploit_clique = len(slow) > cfg.xi * n
-    base_pool = slow.bits if exploit_clique else g.full_mask & ~slow.bits
+    slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * g.n)
+    exploit_clique = len(slow) > cfg.xi * g.n
+    return _sample_absorbers(g, q, r, budget, seed, exclude, slow.bits, exploit_clique)
+
+
+def _sample_absorbers(
+    g: Graph,
+    q: VertexSet,
+    r: int,
+    budget: int,
+    seed: int,
+    exclude: int,
+    slow: int,
+    exploit_clique: bool,
+) -> AbsorberFamily:
+    """`enumerate_absorbers` given the low-degree set its caller computed."""
+    base_pool = slow if exploit_clique else g.full_mask & ~slow
     base_pool &= ~q.bits & ~exclude
-    bridge_pool = g.full_mask & ~slow.bits & ~exclude
+    bridge_pool = g.full_mask & ~slow & ~exclude
 
     rng = random.Random(seed * 1000003 + q.bits % (1 << 61))
     found: List[VertexSet] = []
@@ -318,9 +331,8 @@ def build_absorbing_set(
             if len(pool) < r:
                 break
             probe = VertexSet(rng.sample(pool, r))
-            fam = enumerate_absorbers(
-                g, probe, r, budget=1, cfg=cfg,
-                seed=rng.randrange(1 << 30), exclude=taken,
+            fam = _sample_absorbers(
+                g, probe, r, 1, rng.randrange(1 << 30), taken, slow.bits, exploit_clique
             )
             if not fam.members:
                 continue
