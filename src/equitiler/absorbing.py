@@ -60,15 +60,6 @@ class AbsorberFamily:
     q: VertexSet
     members: Tuple[VertexSet, ...]
 
-    def validate(self, g: Graph, r: int) -> List[str]:
-        out = []
-        for i, s in enumerate(self.members):
-            if len(s) != r * r:
-                out.append(f"member {i} has {len(s)} vertices, wants {r * r}")
-            elif not is_absorber_set(g, s.bits, self.q.bits, r):
-                out.append(f"member {i} fails a factor check")
-        return out
-
 
 @dataclass(frozen=True)
 class AugmentationMove:
@@ -122,40 +113,6 @@ class AbsorbingSet:
         for c in self.fixed:
             bits |= c.bits
         return VertexSet(bits)
-
-    def family_for(self, g: Graph, q: VertexSet) -> AbsorberFamily:
-        """The stored absorbers that work for this particular r-set."""
-        hits = tuple(
-            s
-            for s in self.family
-            if not (s.bits & q.bits) and is_absorber_set(g, s.bits, q.bits, self.r)
-        )
-        return AbsorberFamily(q, hits)
-
-    def validate(self, g: Graph) -> List[str]:
-        out = []
-        seen = 0
-        for i, s in enumerate(self.family):
-            if len(s) != self.r * self.r:
-                out.append(f"absorber {i} has the wrong size")
-            if s.bits & seen:
-                out.append(f"absorber {i} overlaps an earlier piece")
-            seen |= s.bits
-            covered = 0
-            for c in self.factors[i]:
-                if len(c) != self.r or not g.is_clique(c.bits):
-                    out.append(f"stored factor of absorber {i} is broken")
-                    break
-                covered |= c.bits
-            if covered != s.bits:
-                out.append(f"stored factor of absorber {i} misses vertices")
-        for j, c in enumerate(self.fixed):
-            if len(c) != self.r or not g.is_clique(c.bits):
-                out.append(f"fixed clique {j} is not a K_{self.r}")
-            if c.bits & seen:
-                out.append(f"fixed clique {j} overlaps an earlier piece")
-            seen |= c.bits
-        return out
 
 
 def _sigma_gate(g: Graph, r: int, alpha: Fraction) -> None:

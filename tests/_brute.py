@@ -14,9 +14,17 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from equitiler.absorbing import (
+    AbsorberFamily,
+    AbsorbingSet,
+    _sigma_gate,
+    enumerate_absorbers,
+)
+from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.graphs import (
     Graph,
@@ -30,11 +38,12 @@ from equitiler.graphs import (
     max_independent_set,
 )
 from equitiler.matching import Matching, maximum_matching
-from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set
+from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set, kr_factor_exact
 from equitiler.partition import (
     RsPartition,
     VertexClassification,
     _check_thin_spread,
+    _sparse_set,
     slack_threshold,
 )
 
@@ -267,7 +276,7 @@ def has_biclique(n: int, edges: Iterable[Edge], a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact oracles used only by the tests.
+# Exact oracles and structure checks used only by the tests.
 
 
 def count_absorbers_exact(
@@ -295,6 +304,55 @@ def count_absorbers_exact(
             if count <= cap:
                 found.append(VertexSet(s_bits))
     return count, (tuple(found) if count <= cap else None)
+
+
+def absorber_family_problems(fam: AbsorberFamily, g: Graph, r: int) -> List[str]:
+    """What is wrong with each member of `fam`: its size or a factor check."""
+    out = []
+    for i, s in enumerate(fam.members):
+        if len(s) != r * r:
+            out.append(f"member {i} has {len(s)} vertices, wants {r * r}")
+        elif not is_absorber_set(g, s.bits, fam.q.bits, r):
+            out.append(f"member {i} fails a factor check")
+    return out
+
+
+def absorbing_set_problems(aset: AbsorbingSet, g: Graph) -> List[str]:
+    """What is wrong with `aset`: sizes, overlaps and stored self-factors."""
+    r = aset.r
+    out = []
+    seen = 0
+    for i, s in enumerate(aset.family):
+        if len(s) != r * r:
+            out.append(f"absorber {i} has the wrong size")
+        if s.bits & seen:
+            out.append(f"absorber {i} overlaps an earlier piece")
+        seen |= s.bits
+        covered = 0
+        for c in aset.factors[i]:
+            if len(c) != r or not g.is_clique(c.bits):
+                out.append(f"stored factor of absorber {i} is broken")
+                break
+            covered |= c.bits
+        if covered != s.bits:
+            out.append(f"stored factor of absorber {i} misses vertices")
+    for j, c in enumerate(aset.fixed):
+        if len(c) != r or not g.is_clique(c.bits):
+            out.append(f"fixed clique {j} is not a K_{r}")
+        if c.bits & seen:
+            out.append(f"fixed clique {j} overlaps an earlier piece")
+        seen |= c.bits
+    return out
+
+
+def absorbing_family_for(aset: AbsorbingSet, g: Graph, q: VertexSet) -> AbsorberFamily:
+    """The stored absorbers of `aset` that work for this particular r-set."""
+    hits = tuple(
+        s
+        for s in aset.family
+        if not (s.bits & q.bits) and is_absorber_set(g, s.bits, q.bits, aset.r)
+    )
+    return AbsorberFamily(q, hits)
 
 
 def layered_factor_exact(g: Graph, r: int, cap: int = 16) -> LayeredFactor:
@@ -1079,4 +1137,93 @@ def seed_sparse_set(
             cur = rest | (1 << best_v)
         if induced_edge_count(g, cur) <= limit:
             return VertexSet(cur)
+    return None
+
+
+# The absorbing-set build while each probe asked for four absorbers.
+
+
+def seed_build_absorbing_set(
+    g: Graph, r: int, cfg: Optional[ConstantsConfig] = None, seed: int = 0
+) -> Optional[AbsorbingSet]:
+    """absorbing.build_absorbing_set keeping, per probe, the first of up to
+    four sampled absorbers that is disjoint from the vertices already taken."""
+    if r < 2:
+        raise PreconditionError("need r >= 2")
+    if cfg is None:
+        cfg = default_constants(r)
+    n = g.n
+    _sigma_gate(g, r, cfg.alpha)
+    if n >= r:
+        sp = _sparse_set(g, g.full_mask, n // r, cfg.gamma, n)
+        if sp is not None:
+            return None
+
+    slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * n)
+    exploit_clique = len(slow) > cfg.xi * n
+    cap = int(2 * cfg.xi * n)
+    reserve = 0 if exploit_clique or not slow else len(slow) + (r - 1) * (r - 1)
+    fam_cap = max(0, cap - reserve) // (r * r)
+    needed = max(1, int(cfg.epsilon * n) // r)
+    if fam_cap < needed:
+        return None
+    fam_target = min(fam_cap, needed + 2)
+    probe_pool = g.full_mask if exploit_clique else g.full_mask & ~slow.bits
+
+    for attempt in range(10):
+        rng = random.Random(0xAB50 + seed * 1000003 + attempt)
+        picked: List[VertexSet] = []
+        taken = 0
+        for _ in range(8 * fam_target + 8):
+            if len(picked) >= fam_target:
+                break
+            pool = list(iter_bits(probe_pool & ~taken))
+            if len(pool) < r:
+                break
+            probe = VertexSet(rng.sample(pool, r))
+            fam = enumerate_absorbers(
+                g, probe, r, budget=4, cfg=cfg,
+                seed=rng.randrange(1 << 30), exclude=taken,
+            )
+            for s in fam.members:
+                if not (s.bits & taken):
+                    picked.append(s)
+                    taken |= s.bits
+                    break
+        if len(picked) < needed:
+            continue
+
+        factors = []
+        for s in picked:
+            f = kr_factor_exact(g, r, s.bits)
+            if f is None:
+                raise InternalContradiction("verified absorber lost its factor")
+            factors.append(f.cliques)
+
+        fixed: List[VertexSet] = []
+        if reserve:
+            if not g.is_clique(slow.bits):
+                raise InternalContradiction(
+                    "low-degree set is not a clique despite the degree-sum floor"
+                )
+            left = sorted(slow.members())
+            while len(left) >= r:
+                fixed.append(VertexSet(left[:r]))
+                left = left[r:]
+            ok = True
+            for w in left:
+                inside = g.adj[w] & ~slow.bits & ~taken
+                for c in fixed:
+                    inside &= ~c.bits
+                comp = find_clique_of_size(g, r - 1, inside)
+                if comp is None:
+                    ok = False
+                    break
+                fixed.append(VertexSet(comp.bits | (1 << w)))
+            if not ok:
+                continue
+
+        out = AbsorbingSet(r, cfg.epsilon, tuple(picked), tuple(factors), tuple(fixed))
+        if len(out.m) <= cap:
+            return out
     return None

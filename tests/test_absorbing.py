@@ -1,5 +1,6 @@
 """Absorption machinery: sampled absorbers, layered greedy factors, the set M."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -23,9 +24,21 @@ from equitiler import (
     find_augmentation,
     is_absorber_set,
     layered_greedy,
+    random_gnp,
     sigma,
 )
-from _brute import count_absorbers_exact, layered_factor_exact
+from equitiler.absorbing import _random_clique
+from equitiler.graphs import iter_bits
+from _brute import (
+    absorber_family_problems,
+    absorbing_family_for,
+    absorbing_set_problems,
+    adj_sets,
+    count_absorbers_exact,
+    is_clique_set,
+    layered_factor_exact,
+    seed_build_absorbing_set,
+)
 from conftest import random_graph
 
 
@@ -114,6 +127,47 @@ DENSE_CFG = replace(
 )
 
 
+class CountingRandom(random.Random):
+    """Counts uniform integer draws; `shuffle`, `sample` and `randrange` all
+    make theirs through `_randbelow`."""
+
+    draws = 0
+
+    def _randbelow(self, n):
+        self.draws += 1
+        return super()._randbelow(n)
+
+
+class TestRandomClique:
+    def test_size_zero_is_the_empty_clique(self):
+        assert _random_clique(Graph.complete(5), random.Random(0), 0b11111, 0) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_a_clique_inside_the_pool_or_none(self, seed, size):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        pool = rng.getrandbits(n)
+        got = _random_clique(g, rng, pool, size)
+        adj = adj_sets(n, g.edges())
+        members = [v for v in range(n) if pool >> v & 1]
+        if not any(is_clique_set(adj, c) for c in itertools.combinations(members, size)):
+            assert got is None
+        if got is not None:
+            assert got & ~pool == 0
+            assert got.bit_count() == size
+            assert is_clique_set(adj, iter_bits(got))
+
+    def test_draws_grow_with_the_clique_not_the_pool(self):
+        # A full shuffle of the pool would make 899 draws here.
+        g = Graph.complete(900)
+        rng = CountingRandom(5)
+        got = _random_clique(g, rng, g.full_mask, 3)
+        assert got is not None and got.bit_count() == 3
+        assert rng.draws <= 3
+
+
 class TestEnumerate:
     def test_bridge_gadget_unique_absorber(self):
         g = bridge_gadget()
@@ -124,7 +178,7 @@ class TestEnumerate:
         fam = enumerate_absorbers(g, q, 3, budget=4, seed=0)
         assert fam.q == q
         assert fam.members == (VertexSet(range(9)),)
-        assert fam.validate(g, 3) == []
+        assert absorber_family_problems(fam, g, 3) == []
 
     def test_edgeless_finds_nothing(self):
         fam = enumerate_absorbers(Graph.empty(12), vs(9, 10, 11), 3, budget=4, seed=0)
@@ -237,7 +291,7 @@ class TestBuild:
         assert len(aset.family) == 1
         assert aset.fixed == ()
         assert len(aset.m) == 9
-        assert aset.validate(g) == []
+        assert absorbing_set_problems(aset, g) == []
         t = absorb(g, aset, vs())
         assert len(t.cliques) == 3
         assert t.covered == aset.m
@@ -254,13 +308,13 @@ class TestBuild:
         assert len(aset.family) == 1
         assert aset.fixed == ()
         assert len(aset.m) == 9
-        assert aset.validate(g) == []
+        assert absorbing_set_problems(aset, g) == []
         rest = VertexSet(range(12)) - aset.m
         t = absorb(g, aset, rest)
         assert len(t.cliques) == 4
         assert t.covered == VertexSet(range(12))
         assert t.verify(g)
-        assert aset.family_for(g, rest).members == aset.family
+        assert absorbing_family_for(aset, g, rest).members == aset.family
 
     def test_small_slow_set_gets_fixed_cover(self):
         g = hub_core()
@@ -272,7 +326,7 @@ class TestBuild:
         spill = next(f for f in aset.fixed if f != vs(0, 1, 2))
         assert 3 in spill and len(spill) == 3
         assert len(aset.m) == 15
-        assert aset.validate(g) == []
+        assert absorbing_set_problems(aset, g) == []
         pool = sorted((VertexSet(range(24)) - aset.m).members())
         t = absorb(g, aset, VertexSet(pool[:3]))
         assert len(t.cliques) == 6
@@ -286,7 +340,7 @@ class TestBuild:
         assert len(aset.family) == 3
         assert aset.fixed == ()
         assert len(aset.m) == 27
-        assert aset.validate(g) == []
+        assert absorbing_set_problems(aset, g) == []
         pool = sorted((VertexSet(range(60)) - aset.m).members())
         pick = random.Random(7)
         for trial in range(10):
@@ -304,6 +358,27 @@ class TestBuild:
     def test_r_below_two_rejected(self):
         with pytest.raises(PreconditionError):
             build_absorbing_set(Graph.complete(6), 1)
+
+
+class TestBuildMatchesSeed:
+    """One absorber per probe builds the set the four-absorber probes built."""
+
+    CASES = {
+        "complete60": (lambda: Graph.complete(60), None),
+        "clique_core": (clique_core, CASE2_CFG),
+        "hub_core": (hub_core, CASE1_CFG),
+        "dense60": (lambda: random_graph(random.Random(0xE0A1), 60, 0.9), DENSE_CFG),
+        "gnp120": (lambda: random_gnp(120, 0.9, 0), DENSE_CFG),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_absorbing_set(self, name, seed):
+        build, cfg = self.CASES[name]
+        g = build()
+        want = seed_build_absorbing_set(g, 3, cfg=cfg, seed=seed)
+        assert want is not None
+        assert build_absorbing_set(g, 3, cfg=cfg, seed=seed) == want
 
 
 class TestAbsorb:
@@ -340,6 +415,6 @@ class TestAbsorb:
             factors=((vs(0, 1, 2), vs(3, 4, 5), vs(6, 7, 8)),),
             fixed=(),
         )
-        assert orphaned.validate(g) == []
+        assert absorbing_set_problems(orphaned, g) == []
         with pytest.raises(AbsorptionFailure):
             absorb(g, orphaned, vs(9, 10, 11))
