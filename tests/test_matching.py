@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equitiler.errors import PreconditionError
@@ -11,6 +12,7 @@ from equitiler.graphs import Graph, VertexSet, iter_bits
 from equitiler.matching import (
     Matching,
     TutteBarrier,
+    _augment_once,
     covering_matching,
     maximum_matching,
     pm_or_structure,
@@ -19,6 +21,7 @@ from equitiler.matching import (
 from _brute import (
     brute_covering_matching_exists,
     brute_max_matching_size,
+    seed_augment_once,
     seed_covering_matching,
     seed_maximum_matching,
     seed_unmasked_matching,
@@ -96,6 +99,104 @@ def test_masked_matchings_match_the_induced_copy(n, p, seed):
         assert got.pairs == tuple((labels[u], labels[v]) for u, v in ref.pairs)
 
 
+def spread_matching(rng: random.Random, g: Graph) -> list:
+    """A matching array that leaves a random independent set exposed and is
+    maximal on the rest, so the blossom search from those roots must go
+    through the matched vertices."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    exposed = 0
+    for v in order[: rng.randint(0, 4)]:
+        if not g.adj[v] & exposed:
+            exposed |= 1 << v
+    match = [-1] * g.n
+    rng.shuffle(order)
+    for v in order:
+        if match[v] == -1 and not exposed >> v & 1:
+            free = [u for u in iter_bits(g.adj[v] & ~exposed) if match[u] == -1]
+            if free:
+                u = rng.choice(free)
+                match[v] = u
+                match[u] = v
+    return match
+
+
+def assert_search_matches_seed(g: Graph, match: list) -> int:
+    """Run the blossom search and its seed from every exposed root, in
+    ascending order, on the same matching.  Both outcomes must agree: the
+    grown matching after an augmentation, the outer mask otherwise.  Returns
+    the union of the outer masks, the D of Gallai–Edmonds when `match` was
+    already maximum."""
+    d = 0
+    for v in range(g.n):
+        if match[v] == -1:
+            want_match = list(match)
+            want = seed_augment_once(g, want_match, v)
+            assert _augment_once(g, match, v, g.full_mask) == want
+            assert match == want_match
+            d |= want or 0
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=90),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.9, 0.97, 1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(40, 0.1, 376)
+@example(40, 0.1, 6)
+def test_blossom_search_matches_its_seed_on_dense_graphs(n, p, seed):
+    # Dense rows put a blossom on nearly every search, one that soon holds
+    # most of the tree.  Sparse rows nest blossoms below the root, where a
+    # contraction that walks the wrong members or enqueues them in the wrong
+    # order changes the result: the two examples are such inputs.  The first
+    # round of roots augments or fails; the second runs on a maximum
+    # matching, so every search there fails with its full outer mask.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    match = spread_matching(rng, g)
+    assert_search_matches_seed(g, match)
+    assert_search_matches_seed(g, match)
+
+
+def near_clique(rng: random.Random, n: int, first: int, size: int, missing: int) -> Graph:
+    """G on n vertices: a clique on first..first+size-1 less `missing` random
+    edges, every other vertex isolated."""
+    pairs = list(itertools.combinations(range(first, first + size), 2))
+    drop = set(rng.sample(pairs, missing))
+    return Graph.from_edges(n, [e for e in pairs if e not in drop])
+
+
+class TestOddBlocks:
+    """The leftover blocks the odd-split tiling pairs up: one isolated vertex
+    plus an odd near-clique, and two disjoint odd cliques.  Each exposed
+    root's search fails over a blossom that grows to hold its whole block."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isolated_vertex_plus_odd_near_clique(self, seed):
+        rng = random.Random(seed)
+        g = near_clique(rng, 162, 1, 161, 40)
+        self.check_barrier(g, maximum_matching(g).to_array(g.n))
+        self.check_barrier(g, spread_matching(rng, g))
+
+    def test_two_disjoint_odd_cliques(self):
+        g = two_cliques(61, 41)
+        self.check_barrier(g, maximum_matching(g).to_array(g.n))
+        self.check_barrier(g, spread_matching(random.Random(3), g))
+
+    @staticmethod
+    def check_barrier(g: Graph, match: list) -> None:
+        # D does not depend on which maximum matching the searches start from.
+        assert maximum_matching(g) == seed_maximum_matching(g)
+        assert_search_matches_seed(g, match)
+        d = assert_search_matches_seed(g, match)
+        reach = 0
+        for v in iter_bits(d):
+            reach |= g.adj[v]
+        assert pm_or_structure(g) == TutteBarrier(VertexSet(reach & ~d))
+
+
 class TestCoveringMatching:
     def test_matches_reference_random(self, rng):
         for _ in range(80):
@@ -124,6 +225,11 @@ class TestCoveringMatching:
         x = VertexSet([0, 1, 2, 3, 4])
         m = covering_matching(g, x, 5)
         assert m is not None and m.size == 5 and x.issubset(m.covered)
+
+    def test_x_outside_the_mask_rejected(self):
+        path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(PreconditionError):
+            covering_matching(path, VertexSet([4]), 1, inside=0b00111)
 
     def test_impossible_when_too_large(self):
         assert covering_matching(Graph.complete(4), VertexSet([0, 1, 2]), 3) is None
