@@ -178,7 +178,8 @@ def enumerate_absorbers(
         cfg = default_constants(max(r, 2))
     slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * g.n)
     exploit_clique = len(slow) > cfg.xi * g.n
-    return _sample_absorbers(g, q, r, budget, seed, exclude, slow.bits, exploit_clique)
+    found = _sample_absorbers(g, q, r, budget, seed, exclude, slow.bits, exploit_clique)
+    return AbsorberFamily(q, tuple(s for s, _ in found))
 
 
 def _sample_absorbers(
@@ -190,14 +191,17 @@ def _sample_absorbers(
     exclude: int,
     slow: int,
     exploit_clique: bool,
-) -> AbsorberFamily:
-    """`enumerate_absorbers` given the low-degree set its caller computed."""
+) -> List[Tuple[VertexSet, Tiling]]:
+    """`enumerate_absorbers` given the low-degree set its caller computed.
+
+    Each absorber S comes with the K_r-factor of G[S] that its check found.
+    """
     base_pool = slow if exploit_clique else g.full_mask & ~slow
     base_pool &= ~q.bits & ~exclude
     bridge_pool = g.full_mask & ~slow & ~exclude
 
     rng = random.Random(seed * 1000003 + q.bits % (1 << 61))
-    found: List[VertexSet] = []
+    found: List[Tuple[VertexSet, Tiling]] = []
     seen = set()
     qs = sorted(q.members())
     for k in range(max(budget * 40, 200)):
@@ -232,9 +236,11 @@ def _sample_absorbers(
         if bits in seen:
             continue
         seen.add(bits)
-        if is_absorber_set(g, bits, q.bits, r):
-            found.append(VertexSet(bits))
-    return AbsorberFamily(q, tuple(found))
+        # The absorber check of `is_absorber_set`, keeping the factor of G[S].
+        own = kr_factor_exact(g, r, bits)
+        if own is not None and kr_factor_exact(g, r, bits | q.bits) is not None:
+            found.append((VertexSet(bits), own))
+    return found
 
 
 def build_absorbing_set(
@@ -280,6 +286,7 @@ def build_absorbing_set(
     for attempt in range(10):
         rng = random.Random(0xAB50 + seed * 1000003 + attempt)
         picked: List[VertexSet] = []
+        factors = []
         taken = 0
         for _ in range(8 * fam_target + 8):
             if len(picked) >= fam_target:
@@ -288,25 +295,19 @@ def build_absorbing_set(
             if len(pool) < r:
                 break
             probe = VertexSet(rng.sample(pool, r))
-            fam = _sample_absorbers(
+            found = _sample_absorbers(
                 g, probe, r, 1, rng.randrange(1 << 30), taken, slow.bits, exploit_clique
             )
-            if not fam.members:
+            if not found:
                 continue
-            s = fam.members[0]
+            s, own = found[0]
             if s.bits & taken:
                 raise InternalContradiction("sampled absorber overlaps the absorbing set")
             picked.append(s)
+            factors.append(own.cliques)
             taken |= s.bits
         if len(picked) < needed:
             continue
-
-        factors = []
-        for s in picked:
-            f = kr_factor_exact(g, r, s.bits)
-            if f is None:
-                raise InternalContradiction("verified absorber lost its factor")
-            factors.append(f.cliques)
 
         fixed: List[VertexSet] = []
         if reserve:
