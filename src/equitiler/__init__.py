@@ -7,7 +7,6 @@ from .graphs import (
     sigma,
     complement,
     ore_edge_bound,
-    gamma_independent,
     low_degree_set,
     find_clique_of_size,
 )

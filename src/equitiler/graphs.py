@@ -31,7 +31,6 @@ __all__ = [
     "sigma",
     "complement",
     "ore_edge_bound",
-    "gamma_independent",
     "induced_edge_count",
     "low_degree_set",
     "iter_cliques",
@@ -204,9 +203,6 @@ class Graph:
     def degrees(self) -> List[int]:
         return [a.bit_count() for a in self.adj]
 
-    def degree_in(self, v: int, mask: int) -> int:
-        return (self.adj[v] & mask).bit_count()
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -259,13 +255,6 @@ class Graph:
         rows = [int("".join(pick(format(adj[v] & mask, width))), 2) for v in verts]
         return Graph(len(verts), rows), verts
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image graph under v -> perm[v]."""
-        out = Graph.empty(self.n)
-        for u, v in self.edges():
-            out.add_edge(perm[u], perm[v])
-        return out
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(f"n={self.n};".encode())
@@ -293,10 +282,6 @@ class OreStats:
     witness: Optional[Tuple[int, int]]
     min_degree: int
     max_degree: int
-
-    @property
-    def is_complete(self) -> bool:
-        return self.witness is None
 
 
 def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
@@ -367,13 +352,6 @@ def induced_edge_count(g: Graph, mask: int) -> int:
     for v in iter_bits(mask):
         total += (g.adj[v] & mask).bit_count()
     return total // 2
-
-
-def gamma_independent(g: Graph, vertices: VertexSet | int, gamma) -> bool:
-    """True iff the set induces at most gamma * n^2 edges (exact comparison)."""
-    mask = vertices.bits if isinstance(vertices, VertexSet) else vertices
-    gam = as_fraction(gamma)
-    return induced_edge_count(g, mask) <= gam * g.n * g.n
 
 
 def low_degree_set(g: Graph, threshold) -> VertexSet:

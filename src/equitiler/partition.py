@@ -329,10 +329,6 @@ class RefinementTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def total_moves(self) -> int:
-        return sum(s.swapped + s.surplus for s in self.steps)
-
 
 @dataclass(frozen=True)
 class GoodPartition:

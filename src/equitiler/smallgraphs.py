@@ -28,7 +28,6 @@ __all__ = [
     "labeled_graph_count",
     "graph_from_pair_mask",
     "iter_labeled_graphs_inplace",
-    "canonical_form",
     "connected_graphs",
     "CONNECTED_GRAPH_COUNTS",
 ]
@@ -103,13 +102,6 @@ def _perm_pow_table(n: int) -> np.ndarray:
                 a, b = b, a
             table[pi, s] = float(1 << index[(a, b)])
     return table
-
-
-def canonical_form(n: int, mask: int) -> int:
-    """Minimum edge mask over all relabelings."""
-    if n > MAX_CANONICAL_N:
-        raise ValueError(f"canonical forms supported up to n={MAX_CANONICAL_N}")
-    return _canonical_batch(n, [mask])[0]
 
 
 def _canonical_batch(n: int, masks: List[int]) -> List[int]:

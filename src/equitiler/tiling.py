@@ -114,21 +114,6 @@ class BaseSet:
             bits |= b.vertices.bits
         return VertexSet(bits)
 
-    def validate(self, g: Graph, q: GoodPartition) -> List[str]:
-        """Re-check disjointness and every seed's margin; returns violations."""
-        out = []
-        seen = 0
-        for k, b in enumerate(self.bases):
-            vb = b.vertices.bits
-            if seen & vb:
-                out.append(f"seed {k} overlaps an earlier seed")
-            seen |= vb
-            if not is_base(g, q, b):
-                out.append(f"seed {k} fails its margin check")
-        if self.covered.bits & ~seen:
-            out.append("covered vertices escape the seeds")
-        return out
-
 
 # ---------------------------------------------------------------------------
 # context helpers

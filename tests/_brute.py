@@ -40,12 +40,15 @@ from equitiler.graphs import (
 from equitiler.matching import Matching, maximum_matching
 from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set, kr_factor_exact
 from equitiler.partition import (
+    GoodPartition,
     RsPartition,
     VertexClassification,
     _check_thin_spread,
     _sparse_set,
     slack_threshold,
 )
+from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch
+from equitiler.tiling import BaseSet, is_base
 
 Edge = Tuple[int, int]
 
@@ -353,6 +356,43 @@ def absorbing_family_for(aset: AbsorbingSet, g: Graph, q: VertexSet) -> Absorber
         if not (s.bits & q.bits) and is_absorber_set(g, s.bits, q.bits, aset.r)
     )
     return AbsorberFamily(q, hits)
+
+
+def base_set_problems(bs: BaseSet, g: Graph, q: GoodPartition) -> List[str]:
+    """What is wrong with `bs`: overlapping seeds, a failed margin check, or
+    covered vertices outside the seeds."""
+    out = []
+    seen = 0
+    for k, b in enumerate(bs.bases):
+        vb = b.vertices.bits
+        if seen & vb:
+            out.append(f"seed {k} overlaps an earlier seed")
+        seen |= vb
+        if not is_base(g, q, b):
+            out.append(f"seed {k} fails its margin check")
+    if bs.covered.bits & ~seen:
+        out.append("covered vertices escape the seeds")
+    return out
+
+
+def gamma_independent(g: Graph, vertices: VertexSet, gamma) -> bool:
+    """True iff the set induces at most gamma * n^2 edges (exact comparison)."""
+    return induced_edge_count(g, vertices.bits) <= as_fraction(gamma) * g.n * g.n
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Image graph under v -> perm[v]."""
+    out = Graph.empty(g.n)
+    for u, v in g.edges():
+        out.add_edge(perm[u], perm[v])
+    return out
+
+
+def canonical_form(n: int, mask: int) -> int:
+    """Minimum edge mask over all relabelings."""
+    if n > MAX_CANONICAL_N:
+        raise ValueError(f"canonical forms supported up to n={MAX_CANONICAL_N}")
+    return _canonical_batch(n, [mask])[0]
 
 
 def layered_factor_exact(g: Graph, r: int, cap: int = 16) -> LayeredFactor:

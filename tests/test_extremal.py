@@ -24,6 +24,7 @@ from equitiler.graphs import Graph, VertexSet, lowest_vertices, max_independent_
 
 from _brute import (
     has_biclique,
+    relabel,
     seed_independent_heuristic,
     seed_independent_set_of_size,
     seed_masked_independent_heuristic,
@@ -86,7 +87,7 @@ class TestRecognizer:
         g = build_ex2(12, 3, 3)
         perm = list(range(12))
         rng.shuffle(perm)
-        h = g.relabel(perm)
+        h = relabel(g, perm)
         w = recognize_extremal(h, 3)
         assert isinstance(w, Ex2Witness) and w.s == 3 and w.verify(h, 3)
 

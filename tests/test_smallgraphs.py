@@ -10,13 +10,14 @@ from equitiler.graphs import Graph, connected_components
 from equitiler.smallgraphs import (
     CONNECTED_GRAPH_COUNTS,
     MAX_CANONICAL_N,
-    canonical_form,
     connected_graphs,
     graph_from_pair_mask,
     iter_labeled_graphs_inplace,
     labeled_graph_count,
     pair_slots,
 )
+
+from _brute import canonical_form
 
 
 class TestLabeled:

@@ -36,7 +36,7 @@ from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
 from equitiler.tiling import _blocks
 
-from _brute import seed_multipartite_factor, seed_quotient_factor
+from _brute import base_set_problems, seed_multipartite_factor, seed_quotient_factor
 from conftest import random_graph
 
 
@@ -310,7 +310,7 @@ class TestSlack:
         good = SingleBase(vs(1), Fraction(1, 4))
         twin = SingleBase(vs(1, 2), Fraction(1, 4))
         bs = BaseSet((good, twin), vs(1))
-        assert any("overlap" in c for c in bs.validate(g, q))
+        assert any("overlap" in c for c in base_set_problems(bs, g, q))
 
 
 class TestCoverExceptional:
@@ -331,7 +331,7 @@ class TestCoverExceptional:
         assert b.clique == vs(5, 8)
         assert b.slack == Fraction(1, 3)
         assert out.covered == vs(5)
-        assert out.validate(g, q) == []
+        assert base_set_problems(out, g, q) == []
 
     def test_isolated_thin_vertex_signals(self):
         g, q = q_sig_12()
@@ -354,7 +354,7 @@ class TestCoverNonexcellent:
         assert [type(b) for b in out.bases] == [SingleBase, SingleBase]
         assert {b.clique for b in out.bases} == {vs(0), vs(3)}
         assert all(b.slack == Fraction(2, 9) for b in out.bases)
-        assert out.validate(g, q) == []
+        assert base_set_problems(out, g, q) == []
 
     def test_part_vertex_gets_a_pair_seed(self):
         g, q = q_tri18_case1()
@@ -365,7 +365,7 @@ class TestCoverNonexcellent:
         assert (b.left, b.right) == (vs(12, 13), vs(0, 1, 2))
         assert (b.heavy_left, b.heavy_right) == (0, None)
         assert b.slack == Fraction(4, 9)
-        assert out.validate(g, q) == []
+        assert base_set_problems(out, g, q) == []
 
     def test_avoid_set_size_gate(self):
         g = k333_dent()
@@ -543,7 +543,7 @@ def layered_random(rng, sizes, floor):
                 missing = [v for v in range(offs[j], offs[j] + sizes[j])
                            if not g.has_edge(u, v)]
                 rng.shuffle(missing)
-                while g.degree_in(u, jmask) < floor:
+                while (g.adj[u] & jmask).bit_count() < floor:
                     g.add_edge(u, missing.pop())
     parts = tuple(
         VertexSet(range(offs[i], offs[i] + sizes[i])) for i in range(k)
