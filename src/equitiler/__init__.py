@@ -51,7 +51,6 @@ from .tiling import (
     DoubleBase,
     BaseSet,
     base_slack,
-    is_base,
     cover_exceptional,
     cover_nonexcellent,
     extend_base,

@@ -28,6 +28,7 @@ from .graphs import (
     induced_edge_count,
     iter_bits,
     low_degree_set,
+    mask_of,
 )
 from .matching import Matching, covering_matching, maximum_matching
 
@@ -129,80 +130,93 @@ class VertexClassification:
         return out
 
 
-def classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
-    """Grade every vertex against every block at the given threshold."""
+def classify(
+    g: Graph, p: RsPartition, deltas: Tuple
+) -> Tuple[VertexClassification, ...]:
+    """Grade every vertex against every block, once per threshold in `deltas`.
+
+    Each block's degree row d(v, X) is counted once and read at every
+    threshold: the row is bucketed by degree, and a running OR from the top
+    turns the buckets into "degree at least t" masks, so a grade at any
+    threshold is one lookup.  The degree sequence is read once, for the
+    slack set S and the thin-spread check.  Returns one classification per
+    threshold, in the order given.
+    """
     p.check(g.n)
-    d = as_fraction(delta)
     n = g.n
-    # Degrees are integers, so crowded means d >= ceil(delta*n), thin means
-    # d <= floor(delta*n) and excellent toward X means d >= |X| - floor(delta*n).
-    crowd = math.ceil(d * n)
-    thin = math.floor(d * n)
-    slack = (
-        low_degree_set(g, slack_threshold(n, n // len(p.parts[0])))
-        if p.parts
-        else low_degree_set(g, slack_threshold(n, 1) if n else 0)
-    )
-    bad: List[VertexSet] = []
-    exc: List[VertexSet] = []
-    exl: List[VertexSet] = []
-    nex: List[VertexSet] = []
+    degs = g.degrees()
+    # S is the vertices of degree strictly below the slack threshold.
+    cut = math.ceil(slack_threshold(n, n // len(p.parts[0]) if p.parts else 1))
+    slack = VertexSet(mask_of(v for v, dv in enumerate(degs) if dv < cut))
     full = g.full_mask
-    for part in p.parts:
-        m = part.bits
-        hi = len(part) - thin
-        b_bits = x_bits = e_bits = 0
-        for v in iter_bits(m):
-            if (g.adj[v] & m).bit_count() >= crowd:
-                b_bits |= 1 << v
-        for v in iter_bits(full & ~m):
-            dv = (g.adj[v] & m).bit_count()
-            if dv <= thin:
-                x_bits |= 1 << v
-            if dv >= hi:
-                e_bits |= 1 << v
-        bad.append(VertexSet(b_bits))
-        exc.append(VertexSet(x_bits))
-        exl.append(VertexSet(e_bits))
-        nex.append(VertexSet(full & ~m & ~e_bits))
-    bm = p.b.bits
-    hi_b = len(p.b) - thin
-    eb = 0
-    for v in iter_bits(full & ~bm):
-        if (g.adj[v] & bm).bit_count() >= hi_b:
-            eb |= 1 << v
-    out = VertexClassification(
-        partition=p,
-        delta=d,
-        low_degree=slack,
-        bad=tuple(bad),
-        exceptional=tuple(exc),
-        excellent=tuple(exl),
-        nonexcellent=tuple(nex),
-        excellent_b=VertexSet(eb),
-        nonexcellent_b=VertexSet(full & ~bm & ~eb),
-    )
-    _check_thin_spread(g, out)
-    return out
+    rows = [_at_least(g, part.bits, len(part)) for part in p.parts]
+    row_b = _at_least(g, p.b.bits, len(p.b))
+    out = []
+    for delta in deltas:
+        d = as_fraction(delta)
+        # Degrees are integers, so crowded means d >= ceil(delta*n), thin
+        # means d <= floor(delta*n) and excellent toward X means
+        # d >= |X| - floor(delta*n).
+        crowd = math.ceil(d * n)
+        thin = math.floor(d * n)
+        bad: List[VertexSet] = []
+        exc: List[VertexSet] = []
+        exl: List[VertexSet] = []
+        nex: List[VertexSet] = []
+        for part, ge in zip(p.parts, rows):
+            m = part.bits
+            e_bits = ge(len(part) - thin) & ~m
+            bad.append(VertexSet(ge(crowd) & m))
+            exc.append(VertexSet(full & ~m & ~ge(thin + 1)))
+            exl.append(VertexSet(e_bits))
+            nex.append(VertexSet(full & ~m & ~e_bits))
+        bm = p.b.bits
+        eb = row_b(len(p.b) - thin) & ~bm
+        cls = VertexClassification(
+            partition=p,
+            delta=d,
+            low_degree=slack,
+            bad=tuple(bad),
+            exceptional=tuple(exc),
+            excellent=tuple(exl),
+            nonexcellent=tuple(nex),
+            excellent_b=VertexSet(eb),
+            nonexcellent_b=VertexSet(full & ~bm & ~eb),
+        )
+        _check_thin_spread(degs, cls)
+        out.append(cls)
+    return tuple(out)
 
 
-def _check_thin_spread(g: Graph, cls: VertexClassification) -> None:
+def _at_least(g: Graph, mask: int, size: int):
+    """t -> the mask of the vertices with at least t neighbours in `mask`."""
+    # levels[t] collects degree exactly t, then, ORed from the top, at least t.
+    levels = [0] * (size + 2)
+    for v, a in enumerate(g.adj):
+        levels[(a & mask).bit_count()] |= 1 << v
+    for t in range(size, -1, -1):
+        levels[t] |= levels[t + 1]
+    return lambda t: levels[min(max(t, 0), size + 1)]
+
+
+def _check_thin_spread(degs: List[int], cls: VertexClassification) -> None:
     # Pigeonhole sanity: d(v) > (1 - 2/r + 2*delta)n forces d(v, A_i) <= delta*n
     # for at most one part.  A breach means the grade sets were computed wrong.
     p = cls.partition
     if not p.parts:
         return
-    n = g.n
+    n = len(degs)
     r = n // len(p.parts[0])
     bound = Fraction(r - 2, r) * n + 2 * cls.delta * n
-    counts = [0] * n
+    once = twice = 0
     for x in cls.exceptional:
-        for v in iter_bits(x.bits):
-            counts[v] += 1
-    for v in range(n):
-        if counts[v] >= 2 and g.degree(v) > bound:
+        twice |= once & x.bits
+        once |= x.bits
+    for v in iter_bits(twice):
+        if degs[v] > bound:
+            count = sum(v in x for x in cls.exceptional)
             raise InternalContradiction(
-                f"vertex {v} grades thin toward {counts[v]} parts at degree {g.degree(v)}"
+                f"vertex {v} grades thin toward {count} parts at degree {degs[v]}"
             )
 
 
@@ -334,14 +348,18 @@ class RefinementTrace:
 class GoodPartition:
     """A refined partition with its grades, rescue matchings and constants.
 
-    `classification` is taken at delta = 2 * beta_prime, the threshold the
-    tiling stage reads.  `rescue[i]` matches every off-S vertex that is
-    thin toward A_i at beta/2 into A_i; the matchings are pairwise
-    disjoint.  `validate_good` re-derives every condition from scratch.
+    The partition is graded once at each threshold the tiling stage reads:
+    `classification` at delta = 2 * beta_prime, `thin` at beta/2 and
+    `crowded` at 2 * beta (`_grade_thresholds`).  `rescue[i]` matches every
+    off-S vertex that is thin toward A_i at beta/2 into A_i; the matchings
+    are pairwise disjoint.  `validate_good` re-derives every condition from
+    scratch, the carried grades included.
     """
 
     partition: RsPartition
     classification: VertexClassification
+    thin: VertexClassification
+    crowded: VertexClassification
     rescue: Tuple[Matching, ...]
     constants: ConstantsConfig
 
@@ -352,6 +370,12 @@ class GoodPartition:
     @property
     def low_degree(self) -> VertexSet:
         return self.classification.low_degree
+
+
+def _grade_thresholds(cfg: ConstantsConfig) -> Tuple[Fraction, Fraction, Fraction]:
+    """The thresholds of a good partition's grades, in the order `thin`,
+    `crowded`, `classification`: beta/2, 2 * beta and 2 * beta_prime."""
+    return (cfg.beta / 2, 2 * cfg.beta, 2 * cfg.beta_prime)
 
 
 def _assemble(parts: List[int], b: int) -> RsPartition:
@@ -405,7 +429,7 @@ def refine_to_good(
     steps: List[RefineStep] = []
     for k in range(s):
         delta = cfg.beta + k * cfg.alpha
-        cls = classify(g, _assemble(parts, b), delta)
+        (cls,) = classify(g, _assemble(parts, b), (delta,))
         thin = cls.off_low(cls.exceptional[k])
         crowded = cls.bad[k]
         xs = sorted(thin.members())
@@ -448,11 +472,13 @@ def refine_to_good(
             raise InternalContradiction("exchange round changed a part size")
     trace = RefinementTrace(tuple(steps))
     final = _assemble(parts, b)
-    rescue = _rescue_matchings(g, final, cfg, trace)
+    thin_cls, crowded_cls, cls = classify(g, final, _grade_thresholds(cfg))
     good = GoodPartition(
         partition=final,
-        classification=classify(g, final, 2 * cfg.beta_prime),
-        rescue=rescue,
+        classification=cls,
+        thin=thin_cls,
+        crowded=crowded_cls,
+        rescue=_rescue_matchings(g, thin_cls, trace),
         constants=cfg,
     )
     report = validate_good(g, good)
@@ -549,10 +575,14 @@ def _apply_straddle(
 
 
 def _rescue_matchings(
-    g: Graph, p: RsPartition, cfg: ConstantsConfig, trace: RefinementTrace
+    g: Graph, cls: VertexClassification, trace: RefinementTrace
 ) -> Tuple[Matching, ...]:
-    """Disjoint matchings sending each beta/2-thin off-S vertex into its part."""
-    cls = classify(g, p, cfg.beta / 2)
+    """Disjoint matchings sending each thin off-S vertex into its part.
+
+    `cls` is the partition's grade at beta/2, the one `GoodPartition`
+    carries as `thin`.
+    """
+    p = cls.partition
     used = 0
     out: List[Matching] = []
     for i, part in enumerate(p.parts):
@@ -603,8 +633,15 @@ def validate_good(g: Graph, q: GoodPartition) -> List[str]:
     if not p.parts:
         return ["(shape) no parts to validate"]
     size = len(p.parts[0])
-    slack = low_degree_set(g, slack_threshold(n, n // size))
-    if not slack.issubset(p.b):
+    cls_half, cls_b, cls_ne = classify(g, p, _grade_thresholds(cfg))
+    for name, carried, fresh in (
+        ("thin", q.thin, cls_half),
+        ("crowded", q.crowded, cls_b),
+        ("classification", q.classification, cls_ne),
+    ):
+        if carried != fresh:
+            report.append(f"(grades) {name} differs from the grade at delta = {fresh.delta}")
+    if not cls_half.low_degree.issubset(p.b):
         report.append("(S) low-degree vertices stray outside the leftover block")
     for i, part in enumerate(p.parts):
         e = induced_edge_count(g, part.bits)
@@ -616,9 +653,6 @@ def validate_good(g: Graph, q: GoodPartition) -> List[str]:
         )
         if found is not None:
             report.append("(A2) leftover block still holds a sparse part")
-    cls_b = classify(g, p, 2 * cfg.beta)
-    cls_ne = classify(g, p, 2 * cfg.beta_prime)
-    cls_half = classify(g, p, cfg.beta / 2)
     for i in range(p.s):
         if not _within_root_budget(len(cls_b.bad[i]), cfg.alpha, n):
             report.append(f"(A3) part {i + 1} has {len(cls_b.bad[i])} crowded vertices")

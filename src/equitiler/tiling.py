@@ -30,7 +30,7 @@ from .errors import InternalContradiction, PreconditionError
 from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
 from .matching import maximum_matching
 from .oracle import Tiling
-from .partition import GoodPartition, RsPartition, classify
+from .partition import GoodPartition, RsPartition
 
 __all__ = [
     "SingleBase",
@@ -38,7 +38,6 @@ __all__ = [
     "Base",
     "BaseSet",
     "base_slack",
-    "is_base",
     "cover_exceptional",
     "cover_nonexcellent",
     "extend_base",
@@ -207,12 +206,6 @@ def base_slack(g: Graph, q: GoodPartition, b: Base) -> Optional[Fraction]:
     return best
 
 
-def is_base(g: Graph, q: GoodPartition, b: Base) -> bool:
-    """Exact check of the seed inequalities at the slack stamped on `b`."""
-    sl = base_slack(g, q, b)
-    return sl is not None and 0 < b.slack <= sl
-
-
 # ---------------------------------------------------------------------------
 # covering the thin-degree vertices
 
@@ -227,8 +220,6 @@ def _companions(
     q: GoodPartition,
     part_index: int,
     need: int,
-    thin,
-    crowded,
     ve: int,
     rescue_all: int,
     used: int,
@@ -243,7 +234,7 @@ def _companions(
     p = q.partition
     pmask = p.parts[part_index].bits
     low = q.low_degree.bits
-    bad_here = crowded.bad[part_index].bits
+    bad_here = q.crowded.bad[part_index].bits
     out: List[int] = []
     for x in iter_bits(bad_here & ~used):
         if len(out) == need:
@@ -253,7 +244,7 @@ def _companions(
         for j in range(p.s):
             if j == part_index:
                 continue
-            if not (thin.exceptional[j].bits & ~low) & xm:
+            if not (q.thin.exceptional[j].bits & ~low) & xm:
                 continue
             y = q.rescue[j].partner(x)
             if y is None or (1 << y) & used:
@@ -308,9 +299,7 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
     odd-split recognizers.
     """
     p, n, r, s = _context(g, q)
-    cfg = q.constants
-    thin = classify(g, p, cfg.beta / 2)
-    crowded = classify(g, p, 2 * cfg.beta)
+    thin = q.thin
     ve = q.classification.excellent_everywhere().bits
     low = q.low_degree.bits
     bmask = p.b.bits
@@ -357,9 +346,7 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
                 gmask |= sub.bits
             packed.append(gmask)
             used |= gmask
-        comps, used = _companions(
-            g, q, i, len(packed), thin, crowded, ve, rescue_all, used
-        )
+        comps, used = _companions(g, q, i, len(packed), ve, rescue_all, used)
         for gmask, cmask in zip(packed, comps):
             db = DoubleBase(
                 left=VertexSet(gmask),
@@ -413,7 +400,7 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
     cfg = q.constants
     if len(u) ** 4 > (4 * r) ** 4 * cfg.alpha * n**4:
         raise PreconditionError("avoid set too large for the cover")
-    thin = classify(g, p, cfg.beta / 2)
+    thin = q.thin
     vex = 0
     for i in range(s):
         vex |= thin.exceptional[i].bits
@@ -692,9 +679,12 @@ def multipartite_factor(
     comes up short the whole build restarts with seeded shuffles.  Above
     the cross-degree threshold of (1 - 1/2k) of a block the first pass
     always lands; below it the routine stays best-effort and may return
-    None.  A returned tiling is verified on g.  P and U are disjoint, so P
-    is inside N(U) exactly when U is inside N(P); `_layer_graph` builds the
-    layer graph from the units' side.
+    None.  A returned tiling is verified on g.  Each layer matching reads
+    the blossom search's greedy seed lazily (`_layer_matching`); only a
+    short seed builds the layer graph, with `_layer_graph`, and runs
+    `maximum_matching` on it.  P and U are disjoint, so P is inside N(U)
+    exactly when U is inside N(P); `_layer_graph` builds the layer graph
+    from the units' side.
     """
     k = len(blocks)
     if k == 0:
@@ -733,16 +723,43 @@ def multipartite_factor(
             if layer not in neighborhoods:
                 neighborhoods[layer] = [g.common_neighbors(u) for u in block]
             common = neighborhoods[layer]
-            mm = maximum_matching(_layer_graph(g.n, cliques, [common[ui] for ui in row]))
-            if len(mm.pairs) < m:
+            pairs = _layer_matching(g.n, cliques, [common[ui] for ui in row])
+            if len(pairs) < m:
                 break
-            for a, b in mm.pairs:
-                cliques[a] |= block[row[b - m]]
+            for ci, ui in pairs:
+                cliques[ci] |= block[row[ui]]
         else:
             t = Tiling(r, tuple(VertexSet(c) for c in cliques))
             if t.verify(g, require_factor=False):
                 return t
     return None
+
+
+def _layer_matching(
+    n: int, cliques: List[int], commons: List[int]
+) -> List[Tuple[int, int]]:
+    """A maximum matching of the layer graph, as (clique, unit) index pairs
+    in ascending clique order.
+
+    `maximum_matching`'s greedy seed gives each clique, in ascending order,
+    the lowest free unit whose common neighborhood holds it.  That seed is
+    read here one subset test at a time.  When it covers every clique no
+    vertex is left exposed, so the blossom search would augment nothing and
+    return exactly these pairs; only a short seed builds the layer graph.
+    """
+    free = list(range(len(commons)))
+    pairs = []
+    for ci, c in enumerate(cliques):
+        for j, ui in enumerate(free):
+            if not c & ~commons[ui]:
+                pairs.append((ci, ui))
+                del free[j]
+                break
+        else:
+            m = len(cliques)
+            mm = maximum_matching(_layer_graph(n, cliques, commons))
+            return [(a, b - m) for a, b in mm.pairs]
+    return pairs
 
 
 def _layer_graph(n: int, cliques: List[int], commons: List[int]) -> Graph:
@@ -853,9 +870,8 @@ def parity_repair(
     pairs = _pair_tiling(g, bmask & ~tiling.covered.bits)
     if pairs is not None:
         return tiling, pairs
-    cfg = q.constants
     ve = q.classification.excellent_everywhere().bits
-    thin = classify(g, p, cfg.beta / 2)
+    thin = q.thin
     obligations = g.full_mask & ~ve
     for i in range(s):
         obligations |= thin.exceptional[i].bits

@@ -48,7 +48,7 @@ from equitiler.partition import (
     slack_threshold,
 )
 from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch
-from equitiler.tiling import BaseSet, is_base
+from equitiler.tiling import Base, BaseSet, base_slack
 
 Edge = Tuple[int, int]
 
@@ -358,6 +358,12 @@ def absorbing_family_for(aset: AbsorbingSet, g: Graph, q: VertexSet) -> Absorber
     return AbsorberFamily(q, hits)
 
 
+def is_base(g: Graph, q: GoodPartition, b: Base) -> bool:
+    """Exact check of the seed inequalities at the slack stamped on `b`."""
+    sl = base_slack(g, q, b)
+    return sl is not None and 0 < b.slack <= sl
+
+
 def base_set_problems(bs: BaseSet, g: Graph, q: GoodPartition) -> List[str]:
     """What is wrong with `bs`: overlapping seeds, a failed margin check, or
     covered vertices outside the seeds."""
@@ -583,7 +589,7 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
         excellent_b=VertexSet(eb),
         nonexcellent_b=VertexSet(full & ~bm & ~eb),
     )
-    _check_thin_spread(g, out)
+    _check_thin_spread(g.degrees(), out)
     return out
 
 

@@ -381,10 +381,11 @@ def ex2_plus(n, u, v):
 
 class TestStructuredCertificates:
     """Certificate JSON, timings dropped, of three near-extremal inputs that
-    take the structured route, pinned by hash: a speedup that changes a
-    tiling or a note fails here."""
+    take the structured route, at n = 240 and 480, pinned by hash: a speedup
+    that changes a tiling or a note fails here.  At n = 480 the layers of
+    the multipartite finish hold 160 units."""
 
-    # n = 240, m = n/3: vertex 0 is B0, 1..2m-1 is B1, 2m..3m-1 is A.
+    # m = n/3: vertex 0 is B0, 1..2m-1 is B1, 2m..3m-1 is A.
     CASES = {
         "ex2+A": (
             lambda: decide_kr_factor(ex2_plus(240, 160, 161), 3),
@@ -397,6 +398,18 @@ class TestStructuredCertificates:
         "co(ex2+A)": (
             lambda: decide_equitable(complement(ex2_plus(240, 160, 161)), 80),
             "944672ea37fec22ae6a2a215ff85b471c04fe088165a0e31924721b314aa885e",
+        ),
+        "ex2+A/n=480": (
+            lambda: decide_kr_factor(ex2_plus(480, 320, 321), 3),
+            "1003ed646e1a78e55eac6c1c9aa39c7213a33c0e00ff021d2c5c4396e8efe6ee",
+        ),
+        "ex2+B0B1/n=480": (
+            lambda: decide_kr_factor(ex2_plus(480, 0, 1), 3),
+            "2dc0109ae367f2b9cc200bee8771983805f7257c846ee300c3cf6d6e0d32bb51",
+        ),
+        "co(ex2+A)/n=480": (
+            lambda: decide_equitable(complement(ex2_plus(480, 320, 321)), 160),
+            "79275617f8df0d86daa17122d1c53e3afee625338b0ca1f37f6843cd32e6047a",
         ),
     }
 

@@ -1,6 +1,7 @@
 """Peeling, vertex grading, and the exchange refinement."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -25,7 +26,12 @@ from equitiler import (
 )
 from equitiler.errors import PreconditionError
 from equitiler.graphs import induced_edge_count, low_degree_set
-from equitiler.partition import _apply_straddle, _sparse_set, slack_threshold
+from equitiler.partition import (
+    _apply_straddle,
+    _grade_thresholds,
+    _sparse_set,
+    slack_threshold,
+)
 
 from _brute import seed_classify, seed_sparse_set
 from conftest import random_graph
@@ -179,7 +185,7 @@ class TestClassify:
     def test_odd_split_grades(self):
         g = build_ex2(9, 3, 1)
         p = RsPartition((vs(6, 7, 8),), vs(0, 1, 2, 3, 4, 5))
-        cls = classify(g, p, Fraction(1, 9))
+        cls = classify(g, p, (Fraction(1, 9),))[0]
         # Every outsider sends all 3 edges into A_1: nobody is thin, all are
         # excellent; only the isolated-side clique vertex is low degree.
         assert cls.exceptional[0] == vs()
@@ -194,19 +200,19 @@ class TestClassify:
         g = build_ex2(12, 3, 3)
         p = RsPartition((vs(8, 9, 10, 11),), vs(*range(8)))
         for delta in (Fraction(1, 100), Fraction(1, 12), Fraction(1, 4)):
-            assert classify(g, p, delta).bad[0] == vs()
+            assert classify(g, p, (delta,))[0].bad[0] == vs()
 
     def test_single_edge_threshold(self):
         g = Graph.from_edges(6, [(0, 1)])
         p = RsPartition((vs(0, 1, 2),), vs(3, 4, 5))
         # delta*n = 1: both endpoints crowded; delta*n = 6/5: neither.
-        assert classify(g, p, Fraction(1, 6)).bad[0] == vs(0, 1)
-        assert classify(g, p, Fraction(1, 5)).bad[0] == vs()
+        assert classify(g, p, (Fraction(1, 6),))[0].bad[0] == vs(0, 1)
+        assert classify(g, p, (Fraction(1, 5),))[0].bad[0] == vs()
 
     def test_low_degree_split(self):
         g = build_ex2(9, 3, 1)
         p = RsPartition((vs(6, 7, 8),), vs(0, 1, 2, 3, 4, 5))
-        cls = classify(g, p, Fraction(1, 9))
+        cls = classify(g, p, (Fraction(1, 9),))[0]
         full = cls.excellent[0]
         assert cls.in_low(full) | cls.off_low(full) == full
         assert cls.in_low(full) == vs(0)
@@ -214,12 +220,12 @@ class TestClassify:
     def test_excellent_everywhere_aggregate(self):
         g = build_ex2(9, 3, 1)
         p = RsPartition((vs(6, 7, 8),), vs(0, 1, 2, 3, 4, 5))
-        cls = classify(g, p, Fraction(1, 9))
+        cls = classify(g, p, (Fraction(1, 9),))[0]
         # The odd-split join is complete across blocks, so everyone passes.
         assert cls.excellent_everywhere() == VertexSet(g.full_mask)
         sparse = Graph.from_edges(6, [(0, 1)])
         sp = RsPartition((vs(0, 1, 2),), vs(3, 4, 5))
-        scls = classify(sparse, sp, Fraction(1, 6))
+        scls = classify(sparse, sp, (Fraction(1, 6),))[0]
         assert scls.excellent_everywhere() == vs()
 
 
@@ -229,11 +235,12 @@ class TestClassify:
         r=st.integers(2, 4),
         m=st.integers(1, 12),
         p=st.sampled_from([0.1, 0.5, 0.9]),
-        num=st.integers(0, 40),
+        nums=st.lists(st.integers(0, 40), min_size=1, max_size=3),
         den=st.sampled_from([None, 7, 13, 100]),
     )
-    def test_integer_thresholds_match_fractions(self, seed, r, m, p, num, den):
-        # den None makes delta*n an integer; the others mostly do not.
+    def test_integer_thresholds_match_fractions(self, seed, r, m, p, nums, den):
+        # den None makes delta*n an integer; the others mostly do not.  One
+        # call grades at every threshold, each as the reference grades it.
         rng = random.Random(seed)
         n = r * m
         g = random_graph(rng, n, p)
@@ -241,8 +248,9 @@ class TestClassify:
         s = rng.randint(0, r)
         parts = tuple(VertexSet(order[i * m:(i + 1) * m]) for i in range(s))
         part = RsPartition(parts, VertexSet(order[s * m:]))
-        delta = Fraction(num, n if den is None else den)
-        assert classify(g, part, delta) == seed_classify(g, part, delta)
+        deltas = tuple(Fraction(num, n if den is None else den) for num in nums)
+        got = classify(g, part, deltas)
+        assert got == tuple(seed_classify(g, part, delta) for delta in deltas)
 
 
 class TestRefine:
@@ -312,6 +320,12 @@ class TestApplyStraddle:
             assert ((parts[0] >> u) & 1) + ((parts[0] >> v) & 1) == 1
 
 
+def graded(g, p, rescue, cfg):
+    """A GoodPartition of p carrying its three grades."""
+    thin, crowded, cls = classify(g, p, _grade_thresholds(cfg))
+    return GoodPartition(p, cls, thin, crowded, rescue, cfg)
+
+
 class TestValidate:
     def test_clean_output_passes(self):
         g = build_ex2(9, 3, 1)
@@ -323,12 +337,7 @@ class TestValidate:
         g = Graph.complete(9)
         cfg = default_constants(3).for_s(1)
         p = RsPartition((vs(0, 1, 2),), vs(3, 4, 5, 6, 7, 8))
-        q = GoodPartition(
-            partition=p,
-            classification=classify(g, p, 2 * cfg.beta_prime),
-            rescue=(Matching(()),),
-            constants=cfg,
-        )
+        q = graded(g, p, (Matching(()),), cfg)
         report = validate_good(g, q)
         assert any("(A1)" in line and "3 edges" in line for line in report)
         assert any("(A3)" in line for line in report)
@@ -337,11 +346,16 @@ class TestValidate:
         g = Graph.from_edges(12, [(0, 6), (0, 9)])
         cfg = default_constants(4).for_s(2)
         p = RsPartition((vs(6, 7, 8), vs(9, 10, 11)), vs(0, 1, 2, 3, 4, 5))
-        q = GoodPartition(
-            partition=p,
-            classification=classify(g, p, 2 * cfg.beta_prime),
-            rescue=(Matching(((0, 6),)), Matching(((0, 9),))),
-            constants=cfg,
-        )
+        q = graded(g, p, (Matching(((0, 6),)), Matching(((0, 9),))), cfg)
         report = validate_good(g, q)
         assert any("overlaps" in line for line in report)
+
+    def test_grade_at_the_wrong_threshold_flagged(self):
+        g = build_ex2(9, 3, 1)
+        p, _ = peel_partition(g, 3)
+        out, _ = refine_to_good(g, p, DESK_CFG)
+        cfg = out.constants
+        # The thin grade taken at 2*beta instead of beta/2.
+        (wrong,) = classify(g, out.partition, (2 * cfg.beta,))
+        report = validate_good(g, replace(out, thin=wrong))
+        assert report == [f"(grades) thin differs from the grade at delta = {cfg.beta / 2}"]

@@ -25,7 +25,6 @@ from equitiler import (
     cover_exceptional,
     cover_nonexcellent,
     extend_base,
-    is_base,
     multipartite_factor,
     parity_repair,
     strip_tiling,
@@ -34,9 +33,10 @@ from equitiler import (
 from equitiler.errors import PreconditionError
 from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
-from equitiler.tiling import _blocks
+from equitiler.partition import _grade_thresholds
+from equitiler.tiling import _blocks, _layer_matching
 
-from _brute import base_set_problems, seed_multipartite_factor, seed_quotient_factor
+from _brute import base_set_problems, is_base, seed_multipartite_factor, seed_quotient_factor
 from conftest import random_graph
 
 
@@ -118,9 +118,9 @@ CFG_SIG = ConstantsConfig(
 
 def manual_good(g, parts, b, cfg, rescue=None):
     p = RsPartition(tuple(VertexSet(x) for x in parts), VertexSet(b))
-    cl = classify(g, p, 2 * cfg.beta_prime)
+    thin, crowded, cl = classify(g, p, _grade_thresholds(cfg))
     resc = rescue if rescue is not None else tuple(Matching(()) for _ in parts)
-    return GoodPartition(p, cl, resc, cfg)
+    return GoodPartition(p, cl, thin, crowded, resc, cfg)
 
 
 def ex2_9():
@@ -621,8 +621,58 @@ def clique_units(rng, unit_sizes, m, p, extra=0):
     return g, tuple(blocks)
 
 
+def pairwise_layer_matching(cliques, commons):
+    """The layer matching as it was built: each clique tested against each
+    unit's common neighborhood, then the blossom search on the layer graph."""
+    m = len(cliques)
+    adj = [0] * (2 * m)
+    for ci, c in enumerate(cliques):
+        for ui, common in enumerate(commons):
+            if c & common == c:
+                adj[ci] |= 1 << (m + ui)
+                adj[m + ui] |= 1 << ci
+    return [(a, b - m) for a, b in maximum_matching(Graph(2 * m, adj)).pairs]
+
+
+class TestLayerMatching:
+    """The greedy seed read lazily, falling back to the blossom search on a
+    short seed, against the matching of the pairwise-built layer graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.sampled_from([0.3, 0.6, 0.9]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_blossom_search(self, size, m, p, seed):
+        rng = random.Random(seed)
+        n = size * m + 4
+        labels = rng.sample(range(n), size * m)
+        cliques = [VertexSet(labels[i * size:(i + 1) * size]).bits for i in range(m)]
+        commons = [
+            VertexSet(v for v in range(n) if rng.random() < p).bits for _ in range(m)
+        ]
+        got = _layer_matching(n, cliques, commons)
+        assert got == pairwise_layer_matching(cliques, commons)
+
+    def test_perfect_seed(self):
+        # Both cliques lie in both neighborhoods: each takes the lowest free unit.
+        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b11]) == [(0, 0), (1, 1)]
+
+    def test_short_seed_is_augmented(self):
+        # c0 meets u0 and u1, c1 only u0: the seed gives c0 u0 and leaves c1
+        # bare, and the blossom search moves c0 to u1.
+        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b01]) == [(0, 1), (1, 0)]
+
+    def test_short_seed_without_a_perfect_matching(self):
+        # Both cliques meet only u0.
+        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b00]) == [(0, 0)]
+
+
 class TestMultipartiteMatchesSeed:
-    """The row build in C against the pairwise meeting test it replaced."""
+    """The lazily read layer seed, and on a short seed the layer graph built
+    in C, against the pairwise meeting test they replaced."""
 
     @settings(max_examples=200, deadline=None)
     @given(
