@@ -741,23 +741,30 @@ def seed_multipartite_factor(
         cliques = [u for u, _ in layout[order[0]]]
         for layer in order[1:]:
             row = layout[layer]
-            # Clique ci on the left, unit ui of this layer at m + ui.
-            adj = [0] * (2 * m)
-            for ci, cm in enumerate(cliques):
-                for ui, (_, common) in enumerate(row):
-                    if cm & common == cm:
-                        adj[ci] |= 1 << (m + ui)
-                        adj[m + ui] |= 1 << ci
-            mm = maximum_matching(Graph(2 * m, adj))
-            if len(mm.pairs) < m:
+            pairs = seed_layer_matching(cliques, [common for _, common in row])
+            if len(pairs) < m:
                 break
-            for a, b in mm.pairs:
-                cliques[a] |= row[b - m][0]
+            for ci, ui in pairs:
+                cliques[ci] |= row[ui][0]
         else:
             t = Tiling(r, tuple(VertexSet(c) for c in cliques))
             if t.verify(g, require_factor=False):
                 return t
     return None
+
+
+def seed_layer_matching(cliques: List[int], commons: List[int]) -> List[Edge]:
+    """tiling._layer_matching while it tested each clique against each unit's
+    common neighborhood, then ran the blossom search on the layer graph:
+    clique ci on the left, unit ui at m + ui.  Pairs are (ci, ui)."""
+    m = len(cliques)
+    adj = [0] * (2 * m)
+    for ci, cm in enumerate(cliques):
+        for ui, common in enumerate(commons):
+            if cm & common == cm:
+                adj[ci] |= 1 << (m + ui)
+                adj[m + ui] |= 1 << ci
+    return [(a, b - m) for a, b in maximum_matching(Graph(2 * m, adj)).pairs]
 
 
 # The three ordered clique enumerations that `graphs.iter_cliques` replaced.

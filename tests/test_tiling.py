@@ -36,7 +36,13 @@ from equitiler.oracle import Tiling, kr_factor_exact
 from equitiler.partition import _grade_thresholds
 from equitiler.tiling import _blocks, _layer_matching
 
-from _brute import base_set_problems, is_base, seed_multipartite_factor, seed_quotient_factor
+from _brute import (
+    base_set_problems,
+    is_base,
+    seed_layer_matching,
+    seed_multipartite_factor,
+    seed_quotient_factor,
+)
 from conftest import random_graph
 
 
@@ -621,19 +627,6 @@ def clique_units(rng, unit_sizes, m, p, extra=0):
     return g, tuple(blocks)
 
 
-def pairwise_layer_matching(cliques, commons):
-    """The layer matching as it was built: each clique tested against each
-    unit's common neighborhood, then the blossom search on the layer graph."""
-    m = len(cliques)
-    adj = [0] * (2 * m)
-    for ci, c in enumerate(cliques):
-        for ui, common in enumerate(commons):
-            if c & common == c:
-                adj[ci] |= 1 << (m + ui)
-                adj[m + ui] |= 1 << ci
-    return [(a, b - m) for a, b in maximum_matching(Graph(2 * m, adj)).pairs]
-
-
 class TestLayerMatching:
     """The greedy seed read lazily, falling back to the blossom search on a
     short seed, against the matching of the pairwise-built layer graph."""
@@ -654,7 +647,7 @@ class TestLayerMatching:
             VertexSet(v for v in range(n) if rng.random() < p).bits for _ in range(m)
         ]
         got = _layer_matching(n, cliques, commons)
-        assert got == pairwise_layer_matching(cliques, commons)
+        assert got == seed_layer_matching(cliques, commons)
 
     def test_perfect_seed(self):
         # Both cliques lie in both neighborhoods: each takes the lowest free unit.
