@@ -8,7 +8,8 @@ fixed degree order and tries classes in index order.  Every prune cuts only
 subtrees that hold no solution and leaves the order of the rest alone, so the
 first solution found, and hence every returned witness, is reproducible and
 does not depend on which prunes ran.  The colouring search has two such
-prunes, fill and cover (see `equitable_coloring_exact`).
+prunes, fill and cover, and a third step that commits each vertex only one
+class can still take (see `equitable_coloring_exact`).
 """
 
 from __future__ import annotations
@@ -193,18 +194,24 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     capacity and empty-class symmetry pruning.  A (k+1)-clique
     short-circuits to None.
 
-    Two more prunes test each child after its vertex is placed.  Call the
+    The backtracking checks each child after its vertex is placed.  Call the
     unplaced vertices `rest`, and the vertices of `rest` that a non-full
     class could still take its free set.  Fill: every non-full class needs
     at least as many free vertices as it has places left.  Cover: every
-    vertex of `rest` must be free for some non-full class.  Each is a
-    necessary condition for completing the partial colouring, so a child
-    that fails one has no colouring below it, and skipping it leaves the
-    remaining children in the same order: the search returns the colouring
-    the unpruned search returns, class by class, and None exactly when it
-    does.  The tests cost O(k) mask operations per node, so they arm only at
-    the first dead end: an input that colours on the first descent never
-    pays for them.
+    vertex of `rest` must be free for some non-full class.  Commit: a vertex
+    free for exactly one non-full class goes into that class at once, and
+    the three steps repeat until nothing more is forced; a forced set larger
+    than its class's places left, or not independent, fails the child.
+    Fill and cover are necessary conditions for completing the partial
+    colouring, and a forced vertex lies in its class in every completion, so
+    the checks cut only subtrees without a colouring and options that no
+    colouring uses.  The vertex order and the class order stay static, and
+    so does the empty-class break: an empty class cannot take a forced
+    vertex while another empty class of the same size exists, since both
+    could take it.  So the search returns the colouring the unpruned search
+    returns, class by class, and None exactly when it does.  The checks cost
+    O(k) mask operations per round, so they arm only at the first dead end:
+    an input that colours on the first descent never pays for them.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -254,8 +261,16 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     """The class of each vertex in the first equitable colouring the
     backtracking of `equitable_coloring_exact` reaches, or None.
 
-    Kept apart from the caller so that the short calls, which end before the
-    search, do not set up its closures.
+    Once armed, each child runs `propagate`: fill, cover, and the commit of
+    every vertex that only one non-full class can still take, repeated until
+    nothing more is forced.  A committed vertex lies in that class in every
+    colouring below the child, so the commit drops only options no colouring
+    uses, and `place` skips it when its turn in `order` comes.  The class
+    order and the vertex order stay static, and so does the empty-class
+    break: an empty class never takes a commit while another empty class of
+    its size exists, since both could take the vertex.  Kept apart from the
+    caller so that the short calls, which end before the search, do not set
+    up its closures.
     """
     n = g.n
     k = len(caps)
@@ -264,26 +279,69 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     # join c iff it is outside near[c].
     near = [0] * k
     counts = [0] * k
+    # Read only at a leaf, where the current path has placed or committed
+    # every vertex, so a backtrack leaves its entries stale.
     assign = [-1] * n
-    armed = False
+    # None until the first dead end arms the checks; then the commits, as
+    # (class, its near row before, how many vertices it took), for the undo.
+    log: Optional[List[Tuple[int, int, int]]] = None
 
-    def feasible(rest: int) -> bool:
-        # Fill: a non-full class needs enough unplaced vertices it can take.
-        # Cover: every unplaced vertex needs a non-full class that can take it.
-        stuck = rest
-        for c in range(k):
-            need = caps[c] - counts[c]
-            if need:
-                if (rest & ~near[c]).bit_count() < need:
-                    return False
-                stuck &= near[c]
-        return not stuck
+    def propagate(rest: int) -> int:
+        # `rest`, the unassigned vertices, less those committed; -1 when no
+        # colouring lies below.  Fill: a non-full class needs enough
+        # vertices of `rest` it can take.  Cover: every vertex of `rest`
+        # needs a non-full class that can take it.  `ones` holds the
+        # vertices at least one such class can take, `twos` those that two
+        # can; a forced set is infeasible when it overfills its class or is
+        # not independent.
+        while True:
+            ones = twos = 0
+            for c in range(k):
+                need = caps[c] - counts[c]
+                if need:
+                    free = rest & ~near[c]
+                    if free.bit_count() < need:
+                        return -1
+                    twos |= ones & free
+                    ones |= free
+            if rest & ~ones:
+                return -1
+            forced = ones & ~twos
+            if not forced:
+                return rest
+            for c in range(k):
+                need = caps[c] - counts[c]
+                take = forced & ~near[c] if need else 0
+                if take:
+                    size = take.bit_count()
+                    if size > need:
+                        return -1
+                    log.append((c, near[c], size))
+                    # Peeled inline: on the sweeps' tiny searches an
+                    # `iter_bits` generator per commit costs more than the
+                    # one or two bits it walks.
+                    rows = 0
+                    bits = take
+                    while bits:
+                        low = bits & -bits
+                        u = low.bit_length() - 1
+                        rows |= adj[u]
+                        assign[u] = c
+                        bits ^= low
+                    near[c] |= rows
+                    counts[c] += size
+                    if rows & take:
+                        return -1
+            rest ^= forced
 
     def place(idx: int, rest: int) -> bool:
-        nonlocal armed
-        if idx == n:
+        nonlocal log
+        if not rest:
             return True
         v = order[idx]
+        while not rest >> v & 1:
+            idx += 1
+            v = order[idx]
         bit = 1 << v
         rest ^= bit
         row = adj[v]
@@ -302,13 +360,22 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
             near[c] = old | row
             counts[c] = cnt + 1
             assign[v] = c
-            if not armed or feasible(rest):
+            if log is None:
                 if place(idx + 1, rest):
                     return True
-                armed = True
+                # Every commit below has been undone, so the log is empty.
+                log = []
+            else:
+                mark = len(log)
+                left = propagate(rest)
+                if left >= 0 and place(idx + 1, left):
+                    return True
+                while len(log) > mark:
+                    d, before, size = log.pop()
+                    near[d] = before
+                    counts[d] -= size
             near[c] = old
             counts[c] = cnt
-            assign[v] = -1
         return False
 
     return assign if place(0, g.full_mask) else None

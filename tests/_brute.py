@@ -1108,6 +1108,74 @@ def seed_equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     return None
 
 
+# The colouring search's backtracking with the fill and cover prunes, before
+# forced vertices were committed.
+
+
+def seed_backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int]]:
+    """The class of each vertex in the first equitable colouring the
+    backtracking of `equitable_coloring_exact` reaches, or None.
+
+    Kept apart from the caller so that the short calls, which end before the
+    search, do not set up its closures.
+    """
+    n = g.n
+    k = len(caps)
+    adj = g.adj
+    # near[c] is the union of the neighbour rows of class c; a vertex can
+    # join c iff it is outside near[c].
+    near = [0] * k
+    counts = [0] * k
+    assign = [-1] * n
+    armed = False
+
+    def feasible(rest: int) -> bool:
+        # Fill: a non-full class needs enough unplaced vertices it can take.
+        # Cover: every unplaced vertex needs a non-full class that can take it.
+        stuck = rest
+        for c in range(k):
+            need = caps[c] - counts[c]
+            if need:
+                if (rest & ~near[c]).bit_count() < need:
+                    return False
+                stuck &= near[c]
+        return not stuck
+
+    def place(idx: int, rest: int) -> bool:
+        nonlocal armed
+        if idx == n:
+            return True
+        v = order[idx]
+        bit = 1 << v
+        rest ^= bit
+        row = adj[v]
+        seen_empty_cap = 0
+        for c in range(k):
+            cnt = counts[c]
+            if cnt >= caps[c]:
+                continue
+            if cnt == 0:
+                if seen_empty_cap >> caps[c] & 1:
+                    continue
+                seen_empty_cap |= 1 << caps[c]
+            old = near[c]
+            if old & bit:
+                continue
+            near[c] = old | row
+            counts[c] = cnt + 1
+            assign[v] = c
+            if not armed or feasible(rest):
+                if place(idx + 1, rest):
+                    return True
+                armed = True
+            near[c] = old
+            counts[c] = cnt
+            assign[v] = -1
+        return False
+
+    return assign if place(0, g.full_mask) else None
+
+
 # The bit walk, degree threshold and sparse-set probe before wide masks were
 # walked in C; the probe calls the peel in place of `iter_bits`.
 

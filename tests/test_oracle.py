@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from equitiler.graphs import Graph, VertexSet
 from equitiler.oracle import (
     Coloring,
     Tiling,
+    _backtrack,
+    _class_profile,
     equitable_coloring_exact,
     is_absorber_set,
     kr_factor_exact,
@@ -22,9 +27,18 @@ from _brute import (
     brute_layered_profile,
     count_absorbers_exact,
     layered_factor_exact,
+    seed_backtrack,
     seed_equitable_coloring_exact,
 )
 from conftest import cycle, random_graph
+
+
+def _seed_search_result_kept(g: Graph, k: int) -> bool:
+    got = equitable_coloring_exact(g, k)
+    want = seed_equitable_coloring_exact(g, k)
+    if want is None:
+        return got is None
+    return got is not None and got.classes == want.classes
 
 
 class TestKrFactor:
@@ -149,17 +163,58 @@ class TestEquitableColoring:
         st.integers(min_value=0, max_value=2**32),
     )
     def test_prunes_keep_the_seed_search_result(self, n, p, seed):
-        # The fill and cover prunes cut only subtrees without a colouring and
-        # keep the visiting order, so the first colouring found is the one
-        # the unpruned search returns, class by class.
+        # The fill and cover prunes cut only subtrees without a colouring,
+        # and a committed forced vertex lies in its class in every colouring
+        # below; the visiting order stays, so the first colouring found is
+        # the one the unpruned search returns, class by class.
         g = random_gnp(n, p, seed)
         for k in range(1, n + 1):
-            got = equitable_coloring_exact(g, k)
-            want = seed_equitable_coloring_exact(g, k)
-            if want is None:
-                assert got is None, k
-            else:
-                assert got is not None and got.classes == want.classes, k
+            assert _seed_search_result_kept(g, k), k
+
+    def test_every_small_graph_keeps_the_seed_search_result(self):
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if m >> i & 1])
+                for k in range(1, n + 1):
+                    assert _seed_search_result_kept(g, k), (n, m, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=16, max_value=30),
+        st.floats(min_value=0.15, max_value=0.5),
+        st.integers(min_value=3, max_value=7),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_commits_keep_the_seed_backtrack_result(self, n, p, k, seed):
+        # At these sizes and densities the greedy often gets stuck and the
+        # search arms, so the forced commits run; the search is called
+        # directly, past the greedy and the clique short-circuit.
+        g = random_gnp(n, p, seed)
+        caps = _class_profile(n, k)
+        degs = g.degrees()
+        order = sorted(range(n), key=degs.__getitem__, reverse=True)
+        assert _backtrack(g, caps, order) == seed_backtrack(g, caps, order)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, k, digest",
+        [
+            (44, 0.3, 146, 6, "71f988a7a1909459ea050e638a939f908a6a72694c4ecfbcda0f0aec071daa23"),
+            (45, 0.3, 830, 6, "a66171db59b91c379d5815ce3d903d022f044d0c3dc9bac5f25f4a3416b2acab"),
+            (40, 0.5, 7, 9, "4d0f9ee5b4710e07a827414bc7f129d8a93d124843f0d2910b3039ca9d4597a0"),
+            (42, 0.2, 799, 5, "231bf65e9ca92847ce6996d38c0d0fde6922904292ac113c2033afaba91b8d74"),
+            (46, 0.2, 57, 6, "683df71509f91dc746c1552fe379f9cbe642d54ebb63412e37eeb5e16f52772d"),
+            (48, 0.3, 227, 6, None),
+        ],
+    )
+    def test_slow_inputs_keep_their_colourings(self, n, p, seed, k, digest):
+        # sha256 of the class bitmasks, comma-joined in class order.
+        col = equitable_coloring_exact(random_gnp(n, p, seed), k)
+        if digest is None:
+            assert col is None
+        else:
+            bits = ",".join(str(c.bits) for c in col.classes)
+            assert hashlib.sha256(bits.encode()).hexdigest() == digest
 
     def test_named_slow_inputs_decide(self):
         # Without the prunes the k = 7 search runs for tens of seconds.
