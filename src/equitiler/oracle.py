@@ -8,8 +8,9 @@ fixed degree order and tries classes in index order.  Every prune cuts only
 subtrees that hold no solution and leaves the order of the rest alone, so the
 first solution found, and hence every returned witness, is reproducible and
 does not depend on which prunes ran.  The colouring search has two such
-prunes, fill and cover, and a third step that commits each vertex only one
-class can still take (see `equitable_coloring_exact`).
+prunes, fill and cover, and two commit rules: a vertex only one class can
+still take goes into that class, and a class with exactly as many candidates
+as places left takes them all (see `equitable_coloring_exact`).
 """
 
 from __future__ import annotations
@@ -198,17 +199,24 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     unplaced vertices `rest`, and the vertices of `rest` that a non-full
     class could still take its free set.  Fill: every non-full class needs
     at least as many free vertices as it has places left.  Cover: every
-    vertex of `rest` must be free for some non-full class.  Commit: a vertex
-    free for exactly one non-full class goes into that class at once, and
-    the three steps repeat until nothing more is forced; a forced set larger
-    than its class's places left, or not independent, fails the child.
-    Fill and cover are necessary conditions for completing the partial
-    colouring, and a forced vertex lies in its class in every completion, so
-    the checks cut only subtrees without a colouring and options that no
-    colouring uses.  The vertex order and the class order stay static, and
-    so does the empty-class break: an empty class cannot take a forced
-    vertex while another empty class of the same size exists, since both
-    could take it.  So the search returns the colouring the unpruned search
+    vertex of `rest` must be free for some non-full class.  Two commit
+    rules follow.  A vertex free for exactly one non-full class goes into
+    that class.  A tight class, one whose free set has exactly as many
+    vertices as it has places left, takes the whole set.  A commit fails the
+    child when it overfills its class or is not independent, and so does a
+    vertex that two tight classes share.  Each round is one pass over the
+    classes: a class takes its share of what the last round forced, then
+    its free set is checked for fill and tightness, and the rounds repeat
+    until nothing more is forced or filled.  Fill and cover are necessary
+    conditions for completing the partial colouring, and a committed vertex
+    lies in its class in every completion (a tight class can be filled only
+    from its free set), so the checks cut only subtrees without a colouring
+    and options that no colouring uses.  The vertex order and the class
+    order stay static, and so does the empty-class break.  An empty class
+    cannot take a forced vertex while another empty class of the same size
+    exists, since both could take it.  Its free set is all of `rest`, whose
+    size is the sum of the places left, so it is tight only when every other
+    class is full.  So the search returns the colouring the unpruned search
     returns, class by class, and None exactly when it does.  The checks cost
     O(k) mask operations per round, so they arm only at the first dead end:
     an input that colours on the first descent never pays for them.
@@ -257,20 +265,39 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     return Coloring(tuple(VertexSet(b) for b in bits))
 
 
+def _claim(adj: List[int], assign: List[int], c: int, bits: int) -> int:
+    """Puts the vertices of `bits` in class c and returns their rows' union.
+
+    It peels the bits itself: on the sweeps' tiny searches an `iter_bits`
+    generator per commit costs more than the one or two bits it walks, and a
+    closure made in every search costs more than a call to this function.
+    """
+    rows = 0
+    while bits:
+        low = bits & -bits
+        u = low.bit_length() - 1
+        rows |= adj[u]
+        assign[u] = c
+        bits ^= low
+    return rows
+
+
 def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int]]:
     """The class of each vertex in the first equitable colouring the
     backtracking of `equitable_coloring_exact` reaches, or None.
 
-    Once armed, each child runs `propagate`: fill, cover, and the commit of
-    every vertex that only one non-full class can still take, repeated until
-    nothing more is forced.  A committed vertex lies in that class in every
-    colouring below the child, so the commit drops only options no colouring
-    uses, and `place` skips it when its turn in `order` comes.  The class
-    order and the vertex order stay static, and so does the empty-class
-    break: an empty class never takes a commit while another empty class of
-    its size exists, since both could take the vertex.  Kept apart from the
-    caller so that the short calls, which end before the search, do not set
-    up its closures.
+    Once armed, each child runs `propagate`: fill, cover, the commit of
+    every vertex that only one non-full class can still take, and the
+    commit of every tight class's free set, in one pass over the classes
+    per round, repeated until nothing more is forced or filled.  A committed
+    vertex lies in that class in every colouring below the child, so the
+    commits drop only options no colouring uses, and `place` skips a
+    committed vertex when its turn in `order` comes.  The class order and
+    the vertex order stay static, and so does the empty-class break: an
+    empty class never takes a forced vertex while another empty class of
+    its size exists, since both could take it, and it is tight only when
+    every other class is full.  Kept apart from the caller so that the
+    short calls, which end before the search, do not set up its closures.
     """
     n = g.n
     k = len(caps)
@@ -288,50 +315,65 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
 
     def propagate(rest: int) -> int:
         # `rest`, the unassigned vertices, less those committed; -1 when no
-        # colouring lies below.  Fill: a non-full class needs enough
-        # vertices of `rest` it can take.  Cover: every vertex of `rest`
-        # needs a non-full class that can take it.  `ones` holds the
-        # vertices at least one such class can take, `twos` those that two
-        # can; a forced set is infeasible when it overfills its class or is
-        # not independent.
+        # colouring lies below.  Each round is one pass over the classes.
+        # A non-full class first takes its share of `forced`, the vertices
+        # the last round found only it could take (already out of `rest`);
+        # the share fails when it overfills the class or is not
+        # independent.  Then the class's free set, the vertices of `rest`
+        # it can take, is checked.  Fill: fewer than the places left fails.
+        # Tight: exactly as many, and the class takes the whole set, which
+        # leaves `rest` at once, so a later tight class that shares a vertex
+        # with it fails fill.  Otherwise the set goes into `ones`, the
+        # vertices at least one such class can take, and `twos`, those two
+        # can.  Cover: a vertex of `rest` outside `ones` fails.  The round
+        # repeats while it forced a vertex or filled a class and left
+        # vertices to place.
+        forced = 0
         while True:
             ones = twos = 0
+            filled = False
             for c in range(k):
                 need = caps[c] - counts[c]
-                if need:
-                    free = rest & ~near[c]
-                    if free.bit_count() < need:
-                        return -1
+                if not need:
+                    continue
+                row = near[c]
+                if forced:
+                    take = forced & ~row
+                    if take:
+                        size = take.bit_count()
+                        if size > need:
+                            return -1
+                        rows = _claim(adj, assign, c, take)
+                        if rows & take:
+                            return -1
+                        log.append((c, row, size))
+                        row |= rows
+                        near[c] = row
+                        counts[c] += size
+                        need -= size
+                        if not need:
+                            continue
+                free = rest & ~row
+                room = free.bit_count()
+                if room > need:
                     twos |= ones & free
                     ones |= free
+                elif room < need:
+                    return -1
+                else:
+                    rows = _claim(adj, assign, c, free)
+                    if rows & free:
+                        return -1
+                    log.append((c, row, need))
+                    near[c] = row | rows
+                    counts[c] += need
+                    rest ^= free
+                    filled = True
             if rest & ~ones:
                 return -1
-            forced = ones & ~twos
-            if not forced:
+            forced = rest & ~twos
+            if not (forced or filled and rest):
                 return rest
-            for c in range(k):
-                need = caps[c] - counts[c]
-                take = forced & ~near[c] if need else 0
-                if take:
-                    size = take.bit_count()
-                    if size > need:
-                        return -1
-                    log.append((c, near[c], size))
-                    # Peeled inline: on the sweeps' tiny searches an
-                    # `iter_bits` generator per commit costs more than the
-                    # one or two bits it walks.
-                    rows = 0
-                    bits = take
-                    while bits:
-                        low = bits & -bits
-                        u = low.bit_length() - 1
-                        rows |= adj[u]
-                        assign[u] = c
-                        bits ^= low
-                    near[c] |= rows
-                    counts[c] += size
-                    if rows & take:
-                        return -1
             rest ^= forced
 
     def place(idx: int, rest: int) -> bool:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equitiler import oracle
 from equitiler.extremal import build_ex1_like, build_ex2
 from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet
@@ -31,6 +33,13 @@ from _brute import (
     seed_equitable_coloring_exact,
 )
 from conftest import cycle, random_graph
+
+
+def _search_args(g: Graph, k: int):
+    """The class sizes and vertex order `equitable_coloring_exact` hands
+    its backtracking."""
+    degs = g.degrees()
+    return _class_profile(g.n, k), sorted(range(g.n), key=degs.__getitem__, reverse=True)
 
 
 def _seed_search_result_kept(g: Graph, k: int) -> bool:
@@ -186,15 +195,53 @@ class TestEquitableColoring:
         st.integers(min_value=3, max_value=7),
         st.integers(min_value=0, max_value=2**32),
     )
+    # Each example reaches a failure exit of the tight-class commit: in the
+    # first, two tight classes share a vertex (the second then fails fill);
+    # in the second, a tight free set is not independent.
+    @example(n=30, p=0.3416692820962327, k=7, seed=1007773001)
+    @example(n=24, p=0.22759208319556226, k=6, seed=4033691631)
     def test_commits_keep_the_seed_backtrack_result(self, n, p, k, seed):
         # At these sizes and densities the greedy often gets stuck and the
-        # search arms, so the forced commits run; the search is called
-        # directly, past the greedy and the clique short-circuit.
+        # search arms, so the commits run; the search is called directly,
+        # past the greedy and the clique short-circuit.
         g = random_gnp(n, p, seed)
-        caps = _class_profile(n, k)
-        degs = g.degrees()
-        order = sorted(range(n), key=degs.__getitem__, reverse=True)
+        caps, order = _search_args(g, k)
         assert _backtrack(g, caps, order) == seed_backtrack(g, caps, order)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, k, ceiling",
+        [
+            # 275,551 nodes with the forced-vertex commit alone, 49 with the
+            # tight-class commit.
+            (30, 0.3417478994805067, 1162061540, 7, 100),
+            # 15,685 nodes, then 44.
+            (46, 0.2, 57, 6, 90),
+            # 41 nodes; 1,051 when a second tight class may take a vertex a
+            # first one already took, since the child then fails only once
+            # every class is full.
+            (30, 0.3416692820962327, 1007773001, 7, 80),
+        ],
+    )
+    def test_search_stays_within_its_node_count(self, n, p, seed, k, ceiling):
+        # The commits change no answer, so only the count of `place` frames
+        # shows that one is missing.
+        g = random_gnp(n, p, seed)
+        caps, order = _search_args(g, k)
+        module = vars(oracle)
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "place" and frame.f_globals is module:
+                nodes += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            _backtrack(g, caps, order)
+        finally:
+            sys.setprofile(previous)
+        assert 0 < nodes <= ceiling
 
     @pytest.mark.parametrize(
         "n, p, seed, k, digest",
@@ -204,6 +251,7 @@ class TestEquitableColoring:
             (40, 0.5, 7, 9, "4d0f9ee5b4710e07a827414bc7f129d8a93d124843f0d2910b3039ca9d4597a0"),
             (42, 0.2, 799, 5, "231bf65e9ca92847ce6996d38c0d0fde6922904292ac113c2033afaba91b8d74"),
             (46, 0.2, 57, 6, "683df71509f91dc746c1552fe379f9cbe642d54ebb63412e37eeb5e16f52772d"),
+            (30, 0.3417478994805067, 1162061540, 7, "8eafbb7f02f2c3a2944ded3513dead6bd46c1eb7b74feb26c1010dc7c81dd942"),
             (48, 0.3, 227, 6, None),
         ],
     )
