@@ -11,7 +11,8 @@ K_r-factor; a Tutte–Berge barrier blocks a K_2-factor (a perfect matching);
 a K_{k+1} clique, or an odd biclique K_{m,2k-m} whose sides cover all 2k
 vertices, blocks an equitable k-coloring.  A NO of kind "exact" carries no
 witness: it yields no clause, and callers that report on it must say it
-went unchecked.
+went unchecked.  A NO of any kind other than "obstructed" or "exact" is a
+clause of its own.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ def verify_certificate(
 
     `mode` is "factor" or "coloring"; `value` is r or k.  Positive answers
     must carry a matching certificate, negative structural answers a witness
-    that verifies; unresolved certificates only need a None answer.
+    that verifies, and a negative answer of any other kind must be "exact";
+    unresolved certificates only need a None answer.
     """
     if mode not in ("factor", "coloring"):
         raise PreconditionError(f"mode must be factor or coloring, got {mode!r}")
@@ -234,6 +236,8 @@ def verify_certificate(
                 out.append("obstructed certificate without a witness")
             else:
                 out.extend(payload_clauses(g, cert.witness, value, mode))
+        elif cert.kind != "exact":
+            out.append(f"negative answer of kind {cert.kind!r}: a NO is obstructed or exact")
         return out
     out.append("answer must be true, false, or an unresolved None")
     return out

@@ -11,17 +11,22 @@ masks exactly (n <= 8 means masks < 2^28), which keeps the scan in BLAS.
 Connected graphs are generated levelwise: every connected graph on n + 1
 vertices arises from a connected n-vertex graph by attaching a new vertex
 to a nonempty neighborhood, because some non-cutvertex can be deleted.
+
+The canonical form is the package's only use of numpy, so numpy is imported
+on the first canonical batch, not with this module: importing the package,
+and deciding, factoring, generating or verifying, never load it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "pair_slots",
@@ -91,6 +96,8 @@ def iter_labeled_graphs_inplace(
 @lru_cache(maxsize=None)
 def _perm_pow_table(n: int) -> np.ndarray:
     """Row per permutation: 2**(slot the pair lands on), per source slot."""
+    import numpy as np
+
     slots = pair_slots(n)
     index = {(i, j): s for s, (i, j) in enumerate(slots)}
     perms = list(itertools.permutations(range(n)))
@@ -105,6 +112,8 @@ def _perm_pow_table(n: int) -> np.ndarray:
 
 
 def _canonical_batch(n: int, masks: List[int]) -> List[int]:
+    import numpy as np
+
     table = _perm_pow_table(n)
     m = n * (n - 1) // 2
     out: List[int] = []

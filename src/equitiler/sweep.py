@@ -16,12 +16,15 @@ Labeled sweeps run the full 2^C(n,2) space (n <= 7) through one Gray-code
 walk; the connected sweep runs the canonical enumeration (n <= 8).  When
 more than one thread is requested, each layer splits into contiguous ranges
 of Gray-code indices, and worker processes walk one range each.
+
+The process pool's module is imported only when a layer is split, and numpy
+only by the connected sweep's canonical form (see `smallgraphs`), so
+importing this module, as the package does, loads neither.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -186,6 +189,8 @@ def _labeled_layer(check: str, n: int, threads: int) -> Tally:
     total = labeled_graph_count(n)
     if threads == 1 or total < 4 * threads:
         return _labeled_range_tally((check, n, 0, total))
+    from concurrent.futures import ProcessPoolExecutor
+
     step = -(-total // threads)
     jobs = [(check, n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=threads) as pool:

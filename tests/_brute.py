@@ -36,6 +36,7 @@ from equitiler.graphs import (
     low_degree_set,
     lowest_vertices,
     max_independent_set,
+    sigma,
 )
 from equitiler.matching import Matching, maximum_matching
 from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set, kr_factor_exact
@@ -1348,3 +1349,45 @@ def seed_build_absorbing_set(
         if len(out.m) <= cap:
             return out
     return None
+
+
+# The instance generators before the G(n, p) draw moved to C and the Ore
+# repair began updating degrees in place.
+
+
+def seed_random_gnp(n: int, p, seed: int = 0) -> Graph:
+    """generators.random_gnp sampling pair by pair in (u, v) order."""
+    if n < 0:
+        raise PreconditionError(f"need n >= 0, got {n}")
+    prob = float(p)
+    if not 0.0 <= prob <= 1.0:
+        raise PreconditionError(f"edge probability {p} outside [0, 1]")
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < prob:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+def seed_random_ore(n: int, r: int, alpha, seed: int = 0) -> Graph:
+    """generators.random_ore calling `sigma` afresh and copying the rows on
+    every repair."""
+    if r < 2:
+        raise PreconditionError(f"need r >= 2, got {r}")
+    a = as_fraction(alpha)
+    if a < 0:
+        raise PreconditionError(f"need alpha >= 0, got {alpha}")
+    g = seed_random_gnp(n, 1.0 - 1.0 / r, seed)
+    floor = 2 * (1 - Fraction(1, r) - a) * n
+    while True:
+        stats = sigma(g)
+        if stats.sigma >= floor or stats.witness is None:
+            return g
+        u, v = stats.witness
+        adj = list(g.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        g = Graph(g.n, adj)

@@ -20,6 +20,7 @@ from equitiler.extremal import (
     build_ex1_like,
     ex2_witness,
 )
+from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet
 from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling
@@ -357,6 +358,14 @@ class TestVerify:
             verified=False,
         )
         self.ok(Graph.complete(4), cert, "coloring", 3)
+
+    @pytest.mark.parametrize("kind", ["colorable", "factorable", "bogus", ""])
+    def test_negative_of_another_kind_flagged(self, kind):
+        # random_gnp(10, 0.2, 1) has an equitable 3-coloring: a bare NO of a
+        # kind that is neither obstructed nor exact must not pass.
+        cert = DecisionCertificate(kind, False, None, None, "oracle", True)
+        clauses = verify_certificate(random_gnp(10, 0.2, 1), cert, "coloring", 3)
+        assert clauses == [f"negative answer of kind {kind!r}: a NO is obstructed or exact"]
 
     def test_unresolved_must_stay_silent(self):
         cert = DecisionCertificate(

@@ -11,6 +11,8 @@ from equitiler.extremal import build_ex1_like, build_ex2, build_obstruction
 from equitiler.generators import FAMILIES, generate, random_gnp, random_ore
 from equitiler.graphs import Graph, as_fraction, sigma
 
+from _brute import seed_random_gnp, seed_random_ore
+
 
 def edge_count(g: Graph) -> int:
     return sum(1 for _ in g.edges())
@@ -69,6 +71,23 @@ class TestGnp:
     def test_deterministic_under_seed(self, n, seed):
         assert random_gnp(n, 0.4, seed).content_hash() == random_gnp(n, 0.4, seed).content_hash()
 
+    @given(
+        st.integers(0, 40),
+        st.sampled_from([0, 0.3, 2 / 3, 0.9, 1]),
+        st.integers(0, 2**30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_draw(self, n, p, seed):
+        # The row-at-a-time draw makes the pair-by-pair loop's random()
+        # calls in the same order, so the graph is the same.
+        assert random_gnp(n, p, seed).adj == seed_random_gnp(n, p, seed).adj
+
+    def test_benchmark_graph_pinned(self):
+        # benchmarks/expected.json, case gnp(n=960,p=0.9)/r=3.
+        assert random_gnp(960, 0.9, 0).content_hash() == (
+            "8e12c59e1adf9b011e5b9f428b33c71b5c0edc2e2f97ba070c7d02a7ce4345ce"
+        )
+
 
 class TestRandomOre:
     def test_floor_holds_on_output(self):
@@ -99,6 +118,23 @@ class TestRandomOre:
         floor = 2 * (1 - Fraction(1, r) - Fraction(1, 50)) * n
         st_ = sigma(g)
         assert st_.sigma >= floor
+
+    @given(
+        st.integers(0, 40),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([0, Fraction(1, 100), Fraction(1, 50)]),
+        st.integers(0, 2**30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_recount(self, n, r, alpha, seed):
+        # Degrees kept across repairs pick the witness sigma picks afresh.
+        assert random_ore(n, r, alpha, seed).adj == seed_random_ore(n, r, alpha, seed).adj
+
+    def test_benchmark_graph_pinned(self):
+        # benchmarks/expected.json, case ore(n=240,a=0)/r=3.
+        assert random_ore(240, 3, 0, 0).content_hash() == (
+            "5c5b38db4240fcc20a39170e85e50e840927709d5d7b2a7538675954986584f2"
+        )
 
     def test_parameter_checks(self):
         with pytest.raises(PreconditionError):

@@ -1,0 +1,79 @@
+"""numpy stays off every path but the connected sweep's canonical form.
+
+Each check runs in a fresh interpreter, because this test process has
+usually loaded numpy already.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import equitiler
+
+SRC = str(Path(equitiler.__file__).resolve().parent.parent)
+
+# Runs `python -m equitiler.cli` once per argument list in argv[1] (a JSON
+# list of lists), in one interpreter that imported the package first, and
+# reports each exit status and whether numpy was loaded.
+CLI_PROBE = """
+import json, runpy, sys
+import equitiler
+
+statuses = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["equitiler.cli", *argv]
+    try:
+        runpy.run_module("equitiler.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        statuses.append(exc.code)
+print(json.dumps({"statuses": statuses, "numpy": "numpy" in sys.modules}))
+"""
+
+SWEEP_PROBE = """
+import json, sys
+from equitiler import sweep
+
+out = []
+for check in ("equivalence", "no-set"):
+    r = sweep(5, check)
+    out.append([r.instances, r.no_instances, r.witnesses, r.clean, "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def probe(code: str, *args: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_paths_leave_numpy_unloaded(tmp_path):
+    names = ("ore.txt", "gnp.txt", "cert.json", "out.json")
+    ore, gnp, cert, out = (str(tmp_path / name) for name in names)
+    commands = [
+        ["gen", "--family", "random-ore", "--n", "60", "--r", "3", "--alpha", "0", "--out", ore],
+        ["factor", "--r", "3", ore, "--out", cert],
+        ["verify", ore, cert, "--out", out],
+        ["gen", "--family", "random-gnp", "--n", "30", "--p", "0.2", "--out", gnp],
+        ["decide", "--k", "6", gnp, "--out", out],
+    ]
+    got = probe(CLI_PROBE, json.dumps(commands))
+    # Every answer is a YES (exit 0), and nothing on the way imported numpy.
+    assert got == {"statuses": [0] * len(commands), "numpy": False}
+
+
+def test_only_the_connected_sweep_loads_numpy():
+    # The labeled sweep walks Gray codes and needs no canonical form; the
+    # connected sweep's canonical batch imports numpy on its first call.
+    # Counts as pinned in test_sweep.py and benchmarks/expected.json.
+    assert probe(SWEEP_PROBE) == [
+        [2261, 1121, 0, True, False],
+        [82, 2, 2, True, True],
+    ]
