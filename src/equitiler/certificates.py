@@ -212,9 +212,10 @@ def verify_certificate(
     """Re-check a certificate against a graph; returns a list of violations.
 
     `mode` is "factor" or "coloring"; `value` is r or k.  Positive answers
-    must carry a matching certificate, negative structural answers a witness
-    that verifies, and a negative answer of any other kind must be "exact";
-    unresolved certificates only need a None answer.
+    must be of kind "factorable" in factor mode and "colorable" in coloring
+    mode and carry a matching certificate, negative structural answers a
+    witness that verifies, and a negative answer of any other kind must be
+    "exact"; unresolved certificates only need a None answer.
     """
     if mode not in ("factor", "coloring"):
         raise PreconditionError(f"mode must be factor or coloring, got {mode!r}")
@@ -224,6 +225,9 @@ def verify_certificate(
             out.append("unresolved certificate carries an answer")
         return out
     if cert.answer is True:
+        yes = "factorable" if mode == "factor" else "colorable"
+        if cert.kind != yes:
+            out.append(f"positive answer of kind {cert.kind!r}: a YES in {mode} mode is {yes}")
         want = Tiling if mode == "factor" else Coloring
         if not isinstance(cert.certificate, want):
             out.append(f"positive answer without a {want.__name__.lower()}")

@@ -7,10 +7,11 @@ cliques in lexicographic order; the colouring search places vertices in a
 fixed degree order and tries classes in index order.  Every prune cuts only
 subtrees that hold no solution and leaves the order of the rest alone, so the
 first solution found, and hence every returned witness, is reproducible and
-does not depend on which prunes ran.  The colouring search has two such
-prunes, fill and cover, and two commit rules: a vertex only one class can
-still take goes into that class, and a class with exactly as many candidates
-as places left takes them all (see `equitable_coloring_exact`).
+does not depend on which prunes ran.  The colouring search has three such
+prunes, fill, cover and independence, and two commit rules: a vertex only
+one class can still take goes into that class, and a class with exactly as
+many candidates as places left takes them all (see
+`equitable_coloring_exact`).
 """
 
 from __future__ import annotations
@@ -207,19 +208,29 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     vertex that two tight classes share.  Each round is one pass over the
     classes: a class takes its share of what the last round forced, then
     its free set is checked for fill and tightness, and the rounds repeat
-    until nothing more is forced or filled.  Fill and cover are necessary
-    conditions for completing the partial colouring, and a committed vertex
-    lies in its class in every completion (a tight class can be filled only
-    from its free set), so the checks cut only subtrees without a colouring
-    and options that no colouring uses.  The vertex order and the class
-    order stay static, and so does the empty-class break.  An empty class
-    cannot take a forced vertex while another empty class of the same size
-    exists, since both could take it.  Its free set is all of `rest`, whose
-    size is the sum of the places left, so it is tight only when every other
-    class is full.  So the search returns the colouring the unpruned search
-    returns, class by class, and None exactly when it does.  The checks cost
-    O(k) mask operations per round, so they arm only at the first dead end:
-    an input that colours on the first descent never pays for them.
+    until nothing more is forced or filled.  Independence runs once the
+    rounds settle: a class with `need` places left must fill them with an
+    independent set of its free set, so the child fails when G[free] has no
+    independent set of `need` vertices, that is, no vertex cover of
+    `slack = |free| - need` vertices.  It is tested for classes with
+    need >= 3 and slack <= 3 only, by branching on the two ends of an edge.
+    A commit only shrinks free sets and lowers `need` by what the class
+    took, so a state that fails the test failed it before the commit too,
+    and testing once at the end misses nothing.  Fill, cover and
+    independence are necessary conditions for completing the partial
+    colouring, and a committed vertex lies in its class in every completion
+    (a tight class can be filled only from its free set), so the checks cut
+    only subtrees without a colouring and options that no colouring uses.
+    The vertex order and the class order stay static, and so does the
+    empty-class break.  An empty class cannot take a forced vertex while
+    another empty class of the same size exists, since both could take it.
+    Its free set is all of `rest`, whose size is the sum of the places left,
+    so it is tight only when every other class is full.  So the search
+    returns the colouring the unpruned search returns, class by class, and
+    None exactly when it does.  The checks cost
+    O(k) mask operations per round, and independence up to eight scans of a
+    free set per class, so they arm only at the first dead end: an input
+    that colours on the first descent never pays for them.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -282,6 +293,27 @@ def _claim(adj: List[int], assign: List[int], c: int, bits: int) -> int:
     return rows
 
 
+def _covers(adj: List[int], free: int, slack: int) -> bool:
+    """Whether G[free] has a vertex cover of at most `slack` vertices, that
+    is, an independent set of all but `slack` of its vertices.
+
+    It takes the first edge uw it finds and tries free - u and free - w
+    with one less slack, so it branches at most 2**slack ways.
+    """
+    bits = free
+    while bits:
+        low = bits & -bits
+        hit = adj[low.bit_length() - 1] & free
+        if hit:
+            if not slack:
+                return False
+            return _covers(adj, free ^ low, slack - 1) or _covers(
+                adj, free ^ (hit & -hit), slack - 1
+            )
+        bits ^= low
+    return True
+
+
 def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int]]:
     """The class of each vertex in the first equitable colouring the
     backtracking of `equitable_coloring_exact` reaches, or None.
@@ -289,9 +321,11 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     Once armed, each child runs `propagate`: fill, cover, the commit of
     every vertex that only one non-full class can still take, and the
     commit of every tight class's free set, in one pass over the classes
-    per round, repeated until nothing more is forced or filled.  A committed
-    vertex lies in that class in every colouring below the child, so the
-    commits drop only options no colouring uses, and `place` skips a
+    per round, repeated until nothing more is forced or filled, and then
+    independence: each class with need >= 3 and slack <= 3 must still find
+    an independent set of `need` vertices in its free set (`_covers`).  A
+    committed vertex lies in that class in every colouring below the child,
+    so the commits drop only options no colouring uses, and `place` skips a
     committed vertex when its turn in `order` comes.  The class order and
     the vertex order stay static, and so does the empty-class break: an
     empty class never takes a forced vertex while another empty class of
@@ -312,6 +346,8 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     # None until the first dead end arms the checks; then the commits, as
     # (class, its near row before, how many vertices it took), for the undo.
     log: Optional[List[Tuple[int, int, int]]] = None
+    # The classes the independence check can reach: those of size 3 or more.
+    deep = [c for c in range(k) if caps[c] >= 3]
 
     def propagate(rest: int) -> int:
         # `rest`, the unassigned vertices, less those committed; -1 when no
@@ -327,7 +363,12 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
         # vertices at least one such class can take, and `twos`, those two
         # can.  Cover: a vertex of `rest` outside `ones` fails.  The round
         # repeats while it forced a vertex or filled a class and left
-        # vertices to place.
+        # vertices to place.  Then independence: a class whose free set
+        # holds no independent set of its `need` fails.  It runs once, after
+        # the rounds, since the commits only shrink free sets.  It skips
+        # need 1, which passes whenever fill does, and need 2, which fails
+        # only on a free set that is a clique and cut no node of the sweeps;
+        # slack <= 3 keeps the cover search to at most 8 branches.
         forced = 0
         while True:
             ones = twos = 0
@@ -373,8 +414,16 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
                 return -1
             forced = rest & ~twos
             if not (forced or filled and rest):
-                return rest
+                break
             rest ^= forced
+        for c in deep:
+            need = caps[c] - counts[c]
+            if need >= 3:
+                free = rest & ~near[c]
+                slack = free.bit_count() - need
+                if slack <= 3 and not _covers(adj, free, slack):
+                    return -1
+        return rest
 
     def place(idx: int, rest: int) -> bool:
         nonlocal log

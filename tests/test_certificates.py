@@ -23,7 +23,7 @@ from equitiler.extremal import (
 from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet
 from equitiler.matching import TutteBarrier
-from equitiler.oracle import Coloring, Tiling
+from equitiler.oracle import Coloring, Tiling, equitable_coloring_exact
 
 
 def vs(*vals):
@@ -366,6 +366,29 @@ class TestVerify:
         cert = DecisionCertificate(kind, False, None, None, "oracle", True)
         clauses = verify_certificate(random_gnp(10, 0.2, 1), cert, "coloring", 3)
         assert clauses == [f"negative answer of kind {kind!r}: a NO is obstructed or exact"]
+
+    @pytest.mark.parametrize("kind", ["obstructed", "exact", "factorable"])
+    def test_positive_of_another_kind_flagged(self, kind):
+        # The colouring is correct; only its label is wrong for the mode.
+        g = random_gnp(10, 0.2, 1)
+        col = equitable_coloring_exact(g, 3)
+        assert verify_certificate(
+            g, DecisionCertificate("colorable", True, col, None, "oracle", True), "coloring", 3
+        ) == []
+        cert = DecisionCertificate(kind, True, col, None, "oracle", True)
+        clauses = verify_certificate(g, cert, "coloring", 3)
+        assert clauses == [
+            f"positive answer of kind {kind!r}: a YES in coloring mode is colorable"
+        ]
+
+    @pytest.mark.parametrize("kind", ["obstructed", "exact", "colorable"])
+    def test_factor_positive_of_another_kind_flagged(self, kind):
+        tiling = Tiling(3, (vs(0, 1, 2), vs(3, 4, 5)))
+        cert = DecisionCertificate(kind, True, tiling, None, "oracle", True)
+        clauses = verify_certificate(two_triangles(), cert, "factor", 3)
+        assert clauses == [
+            f"positive answer of kind {kind!r}: a YES in factor mode is factorable"
+        ]
 
     def test_unresolved_must_stay_silent(self):
         cert = DecisionCertificate(

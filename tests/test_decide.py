@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -570,3 +571,14 @@ class TestEquitable:
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "oracle")
         assert isinstance(c.witness, CliqueObstruction)
         assert c.witness.verify(Graph.complete(26), 5)
+
+    def test_unresolved_exit(self):
+        # Three disjoint K_17 at k = 17: Δ(G) = 16 < k, so Hajnal–Szemerédi
+        # says YES, but n = 51 is past the exact fallback cap and both routes
+        # miss, so decide_equitable gives up.  ROADMAP item 3's colouring
+        # route for Δ(G) < k is meant to turn this input into a YES.
+        blocks = (range(b, b + 17) for b in (0, 17, 34))
+        g = Graph.from_edges(51, [e for block in blocks for e in combinations(block, 2)])
+        c = decide_equitable(g, 17)
+        assert (c.kind, c.answer) == ("unresolved", None)
+        assert verify_certificate(g, c, "coloring", 17) == []

@@ -17,6 +17,7 @@ from equitiler.oracle import (
     Tiling,
     _backtrack,
     _class_profile,
+    _covers,
     equitable_coloring_exact,
     is_absorber_set,
     kr_factor_exact,
@@ -25,6 +26,8 @@ from equitiler.oracle import (
 from _brute import (
     brute_count_absorbers,
     brute_equitable_colorable,
+    brute_independence_number,
+    brute_induced,
     brute_kr_factor_exists,
     brute_layered_profile,
     count_absorbers_exact,
@@ -195,11 +198,14 @@ class TestEquitableColoring:
         st.integers(min_value=3, max_value=7),
         st.integers(min_value=0, max_value=2**32),
     )
-    # Each example reaches a failure exit of the tight-class commit: in the
-    # first, two tight classes share a vertex (the second then fails fill);
-    # in the second, a tight free set is not independent.
+    # The first two examples reach a failure exit of the tight-class
+    # commit: in the first, two tight classes share a vertex (the second
+    # then fails fill); in the second, a tight free set is not independent.
+    # In the third the independence check cuts the search from 987 nodes
+    # to 49.
     @example(n=30, p=0.3416692820962327, k=7, seed=1007773001)
     @example(n=24, p=0.22759208319556226, k=6, seed=4033691631)
+    @example(n=27, p=0.3123575580408078, k=6, seed=1646540641)
     def test_commits_keep_the_seed_backtrack_result(self, n, p, k, seed):
         # At these sizes and densities the greedy often gets stuck and the
         # search arms, so the commits run; the search is called directly,
@@ -220,6 +226,12 @@ class TestEquitableColoring:
             # first one already took, since the child then fails only once
             # every class is full.
             (30, 0.3416692820962327, 1007773001, 7, 80),
+            # 2,613 nodes with both commit rules, 688 with the independence
+            # check at slack <= 2 and 660 at slack <= 3.
+            (40, 0.5, 7, 9, 800),
+            # 115,602 nodes with both commit rules, 47 with the independence
+            # check.
+            (29, 0.35143125846499734, 3709406659, 7, 90),
         ],
     )
     def test_search_stays_within_its_node_count(self, n, p, seed, k, ceiling):
@@ -242,6 +254,34 @@ class TestEquitableColoring:
         finally:
             sys.setprofile(previous)
         assert 0 < nodes <= ceiling
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**10 - 1),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_covers_matches_the_independence_number(self, n, p, seed, free, slack):
+        # G[free] has a vertex cover of `slack` vertices exactly when it has
+        # an independent set of all the others.
+        g = random_gnp(n, p, seed)
+        free &= g.full_mask
+        size, edges, _ = brute_induced(n, g.edges(), free)
+        want = brute_independence_number(size, edges) >= size - slack
+        assert _covers(g.adj, free, slack) is want
+
+    def test_covers_on_every_small_graph(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if m >> i & 1]
+                g = Graph.from_edges(n, edges)
+                alpha = brute_independence_number(n, edges)
+                for slack in range(4):
+                    want = alpha >= n - slack
+                    assert _covers(g.adj, g.full_mask, slack) is want, (m, slack)
 
     @pytest.mark.parametrize(
         "n, p, seed, k, digest",
