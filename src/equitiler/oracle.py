@@ -346,8 +346,6 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     # None until the first dead end arms the checks; then the commits, as
     # (class, its near row before, how many vertices it took), for the undo.
     log: Optional[List[Tuple[int, int, int]]] = None
-    # The classes the independence check can reach: those of size 3 or more.
-    deep = [c for c in range(k) if caps[c] >= 3]
 
     def propagate(rest: int) -> int:
         # `rest`, the unassigned vertices, less those committed; -1 when no
@@ -416,7 +414,7 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
             if not (forced or filled and rest):
                 break
             rest ^= forced
-        for c in deep:
+        for c in range(k):
             need = caps[c] - counts[c]
             if need >= 3:
                 free = rest & ~near[c]
