@@ -62,7 +62,6 @@ from .tiling import (
 from .absorbing import (
     AbsorberFamily,
     AbsorbingSet,
-    AbsorptionFailure,
     AugmentationMove,
     absorb,
     build_absorbing_set,

@@ -35,7 +35,6 @@ from .partition import _sparse_set
 __all__ = [
     "AbsorberFamily",
     "AbsorbingSet",
-    "AbsorptionFailure",
     "AugmentationMove",
     "absorb",
     "build_absorbing_set",
@@ -43,10 +42,6 @@ __all__ = [
     "find_augmentation",
     "layered_greedy",
 ]
-
-
-class AbsorptionFailure(RuntimeError):
-    """An uncovered r-set found no unused absorber; the set M needs a rebuild."""
 
 
 @dataclass(frozen=True)
@@ -342,8 +337,7 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
     """Fold a small leftover set into M, returning a factor of M u leftover.
 
     Leftover r-sets are matched to distinct stored absorbers; an
-    unmatched r-set raises AbsorptionFailure, signalling that M should be
-    rebuilt with a fresh seed.
+    unmatched r-set raises PreconditionError, a miss of the absorption route.
     """
     r = aset.r
     m = aset.m
@@ -371,7 +365,7 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
         assigned[i] = j
     if len(assigned) < len(chunks):
         missing = next(i for i in range(len(chunks)) if i not in assigned)
-        raise AbsorptionFailure(
+        raise PreconditionError(
             f"no unused absorber accepts the r-set {sorted(chunks[missing].members())}"
         )
 

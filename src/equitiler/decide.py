@@ -12,20 +12,25 @@ its Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
 set, a leftover block, the units of the multipartite finish) are vertex
 masks of the input graph, so every clique found is already in its labels.
 
-At r >= 3 absorption runs first and the structured route second.  A route
-that gives out because its constants do not carry at this n raises
-PreconditionError; the decision catches only that, records the message as
-a note and tries the next route.  An InternalContradiction is a bug, never
-a miss, and propagates to the caller.
+Each mode is one ordered table of steps `(route, stage, run)`, run by
+`_run`: the first step to return a certificate decides.  Tables are built
+per call, so a name patched in this module (by a tracer, say) is seen.  A
+step whose `run` is None does not apply to the input.  `run` returns None
+when it settles nothing, and raises PreconditionError when its route gives
+out because its constants do not carry at this n; `_run` catches only
+that and keeps the message as the note "{route} route: ...".  A step
+that runs is timed under its stage, if it names one.  An
+InternalContradiction is a bug, never a miss, and propagates to the
+caller.  `decide_kr_factor` and `decide_equitable` list their steps.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
-from .absorbing import AbsorptionFailure, absorb, build_absorbing_set, layered_greedy
+from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
 from .extremal import (
@@ -97,6 +102,51 @@ class DecisionCertificate:
     verified: bool
     notes: Tuple[str, ...] = ()
     timings: Tuple[Tuple[str, float], ...] = ()
+
+
+def _yes(payload: Union[Tiling, Coloring], provenance: str) -> DecisionCertificate:
+    kind = "colorable" if isinstance(payload, Coloring) else "factorable"
+    return DecisionCertificate(kind, True, payload, None, provenance, True)
+
+
+def _no(witness: Optional[object], provenance: str, notes: Tuple[str, ...] = ()) -> DecisionCertificate:
+    """An obstructed NO with its verified witness, else a NO proved by search."""
+    kind = "exact" if witness is None else "obstructed"
+    return DecisionCertificate(kind, False, None, witness, provenance, True, notes)
+
+
+_UNRESOLVED = DecisionCertificate(
+    "unresolved", None, None, None, "pipeline", False,
+    ("instance beyond the exact fallback cap",),
+)
+
+# A step of a decision table: route name for notes, stage name for timings
+# (None: the step reports its own timings, or none), and the call.
+_Step = Tuple[str, Optional[str], Optional[Callable[[], Optional[DecisionCertificate]]]]
+
+
+def _run(steps: Tuple[_Step, ...], notes: List[str]) -> DecisionCertificate:
+    """The first certificate a step returns, after the notes and timings so far."""
+    timings: List[Tuple[str, float]] = []
+    for route, stage, run in steps:
+        if run is None:
+            continue
+        t0 = time.perf_counter()
+        cert = None
+        try:
+            cert = run()
+        except PreconditionError as e:
+            notes.append(f"{route} route: {e}")
+        if stage is not None:
+            timings.append((stage, time.perf_counter() - t0))
+        if cert is not None:
+            # Built directly: dataclasses.replace costs twice as much, and
+            # the exact workload's calls take about 0.2 ms each.
+            return DecisionCertificate(
+                cert.kind, cert.answer, cert.certificate, cert.witness, cert.provenance,
+                cert.verified, tuple(notes) + cert.notes, tuple(timings) + cert.timings,
+            )
+    raise InternalContradiction("no step of the decision table answered")
 
 
 def pad_to_divisible(g: Graph, k: int) -> Tuple[Graph, int]:
@@ -176,58 +226,43 @@ def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, 
     return None
 
 
-def _verified_witness(g: Graph, r: int, w) -> Optional[object]:
-    if w is None:
-        return None
-    return w if w.verify(g, r) else None
-
-
-def _factor_by_oracle(g: Graph, r: int) -> DecisionCertificate:
+def _factor_by_oracle(g: Graph, r: int, witness: Optional[object]) -> DecisionCertificate:
+    """Exact search; its NO carries the recognizer's verified witness, if any."""
     t = kr_factor_exact(g, r)
-    if t is not None:
-        if not t.verify(g):
-            raise InternalContradiction("oracle factor failed verification")
-        return DecisionCertificate("factorable", True, t, None, "oracle", True)
-    w = _verified_witness(g, r, recognize_extremal(g, r))
-    if w is not None:
-        return DecisionCertificate("obstructed", False, None, w, "oracle", True)
-    return DecisionCertificate("exact", False, None, None, "oracle", True)
+    if t is None:
+        return _no(witness, "oracle")
+    if not t.verify(g):
+        raise InternalContradiction("oracle factor failed verification")
+    return _yes(t, "oracle")
 
 
 def _factor_r2(g: Graph) -> DecisionCertificate:
     out = pm_or_structure(g)
     if isinstance(out, TutteBarrier):
-        return DecisionCertificate("obstructed", False, None, out, "pipeline", True)
+        return _no(out, "pipeline")
     t = Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs))
     if not t.verify(g):
         raise InternalContradiction("perfect matching failed verification")
-    return DecisionCertificate("factorable", True, t, None, "pipeline", True)
+    return _yes(t, "pipeline")
 
 
-def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Tiling:
+def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> DecisionCertificate:
     """Factor via the absorbing set: greedy cover outside M, absorb the rest."""
-    last = "no absorbing set could be built"
-    for attempt in range(3):
-        aset = build_absorbing_set(g, r, cfg=cfg, seed=seed + attempt)
-        if aset is None:
-            raise PreconditionError(last)
-        outside = g.full_mask & ~aset.m.bits
-        greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
-        leftover = VertexSet(outside & ~greedy.covered.bits)
-        if len(leftover) > cfg.epsilon * g.n:
-            raise PreconditionError(
-                f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
-            )
-        try:
-            finish = absorb(g, aset, leftover)
-        except AbsorptionFailure as e:
-            last = str(e)
-            continue
-        final = Tiling(r, greedy.cliques + finish.cliques)
-        if not final.verify(g):
-            raise InternalContradiction("assembled factor failed verification")
-        return final
-    raise PreconditionError(f"absorption retries exhausted: {last}")
+    aset = build_absorbing_set(g, r, cfg=cfg, seed=seed)
+    if aset is None:
+        raise PreconditionError("no absorbing set could be built")
+    outside = g.full_mask & ~aset.m.bits
+    greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
+    leftover = VertexSet(outside & ~greedy.covered.bits)
+    if len(leftover) > cfg.epsilon * g.n:
+        raise PreconditionError(
+            f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
+        )
+    finish = absorb(g, aset, leftover)
+    final = Tiling(r, greedy.cliques + finish.cliques)
+    if not final.verify(g):
+        raise InternalContradiction("assembled factor failed verification")
+    return _yes(final, "pipeline")
 
 
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
@@ -240,9 +275,11 @@ def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
     return kr_factor_exact(g, d, block.bits)
 
 
-def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, Ex1Witness]:
+def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
+    Refinement may instead find an independent set beyond the clique count,
+    a NO.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction,
@@ -254,7 +291,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
         raise PreconditionError("no sparse parts peeled")
     got, _trace = refine_to_good(g, p, cfg)
     if isinstance(got, Ex1Witness):
-        return got
+        return _no(got, "pipeline")
     gp = got
     p = gp.partition
     s = p.s
@@ -293,7 +330,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> Union[Tiling, 
     final = Tiling(r, seed_tiling.cliques + mf.cliques)
     if not final.verify(g):
         raise InternalContradiction("pipeline tiling failed final verification")
-    return final
+    return _yes(final, "pipeline")
 
 
 def decide_kr_factor(
@@ -304,97 +341,99 @@ def decide_kr_factor(
 ) -> DecisionCertificate:
     """Does G split into n/r vertex-disjoint copies of K_r?
 
-    Strategy ladder: the trivial cases (n = 0 or r = 1); at r = 2 the
-    perfect-matching decision, whose NO is obstructed by a Tutte–Berge
-    barrier; then, at r >= 3, the structural recognizers, exact search up to
-    EXACT_CAP vertices, then the dense absorption route and the extremal
-    pipeline in turn.  When both miss, n <= FALLBACK_CAP falls back to exact
-    search; beyond that the honest output is kind="unresolved".
+    The steps, in order (route: when it runs, what it answers):
+      trivial     n = 0 or r = 1: exact search, the empty factor or the
+                  singletons;
+      matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
+      recognizer  the odd split at any n, an n/r + 1 independent set only
+                  above EXACT_CAP;
+      oracle      n <= EXACT_CAP: exact search, whose NO carries the
+                  recognizer's independent set, if it found one;
+      absorption  the dense absorption route;
+      structured  the extremal pipeline;
+      oracle      n <= FALLBACK_CAP: exact search;
+      unresolved  beyond that, the honest answer.
     """
     if r < 1:
         raise PreconditionError(f"r={r} must be positive")
     if g.n % r != 0:
         raise PreconditionError(f"r={r} does not divide n={g.n}")
-    timings: List[Tuple[str, float]] = []
-    t0 = time.perf_counter()
+    # Only the polynomial routes read the constants, and below this they
+    # never run; building them costs about as much as a small decision.
+    if cfg is None and r >= 3 and g.n > EXACT_CAP:
+        cfg = default_constants(r)
+    found = None
 
-    if g.n == 0 or r == 1:
-        t = kr_factor_exact(g, r) if g.n else Tiling(r, ())
-        assert t is not None
-        return DecisionCertificate("factorable", True, t, None, "oracle", True)
+    def recognize() -> Optional[DecisionCertificate]:
+        nonlocal found
+        w = recognize_extremal(g, r)
+        found = w if w is not None and w.verify(g, r) else None
+        # The odd split is an exact-match recognizer, so this costs little and
+        # settles the hardest family outright.  A verified independent set
+        # beyond the clique count is conclusive at any size; up to EXACT_CAP
+        # the oracle reports it.
+        if isinstance(found, Ex2Witness) or (found is not None and g.n > EXACT_CAP):
+            return _no(found, "recognizer")
+        return None
 
-    if r == 2:
-        cert = _factor_r2(g)
-        return replace(cert, timings=(("matching", time.perf_counter() - t0),))
+    def oracle() -> DecisionCertificate:
+        return _factor_by_oracle(g, r, found)
 
-    w = _verified_witness(g, r, recognize_extremal(g, r))
-    if w is not None and isinstance(w, Ex2Witness):
-        # The odd split is an exact-match recognizer, so this costs little
-        # and settles the hardest family outright.
-        return DecisionCertificate("obstructed", False, None, w, "recognizer", True)
-    timings.append(("recognize", time.perf_counter() - t0))
-
-    if g.n <= EXACT_CAP:
-        t0 = time.perf_counter()
-        cert = _factor_by_oracle(g, r)
-        timings.append(("oracle", time.perf_counter() - t0))
-        return replace(cert, timings=tuple(timings))
-
-    cfg = cfg or default_constants(r)
-
-    if w is not None:
-        # An exact independent set beyond the clique count is conclusive at
-        # any size once verified.
-        return DecisionCertificate("obstructed", False, None, w, "recognizer", True)
-
-    notes: List[str] = []
-    routes = (
+    steps: Tuple[_Step, ...] = (
+        ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
+        ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
+        ("recognizer", "recognize", recognize),
+        ("oracle", "oracle", oracle if g.n <= EXACT_CAP else None),
         ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg, seed)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
+        ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
+        ("unresolved", None, lambda: _UNRESOLVED),
     )
-    for route, stage, run in routes:
-        t0 = time.perf_counter()
-        got = None
-        try:
-            got = run()
-        except PreconditionError as e:
-            notes.append(f"{route} route: {e}")
-        timings.append((stage, time.perf_counter() - t0))
-        if isinstance(got, Ex1Witness):
-            return DecisionCertificate(
-                "obstructed", False, None, got, "pipeline", True,
-                tuple(notes), tuple(timings),
-            )
-        if got is not None:
-            return DecisionCertificate(
-                "factorable", True, got, None, "pipeline", True,
-                tuple(notes), tuple(timings),
-            )
-
-    if g.n <= FALLBACK_CAP:
-        t0 = time.perf_counter()
-        cert = _factor_by_oracle(g, r)
-        timings.append(("oracle", time.perf_counter() - t0))
-        return replace(cert, notes=tuple(notes) + cert.notes, timings=tuple(timings))
-    return DecisionCertificate(
-        "unresolved", None, None, None, "pipeline", False,
-        tuple(notes) + ("instance beyond the exact fallback cap",),
-        tuple(timings),
-    )
+    return _run(steps, [])
 
 
-def _translate_obstruction(g: Graph, k: int, w: object) -> Optional[CliqueObstruction]:
-    """Map a complement-side witness onto a subgraph witness in G.
+def _coloring_no(g: Graph, k: int, witness: Optional[object], provenance: str) -> DecisionCertificate:
+    """A colouring NO with `witness`, else with one hunted for in G up to
+    FALLBACK_CAP, else with none."""
+    if witness is None and g.n <= FALLBACK_CAP:
+        witness = coloring_obstruction(g, k)
+    if witness is None:
+        return _no(None, provenance, ("no subgraph witness surfaced",))
+    return _no(witness, provenance)
 
-    Only the independent set carries over, as a clique.  The odd split's
-    clique pair would become a biclique on 2k of the at least 2k + 1
-    vertices (an odd split needs r >= 3), which proves nothing.
+
+def _color_exactly(g: Graph, k: int) -> DecisionCertificate:
+    col = equitable_coloring_exact(g, k)
+    if col is None:
+        return _coloring_no(g, k, None, "oracle")
+    assert col.verify(g)
+    return _yes(col, "oracle")
+
+
+def _color_by_factor(
+    g: Graph, k: int, cfg: Optional[ConstantsConfig], seed: int
+) -> DecisionCertificate:
+    """Decide the clique factor of the padded complement and carry it back.
+
+    A YES lifts to a colouring of G.  Of a NO's witness only an independent
+    set carries over, as a clique: the odd split's clique pair would become
+    a biclique on 2k of the at least 2k + 1 vertices, which proves nothing.
+    Both drop the factor side's notes and keep its timings; an unresolved
+    answer comes back whole.
     """
-    if isinstance(w, Ex1Witness):
-        cand = CliqueObstruction(w.independent_set)
-        if cand.verify(g, k):
-            return cand
-    return None
+    padded, q = pad_to_divisible(g, k)
+    cert = decide_kr_factor(complement(padded), padded.n // k, cfg, seed)
+    if cert.answer is None:
+        return cert
+    if cert.answer:
+        out = _yes(lift_coloring(cert.certificate, q, k, g), cert.provenance)
+    else:
+        w = cert.witness
+        clique = CliqueObstruction(w.independent_set) if isinstance(w, Ex1Witness) else None
+        if clique is not None and not clique.verify(g, k):
+            clique = None
+        out = _coloring_no(g, k, clique, cert.provenance)
+    return replace(out, timings=cert.timings)
 
 
 def decide_equitable(
@@ -405,11 +444,16 @@ def decide_equitable(
 ) -> DecisionCertificate:
     """Does G have a proper k-coloring with class sizes within one?
 
-    Pads to divisibility, complements, decides the clique-factor question,
-    and lifts the answer back.  Negative answers try to surface a K_{k+1} or
-    odd K_{m,2k-m} subgraph witness in G itself; the witness hunt is skipped
-    above the fallback cap.  The edge degree-sum bound is reported in the
-    notes but never required.
+    The steps, in order:
+      oracle    k >= n, or the padded graph lies between the caps, where the
+                factor side would fall through to an exact clique search on
+                more than EXACT_CAP vertices: exact colouring of G settles
+                the same question at the smaller scale;
+      delegate  the factor table on the complement of G padded to
+                divisibility, its answer carried back to G.
+    A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
+    of G, up to the fallback cap.  The edge degree-sum bound is reported
+    in the notes but never required.
     """
     if k < 1:
         raise PreconditionError(f"k={k} must be positive")
@@ -422,65 +466,10 @@ def decide_equitable(
         notes.append(
             f"edge degree-sum bound fails at {worst}; dichotomy guarantee lapses"
         )
-
-    if k >= g.n:
-        col = equitable_coloring_exact(g, k)
-        assert col is not None and col.verify(g)
-        return DecisionCertificate(
-            "colorable", True, col, None, "oracle", True, tuple(notes)
-        )
-
-    padded, q = pad_to_divisible(g, k)
-
-    # Between the caps the delegate would fall through to an exact clique
-    # search on padded.n vertices.  Colouring the source graph settles the
-    # same question at the smaller scale, so take that road directly.
-    if padded.n > EXACT_CAP and g.n <= FALLBACK_CAP:
-        t0 = time.perf_counter()
-        col = equitable_coloring_exact(g, k)
-        timings = (("oracle", time.perf_counter() - t0),)
-        if col is not None:
-            assert col.verify(g)
-            return DecisionCertificate(
-                "colorable", True, col, None, "oracle", True, tuple(notes),
-                timings,
-            )
-        witness = coloring_obstruction(g, k)
-        if witness is not None:
-            return DecisionCertificate(
-                "obstructed", False, None, witness, "oracle", True,
-                tuple(notes), timings,
-            )
-        return DecisionCertificate(
-            "exact", False, None, None, "oracle", True,
-            tuple(notes) + ("no subgraph witness surfaced",), timings,
-        )
-
-    comp = complement(padded)
-    r = padded.n // k
-    cert = decide_kr_factor(comp, r, cfg, seed)
-
-    if cert.answer is True:
-        assert isinstance(cert.certificate, Tiling)
-        coloring = lift_coloring(cert.certificate, q, k, g)
-        return DecisionCertificate(
-            "colorable", True, coloring, None, cert.provenance, True,
-            tuple(notes), cert.timings,
-        )
-    if cert.answer is False:
-        witness = _translate_obstruction(g, k, cert.witness)
-        if witness is None and g.n <= FALLBACK_CAP:
-            witness = coloring_obstruction(g, k)
-        if witness is not None:
-            return DecisionCertificate(
-                "obstructed", False, None, witness, cert.provenance, True,
-                tuple(notes), cert.timings,
-            )
-        return DecisionCertificate(
-            "exact", False, None, None, cert.provenance, cert.verified,
-            tuple(notes) + ("no subgraph witness surfaced",), cert.timings,
-        )
-    return DecisionCertificate(
-        "unresolved", None, None, None, cert.provenance, False,
-        tuple(notes) + cert.notes, cert.timings,
+    padded_n = g.n + (-g.n) % k
+    exact = k >= g.n or (padded_n > EXACT_CAP and g.n <= FALLBACK_CAP)
+    steps: Tuple[_Step, ...] = (
+        ("oracle", "oracle", (lambda: _color_exactly(g, k)) if exact else None),
+        ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),
     )
+    return _run(steps, notes)

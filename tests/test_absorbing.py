@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from equitiler import (
     AbsorbingSet,
-    AbsorptionFailure,
     AugmentationMove,
     Graph,
     PreconditionError,
@@ -416,5 +415,5 @@ class TestAbsorb:
             fixed=(),
         )
         assert absorbing_set_problems(orphaned, g) == []
-        with pytest.raises(AbsorptionFailure):
+        with pytest.raises(PreconditionError, match=r"no unused absorber accepts the r-set \[9, 10, 11\]"):
             absorb(g, orphaned, vs(9, 10, 11))

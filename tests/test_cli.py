@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from equitiler.cli import main
+from equitiler.extremal import build_ex2
 from equitiler.graphio import dumps, loads
 from equitiler.graphs import Graph
 
@@ -330,6 +331,14 @@ class TestBench:
         assert doc["schema"] == "equitiler.bench/1"
         assert len(doc["wall_seconds"]) == 2
         assert doc["answer"] is True
+
+    def test_odd_split_times_the_recognizer(self, capsys, write):
+        graph = write("ex2.txt", dumps(build_ex2(36, 3, 1)))
+        code, out, _ = run(capsys, ["bench", graph, "--r", "3"])
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["kind"], doc["provenance"]) == ("obstructed", "recognizer")
+        assert list(doc["stages"]) == ["recognize"]
 
     def test_needs_one_mode(self, capsys, write):
         graph = write("c5.txt", dumps(cycle(5)))

@@ -18,6 +18,7 @@ from equitiler import (
     PreconditionError,
     Tiling,
     VertexSet,
+    build_ex1_like,
     build_ex2,
     coloring_obstruction,
     complement,
@@ -58,6 +59,11 @@ def multipartite(sizes):
             if side[u] != side[v]:
                 g.add_edge(u, v)
     return g
+
+
+def disjoint_cliques(count, size):
+    blocks = (range(b, b + size) for b in range(0, count * size, size))
+    return Graph.from_edges(count * size, [e for block in blocks for e in combinations(block, 2)])
 
 
 def without_edge(g, u, v):
@@ -577,8 +583,62 @@ class TestEquitable:
         # says YES, but n = 51 is past the exact fallback cap and both routes
         # miss, so decide_equitable gives up.  ROADMAP item 3's colouring
         # route for Δ(G) < k is meant to turn this input into a YES.
-        blocks = (range(b, b + 17) for b in (0, 17, 34))
-        g = Graph.from_edges(51, [e for block in blocks for e in combinations(block, 2)])
+        g = disjoint_cliques(3, 17)
         c = decide_equitable(g, 17)
         assert (c.kind, c.answer) == ("unresolved", None)
         assert verify_certificate(g, c, "coloring", 17) == []
+
+
+class TestStepTables:
+    """One input per exit of the two decision tables, so every step is
+    reached, with the answer it gives and the exact stages it times."""
+
+    CASES = {
+        # Factor table.
+        "trivial": (lambda: Graph.empty(30), "factor", 1, None,
+                    ("factorable", "oracle"), ["oracle"]),
+        "matching": (lambda: cycle(30), "factor", 2, None,
+                     ("factorable", "pipeline"), ["matching"]),
+        "recognizer/odd-split": (lambda: build_ex2(36, 3, 1), "factor", 3, None,
+                                 ("obstructed", "recognizer"), ["recognize"]),
+        "recognizer/independent-set": (lambda: build_ex1_like(60, 3), "factor", 3, None,
+                                       ("obstructed", "recognizer"), ["recognize"]),
+        "oracle": (lambda: Graph.complete(9), "factor", 3, None,
+                   ("factorable", "oracle"), ["recognize", "oracle"]),
+        # The oracle's NO carries the independent set the recognizer found.
+        "oracle/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
+                                   ("obstructed", "oracle"), ["recognize", "oracle"]),
+        "absorption": (lambda: random_graph(random.Random(0xE0A1), 60, 0.9), "factor", 3, DENSE,
+                       ("factorable", "pipeline"), ["recognize", "absorption"]),
+        "structured": (lambda: multipartite((20, 20) + (1,) * 20), "factor", 3, None,
+                       ("factorable", "pipeline"), ["recognize", "absorption", "pipeline"]),
+        "fallback-oracle": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
+                            ("factorable", "oracle"),
+                            ["recognize", "absorption", "pipeline", "oracle"]),
+        "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
+                       ("unresolved", "pipeline"), ["recognize", "absorption", "pipeline"]),
+        # Colouring table: the delegate reports the factor side's stages.
+        "k>=n": (lambda: Graph.complete(5), "coloring", 7, None,
+                 ("colorable", "oracle"), ["oracle"]),
+        "between-the-caps": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
+                             ("colorable", "oracle"), ["oracle"]),
+        "delegate": (lambda: cycle(7), "coloring", 3, None,
+                     ("colorable", "oracle"), ["recognize", "oracle"]),
+        "delegate/hunt": (lambda: Graph.complete(4), "coloring", 3, None,
+                          ("obstructed", "pipeline"), ["matching"]),
+        "delegate/odd-split": (lambda: complement(build_ex2(9, 3, 1)), "coloring", 3, None,
+                               ("exact", "recognizer"), ["recognize"]),
+        "delegate/unresolved": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
+                                ("unresolved", "pipeline"),
+                                ["recognize", "absorption", "pipeline"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit(self, name):
+        build, mode, value, cfg, want, stages = self.CASES[name]
+        g = build()
+        decide = decide_kr_factor if mode == "factor" else decide_equitable
+        c = decide(g, value, cfg)
+        assert (c.kind, c.provenance) == want
+        assert [stage for stage, _ in c.timings] == stages
+        assert verify_certificate(g, c, mode, value) == []
