@@ -14,9 +14,8 @@ factor is always genuine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbsorberFamily:
+class AbsorberFamily(NamedTuple):
     """Verified absorbers for one target r-set.
 
     Each member S satisfies: S is disjoint from q, |S| = r*r, and both
@@ -56,8 +54,7 @@ class AbsorberFamily:
     members: Tuple[VertexSet, ...]
 
 
-@dataclass(frozen=True)
-class AugmentationMove:
+class AugmentationMove(NamedTuple):
     """One local rearrangement of a layered tiling.
 
     `source` grows by one vertex at the expense of `helpers`; the
@@ -84,8 +81,7 @@ class AugmentationMove:
         return after == before and len(self.source) + 1 in sizes
 
 
-@dataclass(frozen=True)
-class AbsorbingSet:
+class AbsorbingSet(NamedTuple):
     """Disjoint absorbers plus fixed cliques, with stored self-factors.
 
     `family[i]` is covered exactly by the cliques in `factors[i]`; the

@@ -27,8 +27,7 @@ caller.  `decide_kr_factor` and `decide_equitable` list their steps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .constants import ConstantsConfig, default_constants
@@ -38,6 +37,8 @@ from .extremal import (
     CliqueObstruction,
     Ex1Witness,
     Ex2Witness,
+    _few_degrees,
+    _recognize_ex2,
     find_biclique,
     recognize_extremal,
 )
@@ -82,8 +83,7 @@ EXACT_CAP = 24
 FALLBACK_CAP = 48
 
 
-@dataclass(frozen=True)
-class DecisionCertificate:
+class DecisionCertificate(NamedTuple):
     """Outcome of one decision call.
 
     `kind` is one of "factorable", "colorable", "obstructed", "exact", or
@@ -140,8 +140,8 @@ def _run(steps: Tuple[_Step, ...], notes: List[str]) -> DecisionCertificate:
         if stage is not None:
             timings.append((stage, time.perf_counter() - t0))
         if cert is not None:
-            # Built directly: dataclasses.replace costs twice as much, and
-            # the exact workload's calls take about 0.2 ms each.
+            # Built directly: the record's `_replace` costs twice as much,
+            # and the exact workload's calls take about 0.2 ms each.
             return DecisionCertificate(
                 cert.kind, cert.answer, cert.certificate, cert.witness, cert.provenance,
                 cert.verified, tuple(notes) + cert.notes, tuple(timings) + cert.timings,
@@ -433,7 +433,7 @@ def _color_by_factor(
         if clique is not None and not clique.verify(g, k):
             clique = None
         out = _coloring_no(g, k, clique, cert.provenance)
-    return replace(out, timings=cert.timings)
+    return out._replace(timings=cert.timings)
 
 
 def decide_equitable(
@@ -445,12 +445,16 @@ def decide_equitable(
     """Does G have a proper k-coloring with class sizes within one?
 
     The steps, in order:
-      oracle    k >= n, or the padded graph lies between the caps, where the
-                factor side would fall through to an exact clique search on
-                more than EXACT_CAP vertices: exact colouring of G settles
-                the same question at the smaller scale;
-      delegate  the factor table on the complement of G padded to
-                divisibility, its answer carried back to G.
+      recognizer  where the oracle step runs on n = rk with r >= 3: the
+                  complement of G is an odd split, a NO the exact colouring
+                  search would reach only after exponential time (its
+                  clique pair carries no witness over to G);
+      oracle      k >= n, or the padded graph lies between the caps, where
+                  the factor side would fall through to an exact clique
+                  search on more than EXACT_CAP vertices: exact colouring of
+                  G settles the same question at the smaller scale;
+      delegate    the factor table on the complement of G padded to
+                  divisibility, its answer carried back to G.
     A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
     of G, up to the fallback cap.  The edge degree-sum bound is reported
     in the notes but never required.
@@ -468,7 +472,21 @@ def decide_equitable(
         )
     padded_n = g.n + (-g.n) % k
     exact = k >= g.n or (padded_n > EXACT_CAP and g.n <= FALLBACK_CAP)
+
+    def recognize() -> Optional[DecisionCertificate]:
+        if not _few_degrees(g) or _recognize_ex2(complement(g), g.n // k) is None:
+            return None
+        return _coloring_no(g, k, None, "recognizer")
+
+    # Only an unpadded G can be an odd split's complement.  In a padded
+    # complement the q < k padding vertices miss only each other.  In an odd
+    # split (m = k) a vertex of an m-part misses the m - 1 >= q others of
+    # its part, and a vertex of the clique pair misses the whole other side:
+    # padding on the small side misses 2m - s >= m vertices, and padding on
+    # the large side would need the small side to be padding too.
+    odd_split = exact and g.n % k == 0 and g.n >= 3 * k
     steps: Tuple[_Step, ...] = (
+        ("recognizer", "recognize", recognize if odd_split else None),
         ("oracle", "oracle", (lambda: _color_exactly(g, k)) if exact else None),
         ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),
     )

@@ -13,8 +13,7 @@ The two factor-blocking shapes on n = r*m vertices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ex1Witness:
+class Ex1Witness(NamedTuple):
     """Independent set one larger than the clique count of any factor."""
 
     independent_set: VertexSet
@@ -48,8 +46,7 @@ class Ex1Witness:
         )
 
 
-@dataclass(frozen=True)
-class Ex2Witness:
+class Ex2Witness(NamedTuple):
     """The odd-split shape; s = |b0| is odd so no factor balances the pair."""
 
     a_parts: Tuple[VertexSet, ...]
@@ -84,8 +81,7 @@ class Ex2Witness:
 ExtremalWitness = Union[Ex1Witness, Ex2Witness]
 
 
-@dataclass(frozen=True)
-class CliqueObstruction:
+class CliqueObstruction(NamedTuple):
     """K_{k+1} subgraph: one more mutually-adjacent vertex than colors."""
 
     vertices: VertexSet
@@ -94,8 +90,7 @@ class CliqueObstruction:
         return len(self.vertices) == k + 1 and g.is_clique(self.vertices.bits)
 
 
-@dataclass(frozen=True)
-class BicliqueObstruction:
+class BicliqueObstruction(NamedTuple):
     """K_{m, 2k-m} with m odd whose two sides cover all of V, so n = 2k.
 
     Only cross edges are required.  Every class of an equitable k-colouring
@@ -205,9 +200,25 @@ def build_obstruction(k: int, m: Optional[int] = None) -> Graph:
     return Graph(n, adj)
 
 
+def _few_degrees(g: Graph) -> bool:
+    """Whether the degrees of G take at most three values.
+
+    An odd split has three: n - m on its independent parts, and n - 2m + s
+    - 1 and n - s - 1 on the two sides of its clique pair; its complement
+    has m - 1, 2m - s and s.  Any other graph is ruled out by this pass,
+    which stops at the fourth value it sees.
+    """
+    seen = set()
+    for a in g.adj:
+        seen.add(a.bit_count())
+        if len(seen) > 3:
+            return False
+    return True
+
+
 def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     n = g.n
-    if r < 3 or n == 0 or n % r != 0:
+    if r < 3 or n == 0 or n % r != 0 or not _few_degrees(g):
         return None
     m = n // r
     # In the complement the shape splits into r-2 clique components of size m

@@ -7,9 +7,10 @@ stored.
 `random_gnp` makes one `random()` call per vertex pair, in (u, v) order, and
 keeps the pair when the draw is below p.  It runs those calls from C: one
 row of the upper triangle at a time, `starmap` calls the generator's bound
-`random` and `map` compares each draw with p.  That is the same sequence of
-calls as a Python loop over the pairs, so each seed gives the same graph;
-only the per-pair bytecode is gone.  The rows are then read back as bitsets
+`random` and `map` hands each draw, with p, to `operator.lt`, a C function,
+so no method-wrapper is called per pair.  That is the same sequence of calls
+as a Python loop over the pairs, so each seed gives the same graph; only the
+per-pair bytecode is gone.  The rows are then read back as bitsets
 with `int(..., 2)`, by row for the higher neighbours and by column for the
 lower ones.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat, starmap
+from operator import lt
 from typing import Optional
 
 from .errors import PreconditionError
@@ -45,7 +47,7 @@ def random_gnp(n: int, p, seed: int = 0) -> Graph:
     # Row u of an n-by-n 0/1 matrix holds u + 1 zeros, then the draws for
     # (u, u+1), ..., (u, n-1); the matrix is the upper triangle.
     rows = b"".join(
-        bytes(u + 1) + bytes(map(prob.__gt__, starmap(draw, repeat((), n - u - 1))))
+        bytes(u + 1) + bytes(map(lt, starmap(draw, repeat((), n - u - 1)), repeat(prob)))
         for u in range(n)
     ).translate(_DIGITS)
     adj = [

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Graph",
@@ -269,8 +268,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class OreStats:
+class OreStats(NamedTuple):
     """Degree-sum floor over non-adjacent pairs, plus degree extremes.
 
     `sigma` is math.inf exactly when the graph is complete (no non-adjacent

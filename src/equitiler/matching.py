@@ -17,8 +17,7 @@ n - 2*nu(G) more odd components than U has vertices (Lovász–Plummer,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Set, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
 from .graphs import Graph, VertexSet, connected_components, iter_bits
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """Vertex-disjoint edge set, pairs normalized as (min, max) and sorted."""
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -227,8 +225,7 @@ def covering_matching(
     return out
 
 
-@dataclass(frozen=True)
-class TutteBarrier:
+class TutteBarrier(NamedTuple):
     """A set U whose removal leaves more odd components than |U|.
 
     Each odd component of G - U needs a partner in U for one of its vertices,

@@ -16,8 +16,7 @@ many candidates as places left takes them all (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
 
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """Vertex-disjoint r-cliques; a factor when they cover all of V."""
 
     r: int
@@ -60,8 +58,7 @@ class Tiling:
         return True
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Color classes as a vertex partition; equitable when sizes differ by <= 1."""
 
     classes: Tuple[VertexSet, ...]
@@ -87,8 +84,7 @@ class Coloring:
         return True
 
 
-@dataclass(frozen=True)
-class LayeredFactor:
+class LayeredFactor(NamedTuple):
     """Partition of V into cliques, bucketed by clique size s = r, r-1, ..., 1.
 
     `profile()` is (count of K_r pieces, ..., count of K_1 pieces);

@@ -14,9 +14,8 @@ depend on float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
@@ -51,8 +50,7 @@ def slack_threshold(n: int, r: int) -> Fraction:
     return Fraction(r - 1, r) * n - 1
 
 
-@dataclass(frozen=True)
-class RsPartition:
+class RsPartition(NamedTuple):
     """Parts A_1..A_s of equal size n/r plus the leftover block B."""
 
     parts: Tuple[VertexSet, ...]
@@ -94,8 +92,7 @@ class RsPartition:
                 raise PreconditionError(f"part size {size} must divide n={n}")
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     """Per-part vertex grades at one threshold delta.
 
     For x in A_i, `bad` collects d(x, A_i) >= delta*n.  For x outside A_i,
@@ -322,8 +319,7 @@ def peel_partition(
     return out, out.s
 
 
-@dataclass(frozen=True)
-class RefineStep:
+class RefineStep(NamedTuple):
     """One exchange round: who was thin toward part k, who was crowded in it."""
 
     k: int
@@ -336,16 +332,14 @@ class RefineStep:
     matching: Optional[Matching]
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(NamedTuple):
+    """The exchange rounds of one refinement, in order.  Count them with
+    `len(trace.steps)`: as a tuple the trace itself has length 1."""
+
     steps: Tuple[RefineStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
 
-
-@dataclass(frozen=True)
-class GoodPartition:
+class GoodPartition(NamedTuple):
     """A refined partition with its grades, rescue matchings and constants.
 
     The partition is graded once at each threshold the tiling stage reads:

@@ -25,8 +25,7 @@ importing this module, as the package does, loads neither.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .decide import decide_equitable
 from .errors import PreconditionError
@@ -49,8 +48,7 @@ ANOMALY_LIMIT = 100
 Tally = Tuple[int, int, int, List[str]]
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of one sweep: instance counts plus any anomalies (expected none)."""
 
     check: str

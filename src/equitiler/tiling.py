@@ -20,11 +20,10 @@ slack; the asymptotic constants only enter as relaxable size gates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
 from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
@@ -52,8 +51,7 @@ __all__ = [
 # seed types
 
 
-@dataclass(frozen=True)
-class SingleBase:
+class SingleBase(NamedTuple):
     """One clique kept well connected to every block it does not overfill."""
 
     clique: VertexSet
@@ -68,8 +66,7 @@ class SingleBase:
         return self.clique
 
 
-@dataclass(frozen=True)
-class DoubleBase:
+class DoubleBase(NamedTuple):
     """Two disjoint cliques that each overfill one block by a single vertex.
 
     `heavy_left` and `heavy_right` name the overfilled blocks, as a part index
@@ -96,8 +93,7 @@ class DoubleBase:
 Base = Union[SingleBase, DoubleBase]
 
 
-@dataclass(frozen=True)
-class BaseSet:
+class BaseSet(NamedTuple):
     """Vertex-disjoint seeds plus the obligation set they absorb.
 
     `covered` records which vertices the set was built to take care of; it is

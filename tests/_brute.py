@@ -26,10 +26,13 @@ from equitiler.absorbing import (
 )
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
+from equitiler.extremal import Ex2Witness
 from equitiler.graphs import (
     Graph,
     VertexSet,
     as_fraction,
+    complement,
+    connected_components,
     find_clique_of_size,
     induced_edge_count,
     iter_bits,
@@ -1391,3 +1394,42 @@ def seed_random_ore(n: int, r: int, alpha, seed: int = 0) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         g = Graph(g.n, adj)
+
+
+# The odd-split recognizer before its degree-profile gate.
+
+
+def seed_recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
+    """extremal._recognize_ex2 building the complement of every input."""
+    n = g.n
+    if r < 3 or n == 0 or n % r != 0:
+        return None
+    m = n // r
+    co = complement(g)
+    comps = connected_components(co)
+    if len(comps) != r - 1:
+        return None
+    a_parts: List[VertexSet] = []
+    b_comp: Optional[VertexSet] = None
+    for c in comps:
+        if len(c) == m:
+            a_parts.append(c)
+        elif len(c) == 2 * m and b_comp is None:
+            b_comp = c
+        else:
+            return None
+    if b_comp is None or len(a_parts) != r - 2:
+        return None
+    low = b_comp.bits & -b_comp.bits
+    u = low.bit_length() - 1
+    side0 = b_comp.bits & ~co.adj[u]
+    side1 = b_comp.bits & co.adj[u]
+    if side0.bit_count() % 2 == 0 or side1.bit_count() % 2 == 0:
+        return None
+    if side0.bit_count() > side1.bit_count():
+        side0, side1 = side1, side0
+    s = side0.bit_count()
+    if not (1 <= s <= m):
+        return None
+    w = Ex2Witness(tuple(a_parts), VertexSet(side0), VertexSet(side1))
+    return w if w.verify(g, r) else None

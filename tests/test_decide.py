@@ -622,6 +622,9 @@ class TestStepTables:
                  ("colorable", "oracle"), ["oracle"]),
         "between-the-caps": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
                              ("colorable", "oracle"), ["oracle"]),
+        # The exact colouring search would take about 0.65 s to this NO.
+        "between-the-caps/odd-split": (lambda: complement(build_ex2(28, 4, 3)), "coloring", 7,
+                                       None, ("exact", "recognizer"), ["recognize"]),
         "delegate": (lambda: cycle(7), "coloring", 3, None,
                      ("colorable", "oracle"), ["recognize", "oracle"]),
         "delegate/hunt": (lambda: Graph.complete(4), "coloring", 3, None,
@@ -642,3 +645,17 @@ class TestStepTables:
         assert (c.kind, c.provenance) == want
         assert [stage for stage, _ in c.timings] == stages
         assert verify_certificate(g, c, mode, value) == []
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_no_odd_split_complements_a_padded_graph(self, r):
+        # The colouring recognizer runs only when k divides n.  A padded
+        # graph's complement has q < k = m padding vertices, each missing
+        # exactly the others; no vertex set of an odd split is like that.
+        for m in range(1, 7):
+            for s in range(1, m + 1, 2):
+                h = build_ex2(r * m, r, s)
+                for v in range(h.n):
+                    pad = h.full_mask & ~h.adj[v]
+                    assert pad.bit_count() >= m or any(
+                        h.full_mask & ~h.adj[u] != pad for u in VertexSet(pad)
+                    )

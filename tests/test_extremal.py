@@ -12,6 +12,7 @@ from equitiler.extremal import (
     Ex1Witness,
     Ex2Witness,
     _independent_heuristic,
+    _recognize_ex2,
     build_ex1_like,
     build_ex2,
     build_obstruction,
@@ -21,6 +22,7 @@ from equitiler.extremal import (
     recognize_extremal,
 )
 from equitiler.graphs import Graph, VertexSet, lowest_vertices, max_independent_set
+from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from _brute import (
     has_biclique,
@@ -28,6 +30,7 @@ from _brute import (
     seed_independent_heuristic,
     seed_independent_set_of_size,
     seed_masked_independent_heuristic,
+    seed_recognize_ex2,
 )
 from conftest import cycle, random_graph
 
@@ -120,6 +123,41 @@ class TestRecognizer:
         w = recognize_extremal(g, 3)
         assert isinstance(w, Ex2Witness)
         assert len(w.b0) == len(w.b1) == 3
+
+
+class TestDegreeGate:
+    """`_recognize_ex2` turns away a graph with four or more distinct
+    degrees before building its complement; the ungated seed version is the
+    reference."""
+
+    def test_every_labeled_six_vertex_graph(self):
+        hits = 0
+        for _, g in iter_labeled_graphs_inplace(6):
+            want = seed_recognize_ex2(g, 3)
+            assert _recognize_ex2(g, 3) == want
+            hits += want is not None
+        # One 2-vertex part (15 ways) and a lone small side (4 ways).
+        assert hits == 60
+
+    def test_perturbed_odd_splits(self):
+        rng = random.Random(0x0DD5)
+        hits = 0
+        for _ in range(200):
+            r = rng.choice((3, 4, 5))
+            m = rng.randint(1, 6)
+            g = build_ex2(r * m, r, rng.randrange(1, m + 1, 2))
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.sample(range(g.n), 2)
+                g.adj[u] ^= 1 << v
+                g.adj[v] ^= 1 << u
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            want = seed_recognize_ex2(h, r)
+            got = _recognize_ex2(h, r)
+            assert got == want and type(got) is type(want)
+            hits += want is not None
+        assert 0 < hits < 200
 
 
 class TestWitnessVerification:

@@ -77,3 +77,31 @@ def test_only_the_connected_sweep_loads_numpy():
         [2261, 1121, 0, True, False],
         [82, 2, 2, True, True],
     ]
+
+
+# Lists the modules of interest loaded by `import equitiler`, and the classes
+# defined in equitiler's modules that carry dataclass fields.
+IMPORT_PROBE = """
+import inspect, json, sys
+import equitiler
+
+classes = sorted(
+    f"{mod.__name__}.{name}"
+    for mod in list(sys.modules.values())
+    if mod is not None and mod.__name__.startswith("equitiler")
+    for name, obj in vars(mod).items()
+    if inspect.isclass(obj) and obj.__module__ == mod.__name__
+    and hasattr(obj, "__dataclass_fields__")
+)
+loaded = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+print(json.dumps({"loaded": loaded, "dataclasses": classes}))
+"""
+
+
+def test_import_loads_no_heavy_modules_and_one_dataclass():
+    # The records are NamedTuples, which generate no code at import;
+    # ConstantsConfig stays a dataclass for `dataclasses.replace`.
+    assert probe(IMPORT_PROBE) == {
+        "loaded": [],
+        "dataclasses": ["equitiler.constants.ConstantsConfig"],
+    }

@@ -1,7 +1,6 @@
 """Peeling, vertex grading, and the exchange refinement."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -282,7 +281,7 @@ class TestRefine:
         out, trace = refine_to_good(g, manual, default_constants(3))
         assert isinstance(out, Ex1Witness)
         assert out.verify(g, 3)
-        assert len(trace) == 0
+        assert trace.steps == ()
 
     def test_refine_rejects_empty_peel(self):
         g = Graph.complete(9)
@@ -357,5 +356,5 @@ class TestValidate:
         cfg = out.constants
         # The thin grade taken at 2*beta instead of beta/2.
         (wrong,) = classify(g, out.partition, (2 * cfg.beta,))
-        report = validate_good(g, replace(out, thin=wrong))
+        report = validate_good(g, out._replace(thin=wrong))
         assert report == [f"(grades) thin differs from the grade at delta = {cfg.beta / 2}"]
