@@ -290,15 +290,16 @@ def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
     return sorted(levels.items())
 
 
-def _ore_witness(
-    g: Graph, degs: Sequence[int], levels: Sequence[Tuple[int, int]]
-) -> Tuple[float | int, Optional[Tuple[int, int]]]:
-    """The least d(u)+d(v) over non-adjacent pairs u < v, and the first such pair.
+def sigma(g: Graph) -> OreStats:
+    """The least d(u)+d(v) over non-adjacent pairs u < v, its first pair, and
+    the degree extremes.
 
-    `degs` and `levels` must describe g as `g.degrees()` and
-    `_degree_levels` do; `random_ore` keeps both up to date as it adds edges.
     The sum is math.inf and the pair None when g is complete.
     """
+    if g.n == 0:
+        return OreStats(math.inf, None, 0, 0)
+    degs = g.degrees()
+    levels = _degree_levels(degs)
     full = g.full_mask
     best: float | int = math.inf
     wit: Optional[Tuple[int, int]] = None
@@ -316,15 +317,6 @@ def _ore_witness(
                 best = du + d
                 wit = (u, (meet & -meet).bit_length() - 1)
                 break
-    return best, wit
-
-
-def sigma(g: Graph) -> OreStats:
-    if g.n == 0:
-        return OreStats(math.inf, None, 0, 0)
-    degs = g.degrees()
-    levels = _degree_levels(degs)
-    best, wit = _ore_witness(g, degs, levels)
     return OreStats(best, wit, levels[0][0], levels[-1][0])
 
 

@@ -1,9 +1,11 @@
 """Instance families: delegation, determinism, and the degree-sum floor."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equitiler import PreconditionError
@@ -14,8 +16,19 @@ from equitiler.graphs import Graph, as_fraction, sigma
 from _brute import seed_random_gnp, seed_random_ore
 
 
+FIRST_DRAW = random.Random(0).random()
+
+
 def edge_count(g: Graph) -> int:
     return sum(1 for _ in g.edges())
+
+
+def boundary_examples(test):
+    """The boundary family random_ore(n, 3, 1/n, seed) at n <= 120."""
+    for n in (60, 90, 120):
+        for seed in range(4):
+            test = example(n, 3, Fraction(1, n), seed)(test)
+    return test
 
 
 class TestFixedFamilies:
@@ -71,15 +84,25 @@ class TestGnp:
     def test_deterministic_under_seed(self, n, seed):
         assert random_gnp(n, 0.4, seed).content_hash() == random_gnp(n, 0.4, seed).content_hash()
 
-    @given(
-        st.integers(0, 40),
-        st.sampled_from([0, 0.3, 2 / 3, 0.9, 1]),
-        st.integers(0, 2**30),
-    )
+    @given(st.integers(0, 60), st.floats(0, 1), st.integers(0, 2**30))
     @settings(max_examples=60, deadline=None)
+    # Pairs whose draw shares its top byte with p, settled from the whole
+    # draw: each of these two catches a draw that makes every such pair an
+    # edge, or none.
+    @example(40, 0.3, 0)
+    @example(40, 2 / 3, 1)
+    # p equal to seed 0's first draw, whose pair is then no edge, and its
+    # neighbours on either side.
+    @example(40, FIRST_DRAW, 0)
+    @example(40, math.nextafter(FIRST_DRAW, 0), 0)
+    @example(40, math.nextafter(FIRST_DRAW, 1), 0)
+    @example(40, 5e-324, 0)
+    @example(40, 1 - 2**-53, 0)
+    @example(40, 0.0, 0)
+    @example(40, 1.0, 0)
     def test_matches_pairwise_draw(self, n, p, seed):
-        # The row-at-a-time draw makes the pair-by-pair loop's random()
-        # calls in the same order, so the graph is the same.
+        # Reading each draw from the generator's words keeps the pair-by-pair
+        # loop's random() calls and comparisons, so the graph is the same.
         assert random_gnp(n, p, seed).adj == seed_random_gnp(n, p, seed).adj
 
     def test_benchmark_graph_pinned(self):
@@ -126,8 +149,10 @@ class TestRandomOre:
         st.integers(0, 2**30),
     )
     @settings(max_examples=60, deadline=None)
+    @boundary_examples
     def test_matches_full_recount(self, n, r, alpha, seed):
-        # Degrees kept across repairs pick the witness sigma picks afresh.
+        # The queued lower bounds and the degrees kept across repairs pick
+        # the witness sigma picks afresh.
         assert random_ore(n, r, alpha, seed).adj == seed_random_ore(n, r, alpha, seed).adj
 
     def test_benchmark_graph_pinned(self):

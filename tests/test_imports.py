@@ -93,14 +93,15 @@ classes = sorted(
     if inspect.isclass(obj) and obj.__module__ == mod.__name__
     and hasattr(obj, "__dataclass_fields__")
 )
-loaded = [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("numpy", "concurrent.futures", "heapq") if m in sys.modules]
 print(json.dumps({"loaded": loaded, "dataclasses": classes}))
 """
 
 
 def test_import_loads_no_heavy_modules_and_one_dataclass():
     # The records are NamedTuples, which generate no code at import;
-    # ConstantsConfig stays a dataclass for `dataclasses.replace`.
+    # ConstantsConfig stays a dataclass for `dataclasses.replace`.  heapq is
+    # imported by random_ore when it runs, not by the package.
     assert probe(IMPORT_PROBE) == {
         "loaded": [],
         "dataclasses": ["equitiler.constants.ConstantsConfig"],
