@@ -406,7 +406,8 @@ def _color_exactly(g: Graph, k: int) -> DecisionCertificate:
     col = equitable_coloring_exact(g, k)
     if col is None:
         return _coloring_no(g, k, None, "oracle")
-    assert col.verify(g)
+    if not col.verify(g):
+        raise InternalContradiction("oracle colouring failed verification")
     return _yes(col, "oracle")
 
 
@@ -450,9 +451,10 @@ def decide_equitable(
                   search would reach only after exponential time (its
                   clique pair carries no witness over to G);
       oracle      k >= n, or the padded graph lies between the caps, where
-                  the factor side would fall through to an exact clique
-                  search on more than EXACT_CAP vertices: exact colouring of
-                  G settles the same question at the smaller scale;
+                  the factor table would run absorption and the structured
+                  route before its fallback, the same exact search on the
+                  padded complement: exact colouring of G settles the same
+                  question at once, without the padding;
       delegate    the factor table on the complement of G padded to
                   divisibility, its answer carried back to G.
     A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
@@ -466,7 +468,6 @@ def decide_equitable(
     if ok:
         notes.append("edge degree-sum bound holds")
     else:
-        assert worst is not None
         notes.append(
             f"edge degree-sum bound fails at {worst}; dichotomy guarantee lapses"
         )

@@ -1,13 +1,14 @@
-"""Exhaustive exact deciders for clique factors and equitable colorings.
+"""The exact decider for equitable colourings, and clique factors through it.
 
-These are the reference implementations: small-case complete searches with
-sound pruning, no heuristics that could change answers.  The factor search
-always expands the lowest-index uncovered vertex and enumerates candidate
-cliques in lexicographic order; the colouring search places vertices in a
-fixed degree order and tries classes in index order.  Every prune cuts only
-subtrees that hold no solution and leaves the order of the rest alone, so the
-first solution found, and hence every returned witness, is reproducible and
-does not depend on which prunes ran.  The colouring search has three such
+One complete search answers both questions.  G[inside] has a K_r-factor
+exactly when its complement has an equitable (|inside|/r)-colouring, so
+`kr_factor_exact` colours the complement rows with the search of
+`equitable_coloring_exact`.  The search is the reference: complete, with
+sound pruning and no heuristic that could change an answer.  It places
+vertices in a fixed degree order and tries classes in index order.  Every
+prune cuts only subtrees that hold no solution and leaves the order of the
+rest alone, so the first solution found, and hence every returned witness,
+is reproducible and does not depend on which prunes ran.  There are three
 prunes, fill, cover and independence, and two commit rules: a vertex only
 one class can still take goes into that class, and a class with exactly as
 many candidates as places left takes them all (see
@@ -16,9 +17,12 @@ many candidates as places left takes them all (see
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
+from .graphs import Graph, VertexSet, _clique_walk, iter_bits
+
+# The rows the colouring search reads: a graph's, or a dict of them by vertex.
+Rows = Union[List[int], Dict[int, int]]
 
 __all__ = [
     "Tiling",
@@ -107,45 +111,16 @@ class LayeredFactor(NamedTuple):
         return seen == g.full_mask
 
 
-def _residual_infeasible(g: Graph, mask: int, r: int) -> bool:
-    """Sound pruning for factor search on the uncovered set `mask`.
-
-    (a) some uncovered vertex has fewer than r-1 uncovered neighbors;
-    (b) a greedy independent set (min residual degree first) exceeds
-        |mask| / r, while any factor can host at most one independent
-        vertex per clique.
-    """
-    degs: Dict[int, int] = {}
-    for v in iter_bits(mask):
-        d = (g.adj[v] & mask).bit_count()
-        if d < r - 1:
-            return True
-        degs[v] = d
-    quota = mask.bit_count() // r
-    picked = 0
-    rest = mask
-    while rest:
-        best_v = -1
-        best_d = 1 << 30
-        for v in iter_bits(rest):
-            d = (g.adj[v] & rest).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = v
-        picked += 1
-        if picked > quota:
-            return True
-        rest &= ~(g.adj[best_v] | (1 << best_v))
-    return False
-
-
 def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[Tiling]:
     """Exact K_r-factor of G[inside]: a partition of it into r-cliques, or None.
 
     `inside` is a vertex mask, all of V by default.  Requires r >= 1 and r
-    dividing its size.  Complete backtracking; prunes keep the obstructed
-    instances in this package's test families cheap, but the worst case is
-    exponential, so callers gate on an exact-size cap.
+    dividing its size.  A K_r-factor of G[inside] is an equitable
+    (|inside|/r)-colouring of its complement, each class an r-clique of G,
+    so this colours the complement rows of G[inside] with the search of
+    `equitable_coloring_exact` and returns the classes, in class order, as
+    the cliques.  No graph is built.  The worst case is exponential, so
+    callers gate on an exact-size cap.
     """
     mask = g.full_mask if inside is None else inside
     if r < 1:
@@ -153,29 +128,16 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
     if mask.bit_count() % r != 0:
         raise ValueError(f"r={r} does not divide n={mask.bit_count()}")
     if r == 1:
-        # The sweeps make this call for every small graph; range() is the
-        # cheaper walk there.
+        # The singletons, without building rows: the factor table's trivial
+        # step and `decide._block_tiling` at d = 1 ask for them at any n.
         verts = range(g.n) if inside is None else iter_bits(mask)
         return Tiling(1, tuple(VertexSet(1 << v) for v in verts))
-
-    pieces: List[int] = []
-
-    def search(mask: int) -> bool:
-        if mask == 0:
-            return True
-        if _residual_infeasible(g, mask, r):
-            return False
-        low = mask & -mask
-        for c in iter_cliques(g, r, mask & g.adj[low.bit_length() - 1], low):
-            pieces.append(c)
-            if search(mask & ~c):
-                return True
-            pieces.pop()
-        return False
-
-    if search(mask):
-        return Tiling(r, tuple(VertexSet(c) for c in pieces))
-    return None
+    adj = g.adj
+    rows = {v: mask & ~adj[v] ^ (1 << v) for v in iter_bits(mask)}
+    classes = _classes(rows, mask, mask.bit_count() // r)
+    if classes is None:
+        return None
+    return Tiling(r, tuple(VertexSet(c) for c in classes))
 
 
 def _class_profile(n: int, k: int) -> List[int]:
@@ -230,49 +192,56 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = g.n
+    classes = _classes(g.adj, g.full_mask, k)
+    if classes is None:
+        return None
+    return Coloring(tuple(VertexSet(c) for c in classes))
+
+
+def _classes(adj: Rows, mask: int, k: int) -> Optional[List[int]]:
+    """The class masks of the equitable k-colouring of the graph on `mask`
+    that `equitable_coloring_exact` returns, or None.
+
+    `adj[v]` is the row of a vertex v of `mask`, a subset of `mask`: a list
+    of a graph's rows, or a dict of complement rows over a vertex mask.
+    """
+    n = mask.bit_count()
     if n == 0:
-        return Coloring(tuple(VertexSet(0) for _ in range(k)))
+        return [0] * k
     if k >= n:
-        classes = [VertexSet(1 << v) for v in range(n)]
-        classes += [VertexSet(0)] * (k - n)
-        return Coloring(tuple(classes))
-    if find_clique_of_size(g, k + 1) is not None:
+        return [1 << v for v in iter_bits(mask)] + [0] * (k - n)
+    if next(_clique_walk(adj, 0, k + 1, mask), None) is not None:
         return None
 
     caps = _class_profile(n, k)
-    degs = g.degrees()
     # sorted stays stable under reverse=True: equal degrees keep index order.
-    order = sorted(range(n), key=degs.__getitem__, reverse=True)
+    order = sorted(iter_bits(mask), key=lambda v: adj[v].bit_count(), reverse=True)
 
     # Greedy: largest remaining capacity first, feasibility by neighbor masks.
-    class_bits = [0] * k
+    bits = [0] * k
     counts = [0] * k
-    assign = [-1] * n
     for v in order:
         best = -1
         for c in range(k):
-            if counts[c] >= caps[c] or (class_bits[c] & g.adj[v]):
+            if counts[c] >= caps[c] or (bits[c] & adj[v]):
                 continue
             if best == -1 or caps[c] - counts[c] > caps[best] - counts[best]:
                 best = c
         if best == -1:
             # The greedy is stuck; the complete search decides.
-            assign = _backtrack(g, caps, order)
+            assign = _backtrack(adj, mask, caps, order)
             if assign is None:
                 return None
-            break
-        assign[v] = best
-        class_bits[best] |= 1 << v
+            bits = [0] * k
+            for u in order:
+                bits[assign[u]] |= 1 << u
+            return bits
+        bits[best] |= 1 << v
         counts[best] += 1
-
-    bits = [0] * k
-    for v, c in enumerate(assign):
-        bits[c] |= 1 << v
-    return Coloring(tuple(VertexSet(b) for b in bits))
+    return bits
 
 
-def _claim(adj: List[int], assign: List[int], c: int, bits: int) -> int:
+def _claim(adj: Rows, assign: List[int], c: int, bits: int) -> int:
     """Puts the vertices of `bits` in class c and returns their rows' union.
 
     It peels the bits itself: on the sweeps' tiny searches an `iter_bits`
@@ -289,7 +258,7 @@ def _claim(adj: List[int], assign: List[int], c: int, bits: int) -> int:
     return rows
 
 
-def _covers(adj: List[int], free: int, slack: int) -> bool:
+def _covers(adj: Rows, free: int, slack: int) -> bool:
     """Whether G[free] has a vertex cover of at most `slack` vertices, that
     is, an independent set of all but `slack` of its vertices.
 
@@ -310,7 +279,7 @@ def _covers(adj: List[int], free: int, slack: int) -> bool:
     return True
 
 
-def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int]]:
+def _backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optional[List[int]]:
     """The class of each vertex in the first equitable colouring the
     backtracking of `equitable_coloring_exact` reaches, or None.
 
@@ -329,16 +298,14 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
     every other class is full.  Kept apart from the caller so that the
     short calls, which end before the search, do not set up its closures.
     """
-    n = g.n
     k = len(caps)
-    adj = g.adj
     # near[c] is the union of the neighbour rows of class c; a vertex can
     # join c iff it is outside near[c].
     near = [0] * k
     counts = [0] * k
     # Read only at a leaf, where the current path has placed or committed
     # every vertex, so a backtrack leaves its entries stale.
-    assign = [-1] * n
+    assign = [-1] * mask.bit_length()
     # None until the first dead end arms the checks; then the commits, as
     # (class, its near row before, how many vertices it took), for the undo.
     log: Optional[List[Tuple[int, int, int]]] = None
@@ -463,7 +430,7 @@ def _backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List[int
             counts[c] = cnt
         return False
 
-    return assign if place(0, g.full_mask) else None
+    return assign if place(0, mask) else None
 
 
 def is_absorber_set(g: Graph, s_bits: int, q_bits: int, r: int) -> bool:

@@ -2,8 +2,9 @@
 
 Four checks ship:
 
-- ``equivalence``: for k | n, the coloring oracle must agree with the
-  clique-factor oracle on the complement.
+- ``equivalence``: for k | n, the colouring search must agree with a bare
+  clique walk for a factor of the complement (`_clique_factor_exists`), a
+  second search that shares nothing with the first.
 - ``edge-bound``: when every edge has degree sum at most 2k+1, an equitable
   (k+1)-coloring must exist.
 - ``dichotomy``: for k >= 3 under the 2k edge cap, every NO-instance must
@@ -31,7 +32,7 @@ from .decide import decide_equitable
 from .errors import PreconditionError
 from .extremal import BicliqueObstruction, CliqueObstruction
 from .graphs import Graph, complement, connected_components, ore_edge_bound
-from .oracle import equitable_coloring_exact, kr_factor_exact
+from .oracle import equitable_coloring_exact
 from .smallgraphs import (
     MAX_CANONICAL_N,
     connected_graphs,
@@ -91,6 +92,35 @@ def _edges_repr(g: Graph) -> str:
     return str(list(g.edges()))
 
 
+def _clique_factor_exists(adj: List[int], rest: int, r: int) -> bool:
+    """Whether the vertices of `rest` split into r-cliques of the graph with
+    rows `adj`.
+
+    The reference for the equivalence check: the lowest vertex of `rest`
+    joins each r-clique through it in turn, in lexicographic order, and the
+    walk recurses on what is left.  It prunes nothing and shares no code
+    with the colouring search.
+    """
+    if not rest:
+        return True
+    low = rest & -rest
+    rest ^= low
+    return _grow_clique(adj, rest, r - 1, rest & adj[low.bit_length() - 1], r)
+
+
+def _grow_clique(adj: List[int], rest: int, need: int, cand: int, r: int) -> bool:
+    """Whether `need` more vertices of `cand`, the uncovered common
+    neighbours above the clique so far, complete it into a factor of `rest`."""
+    if not need:
+        return _clique_factor_exists(adj, rest, r)
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low
+        if _grow_clique(adj, rest ^ low, need - 1, cand & adj[low.bit_length() - 1], r):
+            return True
+    return False
+
+
 def _tally_equivalence(g: Graph) -> Tally:
     inst = nos = 0
     bad: List[str] = []
@@ -100,12 +130,12 @@ def _tally_equivalence(g: Graph) -> Tally:
             continue
         inst += 1
         col = equitable_coloring_exact(g, k)
-        fac = kr_factor_exact(gc, g.n // k)
+        fac = _clique_factor_exists(gc.adj, gc.full_mask, g.n // k)
         if col is None:
             nos += 1
-        if (col is None) != (fac is None):
+        if (col is None) == fac:
             side = "coloring absent" if col is None else "coloring present"
-            other = "factor absent" if fac is None else "factor present"
+            other = "factor present" if fac else "factor absent"
             bad.append(f"n={g.n} k={k}: {side} but complement {other}; edges={_edges_repr(g)}")
     return inst, nos, 0, bad
 

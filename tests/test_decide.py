@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ import pytest
 from equitiler import (
     BicliqueObstruction,
     CliqueObstruction,
+    Coloring,
     Ex2Witness,
     Graph,
     InternalContradiction,
@@ -34,6 +36,7 @@ from equitiler import (
     random_ore,
 )
 from equitiler import decide as decide_module
+from equitiler import oracle as oracle_module
 from equitiler.certificates import certificate_to_json, verify_certificate
 from equitiler.matching import TutteBarrier, maximum_matching
 
@@ -577,6 +580,50 @@ class TestEquitable:
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "oracle")
         assert isinstance(c.witness, CliqueObstruction)
         assert c.witness.verify(Graph.complete(26), 5)
+
+    def test_failed_oracle_colouring_raises(self, monkeypatch):
+        # The exact colouring is checked by a raise, not an assert, so that
+        # `python -O` cannot let an unverified colouring out as a YES.
+        monkeypatch.setattr(
+            decide_module,
+            "equitable_coloring_exact",
+            lambda g, k: Coloring((vs(0, 1), vs(2), vs())),
+        )
+        with pytest.raises(InternalContradiction, match="oracle colouring failed verification"):
+            decide_equitable(Graph.complete(3), 3)
+
+    @pytest.mark.parametrize(
+        "p, seed, ceiling",
+        [
+            # 2,328 nodes.
+            (0.4348700725361976, 1675, 2500),
+            # 30,007 nodes.
+            (0.41629179691869356, 2587, 32000),
+        ],
+    )
+    def test_delegate_colours_within_its_node_count(self, p, seed, ceiling):
+        # n = 17 pads to 24 vertices at k = 8, so the delegate's factor
+        # table settles it with its exact step, the colouring search on the
+        # padded complement's complement.  A clique-by-clique factor search
+        # of the padded complement took 2.3 s and 1.5 s on these inputs.
+        g = random_gnp(17, p, seed)
+        module = vars(oracle_module)
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            if event == "call" and frame.f_code.co_name == "place" and frame.f_globals is module:
+                nodes += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            c = decide_equitable(g, 8)
+        finally:
+            sys.setprofile(previous)
+        assert (c.kind, c.provenance) == ("colorable", "oracle")
+        assert verify_certificate(g, c, "coloring", 8) == []
+        assert 0 < nodes <= ceiling
 
     def test_unresolved_exit(self):
         # Three disjoint K_17 at k = 17: Δ(G) = 16 < k, so Hajnal–Szemerédi

@@ -119,10 +119,12 @@ class TestKrFactor:
         g = Graph.complete(6)
         a = kr_factor_exact(g, 2)
         b = kr_factor_exact(g.copy(), 2)
-        assert a == b == Tiling(2, (VertexSet([0, 1]), VertexSet([2, 3]), VertexSet([4, 5])))
+        assert a == b == Tiling(2, (VertexSet([0, 3]), VertexSet([1, 4]), VertexSet([2, 5])))
 
     def test_large_obstructed_instances_fast(self):
-        # These would be hopeless without the independent-set prune.
+        # These would be hopeless without the colouring search's checks: its
+        # (k+1)-clique check of the complement finds the third input's
+        # independent set, and its prunes cut the two odd splits.
         assert kr_factor_exact(build_ex2(36, 3, 1), 3) is None
         assert kr_factor_exact(build_ex2(36, 3, 3), 3) is None
         assert kr_factor_exact(build_ex1_like(36, 3), 3) is None
@@ -212,7 +214,7 @@ class TestEquitableColoring:
         # past the greedy and the clique short-circuit.
         g = random_gnp(n, p, seed)
         caps, order = _search_args(g, k)
-        assert _backtrack(g, caps, order) == seed_backtrack(g, caps, order)
+        assert _backtrack(g.adj, g.full_mask, caps, order) == seed_backtrack(g, caps, order)
 
     @pytest.mark.parametrize(
         "n, p, seed, k, ceiling",
@@ -250,7 +252,7 @@ class TestEquitableColoring:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            _backtrack(g, caps, order)
+            _backtrack(g.adj, g.full_mask, caps, order)
         finally:
             sys.setprofile(previous)
         assert 0 < nodes <= ceiling

@@ -1,0 +1,137 @@
+"""Regime scoreboard: seeded families in and around the paper's hypothesis.
+
+In colouring terms the hypothesis is sigma_G <= 2k; on the factor side it
+reads sigma_H >= 2(1 - 1/r)n - 2 for the complement H of the padded G.  Each
+family is decided in full.  Every YES must re-verify and every NO must carry
+a verified witness or be an `exact` NO.  Two floors per family count what
+the ladder settles today: every decided input, and the inputs decided by a
+polynomial step (provenance other than `oracle`).  A change may raise a
+floor, never lower it.  Every input here has n > FALLBACK_CAP, so no exact
+search answers and the two floors agree.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Callable, List, Tuple
+
+import pytest
+
+from equitiler import (
+    FALLBACK_CAP,
+    Graph,
+    build_ex2,
+    complement,
+    decide_equitable,
+    decide_kr_factor,
+    random_ore,
+    sigma,
+)
+from equitiler.certificates import verify_certificate
+
+# (graph, mode, r or k)
+Instance = Tuple[Graph, str, int]
+
+
+def boundary() -> List[Instance]:
+    """random_ore at alpha = 1/n: sigma_H meets 2(1 - 1/3 - 1/n)n, the
+    factor form of sigma_G = 2k."""
+    return [
+        (random_ore(n, 3, Fraction(1, n), seed), "factor", 3)
+        for n in range(60, 301, 30)
+        for seed in range(4)
+    ]
+
+
+def disjoint_cliques(parts: int, m: int) -> Graph:
+    g = Graph.empty(parts * m)
+    for p in range(parts):
+        block = ((1 << m) - 1) << (p * m)
+        for v in range(p * m, (p + 1) * m):
+            g.adj[v] = block & ~(1 << v)
+    return g
+
+
+def tripartite() -> List[Instance]:
+    """K_{m,m,m} in factor mode and 3K_m at k = m, the simplest YES."""
+    out: List[Instance] = []
+    for m in (17, 30, 100):
+        three = disjoint_cliques(3, m)
+        out.append((complement(three), "factor", 3))
+        out.append((three, "coloring", m))
+    return out
+
+
+def perturbed_odd_splits() -> List[Instance]:
+    """build_ex2(n, 3, 1) with one or two non-edges added and up to two
+    edges removed, kept when sigma >= 4n/3 - 2."""
+    rng = random.Random(7)
+    out: List[Instance] = []
+    for n in (120, 240, 360):
+        base = build_ex2(n, 3, 1)
+        edges = list(base.edges())
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not base.has_edge(u, v)]
+        for _ in range(30):
+            g = base.copy()
+            for u, v in rng.sample(non_edges, rng.randint(1, 2)):
+                g.add_edge(u, v)
+            for u, v in rng.sample(edges, rng.randint(0, 2)):
+                g.adj[u] &= ~(1 << v)
+                g.adj[v] &= ~(1 << u)
+            if 3 * sigma(g).sigma >= 4 * n - 6:
+                out.append((g, "factor", 3))
+    return out
+
+
+def sparse_draw(rng: random.Random, n: int, d: int) -> Graph:
+    """n*d random pairs are tried; a pair is added when it is not an edge
+    yet and both its ends have degree below d."""
+    g = Graph.empty(n)
+    for _ in range(n * d):
+        u, v = rng.sample(range(n), 2)
+        if g.degree(u) < d and g.degree(v) < d and not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
+def sparse() -> List[Instance]:
+    """Small k, far from k >= cn: two draws per (k, n) with degrees below
+    k (Hajnal–Szemerédi: YES) and two with degrees up to k (Chen–Lih–Wu)."""
+    rng = random.Random(3)
+    out: List[Instance] = []
+    for d_less in (1, 0):
+        for k in (3, 4, 5):
+            for n in (60, 120, 240, 480):
+                for _ in range(2):
+                    g = sparse_draw(rng, n, k - d_less)
+                    assert max(g.degrees()) == k - d_less
+                    out.append((g, "coloring", k))
+    return out
+
+
+# family: (draw, size, decided floor, polynomial floor)
+FAMILIES: dict = {
+    "boundary": (boundary, 36, 0, 0),
+    "tripartite": (tripartite, 6, 0, 0),
+    "perturbed": (perturbed_odd_splits, 36, 28, 28),
+    "sparse": (sparse, 48, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_floors(name):
+    draw, size, decided_floor, polynomial_floor = FAMILIES[name]
+    instances = draw()
+    assert len(instances) == size
+    decided = polynomial = 0
+    for g, mode, value in instances:
+        assert g.n > FALLBACK_CAP
+        decide: Callable = decide_kr_factor if mode == "factor" else decide_equitable
+        c = decide(g, value)
+        assert verify_certificate(g, c, mode, value) == [], (name, g.n, value, c.kind)
+        if c.answer is not None:
+            decided += 1
+            polynomial += c.provenance != "oracle"
+    assert decided >= decided_floor
+    assert polynomial >= polynomial_floor

@@ -3,7 +3,10 @@
 import pytest
 
 from equitiler import PreconditionError
-from equitiler.sweep import CHECKS, SweepReport, resolve_threads, sweep
+from equitiler.sweep import CHECKS, SweepReport, _clique_factor_exists, resolve_threads, sweep
+
+from _brute import brute_induced, brute_kr_factor_exists
+from conftest import random_graph
 
 
 class TestResolveThreads:
@@ -33,6 +36,33 @@ class TestEquivalence:
         assert r.witnesses == 0
         assert r.clean
         assert r.enumeration == "labeled"
+
+
+class TestReferenceWalk:
+    """The equivalence sweep compares the colouring search with this walk
+    alone, so the walk is checked against the brute-force factor search."""
+
+    def test_matches_brute_force(self, rng):
+        answers = set()
+        for _ in range(400):
+            r = rng.choice([2, 3, 4])
+            n = rng.randint(r, 9)
+            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.85]))
+            if n % r == 0 and rng.random() < 0.5:
+                mask = g.full_mask
+            else:
+                inside = rng.sample(range(n), r * rng.randint(1, n // r))
+                mask = sum(1 << v for v in inside)
+            size, edges, _ = brute_induced(n, g.edges(), mask)
+            want = brute_kr_factor_exists(size, edges, r)
+            assert _clique_factor_exists(g.adj, mask, r) is want, (n, list(g.edges()), mask, r)
+            answers.add((r, mask == g.full_mask, want))
+        assert len(answers) == 12
+
+    def test_empty_set_and_singletons(self, rng):
+        g = random_graph(rng, 5, 0.5)
+        assert _clique_factor_exists(g.adj, 0, 3)
+        assert _clique_factor_exists(g.adj, g.full_mask, 1)
 
 
 class TestEdgeBound:
