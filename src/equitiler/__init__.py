@@ -71,7 +71,6 @@ from .absorbing import (
 )
 from .oracle import is_absorber_set
 from .decide import (
-    EXACT_CAP,
     FALLBACK_CAP,
     DecisionCertificate,
     coloring_obstruction,

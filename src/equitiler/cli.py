@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -100,6 +101,9 @@ def _fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise CliError(f"cannot read {value!r} as a fraction") from None
     if isinstance(value, float):
+        # JSON admits NaN and Infinity, which no Fraction can hold.
+        if not math.isfinite(value):
+            raise CliError(f"cannot read {value!r} as a fraction")
         return Fraction(value).limit_denominator(10**12)
     raise CliError(f"number expected, got {value!r}")
 

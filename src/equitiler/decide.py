@@ -5,7 +5,7 @@ k-coloring exactly when the complement of its padded form splits into k
 cliques of equal size.  Every positive answer ships with a certificate that
 is re-verified against the input graph before it leaves this module, every
 structural NO ships with a witness that re-verifies, and anything the
-pipeline cannot settle within its exact-search caps is reported as
+polynomial routes cannot settle beyond the exact-search cap is reported as
 unresolved rather than guessed.  At r = 2 the question is perfect matching,
 which the blossom search settles at every size: a YES is the matching, a NO
 its Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
@@ -36,7 +36,6 @@ from .extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
-    Ex2Witness,
     _few_degrees,
     _recognize_ex2,
     find_biclique,
@@ -64,7 +63,6 @@ from .tiling import (
 )
 
 __all__ = [
-    "EXACT_CAP",
     "FALLBACK_CAP",
     "DecisionCertificate",
     "coloring_obstruction",
@@ -74,12 +72,8 @@ __all__ = [
     "pad_to_divisible",
 ]
 
-# Exact search is the ground truth below this size; the full labeled sweep at
-# n <= 7 has to clear in minutes, which this cap comfortably allows.
-EXACT_CAP = 24
-
-# When the structured pipeline gives out, instances up to this size fall back
-# to the exact search instead of returning unresolved.
+# When the polynomial routes give out, instances up to this size fall back to
+# the exact search instead of returning unresolved.
 FALLBACK_CAP = 48
 
 
@@ -90,8 +84,8 @@ class DecisionCertificate(NamedTuple):
     "unresolved".  The first two carry a verified positive certificate; an
     obstructed answer carries a verified witness; "exact" is a negative
     answer proved by exhaustive search, with no witness a reader can check;
-    "unresolved" means the instance is beyond both the pipeline and the
-    exact caps, and `answer` is None.
+    "unresolved" means the polynomial routes gave out on an instance beyond
+    the exact fallback cap, and `answer` is None.
     """
 
     kind: str
@@ -226,11 +220,10 @@ def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, 
     return None
 
 
-def _factor_by_oracle(g: Graph, r: int, witness: Optional[object]) -> DecisionCertificate:
-    """Exact search; its NO carries the recognizer's verified witness, if any."""
+def _factor_by_oracle(g: Graph, r: int) -> DecisionCertificate:
     t = kr_factor_exact(g, r)
     if t is None:
-        return _no(witness, "oracle")
+        return _no(None, "oracle")
     if not t.verify(g):
         raise InternalContradiction("oracle factor failed verification")
     return _yes(t, "oracle")
@@ -345,10 +338,8 @@ def decide_kr_factor(
       trivial     n = 0 or r = 1: exact search, the empty factor or the
                   singletons;
       matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
-      recognizer  the odd split at any n, an n/r + 1 independent set only
-                  above EXACT_CAP;
-      oracle      n <= EXACT_CAP: exact search, whose NO carries the
-                  recognizer's independent set, if it found one;
+      recognizer  the odd split or an n/r + 1 independent set, a NO with
+                  its verified witness;
       absorption  the dense absorption route;
       structured  the extremal pipeline;
       oracle      n <= FALLBACK_CAP: exact search;
@@ -358,32 +349,24 @@ def decide_kr_factor(
         raise PreconditionError(f"r={r} must be positive")
     if g.n % r != 0:
         raise PreconditionError(f"r={r} does not divide n={g.n}")
-    # Only the polynomial routes read the constants, and below this they
-    # never run; building them costs about as much as a small decision.
-    if cfg is None and r >= 3 and g.n > EXACT_CAP:
+    # Only the polynomial routes read the constants, and they run at r >= 3.
+    if cfg is None and r >= 3:
         cfg = default_constants(r)
-    found = None
 
     def recognize() -> Optional[DecisionCertificate]:
-        nonlocal found
-        w = recognize_extremal(g, r)
-        found = w if w is not None and w.verify(g, r) else None
         # The odd split is an exact-match recognizer, so this costs little and
-        # settles the hardest family outright.  A verified independent set
-        # beyond the clique count is conclusive at any size; up to EXACT_CAP
-        # the oracle reports it.
-        if isinstance(found, Ex2Witness) or (found is not None and g.n > EXACT_CAP):
-            return _no(found, "recognizer")
-        return None
+        # settles the hardest family outright; a verified independent set
+        # beyond the clique count is conclusive at any size.
+        w = recognize_extremal(g, r)
+        return _no(w, "recognizer") if w is not None and w.verify(g, r) else None
 
     def oracle() -> DecisionCertificate:
-        return _factor_by_oracle(g, r, found)
+        return _factor_by_oracle(g, r)
 
     steps: Tuple[_Step, ...] = (
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
         ("recognizer", "recognize", recognize),
-        ("oracle", "oracle", oracle if g.n <= EXACT_CAP else None),
         ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg, seed)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
@@ -394,7 +377,9 @@ def decide_kr_factor(
 
 def _coloring_no(g: Graph, k: int, witness: Optional[object], provenance: str) -> DecisionCertificate:
     """A colouring NO with `witness`, else with one hunted for in G up to
-    FALLBACK_CAP, else with none."""
+    FALLBACK_CAP, else with none.  The recognizer's and the oracle's NOs
+    come at most at the cap and are hunted for; the delegate's, beyond it,
+    keep only the clique the factor side carried over."""
     if witness is None and g.n <= FALLBACK_CAP:
         witness = coloring_obstruction(g, k)
     if witness is None:
@@ -450,13 +435,11 @@ def decide_equitable(
                   complement of G is an odd split, a NO the exact colouring
                   search would reach only after exponential time (its
                   clique pair carries no witness over to G);
-      oracle      k >= n, or the padded graph lies between the caps, where
-                  the factor table would run absorption and the structured
-                  route before its fallback, the same exact search on the
-                  padded complement: exact colouring of G settles the same
-                  question at once, without the padding;
-      delegate    the factor table on the complement of G padded to
-                  divisibility, its answer carried back to G.
+      oracle      k >= n or n <= FALLBACK_CAP: exact colouring of G, which
+                  settles what the factor table's own fallback would on
+                  the padded complement, without the padding;
+      delegate    beyond the cap, the factor table on the complement of G
+                  padded to divisibility, its answer carried back to G.
     A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
     of G, up to the fallback cap.  The edge degree-sum bound is reported
     in the notes but never required.
@@ -471,8 +454,7 @@ def decide_equitable(
         notes.append(
             f"edge degree-sum bound fails at {worst}; dichotomy guarantee lapses"
         )
-    padded_n = g.n + (-g.n) % k
-    exact = k >= g.n or (padded_n > EXACT_CAP and g.n <= FALLBACK_CAP)
+    exact = k >= g.n or g.n <= FALLBACK_CAP
 
     def recognize() -> Optional[DecisionCertificate]:
         if not _few_degrees(g) or _recognize_ex2(complement(g), g.n // k) is None:

@@ -367,20 +367,18 @@ def low_degree_set(g: Graph, threshold) -> VertexSet:
     return VertexSet(mask_of(v for v, d in enumerate(g.degrees()) if d < t))
 
 
-def iter_cliques(g: Graph, size: int, inside: int, chosen: int = 0) -> Iterator[int]:
-    """Every `size`-clique made of `chosen` plus vertices of `inside`, as masks.
+def iter_cliques(g: Graph, size: int, inside: int) -> Iterator[int]:
+    """Every `size`-clique of vertices of `inside`, as masks.
 
-    `chosen` must be a clique and `inside` must lie in its common
-    neighbourhood.  Cliques come in lexicographic order of their vertex
-    tuples: each picked vertex restricts the candidates to its higher-index
-    neighbours, and a branch whose candidates cannot fill the clique is
-    skipped, since it would yield nothing.
+    Cliques come in lexicographic order of their vertex tuples: each picked
+    vertex restricts the candidates to its higher-index neighbours, and a
+    branch whose candidates cannot fill the clique is skipped, since it
+    would yield nothing.
     """
-    need = size - chosen.bit_count()
-    if need == 0:
-        yield chosen
-    elif 0 < need <= inside.bit_count():
-        yield from _clique_walk(g.adj, chosen, need, inside)
+    if size == 0:
+        yield 0
+    elif 0 < size <= inside.bit_count():
+        yield from _clique_walk(g.adj, 0, size, inside)
 
 
 def _clique_walk(adj: List[int], chosen: int, need: int, cand: int) -> Iterator[int]:

@@ -301,6 +301,15 @@ class TestConstantsFile:
         assert code == 3
         assert "integer" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
+    def test_non_finite_number_is_a_usage_error(self, capsys, write, command, value):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"xi": value}))
+        code, _, err = run(capsys, [command[0], graph, *command[1:], "--constants", cfg])
+        assert code == 3
+        assert "as a fraction" in err
+
     def test_trivial_arity_refused(self, capsys, write):
         graph = write("e3.txt", dumps(Graph(3, [0] * 3)))
         cfg = write("c.json", json.dumps({"xi": "1/4"}))

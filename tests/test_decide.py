@@ -39,6 +39,7 @@ from equitiler import decide as decide_module
 from equitiler import oracle as oracle_module
 from equitiler.certificates import certificate_to_json, verify_certificate
 from equitiler.matching import TutteBarrier, maximum_matching
+from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from conftest import random_graph
 
@@ -602,11 +603,12 @@ class TestEquitable:
         ],
     )
     def test_delegate_colours_within_its_node_count(self, p, seed, ceiling):
-        # n = 17 pads to 24 vertices at k = 8, so the delegate's factor
-        # table settles it with its exact step, the colouring search on the
-        # padded complement's complement.  A clique-by-clique factor search
-        # of the padded complement took 2.3 s and 1.5 s on these inputs.
-        g = random_gnp(17, p, seed)
+        # n = 17 pads to 24 vertices at k = 8.  The factor search on the
+        # padded complement is the colouring search on its complement.  A
+        # clique-by-clique factor search of the padded complement took 2.3 s
+        # and 1.5 s on these inputs.
+        padded, _ = pad_to_divisible(random_gnp(17, p, seed), 8)
+        h = complement(padded)
         module = vars(oracle_module)
         nodes = 0
 
@@ -618,11 +620,10 @@ class TestEquitable:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            c = decide_equitable(g, 8)
+            t = kr_factor_exact(h, 3)
         finally:
             sys.setprofile(previous)
-        assert (c.kind, c.provenance) == ("colorable", "oracle")
-        assert verify_certificate(g, c, "coloring", 8) == []
+        assert t is not None and t.verify(h)
         assert 0 < nodes <= ceiling
 
     def test_unresolved_exit(self):
@@ -648,13 +649,9 @@ class TestStepTables:
                      ("factorable", "pipeline"), ["matching"]),
         "recognizer/odd-split": (lambda: build_ex2(36, 3, 1), "factor", 3, None,
                                  ("obstructed", "recognizer"), ["recognize"]),
-        "recognizer/independent-set": (lambda: build_ex1_like(60, 3), "factor", 3, None,
+        # The recognizer answers before any search, at every n.
+        "recognizer/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
                                        ("obstructed", "recognizer"), ["recognize"]),
-        "oracle": (lambda: Graph.complete(9), "factor", 3, None,
-                   ("factorable", "oracle"), ["recognize", "oracle"]),
-        # The oracle's NO carries the independent set the recognizer found.
-        "oracle/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
-                                   ("obstructed", "oracle"), ["recognize", "oracle"]),
         "absorption": (lambda: random_graph(random.Random(0xE0A1), 60, 0.9), "factor", 3, DENSE,
                        ("factorable", "pipeline"), ["recognize", "absorption"]),
         "structured": (lambda: multipartite((20, 20) + (1,) * 20), "factor", 3, None,
@@ -664,7 +661,8 @@ class TestStepTables:
                             ["recognize", "absorption", "pipeline", "oracle"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
                        ("unresolved", "pipeline"), ["recognize", "absorption", "pipeline"]),
-        # Colouring table: the delegate reports the factor side's stages.
+        # Colouring table: up to the cap the oracle colours G itself; beyond
+        # it the delegate reports the factor side's stages.
         "k>=n": (lambda: Graph.complete(5), "coloring", 7, None,
                  ("colorable", "oracle"), ["oracle"]),
         "between-the-caps": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
@@ -672,11 +670,11 @@ class TestStepTables:
         # The exact colouring search would take about 0.65 s to this NO.
         "between-the-caps/odd-split": (lambda: complement(build_ex2(28, 4, 3)), "coloring", 7,
                                        None, ("exact", "recognizer"), ["recognize"]),
-        "delegate": (lambda: cycle(7), "coloring", 3, None,
-                     ("colorable", "oracle"), ["recognize", "oracle"]),
-        "delegate/hunt": (lambda: Graph.complete(4), "coloring", 3, None,
-                          ("obstructed", "pipeline"), ["matching"]),
-        "delegate/odd-split": (lambda: complement(build_ex2(9, 3, 1)), "coloring", 3, None,
+        "oracle/hunt": (lambda: Graph.complete(4), "coloring", 3, None,
+                        ("obstructed", "oracle"), ["oracle"]),
+        "delegate": (lambda: cycle(50), "coloring", 25, None,
+                     ("colorable", "pipeline"), ["matching"]),
+        "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
                                ("exact", "recognizer"), ["recognize"]),
         "delegate/unresolved": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
                                 ("unresolved", "pipeline"),
@@ -692,6 +690,21 @@ class TestStepTables:
         assert (c.kind, c.provenance) == want
         assert [stage for stage, _ in c.timings] == stages
         assert verify_certificate(g, c, mode, value) == []
+
+    def test_colouring_delegates_only_beyond_the_cap(self, monkeypatch):
+        class Delegated(Exception):
+            pass
+
+        def delegated(*args, **kwargs):
+            raise Delegated
+
+        monkeypatch.setattr(decide_module, "decide_kr_factor", delegated)
+        for n in range(1, 6):
+            for _, g in iter_labeled_graphs_inplace(n):
+                for k in range(1, n + 1):
+                    decide_equitable(g, k)
+        with pytest.raises(Delegated):
+            decide_equitable(cycle(49), 3)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_no_odd_split_complements_a_padded_graph(self, r):
