@@ -12,6 +12,7 @@ ladder with more room gets the wider 10x spacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -88,8 +89,10 @@ class ConstantsConfig:
         return out
 
 
+@lru_cache(maxsize=None)
 def default_constants(r: int) -> ConstantsConfig:
-    """Ladder gamma_i = (1/r) * 10^-(r+1-i); refinement scales filled per s."""
+    """Ladder gamma_i = (1/r) * 10^-(r+1-i); refinement scales filled per s.
+    Built once per r: the config is frozen, so every caller shares it."""
     if r < 2:
         raise ValueError("need r >= 2")
     gammas = tuple(Fraction(1, r) * Fraction(1, 10 ** (r + 1 - i)) for i in range(1, r + 2))

@@ -1,6 +1,7 @@
 """Exhaustive sweeps over all small graphs, checking solver-level theorems.
 
-Four checks ship:
+Four checks ship.  Each asks the search core `oracle._classes` only whether
+a colouring exists, and builds no certificate records:
 
 - ``equivalence``: for k | n, the colouring search must agree with a bare
   clique walk for a factor of the complement (`_clique_factor_exists`), a
@@ -32,7 +33,7 @@ from .decide import decide_equitable
 from .errors import PreconditionError
 from .extremal import BicliqueObstruction, CliqueObstruction
 from .graphs import Graph, complement, connected_components, ore_edge_bound
-from .oracle import equitable_coloring_exact
+from .oracle import _classes
 from .smallgraphs import (
     MAX_CANONICAL_N,
     connected_graphs,
@@ -129,7 +130,7 @@ def _tally_equivalence(g: Graph) -> Tally:
         if g.n % k:
             continue
         inst += 1
-        col = equitable_coloring_exact(g, k)
+        col = _classes(g.adj, g.full_mask, k)
         fac = _clique_factor_exists(gc.adj, gc.full_mask, g.n // k)
         if col is None:
             nos += 1
@@ -154,7 +155,7 @@ def _tally_edge_bound(g: Graph) -> Tally:
         if 2 * k + 1 < worst:
             continue
         inst += 1
-        if equitable_coloring_exact(g, k + 1) is None:
+        if _classes(g.adj, g.full_mask, k + 1) is None:
             fails += 1
             bad.append(f"n={g.n} k={k}: edge sums <= {2 * k + 1} but no (k+1)-coloring; edges={_edges_repr(g)}")
     return inst, fails, 0, bad
@@ -168,7 +169,7 @@ def _tally_dichotomy(g: Graph) -> Tally:
         if worst > 2 * k:
             continue
         inst += 1
-        if equitable_coloring_exact(g, k) is not None:
+        if _classes(g.adj, g.full_mask, k) is not None:
             continue
         nos += 1
         cert = decide_equitable(g, k)
@@ -248,7 +249,7 @@ def _sweep_no_set(n_max: int) -> Tally:
                 if dmax > k:
                     continue
                 inst += 1
-                if equitable_coloring_exact(g, k) is not None:
+                if _classes(g.adj, g.full_mask, k) is not None:
                     continue
                 nos += 1
                 if _is_expected_no(g, k):

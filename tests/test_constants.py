@@ -23,8 +23,18 @@ class TestDefaults:
             assert cfg.gammas[-1] == F(1, r)
 
     def test_r_floor(self):
-        with pytest.raises(ValueError):
-            default_constants(1)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                default_constants(1)
+
+    def test_built_once_per_r(self):
+        # Shared by every caller, so nothing derived from it may alter it.
+        cfg = default_constants(3)
+        assert default_constants(3) is cfg
+        assert default_constants(4) is not cfg
+        assert cfg.for_s(2) is not cfg
+        assert replace(cfg, xi=F(1, 4)) is not cfg
+        assert cfg == default_constants.__wrapped__(3)
 
 
 class TestRefinement:

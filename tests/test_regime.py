@@ -110,12 +110,45 @@ def sparse() -> List[Instance]:
     return out
 
 
+def ore() -> List[Instance]:
+    """Degrees below k plus up to three hubs of degree k, each hub's new
+    neighbour kept clear of every other hub: sigma_G <= 2k - 1 with
+    Delta(G) = k (Kierstead–Kostochka's Ore-type theorem: YES)."""
+    rng = random.Random(5)
+    out: List[Instance] = []
+    for k in (3, 4, 5):
+        for n in (60, 120, 240, 480):
+            for _ in range(2):
+                g = sparse_draw(rng, n, k - 1)
+                hubs = near = 0  # near: the hubs and their neighbours
+                for _ in range(3):
+                    us = [v for v in range(n) if g.degree(v) == k - 1 and not g.adj[v] & hubs]
+                    if not us:
+                        break
+                    u = rng.choice(us)
+                    ws = [
+                        w
+                        for w in range(n)
+                        if w != u and not g.has_edge(u, w) and g.degree(w) <= k - 2 and not near >> w & 1
+                    ]
+                    if not ws:
+                        break
+                    g.add_edge(u, rng.choice(ws))
+                    hubs |= 1 << u
+                    near |= hubs | g.adj[u]
+                assert max(g.degree(u) + g.degree(v) for u, v in g.edges()) <= 2 * k - 1
+                assert max(g.degrees()) >= k
+                out.append((g, "coloring", k))
+    return out
+
+
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
     "boundary": (boundary, 36, 0, 0),
     "tripartite": (tripartite, 6, 0, 0),
     "perturbed": (perturbed_odd_splits, 36, 28, 28),
     "sparse": (sparse, 48, 0, 0),
+    "ore": (ore, 24, 0, 0),
 }
 
 

@@ -99,6 +99,29 @@ class TestNoSet:
         assert r.clean
 
 
+class TestExistenceOnly:
+    def test_tallies_build_no_colouring(self, monkeypatch):
+        # The tallies ask the search core whether a colouring exists; only
+        # the dichotomy's NO re-checks go through the decider, and a NO holds
+        # no colouring.  The counts are the pins above.
+        def refuse(*args):
+            raise AssertionError("a sweep tally built a Coloring")
+
+        monkeypatch.setattr("equitiler.oracle.Coloring", refuse)
+
+        def counts(r):
+            return (r.instances, r.no_instances, r.witnesses, r.clean)
+
+        got = {c: counts(sweep(5, c)) for c in ("dichotomy", "equivalence", "edge-bound")}
+        got["no-set"] = counts(sweep(6, "no-set"))
+        assert got == {
+            "dichotomy": (3002, 7, 7, True),
+            "equivalence": (2261, 1121, 0, True),
+            "edge-bound": (3870, 0, 0, True),
+            "no-set": (444, 4, 4, True),
+        }
+
+
 class TestSharding:
     @pytest.mark.parametrize("check", ["equivalence", "edge-bound", "dichotomy"])
     def test_two_workers_match_inline(self, check):
