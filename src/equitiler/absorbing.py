@@ -390,12 +390,11 @@ def find_augmentation(
 ) -> Optional[AugmentationMove]:
     """First profile-improving move on a list of disjoint clique pieces.
 
-    Two families, tried for the largest deficient piece first.  Promote:
-    a donor no bigger than the target gives up a vertex adjacent to all
-    of it.  Relay: a helper piece swaps one of its vertices into the
-    target and takes a replacement from the donor.  Either way the
-    target grows by one and the donor shrinks by one, which raises the
-    size profile lexicographically.
+    One family, a relay, tried for the largest deficient piece first: a
+    helper piece swaps one of its vertices into the target and takes a
+    replacement from a donor no bigger than the target.  The target grows
+    by one and the donor shrinks by one, which raises the size profile
+    lexicographically.
     """
     order = sorted(range(len(pieces)), key=lambda i: (-len(pieces[i]), i))
     r = max((len(p) for p in pieces), default=0)
@@ -405,17 +404,6 @@ def find_augmentation(
         if t >= r:
             continue
         cn_t = g.common_neighbors(target.bits)
-        for di in order:
-            donor = pieces[di]
-            if di == ti or len(donor) > t:
-                continue
-            grab = donor.bits & cn_t
-            if grab:
-                v = grab & -grab
-                repl = [VertexSet(target.bits | v)]
-                if donor.bits ^ v:
-                    repl.append(VertexSet(donor.bits ^ v))
-                return AugmentationMove(target, (donor,), tuple(repl))
         for hi in order:
             helper = pieces[hi]
             if hi == ti or len(helper) < 2:

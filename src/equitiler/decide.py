@@ -271,8 +271,8 @@ def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
 def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
-    Refinement may instead find an independent set beyond the clique count,
-    a NO.
+    The only NO is refinement's stage escape, an independent set beyond the
+    clique count inside a stage graph, and it must verify.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction,
@@ -284,6 +284,8 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
         raise PreconditionError("no sparse parts peeled")
     got, _trace = refine_to_good(g, p, cfg)
     if isinstance(got, Ex1Witness):
+        if not got.verify(g, r):
+            raise InternalContradiction("structured independent set failed verification")
         return _no(got, "pipeline")
     gp = got
     p = gp.partition

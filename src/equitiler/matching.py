@@ -59,14 +59,6 @@ class Matching(NamedTuple):
             bits |= (1 << u) | (1 << v)
         return VertexSet(bits)
 
-    def partner(self, v: int) -> Optional[int]:
-        for a, b in self.pairs:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
-
     def verify(self, g: Graph) -> bool:
         seen = 0
         for u, v in self.pairs:

@@ -120,7 +120,10 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
     so this colours the complement rows of G[inside] with the search of
     `equitable_coloring_exact` and returns the classes, in class order, as
     the cliques.  No graph is built.  The worst case is exponential, so
-    callers gate on an exact-size cap.
+    each caller bounds the mask: the decider's oracle step and
+    `decide._block_tiling` search at most FALLBACK_CAP vertices, and
+    absorption an absorber's r^2 vertices, or r^2 + r with the r-set it
+    absorbs.
     """
     mask = g.full_mask if inside is None else inside
     if r < 1:

@@ -29,7 +29,7 @@ from .graphs import (
     low_degree_set,
     mask_of,
 )
-from .matching import Matching, covering_matching, maximum_matching
+from .matching import Matching, covering_matching
 
 __all__ = [
     "RsPartition",
@@ -358,10 +358,6 @@ class GoodPartition(NamedTuple):
     constants: ConstantsConfig
 
     @property
-    def s(self) -> int:
-        return self.partition.s
-
-    @property
     def low_degree(self) -> VertexSet:
         return self.classification.low_degree
 
@@ -397,12 +393,15 @@ def refine_to_good(
     Round k grades vertices at delta = beta + (k-1)*alpha, swaps thin
     off-S outsiders into A_k against crowded insiders (lowest index
     first), and when thin vertices are left over, matches the enlarged
-    stage graph so each surviving edge straddles A_k.  The other exit is
-    an independent set of n/r + 1 vertices, which already rules every
-    clique factor out.  Failing both, when the stage graph has too small
-    a matching and no escape set or when the result is not good, raises
-    PreconditionError: at this n the configured constants cannot honour the
-    guarantees, and callers should fall back to an exact method.
+    stage graph so each surviving edge straddles A_k.  The only other exit
+    is the stage escape: when no matching of the stage graph covers the
+    leftover thin vertices, an independent set of n/r + 1 vertices inside
+    it, which already rules every clique factor out.  The whole graph is
+    not searched for one: the recognizer has done that before the
+    decider refines.  When there is no escape set either, or when the
+    result is not good, this raises PreconditionError: at this n the
+    configured constants cannot honour the guarantees, and callers should
+    fall back to an exact method.
     """
     n = g.n
     p.check(n)
@@ -416,9 +415,6 @@ def refine_to_good(
     if cfg.s != s:
         cfg = cfg.for_s(s)
     target = size + 1
-    escape = independent_set_of_size(g, target)
-    if escape is not None:
-        return Ex1Witness(escape), RefinementTrace(())
     parts, b = [x.bits for x in p.parts], p.b.bits
     steps: List[RefineStep] = []
     for k in range(s):
@@ -444,9 +440,7 @@ def refine_to_good(
             stage_mask = parts[k]
             for x in leftovers:
                 stage_mask |= 1 << x
-            matching = _stage_matching(
-                g, stage_mask, leftovers, surplus, target, steps, k
-            )
+            matching = _stage_matching(g, stage_mask, leftovers, surplus, target, k)
             if isinstance(matching, Ex1Witness):
                 return matching, RefinementTrace(tuple(steps))
             b = _apply_straddle(parts, b, k, matching, leftovers, origins)
@@ -498,29 +492,20 @@ def _stage_matching(
     leftovers: List[int],
     surplus: int,
     target: int,
-    steps: List[RefineStep],
     k: int,
 ):
-    """Matching of `surplus` edges in the stage graph, or the Ex1 escape."""
-    x = VertexSet(leftovers)
-    m = covering_matching(g, x, surplus, stage_mask)
-    if m is None:
-        mm = maximum_matching(g, stage_mask)
-        if mm.size >= surplus:
-            picked = sorted(
-                mm.pairs,
-                key=lambda e: (-((e[0] in x) + (e[1] in x)), e),
-            )[:surplus]
-            m = Matching(tuple(picked))
-        else:
-            escape = independent_set_of_size(g, target, stage_mask)
-            if escape is not None:
-                return Ex1Witness(escape)
-            raise PreconditionError(
-                f"stage graph at round {k + 1} has matching number {mm.size} "
-                f"< {surplus} and no escape set"
-            )
-    return m
+    """A matching of the stage graph covering the `surplus` leftover thin
+    vertices, else the Ex1 escape; failing both, PreconditionError."""
+    m = covering_matching(g, VertexSet(leftovers), surplus, stage_mask)
+    if m is not None:
+        return m
+    escape = independent_set_of_size(g, target, stage_mask)
+    if escape is not None:
+        return Ex1Witness(escape)
+    raise PreconditionError(
+        f"stage graph at round {k + 1} has no matching covering its {surplus} "
+        f"thin vertices and no escape set"
+    )
 
 
 def _apply_straddle(

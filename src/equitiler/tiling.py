@@ -216,57 +216,17 @@ def _companions(
     q: GoodPartition,
     part_index: int,
     need: int,
-    ve: int,
     rescue_all: int,
     used: int,
 ) -> Tuple[List[int], int]:
-    """Small cliques with exactly two vertices in the given part.
+    """`need` edges inside the given part, each a pair seed's companion.
 
-    Crowded rows go first: one that is also thin toward another part spends
-    its own rescue edge and closes into a triangle, any other pairs with a
-    calm neighbor in its part.  If the crowded rows run out, plain edges
-    between calm rows fill the remainder.
+    The edges join calm rows, those neither crowded in the part nor spoken
+    for by a rescue matching, lowest vertex first.
     """
-    p = q.partition
-    pmask = p.parts[part_index].bits
-    low = q.low_degree.bits
-    bad_here = q.crowded.bad[part_index].bits
+    pmask = q.partition.parts[part_index].bits
     out: List[int] = []
-    for x in iter_bits(bad_here & ~used):
-        if len(out) == need:
-            break
-        xm = 1 << x
-        built = 0
-        for j in range(p.s):
-            if j == part_index:
-                continue
-            if not (q.thin.exceptional[j].bits & ~low) & xm:
-                continue
-            y = q.rescue[j].partner(x)
-            if y is None or (1 << y) & used:
-                continue
-            zc = (
-                g.common_neighbors(xm | (1 << y))
-                & pmask
-                & ve
-                & ~bad_here
-                & ~used
-                & ~rescue_all
-            )
-            if zc:
-                z = (zc & -zc).bit_length() - 1
-                built = xm | (1 << y) | (1 << z)
-            break
-        if not built:
-            zc = g.adj[x] & pmask & ve & ~bad_here & ~used & ~rescue_all
-            if zc:
-                z = (zc & -zc).bit_length() - 1
-                built = xm | (1 << z)
-        if built:
-            out.append(built)
-            used |= built
-    # plain edges between calm rows
-    allowed = pmask & ~bad_here & ~used & ~rescue_all
+    allowed = pmask & ~q.crowded.bad[part_index].bits & ~used & ~rescue_all
     for u in iter_bits(allowed):
         if len(out) == need:
             break
@@ -342,7 +302,7 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
                 gmask |= sub.bits
             packed.append(gmask)
             used |= gmask
-        comps, used = _companions(g, q, i, len(packed), ve, rescue_all, used)
+        comps, used = _companions(g, q, i, len(packed), rescue_all, used)
         for gmask, cmask in zip(packed, comps):
             db = DoubleBase(
                 left=VertexSet(gmask),
@@ -809,6 +769,10 @@ def _unit_rows(n: int, cliques: List[int], commons: List[int]) -> List[int]:
 # parity repair
 
 
+# Candidate tilings `parity_repair` checks before it gives out.
+REPAIR_BUDGET = 600
+
+
 def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     """A perfect matching of G[mask] as a tiling by pairs, or None."""
     if mask.bit_count() % 2:
@@ -845,16 +809,15 @@ def parity_repair(
     q: GoodPartition,
     bases: BaseSet,
     tiling: Tiling,
-    budget: int = 600,
 ) -> Tuple[Tiling, Tiling]:
     """Adjust the tiling until the leftover block admits a perfect matching.
 
     Only meaningful when the leftover block tiles by pairs.  Returns the
     seed tiling, unchanged when its leftover block already matches, together
     with that leftover block's tiling by pairs, so no caller has to match
-    the block again.  The search walks a bounded move set: regrow a seed
-    with different leftover-block choices, rebuild a pair seed around a
-    different small clique, or plant a fresh pair seed on an edge inside a
+    the block again.  The search walks two bounded moves, at most
+    REPAIR_BUDGET candidates in all: regrow a seed with different
+    leftover-block choices, or plant a fresh pair seed on an edge inside a
     part.  Each candidate tiling is re-verified in full before it is
     accepted.  Running out of moves is a miss of the route, not an error,
     and raises PreconditionError; an InternalContradiction propagates.
@@ -885,9 +848,8 @@ def parity_repair(
         return _pair_tiling(g, bmask & ~cov)
 
     def candidates() -> Iterator[Tiling]:
-        attributed = _attribute(bases, tiling)
         # regrow a seed with different leftover-block choices
-        for h, idxs in attributed:
+        for h, idxs in _attribute(bases, tiling):
             keep = tuple(c for j, c in enumerate(tiling.cliques) if j not in idxs)
             wmask = 0
             for c in keep:
@@ -897,46 +859,6 @@ def parity_repair(
                 if frozenset(ext) == old:
                     continue
                 yield Tiling(r, keep + ext)
-        # rebuild a pair seed around a different leftover-block clique
-        for h, idxs in attributed:
-            if not isinstance(h, DoubleBase):
-                continue
-            keep = tuple(c for j, c in enumerate(tiling.cliques) if j not in idxs)
-            wmask = 0
-            for c in keep:
-                wmask |= c.bits
-            for side in (0, 1):
-                cm = h.cliques[side].bits
-                if not cm & bmask:
-                    continue
-                fixed = cm & bases.covered.bits
-                free = cm.bit_count() - fixed.bit_count()
-                other = h.cliques[1 - side].bits
-                pool = (
-                    (g.common_neighbors(fixed) if fixed else bmask)
-                    & bmask
-                    & ve
-                    & ~wmask
-                    & ~other
-                )
-                for alt in islice(iter_cliques(g, free, pool), 24):
-                    nm = fixed | alt
-                    if nm == cm or not g.is_clique(nm):
-                        continue
-                    if side == 0:
-                        h2 = DoubleBase(
-                            VertexSet(nm), h.right, h.heavy_left, h.heavy_right, Fraction(0)
-                        )
-                    else:
-                        h2 = DoubleBase(
-                            h.left, VertexSet(nm), h.heavy_left, h.heavy_right, Fraction(0)
-                        )
-                    sl = base_slack(g, q, h2)
-                    if sl is None or sl <= 0:
-                        continue
-                    h2 = DoubleBase(h2.left, h2.right, h2.heavy_left, h2.heavy_right, sl)
-                    for ext in islice(_extensions(g, q, h2, wmask, cap=12), 12):
-                        yield Tiling(r, keep + ext)
         # plant a fresh pair seed on an edge inside a part
         tcov = tiling.covered.bits
         for i, part in enumerate(p.parts):
@@ -960,11 +882,7 @@ def parity_repair(
                             continue
                         yield Tiling(r, tiling.cliques + ext.cliques)
 
-    tried = 0
-    for cand in candidates():
-        tried += 1
-        if tried > budget:
-            break
+    for cand in islice(candidates(), REPAIR_BUDGET):
         pairs = leftover_pairs(cand)
         if pairs is not None:
             return cand, pairs

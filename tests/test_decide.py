@@ -14,6 +14,7 @@ from equitiler import (
     BicliqueObstruction,
     CliqueObstruction,
     Coloring,
+    Ex1Witness,
     Ex2Witness,
     Graph,
     InternalContradiction,
@@ -295,7 +296,7 @@ class TestFactorPipelines:
                 matched.append(inside)
             return maximum_matching(h, inside)
 
-        for mod in ("matching", "partition", "tiling", "absorbing"):
+        for mod in ("matching", "tiling", "absorbing"):
             monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
@@ -453,8 +454,8 @@ class TestMissNotes:
             lambda: multipartite((9, 9, 9)),
             (
                 "absorption route: no absorbing set could be built",
-                "structured route: stage graph at round 2 has matching number"
-                " 13 < 18 and no escape set",
+                "structured route: stage graph at round 2 has no matching"
+                " covering its 18 thin vertices and no escape set",
             ),
         ),
         "parity-repair": (
@@ -494,8 +495,8 @@ class TestMissNotes:
             lambda: multipartite((12, 12, 12)),
             (
                 "absorption route: no absorbing set could be built",
-                "structured route: stage graph at round 2 has matching number"
-                " 18 < 24 and no escape set",
+                "structured route: stage graph at round 2 has no matching"
+                " covering its 24 thin vertices and no escape set",
             ),
         ),
     }
@@ -592,6 +593,20 @@ class TestEquitable:
         )
         with pytest.raises(InternalContradiction, match="oracle colouring failed verification"):
             decide_equitable(Graph.complete(3), 3)
+
+    def test_failed_structured_independent_set_raises(self, monkeypatch):
+        # The structured route's NO is checked like the recognizer's: a
+        # refinement escape that is not independent is a bug, not a NO.
+        g = multipartite((9, 9, 9))
+        monkeypatch.setattr(
+            decide_module,
+            "refine_to_good",
+            lambda g, p, cfg: (Ex1Witness(VertexSet(range(10))), None),
+        )
+        with pytest.raises(
+            InternalContradiction, match="structured independent set failed verification"
+        ):
+            decide_kr_factor(g, 3)
 
     @pytest.mark.parametrize(
         "p, seed, ceiling",

@@ -1,15 +1,19 @@
-"""numpy stays off every path but the connected sweep's canonical form.
+"""What the package imports: numpy stays off every path but the connected
+sweep's canonical form, and no module keeps an import or a private helper
+that nothing uses.
 
-Each check runs in a fresh interpreter, because this test process has
-usually loaded numpy already.
+Each numpy check runs in a fresh interpreter, because this test process has
+usually loaded numpy already.  The orphan check reads the source with `ast`.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import equitiler
@@ -106,3 +110,73 @@ def test_import_loads_no_heavy_modules_and_one_dataclass():
         "loaded": [],
         "dataclasses": ["equitiler.constants.ConstantsConfig"],
     }
+
+
+def _names(tree: ast.AST):
+    """Every name a tree reads: plain names, attribute names and names
+    taken by a from-import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _exported(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def orphans(package: Path):
+    """Module-level imports a module never uses and does not export, and
+    module-level private functions and classes no module of the package
+    references outside their own body, as "module: name" strings."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_names(tree))
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        used = Counter(_names(tree))
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    # A from-import also counts itself among the names read.
+                    own = alias.name == bound and isinstance(node, ast.ImportFrom)
+                    if used[bound] - own == 0 and bound not in exported:
+                        found.append(f"{name}: import {bound}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_") or node.name.startswith("__"):
+                    continue
+                if everywhere[node.name] == Counter(_names(node))[node.name]:
+                    found.append(f"{name}: def {node.name}")
+    return found
+
+
+def test_no_orphan_imports_or_private_helpers():
+    # A deletion that leaves an import or a private helper behind fails here.
+    assert orphans(Path(SRC) / "equitiler") == []
+
+
+def test_orphan_check_sees_a_planted_import(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import os\nfrom math import sqrt\n\n\n"
+        "def _helper():\n    return _helper()\n\n\n"
+        "def _used():\n    return sqrt(2)\n\n\n"
+        "def api():\n    return _used()\n"
+    )
+    assert orphans(package) == ["mod.py: import os", "mod.py: def _helper"]

@@ -18,6 +18,7 @@ from equitiler import (
     VertexSet,
     build_ex2,
     classify,
+    decide_kr_factor,
     default_constants,
     peel_partition,
     refine_to_good,
@@ -273,15 +274,20 @@ class TestRefine:
         assert out.partition == RsPartition((vs(6, 7, 8),), vs(1, 2, 3, 4, 5, 0))
         assert validate_good(g, out) == []
 
-    def test_join_escape_returns_independent_set(self):
+    def test_join_escape_left_to_the_recognizer(self):
+        # The four independent vertices are an Ex1 NO.  The decider's
+        # recognizer finds them before anything refines, so refinement does
+        # not search the whole graph again and misses on this partition.
         g = join_i4_k2()
         p, s = peel_partition(g, 3)
         assert s == 0  # every sparse vertex is low degree, nothing peelable
+        c = decide_kr_factor(g, 3)
+        assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "recognizer")
+        assert isinstance(c.witness, Ex1Witness)
+        assert c.witness.verify(g, 3)
         manual = RsPartition((vs(0, 1),), vs(2, 3, 4, 5))
-        out, trace = refine_to_good(g, manual, default_constants(3))
-        assert isinstance(out, Ex1Witness)
-        assert out.verify(g, 3)
-        assert trace.steps == ()
+        with pytest.raises(PreconditionError):
+            refine_to_good(g, manual, default_constants(3))
 
     def test_refine_rejects_empty_peel(self):
         g = Graph.complete(9)
