@@ -69,7 +69,6 @@ from .absorbing import (
     find_augmentation,
     layered_greedy,
 )
-from .oracle import is_absorber_set
 from .decide import (
     FALLBACK_CAP,
     DecisionCertificate,

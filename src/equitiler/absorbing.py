@@ -28,7 +28,7 @@ from .graphs import (
     sigma,
 )
 from .matching import maximum_matching
-from .oracle import LayeredFactor, Tiling, is_absorber_set, kr_factor_exact
+from .oracle import LayeredFactor, Tiling, kr_factor_exact
 from .partition import _sparse_set
 
 __all__ = [
@@ -227,7 +227,8 @@ def _sample_absorbers(
         if bits in seen:
             continue
         seen.add(bits)
-        # The absorber check of `is_absorber_set`, keeping the factor of G[S].
+        # S absorbs Q when both G[S] and G[S u Q] have K_r-factors; the
+        # factor of G[S] is kept.
         own = kr_factor_exact(g, r, bits)
         if own is not None and kr_factor_exact(g, r, bits | q.bits) is not None:
             found.append((VertexSet(bits), own))
@@ -350,9 +351,14 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
     chunks = [VertexSet(rest[i : i + r]) for i in range(0, len(rest), r)]
     fam = aset.family
     aux = Graph.empty(len(chunks) + len(fam))
+    # Every stored absorber's G[S] has its factor already, so S absorbs an
+    # r-set Q when G[S u Q] has one; it is kept for the assembly.
+    joint: Dict[Tuple[int, int], Tiling] = {}
     for i, ch in enumerate(chunks):
         for j, s in enumerate(fam):
-            if is_absorber_set(g, s.bits, ch.bits, r):
+            f = kr_factor_exact(g, r, s.bits | ch.bits)
+            if f is not None:
+                joint[i, j] = f
                 aux.add_edge(i, len(chunks) + j)
     mm = maximum_matching(aux)
     assigned: Dict[int, int] = {}
@@ -370,10 +376,7 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
         if j not in assigned.values():
             pieces.extend(aset.factors[j])
     for i, j in assigned.items():
-        f = kr_factor_exact(g, r, fam[j].bits | chunks[i].bits)
-        if f is None:
-            raise InternalContradiction("matched absorber lost its joint factor")
-        pieces.extend(f.cliques)
+        pieces.extend(joint[i, j].cliques)
 
     covered = 0
     for c in pieces:

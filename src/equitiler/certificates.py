@@ -1,10 +1,12 @@
-"""JSON serialization and independent re-verification of decision outcomes.
+"""Decision outcomes: the record, its JSON form, and its one checker.
 
-The schema is versioned so stored certificates stay readable: every document
-carries `schema: "equitiler.certificate/1"`.  Deserialization rebuilds the
-typed objects; `verify_certificate` re-checks a document against a graph
-from scratch, trusting nothing but the input edges, so a tampered or stale
-certificate is caught loudly.
+`DecisionCertificate` lives here, beside the checker.  The schema is
+versioned so stored certificates stay readable: every document carries
+`schema: "equitiler.certificate/1"`.  Deserialization rebuilds the typed
+objects; `verify_certificate` re-checks an outcome against a graph from
+scratch, trusting nothing but the input edges, so a tampered or stale
+certificate is caught loudly.  The decider runs the same check on every
+answer before it returns it, and `equitiler verify` runs it on a stored one.
 
 Witness types: an independent set (Ex1) and the odd split (Ex2) block a
 K_r-factor; a Tutte–Berge barrier blocks a K_2-factor (a perfect matching);
@@ -17,9 +19,8 @@ clause of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .decide import DecisionCertificate
 from .errors import PreconditionError
 from .extremal import (
     BicliqueObstruction,
@@ -33,6 +34,7 @@ from .oracle import Coloring, Tiling
 
 __all__ = [
     "SCHEMA",
+    "DecisionCertificate",
     "certificate_from_json",
     "certificate_to_json",
     "payload_clauses",
@@ -41,6 +43,27 @@ __all__ = [
 ]
 
 SCHEMA = "equitiler.certificate/1"
+
+
+class DecisionCertificate(NamedTuple):
+    """Outcome of one decision call.
+
+    `kind` is one of "factorable", "colorable", "obstructed", "exact", or
+    "unresolved".  The first two carry a verified positive certificate; an
+    obstructed answer carries a verified witness; "exact" is a negative
+    answer proved by exhaustive search, with no witness a reader can check;
+    "unresolved" means the polynomial routes gave out on an instance beyond
+    the exact fallback cap, and `answer` is None.
+    """
+
+    kind: str
+    answer: Optional[bool]
+    certificate: Optional[Union[Tiling, Coloring]]
+    witness: Optional[object]
+    provenance: str
+    verified: bool
+    notes: Tuple[str, ...] = ()
+    timings: Tuple[Tuple[str, float], ...] = ()
 
 
 def _enc_sets(sets) -> List[List[int]]:

@@ -2,13 +2,15 @@
 
 The two sides are tied together by complementation: a graph has an equitable
 k-coloring exactly when the complement of its padded form splits into k
-cliques of equal size.  Every positive answer ships with a certificate that
-is re-verified against the input graph before it leaves this module, every
-structural NO ships with a witness that re-verifies, and anything the
-polynomial routes cannot settle beyond the exact-search cap is reported as
-unresolved rather than guessed.  At r = 2 the question is perfect matching,
-which the blossom search settles at every size: a YES is the matching, a NO
-its Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
+cliques of equal size.  A positive answer ships with a certificate, a
+structural NO with a witness, and anything the polynomial routes cannot
+settle beyond the exact-search cap is reported as unresolved rather than
+guessed.  Answers are checked in one place: `_run` checks each against the
+input graph with `certificates.verify_certificate`, the checker that
+`equitiler verify` runs, before it leaves this module; the routes do not
+re-check their own.  At r = 2 the question is perfect matching, which the
+blossom search settles at every size: a YES is the matching, a NO its
+Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
 set, a leftover block, the units of the multipartite finish) are vertex
 masks of the input graph, so every clique found is already in its labels.
 
@@ -21,15 +23,18 @@ out because its constants do not carry at this n; `_run` catches only
 that and keeps the message as the note "{route} route: ...".  A step
 that runs is timed under its stage, if it names one.  An
 InternalContradiction is a bug, never a miss, and propagates to the
-caller.  `decide_kr_factor` and `decide_equitable` list their steps.
+caller.  So is an answer that fails its check: `_run` raises
+InternalContradiction with the checker's clauses.  `decide_kr_factor` and
+`decide_equitable` list their steps.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .absorbing import absorb, build_absorbing_set, layered_greedy
+from .certificates import DecisionCertificate, verify_certificate
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
 from .extremal import (
@@ -77,27 +82,6 @@ __all__ = [
 FALLBACK_CAP = 48
 
 
-class DecisionCertificate(NamedTuple):
-    """Outcome of one decision call.
-
-    `kind` is one of "factorable", "colorable", "obstructed", "exact", or
-    "unresolved".  The first two carry a verified positive certificate; an
-    obstructed answer carries a verified witness; "exact" is a negative
-    answer proved by exhaustive search, with no witness a reader can check;
-    "unresolved" means the polynomial routes gave out on an instance beyond
-    the exact fallback cap, and `answer` is None.
-    """
-
-    kind: str
-    answer: Optional[bool]
-    certificate: Optional[Union[Tiling, Coloring]]
-    witness: Optional[object]
-    provenance: str
-    verified: bool
-    notes: Tuple[str, ...] = ()
-    timings: Tuple[Tuple[str, float], ...] = ()
-
-
 def _yes(payload: Union[Tiling, Coloring], provenance: str) -> DecisionCertificate:
     kind = "colorable" if isinstance(payload, Coloring) else "factorable"
     return DecisionCertificate(kind, True, payload, None, provenance, True)
@@ -119,8 +103,15 @@ _UNRESOLVED = DecisionCertificate(
 _Step = Tuple[str, Optional[str], Optional[Callable[[], Optional[DecisionCertificate]]]]
 
 
-def _run(steps: Tuple[_Step, ...], notes: List[str]) -> DecisionCertificate:
-    """The first certificate a step returns, after the notes and timings so far."""
+def _run(
+    g: Graph, mode: str, value: int, steps: Tuple[_Step, ...], notes: List[str]
+) -> DecisionCertificate:
+    """The first certificate a step returns, after the notes and timings so far.
+
+    Every certificate is checked on G by `verify_certificate` in `mode`
+    ("factor" or "coloring") at `value` (r or k) before it is returned; one
+    with any clause is a bug of its route and raises InternalContradiction.
+    """
     timings: List[Tuple[str, float]] = []
     for route, stage, run in steps:
         if run is None:
@@ -134,6 +125,11 @@ def _run(steps: Tuple[_Step, ...], notes: List[str]) -> DecisionCertificate:
         if stage is not None:
             timings.append((stage, time.perf_counter() - t0))
         if cert is not None:
+            clauses = verify_certificate(g, cert, mode, value)
+            if clauses:
+                raise InternalContradiction(
+                    f"{route} route answer failed verification: {'; '.join(clauses)}"
+                )
             # Built directly: the record's `_replace` costs twice as much,
             # and the exact workload's calls take about 0.2 ms each.
             return DecisionCertificate(
@@ -164,13 +160,12 @@ def pad_to_divisible(g: Graph, k: int) -> Tuple[Graph, int]:
     return padded, q
 
 
-def lift_coloring(t: Tiling, q: int, k: int, g: Optional[Graph] = None) -> Coloring:
+def lift_coloring(t: Tiling, q: int, k: int) -> Coloring:
     """Turn a clique factor of the padded complement into a k-coloring.
 
     Each clique of the complement is an independent set of the padded graph;
     dropping the at-most-one padding vertex per clique leaves classes whose
-    sizes differ by at most one.  With `g` supplied the result is checked to
-    be a proper equitable coloring and a failure raises loudly.
+    sizes differ by at most one.
     """
     if len(t.cliques) != k:
         raise PreconditionError(f"expected {k} cliques, got {len(t.cliques)}")
@@ -189,10 +184,7 @@ def lift_coloring(t: Tiling, q: int, k: int, g: Optional[Graph] = None) -> Color
         classes.append(VertexSet(c.bits & ~pad_bits))
     if dropped != q:
         raise InternalContradiction(f"dropped {dropped} padding vertices, expected {q}")
-    coloring = Coloring(tuple(classes))
-    if g is not None and not coloring.verify(g):
-        raise InternalContradiction("lifted coloring failed verification")
-    return coloring
+    return Coloring(tuple(classes))
 
 
 def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, BicliqueObstruction]]:
@@ -220,23 +212,11 @@ def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, 
     return None
 
 
-def _factor_by_oracle(g: Graph, r: int) -> DecisionCertificate:
-    t = kr_factor_exact(g, r)
-    if t is None:
-        return _no(None, "oracle")
-    if not t.verify(g):
-        raise InternalContradiction("oracle factor failed verification")
-    return _yes(t, "oracle")
-
-
 def _factor_r2(g: Graph) -> DecisionCertificate:
     out = pm_or_structure(g)
     if isinstance(out, TutteBarrier):
         return _no(out, "pipeline")
-    t = Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs))
-    if not t.verify(g):
-        raise InternalContradiction("perfect matching failed verification")
-    return _yes(t, "pipeline")
+    return _yes(Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs)), "pipeline")
 
 
 def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> DecisionCertificate:
@@ -252,10 +232,7 @@ def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> Dec
             f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
         )
     finish = absorb(g, aset, leftover)
-    final = Tiling(r, greedy.cliques + finish.cliques)
-    if not final.verify(g):
-        raise InternalContradiction("assembled factor failed verification")
-    return _yes(final, "pipeline")
+    return _yes(Tiling(r, greedy.cliques + finish.cliques), "pipeline")
 
 
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
@@ -272,20 +249,17 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
     The only NO is refinement's stage escape, an independent set beyond the
-    clique count inside a stage graph, and it must verify.
+    clique count inside a stage graph.
 
     A stage that gives out because the constants do not carry at this n
-    raises PreconditionError, a miss of the route.  An InternalContradiction,
-    from a stage or from the final check of the tiling, is a bug and
-    propagates.
+    raises PreconditionError, a miss of the route.  An InternalContradiction
+    from a stage is a bug and propagates.
     """
     p, s = peel_partition(g, r, cfg)
     if s == 0:
         raise PreconditionError("no sparse parts peeled")
     got, _trace = refine_to_good(g, p, cfg)
     if isinstance(got, Ex1Witness):
-        if not got.verify(g, r):
-            raise InternalContradiction("structured independent set failed verification")
         return _no(got, "pipeline")
     gp = got
     p = gp.partition
@@ -322,10 +296,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     mf = multipartite_factor(g, contract_residual(g, resid, ts))
     if mf is None:
         raise PreconditionError("contracted multipartite instance would not factor")
-    final = Tiling(r, seed_tiling.cliques + mf.cliques)
-    if not final.verify(g):
-        raise InternalContradiction("pipeline tiling failed final verification")
-    return _yes(final, "pipeline")
+    return _yes(Tiling(r, seed_tiling.cliques + mf.cliques), "pipeline")
 
 
 def decide_kr_factor(
@@ -341,7 +312,7 @@ def decide_kr_factor(
                   singletons;
       matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
       recognizer  the odd split or an n/r + 1 independent set, a NO with
-                  its verified witness;
+                  its witness;
       absorption  the dense absorption route;
       structured  the extremal pipeline;
       oracle      n <= FALLBACK_CAP: exact search;
@@ -357,13 +328,14 @@ def decide_kr_factor(
 
     def recognize() -> Optional[DecisionCertificate]:
         # The odd split is an exact-match recognizer, so this costs little and
-        # settles the hardest family outright; a verified independent set
-        # beyond the clique count is conclusive at any size.
+        # settles the hardest family outright; an independent set beyond the
+        # clique count is conclusive at any size.
         w = recognize_extremal(g, r)
-        return _no(w, "recognizer") if w is not None and w.verify(g, r) else None
+        return None if w is None else _no(w, "recognizer")
 
     def oracle() -> DecisionCertificate:
-        return _factor_by_oracle(g, r)
+        t = kr_factor_exact(g, r)
+        return _no(None, "oracle") if t is None else _yes(t, "oracle")
 
     steps: Tuple[_Step, ...] = (
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
@@ -374,7 +346,7 @@ def decide_kr_factor(
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
         ("unresolved", None, lambda: _UNRESOLVED),
     )
-    return _run(steps, [])
+    return _run(g, "factor", r, steps, [])
 
 
 def _coloring_no(g: Graph, k: int, witness: Optional[object], provenance: str) -> DecisionCertificate:
@@ -391,11 +363,7 @@ def _coloring_no(g: Graph, k: int, witness: Optional[object], provenance: str) -
 
 def _color_exactly(g: Graph, k: int) -> DecisionCertificate:
     col = equitable_coloring_exact(g, k)
-    if col is None:
-        return _coloring_no(g, k, None, "oracle")
-    if not col.verify(g):
-        raise InternalContradiction("oracle colouring failed verification")
-    return _yes(col, "oracle")
+    return _coloring_no(g, k, None, "oracle") if col is None else _yes(col, "oracle")
 
 
 def _color_by_factor(
@@ -406,20 +374,20 @@ def _color_by_factor(
     A YES lifts to a colouring of G.  Of a NO's witness only an independent
     set carries over, as a clique: the odd split's clique pair would become
     a biclique on 2k of the at least 2k + 1 vertices, which proves nothing.
-    Both drop the factor side's notes and keep its timings; an unresolved
-    answer comes back whole.
+    The clique holds no padding vertex: the q < k padding vertices form a
+    clique joined to nothing else, so no K_{k+1} of the padded graph meets
+    them.  Both drop the factor side's notes and keep its timings; an
+    unresolved answer comes back whole.
     """
     padded, q = pad_to_divisible(g, k)
     cert = decide_kr_factor(complement(padded), padded.n // k, cfg, seed)
     if cert.answer is None:
         return cert
     if cert.answer:
-        out = _yes(lift_coloring(cert.certificate, q, k, g), cert.provenance)
+        out = _yes(lift_coloring(cert.certificate, q, k), cert.provenance)
     else:
         w = cert.witness
         clique = CliqueObstruction(w.independent_set) if isinstance(w, Ex1Witness) else None
-        if clique is not None and not clique.verify(g, k):
-            clique = None
         out = _coloring_no(g, k, clique, cert.provenance)
     return out._replace(timings=cert.timings)
 
@@ -475,4 +443,4 @@ def decide_equitable(
         ("oracle", "oracle", (lambda: _color_exactly(g, k)) if exact else None),
         ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),
     )
-    return _run(steps, notes)
+    return _run(g, "coloring", k, steps, notes)

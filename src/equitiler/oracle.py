@@ -30,7 +30,6 @@ __all__ = [
     "LayeredFactor",
     "kr_factor_exact",
     "equitable_coloring_exact",
-    "is_absorber_set",
 ]
 
 
@@ -123,18 +122,15 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
     each caller bounds the mask: the decider's oracle step and
     `decide._block_tiling` search at most FALLBACK_CAP vertices, and
     absorption an absorber's r^2 vertices, or r^2 + r with the r-set it
-    absorbs.
+    absorbs.  At r = 1, which the factor table's trivial step and
+    `decide._block_tiling` at d = 1 ask for at any size, the class count
+    is the vertex count, and the search returns the singletons at once.
     """
     mask = g.full_mask if inside is None else inside
     if r < 1:
         raise ValueError("r must be positive")
     if mask.bit_count() % r != 0:
         raise ValueError(f"r={r} does not divide n={mask.bit_count()}")
-    if r == 1:
-        # The singletons, without building rows: the factor table's trivial
-        # step and `decide._block_tiling` at d = 1 ask for them at any n.
-        verts = range(g.n) if inside is None else iter_bits(mask)
-        return Tiling(1, tuple(VertexSet(1 << v) for v in verts))
     adj = g.adj
     rows = {v: mask & ~adj[v] ^ (1 << v) for v in iter_bits(mask)}
     classes = _classes(rows, mask, mask.bit_count() // r)
@@ -435,12 +431,3 @@ def _backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optio
 
     return assign if place(0, mask) else None
 
-
-def is_absorber_set(g: Graph, s_bits: int, q_bits: int, r: int) -> bool:
-    """Whether S absorbs Q: both G[S] and G[S u Q] have K_r-factors."""
-    if s_bits & q_bits:
-        return False
-    return (
-        kr_factor_exact(g, r, s_bits) is not None
-        and kr_factor_exact(g, r, s_bits | q_bits) is not None
-    )

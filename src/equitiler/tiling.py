@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
@@ -637,10 +636,8 @@ def multipartite_factor(
     always lands; below it the routine stays best-effort and may return
     None.  A returned tiling is verified on g.  Each layer matching reads
     the blossom search's greedy seed lazily (`_layer_matching`); only a
-    short seed builds the layer graph, with `_layer_graph`, and runs
-    `maximum_matching` on it.  P and U are disjoint, so P is inside N(U)
-    exactly when U is inside N(P); `_layer_graph` builds the layer graph
-    from the units' side.
+    short seed builds the layer graph, one subset test per clique and unit,
+    and runs `maximum_matching` on it.
     """
     k = len(blocks)
     if k == 0:
@@ -679,7 +676,7 @@ def multipartite_factor(
             if layer not in neighborhoods:
                 neighborhoods[layer] = [g.common_neighbors(u) for u in block]
             common = neighborhoods[layer]
-            pairs = _layer_matching(g.n, cliques, [common[ui] for ui in row])
+            pairs = _layer_matching(cliques, [common[ui] for ui in row])
             if len(pairs) < m:
                 break
             for ci, ui in pairs:
@@ -691,9 +688,7 @@ def multipartite_factor(
     return None
 
 
-def _layer_matching(
-    n: int, cliques: List[int], commons: List[int]
-) -> List[Tuple[int, int]]:
+def _layer_matching(cliques: List[int], commons: List[int]) -> List[Tuple[int, int]]:
     """A maximum matching of the layer graph, as (clique, unit) index pairs
     in ascending clique order.
 
@@ -701,7 +696,9 @@ def _layer_matching(
     the lowest free unit whose common neighborhood holds it.  That seed is
     read here one subset test at a time.  When it covers every clique no
     vertex is left exposed, so the blossom search would augment nothing and
-    return exactly these pairs; only a short seed builds the layer graph.
+    return exactly these pairs.  Only a short seed builds the layer graph:
+    clique ci at vertex ci, unit ui at m + ui, joined when the clique lies
+    inside the unit's common neighborhood.
     """
     free = list(range(len(commons)))
     pairs = []
@@ -713,56 +710,15 @@ def _layer_matching(
                 break
         else:
             m = len(cliques)
-            mm = maximum_matching(_layer_graph(n, cliques, commons))
+            adj = [0] * (2 * m)
+            for cj, cm in enumerate(cliques):
+                for ui, common in enumerate(commons):
+                    if not cm & ~common:
+                        adj[cj] |= 1 << (m + ui)
+                        adj[m + ui] |= 1 << cj
+            mm = maximum_matching(Graph(2 * m, adj))
             return [(a, b - m) for a, b in mm.pairs]
     return pairs
-
-
-def _layer_graph(n: int, cliques: List[int], commons: List[int]) -> Graph:
-    """Clique ci at vertex ci, unit ui at m + ui, joined when the clique lies
-    inside the unit's common neighborhood `commons[ui]`.  The cliques' rows
-    are the transpose of the units' rows.
-    """
-    m = len(cliques)
-    # Built in their own call, so that the picks are freed before the
-    # transpose renders every row at once.
-    rows = _unit_rows(n, cliques, commons)
-    # Column j of the rows rendered from unit m - 1 down to unit 0 holds
-    # clique m - 1 - j's row.
-    row_width = f"0{m}b"
-    cols = zip(*[format(bits, row_width) for bits in reversed(rows)])
-    return Graph(2 * m, [int("".join(col), 2) << m for col in cols][::-1] + rows)
-
-
-def _unit_rows(n: int, cliques: List[int], commons: List[int]) -> List[int]:
-    """Per common neighborhood, the mask of the cliques that lie inside it.
-
-    Built in C, as `Graph.induced` compresses a row: the neighborhood is
-    rendered once as an n-character bit string, one `itemgetter` per member
-    position of the cliques (all of one size) picks that member of every
-    clique, the picked characters are read back as a base-2 integer, and
-    the picks are ANDed.
-    """
-    # Vertex v sits at character n - 1 - v, clique ci's pick at character
-    # m - 1 - ci; each pick takes the lowest member not yet picked of every
-    # clique.  On one index `itemgetter` returns a bare character, which
-    # "".join takes as well.
-    width = f"0{n}b"
-    rest = cliques[::-1]
-    picks = []
-    for _ in range(cliques[0].bit_count()):
-        low = [c & -c for c in rest]
-        picks.append(itemgetter(*[n - b.bit_length() for b in low]))
-        rest = [c ^ b for c, b in zip(rest, low)]
-    full = (1 << len(cliques)) - 1
-    rows = []
-    for common in commons:
-        text = format(common, width)
-        bits = full
-        for pick in picks:
-            bits &= int("".join(pick(text)), 2)
-        rows.append(bits)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from equitiler.graphs import (
     sigma,
 )
 from equitiler.matching import Matching, maximum_matching
-from equitiler.oracle import Coloring, LayeredFactor, Tiling, is_absorber_set, kr_factor_exact
+from equitiler.oracle import Coloring, LayeredFactor, Tiling, kr_factor_exact
 from equitiler.partition import (
     GoodPartition,
     RsPartition,
@@ -284,6 +284,16 @@ def has_biclique(n: int, edges: Iterable[Edge], a: int, b: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exact oracles and structure checks used only by the tests.
+
+
+def is_absorber_set(g: Graph, s_bits: int, q_bits: int, r: int) -> bool:
+    """Whether S absorbs Q: both G[S] and G[S u Q] have K_r-factors."""
+    if s_bits & q_bits:
+        return False
+    return (
+        kr_factor_exact(g, r, s_bits) is not None
+        and kr_factor_exact(g, r, s_bits | q_bits) is not None
+    )
 
 
 def count_absorbers_exact(

@@ -21,7 +21,6 @@ from equitiler import (
     default_constants,
     enumerate_absorbers,
     find_augmentation,
-    is_absorber_set,
     layered_greedy,
     random_gnp,
     sigma,
@@ -34,6 +33,7 @@ from _brute import (
     absorbing_set_problems,
     adj_sets,
     count_absorbers_exact,
+    is_absorber_set,
     is_clique_set,
     layered_factor_exact,
     seed_build_absorbing_set,

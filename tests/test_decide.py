@@ -14,6 +14,7 @@ from equitiler import (
     BicliqueObstruction,
     CliqueObstruction,
     Coloring,
+    DecisionCertificate,
     Ex1Witness,
     Ex2Witness,
     Graph,
@@ -136,7 +137,7 @@ class TestLift:
     def test_two_disjoint_edges(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         t = kr_factor_exact(complement(g), 2)
-        col = lift_coloring(t, 0, 2, g)
+        col = lift_coloring(t, 0, 2)
         assert col.verify(g)
         assert set(c.bits for c in col.classes) == {vs(0, 2).bits, vs(1, 3).bits}
 
@@ -147,7 +148,7 @@ class TestLift:
         padded, q = pad_to_divisible(g, 3)
         t = kr_factor_exact(complement(padded), 3)
         assert t is not None
-        col = lift_coloring(t, q, 3, g)
+        col = lift_coloring(t, q, 3)
         assert col.verify(g)
         assert sorted(len(c) for c in col.classes) == [2, 2, 3]
 
@@ -373,7 +374,7 @@ class TestFactorPipelines:
         monkeypatch.setattr(
             decide_module, "multipartite_factor", lambda g, blocks: Tiling(3, ())
         )
-        with pytest.raises(InternalContradiction, match="final verification"):
+        with pytest.raises(InternalContradiction, match="structured route answer failed verification"):
             decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
 
     def test_midrange_density_is_unresolved(self):
@@ -591,7 +592,7 @@ class TestEquitable:
             "equitable_coloring_exact",
             lambda g, k: Coloring((vs(0, 1), vs(2), vs())),
         )
-        with pytest.raises(InternalContradiction, match="oracle colouring failed verification"):
+        with pytest.raises(InternalContradiction, match="oracle route answer failed verification"):
             decide_equitable(Graph.complete(3), 3)
 
     def test_failed_structured_independent_set_raises(self, monkeypatch):
@@ -604,7 +605,7 @@ class TestEquitable:
             lambda g, p, cfg: (Ex1Witness(VertexSet(range(10))), None),
         )
         with pytest.raises(
-            InternalContradiction, match="structured independent set failed verification"
+            InternalContradiction, match="structured route answer failed verification"
         ):
             decide_kr_factor(g, 3)
 
@@ -720,6 +721,30 @@ class TestStepTables:
                     decide_equitable(g, k)
         with pytest.raises(Delegated):
             decide_equitable(cycle(49), 3)
+
+    def test_unverified_recognizer_witness_raises(self, monkeypatch):
+        # Every answer is checked where the table returns it: a recognizer
+        # witness that is not independent is a bug, not a miss that the
+        # later steps paper over.
+        monkeypatch.setattr(
+            decide_module, "recognize_extremal", lambda g, r: Ex1Witness(VertexSet([0, 1, 2]))
+        )
+        with pytest.raises(
+            InternalContradiction, match="recognizer route answer failed verification"
+        ):
+            decide_kr_factor(Graph.complete(6), 3)
+
+    def test_unverified_delegated_witness_raises(self, monkeypatch):
+        # An independent set of the padded complement carries over as a
+        # clique of G; one that is not a clique of G is not an exact NO.
+        bogus = DecisionCertificate(
+            "obstructed", False, None, Ex1Witness(VertexSet(range(6))), "recognizer", True
+        )
+        monkeypatch.setattr(decide_module, "decide_kr_factor", lambda *args: bogus)
+        with pytest.raises(
+            InternalContradiction, match="delegate route answer failed verification"
+        ):
+            decide_equitable(Graph.empty(50), 5)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_no_odd_split_complements_a_padded_graph(self, r):

@@ -19,7 +19,6 @@ from equitiler.oracle import (
     _class_profile,
     _covers,
     equitable_coloring_exact,
-    is_absorber_set,
     kr_factor_exact,
 )
 
@@ -31,6 +30,7 @@ from _brute import (
     brute_kr_factor_exists,
     brute_layered_profile,
     count_absorbers_exact,
+    is_absorber_set,
     layered_factor_exact,
     seed_backtrack,
     seed_equitable_coloring_exact,

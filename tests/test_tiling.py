@@ -646,26 +646,26 @@ class TestLayerMatching:
         commons = [
             VertexSet(v for v in range(n) if rng.random() < p).bits for _ in range(m)
         ]
-        got = _layer_matching(n, cliques, commons)
+        got = _layer_matching(cliques, commons)
         assert got == seed_layer_matching(cliques, commons)
 
     def test_perfect_seed(self):
         # Both cliques lie in both neighborhoods: each takes the lowest free unit.
-        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b11]) == [(0, 0), (1, 1)]
+        assert _layer_matching([0b01, 0b10], [0b11, 0b11]) == [(0, 0), (1, 1)]
 
     def test_short_seed_is_augmented(self):
         # c0 meets u0 and u1, c1 only u0: the seed gives c0 u0 and leaves c1
         # bare, and the blossom search moves c0 to u1.
-        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b01]) == [(0, 1), (1, 0)]
+        assert _layer_matching([0b01, 0b10], [0b11, 0b01]) == [(0, 1), (1, 0)]
 
     def test_short_seed_without_a_perfect_matching(self):
         # Both cliques meet only u0.
-        assert _layer_matching(2, [0b01, 0b10], [0b11, 0b00]) == [(0, 0)]
+        assert _layer_matching([0b01, 0b10], [0b11, 0b00]) == [(0, 0)]
 
 
 class TestMultipartiteMatchesSeed:
-    """The lazily read layer seed, and on a short seed the layer graph built
-    in C, against the pairwise meeting test they replaced."""
+    """The lazily read layer seed, falling back to the blossom search on a
+    short seed, against the pairwise-built layer graph of every layer."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -697,7 +697,7 @@ class TestMultipartiteMatchesSeed:
         assert outcomes == {(True, True), (False, True), (False, False)}
 
     def test_one_unit_per_block(self):
-        # One clique picks one character, which itemgetter returns bare.
+        # One unit per block: the layer graph has one clique and one unit.
         blocks = ((0b1,), (0b110,))
         t = multipartite_factor(Graph.complete(3), blocks)
         assert t == Tiling(3, (VertexSet(0b111),))
