@@ -50,7 +50,9 @@ from .graphs import (
     Graph,
     VertexSet,
     complement,
+    connected_components,
     find_clique_of_size,
+    iter_bits,
     ore_edge_bound,
 )
 from .matching import TutteBarrier, pm_or_structure
@@ -210,6 +212,31 @@ def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, 
                 raise InternalContradiction("biclique obstruction failed verification")
             return w
     return None
+
+
+def _paper_obstruction(g: Graph, k: int) -> Optional[DecisionCertificate]:
+    """The NO the paper names under the edge bound, found by a linear scan,
+    or None.  Call it only when every edge xy has d(x) + d(y) <= 2k.
+
+    Every edge of a K_{k+1} or of a K_{m,2k-m} already sums to at least 2k,
+    so under the bound neither has an edge leaving it: a K_{k+1} is a whole
+    component, and a K_{m,2k-m} on n = 2k vertices is G itself: vertex 0's
+    side is its non-neighbours, and the other side its neighbours.  Both
+    are the witnesses `coloring_obstruction` returns: the clique of the
+    lowest vertex, and the smaller side first, or vertex 0's side on a tie.
+    """
+    for comp in connected_components(g):
+        if len(comp) == k + 1 and g.is_clique(comp.bits):
+            return _no(CliqueObstruction(comp), "recognizer")
+    if g.n != 2 * k:
+        return None
+    b = g.adj[0]
+    a = g.full_mask ^ b
+    if a.bit_count() % 2 == 0 or any(g.adj[v] != b for v in iter_bits(a)):
+        return None
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    return _no(BicliqueObstruction(VertexSet(a), VertexSet(b)), "recognizer")
 
 
 def _factor_r2(g: Graph) -> DecisionCertificate:
@@ -401,6 +428,10 @@ def decide_equitable(
     """Does G have a proper k-coloring with class sizes within one?
 
     The steps, in order:
+      obstruction under the edge bound (every edge xy has d(x) + d(y) <=
+                  2k), at any n: a component that is K_{k+1}, or, at
+                  n = 2k, G itself a K_{m,2k-m} with m odd; a linear scan,
+                  untimed;
       recognizer  where the oracle step runs on n = rk with r >= 3: the
                   complement of G is an odd split, a NO the exact colouring
                   search would reach only after exponential time (its
@@ -412,7 +443,7 @@ def decide_equitable(
                   padded to divisibility, its answer carried back to G.
     A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
     of G, up to the fallback cap.  The edge degree-sum bound is reported
-    in the notes but never required.
+    in the notes; only the obstruction step requires it.
     """
     if k < 1:
         raise PreconditionError(f"k={k} must be positive")
@@ -439,6 +470,7 @@ def decide_equitable(
     # the large side would need the small side to be padding too.
     odd_split = exact and g.n % k == 0 and g.n >= 3 * k
     steps: Tuple[_Step, ...] = (
+        ("obstruction", None, (lambda: _paper_obstruction(g, k)) if ok else None),
         ("recognizer", "recognize", recognize if odd_split else None),
         ("oracle", "oracle", (lambda: _color_exactly(g, k)) if exact else None),
         ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),

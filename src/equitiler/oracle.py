@@ -205,28 +205,40 @@ def _classes(adj: Rows, mask: int, k: int) -> Optional[List[int]]:
     of a graph's rows, or a dict of complement rows over a vertex mask.
     """
     n = mask.bit_count()
-    if n == 0:
-        return [0] * k
     if k >= n:
-        return [1 << v for v in iter_bits(mask)] + [0] * (k - n)
+        # Every vertex alone, lowest first, then the empty classes.  The
+        # mask is peeled inline, which costs less than a generator on the
+        # sweeps' tiny graphs.
+        singles = []
+        while mask:
+            low = mask & -mask
+            singles.append(low)
+            mask ^= low
+        return singles + [0] * (k - n)
     if next(_clique_walk(adj, 0, k + 1, mask), None) is not None:
         return None
 
     caps = _class_profile(n, k)
-    # sorted stays stable under reverse=True: equal degrees keep index order.
-    order = sorted(iter_bits(mask), key=lambda v: adj[v].bit_count(), reverse=True)
+    # Degree-descending; sorted stays stable under reverse=True, so equal
+    # degrees keep index order.  Looking the degrees up in a dict costs less
+    # than a key function per vertex.
+    degs = {v: adj[v].bit_count() for v in iter_bits(mask)}
+    order = sorted(degs, key=degs.__getitem__, reverse=True)
 
-    # Greedy: largest remaining capacity first, feasibility by neighbor masks.
+    # Greedy: each vertex joins the first class with the most room left
+    # among those its row misses; `room` counts each class's free places,
+    # so a full class, with none, is never picked.
     bits = [0] * k
-    counts = [0] * k
+    room = caps[:]
     for v in order:
+        row = adj[v]
         best = -1
+        most = 0
         for c in range(k):
-            if counts[c] >= caps[c] or (bits[c] & adj[v]):
-                continue
-            if best == -1 or caps[c] - counts[c] > caps[best] - counts[best]:
+            if room[c] > most and not bits[c] & row:
                 best = c
-        if best == -1:
+                most = room[c]
+        if best < 0:
             # The greedy is stuck; the complete search decides.
             assign = _backtrack(adj, mask, caps, order)
             if assign is None:
@@ -236,7 +248,7 @@ def _classes(adj: Rows, mask: int, k: int) -> Optional[List[int]]:
                 bits[assign[u]] |= 1 << u
             return bits
         bits[best] |= 1 << v
-        counts[best] += 1
+        room[best] -= 1
     return bits
 
 

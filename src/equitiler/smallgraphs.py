@@ -6,8 +6,11 @@ a range of Gray-code indices, so a sweep can split the space into ranges
 and hand each to a worker.  Canonical form of an n-vertex graph is the
 minimum, over all n! relabelings, of its edge-indicator mask (pairs in
 lexicographic order).  The minimum is taken for a batch of masks with one
-vectorized pass over a precomputed permutation table; float64 holds the
-masks exactly (n <= 8 means masks < 2^28), which keeps the scan in BLAS.
+vectorized pass over a precomputed permutation table.  The batch's 0/1
+edge-indicator matrix is filled by one shift-and-mask, bit s of each mask
+in column s (`(batch[:, None] >> arange(m)) & 1` in int64), and multiplied
+by the table; float64 holds the masks exactly (n <= 8 means masks < 2^28),
+which keeps the scan in BLAS.
 Connected graphs are generated levelwise: every connected graph on n + 1
 vertices arises from a connected n-vertex graph by attaching a new vertex
 to a nonempty neighborhood, because some non-cutvertex can be deleted.
@@ -115,18 +118,12 @@ def _canonical_batch(n: int, masks: List[int]) -> List[int]:
     import numpy as np
 
     table = _perm_pow_table(n)
-    m = n * (n - 1) // 2
+    slots = np.arange(n * (n - 1) // 2)
     out: List[int] = []
     chunk = 512
     for lo in range(0, len(masks), chunk):
-        batch = masks[lo : lo + chunk]
-        x = np.zeros((len(batch), m), dtype=np.float64)
-        for row, mask in enumerate(batch):
-            mm = mask
-            while mm:
-                low = mm & -mm
-                x[row, low.bit_length() - 1] = 1.0
-                mm ^= low
+        batch = np.array(masks[lo : lo + chunk], dtype=np.int64)
+        x = ((batch[:, None] >> slots) & 1).astype(np.float64)
         values = x @ table.T
         out.extend(int(v) for v in values.min(axis=1))
     return out

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .decide import decide_equitable
 from .errors import PreconditionError
 from .extremal import BicliqueObstruction, CliqueObstruction
-from .graphs import Graph, complement, connected_components, ore_edge_bound
+from .graphs import Graph, complement, connected_components
 from .oracle import _classes
 from .smallgraphs import (
     MAX_CANONICAL_N,
@@ -143,8 +143,16 @@ def _tally_equivalence(g: Graph) -> Tally:
 
 def _worst_edge_sum(g: Graph) -> int:
     """The largest d(x)+d(y) over the edges xy of g, 0 if it has none."""
-    _, worst = ore_edge_bound(g, 0)
-    return 0 if worst is None else g.degree(worst[0]) + g.degree(worst[1])
+    degs = g.degrees()
+    worst = 0
+    for du, row in zip(degs, g.adj):
+        while row:
+            low = row & -row
+            s = du + degs[low.bit_length() - 1]
+            if s > worst:
+                worst = s
+            row ^= low
+    return worst
 
 
 def _tally_edge_bound(g: Graph) -> Tally:

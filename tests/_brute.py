@@ -30,6 +30,7 @@ from equitiler.extremal import Ex2Witness
 from equitiler.graphs import (
     Graph,
     VertexSet,
+    _clique_walk,
     as_fraction,
     complement,
     connected_components,
@@ -42,7 +43,15 @@ from equitiler.graphs import (
     sigma,
 )
 from equitiler.matching import Matching, maximum_matching
-from equitiler.oracle import Coloring, LayeredFactor, Tiling, kr_factor_exact
+from equitiler.oracle import (
+    Coloring,
+    LayeredFactor,
+    Rows,
+    Tiling,
+    _backtrack,
+    _class_profile,
+    kr_factor_exact,
+)
 from equitiler.partition import (
     GoodPartition,
     RsPartition,
@@ -51,7 +60,7 @@ from equitiler.partition import (
     _sparse_set,
     slack_threshold,
 )
-from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch
+from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch, _perm_pow_table
 from equitiler.tiling import Base, BaseSet, base_slack
 
 Edge = Tuple[int, int]
@@ -1362,6 +1371,76 @@ def seed_build_absorbing_set(
         if len(out.m) <= cap:
             return out
     return None
+
+
+# The colouring search's entry and greedy before the singletons were peeled
+# inline, the degree order looked its degrees up and the greedy kept one
+# `room` list; and the canonical form's batch before its 0/1 matrix was
+# filled by one shift-and-mask.
+
+
+def seed_classes(adj: Rows, mask: int, k: int) -> Optional[List[int]]:
+    """The class masks of the equitable k-colouring of the graph on `mask`
+    that `equitable_coloring_exact` returns, or None.
+
+    `adj[v]` is the row of a vertex v of `mask`, a subset of `mask`: a list
+    of a graph's rows, or a dict of complement rows over a vertex mask.
+    """
+    n = mask.bit_count()
+    if n == 0:
+        return [0] * k
+    if k >= n:
+        return [1 << v for v in iter_bits(mask)] + [0] * (k - n)
+    if next(_clique_walk(adj, 0, k + 1, mask), None) is not None:
+        return None
+
+    caps = _class_profile(n, k)
+    # sorted stays stable under reverse=True: equal degrees keep index order.
+    order = sorted(iter_bits(mask), key=lambda v: adj[v].bit_count(), reverse=True)
+
+    # Greedy: largest remaining capacity first, feasibility by neighbor masks.
+    bits = [0] * k
+    counts = [0] * k
+    for v in order:
+        best = -1
+        for c in range(k):
+            if counts[c] >= caps[c] or (bits[c] & adj[v]):
+                continue
+            if best == -1 or caps[c] - counts[c] > caps[best] - counts[best]:
+                best = c
+        if best == -1:
+            # The greedy is stuck; the complete search decides.
+            assign = _backtrack(adj, mask, caps, order)
+            if assign is None:
+                return None
+            bits = [0] * k
+            for u in order:
+                bits[assign[u]] |= 1 << u
+            return bits
+        bits[best] |= 1 << v
+        counts[best] += 1
+    return bits
+
+
+def seed_canonical_batch(n: int, masks: List[int]) -> List[int]:
+    import numpy as np
+
+    table = _perm_pow_table(n)
+    m = n * (n - 1) // 2
+    out: List[int] = []
+    chunk = 512
+    for lo in range(0, len(masks), chunk):
+        batch = masks[lo : lo + chunk]
+        x = np.zeros((len(batch), m), dtype=np.float64)
+        for row, mask in enumerate(batch):
+            mm = mask
+            while mm:
+                low = mm & -mm
+                x[row, low.bit_length() - 1] = 1.0
+                mm ^= low
+        values = x @ table.T
+        out.extend(int(v) for v in values.min(axis=1))
+    return out
 
 
 # The instance generators before the G(n, p) draw moved to C and the Ore

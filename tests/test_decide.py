@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -558,6 +559,49 @@ class TestEquitable:
         assert c.witness is None
         assert not BicliqueObstruction(vs(0), vs(1, 2, 3, 4, 5)).verify(g, 3)
 
+    def test_odd_balanced_biclique_decides_at_once(self):
+        # K_{23,23} at k = 23 is the Chen–Lih–Wu exception: every edge sums
+        # to 2k and no equitable colouring exists.  Exact search ran for
+        # minutes on it; the obstruction scan answers from the edge bound.
+        g = multipartite((23, 23))
+        t0 = time.perf_counter()
+        c = decide_equitable(g, 23)
+        assert time.perf_counter() - t0 <= 0.1
+        assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "recognizer")
+        assert c.witness == BicliqueObstruction(vs(*range(23)), vs(*range(23, 46)))
+
+    def test_every_odd_balanced_biclique_is_obstructed(self):
+        for a in range(3, 102, 2):
+            g = multipartite((a, a))
+            c = decide_equitable(g, a)
+            assert (c.kind, c.provenance) == ("obstructed", "recognizer"), a
+            assert verify_certificate(g, c, "coloring", a) == [], a
+
+    def test_obstruction_scan_matches_the_hunt(self):
+        # Under the edge bound the scan's witness is the one
+        # `coloring_obstruction` hunts for, and at k >= 3 every NO has one.
+        for n in range(1, 6):
+            for _, g in iter_labeled_graphs_inplace(n):
+                for k in range(1, n + 1):
+                    if not ore_edge_bound(g, k)[0]:
+                        continue
+                    c = decide_module._paper_obstruction(g, k)
+                    assert (None if c is None else c.witness) == coloring_obstruction(g, k), (g.adj, k)
+                    if c is None and k >= 3:
+                        assert equitable_coloring_exact(g, k) is not None, (g.adj, k)
+
+    def test_even_or_unbalanced_bicliques_pass_the_scan(self):
+        # K_{4,4} at k = 4 colours by pairs; K_{2,6} at k = 4 has an even
+        # side; K_{3,5} at k = 4 is the paper's odd K_{m,2k-m}, its smaller
+        # side first wherever vertex 0 lies.
+        assert decide_equitable(multipartite((4, 4)), 4).answer is True
+        assert decide_equitable(multipartite((2, 6)), 4).answer is True
+        c = decide_equitable(multipartite((3, 5)), 4)
+        assert (c.kind, c.provenance) == ("obstructed", "recognizer")
+        assert c.witness == BicliqueObstruction(vs(0, 1, 2), vs(3, 4, 5, 6, 7))
+        c = decide_equitable(multipartite((5, 3)), 4)
+        assert c.witness == BicliqueObstruction(vs(5, 6, 7), vs(0, 1, 2, 3, 4))
+
     def test_random_agreement(self):
         rng = random.Random(5)
         for _ in range(150):
@@ -677,8 +721,13 @@ class TestStepTables:
                             ["recognize", "absorption", "pipeline", "oracle"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
                        ("unresolved", "pipeline"), ["recognize", "absorption", "pipeline"]),
-        # Colouring table: up to the cap the oracle colours G itself; beyond
+        # Colouring table: under the edge bound the untimed obstruction scan
+        # answers first; up to the cap the oracle colours G itself; beyond
         # it the delegate reports the factor side's stages.
+        "obstruction/clique": (lambda: Graph.complete(4), "coloring", 3, None,
+                               ("obstructed", "recognizer"), []),
+        "obstruction/biclique": (lambda: multipartite((23, 23)), "coloring", 23, None,
+                                 ("obstructed", "recognizer"), []),
         "k>=n": (lambda: Graph.complete(5), "coloring", 7, None,
                  ("colorable", "oracle"), ["oracle"]),
         "between-the-caps": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
@@ -686,7 +735,9 @@ class TestStepTables:
         # The exact colouring search would take about 0.65 s to this NO.
         "between-the-caps/odd-split": (lambda: complement(build_ex2(28, 4, 3)), "coloring", 7,
                                        None, ("exact", "recognizer"), ["recognize"]),
-        "oracle/hunt": (lambda: Graph.complete(4), "coloring", 3, None,
+        # K_5 at k = 3 breaks the edge bound, so the oracle's NO hunts for
+        # its K_4.
+        "oracle/hunt": (lambda: Graph.complete(5), "coloring", 3, None,
                         ("obstructed", "oracle"), ["oracle"]),
         "delegate": (lambda: cycle(50), "coloring", 25, None,
                      ("colorable", "pipeline"), ["matching"]),

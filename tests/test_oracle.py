@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from equitiler import oracle
 from equitiler.extremal import build_ex1_like, build_ex2
 from equitiler.generators import random_gnp
-from equitiler.graphs import Graph, VertexSet
+from equitiler.graphs import Graph, VertexSet, iter_bits
 from equitiler.oracle import (
     Coloring,
     Tiling,
     _backtrack,
     _class_profile,
+    _classes,
     _covers,
     equitable_coloring_exact,
     kr_factor_exact,
@@ -33,6 +34,7 @@ from _brute import (
     is_absorber_set,
     layered_factor_exact,
     seed_backtrack,
+    seed_classes,
     seed_equitable_coloring_exact,
 )
 from conftest import cycle, random_graph
@@ -313,6 +315,42 @@ class TestEquitableColoring:
             g = random_gnp(n, p, seed)
             col = equitable_coloring_exact(g, k)
             assert col is not None and col.k == k and col.verify(g)
+
+
+def _complement_rows(g: Graph, mask: int):
+    """The rows `kr_factor_exact` hands the colouring search for G[mask]."""
+    return {v: mask & ~g.adj[v] ^ (1 << v) for v in iter_bits(mask)}
+
+
+class TestSearchEntry:
+    """`_classes` returns the list its earlier entry and greedy returned."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**12 - 1),
+    )
+    def test_keeps_the_seed_classes(self, n, p, seed, inside):
+        g = random_gnp(n, p, seed)
+        for k in range(1, n + 2):
+            assert _classes(g.adj, g.full_mask, k) == seed_classes(g.adj, g.full_mask, k), k
+        mask = inside & g.full_mask
+        rows = _complement_rows(g, mask)
+        for k in range(1, mask.bit_count() + 2):
+            assert _classes(rows, mask, k) == seed_classes(rows, mask, k), (mask, k)
+
+    def test_wide_masks_keep_the_seed_singletons(self):
+        # r = 1 on a wide mask, dense or sparse, as the factor table's
+        # trivial step and the leftover block at d = 1 ask for it.
+        g = random_gnp(200, 0.5, 3)
+        for mask in (g.full_mask, g.full_mask & ~(1 << 7), (1 << 199) | (1 << 130) | 5):
+            rows = _complement_rows(g, mask)
+            n = mask.bit_count()
+            for k in (n, n + 2):
+                assert _classes(rows, mask, k) == seed_classes(rows, mask, k)
+        assert kr_factor_exact(g, 1).cliques == tuple(VertexSet([v]) for v in range(200))
 
 
 class TestLayeredFactor:

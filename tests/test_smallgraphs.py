@@ -10,6 +10,7 @@ from equitiler.graphs import Graph, connected_components
 from equitiler.smallgraphs import (
     CONNECTED_GRAPH_COUNTS,
     MAX_CANONICAL_N,
+    _canonical_batch,
     connected_graphs,
     graph_from_pair_mask,
     iter_labeled_graphs_inplace,
@@ -17,7 +18,7 @@ from equitiler.smallgraphs import (
     pair_slots,
 )
 
-from _brute import canonical_form
+from _brute import canonical_form, seed_canonical_batch
 
 
 class TestLabeled:
@@ -95,6 +96,33 @@ class TestCanonical:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             canonical_form(MAX_CANONICAL_N + 1, 0)
+
+
+def _candidates(n: int):
+    """The masks `connected_graphs(n)` canonicalises: each connected graph
+    on n - 1 vertices with vertex n - 1 joined to a nonempty neighbourhood."""
+    index = {pair: s for s, pair in enumerate(pair_slots(n))}
+    old = pair_slots(n - 1)
+    out = []
+    for parent in connected_graphs(n - 1):
+        base = sum(1 << index[pair] for s, pair in enumerate(old) if parent >> s & 1)
+        for nbhd in range(1, 1 << (n - 1)):
+            out.append(base | sum(1 << index[(v, n - 1)] for v in range(n - 1) if nbhd >> v & 1))
+    return out
+
+
+class TestCanonicalBatch:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_candidate_keeps_the_seed_form(self, n):
+        masks = _candidates(n)
+        got = _canonical_batch(n, masks)
+        assert got == seed_canonical_batch(n, masks)
+        assert tuple(sorted(set(got))) == connected_graphs(n)
+
+    def test_every_labeled_graph_keeps_the_seed_form(self):
+        for n in range(1, 6):
+            masks = list(range(labeled_graph_count(n)))
+            assert _canonical_batch(n, masks) == seed_canonical_batch(n, masks)
 
 
 class TestConnected:

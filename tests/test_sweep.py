@@ -1,11 +1,23 @@
 """Sweep harness on the small layers; full-scale runs live in the acceptance suite."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitiler import PreconditionError
-from equitiler.sweep import CHECKS, SweepReport, _clique_factor_exists, resolve_threads, sweep
+from equitiler.generators import random_gnp
+from equitiler.graphs import Graph
+from equitiler.smallgraphs import iter_labeled_graphs_inplace
+from equitiler.sweep import (
+    CHECKS,
+    SweepReport,
+    _clique_factor_exists,
+    _worst_edge_sum,
+    resolve_threads,
+    sweep,
+)
 
-from _brute import brute_induced, brute_kr_factor_exists
+from _brute import adj_sets, brute_induced, brute_kr_factor_exists, graph_edges
 from conftest import random_graph
 
 
@@ -63,6 +75,34 @@ class TestReferenceWalk:
         g = random_graph(rng, 5, 0.5)
         assert _clique_factor_exists(g.adj, 0, 3)
         assert _clique_factor_exists(g.adj, g.full_mask, 1)
+
+
+def _brute_worst_edge_sum(g: Graph) -> int:
+    adj = adj_sets(g.n, graph_edges(g))
+    return max((len(adj[u]) + len(adj[v]) for u, v in graph_edges(g)), default=0)
+
+
+class TestWorstEdgeSum:
+    def test_every_five_vertex_graph(self):
+        count = 0
+        for _, g in iter_labeled_graphs_inplace(5):
+            assert _worst_edge_sum(g) == _brute_worst_edge_sum(g), g.adj
+            count += 1
+        assert count == 1024
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_matches_brute_force(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        assert _worst_edge_sum(g) == _brute_worst_edge_sum(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_edgeless_is_zero(self, n):
+        assert _worst_edge_sum(Graph.empty(n)) == 0
 
 
 class TestEdgeBound:
