@@ -9,6 +9,10 @@ then folds that remainder into M, one r-set per stored absorber.
 Everything an absorber promises is checked by the exact oracle at storage
 time, and the final assembly is re-verified piece by piece, so a returned
 factor is always genuine.
+
+The sampling is seeded and reproducible.  Its draws take vertices of a pool
+mask by rank (`graphs._bit_select`), so no draw lists its pool: a pool of
+hundreds of vertices costs only the two or three vertices taken from it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import InternalContradiction, PreconditionError
 from .graphs import (
     Graph,
     VertexSet,
+    _bit_select,
     find_clique_of_size,
     iter_bits,
     low_degree_set,
@@ -121,21 +126,25 @@ def _random_clique(
     """Greedy clique on a uniform random order of the pool, drawn lazily.
 
     Step i swaps a uniform pick from order[i:] into place i (a front-to-back
-    Fisher-Yates shuffle), so each prefix is a uniform draw without
-    replacement; the walk stops as soon as `size` vertices are chosen, and
-    costs one draw per vertex looked at rather than one per pool vertex.
-    None when the whole order yields no `size`-clique.
+    Fisher-Yates shuffle of the pool's vertices in ascending order), so each
+    prefix is a uniform draw without replacement; the walk stops as soon as
+    `size` vertices are chosen.  The order is never listed: a dict holds the
+    ranks that earlier swaps moved, and a rank becomes a vertex by a select
+    on the pool mask, so a call costs one draw and one select per vertex
+    looked at, not a walk over the pool.  None when the whole order yields
+    no `size`-clique.
     """
     if size == 0:
         return 0
-    order = list(iter_bits(pool))
-    end = len(order)
+    end = pool.bit_count()
+    select = _bit_select(pool)
+    moved: Dict[int, int] = {}
     chosen = 0
     count = 0
     for i in range(end):
         j = rng.randrange(i, end)
-        v = order[j]
-        order[j] = order[i]
+        v = select(moved.get(j, j))
+        moved[j] = moved.get(i, i)
         if chosen & ~g.adj[v]:
             continue
         chosen |= 1 << v
@@ -143,6 +152,22 @@ def _random_clique(
         if count == size:
             return chosen
     return None
+
+
+def _draw_probe(rng: random.Random, avail: int, r: int) -> Optional[VertexSet]:
+    """r vertices of `avail` drawn by `rng.sample`; None, with no draw, when
+    it has fewer.
+
+    The sample is of ranks, mapped to vertices by a select on the mask.
+    `random.sample` only takes the length of its population and indexes it,
+    so sampling `range(count)` makes the same draws, and leaves the same
+    generator state, as sampling the listed vertices would.
+    """
+    count = avail.bit_count()
+    if count < r:
+        return None
+    select = _bit_select(avail)
+    return VertexSet(select(j) for j in rng.sample(range(count), r))
 
 
 def enumerate_absorbers(
@@ -248,10 +273,11 @@ def build_absorbing_set(
     enough disjoint absorbers are found.  The degree-sum floor is checked
     outright.
 
-    Each probe samples one absorber: every sample avoids the vertices
-    already taken, so the first one found is always the one kept, and a
-    larger budget would only sample and verify absorbers that are thrown
-    away.
+    Each probe is r vertices drawn from those not yet taken
+    (`_draw_probe`), and samples one absorber for them: every sample avoids
+    the vertices already taken, so the first one found is always the one
+    kept, and a larger budget would only sample and verify absorbers that
+    are thrown away.
     """
     if r < 2:
         raise PreconditionError("need r >= 2")
@@ -283,10 +309,9 @@ def build_absorbing_set(
         for _ in range(8 * fam_target + 8):
             if len(picked) >= fam_target:
                 break
-            pool = list(iter_bits(probe_pool & ~taken))
-            if len(pool) < r:
+            probe = _draw_probe(rng, probe_pool & ~taken, r)
+            if probe is None:
                 break
-            probe = VertexSet(rng.sample(pool, r))
             found = _sample_absorbers(
                 g, probe, r, 1, rng.randrange(1 << 30), taken, slow.bits, exploit_clique
             )

@@ -14,7 +14,8 @@ a K_{k+1} clique, or an odd biclique K_{m,2k-m} whose sides cover all 2k
 vertices, blocks an equitable k-coloring.  A NO of kind "exact" carries no
 witness: it yields no clause, and callers that report on it must say it
 went unchecked.  A NO of any kind other than "obstructed" or "exact" is a
-clause of its own.
+clause of its own, and so is an obstructed NO whose witness is not one of
+the types above.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 SCHEMA = "equitiler.certificate/1"
+# The payload types that can witness a NO; a tiling or a colouring cannot.
+_OBSTRUCTIONS = (Ex1Witness, Ex2Witness, CliqueObstruction, BicliqueObstruction, TutteBarrier)
 
 
 class DecisionCertificate(NamedTuple):
@@ -198,6 +201,8 @@ def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
     """
     out: List[str] = []
     if isinstance(obj, Tiling):
+        if obj.r != k_or_r:
+            out.append(f"tiling is of K_{obj.r}, expected K_{k_or_r}")
         if not obj.verify(g):
             out.append("tiling is not a clique factor of the graph")
     elif isinstance(obj, Coloring):
@@ -236,9 +241,10 @@ def verify_certificate(
 
     `mode` is "factor" or "coloring"; `value` is r or k.  Positive answers
     must be of kind "factorable" in factor mode and "colorable" in coloring
-    mode and carry a matching certificate, negative structural answers a
-    witness that verifies, and a negative answer of any other kind must be
-    "exact"; unresolved certificates only need a None answer.
+    mode and carry a matching certificate (a tiling of K_r for the r asked),
+    negative structural answers an obstruction witness that verifies, and a
+    negative answer of any other kind must be "exact"; unresolved
+    certificates only need a None answer.
     """
     if mode not in ("factor", "coloring"):
         raise PreconditionError(f"mode must be factor or coloring, got {mode!r}")
@@ -261,6 +267,8 @@ def verify_certificate(
         if cert.kind == "obstructed":
             if cert.witness is None:
                 out.append("obstructed certificate without a witness")
+            elif not isinstance(cert.witness, _OBSTRUCTIONS):
+                out.append(f"a {type(cert.witness).__name__} cannot witness a NO")
             else:
                 out.extend(payload_clauses(g, cert.witness, value, mode))
         elif cert.kind != "exact":

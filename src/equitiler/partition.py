@@ -224,8 +224,12 @@ def _sparse_set(
 
     First an independent set from `independent_set_of_size`, exact up to
     64 vertices of the mask (here the universe), so with zero edges allowed
-    a None there is a nonexistence proof.  Otherwise a bounded
-    deterministic search, so None is "not found", not a nonexistence proof.
+    a None there is a nonexistence proof.  Otherwise a degree floor that
+    can refute the budget, then a deterministic hill climb of at most 200
+    swaps from each of two starts, so None is "not found", not a
+    nonexistence proof.  The climb keeps every inside-degree as bit-sliced
+    counters, so a swap costs O(log n) big-int operations, not a recount
+    over the members.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
@@ -246,33 +250,65 @@ def _sparse_set(
     if sum(max(0, d - slack) for d in inner[:size]) > 2 * limit:
         return None
     # Hill climb from two deterministic starts, ejecting the most crowded
-    # member for the best replacement until the edge budget is met.
+    # member (highest index on ties) for the outside vertex with the fewest
+    # neighbours in the rest (lowest index on ties) until the edge budget is
+    # met, for at most 200 swaps or until no swap lowers the edge count.
+    # slices[b] holds bit b of every vertex's |N(v) & cur|; each pick is a
+    # scan over the slices from the top bit down.
     starts = [
         sorted(iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
         sorted(iter_bits(universe)),
     ]
     for order_list in starts:
         cur = 0
+        slices: List[int] = []
         for v in order_list[:size]:
             cur |= 1 << v
+            _count_row(slices, g.adj[v], 1)
+        edges = sum((s & cur).bit_count() << b for b, s in enumerate(slices)) // 2
         for _ in range(200):
-            edges = induced_edge_count(g, cur)
             if edges <= limit:
                 return VertexSet(cur)
-            worst = max(iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
+            top = cur
+            for s in reversed(slices):
+                t = top & s
+                if t:
+                    top = t
+            worst = top.bit_length() - 1
             rest = cur & ~(1 << worst)
             drop = (g.adj[worst] & cur).bit_count()
-            best_v, best_gain = -1, 0
-            for o in iter_bits(universe & ~cur):
-                gain = drop - (g.adj[o] & rest).bit_count()
-                if gain > best_gain:
-                    best_v, best_gain = o, gain
-            if best_v < 0:
+            low = universe & ~cur
+            if not low:
                 break
-            cur = rest | (1 << best_v)
-        if induced_edge_count(g, cur) <= limit:
+            # From here the counters read |N(v) & rest|.
+            _count_row(slices, g.adj[worst], -1)
+            for s in reversed(slices):
+                t = low & ~s
+                if t:
+                    low = t
+            best = (low & -low).bit_length() - 1
+            gain = drop - (g.adj[best] & rest).bit_count()
+            if gain <= 0:
+                break
+            _count_row(slices, g.adj[best], 1)
+            cur = rest | (1 << best)
+            edges -= gain
+        if edges <= limit:
             return VertexSet(cur)
     return None
+
+
+def _count_row(slices: List[int], row: int, sign: int) -> None:
+    """Add (sign 1) or subtract (sign -1) one to the bit-sliced counters of
+    the vertices in `row`, by a ripple carry or borrow from the lowest slice."""
+    carry = row
+    for b, s in enumerate(slices):
+        if not carry:
+            return
+        slices[b] = s ^ carry
+        carry &= s if sign > 0 else ~s
+    if carry:
+        slices.append(carry)
 
 
 def peel_partition(

@@ -26,7 +26,7 @@ from equitiler.absorbing import (
 )
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
-from equitiler.extremal import Ex2Witness
+from equitiler.extremal import Ex2Witness, independent_set_of_size
 from equitiler.graphs import (
     Graph,
     VertexSet,
@@ -1284,6 +1284,68 @@ def seed_sparse_set(
     return None
 
 
+# The sparse-set probe while its hill climb recounted every inside-degree,
+# and the edge count, at each swap.
+
+
+def seed_recount_sparse_set(
+    g: Graph, universe: int, size: int, budget, order: int
+) -> Optional[VertexSet]:
+    """A size-subset of `universe` inducing at most budget * order^2 edges.
+
+    First an independent set from `independent_set_of_size`, exact up to
+    64 vertices of the mask (here the universe), so with zero edges allowed
+    a None there is a nonexistence proof.  Otherwise a bounded
+    deterministic search, so None is "not found", not a nonexistence proof.
+    """
+    if universe.bit_count() < size or size <= 0:
+        return None if size > 0 else VertexSet(0)
+    found = independent_set_of_size(g, size, universe)
+    if found is not None:
+        return found
+    limit = as_fraction(budget) * order * order
+    if limit < 1:
+        return None
+    # Degree floor: a member v of a size-subset S of the universe U misses at
+    # most |U| - size of its neighbours in U, so it keeps at least
+    # d_U(v) - (|U| - size) of them inside S, and 2 e(S) is at least the sum
+    # of the `size` smallest such terms (floored at 0) over U.  When that sum
+    # exceeds 2 * limit no subset meets the budget, so neither search below
+    # could return one: returning None here changes no answer.
+    slack = universe.bit_count() - size
+    inner = sorted((g.adj[v] & universe).bit_count() for v in iter_bits(universe))
+    if sum(max(0, d - slack) for d in inner[:size]) > 2 * limit:
+        return None
+    # Hill climb from two deterministic starts, ejecting the most crowded
+    # member for the best replacement until the edge budget is met.
+    starts = [
+        sorted(iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
+        sorted(iter_bits(universe)),
+    ]
+    for order_list in starts:
+        cur = 0
+        for v in order_list[:size]:
+            cur |= 1 << v
+        for _ in range(200):
+            edges = induced_edge_count(g, cur)
+            if edges <= limit:
+                return VertexSet(cur)
+            worst = max(iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
+            rest = cur & ~(1 << worst)
+            drop = (g.adj[worst] & cur).bit_count()
+            best_v, best_gain = -1, 0
+            for o in iter_bits(universe & ~cur):
+                gain = drop - (g.adj[o] & rest).bit_count()
+                if gain > best_gain:
+                    best_v, best_gain = o, gain
+            if best_v < 0:
+                break
+            cur = rest | (1 << best_v)
+        if induced_edge_count(g, cur) <= limit:
+            return VertexSet(cur)
+    return None
+
+
 # The absorbing-set build while each probe asked for four absorbers.
 
 
@@ -1371,6 +1433,49 @@ def seed_build_absorbing_set(
         if len(out.m) <= cap:
             return out
     return None
+
+
+# The absorber draws while they listed their pools: the Fisher-Yates walk of
+# `absorbing._random_clique`, and the probe draw of `build_absorbing_set`.
+
+
+def seed_random_clique(
+    g: Graph, rng: random.Random, pool: int, size: int
+) -> Optional[int]:
+    """Greedy clique on a uniform random order of the pool, drawn lazily.
+
+    Step i swaps a uniform pick from order[i:] into place i (a front-to-back
+    Fisher-Yates shuffle), so each prefix is a uniform draw without
+    replacement; the walk stops as soon as `size` vertices are chosen, and
+    costs one draw per vertex looked at rather than one per pool vertex.
+    None when the whole order yields no `size`-clique.
+    """
+    if size == 0:
+        return 0
+    order = list(iter_bits(pool))
+    end = len(order)
+    chosen = 0
+    count = 0
+    for i in range(end):
+        j = rng.randrange(i, end)
+        v = order[j]
+        order[j] = order[i]
+        if chosen & ~g.adj[v]:
+            continue
+        chosen |= 1 << v
+        count += 1
+        if count == size:
+            return chosen
+    return None
+
+
+def seed_probe_draw(rng: random.Random, avail: int, r: int) -> Optional[VertexSet]:
+    """The r-set probe drawn from the vertices of `avail`, or None (the build
+    stops) when it has fewer than r."""
+    pool = list(iter_bits(avail))
+    if len(pool) < r:
+        return None
+    return VertexSet(rng.sample(pool, r))
 
 
 # The colouring search's entry and greedy before the singletons were peeled

@@ -25,7 +25,7 @@ from equitiler import (
     random_gnp,
     sigma,
 )
-from equitiler.absorbing import _random_clique
+from equitiler.absorbing import _draw_probe, _random_clique
 from equitiler.graphs import iter_bits
 from _brute import (
     absorber_family_problems,
@@ -37,6 +37,8 @@ from _brute import (
     is_clique_set,
     layered_factor_exact,
     seed_build_absorbing_set,
+    seed_probe_draw,
+    seed_random_clique,
 )
 from conftest import random_graph
 
@@ -165,6 +167,95 @@ class TestRandomClique:
         got = _random_clique(g, rng, g.full_mask, 3)
         assert got is not None and got.bit_count() == 3
         assert rng.draws <= 3
+
+
+class TestDrawReplay:
+    """The lazy draws against the listing draws they replaced: the same
+    vertices, and the same generator state after, so the absorbers sampled,
+    and every certificate built from them, stay the same.  The draws lean on
+    how `randrange` and `random.sample` consume the generator, so CI runs
+    these on the oldest supported Python and a recent one."""
+
+    @staticmethod
+    def same_clique(g, seed, pool, size):
+        live, frozen = random.Random(seed), random.Random(seed)
+        got = _random_clique(g, live, pool, size)
+        assert got == seed_random_clique(g, frozen, pool, size)
+        assert live.getstate() == frozen.getstate()
+        return got
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 260),
+        p=st.sampled_from([0.0, 0.2, 0.6, 0.9, 1.0]),
+        density=st.sampled_from([0.05, 0.5, 1.0]),
+        size=st.integers(0, 5),
+    )
+    def test_random_clique(self, seed, n, p, density, size):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        pool = sum(1 << v for v in range(n) if rng.random() < density)
+        self.same_clique(g, seed, pool, size)
+
+    def test_size_zero_and_the_empty_pool(self):
+        g = Graph.complete(100)
+        assert self.same_clique(g, 1, g.full_mask, 0) == 0
+        assert self.same_clique(g, 1, 0, 3) is None
+        assert self.same_clique(Graph.empty(0), 1, 0, 1) is None
+
+    @pytest.mark.parametrize("low", [0, 64, 150])
+    def test_no_clique_walks_the_whole_pool(self, low):
+        # An edgeless graph has no 2-clique, so both walks draw once per
+        # pool vertex, up to the last bit of a mask wider than 64 bits.
+        g = Graph.empty(300)
+        pool = g.full_mask >> low << low
+        assert self.same_clique(g, 7, pool, 2) is None
+        rng = CountingRandom(7)
+        _random_clique(g, rng, pool, 2)
+        assert rng.draws == 300 - low
+
+    def test_a_pool_in_the_high_bits(self):
+        # The pool is the top 40 of 1,000 vertices, a clique: each rank is
+        # found past 120 empty low bytes.
+        g = Graph.empty(1000)
+        for u, v in itertools.combinations(range(960, 1000), 2):
+            g.add_edge(u, v)
+        pool = g.full_mask >> 960 << 960
+        for seed in range(20):
+            got = self.same_clique(g, seed, pool, 3)
+            assert got is not None and got & ~pool == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(0, 400),
+        thin=st.integers(0, 3),
+        r=st.integers(1, 7),
+    )
+    def test_probe_draw(self, seed, width, thin, r):
+        rng = random.Random(seed)
+        avail = rng.getrandbits(width)
+        for _ in range(thin):
+            avail &= rng.getrandbits(width)
+        live, frozen = random.Random(seed), random.Random(seed)
+        assert _draw_probe(live, avail, r) == seed_probe_draw(frozen, avail, r)
+        assert live.getstate() == frozen.getstate()
+
+    # random.sample lists a population of at most 21 (r <= 5) or 85 (r = 6,
+    # 7) and indexes a larger one through a set of the picks taken.
+    @pytest.mark.parametrize("count", [0, 2, 3, 20, 21, 22, 84, 85, 86, 500])
+    @pytest.mark.parametrize("r", [2, 3, 6])
+    def test_probe_draw_around_the_sample_cutover(self, count, r):
+        # The vertices sit at every third position from 70 up, so the mask
+        # is wider than 64 bits at every count.
+        avail = sum(1 << (70 + 3 * i) for i in range(count))
+        for seed in range(5):
+            live, frozen = random.Random(seed), random.Random(seed)
+            got = _draw_probe(live, avail, r)
+            assert got == seed_probe_draw(frozen, avail, r)
+            assert live.getstate() == frozen.getstate()
+            assert (got is None) == (count < r)
 
 
 class TestEnumerate:

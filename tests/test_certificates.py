@@ -390,6 +390,29 @@ class TestVerify:
             f"positive answer of kind {kind!r}: a YES in factor mode is factorable"
         ]
 
+    def test_tiling_of_another_clique_size_flagged(self):
+        # A perfect matching of C_6 is a K_2-factor; it proves nothing at r = 3.
+        matching = Tiling(2, (vs(0, 1), vs(2, 3), vs(4, 5)))
+        cert = DecisionCertificate("factorable", True, matching, None, "pipeline", True)
+        self.ok(cycle(6), cert, "factor", 2)
+        assert verify_certificate(cycle(6), cert, "factor", 3) == [
+            "tiling is of K_2, expected K_3"
+        ]
+
+    @pytest.mark.parametrize(
+        "witness, mode, value",
+        [
+            (Tiling(3, (vs(0, 1, 2), vs(3, 4, 5))), "factor", 3),
+            (Coloring(tuple(vs(v) for v in range(6))), "coloring", 6),
+        ],
+    )
+    def test_answer_payload_cannot_witness_a_no(self, witness, mode, value):
+        # Each payload verifies as a YES on K_6; as the witness of a NO it
+        # proves nothing.
+        cert = DecisionCertificate("obstructed", False, None, witness, "recognizer", True)
+        clauses = verify_certificate(Graph.complete(6), cert, mode, value)
+        assert clauses == [f"a {type(witness).__name__} cannot witness a NO"]
+
     def test_unresolved_must_stay_silent(self):
         cert = DecisionCertificate(
             kind="unresolved",

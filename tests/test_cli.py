@@ -190,6 +190,34 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", graph, str(cert)])
         assert code == 1 and "Tutte barrier" in json.loads(out)["first_violated"]
 
+    def test_tiling_of_the_wrong_size_rejected(self, capsys, tmp_path, write):
+        # C_6 has no K_3-factor; its K_2-factor relabelled as an r = 3
+        # answer must not pass.
+        graph = write("c6.txt", dumps(cycle(6)))
+        code, _, _ = run(capsys, ["factor", graph, "--r", "3"])
+        assert code == 1
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, ["factor", graph, "--r", "2", "--out", str(cert)])
+        assert code == 0
+        doc = json.loads(cert.read_text())
+        doc["value"] = 3
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["verify", graph, str(cert)])
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False
+        assert report["first_violated"] == "tiling is of K_2, expected K_3"
+
+    def test_tiling_witness_of_a_no_rejected(self, capsys, write):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        doc = {
+            "schema": "equitiler.certificate/1", "kind": "obstructed", "answer": False,
+            "certificate": None, "witness": {"type": "tiling", "r": 3, "cliques": [[0, 1, 2], [3, 4, 5]]},
+            "provenance": "recognizer", "verified": True, "notes": [], "mode": "factor", "value": 3,
+        }
+        code, out, _ = run(capsys, ["verify", graph, write("no.json", json.dumps(doc))])
+        assert code == 1
+        assert json.loads(out)["first_violated"] == "a Tiling cannot witness a NO"
+
     def test_exact_negative_unchecked(self, capsys, write):
         graph = write("k4.txt", dumps(Graph.complete(4)))
         doc = {

@@ -438,6 +438,34 @@ class TestStructuredCertificates:
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+class TestAbsorptionCertificates:
+    """Certificate JSON, timings dropped, of two inputs that absorption
+    factors, pinned by hash as in TestStructuredCertificates: the absorbers
+    come from seeded random draws, so a change in how a draw consumes the
+    generator changes the tiling and fails here."""
+
+    CASES = {
+        "gnp(n=240,p=0.9)": (
+            lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE),
+            "22cb7afdedd2a075cbc1d218df6bf7008c5182b680759f865b0e1aefbb1f9d00",
+        ),
+        "ore(n=240,a=0)": (
+            lambda: decide_kr_factor(random_ore(240, 3, 0, 0), 3),
+            "93606393f91a709045e4ef5b7a044dde00a108aacb7d9f357fdbd346a02bf6b1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_certificate_hash(self, name):
+        decide, want = self.CASES[name]
+        cert = decide()
+        assert (cert.kind, cert.provenance, cert.verified) == ("factorable", "pipeline", True)
+        doc = certificate_to_json(cert)
+        del doc["timings"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
 def edited_ex2(n, s, add=(), drop=()):
     g = build_ex2(n, 3, s)
     for u, v in add:

@@ -21,11 +21,13 @@ from equitiler import (
     decide_kr_factor,
     default_constants,
     peel_partition,
+    random_gnp,
+    random_ore,
     refine_to_good,
     validate_good,
 )
 from equitiler.errors import PreconditionError
-from equitiler.graphs import induced_edge_count, low_degree_set
+from equitiler.graphs import induced_edge_count, iter_bits, low_degree_set
 from equitiler.partition import (
     _apply_straddle,
     _grade_thresholds,
@@ -33,7 +35,7 @@ from equitiler.partition import (
     slack_threshold,
 )
 
-from _brute import seed_classify, seed_sparse_set
+from _brute import seed_classify, seed_recount_sparse_set, seed_sparse_set
 from conftest import random_graph
 
 
@@ -172,6 +174,96 @@ class TestSparseSet:
         got = _sparse_set(g, g.full_mask, size, budget, n)
         assert got is not None and induced_edge_count(g, got.bits) <= edges + slack
         assert got == seed_sparse_set(g, g.full_mask, size, budget, n)
+
+    # The hill climb against the version that recounted every inside-degree
+    # at each swap, on universes of up to 400 vertices: its bit-sliced
+    # counters run up to nine slices deep, over masks several words wide.
+
+    @staticmethod
+    def climbs(g, universe, size, limit):
+        """Whether a probe with this edge limit reaches the hill climb: at
+        least one edge is allowed and the degree floor does not refute it."""
+        slack = universe.bit_count() - size
+        inner = sorted((g.adj[v] & universe).bit_count() for v in iter_bits(universe))
+        return limit >= 1 and sum(max(0, d - slack) for d in inner[:size]) <= 2 * limit
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(200, 400),
+        ore=st.booleans(),
+        p=st.sampled_from([0.2, 0.3, 0.5, 0.7, 0.9]),
+        thin=st.sampled_from([0, 1, 70]),
+        parts=st.integers(2, 4),
+        budget=st.sampled_from(
+            [Fraction(1, 30000), Fraction(1, 3000), Fraction(1, 400), Fraction(1, 60), Fraction(1, 20)]
+        ),
+    )
+    def test_wide_climbs(self, seed, n, ore, p, thin, parts, budget):
+        # thin 1 drops about half the vertices from the universe at random;
+        # thin 70 drops its lowest 70, so it starts past the first word.
+        g = random_ore(n, 3, 0, seed) if ore else random_gnp(n, p, seed)
+        if thin == 1:
+            universe = g.full_mask & random.Random(seed).getrandbits(n)
+        else:
+            universe = g.full_mask >> thin << thin
+        size = universe.bit_count() // parts
+        assert _sparse_set(g, universe, size, budget, n) == seed_recount_sparse_set(
+            g, universe, size, budget, n
+        )
+
+    def test_seeded_climbs(self):
+        # About one call in eight here ends differently if a pick breaks its
+        # tie the other way or a counter misses a swap.
+        rng = random.Random(0x5EED)
+        for i in range(120):
+            n = rng.randint(65, 260)
+            if rng.random() < 0.5:
+                g = random_ore(n, 3, 0, i)
+            else:
+                g = random_gnp(n, rng.choice([0.3, 0.5, 0.7]), i)
+            universe = g.full_mask
+            if rng.random() < 0.3:
+                universe &= ~rng.getrandbits(n)
+            size = universe.bit_count() // rng.choice([3, 4])
+            budget = rng.choice([Fraction(1, 400), Fraction(1, 60)])
+            assert _sparse_set(g, universe, size, budget, n) == seed_recount_sparse_set(
+                g, universe, size, budget, n
+            ), i
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(200, 400),
+        p_in=st.sampled_from([0.1, 0.3]),
+        slack=st.integers(0, 3),
+    )
+    def test_wide_planted_set(self, seed, n, p_in, slack):
+        size = n // 3
+        g, planted = planted_sparse(random.Random(seed), n, size, p_in)
+        edges = induced_edge_count(g, planted)
+        budget = Fraction(edges + slack, n * n)
+        got = _sparse_set(g, g.full_mask, size, budget, n)
+        assert got is not None and induced_edge_count(g, got.bits) <= edges + slack
+        assert got == seed_recount_sparse_set(g, g.full_mask, size, budget, n)
+
+    @pytest.mark.parametrize(
+        "build, budget",
+        [
+            # The absorption gate's probe on the dense workload's Ore input.
+            (lambda: random_ore(240, 3, 0), default_constants(3).gamma),
+            (lambda: random_gnp(300, 0.5, 1), Fraction(1, 60)),
+            (lambda: random_gnp(400, 0.7, 1), Fraction(1, 400)),
+        ],
+    )
+    def test_climbs_that_end_without_a_set(self, build, budget):
+        # The floor passes, so both starts climb until no swap lowers the
+        # edge count or the 200 swaps run out, and neither meets the limit.
+        g = build()
+        n = g.n
+        assert self.climbs(g, g.full_mask, n // 3, budget * n * n)
+        assert _sparse_set(g, g.full_mask, n // 3, budget, n) is None
+        assert seed_recount_sparse_set(g, g.full_mask, n // 3, budget, n) is None
 
     def test_floor_refutes_what_the_hill_climb_cannot_find(self):
         g, planted = planted_sparse(random.Random(5), 90, 30, 0.3)
