@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -363,6 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # The sweeps' canonical form runs small float64 matmuls, several times
+    # slower on BLAS's default pool of one thread per core than on one
+    # thread.  numpy is imported lazily, after this; a user's own setting wins.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

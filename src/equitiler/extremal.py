@@ -255,10 +255,15 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     return w if w.verify(g, r) else None
 
 
-def _independent_heuristic(g: Graph, size: int, mask: int) -> Optional[VertexSet]:
+def _independent_heuristic(
+    g: Graph, size: int, mask: int, keyed: Optional[List[Tuple[int, int]]] = None
+) -> Optional[VertexSet]:
     # Greedy by ascending degree inside the mask, stopping at `size`
     # vertices, with one round of plateau swaps when it falls short.
-    keyed = sorted(((g.adj[v] & mask).bit_count(), v) for v in iter_bits(mask))
+    # `keyed` is the sorted (degree inside the mask, vertex) list, when the
+    # caller has already counted it.
+    if keyed is None:
+        keyed = sorted(((g.adj[v] & mask).bit_count(), v) for v in iter_bits(mask))
     # A member of an independent `size`-set misses the other size - 1
     # members, so its degree inside the mask is at most |mask| - size.
     room = len(keyed) - size

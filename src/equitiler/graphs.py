@@ -243,10 +243,17 @@ class Graph:
                 yield (u, u + 1 + j)
 
     def is_clique(self, mask: int) -> bool:
-        for v in iter_bits(mask):
-            rest = mask & ~(1 << v)
-            if rest & ~self.adj[v]:
+        """Whether `mask` is a clique: each member's row, with the member
+        itself added, covers the mask.  One test per member, peeled inline
+        with no generator, since most masks asked are a tile of a few
+        vertices."""
+        adj = self.adj
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] | low) & mask != mask:
                 return False
+            rest ^= low
         return True
 
     def is_independent(self, mask: int) -> bool:
@@ -256,7 +263,13 @@ class Graph:
         return True
 
     def common_neighbors(self, mask: int) -> int:
-        """Bitmask of vertices adjacent to every vertex of `mask`; V for mask=0."""
+        """Bitmask of vertices adjacent to every vertex of `mask`; V for mask=0.
+
+        A one-vertex mask returns its row itself, which already leaves the
+        vertex out.
+        """
+        if mask and not mask & (mask - 1):
+            return self.adj[mask.bit_length() - 1]
         out = self.full_mask
         for v in iter_bits(mask):
             out &= self.adj[v]

@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
-from .extremal import Ex1Witness, independent_set_of_size
+from .extremal import Ex1Witness, _independent_heuristic, independent_set_of_size
 from .graphs import (
     Graph,
     VertexSet,
@@ -229,11 +229,17 @@ def _sparse_set(
     swaps from each of two starts, so None is "not found", not a
     nonexistence proof.  The climb keeps every inside-degree as bit-sliced
     counters, so a swap costs O(log n) big-int operations, not a recount
-    over the members.
+    over the members.  Each vertex's degree inside the universe is counted
+    once: the sorted (degree, vertex) list feeds the greedy independent set
+    on a universe past 64 vertices, the degree floor and the first start.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
-    found = independent_set_of_size(g, size, universe)
+    keyed = sorted(((g.adj[v] & universe).bit_count(), v) for v in iter_bits(universe))
+    if len(keyed) > 64:
+        found = _independent_heuristic(g, size, universe, keyed)
+    else:
+        found = independent_set_of_size(g, size, universe)
     if found is not None:
         return found
     limit = as_fraction(budget) * order * order
@@ -245,9 +251,8 @@ def _sparse_set(
     # of the `size` smallest such terms (floored at 0) over U.  When that sum
     # exceeds 2 * limit no subset meets the budget, so neither search below
     # could return one: returning None here changes no answer.
-    slack = universe.bit_count() - size
-    inner = sorted((g.adj[v] & universe).bit_count() for v in iter_bits(universe))
-    if sum(max(0, d - slack) for d in inner[:size]) > 2 * limit:
+    slack = len(keyed) - size
+    if sum(max(0, d - slack) for d, _ in keyed[:size]) > 2 * limit:
         return None
     # Hill climb from two deterministic starts, ejecting the most crowded
     # member (highest index on ties) for the outside vertex with the fewest
@@ -255,11 +260,7 @@ def _sparse_set(
     # met, for at most 200 swaps or until no swap lowers the edge count.
     # slices[b] holds bit b of every vertex's |N(v) & cur|; each pick is a
     # scan over the slices from the top bit down.
-    starts = [
-        sorted(iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
-        sorted(iter_bits(universe)),
-    ]
-    for order_list in starts:
+    for order_list in ([v for _, v in keyed], list(iter_bits(universe))):
         cur = 0
         slices: List[int] = []
         for v in order_list[:size]:

@@ -25,7 +25,14 @@ from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalContradiction, PreconditionError
-from .graphs import Graph, VertexSet, find_clique_of_size, iter_bits, iter_cliques
+from .graphs import (
+    Graph,
+    VertexSet,
+    connected_components,
+    find_clique_of_size,
+    iter_bits,
+    iter_cliques,
+)
 from .matching import maximum_matching
 from .oracle import Tiling
 from .partition import GoodPartition, RsPartition
@@ -730,8 +737,15 @@ REPAIR_BUDGET = 600
 
 
 def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
-    """A perfect matching of G[mask] as a tiling by pairs, or None."""
-    if mask.bit_count() % 2:
+    """A perfect matching of G[mask] as a tiling by pairs, or None.
+
+    A component of G[mask] with an odd number of vertices, which an odd
+    mask always has, rules a perfect matching out (Tutte, 1947), so such a
+    mask returns None after one component scan, before any blossom search.
+    The leftover blocks that `parity_repair` first tries are often of this
+    kind.
+    """
+    if any(len(c) % 2 for c in connected_components(g, mask)):
         return None
     mm = maximum_matching(g, mask)
     if 2 * mm.size != mask.bit_count():

@@ -1239,14 +1239,14 @@ def seed_sparse_set(
 ) -> Optional[VertexSet]:
     """A size-subset of `universe` inducing at most budget * order^2 edges.
 
-    Exact when zero edges are allowed and n <= 64 (independent-set branch
-    and bound); otherwise a bounded deterministic search, so None is
-    "not found", not a nonexistence proof.
+    Exact when zero edges are allowed and the universe has at most 64
+    vertices (independent-set branch and bound); otherwise a bounded
+    deterministic search, so None is "not found", not a nonexistence proof.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
     limit = as_fraction(budget) * order * order
-    if g.n <= 64:
+    if universe.bit_count() <= 64:
         found = max_independent_set(g, inside=universe)
     else:
         found = seed_greedy_independent(g, universe, size)

@@ -21,7 +21,7 @@ from equitiler.extremal import (
     independent_set_of_size,
     recognize_extremal,
 )
-from equitiler.graphs import Graph, VertexSet, lowest_vertices, max_independent_set
+from equitiler.graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
 from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from _brute import (
@@ -301,6 +301,9 @@ class TestDegreeRefutation:
         size = max(1, base + extra)
         got = _independent_heuristic(g, size, inside)
         assert got == seed_masked_independent_heuristic(g, size, inside)
+        # A caller's sorted (degree inside, vertex) list stands in for the count.
+        keyed = sorted(((g.adj[v] & inside).bit_count(), v) for v in iter_bits(inside))
+        assert _independent_heuristic(g, size, inside, keyed) == got
 
     def test_refutes_by_degrees(self):
         # K_4 plus an isolated vertex.  A pair may use vertices of degree at

@@ -334,6 +334,40 @@ class TestCliqueSearch:
         assert find_clique_of_size(g, 2) is None
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 200),
+    p=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    few=st.booleans(),
+)
+def test_is_clique_matches_pairwise(n, p, seed, few):
+    # A few vertices at high density are often a clique; a random mask
+    # over up to 200 vertices spans several words.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    for _ in range(20):
+        if few:
+            members = rng.sample(range(n), min(n, rng.randint(0, 6)))
+        else:
+            members = [v for v in range(n) if rng.random() < 0.5]
+        mask = sum(1 << v for v in members)
+        want = all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
+        assert g.is_clique(mask) == want
+
+
+def test_common_neighbors_of_one_vertex_is_the_walk(rng):
+    for n in (1, 2, 9, 64, 65, 130):
+        g = random_graph(rng, n, 0.5)
+        for v in range(n):
+            walk = g.full_mask & g.adj[v] & ~(1 << v)
+            assert g.common_neighbors(1 << v) == walk
+            assert walk == sum(1 << u for u in range(n) if g.has_edge(u, v))
+        if n > 1:
+            # Two vertices still take the walk.
+            assert g.common_neighbors(0b11) == g.adj[0] & g.adj[1] & ~0b11
+
+
 def test_max_independent_set_matches_reference(rng):
     for _ in range(60):
         n = rng.randrange(1, 11)

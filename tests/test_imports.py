@@ -83,6 +83,29 @@ def test_only_the_connected_sweep_loads_numpy():
     ]
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs one cheap CLI command and reports the BLAS thread variables after it.
+BLAS_PROBE = """
+import json, os, sys
+from equitiler.cli import main
+
+main(["gen", "--family", "random-gnp", "--n", "5", "--p", "0.5", "--out", sys.argv[1]])
+print(json.dumps([os.environ.get(v) for v in sys.argv[2:]]))
+"""
+
+
+def test_cli_pins_blas_threads_unless_set(tmp_path, monkeypatch):
+    # The CLI sets each variable to one thread before numpy can load, and
+    # keeps any value the caller set.
+    for var in BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    out = str(tmp_path / "g.txt")
+    assert probe(BLAS_PROBE, out, *BLAS_THREADS) == ["1", "1", "1"]
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert probe(BLAS_PROBE, out, *BLAS_THREADS) == ["1", "2", "1"]
+
+
 # Lists the modules of interest loaded by `import equitiler`, and the classes
 # defined in equitiler's modules that carry dataclass fields.
 IMPORT_PROBE = """

@@ -212,9 +212,9 @@ class TestSparseSet:
             g, universe, size, budget, n
         )
 
-    def test_seeded_climbs(self):
-        # About one call in eight here ends differently if a pick breaks its
-        # tie the other way or a counter misses a swap.
+    @staticmethod
+    def seeded_draw():
+        """120 probes (g, universe, size, budget) at n = 65..260, seeded."""
         rng = random.Random(0x5EED)
         for i in range(120):
             n = rng.randint(65, 260)
@@ -226,10 +226,27 @@ class TestSparseSet:
             if rng.random() < 0.3:
                 universe &= ~rng.getrandbits(n)
             size = universe.bit_count() // rng.choice([3, 4])
-            budget = rng.choice([Fraction(1, 400), Fraction(1, 60)])
-            assert _sparse_set(g, universe, size, budget, n) == seed_recount_sparse_set(
-                g, universe, size, budget, n
+            yield g, universe, size, rng.choice([Fraction(1, 400), Fraction(1, 60)])
+
+    def test_seeded_climbs(self):
+        # About one call in eight here ends differently if a pick breaks its
+        # tie the other way or a counter misses a swap.
+        for i, (g, universe, size, budget) in enumerate(self.seeded_draw()):
+            assert _sparse_set(g, universe, size, budget, g.n) == seed_recount_sparse_set(
+                g, universe, size, budget, g.n
             ), i
+
+    def test_small_universes_of_wide_graphs(self):
+        # Draws 24 and 103 thin graphs of 93 and 91 vertices to universes of
+        # 43 and 46: the exact independent-set branch goes by the universe's
+        # size, not the graph's.
+        draws = list(self.seeded_draw())
+        for i in (24, 103):
+            g, universe, size, budget = draws[i]
+            assert universe.bit_count() <= 64 < g.n
+            got = _sparse_set(g, universe, size, budget, g.n)
+            assert got is not None
+            assert got == seed_sparse_set(g, universe, size, budget, g.n), i
 
     @settings(max_examples=8, deadline=None)
     @given(

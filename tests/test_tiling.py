@@ -34,7 +34,7 @@ from equitiler.errors import PreconditionError
 from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
 from equitiler.partition import _grade_thresholds
-from equitiler.tiling import _blocks, _layer_matching
+from equitiler.tiling import _blocks, _layer_matching, _pair_tiling
 
 from _brute import (
     base_set_problems,
@@ -703,6 +703,47 @@ class TestMultipartiteMatchesSeed:
         assert t == Tiling(3, (VertexSet(0b111),))
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert multipartite_factor(path, blocks) is None
+
+
+class TestPairTiling:
+    def test_odd_component_skips_the_blossom_search(self, monkeypatch):
+        # A path on 0, 1, 2 and the lone vertex 3: four vertices, two odd
+        # components, so no perfect matching and no search is needed.
+        def refuse(*args):
+            raise AssertionError("maximum_matching called")
+
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        monkeypatch.setattr("equitiler.tiling.maximum_matching", refuse)
+        assert _pair_tiling(g, 0b1111) is None
+        with pytest.raises(AssertionError, match="maximum_matching called"):
+            _pair_tiling(g, 0b11011)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 14), min_size=2, max_size=4),
+        p=st.sampled_from([0.15, 0.3, 0.6]),
+        full=st.booleans(),
+    )
+    def test_some_exactly_when_the_matching_is_perfect(self, seed, sizes, p, full):
+        # Components planted on consecutive labels, each a random graph, so
+        # some split further and some are disconnected within.
+        rng = random.Random(seed)
+        n = sum(sizes)
+        g = Graph.empty(n)
+        start = 0
+        for size in sizes:
+            part = random_graph(rng, size, p)
+            for u, v in part.edges():
+                g.add_edge(start + u, start + v)
+            start += size
+        mask = g.full_mask if full else g.full_mask & rng.getrandbits(n)
+        got = _pair_tiling(g, mask)
+        perfect = 2 * maximum_matching(g, mask).size == mask.bit_count()
+        assert (got is not None) == perfect
+        if got is not None:
+            assert got.r == 2 and got.covered.bits == mask
+            assert got.verify(g, require_factor=False)
 
 
 class TestParityRepair:
