@@ -40,7 +40,6 @@ from .partition import (
     RsPartition,
     VertexClassification,
     GoodPartition,
-    RefinementTrace,
     peel_partition,
     classify,
     refine_to_good,
@@ -49,7 +48,6 @@ from .partition import (
 from .tiling import (
     SingleBase,
     DoubleBase,
-    BaseSet,
     base_slack,
     cover_exceptional,
     cover_nonexcellent,
@@ -60,12 +58,10 @@ from .tiling import (
     parity_repair,
 )
 from .absorbing import (
-    AbsorberFamily,
     AbsorbingSet,
     AugmentationMove,
     absorb,
     build_absorbing_set,
-    enumerate_absorbers,
     find_augmentation,
     layered_greedy,
 )

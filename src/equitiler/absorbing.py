@@ -37,26 +37,13 @@ from .oracle import LayeredFactor, Tiling, kr_factor_exact
 from .partition import _sparse_set
 
 __all__ = [
-    "AbsorberFamily",
     "AbsorbingSet",
     "AugmentationMove",
     "absorb",
     "build_absorbing_set",
-    "enumerate_absorbers",
     "find_augmentation",
     "layered_greedy",
 ]
-
-
-class AbsorberFamily(NamedTuple):
-    """Verified absorbers for one target r-set.
-
-    Each member S satisfies: S is disjoint from q, |S| = r*r, and both
-    G[S] and G[S u q] admit K_r-factors.
-    """
-
-    q: VertexSet
-    members: Tuple[VertexSet, ...]
 
 
 class AugmentationMove(NamedTuple):
@@ -170,34 +157,6 @@ def _draw_probe(rng: random.Random, avail: int, r: int) -> Optional[VertexSet]:
     return VertexSet(select(j) for j in rng.sample(range(count), r))
 
 
-def enumerate_absorbers(
-    g: Graph,
-    q: VertexSet,
-    r: int,
-    budget: int,
-    cfg: Optional[ConstantsConfig] = None,
-    seed: int = 0,
-    exclude: int = 0,
-) -> AbsorberFamily:
-    """Sample up to `budget` verified absorbers for the r-set q.
-
-    Each candidate is built from a base K_r plus, for every pair of a base
-    vertex and a q-vertex, a bridge (r-1)-set lying in their common
-    neighborhood, itself a clique; that shape makes both factor checks
-    pass by construction, and the oracle confirms them anyway.  The base
-    is taken inside the low-degree clique when that clique is large, and
-    away from it otherwise; bridges always avoid it.
-    """
-    if len(q) != r:
-        raise PreconditionError(f"target has {len(q)} vertices, wants r={r}")
-    if cfg is None:
-        cfg = default_constants(max(r, 2))
-    slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * g.n)
-    exploit_clique = len(slow) > cfg.xi * g.n
-    found = _sample_absorbers(g, q, r, budget, seed, exclude, slow.bits, exploit_clique)
-    return AbsorberFamily(q, tuple(s for s, _ in found))
-
-
 def _sample_absorbers(
     g: Graph,
     q: VertexSet,
@@ -208,9 +167,17 @@ def _sample_absorbers(
     slow: int,
     exploit_clique: bool,
 ) -> List[Tuple[VertexSet, Tiling]]:
-    """`enumerate_absorbers` given the low-degree set its caller computed.
+    """Sample up to `budget` verified absorbers for the r-set q, avoiding
+    `exclude`, given the low-degree set `slow` and whether the base is taken
+    inside it (`exploit_clique`).
 
-    Each absorber S comes with the K_r-factor of G[S] that its check found.
+    Each candidate is built from a base K_r plus, for every pair of a base
+    vertex and a q-vertex, a bridge (r-1)-set lying in their common
+    neighborhood, itself a clique; that shape makes both factor checks
+    pass by construction, and the oracle confirms them anyway.  The base
+    is taken inside the low-degree clique when that clique is large, and
+    away from it otherwise; bridges always avoid it.  Each absorber S comes
+    with the K_r-factor of G[S] that its check found.
     """
     base_pool = slow if exploit_clique else g.full_mask & ~slow
     base_pool &= ~q.bits & ~exclude

@@ -119,6 +119,11 @@ def _load_constants(path: str, r: int) -> ConstantsConfig:
     unknown = sorted(set(doc) - _CONSTANT_FIELDS)
     if unknown:
         raise CliError(f"unknown constants field(s): {', '.join(unknown)}")
+    # Refinement replaces these scales by `for_s` of the peeled part count
+    # unless s names that count, so without s they would be ignored.
+    unused = sorted({"beta_prime", "beta", "zeta"} & set(doc))
+    if unused and doc.get("s") is None:
+        raise CliError(f"constants field(s) {', '.join(unused)} take effect only with s set")
     if r < 2:
         raise CliError(f"constants overrides need clique size >= 2, instance gives r={r}")
     kwargs: Dict[str, object] = {}

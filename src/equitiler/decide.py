@@ -31,7 +31,7 @@ InternalContradiction with the checker's clauses.  `decide_kr_factor` and
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .certificates import DecisionCertificate, verify_certificate
@@ -59,7 +59,7 @@ from .matching import TutteBarrier, pm_or_structure
 from .oracle import Coloring, Tiling, equitable_coloring_exact, kr_factor_exact
 from .partition import peel_partition, refine_to_good
 from .tiling import (
-    BaseSet,
+    Base,
     contract_residual,
     cover_exceptional,
     cover_nonexcellent,
@@ -272,11 +272,24 @@ def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
     return kr_factor_exact(g, d, block.bits)
 
 
+def _vertices_of(seeds: Sequence[Base]) -> VertexSet:
+    bits = 0
+    for h in seeds:
+        bits |= h.vertices.bits
+    return VertexSet(bits)
+
+
 def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
     The only NO is refinement's stage escape, an independent set beyond the
     clique count inside a stage graph.
+
+    Refinement returns the good partition alone.  The two covers return
+    tuples of seeds; the vertices of the first cover's seeds are spoken for
+    when the second runs, and each seed grows in turn away from every other
+    seed and from the cliques grown so far.  Parity repair, when the
+    leftover block tiles by pairs, reads the same seeds.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -285,7 +298,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     p, s = peel_partition(g, r, cfg)
     if s == 0:
         raise PreconditionError("no sparse parts peeled")
-    got, _trace = refine_to_good(g, p, cfg)
+    got = refine_to_good(g, p, cfg)
     if isinstance(got, Ex1Witness):
         return _no(got, "pipeline")
     gp = got
@@ -295,12 +308,9 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     if d <= 0:
         raise PreconditionError(f"partition peeled {s} parts against r={r}")
 
-    bs1 = cover_exceptional(g, gp)
-    spoken = bs1.vertices() | bs1.covered
-    bs2 = cover_nonexcellent(g, gp, spoken)
-    bases = tuple(bs1.bases) + tuple(bs2.bases)
-    baseset = BaseSet(bases, bs1.covered | bs2.covered)
-    all_seeds = baseset.vertices()
+    thin_seeds = cover_exceptional(g, gp)
+    bases = thin_seeds + cover_nonexcellent(g, gp, _vertices_of(thin_seeds))
+    all_seeds = _vertices_of(bases)
 
     cliques: List[VertexSet] = []
     used = VertexSet(0)
@@ -312,7 +322,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     seed_tiling = Tiling(r, tuple(cliques))
 
     if d == 2:
-        seed_tiling, ts = parity_repair(g, gp, baseset, seed_tiling)
+        seed_tiling, ts = parity_repair(g, gp, bases, seed_tiling)
         resid = strip_tiling(p, seed_tiling)
     else:
         resid = strip_tiling(p, seed_tiling)
@@ -376,21 +386,19 @@ def decide_kr_factor(
     return _run(g, "factor", r, steps, [])
 
 
-def _coloring_no(g: Graph, k: int, witness: Optional[object], provenance: str) -> DecisionCertificate:
-    """A colouring NO with `witness`, else with one hunted for in G up to
-    FALLBACK_CAP, else with none.  The recognizer's and the oracle's NOs
-    come at most at the cap and are hunted for; the delegate's, beyond it,
-    keep only the clique the factor side carried over."""
-    if witness is None and g.n <= FALLBACK_CAP:
-        witness = coloring_obstruction(g, k)
+def _coloring_no(witness: Optional[object], provenance: str) -> DecisionCertificate:
+    """A colouring NO with `witness`, else one noting that none surfaced."""
     if witness is None:
         return _no(None, provenance, ("no subgraph witness surfaced",))
     return _no(witness, provenance)
 
 
-def _color_exactly(g: Graph, k: int) -> DecisionCertificate:
+def _color_exactly(g: Graph, k: int, hunt: bool) -> DecisionCertificate:
+    """Exact colouring search; a NO hunts for a witness in G if `hunt`."""
     col = equitable_coloring_exact(g, k)
-    return _coloring_no(g, k, None, "oracle") if col is None else _yes(col, "oracle")
+    if col is not None:
+        return _yes(col, "oracle")
+    return _coloring_no(coloring_obstruction(g, k) if hunt else None, "oracle")
 
 
 def _color_by_factor(
@@ -415,7 +423,7 @@ def _color_by_factor(
     else:
         w = cert.witness
         clique = CliqueObstruction(w.independent_set) if isinstance(w, Ex1Witness) else None
-        out = _coloring_no(g, k, clique, cert.provenance)
+        out = _coloring_no(clique, cert.provenance)
     return out._replace(timings=cert.timings)
 
 
@@ -441,9 +449,13 @@ def decide_equitable(
                   the padded complement, without the padding;
       delegate    beyond the cap, the factor table on the complement of G
                   padded to divisibility, its answer carried back to G.
-    A NO without a witness hunts for a K_{k+1} or odd K_{m,2k-m} subgraph
-    of G, up to the fallback cap.  The edge degree-sum bound is reported
-    in the notes; only the obstruction step requires it.
+    An oracle NO hunts for a K_{k+1} or odd K_{m,2k-m} subgraph of G when
+    the edge bound fails.  Under the bound the obstruction step's scan is
+    complete: every edge of either subgraph sums to at least 2k, so a
+    K_{k+1} is a whole component and a spanning K_{m,2k-m} is G itself.
+    The recognizer's G, r - 2 disjoint K_k and a K_{s,2k-s}, always meets
+    the bound, so its NO never hunts.  The edge degree-sum bound is
+    reported in the notes; only the obstruction step requires it.
     """
     if k < 1:
         raise PreconditionError(f"k={k} must be positive")
@@ -460,7 +472,7 @@ def decide_equitable(
     def recognize() -> Optional[DecisionCertificate]:
         if not _few_degrees(g) or _recognize_ex2(complement(g), g.n // k) is None:
             return None
-        return _coloring_no(g, k, None, "recognizer")
+        return _coloring_no(None, "recognizer")
 
     # Only an unpadded G can be an odd split's complement.  In a padded
     # complement the q < k padding vertices miss only each other.  In an odd
@@ -472,7 +484,7 @@ def decide_equitable(
     steps: Tuple[_Step, ...] = (
         ("obstruction", None, (lambda: _paper_obstruction(g, k)) if ok else None),
         ("recognizer", "recognize", recognize if odd_split else None),
-        ("oracle", "oracle", (lambda: _color_exactly(g, k)) if exact else None),
+        ("oracle", "oracle", (lambda: _color_exactly(g, k, not ok)) if exact else None),
         ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),
     )
     return _run(g, "coloring", k, steps, notes)

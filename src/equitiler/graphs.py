@@ -309,7 +309,7 @@ class Graph:
 
 
 class OreStats(NamedTuple):
-    """Degree-sum floor over non-adjacent pairs, plus degree extremes.
+    """Degree-sum floor over non-adjacent pairs, and the pair that sets it.
 
     `sigma` is math.inf exactly when the graph is complete (no non-adjacent
     pair exists); `witness` is then None, otherwise the lexicographically
@@ -318,8 +318,6 @@ class OreStats(NamedTuple):
 
     sigma: float | int
     witness: Optional[Tuple[int, int]]
-    min_degree: int
-    max_degree: int
 
 
 def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
@@ -331,13 +329,10 @@ def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 def sigma(g: Graph) -> OreStats:
-    """The least d(u)+d(v) over non-adjacent pairs u < v, its first pair, and
-    the degree extremes.
+    """The least d(u)+d(v) over non-adjacent pairs u < v, and its first pair.
 
     The sum is math.inf and the pair None when g is complete.
     """
-    if g.n == 0:
-        return OreStats(math.inf, None, 0, 0)
     degs = g.degrees()
     levels = _degree_levels(degs)
     full = g.full_mask
@@ -357,7 +352,7 @@ def sigma(g: Graph) -> OreStats:
                 best = du + d
                 wit = (u, (meet & -meet).bit_length() - 1)
                 break
-    return OreStats(best, wit, levels[0][0], levels[-1][0])
+    return OreStats(best, wit)
 
 
 def complement(g: Graph) -> Graph:

@@ -6,9 +6,11 @@ n/r-subset.  `peel_partition` extracts such parts greedily.  Vertices are
 then graded per part by exact degree thresholds (bad inside a part,
 exceptional or excellent toward it), and `refine_to_good` swaps misplaced
 vertices between parts until the partition passes the checks in
-`validate_good`.  Everything runs on bitmasks with Fraction constants
-rounded once to integer thresholds, so results are reproducible and never
-depend on float rounding.
+`validate_good`.  It returns only the good partition (or its stage
+escape): the exchange rounds leave no record beyond the counts a stalled
+refinement quotes in its message.  Everything runs on bitmasks with
+Fraction constants rounded once to integer thresholds, so results are
+reproducible and never depend on float rounding.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "RsPartition",
     "VertexClassification",
     "GoodPartition",
-    "RefineStep",
-    "RefinementTrace",
     "slack_threshold",
     "peel_partition",
     "classify",
@@ -59,13 +59,6 @@ class RsPartition(NamedTuple):
     @property
     def s(self) -> int:
         return len(self.parts)
-
-    @property
-    def cover(self) -> VertexSet:
-        out = self.b
-        for p in self.parts:
-            out = out | p
-        return out
 
     def part_of(self, v: int) -> Optional[int]:
         """Index of the part holding v, or None when v sits in B."""
@@ -97,10 +90,9 @@ class VertexClassification(NamedTuple):
 
     For x in A_i, `bad` collects d(x, A_i) >= delta*n.  For x outside A_i,
     `exceptional` collects d(x, A_i) <= delta*n and `excellent` collects
-    d(x, A_i) >= |A_i| - delta*n; `nonexcellent` is everything outside
-    A_i that is not excellent.  The B-facing grades use d(x, B) the same
-    way.  `low_degree` is the set S of globally thin vertices; the S/L
-    refinements come from `in_low` / `off_low`.
+    d(x, A_i) >= |A_i| - delta*n.  `excellent_b` grades d(x, B) the same
+    way.  `low_degree` is the set S of globally thin vertices, and
+    `off_low` strips it from a set.
     """
 
     partition: RsPartition
@@ -109,12 +101,7 @@ class VertexClassification(NamedTuple):
     bad: Tuple[VertexSet, ...]
     exceptional: Tuple[VertexSet, ...]
     excellent: Tuple[VertexSet, ...]
-    nonexcellent: Tuple[VertexSet, ...]
     excellent_b: VertexSet
-    nonexcellent_b: VertexSet
-
-    def in_low(self, vs: VertexSet) -> VertexSet:
-        return vs & self.low_degree
 
     def off_low(self, vs: VertexSet) -> VertexSet:
         return vs - self.low_degree
@@ -159,16 +146,11 @@ def classify(
         bad: List[VertexSet] = []
         exc: List[VertexSet] = []
         exl: List[VertexSet] = []
-        nex: List[VertexSet] = []
         for part, ge in zip(p.parts, rows):
             m = part.bits
-            e_bits = ge(len(part) - thin) & ~m
             bad.append(VertexSet(ge(crowd) & m))
             exc.append(VertexSet(full & ~m & ~ge(thin + 1)))
-            exl.append(VertexSet(e_bits))
-            nex.append(VertexSet(full & ~m & ~e_bits))
-        bm = p.b.bits
-        eb = row_b(len(p.b) - thin) & ~bm
+            exl.append(VertexSet(ge(len(part) - thin) & ~m))
         cls = VertexClassification(
             partition=p,
             delta=d,
@@ -176,9 +158,7 @@ def classify(
             bad=tuple(bad),
             exceptional=tuple(exc),
             excellent=tuple(exl),
-            nonexcellent=tuple(nex),
-            excellent_b=VertexSet(eb),
-            nonexcellent_b=VertexSet(full & ~bm & ~eb),
+            excellent_b=VertexSet(row_b(len(p.b) - thin) & ~p.b.bits),
         )
         _check_thin_spread(degs, cls)
         out.append(cls)
@@ -356,26 +336,6 @@ def peel_partition(
     return out, out.s
 
 
-class RefineStep(NamedTuple):
-    """One exchange round: who was thin toward part k, who was crowded in it."""
-
-    k: int
-    thin: VertexSet
-    crowded: VertexSet
-    swapped: int
-    surplus: int
-    pairs: Tuple[Tuple[int, int], ...]
-    stage_vertices: VertexSet
-    matching: Optional[Matching]
-
-
-class RefinementTrace(NamedTuple):
-    """The exchange rounds of one refinement, in order.  Count them with
-    `len(trace.steps)`: as a tuple the trace itself has length 1."""
-
-    steps: Tuple[RefineStep, ...]
-
-
 class GoodPartition(NamedTuple):
     """A refined partition with its grades, rescue matchings and constants.
 
@@ -424,7 +384,7 @@ def _move(parts: List[int], b: int, v: int, dest: Optional[int]) -> int:
 
 def refine_to_good(
     g: Graph, p: RsPartition, cfg: Optional[ConstantsConfig] = None
-) -> Tuple[Union[GoodPartition, Ex1Witness], RefinementTrace]:
+) -> Union[GoodPartition, Ex1Witness]:
     """Exchange loop turning a peeled partition into a good one.
 
     Round k grades vertices at delta = beta + (k-1)*alpha, swaps thin
@@ -438,7 +398,9 @@ def refine_to_good(
     decider refines.  When there is no escape set either, or when the
     result is not good, this raises PreconditionError: at this n the
     configured constants cannot honour the guarantees, and callers should
-    fall back to an exact method.
+    fall back to an exact method.  That message, and those of the rescue
+    matchings' InternalContradiction, end with each round's counts: the
+    thin and crowded vertices, the swaps and the leftover thin vertices.
     """
     n = g.n
     p.check(n)
@@ -453,25 +415,19 @@ def refine_to_good(
         cfg = cfg.for_s(s)
     target = size + 1
     parts, b = [x.bits for x in p.parts], p.b.bits
-    steps: List[RefineStep] = []
+    rounds: List[str] = []
     for k in range(s):
         delta = cfg.beta + k * cfg.alpha
-        (cls,) = classify(g, _assemble(parts, b), (delta,))
-        thin = cls.off_low(cls.exceptional[k])
-        crowded = cls.bad[k]
-        xs = sorted(thin.members())
-        ys = sorted(crowded.members())
-        t = min(len(xs), len(ys))
-        pairs = []
         cur = _assemble(parts, b)
+        (cls,) = classify(g, cur, (delta,))
+        xs = sorted(cls.off_low(cls.exceptional[k]).members())
+        ys = sorted(cls.bad[k].members())
+        t = min(len(xs), len(ys))
         origins = {x: cur.part_of(x) for x in xs}
         for x, y in zip(xs[:t], ys[:t]):
             b = _move(parts, b, x, k)
             b = _move(parts, b, y, origins[x])
-            pairs.append((x, y))
         surplus = len(xs) - t
-        matching = None
-        stage_mask = 0
         if surplus > 0:
             leftovers = xs[t:]
             stage_mask = parts[k]
@@ -479,23 +435,15 @@ def refine_to_good(
                 stage_mask |= 1 << x
             matching = _stage_matching(g, stage_mask, leftovers, surplus, target, k)
             if isinstance(matching, Ex1Witness):
-                return matching, RefinementTrace(tuple(steps))
+                return matching
             b = _apply_straddle(parts, b, k, matching, leftovers, origins)
-        steps.append(
-            RefineStep(
-                k=k + 1,
-                thin=thin,
-                crowded=crowded,
-                swapped=t,
-                surplus=surplus,
-                pairs=tuple(pairs),
-                stage_vertices=VertexSet(stage_mask),
-                matching=matching,
-            )
+        rounds.append(
+            f"round {k + 1}: thin={len(xs)} crowded={len(ys)} "
+            f"swapped={t} surplus={surplus}"
         )
         if any(m.bit_count() != size for m in parts):
             raise InternalContradiction("exchange round changed a part size")
-    trace = RefinementTrace(tuple(steps))
+    note = " [" + "; ".join(rounds) + "]"
     final = _assemble(parts, b)
     thin_cls, crowded_cls, cls = classify(g, final, _grade_thresholds(cfg))
     good = GoodPartition(
@@ -503,24 +451,15 @@ def refine_to_good(
         classification=cls,
         thin=thin_cls,
         crowded=crowded_cls,
-        rescue=_rescue_matchings(g, thin_cls, trace),
+        rescue=_rescue_matchings(g, thin_cls, note),
         constants=cfg,
     )
     report = validate_good(g, good)
     if report:
         raise PreconditionError(
-            "refinement stalled: " + "; ".join(report) + _trace_note(trace)
+            "refinement stalled: " + "; ".join(report) + note
         )
-    return good, trace
-
-
-def _trace_note(trace: RefinementTrace) -> str:
-    bits = [
-        f"round {s.k}: thin={len(s.thin)} crowded={len(s.crowded)} "
-        f"swapped={s.swapped} surplus={s.surplus}"
-        for s in trace.steps
-    ]
-    return " [" + "; ".join(bits) + "]" if bits else ""
+    return good
 
 
 def _stage_matching(
@@ -591,12 +530,12 @@ def _apply_straddle(
 
 
 def _rescue_matchings(
-    g: Graph, cls: VertexClassification, trace: RefinementTrace
+    g: Graph, cls: VertexClassification, note: str
 ) -> Tuple[Matching, ...]:
     """Disjoint matchings sending each thin off-S vertex into its part.
 
     `cls` is the partition's grade at beta/2, the one `GoodPartition`
-    carries as `thin`.
+    carries as `thin`; `note` closes the message of a miss.
     """
     p = cls.partition
     used = 0
@@ -606,7 +545,7 @@ def _rescue_matchings(
         if used & need.bits:
             raise InternalContradiction(
                 f"thin vertex shared between parts blocks disjoint rescue"
-                f" matchings{_trace_note(trace)}"
+                f" matchings{note}"
             )
         if len(need) == 0:
             out.append(Matching(()))
@@ -622,7 +561,7 @@ def _rescue_matchings(
         if m is None:
             raise InternalContradiction(
                 f"no rescue matching into part {i + 1} for {len(need)} thin "
-                f"vertices{_trace_note(trace)}"
+                f"vertices{note}"
             )
         pairs = tuple((locals_[u], locals_[v]) for u, v in m.pairs)
         out.append(Matching(pairs))
@@ -669,13 +608,13 @@ def validate_good(g: Graph, q: GoodPartition) -> List[str]:
         )
         if found is not None:
             report.append("(A2) leftover block still holds a sparse part")
-    for i in range(p.s):
+    for i, part in enumerate(p.parts):
         if not _within_root_budget(len(cls_b.bad[i]), cfg.alpha, n):
             report.append(f"(A3) part {i + 1} has {len(cls_b.bad[i])} crowded vertices")
-        if not _within_root_budget(len(cls_ne.nonexcellent[i]), cfg.alpha, n):
-            report.append(
-                f"(A3) part {i + 1} has {len(cls_ne.nonexcellent[i])} non-excellent vertices"
-            )
+        # Every vertex outside the part that is not excellent toward it.
+        nonexcellent = n - len(part) - len(cls_ne.excellent[i])
+        if not _within_root_budget(nonexcellent, cfg.alpha, n):
+            report.append(f"(A3) part {i + 1} has {nonexcellent} non-excellent vertices")
     if len(q.rescue) != p.s:
         report.append(f"(A4) expected {p.s} rescue matchings, got {len(q.rescue)}")
         return report

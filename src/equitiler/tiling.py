@@ -12,9 +12,12 @@ of the leftover block, all found on the input graph itself.  Sub-problems are
 vertex masks of that graph: cliques come from `graphs.iter_cliques` and the
 leftover block's pairs from the blossom search on its mask.
 
-Slack is tracked as an exact rational per seed: the largest margin by which
-its neighborhood inequalities hold.  Desk-sized instances certify with modest
-slack; the asymptotic constants only enter as relaxable size gates.
+A seed's slack is an exact rational, the largest margin by which its
+neighborhood inequalities hold, and `base_slack` measures it on demand: a
+seed is usable when its slack is positive.  Seeds carry no stamped margin,
+and the two covers return plain tuples of seeds.  Desk-sized instances
+certify with modest slack; the asymptotic constants only enter as relaxable
+size gates.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "SingleBase",
     "DoubleBase",
     "Base",
-    "BaseSet",
     "base_slack",
     "cover_exceptional",
     "cover_nonexcellent",
@@ -61,7 +63,6 @@ class SingleBase(NamedTuple):
     """One clique kept well connected to every block it does not overfill."""
 
     clique: VertexSet
-    slack: Fraction
 
     @property
     def cliques(self) -> Tuple[VertexSet, ...]:
@@ -85,7 +86,6 @@ class DoubleBase(NamedTuple):
     right: VertexSet
     heavy_left: Optional[int]
     heavy_right: Optional[int]
-    slack: Fraction
 
     @property
     def cliques(self) -> Tuple[VertexSet, ...]:
@@ -97,23 +97,6 @@ class DoubleBase(NamedTuple):
 
 
 Base = Union[SingleBase, DoubleBase]
-
-
-class BaseSet(NamedTuple):
-    """Vertex-disjoint seeds plus the obligation set they absorb.
-
-    `covered` records which vertices the set was built to take care of; it is
-    always a subset of the seed vertices.
-    """
-
-    bases: Tuple[Base, ...]
-    covered: VertexSet
-
-    def vertices(self) -> VertexSet:
-        bits = 0
-        for b in self.bases:
-            bits |= b.vertices.bits
-        return VertexSet(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +191,11 @@ def base_slack(g: Graph, q: GoodPartition, b: Base) -> Optional[Fraction]:
     return best
 
 
+def _has_margin(g: Graph, q: GoodPartition, b: Base) -> bool:
+    sl = base_slack(g, q, b)
+    return sl is not None and sl > 0
+
+
 # ---------------------------------------------------------------------------
 # covering the thin-degree vertices
 
@@ -250,8 +238,8 @@ def _companions(
     return out, used
 
 
-def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
-    """Seed set absorbing every vertex thin toward some part.
+def cover_exceptional(g: Graph, q: GoodPartition) -> Tuple[Base, ...]:
+    """Vertex-disjoint seeds holding every vertex thin toward some part.
 
     Low-degree thin vertices are packed into small cliques completed inside
     the leftover block, each paired with a companion to form a pair seed.
@@ -310,19 +298,12 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
             used |= gmask
         comps, used = _companions(g, q, i, len(packed), rescue_all, used)
         for gmask, cmask in zip(packed, comps):
-            db = DoubleBase(
-                left=VertexSet(gmask),
-                right=VertexSet(cmask),
-                heavy_left=None,
-                heavy_right=i,
-                slack=Fraction(0),
-            )
-            sl = base_slack(g, q, db)
-            if sl is None or sl <= 0:
+            db = DoubleBase(VertexSet(gmask), VertexSet(cmask), None, i)
+            if not _has_margin(g, q, db):
                 raise _odd_split(
                     f"part {i}: thin-clique pairing fails the margin check"
                 )
-            bases.append(DoubleBase(db.left, db.right, None, i, sl))
+            bases.append(db)
             used |= gmask | cmask
     # surviving rescue edges stand alone
     for j in range(s):
@@ -335,23 +316,23 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> BaseSet:
                 if exc & em & ~used:
                     raise _odd_split(f"part {j}: a rescue edge lost its thin endpoint")
                 continue
-            sb = SingleBase(VertexSet(em), Fraction(0))
-            sl = base_slack(g, q, sb)
-            if sl is None or sl <= 0:
+            sb = SingleBase(VertexSet(em))
+            if not _has_margin(g, q, sb):
                 raise _odd_split(f"part {j}: rescue edge fails the margin check")
-            bases.append(SingleBase(VertexSet(em), sl))
+            bases.append(sb)
             used |= em
     if obligations & ~used:
         raise _odd_split("a thin vertex was left uncovered")
-    return BaseSet(tuple(bases), VertexSet(obligations))
+    return tuple(bases)
 
 
 # ---------------------------------------------------------------------------
 # covering the remaining non-excellent vertices
 
 
-def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
-    """Seeds for vertices that are neither excellent everywhere nor thin.
+def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> Tuple[Base, ...]:
+    """Vertex-disjoint seeds holding every vertex that is neither excellent
+    everywhere nor thin, outside `u`.
 
     `u` holds vertices already spoken for; targets inside `u` count as
     covered by the caller.  Running out of candidates is a miss and raises
@@ -379,13 +360,12 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
             continue
         avoid = u.bits | used
         if s == r:
-            sb = SingleBase(VertexSet(1 << v), Fraction(0))
-            sl = base_slack(g, q, sb)
-            if sl is None or sl <= 0:
+            sb = SingleBase(VertexSet(1 << v))
+            if not _has_margin(g, q, sb):
                 raise InternalContradiction(
                     f"vertex {v}: lone seed fails though every block is a part"
                 )
-            bases.append(SingleBase(sb.clique, sl))
+            bases.append(sb)
             used |= 1 << v
             continue
         i = p.part_of(v)
@@ -404,13 +384,12 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
                 raise PreconditionError(
                     f"vertex {v}: leftover block holds no clique for its seed"
                 )
-            db = DoubleBase(VertexSet(pair), sub, i, None, Fraction(0))
-            sl = base_slack(g, q, db)
-            if sl is None or sl <= 0:
+            db = DoubleBase(VertexSet(pair), sub, i, None)
+            if not _has_margin(g, q, db):
                 raise InternalContradiction(
                     f"vertex {v}: pair seed fails the margin check"
                 )
-            bases.append(DoubleBase(db.left, db.right, i, None, sl))
+            bases.append(db)
             used |= pair | sub.bits
         else:
             cand = g.adj[v] & bmask & ve & ~avoid
@@ -418,15 +397,14 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> BaseSet:
             if sub is None:
                 raise PreconditionError(f"vertex {v}: leftover block too thin around it")
             cm = (1 << v) | sub.bits
-            sb = SingleBase(VertexSet(cm), Fraction(0))
-            sl = base_slack(g, q, sb)
-            if sl is None or sl <= 0:
+            sb = SingleBase(VertexSet(cm))
+            if not _has_margin(g, q, sb):
                 raise InternalContradiction(
                     f"vertex {v}: leftover seed fails the margin check"
                 )
-            bases.append(SingleBase(VertexSet(cm), sl))
+            bases.append(sb)
             used |= cm
-    return BaseSet(tuple(bases), VertexSet(targets))
+    return tuple(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +490,16 @@ def _grow(
 def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     """Grow a seed into one or two full r-cliques avoiding `w`.
 
-    The result keeps exact block balance: each grown clique takes its block
-    share, with the pair seed trading one vertex between its two overfilled
-    blocks.  Running out of candidates is a miss and raises
+    The seed must have positive slack (`base_slack`).  The result keeps
+    exact block balance: each grown clique takes its block share, with the
+    pair seed trading one vertex between its two overfilled blocks.
+    Running out of candidates is a miss and raises
     PreconditionError naming the block that ran dry; grown cliques that
     fail re-verification raise InternalContradiction.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
-    floor = min(cfg.beta / 5, h.slack)
-    sl = base_slack(g, q, h)
-    if sl is None or h.slack <= 0 or sl < floor:
+    if not _has_margin(g, q, h):
         raise PreconditionError("extension needs a seed with positive margin")
     if len(w) ** 4 > (5 * r) ** 4 * cfg.alpha * n**4:
         raise PreconditionError("avoid set too large for the extension")
@@ -753,10 +730,12 @@ def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     return Tiling(2, tuple(VertexSet([u, v]) for u, v in mm.pairs))
 
 
-def _attribute(bases: BaseSet, tiling: Tiling) -> List[Tuple[Base, Tuple[int, ...]]]:
+def _attribute(
+    bases: Sequence[Base], tiling: Tiling
+) -> List[Tuple[Base, Tuple[int, ...]]]:
     """Match each seed to the tiling cliques that grew out of it."""
     out = []
-    for h in bases.bases:
+    for h in bases:
         idxs = []
         ok = True
         for comp in h.cliques:
@@ -777,7 +756,7 @@ def _attribute(bases: BaseSet, tiling: Tiling) -> List[Tuple[Base, Tuple[int, ..
 def parity_repair(
     g: Graph,
     q: GoodPartition,
-    bases: BaseSet,
+    bases: Sequence[Base],
     tiling: Tiling,
 ) -> Tuple[Tiling, Tiling]:
     """Adjust the tiling until the leftover block admits a perfect matching.
@@ -785,10 +764,11 @@ def parity_repair(
     Only meaningful when the leftover block tiles by pairs.  Returns the
     seed tiling, unchanged when its leftover block already matches, together
     with that leftover block's tiling by pairs, so no caller has to match
-    the block again.  The search walks two bounded moves, at most
-    REPAIR_BUDGET candidates in all: regrow a seed with different
-    leftover-block choices, or plant a fresh pair seed on an edge inside a
-    part.  Each candidate tiling is re-verified in full before it is
+    the block again.  `bases` are the seeds `tiling` grew from.  The search
+    walks two bounded moves, at most REPAIR_BUDGET candidates in all: regrow
+    a seed with different leftover-block choices, or plant a fresh pair seed
+    on an edge inside a part, which `extend_base` grows if its slack is
+    positive.  Each candidate tiling is re-verified in full before it is
     accepted.  Running out of moves is a miss of the route, not an error,
     and raises PreconditionError; an InternalContradiction propagates.
     """
@@ -839,13 +819,7 @@ def parity_repair(
                     left = uv | (1 << wv)
                     pool = bmask & ve & ~tcov & ~left
                     for alt in islice(iter_cliques(g, r - s + 1, pool), 24):
-                        h2 = DoubleBase(
-                            VertexSet(left), VertexSet(alt), i, None, Fraction(0)
-                        )
-                        sl = base_slack(g, q, h2)
-                        if sl is None or sl <= 0:
-                            continue
-                        h2 = DoubleBase(h2.left, h2.right, i, None, sl)
+                        h2 = DoubleBase(VertexSet(left), VertexSet(alt), i, None)
                         try:
                             ext = extend_base(g, q, h2, VertexSet(tcov))
                         except PreconditionError:

@@ -16,14 +16,20 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from equitiler.absorbing import (
-    AbsorberFamily,
-    AbsorbingSet,
-    _sigma_gate,
-    enumerate_absorbers,
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
+
+from equitiler.absorbing import AbsorbingSet, _sample_absorbers, _sigma_gate
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.extremal import Ex2Witness, independent_set_of_size
@@ -61,7 +67,7 @@ from equitiler.partition import (
     slack_threshold,
 )
 from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch, _perm_pow_table
-from equitiler.tiling import Base, BaseSet, base_slack
+from equitiler.tiling import Base, base_slack
 
 Edge = Tuple[int, int]
 
@@ -332,6 +338,39 @@ def count_absorbers_exact(
     return count, (tuple(found) if count <= cap else None)
 
 
+class AbsorberFamily(NamedTuple):
+    """Verified absorbers for one target r-set.
+
+    Each member S satisfies: S is disjoint from q, |S| = r*r, and both
+    G[S] and G[S u q] admit K_r-factors.
+    """
+
+    q: VertexSet
+    members: Tuple[VertexSet, ...]
+
+
+def enumerate_absorbers(
+    g: Graph,
+    q: VertexSet,
+    r: int,
+    budget: int,
+    cfg: Optional[ConstantsConfig] = None,
+    seed: int = 0,
+    exclude: int = 0,
+) -> AbsorberFamily:
+    """Sample up to `budget` verified absorbers for the r-set q with the
+    package's sampler, working out its low-degree set and base placement
+    from `cfg` as `build_absorbing_set` does."""
+    if len(q) != r:
+        raise PreconditionError(f"target has {len(q)} vertices, wants r={r}")
+    if cfg is None:
+        cfg = default_constants(max(r, 2))
+    slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * g.n)
+    exploit_clique = len(slow) > cfg.xi * g.n
+    found = _sample_absorbers(g, q, r, budget, seed, exclude, slow.bits, exploit_clique)
+    return AbsorberFamily(q, tuple(s for s, _ in found))
+
+
 def absorber_family_problems(fam: AbsorberFamily, g: Graph, r: int) -> List[str]:
     """What is wrong with each member of `fam`: its size or a factor check."""
     out = []
@@ -381,26 +420,32 @@ def absorbing_family_for(aset: AbsorbingSet, g: Graph, q: VertexSet) -> Absorber
     return AbsorberFamily(q, hits)
 
 
-def is_base(g: Graph, q: GoodPartition, b: Base) -> bool:
-    """Exact check of the seed inequalities at the slack stamped on `b`."""
+def is_base(g: Graph, q: GoodPartition, b: Base, slack) -> bool:
+    """Exact check of the seed inequalities of `b` at a positive `slack`."""
     sl = base_slack(g, q, b)
-    return sl is not None and 0 < b.slack <= sl
+    return sl is not None and 0 < slack <= sl
 
 
-def base_set_problems(bs: BaseSet, g: Graph, q: GoodPartition) -> List[str]:
-    """What is wrong with `bs`: overlapping seeds, a failed margin check, or
-    covered vertices outside the seeds."""
+def seed_vertices(seeds: Sequence[Base]) -> VertexSet:
+    bits = 0
+    for b in seeds:
+        bits |= b.vertices.bits
+    return VertexSet(bits)
+
+
+def base_set_problems(seeds: Sequence[Base], g: Graph, q: GoodPartition) -> List[str]:
+    """What is wrong with a cover's seeds: an overlap, or a seed without a
+    positive margin."""
     out = []
     seen = 0
-    for k, b in enumerate(bs.bases):
+    for k, b in enumerate(seeds):
         vb = b.vertices.bits
         if seen & vb:
             out.append(f"seed {k} overlaps an earlier seed")
         seen |= vb
-        if not is_base(g, q, b):
+        sl = base_slack(g, q, b)
+        if sl is None or sl <= 0:
             out.append(f"seed {k} fails its margin check")
-    if bs.covered.bits & ~seen:
-        out.append("covered vertices escape the seeds")
     return out
 
 
@@ -576,7 +621,6 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
     bad: List[VertexSet] = []
     exc: List[VertexSet] = []
     exl: List[VertexSet] = []
-    nex: List[VertexSet] = []
     full = g.full_mask
     for part in p.parts:
         m = part.bits
@@ -594,7 +638,6 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
         bad.append(VertexSet(b_bits))
         exc.append(VertexSet(x_bits))
         exl.append(VertexSet(e_bits))
-        nex.append(VertexSet(full & ~m & ~e_bits))
     bm = p.b.bits
     hi_b = len(p.b) - lo
     eb = 0
@@ -608,9 +651,7 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
         bad=tuple(bad),
         exceptional=tuple(exc),
         excellent=tuple(exl),
-        nonexcellent=tuple(nex),
         excellent_b=VertexSet(eb),
-        nonexcellent_b=VertexSet(full & ~bm & ~eb),
     )
     _check_thin_spread(g.degrees(), out)
     return out

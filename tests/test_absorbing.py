@@ -19,7 +19,6 @@ from equitiler import (
     build_absorbing_set,
     build_ex2,
     default_constants,
-    enumerate_absorbers,
     find_augmentation,
     layered_greedy,
     random_gnp,
@@ -33,6 +32,7 @@ from _brute import (
     absorbing_set_problems,
     adj_sets,
     count_absorbers_exact,
+    enumerate_absorbers,
     is_absorber_set,
     is_clique_set,
     layered_factor_exact,

@@ -329,6 +329,24 @@ class TestConstantsFile:
         assert code == 3
         assert "integer" in err
 
+    @pytest.mark.parametrize("doc", [{"beta": "3/1000"}, {"beta_prime": "1/1000", "s": None},
+                                     {"zeta": "1/300", "xi": "1/4"}])
+    def test_scales_without_part_count_are_refused(self, capsys, write, doc):
+        # Without s, refinement takes these scales from `for_s` of the peeled
+        # part count, so the file's values would never be used.
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps(doc))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "only with s set" in err
+        assert all(name in err for name in doc if name in ("beta", "beta_prime", "zeta"))
+
+    def test_scales_with_part_count_accepted(self, capsys, write):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"s": 1, "beta": "3/1000"}))
+        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 0
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
     def test_non_finite_number_is_a_usage_error(self, capsys, write, command, value):

@@ -618,6 +618,22 @@ class TestEquitable:
                     if c is None and k >= 3:
                         assert equitable_coloring_exact(g, k) is not None, (g.adj, k)
 
+    def test_no_hunt_under_the_edge_bound(self, monkeypatch):
+        # Under the bound the scan above is complete, so a NO it did not
+        # settle hunts for no witness: the complement of the odd split at
+        # n = 36 is the recognizer's NO, with the bound holding.
+        def refuse(g, k):
+            raise AssertionError("witness hunt under the edge bound")
+
+        monkeypatch.setattr(decide_module, "coloring_obstruction", refuse)
+        c = decide_equitable(complement(build_ex2(36, 3, 1)), 12)
+        assert (c.kind, c.answer, c.provenance) == ("exact", False, "recognizer")
+        assert c.notes == ("edge degree-sum bound holds", "no subgraph witness surfaced")
+        # The five-cycle at k = 2 is the exact search's NO under the bound.
+        c = decide_equitable(cycle(5), 2)
+        assert (c.kind, c.answer, c.provenance) == ("exact", False, "oracle")
+        assert c.notes == ("edge degree-sum bound holds", "no subgraph witness surfaced")
+
     def test_even_or_unbalanced_bicliques_pass_the_scan(self):
         # K_{4,4} at k = 4 colours by pairs; K_{2,6} at k = 4 has an even
         # side; K_{3,5} at k = 4 is the paper's odd K_{m,2k-m}, its smaller
@@ -674,7 +690,7 @@ class TestEquitable:
         monkeypatch.setattr(
             decide_module,
             "refine_to_good",
-            lambda g, p, cfg: (Ex1Witness(VertexSet(range(10))), None),
+            lambda g, p, cfg: Ex1Witness(VertexSet(range(10))),
         )
         with pytest.raises(
             InternalContradiction, match="structured route answer failed verification"

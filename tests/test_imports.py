@@ -1,6 +1,6 @@
 """What the package imports: numpy stays off every path but the connected
-sweep's canonical form, and no module keeps an import or a private helper
-that nothing uses.
+sweep's canonical form, and no module keeps an import, a private helper or
+a record field that nothing uses.
 
 Each numpy check runs in a fresh interpreter, because this test process has
 usually loaded numpy already.  The orphan check reads the source with `ast`.
@@ -156,14 +156,27 @@ def _exported(tree: ast.Module):
     return set()
 
 
+def _fields(node: ast.ClassDef):
+    """The fields of a NamedTuple class: its annotated class-level names."""
+    if not any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+        return
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+
+
 def orphans(package: Path):
-    """Module-level imports a module never uses and does not export, and
+    """Module-level imports a module never uses and does not export,
     module-level private functions and classes no module of the package
-    references outside their own body, as "module: name" strings."""
+    references outside their own body, and NamedTuple fields no module of
+    the package reads as an attribute, as "module: name" strings."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     everywhere = Counter()
+    read = set()
     for tree in trees.values():
         everywhere.update(_names(tree))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     found = []
     for name, tree in trees.items():
         if name == "__init__.py":
@@ -181,6 +194,9 @@ def orphans(package: Path):
                     if used[bound] - own == 0 and bound not in exported:
                         found.append(f"{name}: import {bound}")
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(node, ast.ClassDef):
+                    found.extend(f"{name}: field {node.name}.{field}"
+                                 for field in _fields(node) if field not in read)
                 if not node.name.startswith("_") or node.name.startswith("__"):
                     continue
                 if everywhere[node.name] == Counter(_names(node))[node.name]:
@@ -189,7 +205,8 @@ def orphans(package: Path):
 
 
 def test_no_orphan_imports_or_private_helpers():
-    # A deletion that leaves an import or a private helper behind fails here.
+    # A deletion that leaves an import, a private helper or a record field
+    # behind fails here.
     assert orphans(Path(SRC) / "equitiler") == []
 
 
@@ -203,3 +220,22 @@ def test_orphan_check_sees_a_planted_import(tmp_path):
         "def api():\n    return _used()\n"
     )
     assert orphans(package) == ["mod.py: import os", "mod.py: def _helper"]
+
+
+def test_orphan_check_sees_a_planted_field(tmp_path):
+    # A field counts as read when any module of the package loads it as an
+    # attribute; one that is only written, by position or by keyword, is an
+    # orphan.  Plain classes' annotations are not fields.
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "rec.py").write_text(
+        "from typing import NamedTuple\n\n\n"
+        "class Rec(NamedTuple):\n    kept: int\n    unread: int\n    written: int\n\n\n"
+        "class Plain:\n    note: int\n\n\n"
+        "def make():\n    return Rec(1, 2, written=3)\n"
+    )
+    (package / "use.py").write_text(
+        "from .rec import make\n\n\n"
+        "def api():\n    return make().kept\n"
+    )
+    assert orphans(package) == ["rec.py: field Rec.unread", "rec.py: field Rec.written"]

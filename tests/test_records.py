@@ -23,10 +23,9 @@ from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling
 
 RECORD_NAMES = [
-    "AbsorberFamily", "AbsorbingSet", "AugmentationMove", "BaseSet",
-    "BicliqueObstruction", "CliqueObstruction", "Coloring", "DecisionCertificate",
-    "DoubleBase", "Ex1Witness", "Ex2Witness", "GoodPartition", "LayeredFactor",
-    "Matching", "OreStats", "RefineStep", "RefinementTrace", "RsPartition",
+    "AbsorbingSet", "AugmentationMove", "BicliqueObstruction", "CliqueObstruction",
+    "Coloring", "DecisionCertificate", "DoubleBase", "Ex1Witness", "Ex2Witness",
+    "GoodPartition", "LayeredFactor", "Matching", "OreStats", "RsPartition",
     "SingleBase", "SweepReport", "Tiling", "TutteBarrier", "VertexClassification",
 ]
 

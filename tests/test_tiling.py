@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equitiler import (
-    BaseSet,
     ConstantsConfig,
     DoubleBase,
     GoodPartition,
@@ -42,6 +41,7 @@ from _brute import (
     seed_layer_matching,
     seed_multipartite_factor,
     seed_quotient_factor,
+    seed_vertices,
 )
 from conftest import random_graph
 
@@ -276,67 +276,65 @@ class TestSlack:
     def test_leftover_vertex_is_a_seed(self):
         g = ex2_9()
         q = q_ex2_9(g)
-        sl = base_slack(g, q, SingleBase(vs(1), Fraction(1)))
+        sl = base_slack(g, q, SingleBase(vs(1)))
         assert sl == Fraction(1, 3)
-        assert is_base(g, q, SingleBase(vs(1), Fraction(1, 4)))
-        assert is_base(g, q, SingleBase(vs(1), Fraction(1, 3)))
-        assert not is_base(g, q, SingleBase(vs(1), Fraction(2, 5)))
+        assert is_base(g, q, SingleBase(vs(1)), Fraction(1, 4))
+        assert is_base(g, q, SingleBase(vs(1)), Fraction(1, 3))
+        assert not is_base(g, q, SingleBase(vs(1)), Fraction(2, 5))
 
     def test_small_side_vertex_has_no_margin(self):
         g = ex2_9()
         q = q_ex2_9(g)
-        assert base_slack(g, q, SingleBase(vs(0), Fraction(1))) == 0
-        assert not is_base(g, q, SingleBase(vs(0), Fraction(1, 100)))
+        assert base_slack(g, q, SingleBase(vs(0))) == 0
+        assert not is_base(g, q, SingleBase(vs(0)), Fraction(1, 100))
 
     def test_part_edge_overfills_its_part(self):
         q = q_ex2_9()
-        assert base_slack(ex2_9(), q, SingleBase(vs(6, 7), Fraction(1))) is None
+        assert base_slack(ex2_9(), q, SingleBase(vs(6, 7))) is None
         g = ex2_9_edge()
-        assert base_slack(g, q_ex2_9(g), SingleBase(vs(6, 7), Fraction(1))) is None
+        assert base_slack(g, q_ex2_9(g), SingleBase(vs(6, 7))) is None
 
     def test_empty_clique(self):
         g = ex2_9()
         q = q_ex2_9(g)
-        assert base_slack(g, q, SingleBase(vs(), Fraction(1))) == Fraction(1, 3)
-        assert is_base(g, q, SingleBase(vs(), Fraction(1, 3)))
-        assert not is_base(g, q, SingleBase(vs(), Fraction(1, 3) + Fraction(1, 90)))
+        assert base_slack(g, q, SingleBase(vs())) == Fraction(1, 3)
+        assert is_base(g, q, SingleBase(vs()), Fraction(1, 3))
+        assert not is_base(g, q, SingleBase(vs()), Fraction(1, 3) + Fraction(1, 90))
 
     def test_pair_seed_margin(self):
         g, q = q_tri18_case1()
-        db = DoubleBase(vs(12, 13), vs(0, 1, 2), 0, None, Fraction(1))
+        db = DoubleBase(vs(12, 13), vs(0, 1, 2), 0, None)
         assert base_slack(g, q, db) == Fraction(4, 9)
-        assert is_base(g, q, DoubleBase(vs(12, 13), vs(0, 1, 2), 0, None, Fraction(4, 9)))
+        assert is_base(g, q, db, Fraction(4, 9))
+        assert not is_base(g, q, db, Fraction(4, 9) + Fraction(1, 90))
         # the named blocks must differ and must match the overfilled ones
-        assert base_slack(g, q, DoubleBase(vs(12, 13), vs(0, 1, 2), 0, 0, Fraction(1))) is None
-        assert base_slack(g, q, DoubleBase(vs(12, 13), vs(0, 1, 2), None, 0, Fraction(1))) is None
+        assert base_slack(g, q, DoubleBase(vs(12, 13), vs(0, 1, 2), 0, 0)) is None
+        assert base_slack(g, q, DoubleBase(vs(12, 13), vs(0, 1, 2), None, 0)) is None
 
     def test_base_set_validate_flags_overlap(self):
         g = ex2_9()
         q = q_ex2_9(g)
-        good = SingleBase(vs(1), Fraction(1, 4))
-        twin = SingleBase(vs(1, 2), Fraction(1, 4))
-        bs = BaseSet((good, twin), vs(1))
-        assert any("overlap" in c for c in base_set_problems(bs, g, q))
+        good = SingleBase(vs(1))
+        twin = SingleBase(vs(1, 2))
+        assert base_set_problems((good,), g, q) == []
+        assert any("overlap" in c for c in base_set_problems((good, twin), g, q))
 
 
 class TestCoverExceptional:
     def test_clean_instance_has_nothing_to_do(self):
         g = ex2_9()
-        out = cover_exceptional(g, q_ex2_9(g))
-        assert isinstance(out, BaseSet)
-        assert out.bases == ()
-        assert out.covered == vs()
+        assert cover_exceptional(g, q_ex2_9(g)) == ()
 
     def test_rescue_edge_becomes_a_lone_seed(self):
         g, q = q_rescue_9()
         out = cover_exceptional(g, q)
-        assert isinstance(out, BaseSet)
-        assert len(out.bases) == 1
-        (b,) = out.bases
+        assert isinstance(out, tuple)
+        (b,) = out
         assert isinstance(b, SingleBase)
+        # The thin vertex 5 sits in the seed, its rescue edge.
         assert b.clique == vs(5, 8)
-        assert b.slack == Fraction(1, 3)
-        assert out.covered == vs(5)
+        assert q.thin.exceptional[0] == vs(5)
+        assert base_slack(g, q, b) == Fraction(1, 3)
         assert base_set_problems(out, g, q) == []
 
     def test_isolated_thin_vertex_signals(self):
@@ -348,29 +346,27 @@ class TestCoverExceptional:
 class TestCoverNonexcellent:
     def test_targets_inside_u_are_already_covered(self):
         g, q = q_rescue_9()
-        out = cover_nonexcellent(g, q, vs(5, 8))
-        assert out.bases == ()
-        assert out.covered == vs()
+        assert cover_nonexcellent(g, q, vs(5, 8)) == ()
 
     def test_all_parts_case_uses_lone_seeds(self):
         g = k333_dent()
         q = q_k333(g)
         out = cover_nonexcellent(g, q, vs())
-        assert out.covered == vs(0, 3)
-        assert [type(b) for b in out.bases] == [SingleBase, SingleBase]
-        assert {b.clique for b in out.bases} == {vs(0), vs(3)}
-        assert all(b.slack == Fraction(2, 9) for b in out.bases)
+        assert seed_vertices(out) == vs(0, 3)
+        assert [type(b) for b in out] == [SingleBase, SingleBase]
+        assert {b.clique for b in out} == {vs(0), vs(3)}
+        assert all(base_slack(g, q, b) == Fraction(2, 9) for b in out)
         assert base_set_problems(out, g, q) == []
 
     def test_part_vertex_gets_a_pair_seed(self):
         g, q = q_tri18_case1()
         out = cover_nonexcellent(g, q, vs())
-        assert out.covered == vs(12)
-        (b,) = out.bases
+        (b,) = out
         assert isinstance(b, DoubleBase)
+        # The one target, 12, sits in the seed.
         assert (b.left, b.right) == (vs(12, 13), vs(0, 1, 2))
         assert (b.heavy_left, b.heavy_right) == (0, None)
-        assert b.slack == Fraction(4, 9)
+        assert base_slack(g, q, b) == Fraction(4, 9)
         assert base_set_problems(out, g, q) == []
 
     def test_avoid_set_size_gate(self):
@@ -390,14 +386,14 @@ class TestCoverNonexcellent:
         with pytest.raises(PreconditionError):
             cover_nonexcellent(g, q, vs(1, 2, 4, 5))
         out = cover_nonexcellent(g, q, vs(1, 2, 4))
-        assert out.covered == vs(0, 3)
+        assert seed_vertices(out) == vs(0, 3)
 
 
 class TestExtend:
     def test_lone_leftover_seed(self):
         g = tri18()
         q = q_tri18()
-        h = SingleBase(vs(0), Fraction(2, 9))
+        h = SingleBase(vs(0))
         t = extend_base(g, q, h, vs())
         assert t.cliques == (vs(0, 1, 12),)
         assert_balance(t, g, q)
@@ -405,14 +401,14 @@ class TestExtend:
     def test_avoid_set_steers_the_growth(self):
         g = tri18()
         q = q_tri18()
-        h = SingleBase(vs(0), Fraction(2, 9))
+        h = SingleBase(vs(0))
         t = extend_base(g, q, h, vs(1, 12))
         assert t.cliques == (vs(0, 2, 13),)
 
     def test_leftover_block_can_run_dry(self):
         g = tri18()
         q = q_tri18()
-        h = SingleBase(vs(0), Fraction(2, 9))
+        h = SingleBase(vs(0))
         with pytest.raises(PreconditionError, match="no candidates left in the leftover block"):
             extend_base(g, q, h, vs(1, 2, 3, 4))
 
@@ -420,7 +416,7 @@ class TestExtend:
         g = tri18()
         q = q_tri18()
         with pytest.raises(PreconditionError):
-            extend_base(g, q, SingleBase(vs(0, 5), Fraction(1, 10)), vs())
+            extend_base(g, q, SingleBase(vs(0, 5)), vs())
 
     def test_avoid_set_size_gate(self):
         g = tri18()
@@ -436,20 +432,20 @@ class TestExtend:
             gamma=Fraction(1, 6000000),
         )
         q = q_tri18(cfg)
-        h = SingleBase(vs(0), Fraction(2, 9))
+        h = SingleBase(vs(0))
         with pytest.raises(PreconditionError):
             extend_base(g, q, h, VertexSet(set(range(1, 10))))
 
     def test_empty_seed_when_every_block_is_a_part(self):
         g = k333()
         q = q_k333(g)
-        t = extend_base(g, q, SingleBase(vs(), Fraction(1, 3)), vs())
+        t = extend_base(g, q, SingleBase(vs()), vs())
         assert t.cliques == (vs(0, 3, 6),)
         assert_balance(t, g, q)
 
     def test_pair_seed_grows_into_two_cliques(self):
         g, q = q_tri18_case1()
-        h = DoubleBase(vs(12, 13), vs(0, 1, 2), 0, None, Fraction(4, 9))
+        h = DoubleBase(vs(12, 13), vs(0, 1, 2), 0, None)
         t = extend_base(g, q, h, vs())
         assert t.cliques == (vs(4, 12, 13), vs(0, 1, 2))
         assert_balance(t, g, q)
@@ -521,7 +517,7 @@ class TestContract:
                 outcomes.add((first is not None, got is not None))
                 if got is not None:
                     assert got.verify(g, require_factor=False)
-                    assert got.covered == p.cover | p.b
+                    assert got.covered == VertexSet(g.full_mask)
         assert outcomes == {(True, True), (False, True), (False, False)}
 
 
@@ -750,7 +746,7 @@ class TestParityRepair:
     def test_matchable_leftover_needs_nothing(self):
         g, q = q_split18()
         t0 = Tiling(3, ())
-        t, pairs = parity_repair(g, q, BaseSet((), vs()), t0)
+        t, pairs = parity_repair(g, q, (), t0)
         assert t is t0
         assert pairs.r == 2 and pairs.covered == q.partition.b
         assert pairs.verify(g, require_factor=False)
@@ -759,13 +755,13 @@ class TestParityRepair:
         g = ex2_9()
         q = q_ex2_9(g)
         with pytest.raises(PreconditionError, match="parity repair gave out"):
-            parity_repair(g, q, BaseSet((), vs()), Tiling(3, ()))
+            parity_repair(g, q, (), Tiling(3, ()))
         assert kr_factor_exact(g, 3) is None
 
     def test_part_edge_unlocks_a_repair(self):
         g = ex2_9_edge()
         q = q_ex2_9(g)
-        out, pairs = parity_repair(g, q, BaseSet((), vs()), Tiling(3, ()))
+        out, pairs = parity_repair(g, q, (), Tiling(3, ()))
         assert set(out.cliques) == {vs(0, 6, 7), vs(1, 2, 3)}
         resid = q.partition.b - out.covered
         assert resid == vs(4, 5)
@@ -776,7 +772,7 @@ class TestParityRepair:
         g = k333()
         q = q_k333(g)
         with pytest.raises(PreconditionError):
-            parity_repair(g, q, BaseSet((), vs()), Tiling(3, ()))
+            parity_repair(g, q, (), Tiling(3, ()))
 
 
 class TestPipeline:
@@ -789,9 +785,8 @@ class TestPipeline:
         assert validate_good(g, q) == []
 
         seeds = cover_exceptional(g, q)
-        assert isinstance(seeds, BaseSet) and seeds.bases == ()
-        more = cover_nonexcellent(g, q, seeds.covered)
-        assert more.bases == ()
+        assert seeds == ()
+        assert cover_nonexcellent(g, q, seed_vertices(seeds)) == ()
 
         t, ts = parity_repair(g, q, seeds, Tiling(3, ()))
         resid = strip_tiling(q.partition, t)
