@@ -119,8 +119,9 @@ def _load_constants(path: str, r: int) -> ConstantsConfig:
     unknown = sorted(set(doc) - _CONSTANT_FIELDS)
     if unknown:
         raise CliError(f"unknown constants field(s): {', '.join(unknown)}")
-    # Refinement replaces these scales by `for_s` of the peeled part count
-    # unless s names that count, so without s they would be ignored.
+    # Without s, refinement takes these scales from `for_s` of the peeled
+    # part count, so they would be ignored; with s set, refinement uses them
+    # only when s is the peeled count, and otherwise the route misses.
     unused = sorted({"beta_prime", "beta", "zeta"} & set(doc))
     if unused and doc.get("s") is None:
         raise CliError(f"constants field(s) {', '.join(unused)} take effect only with s set")

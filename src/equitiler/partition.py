@@ -5,11 +5,15 @@ each inducing very few edges, plus a leftover block B with no sparse
 n/r-subset.  `peel_partition` extracts such parts greedily.  Vertices are
 then graded per part by exact degree thresholds (bad inside a part,
 exceptional or excellent toward it), and `refine_to_good` swaps misplaced
-vertices between parts until the partition passes the checks in
-`validate_good`.  It returns only the good partition (or its stage
-escape): the exchange rounds leave no record beyond the counts a stalled
-refinement quotes in its message.  Everything runs on bitmasks with
-Fraction constants rounded once to integer thresholds, so results are
+vertices between parts until the partition is good.  Within one
+refinement each block's degree row is counted once, whichever rounds
+grade it, and the final partition is graded once: the good-partition
+clauses are read on those grades.  The public `validate_good` re-derives
+the grades from scratch and compares them with the carried ones.
+Refinement returns only the good partition (or its stage escape): the
+exchange rounds leave no record beyond the counts a stalled refinement
+quotes in its message.  Everything runs on bitmasks with Fraction
+constants rounded once to integer thresholds, so results are
 reproducible and never depend on float rounding.
 """
 
@@ -29,7 +33,6 @@ from .graphs import (
     induced_edge_count,
     iter_bits,
     low_degree_set,
-    mask_of,
 )
 from .matching import Matching, covering_matching
 
@@ -122,19 +125,28 @@ def classify(
     Each block's degree row d(v, X) is counted once and read at every
     threshold: the row is bucketed by degree, and a running OR from the top
     turns the buckets into "degree at least t" masks, so a grade at any
-    threshold is one lookup.  The degree sequence is read once, for the
-    slack set S and the thin-spread check.  Returns one classification per
+    threshold is one lookup.  The row of the whole vertex set, the degree
+    sequence, gives the slack set S.  Returns one classification per
     threshold, in the order given.
     """
+    return _classify(g, p, deltas, {})
+
+
+def _classify(
+    g: Graph, p: RsPartition, deltas: Tuple, counts: Dict[int, List[int]]
+) -> Tuple[VertexClassification, ...]:
+    """`classify` reading and filling `counts`, the level tables of
+    `_at_least` keyed by block mask: a table depends only on g and the mask,
+    so one dict serves every grading of g that shares it."""
     p.check(g.n)
     n = g.n
-    degs = g.degrees()
+    full = g.full_mask
+    deg = _at_least(g, full, counts)
     # S is the vertices of degree strictly below the slack threshold.
     cut = math.ceil(slack_threshold(n, n // len(p.parts[0]) if p.parts else 1))
-    slack = VertexSet(mask_of(v for v, dv in enumerate(degs) if dv < cut))
-    full = g.full_mask
-    rows = [_at_least(g, part.bits, len(part)) for part in p.parts]
-    row_b = _at_least(g, p.b.bits, len(p.b))
+    slack = VertexSet(full & ~deg(cut))
+    rows = [_at_least(g, part.bits, counts) for part in p.parts]
+    row_b = _at_least(g, p.b.bits, counts)
     out = []
     for delta in deltas:
         d = as_fraction(delta)
@@ -160,29 +172,37 @@ def classify(
             excellent=tuple(exl),
             excellent_b=VertexSet(row_b(len(p.b) - thin) & ~p.b.bits),
         )
-        _check_thin_spread(degs, cls)
+        _check_thin_spread(g, cls)
         out.append(cls)
     return tuple(out)
 
 
-def _at_least(g: Graph, mask: int, size: int):
-    """t -> the mask of the vertices with at least t neighbours in `mask`."""
-    # levels[t] collects degree exactly t, then, ORed from the top, at least t.
-    levels = [0] * (size + 2)
-    for v, a in enumerate(g.adj):
-        levels[(a & mask).bit_count()] |= 1 << v
-    for t in range(size, -1, -1):
-        levels[t] |= levels[t + 1]
-    return lambda t: levels[min(max(t, 0), size + 1)]
+def _at_least(g: Graph, mask: int, counts: Dict[int, List[int]]):
+    """t -> the mask of the vertices with at least t neighbours in `mask`.
+
+    The level table is counted on the first call for a mask and kept in
+    `counts` for the later ones."""
+    levels = counts.get(mask)
+    if levels is None:
+        size = mask.bit_count()
+        # levels[t] collects degree exactly t, then, ORed from the top, at least t.
+        levels = [0] * (size + 2)
+        for v, a in enumerate(g.adj):
+            levels[(a & mask).bit_count()] |= 1 << v
+        for t in range(size, -1, -1):
+            levels[t] |= levels[t + 1]
+        counts[mask] = levels
+    top = len(levels) - 1
+    return lambda t: levels[min(max(t, 0), top)]
 
 
-def _check_thin_spread(degs: List[int], cls: VertexClassification) -> None:
+def _check_thin_spread(g: Graph, cls: VertexClassification) -> None:
     # Pigeonhole sanity: d(v) > (1 - 2/r + 2*delta)n forces d(v, A_i) <= delta*n
     # for at most one part.  A breach means the grade sets were computed wrong.
     p = cls.partition
     if not p.parts:
         return
-    n = len(degs)
+    n = g.n
     r = n // len(p.parts[0])
     bound = Fraction(r - 2, r) * n + 2 * cls.delta * n
     once = twice = 0
@@ -190,10 +210,11 @@ def _check_thin_spread(degs: List[int], cls: VertexClassification) -> None:
         twice |= once & x.bits
         once |= x.bits
     for v in iter_bits(twice):
-        if degs[v] > bound:
+        dv = g.adj[v].bit_count()
+        if dv > bound:
             count = sum(v in x for x in cls.exceptional)
             raise InternalContradiction(
-                f"vertex {v} grades thin toward {count} parts at degree {degs[v]}"
+                f"vertex {v} grades thin toward {count} parts at degree {dv}"
             )
 
 
@@ -343,8 +364,9 @@ class GoodPartition(NamedTuple):
     `classification` at delta = 2 * beta_prime, `thin` at beta/2 and
     `crowded` at 2 * beta (`_grade_thresholds`).  `rescue[i]` matches every
     off-S vertex that is thin toward A_i at beta/2 into A_i; the matchings
-    are pairwise disjoint.  `validate_good` re-derives every condition from
-    scratch, the carried grades included.
+    are pairwise disjoint.  Refinement checks the conditions on the grades
+    it carries; `validate_good` re-derives every condition from scratch,
+    the carried grades included.
     """
 
     partition: RsPartition
@@ -401,6 +423,13 @@ def refine_to_good(
     fall back to an exact method.  That message, and those of the rescue
     matchings' InternalContradiction, end with each round's counts: the
     thin and crowded vertices, the swaps and the leftover thin vertices.
+
+    Without `cfg` the scales come from `default_constants(r).for_s(s)`, s
+    being the peeled part count, and likewise for a `cfg` whose s is unset.
+    A `cfg` that names another s raises PreconditionError: its scales were
+    set for that count.  Each block's degree row is counted once per call,
+    however many gradings read it, and the final partition is graded once:
+    the clauses (S) and (A1)-(A4) are checked on the grades it carries.
     """
     n = g.n
     p.check(n)
@@ -411,15 +440,19 @@ def refine_to_good(
     r = n // size
     if cfg is None:
         cfg = default_constants(r)
-    if cfg.s != s:
+    if cfg.s is None:
         cfg = cfg.for_s(s)
+    elif cfg.s != s:
+        raise PreconditionError(f"constants set s = {cfg.s}, but peeling found s = {s}")
     target = size + 1
     parts, b = [x.bits for x in p.parts], p.b.bits
     rounds: List[str] = []
+    # Level tables by block mask, shared by every grading of this call.
+    counts: Dict[int, List[int]] = {}
     for k in range(s):
         delta = cfg.beta + k * cfg.alpha
         cur = _assemble(parts, b)
-        (cls,) = classify(g, cur, (delta,))
+        (cls,) = _classify(g, cur, (delta,), counts)
         xs = sorted(cls.off_low(cls.exceptional[k]).members())
         ys = sorted(cls.bad[k].members())
         t = min(len(xs), len(ys))
@@ -445,7 +478,7 @@ def refine_to_good(
             raise InternalContradiction("exchange round changed a part size")
     note = " [" + "; ".join(rounds) + "]"
     final = _assemble(parts, b)
-    thin_cls, crowded_cls, cls = classify(g, final, _grade_thresholds(cfg))
+    thin_cls, crowded_cls, cls = _classify(g, final, _grade_thresholds(cfg), counts)
     good = GoodPartition(
         partition=final,
         classification=cls,
@@ -454,7 +487,7 @@ def refine_to_good(
         rescue=_rescue_matchings(g, thin_cls, note),
         constants=cfg,
     )
-    report = validate_good(g, good)
+    report = _violations(g, good)
     if report:
         raise PreconditionError(
             "refinement stalled: " + "; ".join(report) + note
@@ -576,26 +609,41 @@ def _within_root_budget(count: int, budget: Fraction, scale: int) -> bool:
 
 
 def validate_good(g: Graph, q: GoodPartition) -> List[str]:
-    """Re-derive every good-partition condition; returns violated clauses."""
-    cfg = q.constants
+    """Re-derive every good-partition condition; returns violated clauses.
+
+    The grades are taken afresh and compared with the ones q carries, and
+    the clauses (S) and (A1)-(A4) are read on the fresh grades.
+    """
     p = q.partition
-    n = g.n
-    report: List[str] = []
     try:
-        p.check(n)
+        p.check(g.n)
     except PreconditionError as exc:
         return [f"(shape) {exc}"]
     if not p.parts:
         return ["(shape) no parts to validate"]
+    thin, crowded, cls = classify(g, p, _grade_thresholds(q.constants))
+    report = [
+        f"(grades) {name} differs from the grade at delta = {fresh.delta}"
+        for name, carried, fresh in (
+            ("thin", q.thin, thin),
+            ("crowded", q.crowded, crowded),
+            ("classification", q.classification, cls),
+        )
+        if carried != fresh
+    ]
+    fresh_q = q._replace(thin=thin, crowded=crowded, classification=cls)
+    return report + _violations(g, fresh_q)
+
+
+def _violations(g: Graph, q: GoodPartition) -> List[str]:
+    """The clauses (S) and (A1)-(A4) that q breaks, read on the grades q
+    carries.  q's partition must pass its shape check and hold a part."""
+    cls_half, cls_b, cls_ne = q.thin, q.crowded, q.classification
+    cfg = q.constants
+    p = q.partition
+    n = g.n
     size = len(p.parts[0])
-    cls_half, cls_b, cls_ne = classify(g, p, _grade_thresholds(cfg))
-    for name, carried, fresh in (
-        ("thin", q.thin, cls_half),
-        ("crowded", q.crowded, cls_b),
-        ("classification", q.classification, cls_ne),
-    ):
-        if carried != fresh:
-            report.append(f"(grades) {name} differs from the grade at delta = {fresh.delta}")
+    report: List[str] = []
     if not cls_half.low_degree.issubset(p.b):
         report.append("(S) low-degree vertices stray outside the leftover block")
     for i, part in enumerate(p.parts):

@@ -653,7 +653,7 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
         excellent=tuple(exl),
         excellent_b=VertexSet(eb),
     )
-    _check_thin_spread(g.degrees(), out)
+    _check_thin_spread(g, out)
     return out
 
 

@@ -1,6 +1,7 @@
 """Peeling, vertex grading, and the exchange refinement."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -26,7 +27,8 @@ from equitiler import (
     refine_to_good,
     validate_good,
 )
-from equitiler.errors import PreconditionError
+from equitiler import partition as partition_module
+from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.graphs import induced_edge_count, iter_bits, low_degree_set
 from equitiler.partition import (
     _apply_straddle,
@@ -56,6 +58,16 @@ DESK_CFG = ConstantsConfig(
     s=1,
     ladder_ratio=Fraction(1),
 )
+
+
+def ex2_plus(n, u, v):
+    g = build_ex2(n, 3, 1)
+    g.add_edge(u, v)
+    return g
+
+
+def peeled(g):
+    return g, peel_partition(g, 3)[0], None
 
 
 def join_i4_k2():
@@ -362,6 +374,19 @@ class TestClassify:
         assert got == tuple(seed_classify(g, part, delta) for delta in deltas)
 
 
+    def test_thin_toward_two_parts_is_a_contradiction(self):
+        # In K_9 every vertex has degree 8, above (1 - 2/3)*9 + 2*delta*9 at
+        # delta = 1/9, so no vertex may grade thin toward two parts.
+        g = Graph.complete(9)
+        p = RsPartition((vs(0, 1, 2), vs(3, 4, 5)), vs(6, 7, 8))
+        (cls,) = classify(g, p, (Fraction(1, 9),))
+        wrong = cls._replace(exceptional=(vs(6), vs(6)))
+        with pytest.raises(
+            InternalContradiction, match="vertex 6 grades thin toward 2 parts at degree 8"
+        ):
+            partition_module._check_thin_spread(g, wrong)
+
+
 class TestRefine:
     def test_clean_odd_split_needs_no_moves(self):
         g = build_ex2(9, 3, 1)
@@ -420,6 +445,64 @@ class TestRefine:
                 (g.adj[v] & after).bit_count() - (g.adj[v] & before).bit_count()
             )
             assert drift <= moved
+
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # The swap case: refinement moves vertices after the round's
+            # grading, so the final blocks are not the graded ones.
+            lambda: (
+                build_ex2(9, 3, 1), RsPartition((vs(0, 7, 8),), vs(1, 2, 3, 4, 5, 6)), DESK_CFG
+            ),
+            lambda: peeled(ex2_plus(240, 160, 161)),
+            lambda: peeled(ex2_plus(240, 0, 1)),
+        ],
+        ids=["swap", "ex2+A", "ex2+B0B1"],
+    )
+    def test_carried_grades_match_a_fresh_grading(self, case):
+        g, p, cfg = case()
+        out = refine_to_good(g, p, cfg)
+        fresh = classify(g, out.partition, _grade_thresholds(out.constants))
+        assert (out.thin, out.crowded, out.classification) == fresh
+
+    def test_each_block_counted_once_when_nothing_moves(self, monkeypatch):
+        # The final grading reads the round's level tables: the whole vertex
+        # set, the part and B are each counted once in the call.
+        counted = []
+        real = partition_module._at_least
+
+        def spy(g, mask, counts):
+            if mask not in counts:
+                counted.append(mask)
+            return real(g, mask, counts)
+
+        monkeypatch.setattr(partition_module, "_at_least", spy)
+        g = ex2_plus(240, 160, 161)
+        p, _ = peel_partition(g, 3)
+        out = refine_to_good(g, p)
+        assert out.partition == p
+        assert sorted(counted) == sorted([g.full_mask, p.parts[0].bits, p.b.bits])
+
+    def test_part_count_other_than_the_constants_is_a_miss(self):
+        # One part peels off ex2 plus an edge inside A; constants made for
+        # s = 2 are refused, not replaced by the scales for s = 1.
+        g = ex2_plus(240, 160, 161)
+        p, s = peel_partition(g, 3)
+        assert s == 1
+        with pytest.raises(PreconditionError) as err:
+            refine_to_good(g, p, default_constants(3).for_s(2))
+        assert str(err.value) == "constants set s = 2, but peeling found s = 1"
+        c = decide_kr_factor(g, 3, cfg=default_constants(3).for_s(2))
+        assert "structured route: constants set s = 2, but peeling found s = 1" in c.notes
+
+    def test_constants_for_the_peeled_count_are_kept(self):
+        g = ex2_plus(240, 160, 161)
+        p, _ = peel_partition(g, 3)
+        cfg = replace(default_constants(3).for_s(1), beta=Fraction(1, 400))
+        out = refine_to_good(g, p, cfg)
+        assert out.constants is cfg
+        assert out.thin.delta == Fraction(1, 800)
 
 
 class TestApplyStraddle:
