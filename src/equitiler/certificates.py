@@ -244,10 +244,13 @@ def verify_certificate(
     mode and carry a matching certificate (a tiling of K_r for the r asked),
     negative structural answers an obstruction witness that verifies, and a
     negative answer of any other kind must be "exact"; unresolved
-    certificates only need a None answer.
+    certificates only need a None answer.  A `value` below 1 asks nothing,
+    and is the one clause.
     """
     if mode not in ("factor", "coloring"):
         raise PreconditionError(f"mode must be factor or coloring, got {mode!r}")
+    if value < 1:
+        return [f"{'r' if mode == 'factor' else 'k'} must be positive, got {value}"]
     out: List[str] = []
     if cert.kind == "unresolved":
         if cert.answer is not None:

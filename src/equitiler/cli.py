@@ -207,6 +207,8 @@ def _verify_envelope(g: Graph, doc: dict) -> Tuple[List[str], Optional[str]]:
     value = doc.get("value")
     if mode not in ("coloring", "factor") or not isinstance(value, int):
         raise CliError("certificate lacks its mode/value envelope fields")
+    if value < 1:
+        raise CliError(f"certificate value must be positive, got {value}")
     stored = doc.get("graph_hash")
     if isinstance(stored, str) and stored != g.content_hash():
         return ["graph hash mismatch: certificate was issued for a different graph"], None

@@ -42,6 +42,7 @@ class Ex1Witness(NamedTuple):
         return (
             g.n % r == 0
             and len(self.independent_set) == g.n // r + 1
+            and not self.independent_set.bits >> g.n
             and g.is_independent(self.independent_set.bits)
         )
 
@@ -87,7 +88,8 @@ class CliqueObstruction(NamedTuple):
     vertices: VertexSet
 
     def verify(self, g: Graph, k: int) -> bool:
-        return len(self.vertices) == k + 1 and g.is_clique(self.vertices.bits)
+        bits = self.vertices.bits
+        return len(self.vertices) == k + 1 and not bits >> g.n and g.is_clique(bits)
 
 
 class BicliqueObstruction(NamedTuple):

@@ -53,7 +53,7 @@ class Tiling(NamedTuple):
                 return False
             if seen & c.bits:
                 return False
-            if not g.is_clique(c.bits):
+            if c.bits >> g.n or not g.is_clique(c.bits):
                 return False
             seen |= c.bits
         if require_factor and seen != g.full_mask:
@@ -76,7 +76,7 @@ class Coloring(NamedTuple):
             if seen & cls.bits:
                 return False
             seen |= cls.bits
-            if not g.is_independent(cls.bits):
+            if cls.bits >> g.n or not g.is_independent(cls.bits):
                 return False
         if seen != g.full_mask:
             return False
@@ -162,18 +162,22 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     that class.  A tight class, one whose free set has exactly as many
     vertices as it has places left, takes the whole set.  A commit fails the
     child when it overfills its class or is not independent, and so does a
-    vertex that two tight classes share.  Each round is one pass over the
-    classes: a class takes its share of what the last round forced, then
-    its free set is checked for fill and tightness, and the rounds repeat
-    until nothing more is forced or filled.  Independence runs once the
-    rounds settle: a class with `need` places left must fill them with an
-    independent set of its free set, so the child fails when G[free] has no
-    independent set of `need` vertices, that is, no vertex cover of
+    vertex that two tight classes share.  The rules reach the same fixpoint
+    in any order, so the checks run in rounds over free sets kept from the
+    parent: a round recomputes only the classes that the placement or a
+    commit changed (a class takes its share of what the last round forced,
+    then its free set is checked for fill and tightness), and the rounds
+    repeat until nothing more is forced or filled.  Independence runs once
+    the rounds settle: a class with `need` places left must fill them with
+    an independent set of its free set, so the child fails when G[free] has
+    no independent set of `need` vertices, that is, no vertex cover of
     `slack = |free| - need` vertices.  It is tested for classes with
-    need >= 3 and slack <= 3 only, by branching on the two ends of an edge.
-    A commit only shrinks free sets and lowers `need` by what the class
-    took, so a state that fails the test failed it before the commit too,
-    and testing once at the end misses nothing.  Fill, cover and
+    need >= 3 and slack <= 3 only, by branching on the two ends of an edge,
+    and only where the child recomputed the class: the others kept the free
+    set and need that passed at the parent.  A commit only shrinks free sets
+    and lowers `need` by what the class took, so a state that fails the
+    test failed it before the commit too, and testing once at the end
+    misses nothing.  Fill, cover and
     independence are necessary conditions for completing the partial
     colouring, and a committed vertex lies in its class in every completion
     (a tight class can be filled only from its free set), so the checks cut
@@ -186,8 +190,8 @@ def equitable_coloring_exact(g: Graph, k: int) -> Optional[Coloring]:
     returns the colouring the unpruned search returns, class by class, and
     None exactly when it does.  The checks cost
     O(k) mask operations per round, and independence up to eight scans of a
-    free set per class, so they arm only at the first dead end: an input
-    that colours on the first descent never pays for them.
+    free set per recomputed class, so they arm only at the first dead end:
+    an input that colours on the first descent never pays for them.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -294,64 +298,74 @@ def _backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optio
     """The class of each vertex in the first equitable colouring the
     backtracking of `equitable_coloring_exact` reaches, or None.
 
-    Once armed, each child runs `propagate`: fill, cover, the commit of
-    every vertex that only one non-full class can still take, and the
-    commit of every tight class's free set, in one pass over the classes
-    per round, repeated until nothing more is forced or filled, and then
-    independence: each class with need >= 3 and slack <= 3 must still find
-    an independent set of `need` vertices in its free set (`_covers`).  A
-    committed vertex lies in that class in every colouring below the child,
-    so the commits drop only options no colouring uses, and `place` skips a
-    committed vertex when its turn in `order` comes.  The class order and
-    the vertex order stay static, and so does the empty-class break: an
-    empty class never takes a forced vertex while another empty class of
-    its size exists, since both could take it, and it is tight only when
-    every other class is full.  Kept apart from the caller so that the
-    short calls, which end before the search, do not set up its closures.
+    A node of the search is `rest`, the vertices left to place, and two
+    lists over the classes: `needs[c]`, the places class c has left, and
+    `frees[c]`, which holds its free set (the vertices of `rest` outside its
+    members' rows) and no other vertex of `rest`, and is 0 once the class is
+    full.  Until the first dead end the nodes of the first descent share one
+    pair of lists, each undoing its placement, and `frees[c]` holds every
+    vertex outside the members' rows, placed or not.  Once armed, each child
+    copies its parent's lists and runs `propagate` on them: fill, cover, the
+    commit of every vertex that only one non-full class can still take, and
+    the commit of every tight class's free set, in rounds over the classes
+    repeated until nothing more is forced or filled, and then independence:
+    each class with need >= 3 and slack <= 3 must still find an independent
+    set of `need` vertices in its free set (`_covers`).  The rules give the
+    same fixpoint in any order: each stays true, or turns into a failure,
+    as more is committed.  So a child starts from its parent's settled free
+    sets and recomputes only the classes its placement or a later commit
+    changed; a class it left alone keeps the free set and the need that
+    passed every check at the parent.  A committed vertex lies in that
+    class in every colouring below the child, so the commits drop only
+    options no colouring uses, and `place` skips a committed vertex when its
+    turn in `order` comes.  The class order and the vertex order stay
+    static, and so does the empty-class break: an empty class never takes a
+    forced vertex while another empty class of its size exists, since both
+    could take it, and it is tight only when every other class is full.
+    Kept apart from the caller so that the short calls, which end before the
+    search, do not set up its closures.
     """
-    k = len(caps)
-    # near[c] is the union of the neighbour rows of class c; a vertex can
-    # join c iff it is outside near[c].
-    near = [0] * k
-    counts = [0] * k
     # Read only at a leaf, where the current path has placed or committed
     # every vertex, so a backtrack leaves its entries stale.
     assign = [-1] * mask.bit_length()
-    # None until the first dead end arms the checks; then the commits, as
-    # (class, its near row before, how many vertices it took), for the undo.
-    log: Optional[List[Tuple[int, int, int]]] = None
+    # False until the first dead end arms the checks.
+    armed = False
 
-    def propagate(rest: int) -> int:
+    def propagate(rest: int, needs: List[int], frees: List[int]) -> int:
         # `rest`, the unassigned vertices, less those committed; -1 when no
-        # colouring lies below.  Each round is one pass over the classes.
-        # A non-full class first takes its share of `forced`, the vertices
-        # the last round found only it could take (already out of `rest`);
-        # the share fails when it overfills the class or is not
-        # independent.  Then the class's free set, the vertices of `rest`
-        # it can take, is checked.  Fill: fewer than the places left fails.
-        # Tight: exactly as many, and the class takes the whole set, which
-        # leaves `rest` at once, so a later tight class that shares a vertex
-        # with it fails fill.  Otherwise the set goes into `ones`, the
-        # vertices at least one such class can take, and `twos`, those two
-        # can.  Cover: a vertex of `rest` outside `ones` fails.  The round
-        # repeats while it forced a vertex or filled a class and left
-        # vertices to place.  Then independence: a class whose free set
-        # holds no independent set of its `need` fails.  It runs once, after
-        # the rounds, since the commits only shrink free sets.  It skips
+        # colouring lies below.  A kept set is stale when it holds a vertex
+        # of `gone`, the vertices outside `rest`: so are the placed class's
+        # and those that held the placed vertex, and, after the first
+        # descent, every non-full class's.  Each round walks the kept sets
+        # and recomputes only the stale ones, in place, so the lists end
+        # exact for the children.  A stale class first takes its share of
+        # `forced`, the vertices the last round found only it could take;
+        # the share fails when it overfills the class or is not independent.
+        # Then its free set is checked.  Fill: fewer vertices than places
+        # left fails.  Tight: exactly as many, and the class takes the whole
+        # set, which leaves `rest` at once; the sets the round has passed go
+        # stale, and the round repeats.  Every non-full set goes into
+        # `ones`, the vertices at least one class can take, and `twos`,
+        # those two can; a stale set adds only vertices outside `rest`,
+        # which neither reads.  Cover: a vertex of `rest` outside `ones`
+        # fails.  The rounds repeat while one forced a vertex or filled a
+        # class and left vertices to place.  Then independence: a class
+        # whose free set holds no independent set of its `need` fails.  It
+        # runs once, on the settled sets, since the commits only shrink free
+        # sets, and only on the classes recomputed here (`deep`).  It skips
         # need 1, which passes whenever fill does, and need 2, which fails
         # only on a free set that is a clique and cut no node of the sweeps;
         # slack <= 3 keeps the cover search to at most 8 branches.
         forced = 0
+        gone = mask ^ rest
+        deep = []
         while True:
             ones = twos = 0
             filled = False
-            for c in range(k):
-                need = caps[c] - counts[c]
-                if not need:
-                    continue
-                row = near[c]
-                if forced:
-                    take = forced & ~row
+            for c, free in enumerate(frees):
+                if free & gone:
+                    need = needs[c]
+                    take = free & forced
                     if take:
                         size = take.bit_count()
                         if size > need:
@@ -359,46 +373,52 @@ def _backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optio
                         rows = _claim(adj, assign, c, take)
                         if rows & take:
                             return -1
-                        log.append((c, row, size))
-                        row |= rows
-                        near[c] = row
-                        counts[c] += size
                         need -= size
+                        needs[c] = need
                         if not need:
+                            frees[c] = 0
                             continue
-                free = rest & ~row
-                room = free.bit_count()
-                if room > need:
-                    twos |= ones & free
-                    ones |= free
-                elif room < need:
-                    return -1
-                else:
-                    rows = _claim(adj, assign, c, free)
-                    if rows & free:
-                        return -1
-                    log.append((c, row, need))
-                    near[c] = row | rows
-                    counts[c] += need
-                    rest ^= free
-                    filled = True
-            if rest & ~ones:
+                        free ^= free & rows
+                    free &= rest
+                    slack = free.bit_count() - need
+                    if slack <= 0:
+                        if slack:
+                            return -1
+                        rows = _claim(adj, assign, c, free)
+                        if rows & free:
+                            return -1
+                        needs[c] = frees[c] = 0
+                        rest ^= free
+                        gone |= free
+                        filled = True
+                        continue
+                    if slack <= 3 and need >= 3 and c not in deep:
+                        deep.append(c)
+                    frees[c] = free
+                twos |= ones & free
+                ones |= free
+            if rest & ones != rest:
                 return -1
-            forced = rest & ~twos
+            forced = rest ^ rest & twos
             if not (forced or filled and rest):
                 break
             rest ^= forced
-        for c in range(k):
-            need = caps[c] - counts[c]
-            if need >= 3:
-                free = rest & ~near[c]
-                slack = free.bit_count() - need
-                if slack <= 3 and not _covers(adj, free, slack):
-                    return -1
+            gone |= forced
+        for c in deep:
+            need = needs[c]
+            free = frees[c]
+            slack = free.bit_count() - need
+            if need >= 3 and slack <= 3 and not _covers(adj, free, slack):
+                return -1
         return rest
 
-    def place(idx: int, rest: int) -> bool:
-        nonlocal log
+    def place(idx: int, rest: int, needs: List[int], frees: List[int]) -> bool:
+        # The recursion runs as deep as the vertex count, so its frame stays
+        # small: CPython 3.11 grows the frame stack in 16 KB chunks, each
+        # allocated when a call first needs it and freed when that call
+        # returns, and three more locals here made the first descent of a
+        # 48-vertex search 18% slower.
+        nonlocal armed
         if not rest:
             return True
         v = order[idx]
@@ -409,37 +429,32 @@ def _backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optio
         rest ^= bit
         row = adj[v]
         seen_empty_cap = 0
-        for c in range(k):
-            cnt = counts[c]
-            if cnt >= caps[c]:
+        for c, free in enumerate(frees):
+            if not free & bit:
                 continue
-            if cnt == 0:
-                if seen_empty_cap >> caps[c] & 1:
+            need = needs[c]
+            if need == caps[c]:
+                if seen_empty_cap >> need & 1:
                     continue
-                seen_empty_cap |= 1 << caps[c]
-            old = near[c]
-            if old & bit:
-                continue
-            near[c] = old | row
-            counts[c] = cnt + 1
+                seen_empty_cap |= 1 << need
+            need -= 1
             assign[v] = c
-            if log is None:
-                if place(idx + 1, rest):
+            if not armed:
+                frees[c] = free ^ free & row if need else 0
+                needs[c] = need
+                if place(idx + 1, rest, needs, frees):
                     return True
-                # Every commit below has been undone, so the log is empty.
-                log = []
+                frees[c] = free
+                needs[c] = need + 1
+                armed = True
             else:
-                mark = len(log)
-                left = propagate(rest)
-                if left >= 0 and place(idx + 1, left):
+                nd = needs[:]
+                nd[c] = need
+                child = frees[:]
+                child[c] = free ^ free & row if need else 0
+                left = propagate(rest, nd, child)
+                if left >= 0 and place(idx + 1, left, nd, child):
                     return True
-                while len(log) > mark:
-                    d, before, size = log.pop()
-                    near[d] = before
-                    counts[d] -= size
-            near[c] = old
-            counts[c] = cnt
         return False
 
-    return assign if place(0, mask) else None
-
+    return assign if place(0, mask, caps[:], [mask] * len(caps)) else None

@@ -55,7 +55,9 @@ from equitiler.oracle import (
     Rows,
     Tiling,
     _backtrack,
+    _claim,
     _class_profile,
+    _covers,
     kr_factor_exact,
 )
 from equitiler.partition import (
@@ -1238,6 +1240,165 @@ def seed_backtrack(g: Graph, caps: List[int], order: List[int]) -> Optional[List
         return False
 
     return assign if place(0, g.full_mask) else None
+
+
+# The colouring search's backtracking before its propagation kept free sets:
+# every round of `propagate` recomputes every class, and a commit log undoes
+# the shared class rows.
+
+
+def full_pass_backtrack(adj: Rows, mask: int, caps: List[int], order: List[int]) -> Optional[List[int]]:
+    """The class of each vertex in the first equitable colouring the
+    backtracking of `equitable_coloring_exact` reaches, or None.
+
+    Once armed, each child runs `propagate`: fill, cover, the commit of
+    every vertex that only one non-full class can still take, and the
+    commit of every tight class's free set, in one pass over the classes
+    per round, repeated until nothing more is forced or filled, and then
+    independence: each class with need >= 3 and slack <= 3 must still find
+    an independent set of `need` vertices in its free set (`_covers`).  A
+    committed vertex lies in that class in every colouring below the child,
+    so the commits drop only options no colouring uses, and `place` skips a
+    committed vertex when its turn in `order` comes.  The class order and
+    the vertex order stay static, and so does the empty-class break: an
+    empty class never takes a forced vertex while another empty class of
+    its size exists, since both could take it, and it is tight only when
+    every other class is full.  Kept apart from the caller so that the
+    short calls, which end before the search, do not set up its closures.
+    """
+    k = len(caps)
+    # near[c] is the union of the neighbour rows of class c; a vertex can
+    # join c iff it is outside near[c].
+    near = [0] * k
+    counts = [0] * k
+    # Read only at a leaf, where the current path has placed or committed
+    # every vertex, so a backtrack leaves its entries stale.
+    assign = [-1] * mask.bit_length()
+    # None until the first dead end arms the checks; then the commits, as
+    # (class, its near row before, how many vertices it took), for the undo.
+    log: Optional[List[Tuple[int, int, int]]] = None
+
+    def propagate(rest: int) -> int:
+        # `rest`, the unassigned vertices, less those committed; -1 when no
+        # colouring lies below.  Each round is one pass over the classes.
+        # A non-full class first takes its share of `forced`, the vertices
+        # the last round found only it could take (already out of `rest`);
+        # the share fails when it overfills the class or is not
+        # independent.  Then the class's free set, the vertices of `rest`
+        # it can take, is checked.  Fill: fewer than the places left fails.
+        # Tight: exactly as many, and the class takes the whole set, which
+        # leaves `rest` at once, so a later tight class that shares a vertex
+        # with it fails fill.  Otherwise the set goes into `ones`, the
+        # vertices at least one such class can take, and `twos`, those two
+        # can.  Cover: a vertex of `rest` outside `ones` fails.  The round
+        # repeats while it forced a vertex or filled a class and left
+        # vertices to place.  Then independence: a class whose free set
+        # holds no independent set of its `need` fails.  It runs once, after
+        # the rounds, since the commits only shrink free sets.  It skips
+        # need 1, which passes whenever fill does, and need 2, which fails
+        # only on a free set that is a clique and cut no node of the sweeps;
+        # slack <= 3 keeps the cover search to at most 8 branches.
+        forced = 0
+        while True:
+            ones = twos = 0
+            filled = False
+            for c in range(k):
+                need = caps[c] - counts[c]
+                if not need:
+                    continue
+                row = near[c]
+                if forced:
+                    take = forced & ~row
+                    if take:
+                        size = take.bit_count()
+                        if size > need:
+                            return -1
+                        rows = _claim(adj, assign, c, take)
+                        if rows & take:
+                            return -1
+                        log.append((c, row, size))
+                        row |= rows
+                        near[c] = row
+                        counts[c] += size
+                        need -= size
+                        if not need:
+                            continue
+                free = rest & ~row
+                room = free.bit_count()
+                if room > need:
+                    twos |= ones & free
+                    ones |= free
+                elif room < need:
+                    return -1
+                else:
+                    rows = _claim(adj, assign, c, free)
+                    if rows & free:
+                        return -1
+                    log.append((c, row, need))
+                    near[c] = row | rows
+                    counts[c] += need
+                    rest ^= free
+                    filled = True
+            if rest & ~ones:
+                return -1
+            forced = rest & ~twos
+            if not (forced or filled and rest):
+                break
+            rest ^= forced
+        for c in range(k):
+            need = caps[c] - counts[c]
+            if need >= 3:
+                free = rest & ~near[c]
+                slack = free.bit_count() - need
+                if slack <= 3 and not _covers(adj, free, slack):
+                    return -1
+        return rest
+
+    def place(idx: int, rest: int) -> bool:
+        nonlocal log
+        if not rest:
+            return True
+        v = order[idx]
+        while not rest >> v & 1:
+            idx += 1
+            v = order[idx]
+        bit = 1 << v
+        rest ^= bit
+        row = adj[v]
+        seen_empty_cap = 0
+        for c in range(k):
+            cnt = counts[c]
+            if cnt >= caps[c]:
+                continue
+            if cnt == 0:
+                if seen_empty_cap >> caps[c] & 1:
+                    continue
+                seen_empty_cap |= 1 << caps[c]
+            old = near[c]
+            if old & bit:
+                continue
+            near[c] = old | row
+            counts[c] = cnt + 1
+            assign[v] = c
+            if log is None:
+                if place(idx + 1, rest):
+                    return True
+                # Every commit below has been undone, so the log is empty.
+                log = []
+            else:
+                mark = len(log)
+                left = propagate(rest)
+                if left >= 0 and place(idx + 1, left):
+                    return True
+                while len(log) > mark:
+                    d, before, size = log.pop()
+                    near[d] = before
+                    counts[d] -= size
+            near[c] = old
+            counts[c] = cnt
+        return False
+
+    return assign if place(0, mask) else None
 
 
 # The bit walk, degree threshold and sparse-set probe before wide masks were

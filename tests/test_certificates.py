@@ -1,8 +1,11 @@
 """Certificate JSON codec and the independent re-verification clauses."""
 
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equitiler import DecisionCertificate, PreconditionError
 from equitiler.certificates import (
@@ -24,6 +27,8 @@ from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet
 from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling, equitable_coloring_exact
+
+from _brute import brute_equitable_colorable, brute_kr_factor_exists
 
 
 def vs(*vals):
@@ -500,3 +505,110 @@ class TestPayloadClauses:
         assert payload_clauses(Graph.complete(9), w, 3, "factor") == [
             "independent set does not block the factor"
         ]
+
+    @pytest.mark.parametrize(
+        "obj, mode, clause",
+        [
+            (Coloring((vs(0, 2), vs(1, 5))), "coloring",
+             "class independence breaks, or the classes do not partition the vertices"),
+            (Tiling(2, (vs(0, 1), vs(2, 5))), "factor", "tiling is not a clique factor of the graph"),
+            (CliqueObstruction(vs(0, 5)), "coloring", "clique witness fails"),
+        ],
+    )
+    def test_vertex_outside_the_graph_is_a_clause(self, obj, mode, clause):
+        # Vertex 5 of a 3-vertex graph has no row to read.
+        g = Graph.from_edges(3, [(0, 1)])
+        assert payload_clauses(g, obj, 2, mode) == [clause]
+
+    def test_independent_set_outside_the_graph_is_a_clause(self):
+        w = Ex1Witness(vs(0, 1, 7))
+        assert payload_clauses(Graph.empty(6), w, 3, "factor") == [
+            "independent set does not block the factor"
+        ]
+
+    @pytest.mark.parametrize("mode, name", [("factor", "r"), ("coloring", "k")])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_value_below_one_is_the_clause(self, mode, name, value):
+        cert = DecisionCertificate(
+            "obstructed", False, None, Ex1Witness(vs(0, 1, 2)), "recognizer", True
+        )
+        assert verify_certificate(Graph.empty(6), cert, mode, value) == [
+            f"{name} must be positive, got {value}"
+        ]
+
+
+def _fuzz_doc(kind, answer, payload):
+    return {
+        "schema": SCHEMA, "kind": kind, "answer": answer, "certificate": payload,
+        "witness": payload, "provenance": "fuzz", "verified": True, "notes": [], "timings": {},
+    }
+
+
+@st.composite
+def _documents(draw):
+    """A graph on at most 7 vertices, a certificate document whose payloads
+    name vertices in [-1, n + 1], and the mode and value to check it at.
+
+    One payload fills both the certificate and the witness field
+    (`_fuzz_doc`), so the check reads it whatever the answer.  A -1, or a
+    vertex repeated in one list, fails decoding, so -1 is drawn seldom and
+    a list holds distinct vertices; n and n + 1 name vertices outside the
+    graph.
+    """
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, kept in zip(pairs, keep) if kept]
+    vertex = st.sampled_from([-1] + [v for v in range(n + 2) for _ in range(6)])
+    ids = st.lists(vertex, max_size=n + 2, unique=True)
+    sets = st.lists(ids, max_size=4)
+    value = st.integers(min_value=-1, max_value=n + 1)
+
+    def typed(name, **fields):
+        return st.fixed_dictionaries({"type": st.just(name), **fields})
+
+    payload = st.one_of(
+        st.none(),
+        typed("tiling", r=value, cliques=sets),
+        typed("coloring", classes=sets),
+        typed("independent-set", vertices=ids),
+        typed("odd-split", a_parts=sets, b0=ids, b1=ids),
+        typed("clique", vertices=ids),
+        typed("biclique", side_a=ids, side_b=ids),
+        typed("tutte-barrier", vertices=ids),
+    )
+    kinds = ["factorable", "colorable", "obstructed", "exact", "unresolved"]
+    kind, answer = draw(
+        st.sampled_from(
+            [("factorable", True), ("colorable", True), ("obstructed", False), ("exact", False), ("unresolved", None)]
+        )
+        | st.tuples(st.sampled_from(kinds), st.sampled_from([True, False, None]))
+    )
+    doc = _fuzz_doc(kind, answer, draw(payload))
+    return n, edges, doc, draw(st.sampled_from(["factor", "coloring"])), draw(value)
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    # The two documents that once crashed the check: a class naming vertex
+    # 5 of 3, which has no row to read, and an independent-set NO at r = 0.
+    @example(case=(3, [(0, 1)], _fuzz_doc("colorable", True, {"type": "coloring", "classes": [[0, 2], [1, 5]]}), "coloring", 2))
+    @example(case=(6, [], _fuzz_doc("obstructed", False, {"type": "independent-set", "vertices": [0, 1, 2]}), "factor", 0))
+    def test_random_documents_only_fail_preconditions(self, case):
+        # Whatever a document holds, decoding and checking it either raise
+        # PreconditionError or return clauses; and an accepted YES or
+        # obstructed NO agrees with exhaustive search.
+        n, edges, doc, mode, value = case
+        g = Graph.from_edges(n, edges)
+        try:
+            clauses = verify_certificate(g, certificate_from_json(doc), mode, value)
+        except PreconditionError:
+            return
+        if clauses or doc["answer"] is None or doc["kind"] == "exact":
+            return
+        if mode == "coloring":
+            yes = brute_equitable_colorable(n, edges, value)
+        else:
+            yes = n % value == 0 and brute_kr_factor_exists(n, edges, value)
+        assert yes is doc["answer"]

@@ -231,6 +231,28 @@ class TestVerify:
         assert report["ok"] is None and report["clauses"] == []
         assert "kind exact" in report["unchecked"]
 
+    def test_vertex_outside_the_graph_is_a_clause(self, capsys, write):
+        # Vertex 5 of a 3-vertex graph once crashed the checker (exit 4).
+        graph = write("p3.txt", dumps(Graph.from_edges(3, [(0, 1)])))
+        cert = write("far.json", json.dumps([[0, 2], [1, 5]]))
+        code, out, _ = run(capsys, ["verify", graph, cert, "--k", "2"])
+        assert code == 1
+        assert "do not partition" in json.loads(out)["first_violated"]
+
+    def test_value_below_one_is_a_usage_error(self, capsys, tmp_path, write):
+        # The independent-set NO of the empty 6-vertex graph, asked at
+        # r = 0, once divided by zero (exit 4).
+        graph = write("e6.txt", dumps(Graph.empty(6)))
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        assert code == 1 and doc["witness"]["type"] == "independent-set"
+        doc["value"] = 0
+        cert.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", graph, str(cert)])
+        assert code == 3
+        assert "value must be positive" in err
+
     def test_bare_payload_needs_one_flag(self, capsys, write):
         graph = write("k6.txt", dumps(Graph.complete(6)))
         cert = write("tile.json", json.dumps([[0, 1, 2], [3, 4, 5]]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _brute
 from equitiler import oracle
 from equitiler.extremal import build_ex1_like, build_ex2
 from equitiler.generators import random_gnp
@@ -31,6 +32,7 @@ from _brute import (
     brute_kr_factor_exists,
     brute_layered_profile,
     count_absorbers_exact,
+    full_pass_backtrack,
     is_absorber_set,
     layered_factor_exact,
     seed_backtrack,
@@ -45,6 +47,26 @@ def _search_args(g: Graph, k: int):
     its backtracking."""
     degs = g.degrees()
     return _class_profile(g.n, k), sorted(range(g.n), key=degs.__getitem__, reverse=True)
+
+
+def _place_frames(module, search):
+    """The result of `search()` and the number of frames of the `place`
+    function defined in `module` that it entered: the search's node count."""
+    scope = vars(module)
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "place" and frame.f_globals is scope:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = search()
+    finally:
+        sys.setprofile(previous)
+    return result, nodes
 
 
 def _seed_search_result_kept(g: Graph, k: int) -> bool:
@@ -236,6 +258,10 @@ class TestEquitableColoring:
             # 115,602 nodes with both commit rules, 47 with the independence
             # check.
             (29, 0.35143125846499734, 3709406659, 7, 90),
+            # The two slowest searches of the benchmark's exact workload, at
+            # 498 and 342 nodes.
+            (44, 0.3, 146, 6, 498),
+            (48, 0.3, 227, 6, 342),
         ],
     )
     def test_search_stays_within_its_node_count(self, n, p, seed, k, ceiling):
@@ -243,21 +269,34 @@ class TestEquitableColoring:
         # shows that one is missing.
         g = random_gnp(n, p, seed)
         caps, order = _search_args(g, k)
-        module = vars(oracle)
-        nodes = 0
-
-        def count(frame, event, arg):
-            nonlocal nodes
-            if event == "call" and frame.f_code.co_name == "place" and frame.f_globals is module:
-                nodes += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            _backtrack(g.adj, g.full_mask, caps, order)
-        finally:
-            sys.setprofile(previous)
+        _, nodes = _place_frames(oracle, lambda: _backtrack(g.adj, g.full_mask, caps, order))
         assert 0 < nodes <= ceiling
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=16, max_value=40),
+        st.floats(min_value=0.15, max_value=0.45),
+        st.integers(min_value=3, max_value=9),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    # The deepest search of 3,000 seeded draws under 1 s: 4,263 nodes.
+    @example(n=37, p=0.3335274253843153, k=7, seed=3890044653)
+    def test_kept_free_sets_keep_the_full_pass_search(self, n, p, k, seed):
+        # Keeping the settled free sets changes only which classes a round
+        # recomputes, not the fixpoint a child reaches, so the search visits
+        # the same nodes as the one that recomputed every class in every
+        # round, and returns the same colouring.  Only draws on which the
+        # greedy gets stuck reach the search.
+        g = random_gnp(n, p, seed)
+        _, nodes = _place_frames(oracle, lambda: _classes(g.adj, g.full_mask, k))
+        if not nodes:
+            return
+        caps, order = _search_args(g, k)
+        want, want_nodes = _place_frames(
+            _brute, lambda: full_pass_backtrack(g.adj, g.full_mask, caps, order)
+        )
+        got = _backtrack(g.adj, g.full_mask, caps, order)
+        assert (got, nodes) == (want, want_nodes)
 
     @settings(max_examples=200, deadline=None)
     @given(
