@@ -13,6 +13,7 @@ The two factor-blocking shapes on n = r*m vertices:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
@@ -224,11 +225,11 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
         return None
     m = n // r
     # In the complement the shape splits into r-2 clique components of size m
-    # and one complete-bipartite component on the clique pair.
+    # and one complete-bipartite one on the clique pair; r drawn show a surplus.
     from .graphs import complement, connected_components
 
     co = complement(g)
-    comps = connected_components(co)
+    comps = list(islice(connected_components(co), r))
     if len(comps) != r - 1:
         return None
     a_parts: List[VertexSet] = []

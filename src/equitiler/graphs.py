@@ -500,12 +500,12 @@ def max_independent_set(g: Graph, inside: int | None = None) -> VertexSet:
     return max_clique(complement(g), inside)
 
 
-def connected_components(g: Graph, inside: int | None = None) -> List[VertexSet]:
-    """Components of G[inside] (default: all of V), by ascending lowest vertex."""
+def connected_components(g: Graph, inside: int | None = None) -> Iterator[VertexSet]:
+    """Components of G[inside] (default: all of V), by ascending lowest
+    vertex, each found only when drawn: a caller may stop at what it reads."""
     allowed = g.full_mask if inside is None else inside
     adj = g.adj
     rest = allowed
-    comps: List[VertexSet] = []
     while rest:
         frontier = rest & -rest
         comp = 0
@@ -515,9 +515,8 @@ def connected_components(g: Graph, inside: int | None = None) -> List[VertexSet]
             for u in iter_bits(frontier):
                 nxt |= adj[u]
             frontier = nxt & allowed & ~comp
-        comps.append(VertexSet(comp))
+        yield VertexSet(comp)
         rest &= ~comp
-    return comps
 
 
 def lowest_vertices(mask: int, count: int) -> int:

@@ -240,7 +240,7 @@ def _is_expected_no(g: Graph, k: int) -> bool:
         return True
     if k % 2 and g.n == 2 * k:
         gc = complement(g)
-        parts = connected_components(gc)
+        parts = list(connected_components(gc))
         return len(parts) == 2 and all(len(p) == k and gc.is_clique(p.bits) for p in parts)
     return False
 

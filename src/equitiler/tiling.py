@@ -577,8 +577,8 @@ def contract_residual(
 
     Each part of `p` gives its vertices as single-vertex units, ascending;
     the last block holds the cliques of `ts`, a tiling of the leftover block,
-    in tiling order.  The leftover block must be covered by `ts` exactly,
-    one clique share at a time.
+    in tiling order.  `ts` must cover the leftover block exactly, without
+    overlap; the decider, not this step, checks that its cliques are cliques.
     """
     if not p.parts:
         raise PreconditionError("need at least one part to contract against")
@@ -592,9 +592,7 @@ def contract_residual(
         seen |= a.bits
     if seen & p.b.bits:
         raise PreconditionError("partition blocks overlap")
-    if not ts.verify(g, require_factor=False):
-        raise PreconditionError("tiling is not a set of disjoint cliques")
-    if ts.covered != p.b:
+    if ts.covered != p.b or sum(map(len, ts.cliques)) != len(p.b):
         raise PreconditionError("tiling is not a factor of the leftover block")
     blocks = [tuple(1 << v for v in iter_bits(a.bits)) for a in p.parts]
     blocks.append(tuple(c.bits for c in ts.cliques))
@@ -618,10 +616,11 @@ def multipartite_factor(
     comes up short the whole build restarts with seeded shuffles.  Above
     the cross-degree threshold of (1 - 1/2k) of a block the first pass
     always lands; below it the routine stays best-effort and may return
-    None.  A returned tiling is verified on g.  Each layer matching reads
-    the blossom search's greedy seed lazily (`_layer_matching`); only a
-    short seed builds the layer graph, one subset test per clique and unit,
-    and runs `maximum_matching` on it.
+    None.  Units that are cliques of g join into cliques of g, as a partial
+    clique meets a unit only inside N(U); the decider checks the answer, not
+    this step.  Each layer matching reads the blossom search's greedy seed
+    lazily (`_layer_matching`); only a short seed builds the layer graph,
+    one subset test per clique and unit, and runs `maximum_matching` on it.
     """
     k = len(blocks)
     if k == 0:
@@ -666,9 +665,7 @@ def multipartite_factor(
             for ci, ui in pairs:
                 cliques[ci] |= block[row[ui]]
         else:
-            t = Tiling(r, tuple(VertexSet(c) for c in cliques))
-            if t.verify(g, require_factor=False):
-                return t
+            return Tiling(r, tuple(VertexSet(c) for c in cliques))
     return None
 
 

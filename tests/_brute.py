@@ -1802,7 +1802,7 @@ def seed_recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
         return None
     m = n // r
     co = complement(g)
-    comps = connected_components(co)
+    comps = list(connected_components(co))
     if len(comps) != r - 1:
         return None
     a_parts: List[VertexSet] = []

@@ -1,6 +1,8 @@
 """Certificate JSON codec and the independent re-verification clauses."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,11 +18,15 @@ from equitiler.certificates import (
     verify_certificate,
     vertex_sets_from_json,
 )
+from equitiler.constants import default_constants
+from equitiler.decide import decide_equitable, decide_kr_factor
 from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
     build_ex1_like,
+    build_ex2,
+    build_obstruction,
     ex2_witness,
 )
 from equitiler.generators import random_gnp
@@ -29,6 +35,16 @@ from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling, equitable_coloring_exact
 
 from _brute import brute_equitable_colorable, brute_kr_factor_exists
+
+# The dense workload's roomier absorption constants, under which absorption
+# factors random_gnp(240, 0.9).
+_DENSE = replace(default_constants(3), xi=Fraction(1, 4), epsilon=Fraction(1, 10))
+
+
+def ex2_plus(n, u, v):
+    g = build_ex2(n, 3, 1)
+    g.add_edge(u, v)
+    return g
 
 
 def vs(*vals):
@@ -612,3 +628,174 @@ class TestVerifyFuzz:
         else:
             yes = n % value == 0 and brute_kr_factor_exists(n, edges, value)
         assert yes is doc["answer"]
+
+
+# ---------------------------------------------------------------------------
+# mutants of genuine decisions
+
+# The fields of each payload type that hold vertex lists, in order; the
+# nested ones hold one list per set.
+_FIELDS = {
+    "tiling": ("cliques",),
+    "coloring": ("classes",),
+    "independent-set": ("vertices",),
+    "odd-split": ("a_parts", "b0", "b1"),
+    "clique": ("vertices",),
+    "biclique": ("side_a", "side_b"),
+    "tutte-barrier": ("vertices",),
+}
+_NESTED = ("cliques", "classes", "a_parts")
+_KINDS = ("factorable", "colorable", "obstructed", "exact", "unresolved")
+
+
+def _sets(payload):
+    out = []
+    for name in _FIELDS[payload["type"]]:
+        out.extend(payload[name] if name in _NESTED else [payload[name]])
+    return out
+
+
+def _payload(kind, sets, r):
+    """A payload of type `kind` holding `sets`, filled into its fields in
+    order: a single-list type takes the first set, the odd split's pair the
+    last two, and a biclique's second side every set after the first."""
+    if kind == "tiling":
+        return {"type": kind, "r": r, "cliques": sets}
+    if kind == "coloring":
+        return {"type": kind, "classes": sets}
+    if kind == "odd-split":
+        b0, b1 = sets[-2:] if len(sets) > 1 else (sets[0], [])
+        return {"type": kind, "a_parts": sets[:-2], "b0": b0, "b1": b1}
+    if kind == "biclique":
+        return {"type": kind, "side_a": sets[0], "side_b": sorted(v for s in sets[1:] for v in s)}
+    return {"type": kind, "vertices": sets[0]}
+
+
+def _mutants(doc, mode, value, n):
+    """(what, document, mode, value) for each mutant of a genuine decision:
+    a set dropped; a vertex dropped, moved to another set, or replaced by a
+    vertex outside its set; two vertices of two sets traded; r or k
+    changed, or the mode; kind and answer swapped, with the payload in
+    either field; the payload retyped."""
+    field = "certificate" if doc["answer"] else "witness"
+    payload = doc[field]
+    r = payload.get("r", value)
+
+    def with_payload(p, field=field, **envelope):
+        out = dict(doc, certificate=None, witness=None, **envelope)
+        out[field] = p
+        return out
+
+    def with_sets(sets):
+        return with_payload(_payload(payload["type"], sets, r))
+
+    sets = _sets(payload)
+    for i in sorted({0, len(sets) // 2, len(sets) - 1}):
+        if len(sets) > 1:
+            yield "drop", with_sets(sets[:i] + sets[i + 1:]), mode, value
+        for v in sorted({sets[i][0], sets[i][-1]}):
+            kept = [u for u in sets[i] if u != v]
+            yield "drop", with_sets(sets[:i] + [kept] + sets[i + 1:]), mode, value
+            outside = next(u for u in range(n + 1) if u not in sets[i])
+            moved = sorted(kept + [outside])
+            yield "move", with_sets(sets[:i] + [moved] + sets[i + 1:]), mode, value
+            if len(sets) > 1:
+                j = (i + 1) % len(sets)
+                grown = sorted(sets[j] + [v])
+                new = [kept if h == i else grown if h == j else s for h, s in enumerate(sets)]
+                yield "move", with_sets(new), mode, value
+                w = sets[j][0]
+                swapped = [
+                    sorted(kept + [w]) if h == i else sorted(set(s) - {w} | {v}) if h == j else s
+                    for h, s in enumerate(sets)
+                ]
+                yield "swap", with_sets(swapped), mode, value
+    for v2 in (value - 1, value + 1, 2 * value):
+        if v2 >= 1:
+            yield "value", doc, mode, v2
+            if payload["type"] == "tiling":
+                yield "value", with_payload(dict(payload, r=v2)), mode, v2
+    yield "mode", doc, "coloring" if mode == "factor" else "factor", value
+    for kind in _KINDS:
+        for answer in (True, False, None):
+            if (kind, answer) != (doc["kind"], doc["answer"]):
+                for place in ("certificate", "witness"):
+                    yield "kind", with_payload(payload, place, kind=kind, answer=answer), mode, value
+    for kind in _FIELDS:
+        if kind != payload["type"]:
+            yield "type", with_payload(_payload(kind, sets, r)), mode, value
+
+
+def _is_factor(g, sets, r):
+    """Naive check that `sets` are disjoint r-cliques covering V."""
+    flat = [v for s in sets for v in s]
+    return (
+        sorted(flat) == list(range(g.n))
+        and all(len(s) == r for s in sets)
+        and all(g.has_edge(u, v) for s in sets for u, v in combinations(s, 2))
+    )
+
+
+def _is_equitable(g, sets, k):
+    """Naive check that `sets` are k independent classes of V within one in size."""
+    flat = [v for s in sets for v in s]
+    sizes = [len(s) for s in sets]
+    return (
+        sorted(flat) == list(range(g.n))
+        and len(sets) == k
+        and max(sizes) - min(sizes) <= 1
+        and not any(g.has_edge(u, v) for s in sets for u, v in combinations(s, 2))
+    )
+
+
+class TestGenuineMutants:
+    """Mutants of genuine decisions: each is rejected by
+    `verify_certificate`, or what it claims is still true.  Only a YES may
+    be accepted, and its payload must pass a naive check.  An exact NO or
+    an unresolved answer claims nothing the checker reads, as in
+    TestVerifyFuzz.  The decider's own check on every answer is this
+    checker, and it is the structured route's only check of its tiling."""
+
+    CASES = {
+        "structured": (lambda: ex2_plus(240, 160, 161), "factor", 3, None, "pipeline"),
+        "absorption": (lambda: random_gnp(240, 0.9, 0), "factor", 3, _DENSE, "pipeline"),
+        "exact-coloring": (lambda: random_gnp(30, 0.2, 0), "coloring", 6, None, "oracle"),
+        "ex1": (lambda: build_ex1_like(240, 3), "factor", 3, None, "recognizer"),
+        "ex2": (lambda: build_ex2(240, 3, 1), "factor", 3, None, "recognizer"),
+        "biclique": (lambda: build_obstruction(9, 5), "coloring", 9, None, "recognizer"),
+    }
+    WITNESS = {
+        "structured": "tiling", "absorption": "tiling", "exact-coloring": "coloring",
+        "ex1": "independent-set", "ex2": "odd-split", "biclique": "biclique",
+    }
+    # Mutants accepted as true: a swap that keeps every clique a clique.
+    ACCEPTED = {"structured": 1, "absorption": 3}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_mutant_is_rejected_or_true(self, name):
+        build, mode, value, cfg, provenance = self.CASES[name]
+        g = build()
+        decide = decide_kr_factor if mode == "factor" else decide_equitable
+        cert = decide(g, value, cfg)
+        assert cert.provenance == provenance
+        doc = certificate_to_json(cert)
+        field = "certificate" if cert.answer else "witness"
+        assert doc[field]["type"] == self.WITNESS[name]
+        seen = set()
+        accepted = 0
+        for what, mutant, m, v in _mutants(doc, mode, value, g.n):
+            seen.add(what)
+            try:
+                got = certificate_from_json(mutant)
+            except PreconditionError:
+                continue
+            if verify_certificate(g, got, m, v) or got.answer is None or got.kind == "exact":
+                continue
+            assert got.answer, (what, m, v)
+            if m == "factor":
+                assert _is_factor(g, [sorted(c) for c in got.certificate.cliques], v), what
+            else:
+                assert _is_equitable(g, [sorted(c) for c in got.certificate.classes], v), what
+            accepted += 1
+        assert seen >= {"drop", "move", "value", "mode", "kind", "type"}
+        assert accepted == self.ACCEPTED.get(name, 0)

@@ -378,6 +378,28 @@ class TestFactorPipelines:
         with pytest.raises(InternalContradiction, match="structured route answer failed verification"):
             decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
 
+    def test_non_clique_leftover_pair_propagates(self, monkeypatch):
+        # Neither the contraction nor the multipartite finish re-checks that
+        # the leftover block's pairs are edges, so a repair that hands over
+        # a non-edge is caught once, on the final tiling, as a bug and not
+        # as a miss note.  In ex2+B0B1 at n = 240 the repair pairs 0-1 (the
+        # added B0-B1 edge) and 2-3; re-pairing them as 0-2 and 1-3 keeps the
+        # block covered and leaves one non-edge, which every part vertex
+        # still joins.
+        real = decide_module.parity_repair
+
+        def planted(g, q, bases, tiling):
+            seeds, ts = real(g, q, bases, tiling)
+            pairs = list(ts.cliques)
+            assert pairs[:2] == [vs(0, 1), vs(2, 3)]
+            assert not g.has_edge(0, 2) and g.has_edge(1, 3)
+            pairs[:2] = [vs(0, 2), vs(1, 3)]
+            return seeds, Tiling(2, tuple(pairs))
+
+        monkeypatch.setattr(decide_module, "parity_repair", planted)
+        with pytest.raises(InternalContradiction, match="structured route answer failed verification"):
+            decide_kr_factor(ex2_plus(240, 0, 1), 3)
+
     def test_midrange_density_is_unresolved(self):
         rng = random.Random(0xE0A1)
         g = random_graph(rng, 60, 0.5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equitiler import graphs as graphs_module
 from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
@@ -158,6 +159,22 @@ class TestDegreeGate:
             assert got == want and type(got) is type(want)
             hits += want is not None
         assert 0 < hits < 200
+
+    def test_stops_after_r_components(self, monkeypatch):
+        # The complement of the Ex1-like graph at n = 960 is a 321-clique
+        # and 639 isolated vertices, 640 components; r = 3 of them already
+        # rule out the r - 1 an odd split has.
+        real = graphs_module.connected_components
+        drawn = []
+
+        def counted(g, inside=None):
+            for comp in real(g, inside):
+                drawn.append(comp)
+                yield comp
+
+        monkeypatch.setattr(graphs_module, "connected_components", counted)
+        assert _recognize_ex2(build_ex1_like(960, 3), 3) is None
+        assert len(drawn) == 3
 
 
 class TestWitnessVerification:

@@ -134,7 +134,7 @@ class TestConnected:
         for mask in connected_graphs(5):
             assert canonical_form(5, mask) == mask
             g = graph_from_pair_mask(5, mask)
-            assert len(connected_components(g)) == 1
+            assert len(list(connected_components(g))) == 1
 
     def test_no_duplicates(self):
         masks = connected_graphs(6)
@@ -150,6 +150,6 @@ class TestConnected:
         # Canonical forms of all connected labeled graphs, computed the slow way.
         slow = set()
         for mask, g in iter_labeled_graphs_inplace(n):
-            if len(connected_components(g)) == 1:
+            if len(list(connected_components(g))) == 1:
                 slow.add(canonical_form(n, mask))
         assert slow == set(connected_graphs(n))
