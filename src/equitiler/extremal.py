@@ -14,7 +14,7 @@ The two factor-blocking shapes on n = r*m vertices:
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
 
@@ -208,15 +208,32 @@ def _few_degrees(g: Graph) -> bool:
 
     An odd split has three: n - m on its independent parts, and n - 2m + s
     - 1 and n - s - 1 on the two sides of its clique pair; its complement
-    has m - 1, 2m - s and s.  Any other graph is ruled out by this pass,
-    which stops at the fourth value it sees.
+    has m - 1, 2m - s and s.  One set of the n row counts rules out any
+    other graph.
     """
-    seen = set()
-    for a in g.adj:
-        seen.add(a.bit_count())
-        if len(seen) > 3:
-            return False
-    return True
+    return len(set(map(int.bit_count, g.adj))) <= 3
+
+
+def _complement_components(g: Graph) -> Iterator[int]:
+    """Masks of the components of G's complement, by ascending lowest vertex,
+    each drawn only when asked for.  A search step takes a vertex's
+    non-neighbours among the unvisited vertices straight from its row of G,
+    so the complement is never built."""
+    adj = g.adj
+    rest = g.full_mask
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= frontier
+        while frontier:
+            reached = 0
+            for x in iter_bits(frontier):
+                hit = rest & ~adj[x]
+                if hit:
+                    rest ^= hit
+                    reached |= hit
+            comp |= reached
+            frontier = reached
+        yield comp
 
 
 def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
@@ -226,27 +243,24 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     m = n // r
     # In the complement the shape splits into r-2 clique components of size m
     # and one complete-bipartite one on the clique pair; r drawn show a surplus.
-    from .graphs import complement, connected_components
-
-    co = complement(g)
-    comps = list(islice(connected_components(co), r))
+    comps = list(islice(_complement_components(g), r))
     if len(comps) != r - 1:
         return None
     a_parts: List[VertexSet] = []
-    b_comp: Optional[VertexSet] = None
+    b_comp = 0
     for c in comps:
-        if len(c) == m:
-            a_parts.append(c)
-        elif len(c) == 2 * m and b_comp is None:
+        if c.bit_count() == m:
+            a_parts.append(VertexSet(c))
+        elif c.bit_count() == 2 * m and not b_comp:
             b_comp = c
         else:
             return None
-    if b_comp is None or len(a_parts) != r - 2:
+    if not b_comp or len(a_parts) != r - 2:
         return None
-    low = b_comp.bits & -b_comp.bits
-    u = low.bit_length() - 1
-    side0 = b_comp.bits & ~co.adj[u]
-    side1 = b_comp.bits & co.adj[u]
+    # The lowest vertex of the pair, with its neighbours in G, is one side.
+    low = b_comp & -b_comp
+    side0 = b_comp & g.adj[low.bit_length() - 1] | low
+    side1 = b_comp ^ side0
     if side0.bit_count() % 2 == 0 or side1.bit_count() % 2 == 0:
         return None
     if side0.bit_count() > side1.bit_count():
@@ -259,20 +273,21 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
 
 
 def _independent_heuristic(
-    g: Graph, size: int, mask: int, keyed: Optional[List[Tuple[int, int]]] = None
+    g: Graph, size: int, mask: int, degs: Optional[List[int]] = None
 ) -> Optional[VertexSet]:
-    # Greedy by ascending degree inside the mask, stopping at `size`
-    # vertices, with one round of plateau swaps when it falls short.
-    # `keyed` is the sorted (degree inside the mask, vertex) list, when the
-    # caller has already counted it.
-    if keyed is None:
-        keyed = sorted(((g.adj[v] & mask).bit_count(), v) for v in iter_bits(mask))
+    # Greedy by ascending degree inside the mask (ties by index), stopping
+    # at `size` vertices, with one round of plateau swaps when it falls
+    # short.  `degs` lists the degrees inside the mask of its vertices, in
+    # ascending vertex order, when the caller has already counted them.
+    verts = list(iter_bits(mask))
+    if degs is None:
+        degs = [(g.adj[v] & mask).bit_count() for v in verts]
     # A member of an independent `size`-set misses the other size - 1
-    # members, so its degree inside the mask is at most |mask| - size.
-    room = len(keyed) - size
-    if sum(1 for d, _ in keyed if d <= room) < size:
+    # members, so its degree inside the mask is at most |mask| - size.  The
+    # count needs no order; the greedy's order is sorted only past it.
+    if sum(map((len(verts) - size).__ge__, degs)) < size:
         return None
-    order = [v for _, v in keyed]
+    order = [verts[i] for i in sorted(range(len(verts)), key=degs.__getitem__)]
     chosen = 0
     for v in order:
         if not (g.adj[v] & chosen):

@@ -21,6 +21,8 @@ from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import InternalContradiction
+
 __all__ = [
     "Graph",
     "VertexSet",
@@ -134,8 +136,9 @@ class VertexSet:
             bits = mask_of(bits)
         if bits < 0:
             raise ValueError("negative bitmask")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_size", bits.bit_count())
+        # The slot descriptors' own setters, past the guard below.
+        _set_bits(self, bits)
+        _set_size(self, bits.bit_count())
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("VertexSet is immutable")
@@ -178,6 +181,10 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({list(iter_bits(self.bits))})"
+
+
+_set_bits = VertexSet.bits.__set__
+_set_size = VertexSet._size.__set__
 
 
 class Graph:
@@ -257,9 +264,22 @@ class Graph:
         return True
 
     def is_independent(self, mask: int) -> bool:
-        for v in iter_bits(mask):
-            if self.adj[v] & mask:
+        """Whether no row of a member meets `mask`.  A wide, well-filled
+        mask is walked by `iter_bits` in C; any other is peeled inline, as in
+        `is_clique`, with no generator."""
+        adj = self.adj
+        width = mask.bit_length()
+        if width > _WIDE_BITS and mask.bit_count() * _DENSE_PER_BIT > width:
+            for v in iter_bits(mask):
+                if adj[v] & mask:
+                    return False
+            return True
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
                 return False
+            rest ^= low
         return True
 
     def common_neighbors(self, mask: int) -> int:
@@ -328,31 +348,60 @@ def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
     return sorted(levels.items())
 
 
+def _least_pair(
+    adj: List[int], keys: List[int], bit: int
+) -> Tuple[float | int, Optional[Tuple[int, int]]]:
+    """The least keys[u] + keys[v] over pairs u < v with bit v of adj[u]
+    equal to `bit`, and the lexicographically first pair at that sum;
+    (math.inf, None) when no pair qualifies.
+
+    The first pass takes the key levels in ascending order.  Each vertex u
+    of a level meets its partner row with the levels of no smaller key, in
+    order, up to its first hit: a partner of smaller key has already met u
+    from its own level.  The pass stops once no sum can beat the best, and
+    no vertex makes more than one meet per level.  The second pass takes the
+    vertices that can still be the lower end of a best pair, in index order,
+    and meets the later part of u's partner row with the level of key
+    best - key(u): the first hit closes the pair at its lowest partner.
+    """
+    levels = _degree_levels(keys)
+    # An int above every sum stands in for infinity: comparing ints is
+    # cheaper than comparing with a float.
+    none = best = 2 * max(keys, default=0) + 1
+    for j, (ku, level) in enumerate(levels):
+        if ku + ku >= best:
+            break
+        above = levels[j:]
+        for u in iter_bits(level):
+            if ku + ku >= best:
+                break
+            row = adj[u] if bit else ~(adj[u] | 1 << u)
+            for d, mask in above:
+                if ku + d >= best:
+                    break
+                if row & mask:
+                    best = ku + d
+                    break
+    if best == none:
+        return math.inf, None
+    at = dict(levels)
+    cut = best - levels[0][0]
+    for u in compress(range(len(adj)), map(cut.__ge__, keys)):
+        meet = ((adj[u] if bit else ~adj[u]) & at.get(best - keys[u], 0)) >> u + 1
+        if meet:
+            return best, (u, u + (meet & -meet).bit_length())
+    raise InternalContradiction("no pair at the least degree sum")
+
+
 def sigma(g: Graph) -> OreStats:
     """The least d(u)+d(v) over non-adjacent pairs u < v, and its first pair.
 
-    The sum is math.inf and the pair None when g is complete.
+    The sum is math.inf and the pair None when g is complete.  Two passes
+    over the degree levels (`_least_pair`): the first stops as soon as no
+    lower sum is left to find, where a walk from every vertex would meet
+    the levels n times over.
     """
-    degs = g.degrees()
-    levels = _degree_levels(degs)
-    full = g.full_mask
-    best: float | int = math.inf
-    wit: Optional[Tuple[int, int]] = None
-    # Each u, in ascending order, pairs with the lowest vertex of the
-    # lowest degree level among its higher-indexed non-neighbours; only a
-    # strictly smaller sum replaces the witness.
-    for u in range(g.n):
-        du = degs[u]
-        later = ~g.adj[u] & (full >> (u + 1) << (u + 1))
-        for d, level in levels:
-            if du + d >= best:
-                break
-            meet = later & level
-            if meet:
-                best = du + d
-                wit = (u, (meet & -meet).bit_length() - 1)
-                break
-    return OreStats(best, wit)
+    return OreStats(*_least_pair(g.adj, g.degrees(), 0))
 
 
 def complement(g: Graph) -> Graph:
@@ -364,25 +413,11 @@ def ore_edge_bound(g: Graph, k: int) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Whether every edge xy has d(x)+d(y) <= 2k, plus the worst edge.
 
     The returned edge maximizes the degree sum (lexicographically smallest on
-    ties); None iff the graph has no edges.
+    ties); None iff the graph has no edges.  The same two passes as `sigma`,
+    mirrored: negated degrees, over neighbours.
     """
-    degs = g.degrees()
-    levels = _degree_levels(degs)[::-1]
-    worst: Optional[Tuple[int, int]] = None
-    worst_sum = -1
-    # The mirror of the level walk in `sigma`, from the highest degree down.
-    for u in range(g.n):
-        du = degs[u]
-        later = g.adj[u] >> (u + 1) << (u + 1)
-        for d, level in levels:
-            if du + d <= worst_sum:
-                break
-            meet = later & level
-            if meet:
-                worst_sum = du + d
-                worst = (u, (meet & -meet).bit_length() - 1)
-                break
-    return worst_sum <= 2 * k, worst
+    least, worst = _least_pair(g.adj, [-d for d in g.degrees()], 1)
+    return (-1 if worst is None else -least) <= 2 * k, worst
 
 
 def induced_edge_count(g: Graph, mask: int) -> int:

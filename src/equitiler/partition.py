@@ -231,14 +231,16 @@ def _sparse_set(
     nonexistence proof.  The climb keeps every inside-degree as bit-sliced
     counters, so a swap costs O(log n) big-int operations, not a recount
     over the members.  Each vertex's degree inside the universe is counted
-    once: the sorted (degree, vertex) list feeds the greedy independent set
-    on a universe past 64 vertices, the degree floor and the first start.
+    once, into a plain list: the greedy's room count and the degree floor
+    read it unsorted or as sorted ints, and the vertices are put in degree
+    order only when the greedy or the climb runs.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
-    keyed = sorted(((g.adj[v] & universe).bit_count(), v) for v in iter_bits(universe))
-    if len(keyed) > 64:
-        found = _independent_heuristic(g, size, universe, keyed)
+    verts = list(iter_bits(universe))
+    degs = [(g.adj[v] & universe).bit_count() for v in verts]
+    if len(verts) > 64:
+        found = _independent_heuristic(g, size, universe, degs)
     else:
         found = independent_set_of_size(g, size, universe)
     if found is not None:
@@ -252,8 +254,8 @@ def _sparse_set(
     # of the `size` smallest such terms (floored at 0) over U.  When that sum
     # exceeds 2 * limit no subset meets the budget, so neither search below
     # could return one: returning None here changes no answer.
-    slack = len(keyed) - size
-    if sum(max(0, d - slack) for d, _ in keyed[:size]) > 2 * limit:
+    slack = len(verts) - size
+    if sum(max(0, d - slack) for d in sorted(degs)[:size]) > 2 * limit:
         return None
     # Hill climb from two deterministic starts, ejecting the most crowded
     # member (highest index on ties) for the outside vertex with the fewest
@@ -261,7 +263,8 @@ def _sparse_set(
     # met, for at most 200 swaps or until no swap lowers the edge count.
     # slices[b] holds bit b of every vertex's |N(v) & cur|; each pick is a
     # scan over the slices from the top bit down.
-    for order_list in ([v for _, v in keyed], list(iter_bits(universe))):
+    by_degree = [verts[i] for i in sorted(range(len(verts)), key=degs.__getitem__)]
+    for order_list in (by_degree, verts):
         cur = 0
         slices: List[int] = []
         for v in order_list[:size]:

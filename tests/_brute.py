@@ -12,6 +12,7 @@ identical output.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -35,8 +36,10 @@ from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.extremal import Ex2Witness, independent_set_of_size
 from equitiler.graphs import (
     Graph,
+    OreStats,
     VertexSet,
     _clique_walk,
+    _degree_levels,
     as_fraction,
     complement,
     connected_components,
@@ -1829,3 +1832,48 @@ def seed_recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
         return None
     w = Ex2Witness(tuple(a_parts), VertexSet(side0), VertexSet(side1))
     return w if w.verify(g, r) else None
+
+
+# The degree-sum gates as level walks: per vertex, one big-int meet with each
+# degree level in turn.
+
+
+def seed_sigma(g: Graph) -> OreStats:
+    """graphs.sigma walking the degree levels from every vertex."""
+    degs = g.degrees()
+    levels = _degree_levels(degs)
+    full = g.full_mask
+    best = math.inf
+    wit: Optional[Edge] = None
+    for u in range(g.n):
+        du = degs[u]
+        later = ~g.adj[u] & (full >> (u + 1) << (u + 1))
+        for d, level in levels:
+            if du + d >= best:
+                break
+            meet = later & level
+            if meet:
+                best = du + d
+                wit = (u, (meet & -meet).bit_length() - 1)
+                break
+    return OreStats(best, wit)
+
+
+def seed_ore_edge_bound(g: Graph, k: int) -> Tuple[bool, Optional[Edge]]:
+    """graphs.ore_edge_bound walking the degree levels from the top down."""
+    degs = g.degrees()
+    levels = _degree_levels(degs)[::-1]
+    worst: Optional[Edge] = None
+    worst_sum = -1
+    for u in range(g.n):
+        du = degs[u]
+        later = g.adj[u] >> (u + 1) << (u + 1)
+        for d, level in levels:
+            if du + d <= worst_sum:
+                break
+            meet = later & level
+            if meet:
+                worst_sum = du + d
+                worst = (u, (meet & -meet).bit_length() - 1)
+                break
+    return worst_sum <= 2 * k, worst

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equitiler import graphs as graphs_module
+from equitiler import extremal as extremal_module
 from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
     Ex2Witness,
+    _complement_components,
     _independent_heuristic,
     _recognize_ex2,
     build_ex1_like,
@@ -22,7 +23,15 @@ from equitiler.extremal import (
     independent_set_of_size,
     recognize_extremal,
 )
-from equitiler.graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
+from equitiler.graphs import (
+    Graph,
+    VertexSet,
+    complement,
+    connected_components,
+    iter_bits,
+    lowest_vertices,
+    max_independent_set,
+)
 from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from _brute import (
@@ -128,8 +137,8 @@ class TestRecognizer:
 
 class TestDegreeGate:
     """`_recognize_ex2` turns away a graph with four or more distinct
-    degrees before building its complement; the ungated seed version is the
-    reference."""
+    degrees before it draws its complement's components; the ungated seed
+    version, which builds the complement, is the reference."""
 
     def test_every_labeled_six_vertex_graph(self):
         hits = 0
@@ -164,17 +173,26 @@ class TestDegreeGate:
         # The complement of the Ex1-like graph at n = 960 is a 321-clique
         # and 639 isolated vertices, 640 components; r = 3 of them already
         # rule out the r - 1 an odd split has.
-        real = graphs_module.connected_components
+        real = extremal_module._complement_components
         drawn = []
 
-        def counted(g, inside=None):
-            for comp in real(g, inside):
+        def counted(g):
+            for comp in real(g):
                 drawn.append(comp)
                 yield comp
 
-        monkeypatch.setattr(graphs_module, "connected_components", counted)
+        monkeypatch.setattr(extremal_module, "_complement_components", counted)
         assert _recognize_ex2(build_ex1_like(960, 3), 3) is None
         assert len(drawn) == 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), st.floats(0.0, 1.0), st.integers(0, 2**16))
+    def test_complement_walk_matches_built_complement(self, n, p, seed):
+        # The walk over G's rows draws the components of the built
+        # complement, in the same order.
+        g = random_graph(random.Random(seed), n, p)
+        want = [c.bits for c in connected_components(complement(g))]
+        assert list(_complement_components(g)) == want
 
 
 class TestWitnessVerification:
@@ -318,9 +336,9 @@ class TestDegreeRefutation:
         size = max(1, base + extra)
         got = _independent_heuristic(g, size, inside)
         assert got == seed_masked_independent_heuristic(g, size, inside)
-        # A caller's sorted (degree inside, vertex) list stands in for the count.
-        keyed = sorted(((g.adj[v] & inside).bit_count(), v) for v in iter_bits(inside))
-        assert _independent_heuristic(g, size, inside, keyed) == got
+        # A caller's list of degrees inside the mask stands in for the count.
+        degs = [(g.adj[v] & inside).bit_count() for v in iter_bits(inside)]
+        assert _independent_heuristic(g, size, inside, degs) == got
 
     def test_refutes_by_degrees(self):
         # K_4 plus an isolated vertex.  A pair may use vertices of degree at

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equitiler.decide import pad_to_divisible
 from equitiler.extremal import build_ex1_like, build_ex2
+from equitiler.generators import random_gnp
 from equitiler.graphs import (
     Graph,
     VertexSet,
@@ -37,11 +39,14 @@ from _brute import (
     brute_worst_edge,
     gamma_independent,
     graph_edges,
+    is_independent_set,
     seed_connected_components,
     seed_find_clique_of_size,
     seed_iter_bits,
     seed_iter_cliques,
     seed_low_degree_set,
+    seed_ore_edge_bound,
+    seed_sigma,
 )
 from conftest import cycle, random_graph
 
@@ -77,6 +82,13 @@ class TestVertexSet:
         s = VertexSet([1])
         with pytest.raises(AttributeError):
             s.bits = 7
+        with pytest.raises(AttributeError):
+            s._size = 3
+        assert s.bits == 2 and len(s) == 1
+
+    def test_rejects_negative_mask(self):
+        with pytest.raises(ValueError, match="negative"):
+            VertexSet(-1)
 
 
 class TestGraphBasics:
@@ -165,6 +177,26 @@ def test_masked_components_match_the_induced_copy(gm):
     assert [next(lazy) for _ in want] == want and next(lazy, None) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(edge_list_strategy(max_n=12), st.integers(min_value=0, max_value=2**12 - 1))
+def test_is_independent_matches_pairs(ne, bits):
+    n, edges = ne
+    g = Graph.from_edges(n, edges)
+    mask = bits & g.full_mask
+    assert g.is_independent(mask) == is_independent_set(adj_sets(n, edges), iter_bits(mask))
+
+
+def test_is_independent_on_wide_masks():
+    # A wide, well-filled mask is walked by iter_bits in C and a sparse one
+    # is peeled: each must see an edge between its last two members and
+    # ignore an edge that leaves it.
+    n = 960
+    for members in (list(range(0, n, 3)), list(range(0, n, 40))):
+        mask = sum(1 << v for v in members)
+        assert Graph.from_edges(n, [(members[-1], members[-1] + 1)]).is_independent(mask)
+        assert not Graph.from_edges(n, [(members[-2], members[-1])]).is_independent(mask)
+
+
 @settings(max_examples=120, deadline=None)
 @given(edge_list_strategy())
 def test_complement_involution(ne):
@@ -174,8 +206,8 @@ def test_complement_involution(ne):
     assert g.edge_count() + complement(g).edge_count() == n * (n - 1) // 2
 
 
-@settings(max_examples=120, deadline=None)
-@given(edge_list_strategy())
+@settings(max_examples=200, deadline=None)
+@given(edge_list_strategy(max_n=16))
 def test_sigma_matches_reference(ne):
     n, edges = ne
     g = Graph.from_edges(n, edges)
@@ -192,8 +224,8 @@ def test_sigma_matches_reference(ne):
         assert st_.witness == brute_sigma_witness(n, edges)
 
 
-@settings(max_examples=150, deadline=None)
-@given(edge_list_strategy(max_n=12), st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+@given(edge_list_strategy(max_n=16), st.integers(min_value=0, max_value=16))
 @example((4, [(2, 3), (0, 1)]), 1)
 def test_ore_edge_bound_matches_edge_walk(ne, k):
     # The worst edge is the lexicographically smallest of greatest degree sum.
@@ -204,6 +236,49 @@ def test_ore_edge_bound_matches_edge_walk(ne, k):
     assert worst == want
     worst_sum = -1 if want is None else g.degree(want[0]) + g.degree(want[1])
     assert held == (worst_sum <= 2 * k)
+
+
+def _circulant(n: int, offsets) -> Graph:
+    pairs = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in offsets}
+    return Graph.from_edges(n, pairs)
+
+
+@pytest.mark.parametrize("n", [60, 120, 240, 480, 960])
+def test_degree_gates_match_level_walks(n):
+    # Ties decide the witness: every vertex ties in a regular graph, and
+    # whole levels tie in the extremal shapes and in a padded complement,
+    # whose padding clique is joined to every original vertex.  The
+    # edgeless graph, ex2 with s = m/2 - 1 (its B0 vertices' only
+    # non-neighbours are in B1, which ranks last), its complement and an
+    # unbalanced biclique put a vertex's first partner far up the ranking.
+    m = n // 3
+    b0b1 = build_ex2(n, 3, 1)
+    b0b1.add_edge(0, 1)
+    inside_a = build_ex2(n, 3, 1)
+    inside_a.add_edge(2 * m, 2 * m + 1)
+    wide_b0 = build_ex2(n, 3, m // 2 - 1)
+    a = n // 10
+    biclique = Graph.from_edges(n, [(u, v) for u in range(a) for v in range(a, n)])
+    graphs = [
+        _circulant(n, (1, 2, n // 5)),
+        complement(_circulant(n, (1,))),
+        build_ex1_like(n, 3),
+        b0b1,
+        inside_a,
+        complement(pad_to_divisible(random_gnp(n - 4, 0.3, n), 7)[0]),
+        complement(pad_to_divisible(random_gnp(n - 1, 0.9, n), m)[0]),
+        Graph(n, [0] * n),
+        wide_b0,
+        complement(wide_b0),
+        biclique,
+        complement(biclique),
+    ]
+    for g in graphs:
+        assert sigma(g) == seed_sigma(g)
+        _, worst = seed_ore_edge_bound(g, 0)
+        top = 0 if worst is None else g.degree(worst[0]) + g.degree(worst[1])
+        for k in (top // 2 - 1, top // 2, m):
+            assert ore_edge_bound(g, k) == seed_ore_edge_bound(g, k)
 
 
 def test_sigma_of_halved_join_matches_bound():
