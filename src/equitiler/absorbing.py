@@ -6,9 +6,8 @@ clique, when there is one).  `layered_greedy`, run by the decider on the
 vertices outside M, tiles them greedily and improves the tiling with local
 augmentation moves until only a small remainder is uncovered.  `absorb`
 then folds that remainder into M, one r-set per stored absorber.
-Everything an absorber promises is checked by the exact oracle at storage
-time, and the final assembly is re-verified piece by piece, so a returned
-factor is always genuine.
+The oracle tiles G[S] for each absorber S at storage time, S's factor with
+its probe is checked as built, and the decider verifies the final factor.
 
 The sampling is seeded and reproducible.  Its draws take vertices of a pool
 mask by rank (`graphs._bit_select`), so no draw lists its pool: a pool of
@@ -27,6 +26,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bit_select,
+    _clique_walk,
     find_clique_of_size,
     iter_bits,
     low_degree_set,
@@ -171,13 +171,13 @@ def _sample_absorbers(
     `exclude`, given the low-degree set `slow` and whether the base is taken
     inside it (`exploit_clique`).
 
-    Each candidate is built from a base K_r plus, for every pair of a base
-    vertex and a q-vertex, a bridge (r-1)-set lying in their common
-    neighborhood, itself a clique; that shape makes both factor checks
-    pass by construction, and the oracle confirms them anyway.  The base
+    Each candidate is built from a base K_r plus, for every pair (u_i, q_i)
+    of a base vertex and a q-vertex, a bridge (r-1)-clique x_i in their
+    common neighborhood, so the base and the cliques q_i + x_i tile
+    G[S u q]: that tiling is checked as built, not searched for.  The base
     is taken inside the low-degree clique when that clique is large, and
     away from it otherwise; bridges always avoid it.  Each absorber S comes
-    with the K_r-factor of G[S] that its check found.
+    with the K_r-factor of G[S] that the exact oracle found.
     """
     base_pool = slow if exploit_clique else g.full_mask & ~slow
     base_pool &= ~q.bits & ~exclude
@@ -219,11 +219,15 @@ def _sample_absorbers(
         if bits in seen:
             continue
         seen.add(bits)
-        # S absorbs Q when both G[S] and G[S u Q] have K_r-factors; the
-        # factor of G[S] is kept.
+        # S absorbs Q when both G[S] and G[S u Q] have K_r-factors.  The
+        # exact search tiles G[S], and its factor is kept; the base and the
+        # cliques q_i + x_i tile G[S u Q] by construction.
         own = kr_factor_exact(g, r, bits)
-        if own is not None and kr_factor_exact(g, r, bits | q.bits) is not None:
-            found.append((VertexSet(bits), own))
+        pieces = [base] + [x | 1 << qv for x, qv in zip(bridges, qs)]
+        joint = Tiling(r, tuple(map(VertexSet, pieces)))
+        if own is None or not joint.verify(g, False) or joint.covered.bits != bits | q.bits:
+            raise InternalContradiction("sampled absorber fails a factor its shape promises")
+        found.append((VertexSet(bits), own))
     return found
 
 
@@ -327,6 +331,7 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
 
     Leftover r-sets are matched to distinct stored absorbers; an
     unmatched r-set raises PreconditionError, a miss of the absorption route.
+    The assembly is not re-checked here: the decider verifies the factor.
     """
     r = aset.r
     m = aset.m
@@ -369,14 +374,6 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
             pieces.extend(aset.factors[j])
     for i, j in assigned.items():
         pieces.extend(joint[i, j].cliques)
-
-    covered = 0
-    for c in pieces:
-        if len(c) != r or (covered & c.bits) or not g.is_clique(c.bits):
-            raise InternalContradiction("assembled absorption is not a clique tiling")
-        covered |= c.bits
-    if covered != (m.bits | leftover.bits):
-        raise InternalContradiction("assembled absorption misses vertices")
     return Tiling(r, tuple(pieces))
 
 
@@ -434,10 +431,11 @@ def _profile(pieces: Sequence[VertexSet], r: int) -> Tuple[int, ...]:
 def layered_greedy(g: Graph, r: int, inside: Optional[int] = None) -> LayeredFactor:
     """Greedy size-descending clique extraction plus augmentation moves.
 
-    Tiles G[inside], all of V by default.  The greedy pass is maximal per
-    layer but not maximum; the move loop then pushes vertices upward until
-    no move applies.  Every applied move is checked and must improve the
-    profile without losing K_r copies.
+    Tiles G[inside], all of V by default.  The greedy takes the first clique
+    of each size, largest first, in one ascending pass over its lowest vertex
+    (one with no clique above it has none later either); it is maximal per
+    layer but not maximum.  The move loop then pushes vertices upward until
+    no move applies; each is checked and must raise the profile, K_r kept.
     """
     if r < 1:
         raise PreconditionError("need r >= 1")
@@ -445,12 +443,13 @@ def layered_greedy(g: Graph, r: int, inside: Optional[int] = None) -> LayeredFac
     mask = g.full_mask if inside is None else inside
     n = mask.bit_count()
     for size in range(r, 0, -1):
-        while True:
-            c = find_clique_of_size(g, size, mask)
-            if c is None or len(c) == 0:
-                break
-            pieces.append(c)
-            mask &= ~c.bits
+        for v in iter_bits(mask):
+            if mask >> v & 1:
+                above = g.adj[v] & mask >> v + 1 << v + 1
+                c = next(_clique_walk(g.adj, 1 << v, size - 1, above), None) if size > 1 else 1 << v
+                if c is not None:
+                    pieces.append(VertexSet(c))
+                    mask &= ~c
 
     for _ in range(n * r + 10):
         move = find_augmentation(g, pieces)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import itemgetter
@@ -348,6 +349,18 @@ def _degree_levels(degs: Sequence[int]) -> List[Tuple[int, int]]:
     return sorted(levels.items())
 
 
+class _LazyLevels(dict):
+    """Key -> mask of the vertices in `buckets[key]`, built on first read."""
+
+    def __init__(self, buckets: Dict[int, List[int]]):
+        super().__init__()
+        self.buckets = buckets
+
+    def __missing__(self, key: int) -> int:
+        mask = self[key] = mask_of(self.buckets.get(key, ()))
+        return mask
+
+
 def _least_pair(
     adj: List[int], keys: List[int], bit: int
 ) -> Tuple[float | int, Optional[Tuple[int, int]]]:
@@ -363,31 +376,36 @@ def _least_pair(
     vertices that can still be the lower end of a best pair, in index order,
     and meets the later part of u's partner row with the level of key
     best - key(u): the first hit closes the pair at its lowest partner.
+    The vertices are bucketed by key into lists, and a level's mask is
+    built only when a pass first reads it: most passes read a few levels.
     """
-    levels = _degree_levels(keys)
+    buckets: Dict[int, List[int]] = defaultdict(list)
+    for v, k in enumerate(keys):
+        buckets[k].append(v)
+    ks = sorted(buckets)
+    levels = _LazyLevels(buckets)
     # An int above every sum stands in for infinity: comparing ints is
     # cheaper than comparing with a float.
     none = best = 2 * max(keys, default=0) + 1
-    for j, (ku, level) in enumerate(levels):
+    for j, ku in enumerate(ks):
         if ku + ku >= best:
             break
-        above = levels[j:]
-        for u in iter_bits(level):
+        above = ks[j:]
+        for u in buckets[ku]:
             if ku + ku >= best:
                 break
             row = adj[u] if bit else ~(adj[u] | 1 << u)
-            for d, mask in above:
+            for d in above:
                 if ku + d >= best:
                     break
-                if row & mask:
+                if row & levels[d]:
                     best = ku + d
                     break
     if best == none:
         return math.inf, None
-    at = dict(levels)
-    cut = best - levels[0][0]
+    cut = best - ks[0]
     for u in compress(range(len(adj)), map(cut.__ge__, keys)):
-        meet = ((adj[u] if bit else ~adj[u]) & at.get(best - keys[u], 0)) >> u + 1
+        meet = ((adj[u] if bit else ~adj[u]) & levels[best - keys[u]]) >> u + 1
         if meet:
             return best, (u, u + (meet & -meet).bit_length())
     raise InternalContradiction("no pair at the least degree sum")

@@ -257,6 +257,8 @@ def _sparse_set(
     slack = len(verts) - size
     if sum(max(0, d - slack) for d in sorted(degs)[:size]) > 2 * limit:
         return None
+    # Edge counts are ints, so the climb compares them with the floor.
+    cap = math.floor(limit)
     # Hill climb from two deterministic starts, ejecting the most crowded
     # member (highest index on ties) for the outside vertex with the fewest
     # neighbours in the rest (lowest index on ties) until the edge budget is
@@ -272,7 +274,7 @@ def _sparse_set(
             _count_row(slices, g.adj[v], 1)
         edges = sum((s & cur).bit_count() << b for b, s in enumerate(slices)) // 2
         for _ in range(200):
-            if edges <= limit:
+            if edges <= cap:
                 return VertexSet(cur)
             top = cur
             for s in reversed(slices):
@@ -298,7 +300,7 @@ def _sparse_set(
             _count_row(slices, g.adj[best], 1)
             cur = rest | (1 << best)
             edges -= gain
-        if edges <= limit:
+        if edges <= cap:
             return VertexSet(cur)
     return None
 

@@ -30,7 +30,13 @@ from typing import (
     Tuple,
 )
 
-from equitiler.absorbing import AbsorbingSet, _sample_absorbers, _sigma_gate
+from equitiler.absorbing import (
+    AbsorbingSet,
+    _profile,
+    _sample_absorbers,
+    _sigma_gate,
+    find_augmentation,
+)
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.extremal import Ex2Witness, independent_set_of_size
@@ -1638,6 +1644,47 @@ def seed_build_absorbing_set(
         if len(out.m) <= cap:
             return out
     return None
+
+
+# The layered greedy while it searched again from vertex 0 for every clique.
+
+
+def seed_layered_greedy(g: Graph, r: int, inside: Optional[int] = None) -> LayeredFactor:
+    """absorbing.layered_greedy taking each clique by `find_clique_of_size`
+    over the whole mask left."""
+    if r < 1:
+        raise PreconditionError("need r >= 1")
+    pieces: List[VertexSet] = []
+    mask = g.full_mask if inside is None else inside
+    n = mask.bit_count()
+    for size in range(r, 0, -1):
+        while True:
+            c = find_clique_of_size(g, size, mask)
+            if c is None or len(c) == 0:
+                break
+            pieces.append(c)
+            mask &= ~c.bits
+
+    for _ in range(n * r + 10):
+        move = find_augmentation(g, pieces)
+        if move is None:
+            break
+        if not move.check(g):
+            raise InternalContradiction(f"bad augmentation move {move}")
+        old = _profile(pieces, r)
+        gone = {move.source.bits} | {h.bits for h in move.helpers}
+        pieces = [p for p in pieces if p.bits not in gone]
+        pieces.extend(move.replacements)
+        new = _profile(pieces, r)
+        if not (new > old and new[0] >= old[0]):
+            raise InternalContradiction(f"move did not improve the profile: {old} -> {new}")
+    else:
+        raise InternalContradiction("augmentation loop failed to stabilize")
+
+    layers: Dict[int, List[VertexSet]] = {}
+    for p in sorted(pieces, key=lambda c: c.bits):
+        layers.setdefault(len(p), []).append(p)
+    return LayeredFactor(r, {s: tuple(ps) for s, ps in layers.items()})
 
 
 # The absorber draws while they listed their pools: the Fisher-Yates walk of

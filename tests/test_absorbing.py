@@ -22,10 +22,12 @@ from equitiler import (
     find_augmentation,
     layered_greedy,
     random_gnp,
+    random_ore,
     sigma,
 )
-from equitiler.absorbing import _draw_probe, _random_clique
-from equitiler.graphs import iter_bits
+from equitiler.absorbing import _draw_probe, _random_clique, _sample_absorbers
+from equitiler.graphs import iter_bits, low_degree_set
+from equitiler.oracle import kr_factor_exact
 from _brute import (
     absorber_family_problems,
     absorbing_family_for,
@@ -37,6 +39,7 @@ from _brute import (
     is_clique_set,
     layered_factor_exact,
     seed_build_absorbing_set,
+    seed_layered_greedy,
     seed_probe_draw,
     seed_random_clique,
 )
@@ -349,6 +352,17 @@ class TestLayeredGreedy:
                 for s, cs in want.layers.items()
             }
 
+    def test_one_pass_matches_the_repeated_search(self):
+        # Each vertex is tried once as a clique's lowest vertex; the seed
+        # searched the whole mask left again for every clique.
+        rng = random.Random(0x1A7F)
+        for _ in range(300):
+            n = rng.randrange(1, 61)
+            g = random_gnp(n, rng.choice((0.3, 0.6, 0.9)), rng.randrange(1000))
+            mask = VertexSet(rng.sample(range(n), rng.randrange(n + 1))).bits
+            r = rng.randrange(1, 5)
+            assert layered_greedy(g, r, mask) == seed_layered_greedy(g, r, mask)
+
     def test_augmentation_move_frozen(self):
         g = relay5()
         mv = find_augmentation(g, [vs(0, 1, 2), vs(3), vs(4)])
@@ -371,6 +385,37 @@ class TestLayeredGreedy:
             replacements=(vs(3, 4), vs(0, 1, 2)),
         )
         assert not mv.check(g)
+
+
+class TestSampledAbsorbers:
+    """An absorber's factor with its probe is checked as built, not searched
+    for: every absorber sampled must still pass both exact checks, and the
+    factor kept for G[S] must be the exact search's."""
+
+    GRAPHS = {
+        "gnp240": lambda: random_gnp(240, 0.9, 0),
+        "ore240": lambda: random_ore(240, 3, 0, 0),
+        "k30": lambda: Graph.complete(30),
+    }
+
+    @pytest.mark.parametrize("r", (3, 4))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_each_absorber_passes_the_exact_checks(self, name, r):
+        g = self.GRAPHS[name]()
+        cfg = default_constants(r)
+        slow = low_degree_set(g, (1 - Fraction(1, r) - cfg.alpha) * g.n)
+        exploit = len(slow) > cfg.xi * g.n
+        rng = random.Random(0xAB5 + r)
+        total = 0
+        for seed in range(12):
+            picks = rng.sample(range(g.n), 2 * r)
+            q, exclude = VertexSet(picks[:r]), VertexSet(picks[r:]).bits
+            for s, own in _sample_absorbers(g, q, r, 2, seed, exclude, slow.bits, exploit):
+                assert len(s) == r * r and not s.bits & (q.bits | exclude)
+                assert is_absorber_set(g, s.bits, q.bits, r)
+                assert own == kr_factor_exact(g, r, s.bits)
+                total += 1
+        assert total >= 12
 
 
 class TestBuild:

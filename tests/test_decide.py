@@ -38,6 +38,7 @@ from equitiler import (
     random_gnp,
     random_ore,
 )
+from equitiler import absorbing as absorbing_module
 from equitiler import decide as decide_module
 from equitiler import oracle as oracle_module
 from equitiler.certificates import certificate_to_json, verify_certificate
@@ -486,6 +487,22 @@ class TestAbsorptionCertificates:
         del doc["timings"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+    def test_broken_stored_factor_raises(self, monkeypatch):
+        # `absorb` does not re-check its assembly, so a stored factor of
+        # G[S] that is not a clique tiling is caught once, by the check of
+        # the final factor, as a bug and not as a miss note.
+        real = absorbing_module.kr_factor_exact
+
+        def broken(g, r, inside=None):
+            t = real(g, r, inside)
+            if t is None or inside is None or inside.bit_count() != r * r:
+                return t
+            return Tiling(r, (t.cliques[0],) * len(t.cliques))
+
+        monkeypatch.setattr(absorbing_module, "kr_factor_exact", broken)
+        with pytest.raises(InternalContradiction, match="absorption route answer failed verification"):
+            decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE)
 
 
 def edited_ex2(n, s, add=(), drop=()):
