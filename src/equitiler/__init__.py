@@ -43,7 +43,6 @@ from .partition import (
     peel_partition,
     classify,
     refine_to_good,
-    validate_good,
 )
 from .tiling import (
     SingleBase,

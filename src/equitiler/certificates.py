@@ -16,11 +16,15 @@ witness: it yields no clause, and callers that report on it must say it
 went unchecked.  A NO of any kind other than "obstructed" or "exact" is a
 clause of its own, and so is an obstructed NO whose witness is not one of
 the types above.
+
+Each payload type has one check here (`tiling_holds` and the rest).  It
+reads only `g.n`, `g.adj` and the payload's masks, walks a mask with its
+own loop, and uses nothing of the solver but the record types.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .extremal import (
@@ -38,14 +42,20 @@ __all__ = [
     "DecisionCertificate",
     "certificate_from_json",
     "certificate_to_json",
+    "biclique_holds",
+    "clique_holds",
+    "clique_tiles_cover",
+    "coloring_holds",
+    "independent_set_holds",
+    "odd_split_holds",
     "payload_clauses",
+    "tiling_holds",
+    "tutte_barrier_holds",
     "verify_certificate",
     "vertex_sets_from_json",
 ]
 
 SCHEMA = "equitiler.certificate/1"
-# The payload types that can witness a NO; a tiling or a colouring cannot.
-_OBSTRUCTIONS = (Ex1Witness, Ex2Witness, CliqueObstruction, BicliqueObstruction, TutteBarrier)
 
 
 class DecisionCertificate(NamedTuple):
@@ -192,43 +202,157 @@ def certificate_from_json(doc: Dict[str, object]) -> DecisionCertificate:
     )
 
 
-def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
-    """Clause list from re-verifying one payload object against g.
+def clique_tiles_cover(g: Graph, r: int, cliques: Sequence[VertexSet]) -> Optional[int]:
+    """The mask `cliques` cover when they are disjoint r-cliques of g, else None."""
+    seen = 0
+    for c in cliques:
+        bits = rest = c.bits
+        if bits.bit_count() != r or seen & bits or bits >> g.n:
+            return None
+        while rest:
+            low = rest & -rest
+            if (g.adj[low.bit_length() - 1] | low) & bits != bits:
+                return None
+            rest ^= low
+        seen |= bits
+    return seen
 
-    A witness counts only in its own mode: an independent set, an odd split
-    or a Tutte barrier blocks a factor, a clique or a spanning odd biclique
-    blocks a coloring.
-    """
+
+def _independent_cover(g: Graph, classes: Sequence[VertexSet]) -> Optional[int]:
+    """The mask `classes` cover when they are disjoint independent sets of g, else None."""
+    seen = 0
+    for c in classes:
+        bits = rest = c.bits
+        if seen & bits or bits >> g.n:
+            return None
+        while rest:
+            low = rest & -rest
+            if g.adj[low.bit_length() - 1] & bits:
+                return None
+            rest ^= low
+        seen |= bits
+    return seen
+
+
+def tiling_holds(g: Graph, t: Tiling) -> bool:
+    """Whether t's cliques are disjoint K_{t.r}'s of g that cover V."""
+    return clique_tiles_cover(g, t.r, t.cliques) == (1 << g.n) - 1
+
+
+def coloring_holds(g: Graph, c: Coloring) -> bool:
+    """Whether c's classes are independent sets of g that partition V."""
+    return _independent_cover(g, c.classes) == (1 << g.n) - 1
+
+
+def independent_set_holds(g: Graph, w: Ex1Witness, r: int) -> bool:
+    """Whether w holds n/r + 1 independent vertices of g, one more than a K_r-factor's cliques."""
+    if g.n % r or w.independent_set.bits.bit_count() != g.n // r + 1:
+        return False
+    return _independent_cover(g, (w.independent_set,)) is not None
+
+
+def odd_split_holds(g: Graph, w: Ex2Witness, r: int) -> bool:
+    """Whether g is the odd split on w's sets, m = n/r: r - 2 parts of m vertices and
+    sides of odd sizes s <= m and 2m - s that cover V.  Each row equals its reference:
+    a part's vertex sees all but its part, a side's all but itself and the other side."""
+    n = g.n
+    if len(w.a_parts) != r - 2:
+        return False
+    m, full = n // r, (1 << n) - 1
+    parts = [p.bits for p in w.a_parts]
+    b0, b1 = w.b0.bits, w.b1.bits
+    s = b0.bit_count()
+    sizes = [p.bit_count() for p in parts] + [s + b1.bit_count()]
+    if s % 2 == 0 or s > m or sizes != [m] * (r - 2) + [2 * m]:
+        return False
+    seen = b0 | b1
+    for p in parts:
+        seen |= p
+    if seen != full:  # r * m <= n vertices in all: r divides n, and the sets are disjoint
+        return False
+    for mask, miss in zip(parts + [b0, b1], parts + [b1, b0]):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if g.adj[low.bit_length() - 1] != full ^ (miss | low):
+                return False
+            rest ^= low
+    return True
+
+
+def clique_holds(g: Graph, w: CliqueObstruction, k: int) -> bool:
+    """Whether w holds k + 1 pairwise adjacent vertices of g."""
+    return clique_tiles_cover(g, k + 1, (w.vertices,)) is not None
+
+
+def biclique_holds(g: Graph, w: BicliqueObstruction, k: int) -> bool:
+    """Whether w's sides, the smaller one odd, cover V's 2k vertices, with
+    every cross edge in g; a vertex on both sides would need a loop."""
+    a, b = sorted((w.side_a.bits, w.side_b.bits), key=int.bit_count)
+    if a | b != (1 << g.n) - 1 or a.bit_count() % 2 == 0 or g.n != 2 * k:
+        return False
+    while a:
+        low = a & -a
+        if b & ~g.adj[low.bit_length() - 1]:
+            return False
+        a ^= low
+    return True
+
+
+def tutte_barrier_holds(g: Graph, w: TutteBarrier, r: int) -> bool:
+    """Whether r = 2 and G - U, for U the barrier's vertices, has more odd
+    components than U has vertices; each grows from its lowest vertex."""
+    u = w.vertices.bits
+    if r != 2 or u >> g.n:
+        return False
+    rest = ((1 << g.n) - 1) ^ u
+    odd = 0
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            hit = g.adj[low.bit_length() - 1] & rest & ~comp
+            comp |= hit
+            frontier ^= low | hit
+        rest ^= comp
+        odd += comp.bit_count() & 1
+    return odd > u.bit_count()
+
+
+# Each payload type that can witness a NO (a tiling or a colouring cannot),
+# with the mode it blocks, its check and the clause a failed check gives.
+_WITNESSES = {
+    Ex1Witness: ("factor", independent_set_holds, "independent set does not block the factor"),
+    Ex2Witness: ("factor", odd_split_holds, "odd-split witness does not match the graph"),
+    CliqueObstruction: ("coloring", clique_holds, "clique witness fails"),
+    BicliqueObstruction: ("coloring", biclique_holds, "biclique witness fails"),
+    TutteBarrier: ("factor", tutte_barrier_holds,
+                   "Tutte barrier fails: it needs r = 2 and more odd components than vertices"),
+}
+
+
+def payload_clauses(g: Graph, obj, k_or_r: int, mode: str) -> List[str]:
+    """Clause list from re-verifying one payload object against g.  A
+    witness counts only in the mode `_WITNESSES` gives it."""
     out: List[str] = []
     if isinstance(obj, Tiling):
         if obj.r != k_or_r:
             out.append(f"tiling is of K_{obj.r}, expected K_{k_or_r}")
-        if not obj.verify(g):
+        if not tiling_holds(g, obj):
             out.append("tiling is not a clique factor of the graph")
     elif isinstance(obj, Coloring):
         if len(obj.classes) != k_or_r:
             out.append(f"coloring has {len(obj.classes)} classes, expected {k_or_r}")
-        if not obj.verify(g, equitable=False):
+        if not coloring_holds(g, obj):
             out.append("class independence breaks, or the classes do not partition the vertices")
         else:
-            sizes = [len(c) for c in obj.classes]
+            sizes = [c.bits.bit_count() for c in obj.classes]
             if sizes and max(sizes) - min(sizes) > 1:
                 out.append("equitability breaks: class sizes spread by more than one")
-    elif isinstance(obj, Ex1Witness):
-        if mode != "factor" or not obj.verify(g, k_or_r):
-            out.append("independent set does not block the factor")
-    elif isinstance(obj, Ex2Witness):
-        if mode != "factor" or not obj.verify(g, k_or_r):
-            out.append("odd-split witness does not match the graph")
-    elif isinstance(obj, CliqueObstruction):
-        if mode != "coloring" or not obj.verify(g, k_or_r):
-            out.append("clique witness fails")
-    elif isinstance(obj, BicliqueObstruction):
-        if mode != "coloring" or not obj.verify(g, k_or_r):
-            out.append("biclique witness fails")
-    elif isinstance(obj, TutteBarrier):
-        if mode != "factor" or not obj.verify(g, k_or_r):
-            out.append("Tutte barrier fails: it needs r = 2 and more odd components than vertices")
+    elif type(obj) in _WITNESSES:
+        want, holds, clause = _WITNESSES[type(obj)]
+        if mode != want or not holds(g, obj, k_or_r):
+            out.append(clause)
     elif obj is not None:
         out.append(f"unverifiable payload {type(obj).__name__}")
     return out
@@ -270,7 +394,7 @@ def verify_certificate(
         if cert.kind == "obstructed":
             if cert.witness is None:
                 out.append("obstructed certificate without a witness")
-            elif not isinstance(cert.witness, _OBSTRUCTIONS):
+            elif type(cert.witness) not in _WITNESSES:
                 out.append(f"a {type(cert.witness).__name__} cannot witness a NO")
             else:
                 out.extend(payload_clauses(g, cert.witness, value, mode))

@@ -190,27 +190,22 @@ def lift_coloring(t: Tiling, q: int, k: int) -> Coloring:
 
 
 def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, BicliqueObstruction]]:
-    """A verified K_{k+1} subgraph, or an odd K_{m,2k-m} spanning G, or None.
+    """A K_{k+1} subgraph, or an odd K_{m,2k-m} spanning G, or None.
 
-    The clique is tried first.  Bicliques prove a NO only when they cover
-    all of V, so they are scanned, over odd m up to k, only when n = 2k.  A
-    None answer is a failed search, not a proof of absence.
+    `_run` checks the witness with the rest of the answer.  The clique is
+    tried first.  Bicliques prove a NO only when they cover all of V, so
+    they are scanned, over odd m up to k, only when n = 2k.  A None answer
+    is a failed search, not a proof of absence.
     """
     hit = find_clique_of_size(g, k + 1)
     if hit is not None:
-        w = CliqueObstruction(hit)
-        if not w.verify(g, k):
-            raise InternalContradiction("clique obstruction failed verification")
-        return w
+        return CliqueObstruction(hit)
     if g.n != 2 * k:
         return None
     for m in range(1, k + 1, 2):
         pair = find_biclique(g, m, 2 * k - m)
         if pair is not None:
-            w = BicliqueObstruction(pair[0], pair[1])
-            if not w.verify(g, k):
-                raise InternalContradiction("biclique obstruction failed verification")
-            return w
+            return BicliqueObstruction(pair[0], pair[1])
     return None
 
 

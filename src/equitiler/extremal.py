@@ -40,12 +40,8 @@ class Ex1Witness(NamedTuple):
     independent_set: VertexSet
 
     def verify(self, g: Graph, r: int) -> bool:
-        return (
-            g.n % r == 0
-            and len(self.independent_set) == g.n // r + 1
-            and not self.independent_set.bits >> g.n
-            and g.is_independent(self.independent_set.bits)
-        )
+        from .certificates import independent_set_holds
+        return independent_set_holds(g, self, r)
 
 
 class Ex2Witness(NamedTuple):
@@ -55,29 +51,9 @@ class Ex2Witness(NamedTuple):
     b0: VertexSet
     b1: VertexSet
 
-    @property
-    def s(self) -> int:
-        return len(self.b0)
-
     def verify(self, g: Graph, r: int) -> bool:
-        n = g.n
-        if n % r != 0 or len(self.a_parts) != r - 2:
-            return False
-        m = n // r
-        s = len(self.b0)
-        if s % 2 == 0 or not (1 <= s <= m) or len(self.b1) != 2 * m - s:
-            return False
-        masks = [p.bits for p in self.a_parts] + [self.b0.bits, self.b1.bits]
-        union = 0
-        for mk in masks:
-            if union & mk:
-                return False
-            union |= mk
-        if union != g.full_mask:
-            return False
-        if any(len(p) != m for p in self.a_parts):
-            return False
-        return g == _ex2_graph(n, [p.bits for p in self.a_parts], self.b0.bits, self.b1.bits)
+        from .certificates import odd_split_holds
+        return odd_split_holds(g, self, r)
 
 
 ExtremalWitness = Union[Ex1Witness, Ex2Witness]
@@ -87,10 +63,6 @@ class CliqueObstruction(NamedTuple):
     """K_{k+1} subgraph: one more mutually-adjacent vertex than colors."""
 
     vertices: VertexSet
-
-    def verify(self, g: Graph, k: int) -> bool:
-        bits = self.vertices.bits
-        return len(self.vertices) == k + 1 and not bits >> g.n and g.is_clique(bits)
 
 
 class BicliqueObstruction(NamedTuple):
@@ -104,38 +76,8 @@ class BicliqueObstruction(NamedTuple):
     side_a: VertexSet
     side_b: VertexSet
 
-    @property
-    def m(self) -> int:
-        return min(len(self.side_a), len(self.side_b))
-
-    def verify(self, g: Graph, k: int) -> bool:
-        a, b = self.side_a, self.side_b
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) % 2 == 0 or len(a) + len(b) != 2 * k or not a.isdisjoint(b):
-            return False
-        if (a | b).bits != g.full_mask:
-            return False
-        for v in iter_bits(a.bits):
-            if b.bits & ~g.adj[v]:
-                return False
-        return True
-
 
 ColoringObstruction = Union[CliqueObstruction, BicliqueObstruction]
-
-
-def _ex2_graph(n: int, a_masks: List[int], b0: int, b1: int) -> Graph:
-    full = (1 << n) - 1
-    adj = [0] * n
-    for mk in a_masks:
-        for v in iter_bits(mk):
-            adj[v] = full & ~mk
-    for v in iter_bits(b0):
-        adj[v] = (full & ~b1) & ~(1 << v)
-    for v in iter_bits(b1):
-        adj[v] = (full & ~b0) & ~(1 << v)
-    return Graph(n, adj)
 
 
 def build_ex2(n: int, r: int, s: int) -> Graph:
@@ -150,11 +92,11 @@ def build_ex2(n: int, r: int, s: int) -> Graph:
         raise ValueError(f"s={s} must be odd with 1 <= s <= {m}")
     b0 = (1 << s) - 1
     b1 = ((1 << (2 * m)) - 1) ^ b0
-    a_masks = []
+    full = (1 << n) - 1
+    adj = [full ^ (b1 if v < s else b0) ^ (1 << v) for v in range(2 * m)]
     for i in range(r - 2):
-        lo = 2 * m + i * m
-        a_masks.append(((1 << m) - 1) << lo)
-    return _ex2_graph(n, a_masks, b0, b1)
+        adj.extend([full ^ (((1 << m) - 1) << (2 * m + i * m))] * m)
+    return Graph(n, adj)
 
 
 def ex2_witness(n: int, r: int, s: int) -> Ex2Witness:
@@ -237,6 +179,8 @@ def _complement_components(g: Graph) -> Iterator[int]:
 
 
 def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
+    from .certificates import odd_split_holds
+
     n = g.n
     if r < 3 or n == 0 or n % r != 0 or not _few_degrees(g):
         return None
@@ -269,7 +213,7 @@ def _recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     if not (1 <= s <= m):
         return None
     w = Ex2Witness(tuple(a_parts), VertexSet(side0), VertexSet(side1))
-    return w if w.verify(g, r) else None
+    return w if odd_split_holds(g, w, r) else None
 
 
 def _independent_heuristic(

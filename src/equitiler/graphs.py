@@ -171,9 +171,6 @@ class VertexSet:
     def __xor__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.bits ^ other.bits)
 
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.bits & other.bits == 0
-
     def issubset(self, other: "VertexSet") -> bool:
         return self.bits & ~other.bits == 0
 
@@ -260,25 +257,6 @@ class Graph:
         while rest:
             low = rest & -rest
             if (adj[low.bit_length() - 1] | low) & mask != mask:
-                return False
-            rest ^= low
-        return True
-
-    def is_independent(self, mask: int) -> bool:
-        """Whether no row of a member meets `mask`.  A wide, well-filled
-        mask is walked by `iter_bits` in C; any other is peeled inline, as in
-        `is_clique`, with no generator."""
-        adj = self.adj
-        width = mask.bit_length()
-        if width > _WIDE_BITS and mask.bit_count() * _DENSE_PER_BIT > width:
-            for v in iter_bits(mask):
-                if adj[v] & mask:
-                    return False
-            return True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & mask:
                 return False
             rest ^= low
         return True

@@ -233,13 +233,6 @@ class TutteBarrier(NamedTuple):
         odd = sum(len(c) % 2 for c in connected_components(g, rest))
         return odd - len(self.vertices)
 
-    def verify(self, g: Graph, r: int) -> bool:
-        return (
-            r == 2
-            and not self.vertices.bits & ~g.full_mask
-            and self.surplus(g) > 0
-        )
-
 
 def pm_or_structure(g: Graph) -> Union[Matching, TutteBarrier]:
     """A perfect matching of G, or a Tutte–Berge barrier proving there is none.

@@ -46,45 +46,11 @@ class Tiling(NamedTuple):
             bits |= c.bits
         return VertexSet(bits)
 
-    def verify(self, g: Graph, require_factor: bool = True) -> bool:
-        seen = 0
-        for c in self.cliques:
-            if len(c) != self.r:
-                return False
-            if seen & c.bits:
-                return False
-            if c.bits >> g.n or not g.is_clique(c.bits):
-                return False
-            seen |= c.bits
-        if require_factor and seen != g.full_mask:
-            return False
-        return True
-
 
 class Coloring(NamedTuple):
     """Color classes as a vertex partition; equitable when sizes differ by <= 1."""
 
     classes: Tuple[VertexSet, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def verify(self, g: Graph, equitable: bool = True) -> bool:
-        seen = 0
-        for cls in self.classes:
-            if seen & cls.bits:
-                return False
-            seen |= cls.bits
-            if cls.bits >> g.n or not g.is_independent(cls.bits):
-                return False
-        if seen != g.full_mask:
-            return False
-        if equitable:
-            sizes = [len(c) for c in self.classes]
-            if sizes and max(sizes) - min(sizes) > 1:
-                return False
-        return True
 
 
 class LayeredFactor(NamedTuple):

@@ -8,12 +8,11 @@ exceptional or excellent toward it), and `refine_to_good` swaps misplaced
 vertices between parts until the partition is good.  Within one
 refinement each block's degree row is counted once, whichever rounds
 grade it, and the final partition is graded once: the good-partition
-clauses are read on those grades.  The public `validate_good` re-derives
-the grades from scratch and compares them with the carried ones.
-Refinement returns only the good partition (or its stage escape): the
-exchange rounds leave no record beyond the counts a stalled refinement
-quotes in its message.  Everything runs on bitmasks with Fraction
-constants rounded once to integer thresholds, so results are
+clauses are read on those grades, and the decider checks the factor
+built on it.  Refinement returns only the good partition (or its stage
+escape): the exchange rounds leave no record beyond the counts a stalled
+refinement quotes in its message.  Everything runs on bitmasks with
+Fraction constants rounded once to integer thresholds, so results are
 reproducible and never depend on float rounding.
 """
 
@@ -44,7 +43,6 @@ __all__ = [
     "peel_partition",
     "classify",
     "refine_to_good",
-    "validate_good",
 ]
 
 
@@ -370,8 +368,7 @@ class GoodPartition(NamedTuple):
     `crowded` at 2 * beta (`_grade_thresholds`).  `rescue[i]` matches every
     off-S vertex that is thin toward A_i at beta/2 into A_i; the matchings
     are pairwise disjoint.  Refinement checks the conditions on the grades
-    it carries; `validate_good` re-derives every condition from scratch,
-    the carried grades included.
+    it carries.
     """
 
     partition: RsPartition
@@ -611,33 +608,6 @@ def _rescue_matchings(
 def _within_root_budget(count: int, budget: Fraction, scale: int) -> bool:
     # count <= sqrt(budget) * scale, squared to stay in integer arithmetic.
     return count * count <= budget * scale * scale
-
-
-def validate_good(g: Graph, q: GoodPartition) -> List[str]:
-    """Re-derive every good-partition condition; returns violated clauses.
-
-    The grades are taken afresh and compared with the ones q carries, and
-    the clauses (S) and (A1)-(A4) are read on the fresh grades.
-    """
-    p = q.partition
-    try:
-        p.check(g.n)
-    except PreconditionError as exc:
-        return [f"(shape) {exc}"]
-    if not p.parts:
-        return ["(shape) no parts to validate"]
-    thin, crowded, cls = classify(g, p, _grade_thresholds(q.constants))
-    report = [
-        f"(grades) {name} differs from the grade at delta = {fresh.delta}"
-        for name, carried, fresh in (
-            ("thin", q.thin, thin),
-            ("crowded", q.crowded, crowded),
-            ("classification", q.classification, cls),
-        )
-        if carried != fresh
-    ]
-    fresh_q = q._replace(thin=thin, crowded=crowded, classification=cls)
-    return report + _violations(g, fresh_q)
 
 
 def _violations(g: Graph, q: GoodPartition) -> List[str]:

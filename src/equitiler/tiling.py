@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .certificates import clique_tiles_cover
 from .errors import InternalContradiction, PreconditionError
 from .graphs import (
     Graph,
@@ -495,7 +496,8 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     pair seed trading one vertex between its two overfilled blocks.
     Running out of candidates is a miss and raises
     PreconditionError naming the block that ran dry; grown cliques that
-    fail re-verification raise InternalContradiction.
+    break block balance raise InternalContradiction.  `_run` checks the
+    cliques with the final factor.
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
@@ -519,15 +521,12 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
         grown.append(got)
         forbid |= got
     cliques = tuple(VertexSet(c) for c in grown)
-    t = Tiling(r, cliques)
-    if not t.verify(g, require_factor=False):
-        raise InternalContradiction("grown cliques failed re-verification")
     count = len(cliques)
     for key, bmask, quota in _blocks(p, r):
         got_here = sum((c.bits & bmask).bit_count() for c in cliques)
         if got_here != count * quota:
             raise InternalContradiction("grown cliques break block balance")
-    return t
+    return Tiling(r, cliques)
 
 
 def _extensions(
@@ -765,9 +764,10 @@ def parity_repair(
     walks two bounded moves, at most REPAIR_BUDGET candidates in all: regrow
     a seed with different leftover-block choices, or plant a fresh pair seed
     on an edge inside a part, which `extend_base` grows if its slack is
-    positive.  Each candidate tiling is re-verified in full before it is
-    accepted.  Running out of moves is a miss of the route, not an error,
-    and raises PreconditionError; an InternalContradiction propagates.
+    positive.  A candidate is accepted only when its cliques are disjoint
+    r-cliques of G, by the checker's `clique_tiles_cover`.  Running out of
+    moves is a miss of the route, not an error, and raises
+    PreconditionError; an InternalContradiction propagates.
     """
     p, n, r, s = _context(g, q)
     if r - s != 2:
@@ -784,10 +784,8 @@ def parity_repair(
 
     def leftover_pairs(t2: Tiling) -> Optional[Tiling]:
         # The leftover block's pair tiling when t2 is an acceptable repair.
-        if not t2.verify(g, require_factor=False):
-            return None
-        cov = t2.covered.bits
-        if obligations & ~cov:
+        cov = clique_tiles_cover(g, r, t2.cliques)
+        if cov is None or obligations & ~cov:
             return None
         psizes = {(a.bits & ~cov).bit_count() for a in p.parts}
         if len(psizes) > 1:

@@ -37,6 +37,7 @@ from equitiler.absorbing import (
     _sigma_gate,
     find_augmentation,
 )
+from equitiler.certificates import clique_tiles_cover, odd_split_holds, tiling_holds
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.extremal import Ex2Witness, independent_set_of_size
@@ -74,7 +75,10 @@ from equitiler.partition import (
     RsPartition,
     VertexClassification,
     _check_thin_spread,
+    _grade_thresholds,
     _sparse_set,
+    _violations,
+    classify,
     slack_threshold,
 )
 from equitiler.smallgraphs import MAX_CANONICAL_N, _canonical_batch, _perm_pow_table
@@ -119,6 +123,12 @@ def is_independent_set(adj: Sequence[Set[int]], vs: Iterable[int]) -> bool:
     return not any(b in adj[a] for a, b in itertools.combinations(vs, 2))
 
 
+def independent_in(g, mask: int) -> bool:
+    """Whether no edge of an equitiler Graph joins two vertices of `mask`,
+    by its public edge iterator."""
+    return not any(mask >> u & mask >> v & 1 for u, v in g.edges())
+
+
 def brute_sigma(n: int, edges: Iterable[Edge]):
     adj = adj_sets(n, edges)
     degs = [len(a) for a in adj]
@@ -155,6 +165,23 @@ def brute_independence_number(n: int, edges: Iterable[Edge]) -> int:
                 best = size
                 break
     return best
+
+
+def brute_odd_components(adj: Sequence[Set[int]], removed: Iterable[int]) -> int:
+    """The odd components of the graph on adj's vertices once `removed`
+    is taken out, by breadth-first search over sets."""
+    left = set(range(len(adj))) - set(removed)
+    odd = 0
+    while left:
+        queue = deque([left.pop()])
+        size = 1
+        while queue:
+            near = adj[queue.popleft()] & left
+            left -= near
+            size += len(near)
+            queue.extend(near)
+        odd += size % 2
+    return odd
 
 
 def brute_max_matching_size(n: int, edges: Iterable[Edge]) -> int:
@@ -429,6 +456,34 @@ def absorbing_family_for(aset: AbsorbingSet, g: Graph, q: VertexSet) -> Absorber
         if not (s.bits & q.bits) and is_absorber_set(g, s.bits, q.bits, aset.r)
     )
     return AbsorberFamily(q, hits)
+
+
+def validate_good(g: Graph, q: GoodPartition) -> List[str]:
+    """Re-derive every good-partition condition; returns violated clauses.
+
+    The grades are taken afresh and compared with the ones q carries, and
+    the clauses (S) and (A1)-(A4) are read on the fresh grades.  The decider
+    checks every structured answer itself, so only the tests need this.
+    """
+    p = q.partition
+    try:
+        p.check(g.n)
+    except PreconditionError as exc:
+        return [f"(shape) {exc}"]
+    if not p.parts:
+        return ["(shape) no parts to validate"]
+    thin, crowded, cls = classify(g, p, _grade_thresholds(q.constants))
+    report = [
+        f"(grades) {name} differs from the grade at delta = {fresh.delta}"
+        for name, carried, fresh in (
+            ("thin", q.thin, thin),
+            ("crowded", q.crowded, crowded),
+            ("classification", q.classification, cls),
+        )
+        if carried != fresh
+    ]
+    fresh_q = q._replace(thin=thin, crowded=crowded, classification=cls)
+    return report + _violations(g, fresh_q)
 
 
 def is_base(g: Graph, q: GoodPartition, b: Base, slack) -> bool:
@@ -765,7 +820,7 @@ def seed_quotient_factor(g, p, ts, retries: int = 20):
         if not ok:
             continue
         t = Tiling(k, tuple(VertexSet(c) for c in cliques))
-        if not t.verify(gstar, require_factor=True):
+        if not tiling_holds(gstar, t):
             continue
         if all((c.bits & a.bits).bit_count() == 1 for c in t.cliques for a in parts):
             # expand
@@ -823,7 +878,7 @@ def seed_multipartite_factor(
                 cliques[ci] |= row[ui][0]
         else:
             t = Tiling(r, tuple(VertexSet(c) for c in cliques))
-            if t.verify(g, require_factor=False):
+            if clique_tiles_cover(g, r, t.cliques) is not None:
                 return t
     return None
 
@@ -1878,7 +1933,7 @@ def seed_recognize_ex2(g: Graph, r: int) -> Optional[Ex2Witness]:
     if not (1 <= s <= m):
         return None
     w = Ex2Witness(tuple(a_parts), VertexSet(side0), VertexSet(side1))
-    return w if w.verify(g, r) else None
+    return w if odd_split_holds(g, w, r) else None
 
 
 # The degree-sum gates as level walks: per vertex, one big-int meet with each

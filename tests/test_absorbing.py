@@ -26,6 +26,7 @@ from equitiler import (
     sigma,
 )
 from equitiler.absorbing import _draw_probe, _random_clique, _sample_absorbers
+from equitiler.certificates import clique_tiles_cover, tiling_holds
 from equitiler.graphs import iter_bits, low_degree_set
 from equitiler.oracle import kr_factor_exact
 from _brute import (
@@ -429,8 +430,7 @@ class TestBuild:
         assert absorbing_set_problems(aset, g) == []
         t = absorb(g, aset, vs())
         assert len(t.cliques) == 3
-        assert t.covered == aset.m
-        assert t.verify(g, require_factor=False)
+        assert clique_tiles_cover(g, 3, t.cliques) == aset.m.bits
 
     def test_independent_part_blocks_build(self):
         assert build_absorbing_set(multipartite((6, 6, 6)), 3, seed=0) is None
@@ -448,7 +448,7 @@ class TestBuild:
         t = absorb(g, aset, rest)
         assert len(t.cliques) == 4
         assert t.covered == VertexSet(range(12))
-        assert t.verify(g)
+        assert tiling_holds(g, t)
         assert absorbing_family_for(aset, g, rest).members == aset.family
 
     def test_small_slow_set_gets_fixed_cover(self):
@@ -465,7 +465,7 @@ class TestBuild:
         pool = sorted((VertexSet(range(24)) - aset.m).members())
         t = absorb(g, aset, VertexSet(pool[:3]))
         assert len(t.cliques) == 6
-        assert t.verify(g, require_factor=False)
+        assert clique_tiles_cover(g, t.r, t.cliques) is not None
 
     def test_dense_random_graph_end_to_end(self):
         rng = random.Random(0xE0A1)
@@ -481,8 +481,7 @@ class TestBuild:
         for trial in range(10):
             u = VertexSet(pick.sample(pool, (0, 3, 6)[trial % 3]))
             t = absorb(g, aset, u)
-            assert t.covered == (aset.m | u)
-            assert t.verify(g, require_factor=False)
+            assert clique_tiles_cover(g, 3, t.cliques) == (aset.m | u).bits
 
     def test_sparse_random_graph_fails_gate(self):
         rng = random.Random(0xE0A1)

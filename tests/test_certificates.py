@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 from equitiler import DecisionCertificate, PreconditionError
 from equitiler.certificates import (
     SCHEMA,
+    biclique_holds,
     certificate_from_json,
     certificate_to_json,
+    clique_holds,
+    clique_tiles_cover,
+    coloring_holds,
+    independent_set_holds,
+    odd_split_holds,
     payload_clauses,
+    tiling_holds,
+    tutte_barrier_holds,
     verify_certificate,
     vertex_sets_from_json,
 )
@@ -24,6 +32,7 @@ from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
+    Ex2Witness,
     build_ex1_like,
     build_ex2,
     build_obstruction,
@@ -34,7 +43,14 @@ from equitiler.graphs import Graph, VertexSet
 from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling, equitable_coloring_exact
 
-from _brute import brute_equitable_colorable, brute_kr_factor_exists
+from _brute import (
+    adj_sets,
+    brute_equitable_colorable,
+    brute_kr_factor_exists,
+    brute_odd_components,
+    is_clique_set,
+    is_independent_set,
+)
 
 # The dense workload's roomier absorption constants, under which absorption
 # factors random_gnp(240, 0.9).
@@ -553,6 +569,220 @@ class TestPayloadClauses:
         ]
 
 
+# ---------------------------------------------------------------------------
+# each payload check against a set-based reference
+
+
+@st.composite
+def _graph_and_sets(draw):
+    """A graph on at most 12 vertices, up to four vertex sets, the r or k
+    to check them at, and a mode.
+
+    A set names vertices in [0, n + 1], so some fall outside the graph, and
+    one vertex may sit in several sets.  Half the time the sets are a
+    shuffled partition of V instead, and then the first set may take one
+    vertex of the last as well.  The edges inside the sets are all
+    present, all absent or drawn like the rest, so that cliques,
+    independent sets and complete bipartite pairs turn up; the rest are
+    drawn at a density of one to nine tenths.
+    """
+    n = draw(st.integers(min_value=0, max_value=12))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        # Two parts most often, the shape of a biclique.
+        count = draw(st.sampled_from([1, 1, 1, 0, 2, 3]))
+        cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=n), min_size=count, max_size=count)))
+        sets = [order[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        if sets[-1] and draw(st.booleans()):
+            sets[0] = sets[0] + sets[-1][:1]
+    else:
+        vertex = st.integers(min_value=0, max_value=n + 1)
+        sets = draw(st.lists(st.lists(vertex, unique=True, max_size=7), max_size=4))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(min_value=1, max_value=9))
+    coins = [level < density for level in draw(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=len(pairs), max_size=len(pairs))
+    )]
+    inside = draw(st.sampled_from(["join", "split", "drawn"]))
+    across = draw(st.sampled_from(["join", "drawn"]))
+    edges = []
+    for (u, v), coin in zip(pairs, coins):
+        same = any(u in s and v in s for s in sets)
+        rule = inside if same else across if sets and (u in sets[0]) != (v in sets[0]) else "drawn"
+        if rule == "join" or (rule == "drawn" and coin):
+            edges.append((u, v))
+    value = draw(st.integers(min_value=1, max_value=n + 2))
+    return n, edges, sets, value, draw(st.sampled_from(["factor", "coloring"]))
+
+
+def _ref_cover(sets, fits):
+    """The union of `sets` when they are pairwise disjoint and each fits,
+    else None."""
+    seen = set()
+    for s in sets:
+        if seen & s or not fits(s):
+            return None
+        seen |= s
+    return seen
+
+
+def _split_edge(parts, b0, b1, u, v):
+    """Whether the split on these sets joins u and v: all pairs but those
+    inside one independent part and those across the clique pair."""
+    if any(u in p and v in p for p in parts):
+        return False
+    return not ({u, v} <= b0 | b1 and (u in b0) != (v in b0))
+
+
+@st.composite
+def _odd_splits(draw):
+    """A split on at most 12 vertices under a shuffled labelling, its
+    witness, the r to check it at, a mode, and at most one flaw: a vertex
+    moved to another set before the graph is built on the sets, so that
+    only their sizes are wrong; an edge flipped; a vertex moved to another
+    set; a vertex of one set put in
+    place of one of another, so that the two share it; a vertex replaced
+    by one outside the graph; or r changed.  r is 2, 3 or 4,
+    and the side b0 has any size s <= 2m, odd or even, though an odd split's
+    witness names its smaller side."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(min_value=1, max_value=12 // r))
+    s = draw(st.integers(min_value=0, max_value=2 * m))
+    n = r * m
+    perm = draw(st.permutations(range(n)))
+    cuts = [0, s, 2 * m] + [2 * m + i * m for i in range(1, r - 1)]
+    sets = [perm[i:j] for i, j in zip(cuts, cuts[1:])]
+    sets = sets[2:] + sets[:2]
+    flaw = draw(st.sampled_from(["none", "resize", "edge", "move", "share", "outside", "r"]))
+    if flaw == "resize":
+        i, j = draw(st.permutations(range(len(sets))))[:2]
+        if sets[i]:
+            sets[j].append(sets[i].pop())
+    parts, b0, b1 = [set(p) for p in sets[:-2]], set(sets[-2]), set(sets[-1])
+    g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if _split_edge(parts, b0, b1, *e)])
+    if flaw == "edge" and n > 1:
+        u, v = draw(st.sampled_from(list(combinations(range(n), 2))))
+        g.adj[u] ^= 1 << v
+        g.adj[v] ^= 1 << u
+    elif flaw in ("move", "share"):
+        i, j = draw(st.permutations(range(len(sets))))[:2]
+        if sets[i] and flaw == "move":
+            sets[j].append(sets[i].pop())
+        elif sets[i] and sets[j]:
+            sets[j][0] = sets[i][0]
+    elif flaw == "outside":
+        i = draw(st.sampled_from([i for i, p in enumerate(sets) if p]))
+        sets[i][0] = draw(st.sampled_from([n, n + 1]))
+    elif flaw == "r":
+        r = draw(st.sampled_from([v for v in range(1, 7) if v != r]))
+    parts = tuple(VertexSet(p) for p in sets)
+    return g, Ex2Witness(parts[:-2], parts[-2], parts[-1]), r, draw(st.sampled_from(["factor", "coloring"]))
+
+
+class TestChecksMatchSetReferences:
+    @settings(max_examples=400, deadline=None)
+    @given(_graph_and_sets())
+    def test_each_check_matches_its_reference(self, case):
+        # Each check, and payload_clauses on its payload in either mode,
+        # agrees with a reference on sets of vertices built from the edge
+        # list alone.  Tilings and witnesses are checked at the drawn value
+        # and at each value their sizes can make them hold at.
+        n, edges, sets, value, mode = case
+        g, adj = Graph.from_edges(n, edges), adj_sets(n, edges)
+        sets = [set(s) for s in sets]
+        masks = tuple(VertexSet(s) for s in sets)
+        a, b = (sets + [set(), set()])[:2]
+        full = set(range(n))
+
+        def inside(s):
+            return all(v < n for v in s)
+
+        classes = _ref_cover(sets, lambda s: inside(s) and is_independent_set(adj, s))
+        assert coloring_holds(g, Coloring(masks)) is (classes == full)
+        small, large = sorted((a, b), key=len)
+        spanning = not a & b and a | b == full
+        ex1_values = [r for r in range(1, n + 1) if n % r == 0 and n // r + 1 == len(a)]
+        for k in {value, 2, max(len(a) - 1, 1), max(len(a), 1), max(n // 2, 1), *ex1_values}:
+            tiles = _ref_cover(sets, lambda s: inside(s) and len(s) == k and is_clique_set(adj, s))
+            assert clique_tiles_cover(g, k, masks) == (None if tiles is None else sum(1 << v for v in tiles))
+            assert tiling_holds(g, Tiling(k, masks)) is (tiles == full)
+            cases = [
+                (Ex1Witness(VertexSet(a)), independent_set_holds, "factor",
+                 n % k == 0 and len(a) == n // k + 1 and inside(a) and is_independent_set(adj, a)),
+                (CliqueObstruction(VertexSet(a)), clique_holds, "coloring",
+                 len(a) == k + 1 and inside(a) and is_clique_set(adj, a)),
+                (BicliqueObstruction(VertexSet(a), VertexSet(b)), biclique_holds, "coloring",
+                 spanning and len(small) % 2 == 1 and n == 2 * k
+                 and all(v in adj[u] for u in small for v in large)),
+                (TutteBarrier(VertexSet(a)), tutte_barrier_holds, "factor",
+                 k == 2 and inside(a) and brute_odd_components(adj, a) > len(a)),
+            ]
+            for w, holds, own, want in cases:
+                assert holds(g, w, k) is want, (type(w).__name__, k)
+                assert (payload_clauses(g, w, k, mode) == []) is (want and mode == own)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_odd_splits())
+    def test_odd_split_matches_its_reference(self, case):
+        g, w, r, mode = case
+        n = g.n
+        adj = adj_sets(n, g.edges())
+        sets = [set(p) for p in (*w.a_parts, w.b0, w.b1)]
+        parts, b0, b1 = sets[:-2], sets[-2], sets[-1]
+        m = n // r
+        shape = (
+            n % r == 0 and len(parts) == r - 2 and all(len(p) == m for p in parts)
+            and len(b0) % 2 == 1 and len(b0) <= m and len(b1) == 2 * m - len(b0)
+            and _ref_cover(sets, lambda s: True) == set(range(n))
+        )
+        want = shape and all(
+            (v in adj[u]) == _split_edge(parts, b0, b1, u, v) for u, v in combinations(range(n), 2)
+        )
+        assert odd_split_holds(g, w, r) is want
+        assert (payload_clauses(g, w, r, mode) == []) is (want and mode == "factor")
+
+    def test_r1_split_is_refused(self):
+        # At r = 1 there are no independent parts to fill, and the two sides
+        # may both be V; the empty graph has a K_1-factor all the same.
+        v = VertexSet(range(3))
+        assert not odd_split_holds(Graph.empty(3), Ex2Witness((), v, v), 1)
+
+    def test_independence_on_wide_masks(self):
+        # A wide, well-filled set and a sparse one on 960 vertices: each
+        # must see an edge between its last two members and ignore an edge
+        # that leaves it.
+        n = 960
+        for step, r in ((3, 3), (40, 40)):
+            members = [1] + list(range(0, n, step))
+            w = Ex1Witness(VertexSet(members))
+            assert len(members) == n // r + 1
+            assert independent_set_holds(Graph.from_edges(n, [(members[-1], members[-1] + 1)]), w, r)
+            assert not independent_set_holds(Graph.from_edges(n, [(members[-2], members[-1])]), w, r)
+
+
+class TestWitnessVerifyMethods:
+    """`Ex1Witness.verify` and `Ex2Witness.verify` stay because
+    benchmarks/make_expected.py checks the stored constructions with them;
+    each is the checker's own function."""
+
+    @pytest.mark.parametrize("n, r", [(9, 3), (12, 3), (12, 4)])
+    def test_ex1_verify_agrees_with_payload_clauses(self, n, r):
+        for g in (build_ex1_like(n, r), Graph.empty(n), Graph.complete(n)):
+            for size in (n // r, n // r + 1):
+                w = Ex1Witness(VertexSet(range(size)))
+                for value in (r, r + 1):
+                    assert w.verify(g, value) is (payload_clauses(g, w, value, "factor") == [])
+
+    @pytest.mark.parametrize("n, r, s", [(9, 3, 1), (9, 3, 3), (12, 4, 1)])
+    def test_ex2_verify_agrees_with_payload_clauses(self, n, r, s):
+        w = ex2_witness(n, r, s)
+        crossed = build_ex2(n, r, s)
+        crossed.add_edge(0, s)
+        for g in (build_ex2(n, r, s), crossed, Graph.complete(n)):
+            for value in (r, r + 1):
+                assert w.verify(g, value) is (payload_clauses(g, w, value, "factor") == [])
+
+
 def _fuzz_doc(kind, answer, payload):
     return {
         "schema": SCHEMA, "kind": kind, "answer": answer, "certificate": payload,
@@ -754,7 +984,9 @@ class TestGenuineMutants:
     be accepted, and its payload must pass a naive check.  An exact NO or
     an unresolved answer claims nothing the checker reads, as in
     TestVerifyFuzz.  The decider's own check on every answer is this
-    checker, and it is the structured route's only check of its tiling."""
+    checker, whose checks read only the graph's rows.  It is the only check
+    of a structured tiling, of the cliques a seed grows into and of the
+    witness a colouring NO hunts down."""
 
     CASES = {
         "structured": (lambda: ex2_plus(240, 160, 161), "factor", 3, None, "pipeline"),

@@ -41,7 +41,15 @@ from equitiler import (
 from equitiler import absorbing as absorbing_module
 from equitiler import decide as decide_module
 from equitiler import oracle as oracle_module
-from equitiler.certificates import certificate_to_json, verify_certificate
+from equitiler.certificates import (
+    biclique_holds,
+    certificate_to_json,
+    clique_holds,
+    payload_clauses,
+    tiling_holds,
+    tutte_barrier_holds,
+    verify_certificate,
+)
 from equitiler.matching import TutteBarrier, maximum_matching
 from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
@@ -140,7 +148,7 @@ class TestLift:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         t = kr_factor_exact(complement(g), 2)
         col = lift_coloring(t, 0, 2)
-        assert col.verify(g)
+        assert payload_clauses(g, col, 2, "coloring") == []
         assert set(c.bits for c in col.classes) == {vs(0, 2).bits, vs(1, 3).bits}
 
     def test_padded_cycle(self):
@@ -151,7 +159,7 @@ class TestLift:
         t = kr_factor_exact(complement(padded), 3)
         assert t is not None
         col = lift_coloring(t, q, 3)
-        assert col.verify(g)
+        assert payload_clauses(g, col, 3, "coloring") == []
         assert sorted(len(c) for c in col.classes) == [2, 2, 3]
 
     def test_wrong_clique_count(self):
@@ -175,7 +183,7 @@ class TestColoringObstruction:
         g = multipartite((3, 3))
         w = coloring_obstruction(g, 3)
         assert isinstance(w, BicliqueObstruction)
-        assert w.m == 3
+        assert min(len(w.side_a), len(w.side_b)) == 3
 
     def test_star_is_an_m1_biclique(self):
         s5 = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
@@ -193,13 +201,13 @@ class TestFactorLadder:
         c = decide_kr_factor(build_ex2(9, 3, 1), 3)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "recognizer")
         assert isinstance(c.witness, Ex2Witness)
-        assert c.witness.verify(build_ex2(9, 3, 1), 3)
+        assert payload_clauses(build_ex2(9, 3, 1), c.witness, 3, "factor") == []
 
     def test_complete_graph(self):
         c = decide_kr_factor(Graph.complete(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert len(c.certificate.cliques) == 3
-        assert c.certificate.verify(Graph.complete(9))
+        assert tiling_holds(Graph.complete(9), c.certificate)
 
     def test_r_one_and_empty(self):
         c = decide_kr_factor(Graph.empty(30), 1)
@@ -216,7 +224,7 @@ class TestFactorLadder:
     def test_even_cycle_matching(self):
         c = decide_kr_factor(cycle(30), 2)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert c.certificate.verify(cycle(30))
+        assert tiling_holds(cycle(30), c.certificate)
 
     def test_star_yields_centre_barrier(self):
         star = Graph.from_edges(30, [(0, v) for v in range(1, 30)])
@@ -234,7 +242,7 @@ class TestFactorLadder:
         c = decide_kr_factor(g, 2)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "pipeline")
         assert c.witness == TutteBarrier(vs())
-        assert c.witness.verify(g, 2)
+        assert tutte_barrier_holds(g, c.witness, 2)
 
     def test_every_pair_no_is_a_barrier(self, rng):
         # Small inputs too: r = 2 never reaches the oracle or the recognizers.
@@ -262,7 +270,7 @@ class TestFactorPipelines:
         g = random_graph(rng, 60, 0.9)
         c = decide_kr_factor(g, 3, cfg=DENSE)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert c.certificate.verify(g)
+        assert tiling_holds(g, c.certificate)
         assert any(stage == "absorption" for stage, _ in c.timings)
 
     def test_medium_dense_falls_back_honestly(self):
@@ -284,7 +292,7 @@ class TestFactorPipelines:
         g.add_edge(24, 25)
         c = decide_kr_factor(g, 3, cfg=DESK36)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert c.certificate.verify(g)
+        assert tiling_holds(g, c.certificate)
 
     def test_leftover_block_matched_once(self, monkeypatch):
         # Record the vertex mask every maximum matching runs on, wrapping the
@@ -303,7 +311,7 @@ class TestFactorPipelines:
             monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert c.certificate.verify(g)
+        assert tiling_holds(g, c.certificate)
         # The leftover block lies inside the clique pair, vertices 0..2m-1.
         leftover = [mask for mask in matched if mask and not mask >> (2 * m)]
         assert leftover
@@ -312,7 +320,7 @@ class TestFactorPipelines:
     def assert_pipeline_factor(self, g):
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert c.certificate.verify(g)
+        assert tiling_holds(g, c.certificate)
 
     # Each of the next five inputs reaches one structured-route path that no
     # other test and no benchmark case reaches.
@@ -358,7 +366,7 @@ class TestFactorPipelines:
         # PreconditionError that leaves a note and falls through.
         c = decide_kr_factor(multipartite((9, 9, 9)), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
-        assert c.certificate.verify(multipartite((9, 9, 9)))
+        assert tiling_holds(multipartite((9, 9, 9)), c.certificate)
         assert c.notes[-1].startswith("structured route: stage graph at round 2")
 
     def test_structured_contradiction_propagates(self, monkeypatch):
@@ -581,7 +589,7 @@ class TestEquitable:
         c = decide_equitable(Graph.complete(4), 3)
         assert (c.kind, c.answer) == ("obstructed", False)
         assert isinstance(c.witness, CliqueObstruction)
-        assert c.witness.verify(Graph.complete(4), 3)
+        assert clique_holds(Graph.complete(4), c.witness, 3)
 
     def test_balanced_biclique_obstruction(self):
         g = multipartite((3, 3))
@@ -594,7 +602,7 @@ class TestEquitable:
         c = decide_equitable(cycle(5), 3)
         assert (c.kind, c.answer) == ("colorable", True)
         assert sorted(len(cl) for cl in c.certificate.classes) == [1, 2, 2]
-        assert c.certificate.verify(cycle(5))
+        assert payload_clauses(cycle(5), c.certificate, 3, "coloring") == []
 
     def test_padded_seven_cycle(self):
         c = decide_equitable(cycle(7), 3)
@@ -604,7 +612,7 @@ class TestEquitable:
     def test_more_colors_than_vertices(self):
         c = decide_equitable(Graph.complete(5), 7)
         assert c.answer is True
-        assert c.certificate.verify(Graph.complete(5))
+        assert payload_clauses(Graph.complete(5), c.certificate, 7, "coloring") == []
 
     def test_k_must_be_positive(self):
         with pytest.raises(PreconditionError):
@@ -624,7 +632,7 @@ class TestEquitable:
         c = decide_equitable(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "recognizer")
         assert c.witness is None
-        assert not BicliqueObstruction(vs(0), vs(1, 2, 3, 4, 5)).verify(g, 3)
+        assert not biclique_holds(g, BicliqueObstruction(vs(0), vs(1, 2, 3, 4, 5)), 3)
 
     def test_odd_balanced_biclique_decides_at_once(self):
         # K_{23,23} at k = 23 is the Chen–Lih–Wu exception: every edge sums
@@ -694,7 +702,7 @@ class TestEquitable:
             c = decide_equitable(g, k)
             assert c.answer is (equitable_coloring_exact(g, k) is not None)
             if c.answer:
-                assert c.certificate.verify(g)
+                assert payload_clauses(g, c.certificate, k, "coloring") == []
 
     def test_between_caps_colors_at_source_scale(self):
         # n=19, k=9 pads to 27 vertices, past the main oracle cap.  The
@@ -704,12 +712,12 @@ class TestEquitable:
         c = decide_equitable(g, 9)
         assert (c.kind, c.provenance) == ("colorable", "oracle")
         assert [stage for stage, _ in c.timings] == ["oracle"]
-        assert c.certificate.verify(g, equitable=True)
+        assert payload_clauses(g, c.certificate, 9, "coloring") == []
 
         c = decide_equitable(Graph.complete(26), 5)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "oracle")
         assert isinstance(c.witness, CliqueObstruction)
-        assert c.witness.verify(Graph.complete(26), 5)
+        assert clique_holds(Graph.complete(26), c.witness, 5)
 
     def test_failed_oracle_colouring_raises(self, monkeypatch):
         # The exact colouring is checked by a raise, not an assert, so that
@@ -766,7 +774,7 @@ class TestEquitable:
             t = kr_factor_exact(h, 3)
         finally:
             sys.setprofile(previous)
-        assert t is not None and t.verify(h)
+        assert t is not None and tiling_holds(h, t)
         assert 0 < nodes <= ceiling
 
     def test_unresolved_exit(self):

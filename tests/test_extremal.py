@@ -7,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equitiler import extremal as extremal_module
+from equitiler.certificates import (
+    biclique_holds,
+    clique_holds,
+    independent_set_holds,
+    odd_split_holds,
+)
 from equitiler.extremal import (
     BicliqueObstruction,
     CliqueObstruction,
@@ -36,6 +42,7 @@ from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from _brute import (
     has_biclique,
+    independent_in,
     relabel,
     seed_independent_heuristic,
     seed_independent_set_of_size,
@@ -52,7 +59,7 @@ class TestBuilders:
         assert not any(g.has_edge(0, v) for v in range(1, 8))
         assert all(g.has_edge(0, v) for v in range(8, 12))
         assert g.is_clique(0b11111110)  # vertices 1..7
-        assert g.is_independent(0b111100000000)  # vertices 8..11
+        assert independent_in(g, 0b111100000000)  # vertices 8..11
 
     def test_ex2_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -66,7 +73,7 @@ class TestBuilders:
 
     def test_ex1_like_structure(self):
         g = build_ex1_like(9, 3)
-        assert g.is_independent((1 << 4) - 1)
+        assert independent_in(g, (1 << 4) - 1)
         assert g.is_clique(g.full_mask ^ ((1 << 4) - 1))
         assert g.degree(0) == 5 and g.degree(8) == 8
 
@@ -77,8 +84,8 @@ class TestBuilders:
     def test_obstruction_biclique(self):
         g = build_obstruction(4, 3)
         assert g.n == 8
-        assert g.is_independent((1 << 3) - 1)
-        assert g.is_independent(g.full_mask ^ ((1 << 3) - 1))
+        assert independent_in(g, (1 << 3) - 1)
+        assert independent_in(g, g.full_mask ^ ((1 << 3) - 1))
         assert all(g.has_edge(u, v) for u in range(3) for v in range(3, 8))
         with pytest.raises(ValueError, match="odd"):
             build_obstruction(4, 2)
@@ -92,8 +99,8 @@ class TestRecognizer:
         g = build_ex2(n, r, s)
         w = recognize_extremal(g, r)
         assert isinstance(w, Ex2Witness)
-        assert w.s == s
-        assert w.verify(g, r)
+        assert len(w.b0) == s
+        assert odd_split_holds(g, w, r)
         assert w == ex2_witness(n, r, s)
 
     def test_relabeled_odd_split_still_found(self, rng):
@@ -102,19 +109,19 @@ class TestRecognizer:
         rng.shuffle(perm)
         h = relabel(g, perm)
         w = recognize_extremal(h, 3)
-        assert isinstance(w, Ex2Witness) and w.s == 3 and w.verify(h, 3)
+        assert isinstance(w, Ex2Witness) and len(w.b0) == 3 and odd_split_holds(h, w, 3)
 
     def test_near_independent_found(self):
         g = build_ex1_like(12, 3)
         w = recognize_extremal(g, 3)
         assert isinstance(w, Ex1Witness)
-        assert w.verify(g, 3)
+        assert independent_set_holds(g, w, 3)
 
     def test_cycle_nine(self):
         w = recognize_extremal(cycle(9), 3)
         assert isinstance(w, Ex1Witness)
         assert len(w.independent_set) == 4
-        assert w.verify(cycle(9), 3)
+        assert independent_set_holds(cycle(9), w, 3)
 
     def test_perturbed_odd_split_not_matched(self):
         g = build_ex2(12, 3, 1)
@@ -198,27 +205,27 @@ class TestDegreeGate:
 class TestWitnessVerification:
     def test_ex2_rejects_wrong_graph(self):
         w = ex2_witness(12, 3, 1)
-        assert not w.verify(build_ex2(12, 3, 3), 3)
-        assert not w.verify(Graph.complete(12), 3)
+        assert not odd_split_holds(build_ex2(12, 3, 3), w, 3)
+        assert not odd_split_holds(Graph.complete(12), w, 3)
 
     def test_ex1_rejects_wrong_size(self):
         w = Ex1Witness(VertexSet([0, 1, 2]))
-        assert not w.verify(build_ex1_like(12, 3), 3)
+        assert not independent_set_holds(build_ex1_like(12, 3), w, 3)
 
     def test_clique_obstruction(self):
         g = Graph.complete(5)
-        assert CliqueObstruction(VertexSet([0, 1, 2, 3, 4])).verify(g, 4)
-        assert not CliqueObstruction(VertexSet([0, 1, 2, 3])).verify(g, 4)
+        assert clique_holds(g, CliqueObstruction(VertexSet([0, 1, 2, 3, 4])), 4)
+        assert not clique_holds(g, CliqueObstruction(VertexSet([0, 1, 2, 3])), 4)
 
     def test_biclique_obstruction_subgraph_semantics(self):
         # Internal edges on either side are irrelevant; cross edges decide.
         g = build_obstruction(3, 1)
         g.add_edge(1, 2)
         w = BicliqueObstruction(VertexSet([0]), VertexSet([1, 2, 3, 4, 5]))
-        assert w.verify(g, 3)
-        assert not w.verify(g, 4)
+        assert biclique_holds(g, w, 3)
+        assert not biclique_holds(g, w, 4)
         even = BicliqueObstruction(VertexSet([0, 1]), VertexSet([2, 3, 4, 5]))
-        assert not even.verify(g, 3)
+        assert not biclique_holds(g, even, 3)
 
 
 class TestFindBiclique:
@@ -233,7 +240,7 @@ class TestFindBiclique:
             assert (got is not None) == want
             if got is not None:
                 sa, sb = got
-                assert len(sa) == a and len(sb) == b and sa.isdisjoint(sb)
+                assert len(sa) == a and len(sb) == b and not (sa & sb).bits
                 for u in sa:
                     for v in sb:
                         assert g.has_edge(u, v)
@@ -273,7 +280,7 @@ class TestIndependentHeuristic:
         assert (got is None) == (want is None)
         if got is not None:
             assert len(got) == target and got.issubset(want)
-            assert g.is_independent(got.bits)
+            assert independent_in(g, got.bits)
             if target > _greedy_size(g):
                 assert got.bits == lowest_vertices(want.bits, target)
 
@@ -359,7 +366,7 @@ class TestIndependentSetOfSize:
         want = seed_independent_set_of_size(g, target)
         assert (got is None) == (want is None)
         if got is not None:
-            assert len(got) == target and g.is_independent(got.bits)
+            assert len(got) == target and independent_in(g, got.bits)
         if target > _greedy_size(g):
             assert got == want
 
@@ -404,7 +411,7 @@ class TestIndependentSetOfSize:
         got = independent_set_of_size(g, size, inside)
         if got is not None:
             assert len(got) == size and got.bits & ~inside == 0
-            assert g.is_independent(got.bits)
+            assert independent_in(g, got.bits)
         if inside.bit_count() <= 64:
             best = max_independent_set(g, inside)
             assert (got is None) == (len(best) < size)

@@ -239,3 +239,95 @@ def test_orphan_check_sees_a_planted_field(tmp_path):
         "def api():\n    return make().kept\n"
     )
     assert orphans(package) == ["rec.py: field Rec.unread", "rec.py: field Rec.written"]
+
+
+# The checker in certificates.py trusts nothing of the solver but its record
+# types: from these modules it may load only the names listed.
+CHECKER_MAY_LOAD = {
+    "graphs": {"Graph", "VertexSet"},
+    "extremal": {"Ex1Witness", "Ex2Witness", "CliqueObstruction", "BicliqueObstruction"},
+    "matching": {"TutteBarrier"},
+    "oracle": {"Tiling", "Coloring"},
+}
+
+
+def _defined(tree: ast.Module):
+    """The names a module defines: its top-level functions, classes and
+    assigned names, and the methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def _loads(node: ast.AST):
+    """The names a function loads that it does not bind itself, and every
+    attribute name it reads."""
+    bound = {a.arg for a in ast.walk(node) if isinstance(a, ast.arg)}
+    bound |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in bound:
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def checker_leaks(package: Path):
+    """Each name of graphs.py, extremal.py, matching.py or oracle.py, beyond
+    CHECKER_MAY_LOAD, that certificates.py imports or that a function
+    `verify_certificate` reaches loads, as "function: module.name" strings.
+    A function is reached through the names it loads, a module-level table
+    through the names in it."""
+    tree = ast.parse((package / "certificates.py").read_text())
+    nodes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    nodes.update((t.id, node) for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name))
+    reached, todo = set(), ["verify_certificate"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for n in _loads(nodes[name]) if n in nodes)
+    found = []
+    for module, allowed in CHECKER_MAY_LOAD.items():
+        foreign = set(_defined(ast.parse((package / f"{module}.py").read_text()))) - allowed
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                found.extend(f"import: {module}.{a.name}" for a in node.names if a.name not in allowed)
+        for name in sorted(reached):
+            found.extend(f"{name}: {module}.{n}" for n in sorted(set(_loads(nodes[name])) & foreign))
+    return found
+
+
+def test_checker_loads_only_record_types():
+    # The checks read g.n, g.adj and the payload's masks, so a rewrite of
+    # the solver's fast paths cannot change what `verify` accepts.
+    assert checker_leaks(Path(SRC) / "equitiler") == []
+
+
+def test_checker_rule_sees_a_planted_call(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "graphs.py").write_text(
+        "class Graph:\n    def is_clique(self, mask):\n        return True\n\n\n"
+        "def iter_bits(mask):\n    return []\n"
+    )
+    (package / "extremal.py").write_text("class Ex1Witness:\n    pass\n")
+    (package / "matching.py").write_text("class TutteBarrier:\n    def surplus(self, g):\n        return 0\n")
+    (package / "oracle.py").write_text("class Tiling:\n    pass\n")
+    (package / "certificates.py").write_text(
+        "from .graphs import Graph, iter_bits\n\n"
+        "_TABLE = {1: lambda g, w: w.surplus(g)}\n\n\n"
+        "def _check(g, mask):\n    return g.is_clique(mask)\n\n\n"
+        "def _codec(mask):\n    return list(iter_bits(mask))\n\n\n"
+        "def verify_certificate(g, mask):\n    return _check(g, mask) and _TABLE\n"
+    )
+    assert checker_leaks(package) == [
+        "import: graphs.iter_bits",
+        "_check: graphs.is_clique",
+        "_TABLE: matching.surplus",
+    ]

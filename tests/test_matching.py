@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equitiler.certificates import tutte_barrier_holds
 from equitiler.errors import PreconditionError
 from equitiler.graphs import Graph, VertexSet, iter_bits
 from equitiler.matching import (
@@ -255,12 +256,12 @@ class TestPmOrStructure:
         g = biclique(5, 7)
         out = pm_or_structure(g)
         assert out == TutteBarrier(VertexSet(range(5)))
-        assert out.surplus(g) == 2 and out.verify(g, 2)
+        assert out.surplus(g) == 2 and tutte_barrier_holds(g, out, 2)
 
     def test_odd_n_gives_empty_barrier(self):
         out = pm_or_structure(Graph.complete(5))
         assert out == TutteBarrier(VertexSet())
-        assert out.verify(Graph.complete(5), 2)
+        assert tutte_barrier_holds(Graph.complete(5), out, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,7 +278,7 @@ def test_barrier_surplus_is_the_deficiency(n, p, seed):
         assert isinstance(out, Matching) and out.verify(g) and out.size == nu
     else:
         assert isinstance(out, TutteBarrier)
-        assert out.surplus(g) == n - 2 * nu and out.verify(g, 2)
+        assert out.surplus(g) == n - 2 * nu and tutte_barrier_holds(g, out, 2)
 
 
 def two_cliques(a: int, b: int) -> Graph:

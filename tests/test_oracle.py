@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import _brute
 from equitiler import oracle
+from equitiler.certificates import clique_tiles_cover, coloring_holds, payload_clauses, tiling_holds
 from equitiler.extremal import build_ex1_like, build_ex2
 from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet, iter_bits
@@ -87,7 +88,7 @@ class TestKrFactor:
             want = brute_kr_factor_exists(n, list(g.edges()), r)
             assert (got is not None) == want
             if got is not None:
-                assert got.verify(g)
+                assert tiling_holds(g, got)
 
     def test_inside_matches_the_induced_copy(self, rng):
         # A mask keeps vertex order, so the search on it finds the factor the
@@ -116,13 +117,13 @@ class TestKrFactor:
 
     def test_r1_always_succeeds(self):
         t = kr_factor_exact(Graph.empty(4), 1)
-        assert t is not None and t.verify(Graph.empty(4))
+        assert t is not None and tiling_holds(Graph.empty(4), t)
 
     def test_complete_graph(self):
         g = Graph.complete(6)
         for r in (1, 2, 3, 6):
             t = kr_factor_exact(g, r)
-            assert t is not None and t.verify(g)
+            assert t is not None and tiling_holds(g, t)
 
     def test_odd_split_has_no_factor(self):
         for n, r, s in [(9, 3, 1), (9, 3, 3), (12, 3, 3), (12, 4, 1), (16, 4, 1)]:
@@ -137,7 +138,7 @@ class TestKrFactor:
         g = build_ex2(12, 3, 3)
         g.add_edge(0, 3)
         t = kr_factor_exact(g, 3)
-        assert t is not None and t.verify(g)
+        assert t is not None and tiling_holds(g, t)
 
     def test_deterministic_witness(self):
         g = Graph.complete(6)
@@ -164,7 +165,7 @@ class TestEquitableColoring:
                 want = brute_equitable_colorable(n, list(g.edges()), k)
                 assert (got is not None) == want, (list(g.edges()), n, k)
                 if got is not None:
-                    assert got.verify(g)
+                    assert payload_clauses(g, got, k, "coloring") == []
 
     def test_class_sizes(self):
         g = Graph.empty(7)
@@ -180,7 +181,7 @@ class TestEquitableColoring:
     def test_k_exceeding_n(self):
         g = Graph.complete(3)
         col = equitable_coloring_exact(g, 5)
-        assert col is not None and col.k == 5 and col.verify(g)
+        assert col is not None and payload_clauses(g, col, 5, "coloring") == []
 
     def test_requires_positive_k(self):
         with pytest.raises(ValueError):
@@ -353,7 +354,7 @@ class TestEquitableColoring:
         for (n, p, seed), k in (((48, 0.3, 7), 7), ((40, 0.5, 7), 9)):
             g = random_gnp(n, p, seed)
             col = equitable_coloring_exact(g, k)
-            assert col is not None and col.k == k and col.verify(g)
+            assert col is not None and payload_clauses(g, col, k, "coloring") == []
 
 
 def _complement_rows(g: Graph, mask: int):
@@ -455,20 +456,23 @@ class TestResultTypes:
     def test_tiling_verify_rejects_overlap(self):
         g = Graph.complete(4)
         bad = Tiling(2, (VertexSet([0, 1]), VertexSet([1, 2])))
-        assert not bad.verify(g)
+        assert not tiling_holds(g, bad)
+        assert clique_tiles_cover(g, 2, bad.cliques) is None
 
     def test_tiling_verify_rejects_non_clique(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert Tiling(2, (VertexSet([0, 2]), VertexSet([1, 3]))).verify(g) is False
+        assert tiling_holds(g, Tiling(2, (VertexSet([0, 2]), VertexSet([1, 3])))) is False
 
     def test_partial_tiling_allowed(self):
         g = Graph.complete(4)
         part = Tiling(2, (VertexSet([0, 1]),))
-        assert part.verify(g, require_factor=False)
-        assert not part.verify(g)
+        assert clique_tiles_cover(g, 2, part.cliques) == 0b11
+        assert not tiling_holds(g, part)
 
     def test_coloring_verify_rejects_imbalance(self):
         g = Graph.empty(4)
         bad = Coloring((VertexSet([0, 1, 2]), VertexSet([3])))
-        assert not bad.verify(g)
-        assert bad.verify(g, equitable=False)
+        assert payload_clauses(g, bad, 2, "coloring") == [
+            "equitability breaks: class sizes spread by more than one"
+        ]
+        assert coloring_holds(g, bad)

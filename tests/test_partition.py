@@ -25,9 +25,9 @@ from equitiler import (
     random_gnp,
     random_ore,
     refine_to_good,
-    validate_good,
 )
 from equitiler import partition as partition_module
+from equitiler.certificates import payload_clauses
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.graphs import induced_edge_count, iter_bits, low_degree_set
 from equitiler.partition import (
@@ -37,7 +37,13 @@ from equitiler.partition import (
     slack_threshold,
 )
 
-from _brute import seed_classify, seed_recount_sparse_set, seed_sparse_set
+from _brute import (
+    independent_in,
+    seed_classify,
+    seed_recount_sparse_set,
+    seed_sparse_set,
+    validate_good,
+)
 from conftest import random_graph
 
 
@@ -166,7 +172,7 @@ class TestSparseSet:
     def test_sparse_gnp_greedy(self, seed, n):
         g = random_graph(random.Random(seed), n, 0.03)
         got = _sparse_set(g, g.full_mask, n // 3, Fraction(1, 100), n)
-        assert got is not None and g.is_independent(got.bits)
+        assert got is not None and independent_in(g, got.bits)
         assert got == seed_sparse_set(g, g.full_mask, n // 3, Fraction(1, 100), n)
 
     @settings(max_examples=30, deadline=None)
@@ -419,7 +425,7 @@ class TestRefine:
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "recognizer")
         assert isinstance(c.witness, Ex1Witness)
-        assert c.witness.verify(g, 3)
+        assert payload_clauses(g, c.witness, 3, "factor") == []
         manual = RsPartition((vs(0, 1),), vs(2, 3, 4, 5))
         with pytest.raises(PreconditionError):
             refine_to_good(g, manual, default_constants(3))

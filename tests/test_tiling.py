@@ -27,8 +27,8 @@ from equitiler import (
     multipartite_factor,
     parity_repair,
     strip_tiling,
-    validate_good,
 )
+from equitiler.certificates import clique_tiles_cover, tiling_holds
 from equitiler.errors import PreconditionError
 from equitiler.matching import maximum_matching
 from equitiler.oracle import Tiling, kr_factor_exact
@@ -42,6 +42,7 @@ from _brute import (
     seed_multipartite_factor,
     seed_quotient_factor,
     seed_vertices,
+    validate_good,
 )
 from conftest import random_graph
 
@@ -449,7 +450,7 @@ class TestExtend:
         t = extend_base(g, q, h, vs())
         assert t.cliques == (vs(4, 12, 13), vs(0, 1, 2))
         assert_balance(t, g, q)
-        assert t.verify(g, require_factor=False)
+        assert clique_tiles_cover(g, t.r, t.cliques) is not None
 
 
 def units(*blocks):
@@ -483,7 +484,7 @@ class TestContract:
         assert all(u & g.common_neighbors(c) for u in blocks[0] for c in blocks[1])
         t = multipartite_factor(g, blocks)
         assert t is not None and t.r == 4
-        assert t.verify(g, require_factor=True)
+        assert tiling_holds(g, t)
 
     def test_rejects_a_partial_tiling(self):
         g = k333()
@@ -516,7 +517,7 @@ class TestContract:
                 first = multipartite_factor(g, blocks, retries=1)
                 outcomes.add((first is not None, got is not None))
                 if got is not None:
-                    assert got.verify(g, require_factor=False)
+                    assert clique_tiles_cover(g, got.r, got.cliques) is not None
                     assert got.covered == VertexSet(g.full_mask)
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -558,13 +559,13 @@ class TestMultipartite:
         sizes = [5] * 4
         g, parts = layered_random(random.Random(1), sizes, 5)
         t = multipartite_factor(g, units(*parts))
-        assert t is not None and t.verify(g, require_factor=True)
+        assert t is not None and tiling_holds(g, t)
 
     def test_bipartite_at_threshold(self, rng):
         for _ in range(5):
             g, parts = layered_random(rng, [16, 16], 12)
             t = multipartite_factor(g, units(*parts))
-            assert t is not None and t.verify(g, require_factor=True)
+            assert t is not None and tiling_holds(g, t)
             # cross-check against the matching oracle on the same graph
             assert 2 * len(maximum_matching(g).pairs) == 32
 
@@ -572,7 +573,7 @@ class TestMultipartite:
         for _ in range(5):
             g, parts = layered_random(rng, [12, 12, 12], 10)
             t = multipartite_factor(g, units(*parts))
-            assert t is not None and t.verify(g, require_factor=True)
+            assert t is not None and tiling_holds(g, t)
             for c in t.cliques:
                 assert all(len(c & a) == 1 for a in parts)
 
@@ -677,7 +678,7 @@ class TestMultipartiteMatchesSeed:
         got = multipartite_factor(g, blocks, retries)
         assert got == seed_multipartite_factor(g, blocks, retries)
         if got is not None:
-            assert got.verify(g, require_factor=False)
+            assert clique_tiles_cover(g, got.r, got.cliques) is not None
 
     def test_same_tiling_after_retries(self):
         # Three sparse blocks, where the first pass often comes up short: the
@@ -738,8 +739,7 @@ class TestPairTiling:
         perfect = 2 * maximum_matching(g, mask).size == mask.bit_count()
         assert (got is not None) == perfect
         if got is not None:
-            assert got.r == 2 and got.covered.bits == mask
-            assert got.verify(g, require_factor=False)
+            assert got.r == 2 and clique_tiles_cover(g, 2, got.cliques) == mask
 
 
 class TestParityRepair:
@@ -748,8 +748,7 @@ class TestParityRepair:
         t0 = Tiling(3, ())
         t, pairs = parity_repair(g, q, (), t0)
         assert t is t0
-        assert pairs.r == 2 and pairs.covered == q.partition.b
-        assert pairs.verify(g, require_factor=False)
+        assert pairs.r == 2 and clique_tiles_cover(g, 2, pairs.cliques) == q.partition.b.bits
 
     def test_odd_split_signals(self):
         g = ex2_9()
@@ -794,4 +793,4 @@ class TestPipeline:
 
         mp = multipartite_factor(g, contract_residual(g, resid, ts))
         assert mp is not None and mp.r == 3
-        assert Tiling(3, t.cliques + mp.cliques).verify(g, require_factor=True)
+        assert tiling_holds(g, Tiling(3, t.cliques + mp.cliques))
