@@ -245,22 +245,24 @@ def coloring_holds(g: Graph, c: Coloring) -> bool:
 
 
 def independent_set_holds(g: Graph, w: Ex1Witness, r: int) -> bool:
-    """Whether w holds n/r + 1 independent vertices of g, one more than a K_r-factor's cliques."""
-    if g.n % r or w.independent_set.bits.bit_count() != g.n // r + 1:
+    """Whether w holds n/r + 1 independent vertices of g, one more than a K_r-factor's
+    cliques; at r < 1 there is no factor to block."""
+    if r < 1 or g.n % r or w.independent_set.bits.bit_count() != g.n // r + 1:
         return False
     return _independent_cover(g, (w.independent_set,)) is not None
 
 
 def odd_split_holds(g: Graph, w: Ex2Witness, r: int) -> bool:
     """Whether g is the odd split on w's sets, m = n/r: r - 2 parts of m vertices and
-    sides of odd sizes s <= m and 2m - s that cover V.  Each row equals its reference:
-    a part's vertex sees all but its part, a side's all but itself and the other side."""
+    sides of odd sizes s <= m and 2m - s that cover V, named in either order.  Each row
+    equals its reference: a part's vertex sees all but its part, a side's all but
+    itself and the other side."""
     n = g.n
     if len(w.a_parts) != r - 2:
         return False
     m, full = n // r, (1 << n) - 1
     parts = [p.bits for p in w.a_parts]
-    b0, b1 = w.b0.bits, w.b1.bits
+    b0, b1 = sorted((w.b0.bits, w.b1.bits), key=int.bit_count)
     s = b0.bit_count()
     sizes = [p.bit_count() for p in parts] + [s + b1.bit_count()]
     if s % 2 == 0 or s > m or sizes != [m] * (r - 2) + [2 * m]:

@@ -10,9 +10,15 @@ input graph with `certificates.verify_certificate`, the checker that
 `equitiler verify` runs, before it leaves this module; the routes do not
 re-check their own.  At r = 2 the question is perfect matching, which the
 blossom search settles at every size: a YES is the matching, a NO its
-Tutte–Berge barrier.  Sub-problems (the vertices outside the absorbing
-set, a leftover block, the units of the multipartite finish) are vertex
-masks of the input graph, so every clique found is already in its labels.
+Tutte–Berge barrier.  When every vertex of H has degree at least
+n - n/r, the complement has maximum degree below k = n/r, and the
+Hajnal–Szemerédi theorem gives it an equitable k-colouring, built by
+`equitable.equitable_classes`: its classes are the factor.  The colouring
+side reaches that step through its delegate, since padding adds a clique
+on q < k vertices, of degree below k.  Sub-problems (the vertices outside
+the absorbing set, a leftover block, the units of the multipartite
+finish) are vertex masks of the input graph, so every clique found is
+already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
@@ -36,6 +42,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .certificates import DecisionCertificate, verify_certificate
 from .constants import ConstantsConfig, default_constants
+from .equitable import equitable_classes
 from .errors import InternalContradiction, PreconditionError
 from .extremal import (
     BicliqueObstruction,
@@ -241,6 +248,21 @@ def _factor_r2(g: Graph) -> DecisionCertificate:
     return _yes(Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs)), "pipeline")
 
 
+def _hajnal_szemeredi_factor(g: Graph, r: int) -> Optional[DecisionCertificate]:
+    """The factor from an equitable colouring of the complement, when every
+    row of H has at least n - n/r bits; None at the first short row.
+
+    The complement then has maximum degree below k = n/r, so its k
+    independent classes of r vertices, r-cliques of H, always exist.
+    """
+    n = g.n
+    need = n - n // r
+    if not all(row.bit_count() >= need for row in g.adj):
+        return None
+    classes = equitable_classes(complement(g).adj, n // r)
+    return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
+
+
 def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> DecisionCertificate:
     """Factor via the absorbing set: greedy cover outside M, absorb the rest."""
     aset = build_absorbing_set(g, r, cfg=cfg, seed=seed)
@@ -345,6 +367,10 @@ def decide_kr_factor(
       matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
       recognizer  the odd split or an n/r + 1 independent set, a NO with
                   its witness;
+      hajnal-szemeredi
+                  every row of H has at least n - n/r bits: an equitable
+                  n/r-colouring of the complement, whose classes are the
+                  factor (Hajnal–Szemerédi);
       absorption  the dense absorption route;
       structured  the extremal pipeline;
       oracle      n <= FALLBACK_CAP: exact search;
@@ -373,6 +399,7 @@ def decide_kr_factor(
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
         ("recognizer", "recognize", recognize),
+        ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
         ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg, seed)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
@@ -443,7 +470,8 @@ def decide_equitable(
                   settles what the factor table's own fallback would on
                   the padded complement, without the padding;
       delegate    beyond the cap, the factor table on the complement of G
-                  padded to divisibility, its answer carried back to G.
+                  padded to divisibility, its answer carried back to G;
+                  when Δ(G) < k its Hajnal–Szemerédi step answers.
     An oracle NO hunts for a K_{k+1} or odd K_{m,2k-m} subgraph of G when
     the edge bound fails.  Under the bound the obstruction step's scan is
     complete: every edge of either subgraph sums to at least 2k, so a

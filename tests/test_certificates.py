@@ -558,6 +558,24 @@ class TestPayloadClauses:
             "independent set does not block the factor"
         ]
 
+    def test_independent_set_at_r_zero_is_a_clause(self):
+        # payload_clauses is public: at r = 0 there is no factor to block,
+        # and the check says so instead of dividing by r.
+        w = Ex1Witness(vs(0, 1, 2))
+        assert payload_clauses(Graph.empty(6), w, 0, "factor") == [
+            "independent set does not block the factor"
+        ]
+
+    def test_odd_split_sides_in_either_order(self):
+        # The decider names the smaller side b0; a witness naming the larger
+        # side first describes the same odd split.
+        w = ex2_witness(9, 3, 1)
+        swapped = Ex2Witness(w.a_parts, w.b1, w.b0)
+        assert payload_clauses(build_ex2(9, 3, 1), swapped, 3, "factor") == []
+        assert payload_clauses(build_ex2(9, 3, 3), swapped, 3, "factor") == [
+            "odd-split witness does not match the graph"
+        ]
+
     @pytest.mark.parametrize("mode, name", [("factor", "r"), ("coloring", "k")])
     @pytest.mark.parametrize("value", [0, -2])
     def test_value_below_one_is_the_clause(self, mode, name, value):
@@ -643,8 +661,8 @@ def _odd_splits(draw):
     set; a vertex of one set put in
     place of one of another, so that the two share it; a vertex replaced
     by one outside the graph; or r changed.  r is 2, 3 or 4,
-    and the side b0 has any size s <= 2m, odd or even, though an odd split's
-    witness names its smaller side."""
+    and the side b0 has any size s <= 2m, odd or even: a witness may name
+    either side first."""
     r = draw(st.sampled_from([2, 3, 4]))
     m = draw(st.integers(min_value=1, max_value=12 // r))
     s = draw(st.integers(min_value=0, max_value=2 * m))
@@ -732,7 +750,7 @@ class TestChecksMatchSetReferences:
         m = n // r
         shape = (
             n % r == 0 and len(parts) == r - 2 and all(len(p) == m for p in parts)
-            and len(b0) % 2 == 1 and len(b0) <= m and len(b1) == 2 * m - len(b0)
+            and len(b0) % 2 == 1 and len(b1) == 2 * m - len(b0)
             and _ref_cover(sets, lambda s: True) == set(range(n))
         )
         want = shape and all(

@@ -82,11 +82,47 @@ def disjoint_cliques(count, size):
     return Graph.from_edges(count * size, [e for block in blocks for e in combinations(block, 2)])
 
 
+def bridged_cliques():
+    """Three disjoint K_17 and the edge 0-17 between two of them: Δ = 17."""
+    g = disjoint_cliques(3, 17)
+    g.add_edge(0, 17)
+    return g
+
+
 def without_edge(g, u, v):
     out = g.copy()
     out.adj[u] &= ~(1 << v)
     out.adj[v] &= ~(1 << u)
     return out
+
+
+def thinned(g, v, d):
+    """g with v's highest neighbours cut off until v has degree d.  At
+    d < n - n/r the Hajnal–Szemerédi step's gate fails at v."""
+    out = g.copy()
+    while out.degree(v) > d:
+        u = out.adj[v].bit_length() - 1
+        out.adj[v] &= ~(1 << u)
+        out.adj[u] &= ~(1 << v)
+    return out
+
+
+def dense60():
+    """random_graph(60, 0.9) with vertex 0 cut to degree 39 < 40: the
+    absorption route's input once the Hajnal–Szemerédi gate fails."""
+    return thinned(random_graph(random.Random(0xE0A1), 60, 0.9), 0, 39)
+
+
+def tripartite(m):
+    """K_{m,m,m} without the edge 0-m: one row below 2m, so the
+    Hajnal–Szemerédi gate fails and the later routes run."""
+    return without_edge(multipartite((m, m, m)), 0, m)
+
+
+def split_plus_singletons():
+    """K_{20,20} joined to 20 singletons, without the edge 0-20: the
+    structured route's small input outside the Hajnal–Szemerédi gate."""
+    return without_edge(multipartite((20, 20) + (1,) * 20), 0, 20)
 
 
 def cut_split(n, join_b0=True):
@@ -204,10 +240,15 @@ class TestFactorLadder:
         assert payload_clauses(build_ex2(9, 3, 1), c.witness, 3, "factor") == []
 
     def test_complete_graph(self):
+        # K_9 is inside the Hajnal–Szemerédi gate, so that step answers; the
+        # exact oracle, called directly, tiles it too.
         c = decide_kr_factor(Graph.complete(9), 3)
-        assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
+        assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
+        assert [stage for stage, _ in c.timings] == ["recognize", "hajnal-szemeredi"]
         assert len(c.certificate.cliques) == 3
         assert tiling_holds(Graph.complete(9), c.certificate)
+        t = kr_factor_exact(Graph.complete(9), 3)
+        assert len(t.cliques) == 3 and tiling_holds(Graph.complete(9), t)
 
     def test_r_one_and_empty(self):
         c = decide_kr_factor(Graph.empty(30), 1)
@@ -266,8 +307,7 @@ class TestFactorLadder:
 
 class TestFactorPipelines:
     def test_dense_absorption_route(self):
-        rng = random.Random(0xE0A1)
-        g = random_graph(rng, 60, 0.9)
+        g = dense60()
         c = decide_kr_factor(g, 3, cfg=DENSE)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
         assert tiling_holds(g, c.certificate)
@@ -275,9 +315,9 @@ class TestFactorPipelines:
 
     def test_medium_dense_falls_back_honestly(self):
         # Default xi leaves no room for an absorber family at n=30, so the
-        # decider lands on the exact search and says so.
-        rng = random.Random(0xE0A1)
-        g = random_graph(rng, 30, 0.9)
+        # decider lands on the exact search and says so.  Vertex 0 at degree
+        # 19 < 20 keeps the Hajnal–Szemerédi step out.
+        g = thinned(random_graph(random.Random(0xE0A1), 30, 0.9), 0, 19)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert any("absorption route" in note for note in c.notes)
@@ -364,9 +404,9 @@ class TestFactorPipelines:
     def test_tripartite_resolves_by_fallback(self):
         # Refinement misses (no stage matching and no escape set), a
         # PreconditionError that leaves a note and falls through.
-        c = decide_kr_factor(multipartite((9, 9, 9)), 3)
+        c = decide_kr_factor(tripartite(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
-        assert tiling_holds(multipartite((9, 9, 9)), c.certificate)
+        assert tiling_holds(tripartite(9), c.certificate)
         assert c.notes[-1].startswith("structured route: stage graph at round 2")
 
     def test_structured_contradiction_propagates(self, monkeypatch):
@@ -376,7 +416,7 @@ class TestFactorPipelines:
 
         monkeypatch.setattr(decide_module, "multipartite_factor", planted)
         with pytest.raises(InternalContradiction, match="planted"):
-            decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
+            decide_kr_factor(split_plus_singletons(), 3)
 
     def test_failed_final_verification_propagates(self, monkeypatch):
         # The seed tiling and the multipartite factor are disjoint and cover
@@ -385,7 +425,7 @@ class TestFactorPipelines:
             decide_module, "multipartite_factor", lambda g, blocks: Tiling(3, ())
         )
         with pytest.raises(InternalContradiction, match="structured route answer failed verification"):
-            decide_kr_factor(multipartite((20, 20) + (1,) * 20), 3)
+            decide_kr_factor(split_plus_singletons(), 3)
 
     def test_non_clique_leftover_pair_propagates(self, monkeypatch):
         # Neither the contraction nor the multipartite finish re-checks that
@@ -470,19 +510,31 @@ class TestStructuredCertificates:
 
 
 class TestAbsorptionCertificates:
-    """Certificate JSON, timings dropped, of two inputs that absorption
-    factors, pinned by hash as in TestStructuredCertificates: the absorbers
-    come from seeded random draws, so a change in how a draw consumes the
-    generator changes the tiling and fails here."""
+    """Certificate JSON, timings dropped, of two dense inputs, pinned by hash
+    as in TestStructuredCertificates.  Both lie inside the Hajnal–Szemerédi
+    gate, so the decision is that step's tiling, pinned as
+    "hajnal-szemeredi/...".  The absorption route, called directly, keeps
+    its own pins: the absorbers come from seeded random draws, so a change
+    in how a draw consumes the generator changes the tiling and fails here."""
 
     CASES = {
         "gnp(n=240,p=0.9)": (
-            lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE),
+            lambda: decide_module._absorption_factor(random_gnp(240, 0.9, 0), 3, DENSE, 0),
             "22cb7afdedd2a075cbc1d218df6bf7008c5182b680759f865b0e1aefbb1f9d00",
         ),
         "ore(n=240,a=0)": (
-            lambda: decide_kr_factor(random_ore(240, 3, 0, 0), 3),
+            lambda: decide_module._absorption_factor(
+                random_ore(240, 3, 0, 0), 3, default_constants(3), 0
+            ),
             "93606393f91a709045e4ef5b7a044dde00a108aacb7d9f357fdbd346a02bf6b1",
+        ),
+        "hajnal-szemeredi/gnp(n=240,p=0.9)": (
+            lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE),
+            "0e54076a4411203829874a9a9f94d96fbb6dedd8ff87bf290a21e84688838c3f",
+        ),
+        "hajnal-szemeredi/ore(n=240,a=0)": (
+            lambda: decide_kr_factor(random_ore(240, 3, 0, 0), 3),
+            "c0552a2adbb0612351609138b12499eca4b5586f00cd16ef1ab77f65bf9a4838",
         ),
     }
 
@@ -499,7 +551,8 @@ class TestAbsorptionCertificates:
     def test_broken_stored_factor_raises(self, monkeypatch):
         # `absorb` does not re-check its assembly, so a stored factor of
         # G[S] that is not a clique tiling is caught once, by the check of
-        # the final factor, as a bug and not as a miss note.
+        # the final factor, as a bug and not as a miss note.  Vertex 0 at
+        # degree 159 < 160 keeps the Hajnal–Szemerédi step out.
         real = absorbing_module.kr_factor_exact
 
         def broken(g, r, inside=None):
@@ -510,7 +563,7 @@ class TestAbsorptionCertificates:
 
         monkeypatch.setattr(absorbing_module, "kr_factor_exact", broken)
         with pytest.raises(InternalContradiction, match="absorption route answer failed verification"):
-            decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE)
+            decide_kr_factor(thinned(random_gnp(240, 0.9, 0), 0, 159), 3, cfg=DENSE)
 
 
 def edited_ex2(n, s, add=(), drop=()):
@@ -528,9 +581,9 @@ class TestMissNotes:
 
     CASES = {
         "tripartite-9": (
-            lambda: multipartite((9, 9, 9)),
+            lambda: tripartite(9),
             (
-                "absorption route: no absorbing set could be built",
+                "absorption route: degree-sum floor 34 at pair (0, 9) is below 8991/250",
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 18 thin vertices and no escape set",
             ),
@@ -569,9 +622,9 @@ class TestMissNotes:
             ),
         ),
         "tripartite-12": (
-            lambda: multipartite((12, 12, 12)),
+            lambda: tripartite(12),
             (
-                "absorption route: no absorbing set could be built",
+                "absorption route: degree-sum floor 46 at pair (0, 12) is below 5994/125",
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 24 thin vertices and no escape set",
             ),
@@ -733,7 +786,7 @@ class TestEquitable:
     def test_failed_structured_independent_set_raises(self, monkeypatch):
         # The structured route's NO is checked like the recognizer's: a
         # refinement escape that is not independent is a bug, not a NO.
-        g = multipartite((9, 9, 9))
+        g = tripartite(9)
         monkeypatch.setattr(
             decide_module,
             "refine_to_good",
@@ -778,11 +831,15 @@ class TestEquitable:
         assert 0 < nodes <= ceiling
 
     def test_unresolved_exit(self):
-        # Three disjoint K_17 at k = 17: Δ(G) = 16 < k, so Hajnal–Szemerédi
-        # says YES, but n = 51 is past the exact fallback cap and both routes
-        # miss, so decide_equitable gives up.  ROADMAP item 3's colouring
-        # route for Δ(G) < k is meant to turn this input into a YES.
+        # Three disjoint K_17 at k = 17 have Δ(G) = 16 < k: the delegate's
+        # Hajnal–Szemerédi step colours them.  One edge between two of the
+        # cliques makes Δ(G) = k; n = 51 is past the exact fallback cap and
+        # every route misses, so decide_equitable gives up.
         g = disjoint_cliques(3, 17)
+        c = decide_equitable(g, 17)
+        assert (c.kind, c.answer, c.provenance) == ("colorable", True, "pipeline")
+        assert verify_certificate(g, c, "coloring", 17) == []
+        g = bridged_cliques()
         c = decide_equitable(g, 17)
         assert (c.kind, c.answer) == ("unresolved", None)
         assert verify_certificate(g, c, "coloring", 17) == []
@@ -803,15 +860,19 @@ class TestStepTables:
         # The recognizer answers before any search, at every n.
         "recognizer/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
                                        ("obstructed", "recognizer"), ["recognize"]),
-        "absorption": (lambda: random_graph(random.Random(0xE0A1), 60, 0.9), "factor", 3, DENSE,
-                       ("factorable", "pipeline"), ["recognize", "absorption"]),
-        "structured": (lambda: multipartite((20, 20) + (1,) * 20), "factor", 3, None,
-                       ("factorable", "pipeline"), ["recognize", "absorption", "pipeline"]),
-        "fallback-oracle": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
+        # Every row of K_{9,9,9} has n - n/3 bits.
+        "hajnal-szemeredi": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
+                             ("factorable", "pipeline"), ["recognize", "hajnal-szemeredi"]),
+        "absorption": (dense60, "factor", 3, DENSE, ("factorable", "pipeline"),
+                       ["recognize", "hajnal-szemeredi", "absorption"]),
+        "structured": (split_plus_singletons, "factor", 3, None, ("factorable", "pipeline"),
+                       ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
+        "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
                             ("factorable", "oracle"),
-                            ["recognize", "absorption", "pipeline", "oracle"]),
+                            ["recognize", "hajnal-szemeredi", "absorption", "pipeline", "oracle"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
-                       ("unresolved", "pipeline"), ["recognize", "absorption", "pipeline"]),
+                       ("unresolved", "pipeline"),
+                       ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap the oracle colours G itself; beyond
         # it the delegate reports the factor side's stages.
@@ -834,9 +895,14 @@ class TestStepTables:
                      ("colorable", "pipeline"), ["matching"]),
         "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
                                ("exact", "recognizer"), ["recognize"]),
-        "delegate/unresolved": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
+        # Δ(G) = 16 < k: the delegate's factor table colours the complement
+        # of its complement at the Hajnal–Szemerédi step.
+        "delegate/hajnal-szemeredi": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
+                                      ("colorable", "pipeline"),
+                                      ["recognize", "hajnal-szemeredi"]),
+        "delegate/unresolved": (bridged_cliques, "coloring", 17, None,
                                 ("unresolved", "pipeline"),
-                                ["recognize", "absorption", "pipeline"]),
+                                ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -145,9 +145,9 @@ def ore() -> List[Instance]:
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
     "boundary": (boundary, 36, 0, 0),
-    "tripartite": (tripartite, 6, 0, 0),
+    "tripartite": (tripartite, 6, 6, 6),
     "perturbed": (perturbed_odd_splits, 36, 28, 28),
-    "sparse": (sparse, 48, 0, 0),
+    "sparse": (sparse, 48, 24, 24),
     "ore": (ore, 24, 0, 0),
 }
 
