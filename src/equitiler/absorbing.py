@@ -6,12 +6,11 @@ clique, when there is one).  `layered_greedy`, run by the decider on the
 vertices outside M, tiles them greedily and improves the tiling with local
 augmentation moves until only a small remainder is uncovered.  `absorb`
 then folds that remainder into M, one r-set per stored absorber.
-The oracle tiles G[S] for each absorber S at storage time, S's factor with
-its probe is checked as built, and the decider verifies the final factor.
+An absorber's factors, of S alone and of S with its probe, both come from
+its shape and are checked as built; the decider verifies the final factor.
 
-The sampling is seeded and reproducible.  Its draws take vertices of a pool
-mask by rank (`graphs._bit_select`), so no draw lists its pool: a pool of
-hundreds of vertices costs only the two or three vertices taken from it.
+The sampling is seeded and reproducible: each draw lists its pool in
+ascending order, so a seed fixes every absorber.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import InternalContradiction, PreconditionError
 from .graphs import (
     Graph,
     VertexSet,
-    _bit_select,
     _clique_walk,
     find_clique_of_size,
     iter_bits,
@@ -77,10 +75,11 @@ class AugmentationMove(NamedTuple):
 class AbsorbingSet(NamedTuple):
     """Disjoint absorbers plus fixed cliques, with stored self-factors.
 
-    `family[i]` is covered exactly by the cliques in `factors[i]`; the
-    `fixed` cliques mop up the low-degree clique when it was small enough
-    to need protecting.  The whole of M factors constructively, so the
-    only oracle work left at absorb time is one small check per r-set.
+    `family[i]` is covered exactly by the cliques in `factors[i]`, the
+    cliques u_i + x_i its shape gives; the `fixed` cliques mop up the
+    low-degree clique when it was small enough to need protecting.  The
+    whole of M factors constructively, so the only exact search left is
+    absorb's, one small one per r-set and absorber.
     """
 
     r: int
@@ -116,23 +115,20 @@ def _random_clique(
     Step i swaps a uniform pick from order[i:] into place i (a front-to-back
     Fisher-Yates shuffle of the pool's vertices in ascending order), so each
     prefix is a uniform draw without replacement; the walk stops as soon as
-    `size` vertices are chosen.  The order is never listed: a dict holds the
-    ranks that earlier swaps moved, and a rank becomes a vertex by a select
-    on the pool mask, so a call costs one draw and one select per vertex
-    looked at, not a walk over the pool.  None when the whole order yields
-    no `size`-clique.
+    `size` vertices are chosen, and costs one draw per vertex looked at
+    rather than one per pool vertex.  None when the whole order yields no
+    `size`-clique.
     """
     if size == 0:
         return 0
-    end = pool.bit_count()
-    select = _bit_select(pool)
-    moved: Dict[int, int] = {}
+    order = list(iter_bits(pool))
+    end = len(order)
     chosen = 0
     count = 0
     for i in range(end):
         j = rng.randrange(i, end)
-        v = select(moved.get(j, j))
-        moved[j] = moved.get(i, i)
+        v = order[j]
+        order[j] = order[i]
         if chosen & ~g.adj[v]:
             continue
         chosen |= 1 << v
@@ -144,18 +140,11 @@ def _random_clique(
 
 def _draw_probe(rng: random.Random, avail: int, r: int) -> Optional[VertexSet]:
     """r vertices of `avail` drawn by `rng.sample`; None, with no draw, when
-    it has fewer.
-
-    The sample is of ranks, mapped to vertices by a select on the mask.
-    `random.sample` only takes the length of its population and indexes it,
-    so sampling `range(count)` makes the same draws, and leaves the same
-    generator state, as sampling the listed vertices would.
-    """
-    count = avail.bit_count()
-    if count < r:
+    it has fewer."""
+    pool = list(iter_bits(avail))
+    if len(pool) < r:
         return None
-    select = _bit_select(avail)
-    return VertexSet(select(j) for j in rng.sample(range(count), r))
+    return VertexSet(rng.sample(pool, r))
 
 
 def _sample_absorbers(
@@ -167,25 +156,25 @@ def _sample_absorbers(
     exclude: int,
     slow: int,
     exploit_clique: bool,
-) -> List[Tuple[VertexSet, Tiling]]:
+) -> List[Tuple[VertexSet, Tuple[VertexSet, ...]]]:
     """Sample up to `budget` verified absorbers for the r-set q, avoiding
     `exclude`, given the low-degree set `slow` and whether the base is taken
     inside it (`exploit_clique`).
 
     Each candidate is built from a base K_r plus, for every pair (u_i, q_i)
     of a base vertex and a q-vertex, a bridge (r-1)-clique x_i in their
-    common neighborhood, so the base and the cliques q_i + x_i tile
-    G[S u q]: that tiling is checked as built, not searched for.  The base
-    is taken inside the low-degree clique when that clique is large, and
-    away from it otherwise; bridges always avoid it.  Each absorber S comes
-    with the K_r-factor of G[S] that the exact oracle found.
+    common neighborhood.  So the cliques u_i + x_i tile G[S], and the base
+    and the cliques q_i + x_i tile G[S u q]: both tilings are checked as
+    built, not searched for.  The base is taken inside the low-degree clique
+    when that clique is large, and away from it otherwise; bridges always
+    avoid it.  Each absorber S comes with its factor u_i + x_i of G[S].
     """
     base_pool = slow if exploit_clique else g.full_mask & ~slow
     base_pool &= ~q.bits & ~exclude
     bridge_pool = g.full_mask & ~slow & ~exclude
 
     rng = random.Random(seed * 1000003 + q.bits % (1 << 61))
-    found: List[Tuple[VertexSet, Tiling]] = []
+    found: List[Tuple[VertexSet, Tuple[VertexSet, ...]]] = []
     seen = set()
     qs = sorted(q.members())
     for k in range(max(budget * 40, 200)):
@@ -220,14 +209,15 @@ def _sample_absorbers(
         if bits in seen:
             continue
         seen.add(bits)
-        # S absorbs Q when both G[S] and G[S u Q] have K_r-factors.  The
-        # exact search tiles G[S], and its factor is kept; the base and the
-        # cliques q_i + x_i tile G[S u Q] by construction.  No answer's
-        # check reads that tiling, so the checker's own test runs on it here.
-        own = kr_factor_exact(g, r, bits)
-        pieces = [base] + [x | 1 << qv for x, qv in zip(bridges, qs)]
-        joint = clique_tiles_cover(g, r, list(map(VertexSet, pieces)))
-        if own is None or joint != bits | q.bits:
+        # S absorbs Q when both G[S] and G[S u Q] have K_r-factors, and its
+        # shape gives both.  The checker's own test runs on each here: the
+        # decider's final check sees only the factors that the answer uses.
+        own = tuple(VertexSet(x | 1 << u) for x, u in zip(bridges, bases))
+        joint = [VertexSet(base)] + [VertexSet(x | 1 << qv) for x, qv in zip(bridges, qs)]
+        if (
+            clique_tiles_cover(g, r, own) != bits
+            or clique_tiles_cover(g, r, joint) != bits | q.bits
+        ):
             raise InternalContradiction("sampled absorber fails a factor its shape promises")
         found.append((VertexSet(bits), own))
     return found
@@ -294,7 +284,7 @@ def build_absorbing_set(
             if s.bits & taken:
                 raise InternalContradiction("sampled absorber overlaps the absorbing set")
             picked.append(s)
-            factors.append(own.cliques)
+            factors.append(own)
             taken |= s.bits
         if len(picked) < needed:
             continue

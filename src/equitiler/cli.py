@@ -6,7 +6,8 @@ unresolved, 3 for usage and parse errors, 4 for internal failures.  `verify`
 also exits 2, with `"ok": null` and an `"unchecked"` reason, on a NO that
 carries no witness (kind "exact"): nothing in it can be re-checked.  All JSON
 output is sorted and timing-free except `bench` and the sweep wall clock, so
-identical inputs and seeds produce identical bytes.
+identical inputs produce identical bytes: no decision takes a seed, and
+`gen`'s `--seed` is part of its input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -46,18 +47,7 @@ EXIT_INTERNAL = 4
 
 FORMATS = ("edgelist", "dimacs")
 
-_CONSTANT_FIELDS = {
-    "gamma",
-    "gammas",
-    "alpha",
-    "beta_prime",
-    "beta",
-    "zeta",
-    "xi",
-    "epsilon",
-    "s",
-    "ladder_ratio",
-}
+_CONSTANT_FIELDS = {f.name for f in fields(ConstantsConfig)} - {"r"}
 
 
 class CliError(Exception):
@@ -176,7 +166,7 @@ def cmd_decide(args) -> int:
     if args.constants is not None:
         q = (-g.n) % k
         cfg = _load_constants(args.constants, (g.n + q) // k)
-    cert = decide_equitable(g, k, cfg=cfg, seed=args.seed)
+    cert = decide_equitable(g, k, cfg=cfg)
     _emit_json(_envelope(cert, command="decide", mode="coloring", value=k, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -187,7 +177,7 @@ def cmd_factor(args) -> int:
     if r < 1:
         raise CliError(f"--r must be positive, got {r}")
     cfg = _load_constants(args.constants, r) if args.constants is not None else None
-    cert = decide_kr_factor(g, r, cfg=cfg, seed=args.seed)
+    cert = decide_kr_factor(g, r, cfg=cfg)
     _emit_json(_envelope(cert, command="factor", mode="factor", value=r, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -285,9 +275,9 @@ def cmd_bench(args) -> int:
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         if args.k is not None:
-            cert = decide_equitable(g, args.k, seed=args.seed)
+            cert = decide_equitable(g, args.k)
         else:
-            cert = decide_kr_factor(g, args.r, seed=args.seed)
+            cert = decide_kr_factor(g, args.r)
         walls.append(time.perf_counter() - t0)
     doc = {
         "schema": "equitiler.bench/1",
@@ -321,14 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="decide equitable k-colorability")
     graph_args(d)
     d.add_argument("--k", type=int, required=True)
-    d.add_argument("--seed", type=int, default=0)
     d.add_argument("--constants", default=None, help="JSON file of scale overrides")
     d.set_defaults(fn=cmd_decide)
 
     f = sub.add_parser("factor", help="decide clique-factor existence")
     graph_args(f)
     f.add_argument("--r", type=int, required=True)
-    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--constants", default=None, help="JSON file of scale overrides")
     f.set_defaults(fn=cmd_factor)
 
@@ -364,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_args(b)
     b.add_argument("--k", type=int, default=None)
     b.add_argument("--r", type=int, default=None)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--repeat", type=int, default=1)
     b.set_defaults(fn=cmd_bench)
 

@@ -263,18 +263,14 @@ def _hajnal_szemeredi_factor(g: Graph, r: int) -> Optional[DecisionCertificate]:
     return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
 
 
-def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig, seed: int) -> DecisionCertificate:
+def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """Factor via the absorbing set: greedy cover outside M, absorb the rest."""
-    aset = build_absorbing_set(g, r, cfg=cfg, seed=seed)
+    aset = build_absorbing_set(g, r, cfg=cfg)
     if aset is None:
         raise PreconditionError("no absorbing set could be built")
     outside = g.full_mask & ~aset.m.bits
     greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
     leftover = VertexSet(outside & ~greedy.covered.bits)
-    if len(leftover) > cfg.epsilon * g.n:
-        raise PreconditionError(
-            f"greedy cover left {len(leftover)} vertices, beyond the absorbable budget"
-        )
     finish = absorb(g, aset, leftover)
     return _yes(Tiling(r, greedy.cliques + finish.cliques), "pipeline")
 
@@ -357,7 +353,6 @@ def decide_kr_factor(
     g: Graph,
     r: int,
     cfg: Optional[ConstantsConfig] = None,
-    seed: int = 0,
 ) -> DecisionCertificate:
     """Does G split into n/r vertex-disjoint copies of K_r?
 
@@ -400,7 +395,7 @@ def decide_kr_factor(
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
         ("recognizer", "recognize", recognize),
         ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
-        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg, seed)),
+        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
         ("unresolved", None, lambda: _UNRESOLVED),
@@ -423,9 +418,7 @@ def _color_exactly(g: Graph, k: int, hunt: bool) -> DecisionCertificate:
     return _coloring_no(coloring_obstruction(g, k) if hunt else None, "oracle")
 
 
-def _color_by_factor(
-    g: Graph, k: int, cfg: Optional[ConstantsConfig], seed: int
-) -> DecisionCertificate:
+def _color_by_factor(g: Graph, k: int, cfg: Optional[ConstantsConfig]) -> DecisionCertificate:
     """Decide the clique factor of the padded complement and carry it back.
 
     A YES lifts to a colouring of G.  Of a NO's witness only an independent
@@ -437,7 +430,7 @@ def _color_by_factor(
     unresolved answer comes back whole.
     """
     padded, q = pad_to_divisible(g, k)
-    cert = decide_kr_factor(complement(padded), padded.n // k, cfg, seed)
+    cert = decide_kr_factor(complement(padded), padded.n // k, cfg)
     if cert.answer is None:
         return cert
     if cert.answer:
@@ -453,7 +446,6 @@ def decide_equitable(
     g: Graph,
     k: int,
     cfg: Optional[ConstantsConfig] = None,
-    seed: int = 0,
 ) -> DecisionCertificate:
     """Does G have a proper k-coloring with class sizes within one?
 
@@ -508,6 +500,6 @@ def decide_equitable(
         ("obstruction", None, (lambda: _paper_obstruction(g, k)) if ok else None),
         ("recognizer", "recognize", recognize if odd_split else None),
         ("oracle", "oracle", (lambda: _color_exactly(g, k, not ok)) if exact else None),
-        ("delegate", None, lambda: _color_by_factor(g, k, cfg, seed)),
+        ("delegate", None, lambda: _color_by_factor(g, k, cfg)),
     )
     return _run(g, "coloring", k, steps, notes)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalContradiction
 
@@ -76,32 +75,6 @@ def _peel_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-# Per byte value b: _BYTE_COUNTS[b] is its number of set bits, and
-# _BYTE_SELECT[8 * b + j] the position of its j-th lowest set bit.
-_BYTE_COUNTS = bytes(b.bit_count() for b in range(256))
-_BYTE_SELECT = bytes(
-    p for b in range(256) for p in [i for i in range(8) if b >> i & 1] + [0] * (8 - b.bit_count())
-)
-
-
-def _bit_select(mask: int) -> Callable[[int], int]:
-    """j -> the j-th lowest set bit of `mask`, for 0 <= j < mask.bit_count().
-
-    The set-up is three C passes over the mask's bytes: their popcounts by
-    a table, and a running sum of them.  Each select then bisects the sums
-    for the byte that holds the bit and reads its position from a table, so
-    taking a few vertices of a wide mask by rank costs no walk over it.
-    """
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    ranks = list(accumulate(data.translate(_BYTE_COUNTS), initial=0))
-
-    def select(j: int) -> int:
-        i = bisect_right(ranks, j) - 1
-        return 8 * i + _BYTE_SELECT[8 * data[i] + j - ranks[i]]
-
-    return select
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -1742,49 +1742,6 @@ def seed_layered_greedy(g: Graph, r: int, inside: Optional[int] = None) -> Layer
     return LayeredFactor(r, {s: tuple(ps) for s, ps in layers.items()})
 
 
-# The absorber draws while they listed their pools: the Fisher-Yates walk of
-# `absorbing._random_clique`, and the probe draw of `build_absorbing_set`.
-
-
-def seed_random_clique(
-    g: Graph, rng: random.Random, pool: int, size: int
-) -> Optional[int]:
-    """Greedy clique on a uniform random order of the pool, drawn lazily.
-
-    Step i swaps a uniform pick from order[i:] into place i (a front-to-back
-    Fisher-Yates shuffle), so each prefix is a uniform draw without
-    replacement; the walk stops as soon as `size` vertices are chosen, and
-    costs one draw per vertex looked at rather than one per pool vertex.
-    None when the whole order yields no `size`-clique.
-    """
-    if size == 0:
-        return 0
-    order = list(iter_bits(pool))
-    end = len(order)
-    chosen = 0
-    count = 0
-    for i in range(end):
-        j = rng.randrange(i, end)
-        v = order[j]
-        order[j] = order[i]
-        if chosen & ~g.adj[v]:
-            continue
-        chosen |= 1 << v
-        count += 1
-        if count == size:
-            return chosen
-    return None
-
-
-def seed_probe_draw(rng: random.Random, avail: int, r: int) -> Optional[VertexSet]:
-    """The r-set probe drawn from the vertices of `avail`, or None (the build
-    stops) when it has fewer than r."""
-    pool = list(iter_bits(avail))
-    if len(pool) < r:
-        return None
-    return VertexSet(rng.sample(pool, r))
-
-
 # The colouring search's entry and greedy before the singletons were peeled
 # inline, the degree order looked its degrees up and the greedy kept one
 # `room` list; and the canonical form's batch before its 0/1 matrix was

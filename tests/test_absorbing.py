@@ -28,7 +28,6 @@ from equitiler import (
 from equitiler.absorbing import _draw_probe, _random_clique, _sample_absorbers
 from equitiler.certificates import clique_tiles_cover, tiling_holds
 from equitiler.graphs import iter_bits, low_degree_set
-from equitiler.oracle import kr_factor_exact
 from _brute import (
     absorber_family_problems,
     absorbing_family_for,
@@ -41,8 +40,6 @@ from _brute import (
     layered_factor_exact,
     seed_build_absorbing_set,
     seed_layered_greedy,
-    seed_probe_draw,
-    seed_random_clique,
 )
 from conftest import random_graph
 
@@ -173,19 +170,25 @@ class TestRandomClique:
         assert rng.draws <= 3
 
 
+def shifted(g, offset):
+    """G with every vertex moved up by `offset`, below it `offset` isolated
+    vertices."""
+    return Graph(g.n + offset, [0] * offset + [row << offset for row in g.adj])
+
+
 class TestDrawReplay:
-    """The lazy draws against the listing draws they replaced: the same
-    vertices, and the same generator state after, so the absorbers sampled,
-    and every certificate built from them, stay the same.  The draws lean on
-    how `randrange` and `random.sample` consume the generator, so CI runs
-    these on the oldest supported Python and a recent one."""
+    """A draw reads its pool only through the order of its members: moving
+    the graph and the pool up by an offset moves the draw by the same
+    offset and leaves the generator in the same state, so a seed and the
+    pool's members in ascending order fix every absorber."""
 
     @staticmethod
-    def same_clique(g, seed, pool, size):
-        live, frozen = random.Random(seed), random.Random(seed)
+    def same_clique(g, seed, pool, size, offset=70):
+        live, moved = random.Random(seed), random.Random(seed)
         got = _random_clique(g, live, pool, size)
-        assert got == seed_random_clique(g, frozen, pool, size)
-        assert live.getstate() == frozen.getstate()
+        far = _random_clique(shifted(g, offset), moved, pool << offset, size)
+        assert far == (None if got is None else got << offset)
+        assert live.getstate() == moved.getstate()
         return got
 
     @settings(max_examples=120, deadline=None)
@@ -200,7 +203,10 @@ class TestDrawReplay:
         rng = random.Random(seed)
         g = random_graph(rng, n, p)
         pool = sum(1 << v for v in range(n) if rng.random() < density)
-        self.same_clique(g, seed, pool, size)
+        got = self.same_clique(g, seed, pool, size)
+        if got is not None:
+            assert got & ~pool == 0 and got.bit_count() == size
+            assert g.is_clique(got)
 
     def test_size_zero_and_the_empty_pool(self):
         g = Graph.complete(100)
@@ -210,7 +216,7 @@ class TestDrawReplay:
 
     @pytest.mark.parametrize("low", [0, 64, 150])
     def test_no_clique_walks_the_whole_pool(self, low):
-        # An edgeless graph has no 2-clique, so both walks draw once per
+        # An edgeless graph has no 2-clique, so the walk draws once per
         # pool vertex, up to the last bit of a mask wider than 64 bits.
         g = Graph.empty(300)
         pool = g.full_mask >> low << low
@@ -220,8 +226,7 @@ class TestDrawReplay:
         assert rng.draws == 300 - low
 
     def test_a_pool_in_the_high_bits(self):
-        # The pool is the top 40 of 1,000 vertices, a clique: each rank is
-        # found past 120 empty low bytes.
+        # The pool is the top 40 of 1,000 vertices, a clique.
         g = Graph.empty(1000)
         for u, v in itertools.combinations(range(960, 1000), 2):
             g.add_edge(u, v)
@@ -242,9 +247,16 @@ class TestDrawReplay:
         avail = rng.getrandbits(width)
         for _ in range(thin):
             avail &= rng.getrandbits(width)
-        live, frozen = random.Random(seed), random.Random(seed)
-        assert _draw_probe(live, avail, r) == seed_probe_draw(frozen, avail, r)
-        assert live.getstate() == frozen.getstate()
+        live, moved = random.Random(seed), random.Random(seed)
+        got = _draw_probe(live, avail, r)
+        far = _draw_probe(moved, avail << 70, r)
+        assert far == (None if got is None else VertexSet(got.bits << 70))
+        assert live.getstate() == moved.getstate()
+        if got is None:
+            assert avail.bit_count() < r
+            assert live.getstate() == random.Random(seed).getstate()
+        else:
+            assert len(got) == r and got.bits & ~avail == 0
 
     # random.sample lists a population of at most 21 (r <= 5) or 85 (r = 6,
     # 7) and indexes a larger one through a set of the picks taken.
@@ -252,14 +264,17 @@ class TestDrawReplay:
     @pytest.mark.parametrize("r", [2, 3, 6])
     def test_probe_draw_around_the_sample_cutover(self, count, r):
         # The vertices sit at every third position from 70 up, so the mask
-        # is wider than 64 bits at every count.
+        # is wider than 64 bits at every count; the same draw from the
+        # vertices 0..count-1 picks the same ranks.
         avail = sum(1 << (70 + 3 * i) for i in range(count))
         for seed in range(5):
-            live, frozen = random.Random(seed), random.Random(seed)
+            live, packed = random.Random(seed), random.Random(seed)
             got = _draw_probe(live, avail, r)
-            assert got == seed_probe_draw(frozen, avail, r)
-            assert live.getstate() == frozen.getstate()
-            assert (got is None) == (count < r)
+            ranks = _draw_probe(packed, (1 << count) - 1, r)
+            assert (got is None) == (count < r) == (ranks is None)
+            if got is not None:
+                assert got == VertexSet(70 + 3 * i for i in ranks)
+            assert live.getstate() == packed.getstate()
 
 
 class TestEnumerate:
@@ -389,9 +404,9 @@ class TestLayeredGreedy:
 
 
 class TestSampledAbsorbers:
-    """An absorber's factor with its probe is checked as built, not searched
-    for: every absorber sampled must still pass both exact checks, and the
-    factor kept for G[S] must be the exact search's."""
+    """An absorber's factors, of G[S] and of G[S u Q], are checked as built,
+    not searched for: every absorber sampled must still pass both exact
+    checks, and the factor kept for G[S] must tile it."""
 
     GRAPHS = {
         "gnp240": lambda: random_gnp(240, 0.9, 0),
@@ -414,7 +429,7 @@ class TestSampledAbsorbers:
             for s, own in _sample_absorbers(g, q, r, 2, seed, exclude, slow.bits, exploit):
                 assert len(s) == r * r and not s.bits & (q.bits | exclude)
                 assert is_absorber_set(g, s.bits, q.bits, r)
-                assert own == kr_factor_exact(g, r, s.bits)
+                assert clique_tiles_cover(g, r, own) == s.bits
                 total += 1
         assert total >= 12
 
@@ -495,7 +510,9 @@ class TestBuild:
 
 
 class TestBuildMatchesSeed:
-    """One absorber per probe builds the set the four-absorber probes built."""
+    """One absorber per probe builds the set the four-absorber probes built.
+    The stored factors differ: the seed's came from exact search, these from
+    each absorber's shape."""
 
     CASES = {
         "complete60": (lambda: Graph.complete(60), None),
@@ -512,7 +529,10 @@ class TestBuildMatchesSeed:
         g = build()
         want = seed_build_absorbing_set(g, 3, cfg=cfg, seed=seed)
         assert want is not None
-        assert build_absorbing_set(g, 3, cfg=cfg, seed=seed) == want
+        got = build_absorbing_set(g, 3, cfg=cfg, seed=seed)
+        fields = ("r", "epsilon", "family", "fixed")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert absorbing_set_problems(got, g) == []
 
 
 class TestAbsorb:

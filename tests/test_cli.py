@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -306,6 +307,8 @@ class TestGen:
         _, a, _ = run(capsys, argv)
         _, b, _ = run(capsys, argv)
         assert a == b
+        want = "77d0ebf56ffc12f4e9759e54004bb7c35d4d28c12440dd5249d7469a525b792a"
+        assert hashlib.sha256(a.encode()).hexdigest() == want
 
     def test_dimacs_format_agrees(self, capsys):
         _, el, _ = run(capsys, ["gen", "--family", "ex1", "--n", "9", "--r", "3"])
@@ -443,3 +446,12 @@ class TestErrorBand:
 
     def test_no_command(self, capsys):
         assert main([]) == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["decide", "--k", "3"], ["factor", "--r", "3"], ["bench", "--r", "3"]]
+    )
+    def test_decisions_take_no_seed(self, capsys, write, argv):
+        path = write("c6.txt", dumps(cycle(6)))
+        code, out, err = run(capsys, [argv[0], path, *argv[1:], "--seed", "0"])
+        assert (code, out) == (3, "")
+        assert "--seed" in err

@@ -38,7 +38,6 @@ from equitiler import (
     random_gnp,
     random_ore,
 )
-from equitiler import absorbing as absorbing_module
 from equitiler import decide as decide_module
 from equitiler import oracle as oracle_module
 from equitiler.certificates import (
@@ -519,14 +518,12 @@ class TestAbsorptionCertificates:
 
     CASES = {
         "gnp(n=240,p=0.9)": (
-            lambda: decide_module._absorption_factor(random_gnp(240, 0.9, 0), 3, DENSE, 0),
-            "22cb7afdedd2a075cbc1d218df6bf7008c5182b680759f865b0e1aefbb1f9d00",
+            lambda: decide_module._absorption_factor(random_gnp(240, 0.9, 0), 3, DENSE),
+            "329a5f5e2c80ad69e705537f81832d8cdfe25ebe987135477e85e377af4dfa08",
         ),
         "ore(n=240,a=0)": (
-            lambda: decide_module._absorption_factor(
-                random_ore(240, 3, 0, 0), 3, default_constants(3), 0
-            ),
-            "93606393f91a709045e4ef5b7a044dde00a108aacb7d9f357fdbd346a02bf6b1",
+            lambda: decide_module._absorption_factor(random_ore(240, 3, 0, 0), 3, default_constants(3)),
+            "1a7a6b891656ffe0061a490d0e56c23406709fe95e0ea5ac5ea3dabf15737c5d",
         ),
         "hajnal-szemeredi/gnp(n=240,p=0.9)": (
             lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE),
@@ -553,15 +550,13 @@ class TestAbsorptionCertificates:
         # G[S] that is not a clique tiling is caught once, by the check of
         # the final factor, as a bug and not as a miss note.  Vertex 0 at
         # degree 159 < 160 keeps the Hajnal–Szemerédi step out.
-        real = absorbing_module.kr_factor_exact
+        real = decide_module.build_absorbing_set
 
-        def broken(g, r, inside=None):
-            t = real(g, r, inside)
-            if t is None or inside is None or inside.bit_count() != r * r:
-                return t
-            return Tiling(r, (t.cliques[0],) * len(t.cliques))
+        def broken(g, r, cfg):
+            aset = real(g, r, cfg=cfg)
+            return aset._replace(factors=tuple((f[0],) * len(f) for f in aset.factors))
 
-        monkeypatch.setattr(absorbing_module, "kr_factor_exact", broken)
+        monkeypatch.setattr(decide_module, "build_absorbing_set", broken)
         with pytest.raises(InternalContradiction, match="absorption route answer failed verification"):
             decide_kr_factor(thinned(random_gnp(240, 0.9, 0), 0, 159), 3, cfg=DENSE)
 

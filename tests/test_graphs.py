@@ -15,7 +15,6 @@ from equitiler.generators import random_gnp
 from equitiler.graphs import (
     Graph,
     VertexSet,
-    _bit_select,
     as_fraction,
     complement,
     connected_components,
@@ -335,16 +334,6 @@ def test_iter_bits_replays_the_peel(mask, cut):
     assert next(it, None) is None
     stop = next((v for v in iter_bits(mask) if v >= cut), None)
     assert stop == next((v for v in want if v >= cut), None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(filled_masks())
-@example(0)
-@example(1 << 1099)
-@example((1 << 256) - 1)
-def test_bit_select_finds_each_rank(mask):
-    select = _bit_select(mask)
-    assert [select(j) for j in range(mask.bit_count())] == list(seed_iter_bits(mask))
 
 
 @settings(max_examples=100, deadline=None)

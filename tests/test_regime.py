@@ -29,6 +29,7 @@ from equitiler import (
     sigma,
 )
 from equitiler.certificates import verify_certificate
+from equitiler.decide import _paper_obstruction
 
 # (graph, mode, r or k)
 Instance = Tuple[Graph, str, int]
@@ -142,6 +143,41 @@ def ore() -> List[Instance]:
     return out
 
 
+def paper_only() -> List[Instance]:
+    """Hubs beyond k that only the source paper covers: n = 3k, h hubs of
+    degree k + t (t in {1, 2}), each joined to k + t vertices capped at
+    degree k - t, every other vertex capped at degree k.  n*k random pairs
+    of non-hubs are tried; a pair is added when it is not an edge yet and
+    both its ends are below their caps.  Every edge's caps sum to at
+    most 2k, so sigma_G <= 2k with Delta(G) = k + t > k."""
+    rng = random.Random(11)
+    out: List[Instance] = []
+    for n in (60, 120, 240, 480):
+        k = n // 3
+        for t in (1, 2):
+            for h in (1, 2, 3):
+                g = Graph.empty(n)
+                hubs = rng.sample(range(n), h)
+                rest = [v for v in range(n) if v not in hubs]
+                cap = [k] * n
+                for u in hubs:
+                    for v in rng.sample(rest, k + t):
+                        g.add_edge(u, v)
+                        cap[v] = k - t
+                deg = g.degrees()
+                for _ in range(n * k):
+                    u, v = rng.choice(rest), rng.choice(rest)
+                    if u != v and deg[u] < cap[u] and deg[v] < cap[v] and not g.adj[u] >> v & 1:
+                        g.add_edge(u, v)
+                        deg[u] += 1
+                        deg[v] += 1
+                assert max(g.degree(u) + g.degree(v) for u, v in g.edges()) <= 2 * k
+                assert max(g.degrees()) == k + t
+                assert _paper_obstruction(g, k) is None
+                out.append((g, "coloring", k))
+    return out
+
+
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
     "boundary": (boundary, 36, 0, 0),
@@ -149,6 +185,7 @@ FAMILIES: dict = {
     "perturbed": (perturbed_odd_splits, 36, 28, 28),
     "sparse": (sparse, 48, 24, 24),
     "ore": (ore, 24, 0, 0),
+    "paper_only": (paper_only, 24, 0, 0),
 }
 
 
