@@ -13,12 +13,14 @@ blossom search settles at every size: a YES is the matching, a NO its
 Tutte–Berge barrier.  When every vertex of H has degree at least
 n - n/r, the complement has maximum degree below k = n/r, and the
 Hajnal–Szemerédi theorem gives it an equitable k-colouring, built by
-`equitable.equitable_classes`: its classes are the factor.  The colouring
-side reaches that step through its delegate, since padding adds a clique
-on q < k vertices, of degree below k.  Sub-problems (the vertices outside
-the absorbing set, a leftover block, the units of the multipartite
-finish) are vertex masks of the input graph, so every clique found is
-already in its labels.
+`equitable.equitable_classes`: its classes are the factor.  That step
+runs ahead of the NO recognizer: under its gate the factor exists, so
+the recognizer could find no witness, and where the gate fails its scan
+stops at the first short row.  The colouring side reaches the step
+through its delegate, since padding adds a clique on q < k vertices, of
+degree below k.  Sub-problems (the vertices outside the absorbing set, a
+leftover block, the units of the multipartite finish) are vertex masks of
+the input graph, so every clique found is already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
@@ -360,12 +362,14 @@ def decide_kr_factor(
       trivial     n = 0 or r = 1: exact search, the empty factor or the
                   singletons;
       matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
-      recognizer  the odd split or an n/r + 1 independent set, a NO with
-                  its witness;
       hajnal-szemeredi
                   every row of H has at least n - n/r bits: an equitable
                   n/r-colouring of the complement, whose classes are the
                   factor (Hajnal–Szemerédi);
+      recognizer  the odd split or an n/r + 1 independent set, a NO with
+                  its witness; it runs only where the gate above fails,
+                  since under the gate a factor exists and no witness of
+                  a NO can;
       absorption  the dense absorption route;
       structured  the extremal pipeline;
       oracle      n <= FALLBACK_CAP: exact search;
@@ -393,8 +397,8 @@ def decide_kr_factor(
     steps: Tuple[_Step, ...] = (
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
-        ("recognizer", "recognize", recognize),
         ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
+        ("recognizer", "recognize", recognize),
         ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),

@@ -374,8 +374,15 @@ def sigma(g: Graph) -> OreStats:
 
 
 def complement(g: Graph) -> Graph:
+    """The graph on the same vertices with exactly the missing edges.
+
+    A row holds neither its own bit nor bits at n or above (`add_edge` and
+    the readers keep it so), so XOR with the full mask and the row's own
+    bit flips exactly the other n - 1 positions.  Two XORs of non-negative
+    ints cost about a third of a negate and two masks (timeit at n = 960).
+    """
     full = g.full_mask
-    return Graph(g.n, [~g.adj[v] & full & ~(1 << v) for v in range(g.n)])
+    return Graph(g.n, [full ^ (1 << v) ^ row for v, row in enumerate(g.adj)])
 
 
 def ore_edge_bound(g: Graph, k: int) -> Tuple[bool, Optional[Tuple[int, int]]]:

@@ -5,13 +5,18 @@ The blossom search processes exposed roots in ascending order and scans
 neighbors in ascending order, so results are reproducible.  One search costs
 the size of its alternating tree and the neighbour rows it reads: every
 blossom base keeps the mask of its members, so a contraction walks only the
-vertices it merges (Edmonds, "Paths, trees, and flowers", 1965).  When a search
-from an exposed root of a maximum matching ends without augmenting, its outer
-vertices are exactly those reachable from the root by an even alternating
-path.  Their union over all exposed roots is the set D of the Gallai–Edmonds
-decomposition, and U = N(D) - D is a Tutte–Berge barrier: G - U has exactly
-n - 2*nu(G) more odd components than U has vertices (Lovász–Plummer,
-*Matching Theory*).
+vertices it merges (Edmonds, "Paths, trees, and flowers", 1965).  Before
+a search, `maximum_matching` looks for an augmenting path of three edges
+from the root, read straight off the rows; when there is one, it is the
+path the search would take, so the matching is the same and only the
+search's blossom contractions are skipped.  On dense graphs the few
+vertices the greedy seed leaves exposed are usually matched this way.
+When a search from an exposed root of a maximum matching ends without
+augmenting, its outer vertices are exactly those reachable from the root
+by an even alternating path.  Their union over all exposed roots is the
+set D of the Gallai–Edmonds decomposition, and U = N(D) - D is a
+Tutte–Berge barrier: G - U has exactly n - 2*nu(G) more odd components
+than U has vertices (Lovász–Plummer, *Matching Theory*).
 """
 
 from __future__ import annotations
@@ -161,23 +166,51 @@ def maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
     exposed neighbor; a running mask of covered vertices keeps it at O(n)
     bit operations.  One augmentation pass per remaining exposed vertex
     then makes the matching maximum.
+
+    The seed leaves no two exposed vertices adjacent, and augmenting only
+    shrinks the exposed set, so no augmenting path has a single edge.
+    Before the blossom search from a root, a path of three edges is read
+    off the rows: for each neighbour u of the root, ascending, the lowest
+    exposed neighbour x of w = match[u].  It is the path the search would
+    augment along.  The search's queue after the root holds match[u] for u
+    ascending, whether u was discovered or closed a triangle blossom with
+    the root, and popping w it stops at w's lowest exposed neighbour, since
+    an exposed vertex other than the root is in no blossom and has no
+    parent.  The contractions it makes before that rewrite only the parents
+    of outer vertices, and augmenting reads only parent[x] = w and
+    parent[u], which stays the root.  The exposed set is kept as a mask:
+    the root leaves it when its pass starts, since a root the search fails
+    from can end no later augmenting path, and x leaves it once matched.
     """
     if inside is None:
         inside = g.full_mask
-    verts = list(iter_bits(inside))
+    adj = g.adj
     match = [-1] * g.n
     covered = 0
-    for v in verts:
+    for v in iter_bits(inside):
         if match[v] == -1:
-            free = g.adj[v] & inside & ~covered
+            free = adj[v] & inside & ~covered
             if free:
                 u = (free & -free).bit_length() - 1
                 match[v] = u
                 match[u] = v
                 covered |= (1 << v) | (1 << u)
-    for v in verts:
-        if match[v] == -1:
-            _augment_once(g, match, v, inside)
+    exposed = inside & ~covered
+    for v in iter_bits(exposed):
+        if match[v] != -1:
+            continue
+        exposed ^= 1 << v
+        for u in iter_bits(adj[v] & inside):
+            w = match[u]
+            hit = adj[w] & exposed
+            if hit:
+                x = (hit & -hit).bit_length() - 1
+                match[v], match[u], match[w], match[x] = u, v, x, w
+                exposed ^= 1 << x
+                break
+        else:
+            if _augment_once(g, match, v, inside) is None:
+                exposed ^= next(1 << x for x in iter_bits(exposed) if match[x] != -1)
     return Matching.from_array(match)
 
 

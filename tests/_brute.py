@@ -58,7 +58,7 @@ from equitiler.graphs import (
     max_independent_set,
     sigma,
 )
-from equitiler.matching import Matching, maximum_matching
+from equitiler.matching import Matching, _augment_once, maximum_matching
 from equitiler.oracle import (
     Coloring,
     LayeredFactor,
@@ -111,6 +111,12 @@ def brute_induced(n: int, edges: Iterable[Edge], mask: int) -> Tuple[int, Frozen
     pos = {v: i for i, v in enumerate(labels)}
     inside = ((pos[u], pos[v]) for u, v in edges if u in pos and v in pos)
     return len(labels), norm_edges(inside), labels
+
+
+def brute_complement(n: int, edges: Iterable[Edge]) -> FrozenSet[Edge]:
+    """Edge set of the complement: every pair u < v that is not an edge."""
+    edges = norm_edges(edges)
+    return frozenset(e for e in itertools.combinations(range(n), 2) if e not in edges)
 
 
 def is_clique_set(adj: Sequence[Set[int]], vs: Iterable[int]) -> bool:
@@ -723,7 +729,7 @@ def seed_classify(g: Graph, p: RsPartition, delta) -> VertexClassification:
     return out
 
 
-def seed_maximum_matching(g):
+def seed_quadratic_matching(g):
     """matching.maximum_matching with its quadratic greedy seed."""
     match = [-1] * g.n
     # Greedy seed, then one augmentation pass per remaining exposed vertex.
@@ -746,6 +752,36 @@ def _covered_bits(match: List[int]) -> int:
         if m != -1:
             bits |= 1 << v
     return bits
+
+
+def seed_greedy_match(g: Graph, inside: int) -> List[int]:
+    """The greedy seed of matching.maximum_matching, as a match array: each
+    exposed vertex of `inside`, ascending, takes its lowest exposed
+    neighbour inside."""
+    match = [-1] * g.n
+    covered = 0
+    for v in iter_bits(inside):
+        if match[v] == -1:
+            free = g.adj[v] & inside & ~covered
+            if free:
+                u = (free & -free).bit_length() - 1
+                match[v] = u
+                match[u] = v
+                covered |= (1 << v) | (1 << u)
+    return match
+
+
+def seed_maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
+    """matching.maximum_matching before it read short augmenting paths off
+    the rows: the greedy seed, then the blossom search from every vertex
+    left exposed, in ascending order."""
+    if inside is None:
+        inside = g.full_mask
+    match = seed_greedy_match(g, inside)
+    for v in iter_bits(inside):
+        if match[v] == -1:
+            _augment_once(g, match, v, inside)
+    return Matching.from_array(match)
 
 
 def seed_quotient_factor(g, p, ts, retries: int = 20):

@@ -243,7 +243,7 @@ class TestFactorLadder:
         # exact oracle, called directly, tiles it too.
         c = decide_kr_factor(Graph.complete(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert [stage for stage, _ in c.timings] == ["recognize", "hajnal-szemeredi"]
+        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi"]
         assert len(c.certificate.cliques) == 3
         assert tiling_holds(Graph.complete(9), c.certificate)
         t = kr_factor_exact(Graph.complete(9), 3)
@@ -851,23 +851,26 @@ class TestStepTables:
         "matching": (lambda: cycle(30), "factor", 2, None,
                      ("factorable", "pipeline"), ["matching"]),
         "recognizer/odd-split": (lambda: build_ex2(36, 3, 1), "factor", 3, None,
-                                 ("obstructed", "recognizer"), ["recognize"]),
-        # The recognizer answers before any search, at every n.
+                                 ("obstructed", "recognizer"),
+                                 ["hajnal-szemeredi", "recognize"]),
+        # The recognizer answers before any search, at every n, once the
+        # Hajnal–Szemerédi gate has failed at its first short row.
         "recognizer/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
-                                       ("obstructed", "recognizer"), ["recognize"]),
+                                       ("obstructed", "recognizer"),
+                                       ["hajnal-szemeredi", "recognize"]),
         # Every row of K_{9,9,9} has n - n/3 bits.
         "hajnal-szemeredi": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
-                             ("factorable", "pipeline"), ["recognize", "hajnal-szemeredi"]),
+                             ("factorable", "pipeline"), ["hajnal-szemeredi"]),
         "absorption": (dense60, "factor", 3, DENSE, ("factorable", "pipeline"),
-                       ["recognize", "hajnal-szemeredi", "absorption"]),
+                       ["hajnal-szemeredi", "recognize", "absorption"]),
         "structured": (split_plus_singletons, "factor", 3, None, ("factorable", "pipeline"),
-                       ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
+                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
         "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
                             ("factorable", "oracle"),
-                            ["recognize", "hajnal-szemeredi", "absorption", "pipeline", "oracle"]),
+                            ["hajnal-szemeredi", "recognize", "absorption", "pipeline", "oracle"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
                        ("unresolved", "pipeline"),
-                       ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
+                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap the oracle colours G itself; beyond
         # it the delegate reports the factor side's stages.
@@ -889,15 +892,15 @@ class TestStepTables:
         "delegate": (lambda: cycle(50), "coloring", 25, None,
                      ("colorable", "pipeline"), ["matching"]),
         "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
-                               ("exact", "recognizer"), ["recognize"]),
+                               ("exact", "recognizer"), ["hajnal-szemeredi", "recognize"]),
         # Δ(G) = 16 < k: the delegate's factor table colours the complement
         # of its complement at the Hajnal–Szemerédi step.
         "delegate/hajnal-szemeredi": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
                                       ("colorable", "pipeline"),
-                                      ["recognize", "hajnal-szemeredi"]),
+                                      ["hajnal-szemeredi"]),
         "delegate/unresolved": (bridged_cliques, "coloring", 17, None,
                                 ("unresolved", "pipeline"),
-                                ["recognize", "hajnal-szemeredi", "absorption", "pipeline"]),
+                                ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -928,14 +931,15 @@ class TestStepTables:
     def test_unverified_recognizer_witness_raises(self, monkeypatch):
         # Every answer is checked where the table returns it: a recognizer
         # witness that is not independent is a bug, not a miss that the
-        # later steps paper over.
+        # later steps paper over.  The 6-cycle fails the Hajnal–Szemerédi
+        # gate at vertex 0, so the recognizer runs.
         monkeypatch.setattr(
             decide_module, "recognize_extremal", lambda g, r: Ex1Witness(VertexSet([0, 1, 2]))
         )
         with pytest.raises(
             InternalContradiction, match="recognizer route answer failed verification"
         ):
-            decide_kr_factor(Graph.complete(6), 3)
+            decide_kr_factor(cycle(6), 3)
 
     def test_unverified_delegated_witness_raises(self, monkeypatch):
         # An independent set of the padded complement carries over as a

@@ -20,6 +20,7 @@ from equitiler import decide as decide_module
 from equitiler import equitable as equitable_module
 from equitiler.certificates import payload_clauses, tiling_holds
 from equitiler.equitable import equitable_classes
+from equitiler.extremal import build_ex1_like, build_ex2, recognize_extremal
 
 # A 3-regular graph on 12 vertices, found by a seeded search that counted
 # the solo moves of its colouring at k = 4: first-fit leaves vertex 11
@@ -106,16 +107,31 @@ class TestFactorStep:
     @given(capped_graphs(max_n=18, min_m=3))
     def test_tiles_every_input_inside_its_gate(self, case):
         # H = complement(G) has δ(H) >= n - n/r at r = n/k >= 3: the step
-        # always answers, its tiling holds, and the exact search agrees.
+        # always answers, its tiling holds, and the exact search agrees.  So
+        # no witness of a NO exists, and the recognizer, which runs after
+        # the step, would have had nothing to find.
         g, k = case
         h = complement(g)
         r = h.n // k
         got = decide_module._hajnal_szemeredi_factor(h, r)
         assert got is not None and tiling_holds(h, got.certificate)
         assert kr_factor_exact(h, r) is not None
+        assert recognize_extremal(h, r) is None
         c = decide_kr_factor(h, r)
         assert (c.kind, c.provenance) == ("factorable", "pipeline")
-        assert [stage for stage, _ in c.timings] == ["recognize", "hajnal-szemeredi"]
+        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi"]
+
+    @pytest.mark.parametrize(
+        "build", [lambda: build_ex2(240, 3, 1), lambda: build_ex1_like(240, 3)], ids=["ex2", "ex1"]
+    )
+    def test_extremal_nos_fail_the_gate_at_vertex_0(self, build):
+        # The gate stops at the first short row, vertex 0 on both shapes,
+        # and the recognizer still gives their NO.
+        h = build()
+        assert h.degree(0) < 240 - 80
+        c = decide_kr_factor(h, 3)
+        assert (c.kind, c.provenance) == ("obstructed", "recognizer")
+        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi", "recognize"]
 
     def test_one_short_row_closes_the_gate(self):
         # K_{3,3,3} has every row at n - n/3 = 6; without the edge 0-3,

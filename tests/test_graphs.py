@@ -31,6 +31,7 @@ from equitiler.graphs import (
 
 from _brute import (
     adj_sets,
+    brute_complement,
     brute_independence_number,
     brute_induced,
     brute_sigma,
@@ -182,6 +183,15 @@ def test_complement_involution(ne):
     g = Graph.from_edges(n, edges)
     assert complement(complement(g)) == g
     assert g.edge_count() + complement(g).edge_count() == n * (n - 1) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_strategy(max_n=12))
+def test_complement_matches_the_missing_pairs(ne):
+    n, edges = ne
+    want = brute_complement(n, edges)
+    got = complement(Graph.from_edges(n, edges))
+    assert graph_edges(got) == want and got == Graph.from_edges(n, want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equitiler.certificates import tutte_barrier_holds
+from equitiler import matching as matching_module
+from equitiler.certificates import certificate_to_json, tutte_barrier_holds
+from equitiler.decide import decide_kr_factor
 from equitiler.errors import PreconditionError
+from equitiler.generators import random_gnp
 from equitiler.graphs import Graph, VertexSet, iter_bits
 from equitiler.matching import (
     Matching,
@@ -24,7 +30,9 @@ from _brute import (
     brute_max_matching_size,
     seed_augment_once,
     seed_covering_matching,
+    seed_greedy_match,
     seed_maximum_matching,
+    seed_quadratic_matching,
     seed_unmasked_matching,
 )
 from conftest import random_graph
@@ -71,7 +79,7 @@ class TestMaximumMatching:
 )
 def test_maximum_matching_pairs_match_quadratic_seed(n, p, seed):
     g = random_graph(random.Random(seed), n, p)
-    assert maximum_matching(g).pairs == seed_maximum_matching(g).pairs
+    assert maximum_matching(g).pairs == seed_quadratic_matching(g).pairs
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,6 +106,50 @@ def test_masked_matchings_match_the_induced_copy(n, p, seed):
         assert got is None
     else:
         assert got.pairs == tuple((labels[u], labels[v]) for u, v in ref.pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.5, 0.8]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_short_paths_are_the_searchs_own(n, p, masked, seed):
+    # A three-edge path read off the rows is the one the blossom search from
+    # that root would augment along, so the pairs, and the barrier built
+    # from them, are those of the search run from every exposed vertex.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    mask = rng.getrandbits(n) if masked else None
+    assert maximum_matching(g, mask).pairs == seed_maximum_matching(g, mask).pairs
+    with mock.patch.object(matching_module, "maximum_matching", seed_maximum_matching):
+        want = pm_or_structure(g)
+    got = pm_or_structure(g)
+    assert type(got) is type(want) and got == want
+
+
+def test_dense_gnp_augments_by_short_paths_alone():
+    # The greedy seed of G(960, 1/2) leaves 956 and 959 exposed; 956 reaches
+    # 959 over one matched edge, so no blossom search runs, and the r = 2
+    # certificate (timings dropped) is the one the search gave.
+    g = random_gnp(960, 0.5, 0)
+    seed = seed_greedy_match(g, g.full_mask)
+    assert [v for v in range(g.n) if seed[v] == -1] == [956, 959]
+
+    def no_search(*args):
+        raise AssertionError("blossom search ran")
+
+    with mock.patch.object(matching_module, "_augment_once", no_search):
+        cert = decide_kr_factor(g, 2)
+    assert (cert.kind, cert.provenance) == ("factorable", "pipeline")
+    doc = certificate_to_json(cert)
+    del doc["timings"]
+    text = json.dumps(doc, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "8e8bd7c2cf8e307625c115f1d80cfe3b48abee6077505688824ce7c519bbffd6"
+    )
 
 
 def spread_matching(rng: random.Random, g: Graph) -> list:
@@ -189,7 +241,7 @@ class TestOddBlocks:
     @staticmethod
     def check_barrier(g: Graph, match: list) -> None:
         # D does not depend on which maximum matching the searches start from.
-        assert maximum_matching(g) == seed_maximum_matching(g)
+        assert maximum_matching(g) == seed_quadratic_matching(g)
         assert_search_matches_seed(g, match)
         d = assert_search_matches_seed(g, match)
         reach = 0
