@@ -247,7 +247,8 @@ def _factor_r2(g: Graph) -> DecisionCertificate:
     out = pm_or_structure(g)
     if isinstance(out, TutteBarrier):
         return _no(out, "pipeline")
-    return _yes(Tiling(2, tuple(VertexSet([u, v]) for u, v in out.pairs)), "pipeline")
+    pairs = tuple(VertexSet((1 << u) | (1 << v)) for u, v in out.pairs)
+    return _yes(Tiling(2, pairs), "pipeline")
 
 
 def _hajnal_szemeredi_factor(g: Graph, r: int) -> Optional[DecisionCertificate]:

@@ -8,12 +8,15 @@ exceptional or excellent toward it), and `refine_to_good` swaps misplaced
 vertices between parts until the partition is good.  Within one
 refinement each block's degree row is counted once, whichever rounds
 grade it, and the final partition is graded once: the good-partition
-clauses are read on those grades, and the decider checks the factor
-built on it.  Refinement returns only the good partition (or its stage
-escape): the exchange rounds leave no record beyond the counts a stalled
-refinement quotes in its message.  Everything runs on bitmasks with
-Fraction constants rounded once to integer thresholds, so results are
-reproducible and never depend on float rounding.
+clauses are read on those grades, except (A4)'s rescue clauses, which
+hold by construction, and the decider checks the factor built on it.  A
+partition's shape is checked where it is made or enters: `peel_partition`,
+`refine_to_good` and `classify`.  Refinement returns only the good
+partition (or its stage escape): the exchange rounds leave no record
+beyond the counts a stalled refinement quotes in its message.
+Everything runs on bitmasks with Fraction constants rounded once to
+integer thresholds, so results are reproducible and never depend on
+float rounding.
 """
 
 from __future__ import annotations
@@ -125,8 +128,9 @@ def classify(
     turns the buckets into "degree at least t" masks, so a grade at any
     threshold is one lookup.  The row of the whole vertex set, the degree
     sequence, gives the slack set S.  Returns one classification per
-    threshold, in the order given.
+    threshold, in the order given.  p's shape is checked here.
     """
+    p.check(g.n)
     return _classify(g, p, deltas, {})
 
 
@@ -135,8 +139,8 @@ def _classify(
 ) -> Tuple[VertexClassification, ...]:
     """`classify` reading and filling `counts`, the level tables of
     `_at_least` keyed by block mask: a table depends only on g and the mask,
-    so one dict serves every grading of g that shares it."""
-    p.check(g.n)
+    so one dict serves every grading of g that shares it.  The caller has
+    checked p's shape."""
     n = g.n
     full = g.full_mask
     deg = _at_least(g, full, counts)
@@ -366,9 +370,11 @@ class GoodPartition(NamedTuple):
     The partition is graded once at each threshold the tiling stage reads:
     `classification` at delta = 2 * beta_prime, `thin` at beta/2 and
     `crowded` at 2 * beta (`_grade_thresholds`).  `rescue[i]` matches every
-    off-S vertex that is thin toward A_i at beta/2 into A_i; the matchings
-    are pairwise disjoint.  Refinement checks the conditions on the grades
-    it carries.
+    off-S vertex that is thin toward A_i at beta/2 into A_i, each edge one
+    thin vertex and one vertex of A_i; the matchings are pairwise disjoint.
+    Refinement reads (S), (A1)-(A3) and (A4)'s "crowded and thin" on the
+    grades it carries; (A4)'s rescue clauses hold by construction
+    (`_rescue_matchings`).  The tiling stages trust the grades and shape.
     """
 
     partition: RsPartition
@@ -570,7 +576,11 @@ def _rescue_matchings(
     """Disjoint matchings sending each thin off-S vertex into its part.
 
     `cls` is the partition's grade at beta/2, the one `GoodPartition`
-    carries as `thin`; `note` closes the message of a miss.
+    carries as `thin`; `note` closes the message of a miss.  (A4)'s rescue
+    clauses hold by construction, so `_violations` does not read them: one
+    matching per part, whose auxiliary graph has only thin-to-part edges of
+    G; `used` keeps the matchings disjoint (a thin vertex already used
+    raises); and each covers every thin vertex, or the miss raises.
     """
     p = cls.partition
     used = 0
@@ -611,8 +621,10 @@ def _within_root_budget(count: int, budget: Fraction, scale: int) -> bool:
 
 
 def _violations(g: Graph, q: GoodPartition) -> List[str]:
-    """The clauses (S) and (A1)-(A4) that q breaks, read on the grades q
-    carries.  q's partition must pass its shape check and hold a part."""
+    """The clauses (S), (A1)-(A3) and (A4)'s "crowded and thin" that q
+    breaks, read on the grades q carries.  q's partition must pass its
+    shape check and hold a part.  (A4)'s rescue clauses are not read: they
+    hold by construction (`_rescue_matchings`)."""
     cls_half, cls_b, cls_ne = q.thin, q.crowded, q.classification
     cfg = q.constants
     p = q.partition
@@ -638,30 +650,7 @@ def _violations(g: Graph, q: GoodPartition) -> List[str]:
         nonexcellent = n - len(part) - len(cls_ne.excellent[i])
         if not _within_root_budget(nonexcellent, cfg.alpha, n):
             report.append(f"(A3) part {i + 1} has {nonexcellent} non-excellent vertices")
-    if len(q.rescue) != p.s:
-        report.append(f"(A4) expected {p.s} rescue matchings, got {len(q.rescue)}")
-        return report
-    seen = 0
-    for i, part in enumerate(p.parts):
-        need = cls_half.off_low(cls_half.exceptional[i])
-        crowded = cls_b.bad[i]
-        if len(crowded) > 0 and len(need) > 0:
+    for i in range(p.s):
+        if cls_b.bad[i] and cls_half.off_low(cls_half.exceptional[i]):
             report.append(f"(A4) part {i + 1} keeps both crowded and thin vertices")
-        m = q.rescue[i]
-        if not m.verify(g):
-            report.append(f"(A4) rescue matching {i + 1} is not a matching of G")
-            continue
-        cov = m.covered
-        if seen & cov.bits:
-            report.append(f"(A4) rescue matching {i + 1} overlaps an earlier one")
-        seen |= cov.bits
-        if not need.issubset(cov):
-            report.append(f"(A4) rescue matching {i + 1} misses thin vertices")
-        for u, v in m.pairs:
-            ends = {u, v}
-            if not (ends & set(need.members()) and ends & set(part.members())):
-                report.append(
-                    f"(A4) edge {u},{v} of rescue matching {i + 1} leaves its lane"
-                )
-                break
     return report

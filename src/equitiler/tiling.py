@@ -105,10 +105,8 @@ Base = Union[SingleBase, DoubleBase]
 
 
 def _context(g: Graph, q: GoodPartition) -> Tuple[RsPartition, int, int, int]:
+    """(partition, n, r, s); refinement checked q's shape and gave it a part."""
     p = q.partition
-    p.check(g.n)
-    if not p.parts:
-        raise PreconditionError("need at least one peeled part")
     n = g.n
     r = n // len(p.parts[0])
     return p, n, r, p.s
@@ -268,9 +266,6 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> Tuple[Base, ...]:
     for i in range(s):
         exc = thin.exceptional[i].bits
         exs = exc & low
-        exl = exc & ~low
-        if exl & ~q.rescue[i].covered.bits:
-            raise _odd_split(f"part {i}: a thin vertex has no rescue edge")
         if not exs:
             continue
         if r == s:
@@ -306,13 +301,11 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> Tuple[Base, ...]:
                 )
             bases.append(db)
             used |= gmask | cmask
-    # surviving rescue edges stand alone
+    # surviving rescue edges stand alone; each holds one thin vertex
     for j in range(s):
         exc = thin.exceptional[j].bits & ~low
         for u, v in q.rescue[j].pairs:
             em = (1 << u) | (1 << v)
-            if not em & exc:
-                continue  # spare edge of the matching, no obligation on it
             if em & used:
                 if exc & em & ~used:
                     raise _odd_split(f"part {j}: a rescue edge lost its thin endpoint")
@@ -491,7 +484,8 @@ def _grow(
 def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     """Grow a seed into one or two full r-cliques avoiding `w`.
 
-    The seed must have positive slack (`base_slack`).  The result keeps
+    The seed must have positive slack (`base_slack`); the covers and
+    `parity_repair` check that where they make the seed.  The result keeps
     exact block balance: each grown clique takes its block share, with the
     pair seed trading one vertex between its two overfilled blocks.
     Running out of candidates is a miss and raises
@@ -501,8 +495,6 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     """
     p, n, r, s = _context(g, q)
     cfg = q.constants
-    if not _has_margin(g, q, h):
-        raise PreconditionError("extension needs a seed with positive margin")
     if len(w) ** 4 > (5 * r) ** 4 * cfg.alpha * n**4:
         raise PreconditionError("avoid set too large for the extension")
     if w.bits & h.vertices.bits:
@@ -576,21 +568,24 @@ def contract_residual(
 
     Each part of `p` gives its vertices as single-vertex units, ascending;
     the last block holds the cliques of `ts`, a tiling of the leftover block,
-    in tiling order.  `ts` must cover the leftover block exactly, without
-    overlap; the decider, not this step, checks that its cliques are cliques.
+    in tiling order.  The blocks are validated here, not in
+    `multipartite_factor`: they must be disjoint, the parts of one nonzero
+    size, and `ts` must cover the leftover block exactly, without overlap,
+    by as many cliques as a part has vertices.  The decider, not this
+    step, checks that its cliques are cliques.
     """
     if not p.parts:
         raise PreconditionError("need at least one part to contract against")
     sizes = {len(a) for a in p.parts}
     if len(sizes) != 1 or 0 in sizes:
         raise PreconditionError("parts must share one nonzero size")
+    if len(ts.cliques) not in sizes:
+        raise PreconditionError("parts must be balanced")
     seen = 0
-    for a in p.parts:
+    for a in p.parts + (p.b,):
         if seen & a.bits:
             raise PreconditionError("partition blocks overlap")
         seen |= a.bits
-    if seen & p.b.bits:
-        raise PreconditionError("partition blocks overlap")
     if ts.covered != p.b or sum(map(len, ts.cliques)) != len(p.b):
         raise PreconditionError("tiling is not a factor of the leftover block")
     blocks = [tuple(1 << v for v in iter_bits(a.bits)) for a in p.parts]
@@ -608,13 +603,14 @@ def multipartite_factor(
     """Cliques of g that each join one unit of every block.
 
     `blocks` holds disjoint vertex masks of g, the units, the same number
-    per block and of one size within a block.  Layer by layer, partial
-    cliques meet the next block's units through a bipartite matching: a
-    partial clique P meets unit U when P lies in the common neighborhood
-    N(U) of U.  The first pass is deterministic; when a layer matching
-    comes up short the whole build restarts with seeded shuffles.  Above
-    the cross-degree threshold of (1 - 1/2k) of a block the first pass
-    always lands; below it the routine stays best-effort and may return
+    per block and of one size within a block.  `contract_residual`, which
+    builds them, validates the blocks; this step does not.  Layer by layer,
+    partial cliques meet the next block's units through a bipartite
+    matching: a partial clique P meets unit U when P lies in the common
+    neighborhood N(U) of U.  The first pass is deterministic; when a layer
+    matching comes up short the whole build restarts with seeded shuffles.
+    Above the cross-degree threshold of (1 - 1/2k) of a block the first
+    pass always lands; below it the routine stays best-effort and may return
     None.  Units that are cliques of g join into cliques of g, as a partial
     clique meets a unit only inside N(U); the decider checks the answer, not
     this step.  Each layer matching reads the blossom search's greedy seed
@@ -624,18 +620,7 @@ def multipartite_factor(
     k = len(blocks)
     if k == 0:
         raise PreconditionError("need at least one part")
-    sizes = {len(block) for block in blocks}
-    if len(sizes) != 1:
-        raise PreconditionError("parts must be balanced")
-    seen = 0
-    for block in blocks:
-        for u in block:
-            if seen & u:
-                raise PreconditionError("parts overlap")
-            if u.bit_count() != block[0].bit_count():
-                raise PreconditionError("units of one part differ in size")
-            seen |= u
-    m = sizes.pop()
+    m = len(blocks[0])
     if m == 0:
         return Tiling(k, ())
     r = sum(block[0].bit_count() for block in blocks)
@@ -723,7 +708,7 @@ def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     mm = maximum_matching(g, mask)
     if 2 * mm.size != mask.bit_count():
         return None
-    return Tiling(2, tuple(VertexSet([u, v]) for u, v in mm.pairs))
+    return Tiling(2, tuple(VertexSet((1 << u) | (1 << v)) for u, v in mm.pairs))
 
 
 def _attribute(
@@ -763,11 +748,12 @@ def parity_repair(
     the block again.  `bases` are the seeds `tiling` grew from.  The search
     walks two bounded moves, at most REPAIR_BUDGET candidates in all: regrow
     a seed with different leftover-block choices, or plant a fresh pair seed
-    on an edge inside a part, which `extend_base` grows if its slack is
-    positive.  A candidate is accepted only when its cliques are disjoint
-    r-cliques of G, by the checker's `clique_tiles_cover`.  Running out of
-    moves is a miss of the route, not an error, and raises
-    PreconditionError; an InternalContradiction propagates.
+    on an edge inside a part, which `extend_base` grows once this step has
+    checked that its slack is positive.  A candidate is accepted only when
+    its cliques are disjoint r-cliques of G, by the checker's
+    `clique_tiles_cover`.  Running out of moves is a miss of the route, not
+    an error, and raises PreconditionError; an InternalContradiction
+    propagates.
     """
     p, n, r, s = _context(g, q)
     if r - s != 2:
@@ -815,6 +801,8 @@ def parity_repair(
                     pool = bmask & ve & ~tcov & ~left
                     for alt in islice(iter_cliques(g, r - s + 1, pool), 24):
                         h2 = DoubleBase(VertexSet(left), VertexSet(alt), i, None)
+                        if not _has_margin(g, q, h2):
+                            continue
                         try:
                             ext = extend_base(g, q, h2, VertexSet(tcov))
                         except PreconditionError:

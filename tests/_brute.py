@@ -58,7 +58,7 @@ from equitiler.graphs import (
     max_independent_set,
     sigma,
 )
-from equitiler.matching import Matching, _augment_once, maximum_matching
+from equitiler.matching import Matching, TutteBarrier, _augment_once, maximum_matching
 from equitiler.oracle import (
     Coloring,
     LayeredFactor,
@@ -468,8 +468,11 @@ def validate_good(g: Graph, q: GoodPartition) -> List[str]:
     """Re-derive every good-partition condition; returns violated clauses.
 
     The grades are taken afresh and compared with the ones q carries, and
-    the clauses (S) and (A1)-(A4) are read on the fresh grades.  The decider
-    checks every structured answer itself, so only the tests need this.
+    the clauses (S) and (A1)-(A4) are read on the fresh grades.  The
+    package's `_violations` leaves out (A4)'s rescue clauses, which
+    `_rescue_matchings` makes hold as it builds the matchings; they are read
+    here (`rescue_problems`).  The decider checks every structured answer
+    itself, so only the tests need this.
     """
     p = q.partition
     try:
@@ -489,7 +492,38 @@ def validate_good(g: Graph, q: GoodPartition) -> List[str]:
         if carried != fresh
     ]
     fresh_q = q._replace(thin=thin, crowded=crowded, classification=cls)
-    return report + _violations(g, fresh_q)
+    return report + _violations(g, fresh_q) + rescue_problems(g, fresh_q)
+
+
+def rescue_problems(g: Graph, q: GoodPartition) -> List[str]:
+    """(A4)'s rescue clauses on q's `thin` grade: one matching of G per
+    part, pairwise disjoint, each covering the part's off-S thin vertices
+    with edges that join one of them to a vertex of the part."""
+    p = q.partition
+    if len(q.rescue) != p.s:
+        return [f"(A4) expected {p.s} rescue matchings, got {len(q.rescue)}"]
+    report: List[str] = []
+    seen = 0
+    for i, part in enumerate(p.parts):
+        need = q.thin.off_low(q.thin.exceptional[i])
+        m = q.rescue[i]
+        if not matching_holds(m, g):
+            report.append(f"(A4) rescue matching {i + 1} is not a matching of G")
+            continue
+        cov = m.covered
+        if seen & cov.bits:
+            report.append(f"(A4) rescue matching {i + 1} overlaps an earlier one")
+        seen |= cov.bits
+        if not need.issubset(cov):
+            report.append(f"(A4) rescue matching {i + 1} misses thin vertices")
+        for u, v in m.pairs:
+            ends = {u, v}
+            if not (ends & set(need.members()) and ends & set(part.members())):
+                report.append(
+                    f"(A4) edge {u},{v} of rescue matching {i + 1} leaves its lane"
+                )
+                break
+    return report
 
 
 def is_base(g: Graph, q: GoodPartition, b: Base, slack) -> bool:
@@ -1161,6 +1195,30 @@ def seed_covering_matching(g: Graph, x: VertexSet, d: int) -> Optional[Matching]
     if out.size != d or not x.issubset(out.covered):
         raise InternalContradiction("perfect-matching reduction produced a bad cover")
     return out
+
+
+# The record methods `Matching.verify` and `TutteBarrier.surplus`, kept as
+# references once the package stopped calling them: a matching's edges come
+# from the blossom search on G's rows, and the decider checks a barrier with
+# `certificates.tutte_barrier_holds`.
+
+
+def matching_holds(m: Matching, g: Graph) -> bool:
+    """Whether m's pairs are vertex-disjoint edges of g."""
+    seen = 0
+    for u, v in m.pairs:
+        e = (1 << u) | (1 << v)
+        if seen & e or not g.has_edge(u, v):
+            return False
+        seen |= e
+    return True
+
+
+def barrier_surplus(w: TutteBarrier, g: Graph) -> int:
+    """Odd components of G - U minus |U|, for U the barrier's vertices."""
+    rest = g.full_mask & ~w.vertices.bits
+    odd = sum(len(c) % 2 for c in connected_components(g, rest))
+    return odd - len(w.vertices)
 
 
 def seed_connected_components(g: Graph) -> List[VertexSet]:

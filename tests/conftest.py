@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from equitiler.extremal import build_ex2
 from equitiler.graphs import Graph
 
 PETERSEN_EDGES = [
@@ -33,4 +34,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         for v in range(u + 1, n):
             if rng.random() < p:
                 g.add_edge(u, v)
+    return g
+
+
+def without_edge(g, u, v):
+    out = g.copy()
+    out.adj[u] &= ~(1 << v)
+    out.adj[v] &= ~(1 << u)
+    return out
+
+
+def cut_split(n, join_b0=True):
+    """build_ex2(n, 3, 1) with an edge inside A and vertex 5 of B1 cut off
+    from A; `join_b0` also joins vertex 5 to B0 = {0}."""
+    m = n // 3
+    g = build_ex2(n, 3, 1)
+    g.add_edge(2 * m, 2 * m + 1)
+    for v in range(2 * m, 3 * m):
+        g = without_edge(g, 5, v)
+    if join_b0:
+        g.add_edge(0, 5)
     return g

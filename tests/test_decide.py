@@ -52,7 +52,8 @@ from equitiler.certificates import (
 from equitiler.matching import TutteBarrier, maximum_matching
 from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
-from conftest import random_graph
+from _brute import barrier_surplus
+from conftest import cut_split, random_graph, without_edge
 
 
 def vs(*vals):
@@ -88,13 +89,6 @@ def bridged_cliques():
     return g
 
 
-def without_edge(g, u, v):
-    out = g.copy()
-    out.adj[u] &= ~(1 << v)
-    out.adj[v] &= ~(1 << u)
-    return out
-
-
 def thinned(g, v, d):
     """g with v's highest neighbours cut off until v has degree d.  At
     d < n - n/r the Hajnal–Szemerédi step's gate fails at v."""
@@ -122,19 +116,6 @@ def split_plus_singletons():
     """K_{20,20} joined to 20 singletons, without the edge 0-20: the
     structured route's small input outside the Hajnal–Szemerédi gate."""
     return without_edge(multipartite((20, 20) + (1,) * 20), 0, 20)
-
-
-def cut_split(n, join_b0=True):
-    """build_ex2(n, 3, 1) with an edge inside A and vertex 5 of B1 cut off
-    from A; `join_b0` also joins vertex 5 to B0 = {0}."""
-    m = n // 3
-    g = build_ex2(n, 3, 1)
-    g.add_edge(2 * m, 2 * m + 1)
-    for v in range(2 * m, 3 * m):
-        g = without_edge(g, 5, v)
-    if join_b0:
-        g.add_edge(0, 5)
-    return g
 
 
 # Ladder window sized so peeling at n=36 accepts a once-perturbed part and
@@ -271,7 +252,7 @@ class TestFactorLadder:
         c = decide_kr_factor(star, 2)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "pipeline")
         assert c.witness == TutteBarrier(vs(0))
-        assert c.witness.surplus(star) == 28
+        assert barrier_surplus(c.witness, star) == 28
 
     def test_two_odd_cliques_give_empty_barrier(self):
         g = Graph.empty(30)

@@ -26,8 +26,10 @@ from equitiler.matching import (
 )
 
 from _brute import (
+    barrier_surplus,
     brute_covering_matching_exists,
     brute_max_matching_size,
+    matching_holds,
     seed_augment_once,
     seed_covering_matching,
     seed_greedy_match,
@@ -44,13 +46,13 @@ class TestMaximumMatching:
             n = rng.randrange(0, 13)
             g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.8]))
             m = maximum_matching(g)
-            assert m.verify(g)
+            assert matching_holds(m, g)
             assert m.size == brute_max_matching_size(n, list(g.edges()))
 
     def test_petersen_perfect(self, petersen):
         m = maximum_matching(petersen)
         assert m.size == 5
-        assert m.verify(petersen)
+        assert matching_holds(m, petersen)
 
     def test_odd_cycle(self):
         g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -261,7 +263,7 @@ class TestCoveringMatching:
             want = brute_covering_matching_exists(n, list(g.edges()), x.members(), d)
             assert (got is not None) == want
             if got is not None:
-                assert got.verify(g)
+                assert matching_holds(got, g)
                 assert got.size == d
                 assert x.issubset(got.covered)
 
@@ -296,19 +298,19 @@ class TestPmOrStructure:
                 continue
             out = pm_or_structure(g)
             assert isinstance(out, Matching)
-            assert out.verify(g) and out.size == 6
+            assert matching_holds(out, g) and out.size == 6
 
     def test_two_odd_components(self):
         out = pm_or_structure(two_cliques(7, 5))
         assert out == TutteBarrier(VertexSet())
-        assert out.surplus(two_cliques(7, 5)) == 2
+        assert barrier_surplus(out, two_cliques(7, 5)) == 2
 
     def test_unbalanced_biclique_barrier(self):
         # K_{5,7}: removing the 5-side strands seven odd singletons.
         g = biclique(5, 7)
         out = pm_or_structure(g)
         assert out == TutteBarrier(VertexSet(range(5)))
-        assert out.surplus(g) == 2 and tutte_barrier_holds(g, out, 2)
+        assert barrier_surplus(out, g) == 2 and tutte_barrier_holds(g, out, 2)
 
     def test_odd_n_gives_empty_barrier(self):
         out = pm_or_structure(Graph.complete(5))
@@ -327,10 +329,10 @@ def test_barrier_surplus_is_the_deficiency(n, p, seed):
     nu = brute_max_matching_size(n, list(g.edges()))
     out = pm_or_structure(g)
     if 2 * nu == n:
-        assert isinstance(out, Matching) and out.verify(g) and out.size == nu
+        assert isinstance(out, Matching) and matching_holds(out, g) and out.size == nu
     else:
         assert isinstance(out, TutteBarrier)
-        assert out.surplus(g) == n - 2 * nu and tutte_barrier_holds(g, out, 2)
+        assert barrier_surplus(out, g) == n - 2 * nu and tutte_barrier_holds(g, out, 2)
 
 
 def two_cliques(a: int, b: int) -> Graph:

@@ -42,9 +42,10 @@ from _brute import (
     seed_classify,
     seed_recount_sparse_set,
     seed_sparse_set,
+    rescue_problems,
     validate_good,
 )
-from conftest import random_graph
+from conftest import cut_split, random_graph
 
 
 def vs(*vals):
@@ -556,6 +557,26 @@ class TestValidate:
         q = graded(g, p, (Matching(((0, 6),)), Matching(((0, 9),))), cfg)
         report = validate_good(g, q)
         assert any("overlaps" in line for line in report)
+
+    def test_rescue_matchings_built_by_refinement(self):
+        # In the odd split at n = 750 with an edge inside A = {500..749} and
+        # vertex 5 of B1 cut off from A, vertex 501 is still thin toward the
+        # part after refinement, and its A edge to 500 is its rescue edge.
+        # The package no longer reads (A4)'s rescue clauses back; the
+        # reference reads each one, and each break is caught.
+        g = cut_split(750)
+        p, _ = peel_partition(g, 3)
+        out = refine_to_good(g, p)
+        assert [m.pairs for m in out.rescue] == [((501, 500),)]
+        assert validate_good(g, out) == []
+        broken = {
+            "(A4) expected 1 rescue matchings, got 0": (),
+            "(A4) rescue matching 1 misses thin vertices": (Matching(()),),
+            "(A4) rescue matching 1 is not a matching of G": (Matching(((501, 502),)),),
+            "(A4) edge 1,501 of rescue matching 1 leaves its lane": (Matching(((1, 501),)),),
+        }
+        for clause, rescue in broken.items():
+            assert clause in rescue_problems(g, out._replace(rescue=rescue))
 
     def test_grade_at_the_wrong_threshold_flagged(self):
         g = build_ex2(9, 3, 1)

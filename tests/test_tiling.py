@@ -28,6 +28,7 @@ from equitiler import (
     parity_repair,
     strip_tiling,
 )
+from equitiler import tiling as tiling_module
 from equitiler.certificates import clique_tiles_cover, tiling_holds
 from equitiler.errors import PreconditionError
 from equitiler.matching import maximum_matching
@@ -44,7 +45,7 @@ from _brute import (
     seed_vertices,
     validate_good,
 )
-from conftest import random_graph
+from conftest import random_graph, without_edge
 
 
 def vs(*vals):
@@ -413,12 +414,6 @@ class TestExtend:
         with pytest.raises(PreconditionError, match="no candidates left in the leftover block"):
             extend_base(g, q, h, vs(1, 2, 3, 4))
 
-    def test_rejects_a_non_seed(self):
-        g = tri18()
-        q = q_tri18()
-        with pytest.raises(PreconditionError):
-            extend_base(g, q, SingleBase(vs(0, 5)), vs())
-
     def test_avoid_set_size_gate(self):
         g = tri18()
         cfg = replace(
@@ -491,6 +486,19 @@ class TestContract:
         p = RsPartition((vs(0, 1, 2), vs(3, 4, 5)), vs(6, 7, 8))
         with pytest.raises(PreconditionError):
             contract_residual(g, p, Tiling(1, (vs(6), vs(7))))
+
+    def test_rejects_unbalanced_or_overlapping_blocks(self):
+        # The blocks are validated here, where they are built, and not in
+        # multipartite_factor: a leftover tiling whose clique count differs
+        # from the part size, and blocks that overlap, are rejected.
+        g = k333()
+        p = RsPartition((vs(0, 1, 2), vs(3, 4, 5)), vs(6, 7, 8))
+        with pytest.raises(PreconditionError, match="balanced"):
+            contract_residual(g, p, Tiling(3, (vs(6, 7, 8),)))
+        singles = Tiling(1, (vs(5), vs(6), vs(7)))
+        for parts, b in (((vs(0, 1, 2), vs(2, 3, 4)), vs(5, 6, 7)), (p.parts, vs(5, 6, 7))):
+            with pytest.raises(PreconditionError, match="overlap"):
+                contract_residual(g, RsPartition(parts, b), singles)
 
     def test_factor_matches_the_quotient_reference(self, rng):
         # The units keep vertex and tiling order, so the factor found on g
@@ -576,17 +584,6 @@ class TestMultipartite:
             assert t is not None and tiling_holds(g, t)
             for c in t.cliques:
                 assert all(len(c & a) == 1 for a in parts)
-
-    def test_rejects_unbalanced_or_overlapping_parts(self):
-        g = Graph.complete(5)
-        with pytest.raises(PreconditionError, match="balanced"):
-            multipartite_factor(g, units((0, 1), (2, 3, 4)))
-        with pytest.raises(PreconditionError, match="overlap"):
-            multipartite_factor(g, units((0, 1), (1, 2)))
-
-    def test_rejects_mixed_unit_sizes(self):
-        with pytest.raises(PreconditionError, match="differ in size"):
-            multipartite_factor(Graph.complete(5), ((0b1, 0b10), (0b100, 0b11000)))
 
     def test_empty_instance(self):
         t = multipartite_factor(Graph.empty(0), ((),))
@@ -766,6 +763,39 @@ class TestParityRepair:
         assert resid == vs(4, 5)
         assert pairs == Tiling(2, (vs(4, 5),))
         assert kr_factor_exact(g, 3) is not None
+
+    def test_planting_grows_no_seed_without_margin(self, monkeypatch):
+        # build_ex2(12, 4, 1) with the part edge 6-7, and 6-9, 7-10 and 0-11
+        # cut: a planted seed whose left clique is {0, 6, 7} has no common
+        # neighbour in the second part, so it has no margin, while {w, 6, 7}
+        # for w in B1 has one.  `extend_base` trusts its seed, so planting
+        # checks the margin first: it grows exactly the planted seeds with
+        # margin, in the order planted.  B0 = {0} stays unmatchable, so the
+        # repair gives out.
+        g = build_ex2(12, 4, 1)
+        g.add_edge(6, 7)
+        for u, v in ((6, 9), (7, 10), (0, 11)):
+            g = without_edge(g, u, v)
+        q = manual_good(g, [{6, 7, 8}, {9, 10, 11}], {0, 1, 2, 3, 4, 5}, CFG_SIG)
+        planted, grown = [], []
+        real_margin, real_extend = tiling_module._has_margin, tiling_module.extend_base
+
+        def margin(g, q, h):
+            planted.append((h, real_margin(g, q, h)))
+            return planted[-1][1]
+
+        def extend(g, q, h, w):
+            grown.append(h)
+            return real_extend(g, q, h, w)
+
+        monkeypatch.setattr(tiling_module, "_has_margin", margin)
+        monkeypatch.setattr(tiling_module, "extend_base", extend)
+        with pytest.raises(PreconditionError, match="parity repair gave out"):
+            parity_repair(g, q, (), Tiling(4, ()))
+        assert [h.left for h, ok in planted if not ok] == [vs(0, 6, 7)] * 10
+        assert len(grown) == 20
+        assert grown == [h for h, ok in planted if ok]
+        assert all(base_slack(g, q, h) > 0 for h in grown)
 
     def test_requires_pair_leftover(self):
         g = k333()
