@@ -18,18 +18,25 @@ runs ahead of the NO recognizer: under its gate the factor exists, so
 the recognizer could find no witness, and where the gate fails its scan
 stops at the first short row.  The colouring side reaches the step
 through its delegate, since padding adds a clique on q < k vertices, of
-degree below k.  Sub-problems (the vertices outside the absorbing set, a
-leftover block, the units of the multipartite finish) are vertex masks of
-the input graph, so every clique found is already in its labels.
+degree below k.  The same procedure also runs with no degree gate, as the
+`equitable` step (`equitable.equitable_attempt`): outside the theorem a
+stuck procedure is a miss, and `_run` checks the classes it returns like
+any answer.  It runs on G padded to a multiple of k ahead of the exact
+colouring search, and on the complement of H at k = n/r as the factor
+table's last step before unresolved.  Sub-problems (the vertices outside
+the absorbing set, a leftover block, the units of the multipartite finish)
+are vertex masks of the input graph, so every clique found is already in
+its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
 per call, so a name patched in this module (by a tracer, say) is seen.  A
 step whose `run` is None does not apply to the input.  `run` returns None
 when it settles nothing, and raises PreconditionError when its route gives
-out because its constants do not carry at this n; `_run` catches only
-that and keeps the message as the note "{route} route: ...".  A step
-that runs is timed under its stage, if it names one.  An
+out: its constants do not carry at this n, or procedure P is stuck.
+`_run` catches only that and keeps the message as the note
+"{route} route: ...".  A step that runs is timed under its stage, if it
+names one.  An
 InternalContradiction is a bug, never a miss, and propagates to the
 caller.  So is an answer that fails its check: `_run` raises
 InternalContradiction with the checker's clauses.  `decide_kr_factor` and
@@ -44,7 +51,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .certificates import DecisionCertificate, verify_certificate
 from .constants import ConstantsConfig, default_constants
-from .equitable import equitable_classes
+from .equitable import equitable_attempt, equitable_classes
 from .errors import InternalContradiction, PreconditionError
 from .extremal import (
     BicliqueObstruction,
@@ -266,6 +273,29 @@ def _hajnal_szemeredi_factor(g: Graph, r: int) -> Optional[DecisionCertificate]:
     return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
 
 
+def _equitable_factor(g: Graph, r: int) -> DecisionCertificate:
+    """The factor from procedure P on the complement at k = n/r, at any
+    degree; a stuck procedure raises PreconditionError, a miss."""
+    classes = equitable_attempt(complement(g).adj, g.n // r)
+    return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
+
+
+def _equitable_coloring(g: Graph, k: int) -> DecisionCertificate:
+    """An equitable k-colouring of G, k < n, from procedure P at any degree.
+
+    P runs on G padded as `pad_to_divisible` pads: a clique on q < k fresh
+    vertices.  Each class holds at most one of them, so dropping them
+    leaves class sizes within one.  A stuck procedure raises
+    PreconditionError, a miss.
+    """
+    n = g.n
+    q = (-n) % k
+    pad = ((1 << (n + q)) - 1) ^ g.full_mask
+    rows = g.adj + [pad ^ (1 << v) for v in range(n, n + q)]
+    classes = equitable_attempt(rows, k)
+    return _yes(Coloring(tuple(VertexSet(c & ~pad) for c in classes)), "pipeline")
+
+
 def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """Factor via the absorbing set: greedy cover outside M, absorb the rest."""
     aset = build_absorbing_set(g, r, cfg=cfg)
@@ -374,7 +404,9 @@ def decide_kr_factor(
       absorption  the dense absorption route;
       structured  the extremal pipeline;
       oracle      n <= FALLBACK_CAP: exact search;
-      unresolved  beyond that, the honest answer.
+      equitable   beyond that, procedure P on the complement at k = n/r,
+                  with no degree gate; its classes are the factor;
+      unresolved  the honest answer when that misses too.
     """
     if r < 1:
         raise PreconditionError(f"r={r} must be positive")
@@ -403,6 +435,7 @@ def decide_kr_factor(
         ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
+        ("equitable", "equitable", lambda: _equitable_factor(g, r)),
         ("unresolved", None, lambda: _UNRESOLVED),
     )
     return _run(g, "factor", r, steps, [])
@@ -463,12 +496,16 @@ def decide_equitable(
                   complement of G is an odd split, a NO the exact colouring
                   search would reach only after exponential time (its
                   clique pair carries no witness over to G);
+      equitable   where the oracle step runs and k < n: procedure P on G
+                  padded to a multiple of k, with no degree gate, the
+                  padding dropped from its classes;
       oracle      k >= n or n <= FALLBACK_CAP: exact colouring of G, which
                   settles what the factor table's own fallback would on
                   the padded complement, without the padding;
       delegate    beyond the cap, the factor table on the complement of G
                   padded to divisibility, its answer carried back to G;
-                  when Δ(G) < k its Hajnal–Szemerédi step answers.
+                  when Δ(G) < k its Hajnal–Szemerédi step answers, and
+                  its `equitable` step runs procedure P on padded G.
     An oracle NO hunts for a K_{k+1} or odd K_{m,2k-m} subgraph of G when
     the edge bound fails.  Under the bound the obstruction step's scan is
     complete: every edge of either subgraph sums to at least 2k, so a
@@ -504,6 +541,8 @@ def decide_equitable(
     steps: Tuple[_Step, ...] = (
         ("obstruction", None, (lambda: _paper_obstruction(g, k)) if ok else None),
         ("recognizer", "recognize", recognize if odd_split else None),
+        ("equitable", "equitable",
+         (lambda: _equitable_coloring(g, k)) if exact and k < g.n else None),
         ("oracle", "oracle", (lambda: _color_exactly(g, k, not ok)) if exact else None),
         ("delegate", None, lambda: _color_by_factor(g, k, cfg)),
     )

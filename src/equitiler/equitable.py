@@ -20,15 +20,22 @@ one vertex shifts along the path to the hole.  When no reachable class
 takes it, it enters a class that holds none of its neighbours (one exists:
 it has fewer than k), which now has m + 1 vertices, and the solo-vertex
 case moves one vertex out of the unreachable classes (see `_Repair`).
+
+The same procedure also runs outside the theorem, on any rows, as an
+attempt (`equitable_attempt`): there the classes may not exist, and a
+vertex that meets every class or a repair with no solo move is a miss,
+raised as PreconditionError.  Every move keeps the classes independent
+and no larger than n/k, so classes the attempt returns are an equitable
+colouring at any degree.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalContradiction
+from .errors import InternalContradiction, PreconditionError
 
-__all__ = ["equitable_classes"]
+__all__ = ["equitable_attempt", "equitable_classes"]
 
 
 def equitable_classes(rows: Sequence[int], k: int) -> List[int]:
@@ -38,6 +45,18 @@ def equitable_classes(rows: Sequence[int], k: int) -> List[int]:
     Needs k to divide n and every row to have fewer than k bits; then the
     classes always exist, so a repair that finds no move raises
     InternalContradiction.
+    """
+    try:
+        return equitable_attempt(rows, k)
+    except PreconditionError as e:
+        raise InternalContradiction(str(e)) from None
+
+
+def equitable_attempt(rows: Sequence[int], k: int) -> List[int]:
+    """The classes of `equitable_classes` at any degree, k dividing n.
+
+    Raises PreconditionError where procedure P gets stuck: a vertex with
+    a neighbour in every class, or a repair with no solo move.
     """
     n = len(rows)
     m = n // k
@@ -53,6 +72,10 @@ def equitable_classes(rows: Sequence[int], k: int) -> List[int]:
         while c < k and (size[c] == m or cls[c] & row):
             c += 1
         if c == k:
+            # First-fit only adds to the classes, so the first vertex it
+            # misses still meets every class it meets now when P inserts it.
+            if not missed and all(x & row for x in cls):
+                raise PreconditionError(f"vertex {v} has a neighbour in each of the {k} classes")
             missed.append(v)
             continue
         cls[c] |= 1 << v
@@ -94,7 +117,7 @@ class _Repair:
     first kind's edges plus the other's, at most 2bm over the m or fewer
     vertices of W.  For larger a, Kierstead & Kostochka's proof has a
     second case, which trades two solo neighbours of one vertex; it is not
-    built here, and a state with no solo move raises InternalContradiction.
+    built here, and a state with no solo move raises PreconditionError.
     """
 
     def __init__(self, rows: Sequence[int], cls: List[int], colour: List[int], m: int):
@@ -165,15 +188,17 @@ class _Repair:
         cls, m = self.cls, self.m
         k = len(cls)
         family = list(range(k))
+        # A class that takes v holds none of its neighbours, so without one
+        # the search could find no place for v either.
+        row = self.rows[v]
+        over = next((c for c in family if not cls[c] & row), None)
+        if over is None:
+            raise PreconditionError(f"vertex {v} has a neighbour in each of the {k} classes")
         holes = [c for c in family if cls[c].bit_count() < m]
         order, parent, witness, hit = self._search(family, holes, 1 << v)
         if hit is not None:
             self._shift(v, hit[0], parent, witness)
             return
-        row = self.rows[v]
-        over = next((c for c in family if not cls[c] & row), None)
-        if over is None:
-            raise InternalContradiction(f"vertex {v} has a neighbour in each of the {k} classes")
         self._move(v, over)
         while True:
             short, family = self._solo_move(family, order, parent, witness)
@@ -215,7 +240,7 @@ class _Repair:
                         self._shift(z, to, parent, witness)
                         self._move(y, w)
                         return src, rest
-        raise InternalContradiction(
+        raise PreconditionError(
             f"procedure P found no solo move: {len(order)} classes reach a hole, "
             f"{len(rest)} do not"
         )

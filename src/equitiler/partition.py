@@ -608,7 +608,7 @@ def _rescue_matchings(
                 f"no rescue matching into part {i + 1} for {len(need)} thin "
                 f"vertices{note}"
             )
-        pairs = tuple((locals_[u], locals_[v]) for u, v in m.pairs)
+        pairs = tuple(sorted(tuple(sorted((locals_[u], locals_[v]))) for u, v in m.pairs))
         out.append(Matching(pairs))
         for u, v in pairs:
             used |= (1 << u) | (1 << v)

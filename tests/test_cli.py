@@ -125,7 +125,8 @@ class TestFactor:
     def test_unresolved_band(self, capsys, write):
         from equitiler.generators import random_gnp
 
-        path = write("g60.txt", dumps(random_gnp(60, 0.5, 1)))
+        # Procedure P tiles G(60, 1/2) at r = 3; at p = 0.3 it misses.
+        path = write("g60.txt", dumps(random_gnp(60, 0.3, 0)))
         code, out, _ = run(capsys, ["factor", path, "--r", "3"])
         doc = json.loads(out)
         assert code == 2

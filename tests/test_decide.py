@@ -54,6 +54,7 @@ from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
 from _brute import barrier_surplus
 from conftest import cut_split, random_graph, without_edge
+from test_regime import sparse_draw
 
 
 def vs(*vals):
@@ -87,6 +88,13 @@ def bridged_cliques():
     g = disjoint_cliques(3, 17)
     g.add_edge(0, 17)
     return g
+
+
+def sparse60():
+    """A scoreboard-style sparse draw at n = 60 with Δ = 3: at k = 3
+    procedure P leaves vertex 55 with a neighbour in each class, and every
+    other route misses too."""
+    return sparse_draw(random.Random(0), 60, 3)
 
 
 def thinned(g, v, d):
@@ -430,8 +438,10 @@ class TestFactorPipelines:
             decide_kr_factor(ex2_plus(240, 0, 1), 3)
 
     def test_midrange_density_is_unresolved(self):
+        # At p = 0.5 procedure P tiles this draw; at p = 0.3 its repair
+        # finds no solo move.
         rng = random.Random(0xE0A1)
-        g = random_graph(rng, 60, 0.5)
+        g = random_graph(rng, 60, 0.3)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.verified) == ("unresolved", None, False)
         assert any("absorption route" in note for note in c.notes)
@@ -553,7 +563,9 @@ def edited_ex2(n, s, add=(), drop=()):
 
 class TestMissNotes:
     """The full notes of inputs on which a route misses: each miss reaches
-    the decision as one PreconditionError, whose text is the note."""
+    the decision as one PreconditionError, whose text is the note.  Past
+    the cap procedure P tiles the three inputs at n = 60 and 120 that the
+    structured route misses."""
 
     CASES = {
         "tripartite-9": (
@@ -577,7 +589,6 @@ class TestMissNotes:
             (
                 "absorption route: degree-sum floor 158 at pair (0, 10) is below 3996/25",
                 "structured route: vertex 95: no calm partner inside its part",
-                "instance beyond the exact fallback cap",
             ),
         ),
         "refinement-stalled": (
@@ -586,7 +597,6 @@ class TestMissNotes:
                 "absorption route: degree-sum floor 158 at pair (0, 5) is below 3996/25",
                 "structured route: refinement stalled: (A3) part 1 has 4 crowded"
                 " vertices [round 1: thin=0 crowded=4 swapped=0 surplus=0]",
-                "instance beyond the exact fallback cap",
             ),
         ),
         "no-sparse-parts": (
@@ -594,7 +604,6 @@ class TestMissNotes:
             (
                 "absorption route: degree-sum floor 78 at pair (0, 19) is below 1998/25",
                 "structured route: no sparse parts peeled",
-                "instance beyond the exact fallback cap",
             ),
         ),
         "tripartite-12": (
@@ -705,10 +714,15 @@ class TestEquitable:
         c = decide_equitable(complement(build_ex2(36, 3, 1)), 12)
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "recognizer")
         assert c.notes == ("edge degree-sum bound holds", "no subgraph witness surfaced")
-        # The five-cycle at k = 2 is the exact search's NO under the bound.
+        # The five-cycle at k = 2 is the exact search's NO under the bound,
+        # after procedure P's miss.
         c = decide_equitable(cycle(5), 2)
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "oracle")
-        assert c.notes == ("edge degree-sum bound holds", "no subgraph witness surfaced")
+        assert c.notes == (
+            "edge degree-sum bound holds",
+            "equitable route: vertex 4 has a neighbour in each of the 2 classes",
+            "no subgraph witness surfaced",
+        )
 
     def test_even_or_unbalanced_bicliques_pass_the_scan(self):
         # K_{4,4} at k = 4 colours by pairs; K_{2,6} at k = 4 has an even
@@ -734,14 +748,14 @@ class TestEquitable:
                 assert payload_clauses(g, c.certificate, k, "coloring") == []
 
     def test_between_caps_colors_at_source_scale(self):
-        # n=19, k=9 pads to 27 vertices, past the main oracle cap.  The
-        # wrapper must not hand this to the 27-vertex clique search; the
-        # source-scale colouring oracle settles it with a lone oracle stage.
-        g = random_gnp(19, 0.5, 414)
-        c = decide_equitable(g, 9)
+        # n=19, k=7 pads to 21 vertices, and procedure P misses.  The
+        # wrapper must not hand this to the 21-vertex clique search; the
+        # source-scale colouring oracle settles it right after the miss.
+        g = random_gnp(19, 0.5, 96)
+        c = decide_equitable(g, 7)
         assert (c.kind, c.provenance) == ("colorable", "oracle")
-        assert [stage for stage, _ in c.timings] == ["oracle"]
-        assert payload_clauses(g, c.certificate, 9, "coloring") == []
+        assert [stage for stage, _ in c.timings] == ["equitable", "oracle"]
+        assert payload_clauses(g, c.certificate, 7, "coloring") == []
 
         c = decide_equitable(Graph.complete(26), 5)
         assert (c.kind, c.answer, c.provenance) == ("obstructed", False, "oracle")
@@ -809,16 +823,22 @@ class TestEquitable:
     def test_unresolved_exit(self):
         # Three disjoint K_17 at k = 17 have Δ(G) = 16 < k: the delegate's
         # Hajnal–Szemerédi step colours them.  One edge between two of the
-        # cliques makes Δ(G) = k; n = 51 is past the exact fallback cap and
-        # every route misses, so decide_equitable gives up.
+        # cliques makes Δ(G) = k, outside that step's gate, and procedure P
+        # still colours them.  The sparse draw also has Δ(G) = k; n = 60 is
+        # past the exact fallback cap and every route misses, so
+        # decide_equitable gives up.
         g = disjoint_cliques(3, 17)
         c = decide_equitable(g, 17)
         assert (c.kind, c.answer, c.provenance) == ("colorable", True, "pipeline")
         assert verify_certificate(g, c, "coloring", 17) == []
         g = bridged_cliques()
         c = decide_equitable(g, 17)
-        assert (c.kind, c.answer) == ("unresolved", None)
+        assert (c.kind, c.answer, c.provenance) == ("colorable", True, "pipeline")
         assert verify_certificate(g, c, "coloring", 17) == []
+        g = sparse60()
+        c = decide_equitable(g, 3)
+        assert (c.kind, c.answer) == ("unresolved", None)
+        assert verify_certificate(g, c, "coloring", 3) == []
 
 
 class TestStepTables:
@@ -849,27 +869,35 @@ class TestStepTables:
         "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
                             ("factorable", "oracle"),
                             ["hajnal-szemeredi", "recognize", "absorption", "pipeline", "oracle"]),
-        "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3, None,
+        # Past the cap, procedure P on the complement at any degree.
+        "equitable/factor": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3,
+                             None, ("factorable", "pipeline"),
+                             ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                              "equitable"]),
+        "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.3), "factor", 3, None,
                        ("unresolved", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
+                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                        "equitable"]),
         # Colouring table: under the edge bound the untimed obstruction scan
-        # answers first; up to the cap the oracle colours G itself; beyond
-        # it the delegate reports the factor side's stages.
+        # answers first; up to the cap procedure P, then the oracle, colours
+        # G itself; beyond it the delegate reports the factor side's stages.
         "obstruction/clique": (lambda: Graph.complete(4), "coloring", 3, None,
                                ("obstructed", "recognizer"), []),
         "obstruction/biclique": (lambda: multipartite((23, 23)), "coloring", 23, None,
                                  ("obstructed", "recognizer"), []),
         "k>=n": (lambda: Graph.complete(5), "coloring", 7, None,
                  ("colorable", "oracle"), ["oracle"]),
-        "between-the-caps": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
-                             ("colorable", "oracle"), ["oracle"]),
+        "equitable": (lambda: random_gnp(19, 0.5, 414), "coloring", 9, None,
+                      ("colorable", "pipeline"), ["equitable"]),
+        "between-the-caps": (lambda: random_gnp(19, 0.5, 96), "coloring", 7, None,
+                             ("colorable", "oracle"), ["equitable", "oracle"]),
         # The exact colouring search would take about 0.65 s to this NO.
         "between-the-caps/odd-split": (lambda: complement(build_ex2(28, 4, 3)), "coloring", 7,
                                        None, ("exact", "recognizer"), ["recognize"]),
         # K_5 at k = 3 breaks the edge bound, so the oracle's NO hunts for
         # its K_4.
         "oracle/hunt": (lambda: Graph.complete(5), "coloring", 3, None,
-                        ("obstructed", "oracle"), ["oracle"]),
+                        ("obstructed", "oracle"), ["equitable", "oracle"]),
         "delegate": (lambda: cycle(50), "coloring", 25, None,
                      ("colorable", "pipeline"), ["matching"]),
         "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
@@ -879,9 +907,16 @@ class TestStepTables:
         "delegate/hajnal-szemeredi": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
                                       ("colorable", "pipeline"),
                                       ["hajnal-szemeredi"]),
-        "delegate/unresolved": (bridged_cliques, "coloring", 17, None,
+        # Δ(G) = k = 17: the delegate's factor table tiles the complement
+        # of its complement with procedure P, at the end of its table.
+        "delegate/equitable": (bridged_cliques, "coloring", 17, None,
+                               ("colorable", "pipeline"),
+                               ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                                "equitable"]),
+        "delegate/unresolved": (sparse60, "coloring", 3, None,
                                 ("unresolved", "pipeline"),
-                                ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
+                                ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                                 "equitable"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

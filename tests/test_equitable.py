@@ -1,5 +1,6 @@
 """The Hajnal–Szemerédi step: equitable colourings of graphs with Δ(G) < k,
-and the factor step that reads them off the complement of a dense H."""
+the factor step that reads them off the complement of a dense H, and the
+`equitable` step that runs the same procedure at any degree."""
 
 from itertools import combinations
 
@@ -11,15 +12,19 @@ from equitiler import (
     Coloring,
     Graph,
     InternalContradiction,
+    PreconditionError,
     VertexSet,
     complement,
+    decide_equitable,
     decide_kr_factor,
+    equitable_coloring_exact,
     kr_factor_exact,
+    random_gnp,
 )
 from equitiler import decide as decide_module
 from equitiler import equitable as equitable_module
-from equitiler.certificates import payload_clauses, tiling_holds
-from equitiler.equitable import equitable_classes
+from equitiler.certificates import payload_clauses, tiling_holds, verify_certificate
+from equitiler.equitable import equitable_attempt, equitable_classes
 from equitiler.extremal import build_ex1_like, build_ex2, recognize_extremal
 
 # A 3-regular graph on 12 vertices, found by a seeded search that counted
@@ -53,6 +58,17 @@ def capped_graphs(draw, max_n=18, min_m=1):
         if g.degree(u) < k - 1 and g.degree(v) < k - 1:
             g.add_edge(u, v)
     return g, k
+
+
+@st.composite
+def any_graphs(draw, max_n=16):
+    """(G, k), 1 <= k < n <= max_n: a drawn share of the pairs, in a drawn
+    order, with no degree cap."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    share = draw(st.floats(0.0, 1.0))
+    return Graph.from_edges(n, pairs[: int(share * len(pairs))]), k
 
 
 class TestEquitableClasses:
@@ -145,3 +161,47 @@ class TestFactorStep:
         h.adj[0] ^= 1 << 3
         h.adj[3] ^= 1 << 0
         assert decide_module._hajnal_szemeredi_factor(h, 3) is None
+
+
+class TestEquitableStep:
+    """Procedure P at any degree: a colouring it returns is equitable, and a
+    stuck procedure is a miss, noted, not a bug."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_graphs())
+    def test_every_colouring_it_returns_holds(self, case):
+        g, k = case
+        try:
+            got = decide_module._equitable_coloring(g, k)
+        except PreconditionError:
+            return
+        assert payload_clauses(g, got.certificate, k, "coloring") == []
+        assert equitable_coloring_exact(g, k) is not None
+
+    def test_colours_without_exact_search(self):
+        # The exact colouring search took about 180 s on this draw.
+        g = random_gnp(40, 0.7736946096493875, 264)
+        c = decide_equitable(g, 19)
+        assert (c.kind, c.provenance) == ("colorable", "pipeline")
+        assert [stage for stage, _ in c.timings] == ["equitable"]
+        assert verify_certificate(g, c, "coloring", 19) == []
+
+    def test_miss_is_a_note(self):
+        # K_4 at k = 2: vertex 2 meets both classes, and the oracle's NO
+        # hunts down a triangle.
+        c = decide_equitable(Graph.complete(4), 2)
+        assert (c.kind, c.provenance) == ("obstructed", "oracle")
+        assert c.notes == (
+            "edge degree-sum bound fails at (0, 1); dichotomy guarantee lapses",
+            "equitable route: vertex 2 has a neighbour in each of the 2 classes",
+        )
+        assert [stage for stage, _ in c.timings] == ["equitable", "oracle"]
+
+    def test_attempt_raises_precondition_errors(self, monkeypatch):
+        with pytest.raises(PreconditionError, match="neighbour in each of the 2 classes"):
+            equitable_attempt(Graph.complete(4).adj, 2)
+        monkeypatch.setattr(
+            equitable_module, "_subtrees", lambda order, parent: {c: -1 for c in order}
+        )
+        with pytest.raises(PreconditionError, match="no solo move"):
+            equitable_attempt(Graph.from_edges(12, SOLO_EDGES).adj, 4)

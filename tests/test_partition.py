@@ -567,7 +567,7 @@ class TestValidate:
         g = cut_split(750)
         p, _ = peel_partition(g, 3)
         out = refine_to_good(g, p)
-        assert [m.pairs for m in out.rescue] == [((501, 500),)]
+        assert [m.pairs for m in out.rescue] == [((500, 501),)]
         assert validate_good(g, out) == []
         broken = {
             "(A4) expected 1 rescue matchings, got 0": (),
@@ -577,6 +577,16 @@ class TestValidate:
         }
         for clause, rescue in broken.items():
             assert clause in rescue_problems(g, out._replace(rescue=rescue))
+
+    def test_rescue_pairs_keep_the_matching_order(self):
+        # A rescue pair is built as (thin vertex, part vertex); here thin
+        # vertex 501's partner is 500, so the pair must be turned round to
+        # keep Matching's (min, max) pairs in sorted order.
+        g = cut_split(750)
+        p, _ = peel_partition(g, 3)
+        for m in refine_to_good(g, p).rescue:
+            assert all(u < v for u, v in m.pairs)
+            assert list(m.pairs) == sorted(m.pairs)
 
     def test_grade_at_the_wrong_threshold_flagged(self):
         g = build_ex2(9, 3, 1)

@@ -180,12 +180,12 @@ def paper_only() -> List[Instance]:
 
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
-    "boundary": (boundary, 36, 0, 0),
+    "boundary": (boundary, 36, 36, 36),
     "tripartite": (tripartite, 6, 6, 6),
-    "perturbed": (perturbed_odd_splits, 36, 28, 28),
-    "sparse": (sparse, 48, 24, 24),
-    "ore": (ore, 24, 0, 0),
-    "paper_only": (paper_only, 24, 0, 0),
+    "perturbed": (perturbed_odd_splits, 36, 34, 34),
+    "sparse": (sparse, 48, 38, 38),
+    "ore": (ore, 24, 24, 24),
+    "paper_only": (paper_only, 24, 24, 24),
 }
 
 
