@@ -231,10 +231,10 @@ def build_absorbing_set(
 ) -> Optional[AbsorbingSet]:
     """Select disjoint verified absorbers into a set M of at most 2*xi*n vertices.
 
-    Returns None when a sparse n/r-set turns up (the instance belongs to
-    the structured route) or when the sampling budget runs out before
-    enough disjoint absorbers are found.  The degree-sum floor is checked
-    outright.
+    The decider calls it only after the structured route missed.  Returns
+    None when a sparse n/r-set turns up (the instance belongs to that
+    route) or when the sampling budget runs out before enough disjoint
+    absorbers are found.  The degree-sum floor is checked outright.
 
     Each probe is r vertices drawn from those not yet taken
     (`_draw_probe`), and samples one absorber for them: every sample avoids

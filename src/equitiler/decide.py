@@ -23,10 +23,12 @@ degree below k.  The same procedure also runs with no degree gate, as the
 stuck procedure is a miss, and `_run` checks the classes it returns like
 any answer.  It runs on G padded to a multiple of k ahead of the exact
 colouring search, and on the complement of H at k = n/r as the factor
-table's last step before unresolved.  Sub-problems (the vertices outside
-the absorbing set, a leftover block, the units of the multipartite finish)
-are vertex masks of the input graph, so every clique found is already in
-its labels.
+table's last step before unresolved.  The structured route runs before
+absorption, whose own sparse-set probe gives up an input with a sparse
+n/r-set, the kind the structured route settles.  Sub-problems (the
+vertices outside the absorbing set, a leftover block, the units of the
+multipartite finish) are vertex masks of the input graph, so every
+clique found is already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
@@ -349,10 +351,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
         return _no(got, "pipeline")
     gp = got
     p = gp.partition
-    s = p.s
-    d = r - s
-    if d <= 0:
-        raise PreconditionError(f"partition peeled {s} parts against r={r}")
+    d = r - p.s
 
     thin_seeds = cover_exceptional(g, gp)
     bases = thin_seeds + cover_nonexcellent(g, gp, _vertices_of(thin_seeds))
@@ -401,8 +400,10 @@ def decide_kr_factor(
                   its witness; it runs only where the gate above fails,
                   since under the gate a factor exists and no witness of
                   a NO can;
-      absorption  the dense absorption route;
-      structured  the extremal pipeline;
+      structured  the extremal pipeline; it runs first, since an input
+                  with a sparse n/r-set is its kind and absorption's
+                  sparse-set probe gives such an input up;
+      absorption  the dense absorption route, where structured missed;
       oracle      n <= FALLBACK_CAP: exact search;
       equitable   beyond that, procedure P on the complement at k = n/r,
                   with no degree gate; its classes are the factor;
@@ -432,8 +433,8 @@ def decide_kr_factor(
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
         ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
         ("recognizer", "recognize", recognize),
-        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
+        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
         ("equitable", "equitable", lambda: _equitable_factor(g, r)),
         ("unresolved", None, lambda: _UNRESOLVED),

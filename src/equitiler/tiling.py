@@ -245,9 +245,11 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> Tuple[Base, ...]:
     The remaining thin vertices keep their rescue edges as lone seeds.  Any
     structural failure is a miss of the route, not a bug: it raises
     PreconditionError, since an instance this tangled is left to the
-    odd-split recognizers.
+    odd-split recognizers; so is a partition with no leftover block.
     """
     p, n, r, s = _context(g, q)
+    if s >= r:
+        raise PreconditionError(f"{s} parts against r={r} leave no leftover block")
     thin = q.thin
     ve = q.classification.excellent_everywhere().bits
     low = q.low_degree.bits
@@ -268,8 +270,6 @@ def cover_exceptional(g: Graph, q: GoodPartition) -> Tuple[Base, ...]:
         exs = exc & low
         if not exs:
             continue
-        if r == s:
-            raise _odd_split(f"part {i}: thin low-degree vertex with no leftover block")
         if not g.is_clique(exs):
             raise _odd_split(f"part {i}: low-degree thin set is not a clique")
         verts = sorted(iter_bits(exs))
@@ -329,11 +329,13 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> Tuple[Base, 
     everywhere nor thin, outside `u`.
 
     `u` holds vertices already spoken for; targets inside `u` count as
-    covered by the caller.  Running out of candidates is a miss and raises
-    PreconditionError; a seed that fails its margin check is a bug and
-    raises InternalContradiction.
+    covered by the caller.  Running out of candidates, or a partition with
+    no leftover block, is a miss and raises PreconditionError; a seed that
+    fails its margin check is a bug and raises InternalContradiction.
     """
     p, n, r, s = _context(g, q)
+    if s >= r:
+        raise PreconditionError(f"{s} parts against r={r} leave no leftover block")
     cfg = q.constants
     if len(u) ** 4 > (4 * r) ** 4 * cfg.alpha * n**4:
         raise PreconditionError("avoid set too large for the cover")
@@ -353,15 +355,6 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> Tuple[Base, 
         if (1 << v) & used:
             continue
         avoid = u.bits | used
-        if s == r:
-            sb = SingleBase(VertexSet(1 << v))
-            if not _has_margin(g, q, sb):
-                raise InternalContradiction(
-                    f"vertex {v}: lone seed fails though every block is a part"
-                )
-            bases.append(sb)
-            used |= 1 << v
-            continue
         i = p.part_of(v)
         if i is not None:
             w = None

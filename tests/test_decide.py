@@ -299,7 +299,12 @@ class TestFactorPipelines:
         c = decide_kr_factor(g, 3, cfg=DENSE)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
         assert tiling_holds(g, c.certificate)
-        assert any(stage == "absorption" for stage, _ in c.timings)
+        # Absorption runs only once the structured route has missed: the
+        # input has no sparse n/r-set to peel.
+        assert [stage for stage, _ in c.timings] == [
+            "hajnal-szemeredi", "recognize", "pipeline", "absorption",
+        ]
+        assert c.notes == ("structured route: no sparse parts peeled",)
 
     def test_medium_dense_falls_back_honestly(self):
         # Default xi leaves no room for an absorber family at n=30, so the
@@ -395,7 +400,15 @@ class TestFactorPipelines:
         c = decide_kr_factor(tripartite(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert tiling_holds(tripartite(9), c.certificate)
-        assert c.notes[-1].startswith("structured route: stage graph at round 2")
+        assert c.notes[0].startswith("structured route: stage graph at round 2")
+
+    def test_structured_runs_before_absorption(self):
+        # An extremal input is decided by the structured route without
+        # absorption running first and missing.
+        c = decide_kr_factor(ex2_plus(240, 160, 161), 3)
+        assert (c.kind, c.provenance) == ("factorable", "pipeline")
+        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi", "recognize", "pipeline"]
+        assert not any("absorption" in note for note in c.notes)
 
     def test_structured_contradiction_propagates(self, monkeypatch):
         # A contradiction is a bug, not a miss: it must not become a note.
@@ -464,11 +477,11 @@ class TestStructuredCertificates:
     CASES = {
         "ex2+A": (
             lambda: decide_kr_factor(ex2_plus(240, 160, 161), 3),
-            "4f899f974921b2922bb7e45add273311df1cf32024204c5f53f14c9c5c1621f3",
+            "5150d8789bd49bbf3c22f2b8d47a25f63263f672d3c3395cf41dc6c74a714cda",
         ),
         "ex2+B0B1": (
             lambda: decide_kr_factor(ex2_plus(240, 0, 1), 3),
-            "720c3b8d8c42535eeca79c7af7e96b04ed0423f5d0244fbf820c32254838f9de",
+            "f2251274dbd4c043f11632c72e911b7f92689e9d9d9242c8aed8fa1af99a0c82",
         ),
         "co(ex2+A)": (
             lambda: decide_equitable(complement(ex2_plus(240, 160, 161)), 80),
@@ -476,11 +489,11 @@ class TestStructuredCertificates:
         ),
         "ex2+A/n=480": (
             lambda: decide_kr_factor(ex2_plus(480, 320, 321), 3),
-            "1003ed646e1a78e55eac6c1c9aa39c7213a33c0e00ff021d2c5c4396e8efe6ee",
+            "4a30556f04131a35abf152f83e750a10840fb8dc4be65c3edab0ad69612815dd",
         ),
         "ex2+B0B1/n=480": (
             lambda: decide_kr_factor(ex2_plus(480, 0, 1), 3),
-            "2dc0109ae367f2b9cc200bee8771983805f7257c846ee300c3cf6d6e0d32bb51",
+            "73f62629668681e4a9014f25a4d6e4b1166e1595364dc2a01fc2f8f5cb766f6e",
         ),
         "co(ex2+A)/n=480": (
             lambda: decide_equitable(complement(ex2_plus(480, 320, 321)), 160),
@@ -571,47 +584,47 @@ class TestMissNotes:
         "tripartite-9": (
             lambda: tripartite(9),
             (
-                "absorption route: degree-sum floor 34 at pair (0, 9) is below 8991/250",
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 18 thin vertices and no escape set",
+                "absorption route: degree-sum floor 34 at pair (0, 9) is below 8991/250",
             ),
         ),
         "parity-repair": (
             lambda: edited_ex2(36, 1, drop=[(5, 6)]),
             (
-                "absorption route: degree-sum floor 45 at pair (0, 5) is below 5994/125",
                 "structured route: parity repair gave out: no reachable tiling"
                 " leaves a matchable leftover block",
+                "absorption route: degree-sum floor 45 at pair (0, 5) is below 5994/125",
             ),
         ),
         "no-calm-partner": (
             lambda: edited_ex2(120, 1, add=[(0, 24), (110, 106)], drop=[(10, 95)]),
             (
-                "absorption route: degree-sum floor 158 at pair (0, 10) is below 3996/25",
                 "structured route: vertex 95: no calm partner inside its part",
+                "absorption route: degree-sum floor 158 at pair (0, 10) is below 3996/25",
             ),
         ),
         "refinement-stalled": (
             lambda: edited_ex2(120, 5, add=[(114, 108), (103, 110)]),
             (
-                "absorption route: degree-sum floor 158 at pair (0, 5) is below 3996/25",
                 "structured route: refinement stalled: (A3) part 1 has 4 crowded"
                 " vertices [round 1: thin=0 crowded=4 swapped=0 surplus=0]",
+                "absorption route: degree-sum floor 158 at pair (0, 5) is below 3996/25",
             ),
         ),
         "no-sparse-parts": (
             lambda: random_ore(60, 3, Fraction(1, 50), 0),
             (
-                "absorption route: degree-sum floor 78 at pair (0, 19) is below 1998/25",
                 "structured route: no sparse parts peeled",
+                "absorption route: degree-sum floor 78 at pair (0, 19) is below 1998/25",
             ),
         ),
         "tripartite-12": (
             lambda: tripartite(12),
             (
-                "absorption route: degree-sum floor 46 at pair (0, 12) is below 5994/125",
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 24 thin vertices and no escape set",
+                "absorption route: degree-sum floor 46 at pair (0, 12) is below 5994/125",
             ),
         ),
     }
@@ -863,20 +876,20 @@ class TestStepTables:
         "hajnal-szemeredi": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
                              ("factorable", "pipeline"), ["hajnal-szemeredi"]),
         "absorption": (dense60, "factor", 3, DENSE, ("factorable", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "absorption"]),
+                       ["hajnal-szemeredi", "recognize", "pipeline", "absorption"]),
         "structured": (split_plus_singletons, "factor", 3, None, ("factorable", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline"]),
+                       ["hajnal-szemeredi", "recognize", "pipeline"]),
         "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
                             ("factorable", "oracle"),
-                            ["hajnal-szemeredi", "recognize", "absorption", "pipeline", "oracle"]),
+                            ["hajnal-szemeredi", "recognize", "pipeline", "absorption", "oracle"]),
         # Past the cap, procedure P on the complement at any degree.
         "equitable/factor": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3,
                              None, ("factorable", "pipeline"),
-                             ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                             ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
                               "equitable"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.3), "factor", 3, None,
                        ("unresolved", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                       ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
                         "equitable"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap procedure P, then the oracle, colours
@@ -911,11 +924,11 @@ class TestStepTables:
         # of its complement with procedure P, at the end of its table.
         "delegate/equitable": (bridged_cliques, "coloring", 17, None,
                                ("colorable", "pipeline"),
-                               ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                               ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
                                 "equitable"]),
         "delegate/unresolved": (sparse60, "coloring", 3, None,
                                 ("unresolved", "pipeline"),
-                                ["hajnal-szemeredi", "recognize", "absorption", "pipeline",
+                                ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
                                  "equitable"]),
     }
 

@@ -344,21 +344,22 @@ class TestCoverExceptional:
         with pytest.raises(PreconditionError, match="odd split: .*leftover block"):
             cover_exceptional(g, q)
 
+    def test_all_parts_case_is_a_miss(self):
+        g = k333()
+        with pytest.raises(PreconditionError, match="3 parts against r=3 leave no leftover block"):
+            cover_exceptional(g, q_k333(g))
+
 
 class TestCoverNonexcellent:
     def test_targets_inside_u_are_already_covered(self):
         g, q = q_rescue_9()
         assert cover_nonexcellent(g, q, vs(5, 8)) == ()
 
-    def test_all_parts_case_uses_lone_seeds(self):
+    def test_all_parts_case_is_a_miss(self):
+        # With every block a part, no leftover block holds a seed's clique.
         g = k333_dent()
-        q = q_k333(g)
-        out = cover_nonexcellent(g, q, vs())
-        assert seed_vertices(out) == vs(0, 3)
-        assert [type(b) for b in out] == [SingleBase, SingleBase]
-        assert {b.clique for b in out} == {vs(0), vs(3)}
-        assert all(base_slack(g, q, b) == Fraction(2, 9) for b in out)
-        assert base_set_problems(out, g, q) == []
+        with pytest.raises(PreconditionError, match="3 parts against r=3 leave no leftover block"):
+            cover_nonexcellent(g, q_k333(g), vs())
 
     def test_part_vertex_gets_a_pair_seed(self):
         g, q = q_tri18_case1()
@@ -372,23 +373,20 @@ class TestCoverNonexcellent:
         assert base_set_problems(out, g, q) == []
 
     def test_avoid_set_size_gate(self):
-        g = k333_dent()
+        # The gate reads only |u|, alpha, n and r: at alpha = 10^-7 and
+        # n = 18 it admits three vertices and refuses four.
+        g = tri18_case1()
         tiny = replace(
-            CFG_33,
-            alpha=Fraction(1, 1000000),
-            gammas=(
-                Fraction(1, 4000000),
-                Fraction(1, 3000000),
-                Fraction(1, 2000000),
-                Fraction(1, 3),
-            ),
-            gamma=Fraction(1, 8000000),
+            CFG_18,
+            alpha=Fraction(1, 10**7),
+            gammas=(Fraction(1, 4 * 10**7), Fraction(1, 4), Fraction(1, 3), Fraction(1, 3)),
+            gamma=Fraction(1, 8 * 10**7),
         )
-        q = q_k333(g, cfg=tiny)
-        with pytest.raises(PreconditionError):
-            cover_nonexcellent(g, q, vs(1, 2, 4, 5))
-        out = cover_nonexcellent(g, q, vs(1, 2, 4))
-        assert seed_vertices(out) == vs(0, 3)
+        q = manual_good(g, [set(range(12, 18))], set(range(12)), tiny)
+        with pytest.raises(PreconditionError, match="avoid set too large"):
+            cover_nonexcellent(g, q, vs(8, 9, 10, 11))
+        out = cover_nonexcellent(g, q, vs(9, 10, 11))
+        assert seed_vertices(out) == vs(0, 1, 2, 12, 13)
 
 
 class TestExtend:
