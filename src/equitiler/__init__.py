@@ -13,7 +13,6 @@ from .graphs import (
 from .oracle import (
     Tiling,
     Coloring,
-    LayeredFactor,
     kr_factor_exact,
     equitable_coloring_exact,
 )
@@ -59,6 +58,7 @@ from .tiling import (
 from .absorbing import (
     AbsorbingSet,
     AugmentationMove,
+    LayeredFactor,
     absorb,
     build_absorbing_set,
     find_augmentation,

@@ -1,13 +1,14 @@
 """Randomized absorption machinery for the dense, unstructured regime.
 
-The route has three stages.  `build_absorbing_set` assembles a small set M
-out of disjoint verified absorbers (plus cliques covering the low-degree
-clique, when there is one).  `layered_greedy`, run by the decider on the
+The paper's absorption argument, as a library: no step of the decider
+runs it.  It has three stages.  `build_absorbing_set` assembles a small
+set M out of disjoint verified absorbers (plus cliques covering the
+low-degree clique, when there is one).  `layered_greedy`, run on the
 vertices outside M, tiles them greedily and improves the tiling with local
 augmentation moves until only a small remainder is uncovered.  `absorb`
 then folds that remainder into M, one r-set per stored absorber.
 An absorber's factors, of S alone and of S with its probe, both come from
-its shape and are checked as built; the decider verifies the final factor.
+its shape and are checked as built; the caller checks the final factor.
 
 The sampling is seeded and reproducible: each draw lists its pool in
 ascending order, so a seed fixes every absorber.
@@ -32,12 +33,13 @@ from .graphs import (
     sigma,
 )
 from .matching import maximum_matching
-from .oracle import LayeredFactor, Tiling, kr_factor_exact
+from .oracle import Tiling, kr_factor_exact
 from .partition import _sparse_set
 
 __all__ = [
     "AbsorbingSet",
     "AugmentationMove",
+    "LayeredFactor",
     "absorb",
     "build_absorbing_set",
     "find_augmentation",
@@ -96,6 +98,29 @@ class AbsorbingSet(NamedTuple):
         for c in self.fixed:
             bits |= c.bits
         return VertexSet(bits)
+
+
+class LayeredFactor(NamedTuple):
+    """Partition of V into cliques, bucketed by clique size s = r, r-1, ..., 1.
+
+    `profile()` is (count of K_r pieces, ..., count of K_1 pieces);
+    `layered_greedy` raises it lexicographically by local moves.
+    """
+
+    r: int
+    layers: Dict[int, Tuple[VertexSet, ...]]
+
+    def profile(self) -> Tuple[int, ...]:
+        return tuple(len(self.layers.get(s, ())) for s in range(self.r, 0, -1))
+
+    def verify(self, g: Graph) -> bool:
+        seen = 0
+        for s, pieces in self.layers.items():
+            for p in pieces:
+                if len(p) != s or (seen & p.bits) or not g.is_clique(p.bits):
+                    return False
+                seen |= p.bits
+        return seen == g.full_mask
 
 
 def _sigma_gate(g: Graph, r: int, alpha: Fraction) -> None:
@@ -210,8 +235,8 @@ def _sample_absorbers(
             continue
         seen.add(bits)
         # S absorbs Q when both G[S] and G[S u Q] have K_r-factors, and its
-        # shape gives both.  The checker's own test runs on each here: the
-        # decider's final check sees only the factors that the answer uses.
+        # shape gives both.  The checker's own test runs on each here: a
+        # check of the final factor sees only the factors that it uses.
         own = tuple(VertexSet(x | 1 << u) for x, u in zip(bridges, bases))
         joint = [VertexSet(base)] + [VertexSet(x | 1 << qv) for x, qv in zip(bridges, qs)]
         if (
@@ -231,10 +256,9 @@ def build_absorbing_set(
 ) -> Optional[AbsorbingSet]:
     """Select disjoint verified absorbers into a set M of at most 2*xi*n vertices.
 
-    The decider calls it only after the structured route missed.  Returns
-    None when a sparse n/r-set turns up (the instance belongs to that
-    route) or when the sampling budget runs out before enough disjoint
-    absorbers are found.  The degree-sum floor is checked outright.
+    Returns None when a sparse n/r-set turns up (the instance is the
+    structured route's) or when the sampling budget runs out before enough
+    disjoint absorbers are found.  The degree-sum floor is checked outright.
 
     Each probe is r vertices drawn from those not yet taken
     (`_draw_probe`), and samples one absorber for them: every sample avoids
@@ -322,8 +346,8 @@ def absorb(g: Graph, aset: AbsorbingSet, leftover: VertexSet) -> Tiling:
     """Fold a small leftover set into M, returning a factor of M u leftover.
 
     Leftover r-sets are matched to distinct stored absorbers; an
-    unmatched r-set raises PreconditionError, a miss of the absorption route.
-    The assembly is not re-checked here: the decider verifies the factor.
+    unmatched r-set raises PreconditionError.  The assembly is not
+    re-checked here: the caller checks the factor.
     """
     r = aset.r
     m = aset.m

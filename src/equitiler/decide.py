@@ -23,11 +23,11 @@ degree below k.  The same procedure also runs with no degree gate, as the
 stuck procedure is a miss, and `_run` checks the classes it returns like
 any answer.  It runs on G padded to a multiple of k ahead of the exact
 colouring search, and on the complement of H at k = n/r as the factor
-table's last step before unresolved.  The structured route runs before
-absorption, whose own sparse-set probe gives up an input with a sparse
-n/r-set, the kind the structured route settles.  Sub-problems (the
-vertices outside the absorbing set, a leftover block, the units of the
-multipartite finish) are vertex masks of the input graph, so every
+table's last step before unresolved.  The structured route settles the
+paper's extremal case, an input with a sparse n/r-set; the paper takes
+the other case by absorption, and the factor table gives it to that
+`equitable` step instead.  Sub-problems (a leftover block, the units of
+the multipartite finish) are vertex masks of the input graph, so every
 clique found is already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
@@ -50,7 +50,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .absorbing import absorb, build_absorbing_set, layered_greedy
 from .certificates import DecisionCertificate, verify_certificate
 from .constants import ConstantsConfig, default_constants
 from .equitable import equitable_attempt, equitable_classes
@@ -298,18 +297,6 @@ def _equitable_coloring(g: Graph, k: int) -> DecisionCertificate:
     return _yes(Coloring(tuple(VertexSet(c & ~pad) for c in classes)), "pipeline")
 
 
-def _absorption_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
-    """Factor via the absorbing set: greedy cover outside M, absorb the rest."""
-    aset = build_absorbing_set(g, r, cfg=cfg)
-    if aset is None:
-        raise PreconditionError("no absorbing set could be built")
-    outside = g.full_mask & ~aset.m.bits
-    greedy = Tiling(r, layered_greedy(g, r, outside).layers.get(r, ()))
-    leftover = VertexSet(outside & ~greedy.covered.bits)
-    finish = absorb(g, aset, leftover)
-    return _yes(Tiling(r, greedy.cliques + finish.cliques), "pipeline")
-
-
 def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
     """Tile `block` by d-cliques, d != 2: singly at d = 1, else by exact search.
 
@@ -400,10 +387,8 @@ def decide_kr_factor(
                   its witness; it runs only where the gate above fails,
                   since under the gate a factor exists and no witness of
                   a NO can;
-      structured  the extremal pipeline; it runs first, since an input
-                  with a sparse n/r-set is its kind and absorption's
-                  sparse-set probe gives such an input up;
-      absorption  the dense absorption route, where structured missed;
+      structured  the extremal pipeline, on an input with a sparse
+                  n/r-set to peel;
       oracle      n <= FALLBACK_CAP: exact search;
       equitable   beyond that, procedure P on the complement at k = n/r,
                   with no degree gate; its classes are the factor;
@@ -413,7 +398,7 @@ def decide_kr_factor(
         raise PreconditionError(f"r={r} must be positive")
     if g.n % r != 0:
         raise PreconditionError(f"r={r} does not divide n={g.n}")
-    # Only the polynomial routes read the constants, and they run at r >= 3.
+    # Only the structured route reads the constants, and it runs at r >= 3.
     if cfg is None and r >= 3:
         cfg = default_constants(r)
 
@@ -434,7 +419,6 @@ def decide_kr_factor(
         ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
         ("recognizer", "recognize", recognize),
         ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
-        ("absorption", "absorption", lambda: _absorption_factor(g, r, cfg)),
         ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
         ("equitable", "equitable", lambda: _equitable_factor(g, r)),
         ("unresolved", None, lambda: _UNRESOLVED),

@@ -27,7 +27,6 @@ Rows = Union[List[int], Dict[int, int]]
 __all__ = [
     "Tiling",
     "Coloring",
-    "LayeredFactor",
     "kr_factor_exact",
     "equitable_coloring_exact",
 ]
@@ -53,29 +52,6 @@ class Coloring(NamedTuple):
     classes: Tuple[VertexSet, ...]
 
 
-class LayeredFactor(NamedTuple):
-    """Partition of V into cliques, bucketed by clique size s = r, r-1, ..., 1.
-
-    `profile()` is (count of K_r pieces, ..., count of K_1 pieces);
-    `absorbing.layered_greedy` raises it lexicographically by local moves.
-    """
-
-    r: int
-    layers: Dict[int, Tuple[VertexSet, ...]]
-
-    def profile(self) -> Tuple[int, ...]:
-        return tuple(len(self.layers.get(s, ())) for s in range(self.r, 0, -1))
-
-    def verify(self, g: Graph) -> bool:
-        seen = 0
-        for s, pieces in self.layers.items():
-            for p in pieces:
-                if len(p) != s or (seen & p.bits) or not g.is_clique(p.bits):
-                    return False
-                seen |= p.bits
-        return seen == g.full_mask
-
-
 def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[Tiling]:
     """Exact K_r-factor of G[inside]: a partition of it into r-cliques, or None.
 
@@ -87,7 +63,7 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
     the cliques.  No graph is built.  The worst case is exponential, so
     each caller bounds the mask: the decider's oracle step and
     `decide._block_tiling` search at most FALLBACK_CAP vertices, and
-    absorption an absorber's r^2 vertices, or r^2 + r with the r-set it
+    `absorbing.absorb` an absorber's r^2 vertices with the r-set it
     absorbs.  At r = 1, which the factor table's trivial step and
     `decide._block_tiling` at d = 1 ask for at any size, the class count
     is the vertex count, and the search returns the singletons at once.

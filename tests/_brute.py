@@ -32,6 +32,7 @@ from typing import (
 
 from equitiler.absorbing import (
     AbsorbingSet,
+    LayeredFactor,
     _profile,
     _sample_absorbers,
     _sigma_gate,
@@ -61,7 +62,6 @@ from equitiler.graphs import (
 from equitiler.matching import Matching, TutteBarrier, _augment_once, maximum_matching
 from equitiler.oracle import (
     Coloring,
-    LayeredFactor,
     Rows,
     Tiling,
     _backtrack,

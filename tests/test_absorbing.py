@@ -33,6 +33,7 @@ from _brute import (
     absorbing_family_for,
     absorbing_set_problems,
     adj_sets,
+    brute_layered_profile,
     count_absorbers_exact,
     enumerate_absorbers,
     is_absorber_set,
@@ -41,7 +42,7 @@ from _brute import (
     seed_build_absorbing_set,
     seed_layered_greedy,
 )
-from conftest import random_graph
+from conftest import cycle, random_graph
 
 
 def vs(*vals):
@@ -331,6 +332,40 @@ class TestEnumerate:
         for member in fam.members:
             assert member.bits in exact
             assert is_absorber_set(g, member.bits, q.bits, 2)
+
+
+class TestLayeredFactor:
+    def test_matches_reference_random(self, rng):
+        for _ in range(80):
+            n = rng.randrange(1, 8)
+            r = rng.choice([2, 3, 4])
+            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+            lf = layered_factor_exact(g, r)
+            assert lf.verify(g)
+            assert lf.profile() == brute_layered_profile(n, list(g.edges()), r)
+
+    def test_complete_seven(self):
+        lf = layered_factor_exact(Graph.complete(7), 3)
+        assert lf.profile() == (2, 0, 1)
+
+    def test_cycle_six(self):
+        lf = layered_factor_exact(cycle(6), 3)
+        assert lf.profile() == (0, 3, 0)
+
+    def test_profile_prefers_top_layer(self):
+        # Triangle joined to an edge by four cross edges: the best layering
+        # keeps one triangle and one edge rather than a triangle and two
+        # singletons, and the exact answer must see past the greedy trap.
+        g = Graph.from_edges(
+            5, [(0, 2), (0, 4), (2, 4), (1, 3), (0, 1), (1, 2), (2, 3), (0, 3)]
+        )
+        lf = layered_factor_exact(g, 3)
+        assert lf.profile() == (1, 1, 0)
+
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError, match="cap"):
+            layered_factor_exact(Graph.empty(17), 3)
+        layered_factor_exact(Graph.empty(17), 3, cap=17)
 
 
 class TestLayeredGreedy:

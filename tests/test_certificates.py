@@ -1,8 +1,6 @@
 """Certificate JSON codec and the independent re-verification clauses."""
 
 import json
-from dataclasses import replace
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -26,7 +24,6 @@ from equitiler.certificates import (
     verify_certificate,
     vertex_sets_from_json,
 )
-from equitiler.constants import default_constants
 from equitiler.decide import decide_equitable, decide_kr_factor
 from equitiler.extremal import (
     BicliqueObstruction,
@@ -51,11 +48,6 @@ from _brute import (
     is_clique_set,
     is_independent_set,
 )
-
-# The dense workload's roomier absorption constants, under which absorption
-# factors random_gnp(240, 0.9).
-_DENSE = replace(default_constants(3), xi=Fraction(1, 4), epsilon=Fraction(1, 10))
-
 
 def ex2_plus(n, u, v):
     g = build_ex2(n, 3, 1)
@@ -1007,28 +999,28 @@ class TestGenuineMutants:
     witness a colouring NO hunts down."""
 
     CASES = {
-        "structured": (lambda: ex2_plus(240, 160, 161), "factor", 3, None, "pipeline"),
-        "absorption": (lambda: random_gnp(240, 0.9, 0), "factor", 3, _DENSE, "pipeline"),
+        "structured": (lambda: ex2_plus(240, 160, 161), "factor", 3, "pipeline"),
+        "hajnal-szemeredi": (lambda: random_gnp(240, 0.9, 0), "factor", 3, "pipeline"),
         # Procedure P misses this draw, so the exact search colours it.
-        "exact-coloring": (lambda: random_gnp(30, 0.2, 7), "coloring", 6, None, "oracle"),
-        "ex1": (lambda: build_ex1_like(240, 3), "factor", 3, None, "recognizer"),
-        "ex2": (lambda: build_ex2(240, 3, 1), "factor", 3, None, "recognizer"),
-        "biclique": (lambda: build_obstruction(9, 5), "coloring", 9, None, "recognizer"),
+        "exact-coloring": (lambda: random_gnp(30, 0.2, 7), "coloring", 6, "oracle"),
+        "ex1": (lambda: build_ex1_like(240, 3), "factor", 3, "recognizer"),
+        "ex2": (lambda: build_ex2(240, 3, 1), "factor", 3, "recognizer"),
+        "biclique": (lambda: build_obstruction(9, 5), "coloring", 9, "recognizer"),
     }
     WITNESS = {
-        "structured": "tiling", "absorption": "tiling", "exact-coloring": "coloring",
+        "structured": "tiling", "hajnal-szemeredi": "tiling", "exact-coloring": "coloring",
         "ex1": "independent-set", "ex2": "odd-split", "biclique": "biclique",
     }
     # Mutants accepted as true: a swap that keeps every clique a clique, or
     # every class independent.
-    ACCEPTED = {"structured": 1, "absorption": 3, "exact-coloring": 1}
+    ACCEPTED = {"structured": 1, "hajnal-szemeredi": 3, "exact-coloring": 1}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_mutant_is_rejected_or_true(self, name):
-        build, mode, value, cfg, provenance = self.CASES[name]
+        build, mode, value, provenance = self.CASES[name]
         g = build()
         decide = decide_kr_factor if mode == "factor" else decide_equitable
-        cert = decide(g, value, cfg)
+        cert = decide(g, value)
         assert cert.provenance == provenance
         doc = certificate_to_json(cert)
         field = "certificate" if cert.answer else "witness"

@@ -110,7 +110,8 @@ def thinned(g, v, d):
 
 def dense60():
     """random_graph(60, 0.9) with vertex 0 cut to degree 39 < 40: the
-    absorption route's input once the Hajnal–Szemerédi gate fails."""
+    Hajnal–Szemerédi gate fails there, no sparse part peels, and procedure
+    P tiles it past the cap."""
     return thinned(random_graph(random.Random(0xE0A1), 60, 0.9), 0, 39)
 
 
@@ -134,8 +135,6 @@ DESK36 = replace(
     gammas=(Fraction(1, 300), Fraction(1, 25), Fraction(1, 3), Fraction(1, 3)),
     ladder_ratio=Fraction(1),
 )
-
-DENSE = replace(default_constants(3), xi=Fraction(1, 4), epsilon=Fraction(1, 10))
 
 
 class TestPad:
@@ -294,26 +293,26 @@ class TestFactorLadder:
 
 
 class TestFactorPipelines:
-    def test_dense_absorption_route(self):
-        g = dense60()
-        c = decide_kr_factor(g, 3, cfg=DENSE)
-        assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert tiling_holds(g, c.certificate)
-        # Absorption runs only once the structured route has missed: the
-        # input has no sparse n/r-set to peel.
-        assert [stage for stage, _ in c.timings] == [
-            "hajnal-szemeredi", "recognize", "pipeline", "absorption",
-        ]
-        assert c.notes == ("structured route: no sparse parts peeled",)
+    def test_dense_inputs_end_at_the_equitable_step(self):
+        # Outside the Hajnal–Szemerédi gate with no sparse n/r-set to peel,
+        # a dense input past the cap is tiled by procedure P at any degree.
+        for g in (dense60(), thinned(random_gnp(240, 0.9, 0), 0, 159)):
+            c = decide_kr_factor(g, 3)
+            assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
+            assert tiling_holds(g, c.certificate)
+            assert [stage for stage, _ in c.timings] == [
+                "hajnal-szemeredi", "recognize", "pipeline", "equitable",
+            ]
+            assert c.notes == ("structured route: no sparse parts peeled",)
 
     def test_medium_dense_falls_back_honestly(self):
-        # Default xi leaves no room for an absorber family at n=30, so the
-        # decider lands on the exact search and says so.  Vertex 0 at degree
-        # 19 < 20 keeps the Hajnal–Szemerédi step out.
+        # No sparse part peels at n=30, so the decider lands on the exact
+        # search and says so.  Vertex 0 at degree 19 < 20 keeps the
+        # Hajnal–Szemerédi step out.
         g = thinned(random_graph(random.Random(0xE0A1), 30, 0.9), 0, 19)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
-        assert any("absorption route" in note for note in c.notes)
+        assert c.notes == ("structured route: no sparse parts peeled",)
 
     def test_odd_split_families_at_36(self):
         for (n, r, s) in ((36, 3, 1), (36, 3, 3), (36, 4, 1)):
@@ -340,7 +339,7 @@ class TestFactorPipelines:
                 matched.append(inside)
             return maximum_matching(h, inside)
 
-        for mod in ("matching", "tiling", "absorbing"):
+        for mod in ("matching", "tiling"):
             monkeypatch.setattr(f"equitiler.{mod}.maximum_matching", tracked_matching)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
@@ -403,12 +402,12 @@ class TestFactorPipelines:
         assert c.notes[0].startswith("structured route: stage graph at round 2")
 
     def test_structured_runs_before_absorption(self):
-        # An extremal input is decided by the structured route without
-        # absorption running first and missing.
+        # An extremal input is decided by the structured route, with no
+        # miss note: no absorption step runs before or after it.
         c = decide_kr_factor(ex2_plus(240, 160, 161), 3)
         assert (c.kind, c.provenance) == ("factorable", "pipeline")
         assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi", "recognize", "pipeline"]
-        assert not any("absorption" in note for note in c.notes)
+        assert c.notes == ()
 
     def test_structured_contradiction_propagates(self, monkeypatch):
         # A contradiction is a bug, not a miss: it must not become a note.
@@ -457,8 +456,11 @@ class TestFactorPipelines:
         g = random_graph(rng, 60, 0.3)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.verified) == ("unresolved", None, False)
-        assert any("absorption route" in note for note in c.notes)
-        assert any("fallback cap" in note for note in c.notes)
+        assert c.notes == (
+            "structured route: no sparse parts peeled",
+            "equitable route: procedure P found no solo move: 1 classes reach a hole, 19 do not",
+            "instance beyond the exact fallback cap",
+        )
 
 
 def ex2_plus(n, u, v):
@@ -512,25 +514,14 @@ class TestStructuredCertificates:
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
-class TestAbsorptionCertificates:
+class TestDenseCertificates:
     """Certificate JSON, timings dropped, of two dense inputs, pinned by hash
     as in TestStructuredCertificates.  Both lie inside the Hajnal–Szemerédi
-    gate, so the decision is that step's tiling, pinned as
-    "hajnal-szemeredi/...".  The absorption route, called directly, keeps
-    its own pins: the absorbers come from seeded random draws, so a change
-    in how a draw consumes the generator changes the tiling and fails here."""
+    gate, so the decision is that step's tiling."""
 
     CASES = {
-        "gnp(n=240,p=0.9)": (
-            lambda: decide_module._absorption_factor(random_gnp(240, 0.9, 0), 3, DENSE),
-            "329a5f5e2c80ad69e705537f81832d8cdfe25ebe987135477e85e377af4dfa08",
-        ),
-        "ore(n=240,a=0)": (
-            lambda: decide_module._absorption_factor(random_ore(240, 3, 0, 0), 3, default_constants(3)),
-            "1a7a6b891656ffe0061a490d0e56c23406709fe95e0ea5ac5ea3dabf15737c5d",
-        ),
         "hajnal-szemeredi/gnp(n=240,p=0.9)": (
-            lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3, cfg=DENSE),
+            lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3),
             "0e54076a4411203829874a9a9f94d96fbb6dedd8ff87bf290a21e84688838c3f",
         ),
         "hajnal-szemeredi/ore(n=240,a=0)": (
@@ -548,21 +539,6 @@ class TestAbsorptionCertificates:
         del doc["timings"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want
-
-    def test_broken_stored_factor_raises(self, monkeypatch):
-        # `absorb` does not re-check its assembly, so a stored factor of
-        # G[S] that is not a clique tiling is caught once, by the check of
-        # the final factor, as a bug and not as a miss note.  Vertex 0 at
-        # degree 159 < 160 keeps the Hajnal–Szemerédi step out.
-        real = decide_module.build_absorbing_set
-
-        def broken(g, r, cfg):
-            aset = real(g, r, cfg=cfg)
-            return aset._replace(factors=tuple((f[0],) * len(f) for f in aset.factors))
-
-        monkeypatch.setattr(decide_module, "build_absorbing_set", broken)
-        with pytest.raises(InternalContradiction, match="absorption route answer failed verification"):
-            decide_kr_factor(thinned(random_gnp(240, 0.9, 0), 0, 159), 3, cfg=DENSE)
 
 
 def edited_ex2(n, s, add=(), drop=()):
@@ -586,7 +562,6 @@ class TestMissNotes:
             (
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 18 thin vertices and no escape set",
-                "absorption route: degree-sum floor 34 at pair (0, 9) is below 8991/250",
             ),
         ),
         "parity-repair": (
@@ -594,14 +569,12 @@ class TestMissNotes:
             (
                 "structured route: parity repair gave out: no reachable tiling"
                 " leaves a matchable leftover block",
-                "absorption route: degree-sum floor 45 at pair (0, 5) is below 5994/125",
             ),
         ),
         "no-calm-partner": (
             lambda: edited_ex2(120, 1, add=[(0, 24), (110, 106)], drop=[(10, 95)]),
             (
                 "structured route: vertex 95: no calm partner inside its part",
-                "absorption route: degree-sum floor 158 at pair (0, 10) is below 3996/25",
             ),
         ),
         "refinement-stalled": (
@@ -609,14 +582,12 @@ class TestMissNotes:
             (
                 "structured route: refinement stalled: (A3) part 1 has 4 crowded"
                 " vertices [round 1: thin=0 crowded=4 swapped=0 surplus=0]",
-                "absorption route: degree-sum floor 158 at pair (0, 5) is below 3996/25",
             ),
         ),
         "no-sparse-parts": (
             lambda: random_ore(60, 3, Fraction(1, 50), 0),
             (
                 "structured route: no sparse parts peeled",
-                "absorption route: degree-sum floor 78 at pair (0, 19) is below 1998/25",
             ),
         ),
         "tripartite-12": (
@@ -624,7 +595,6 @@ class TestMissNotes:
             (
                 "structured route: stage graph at round 2 has no matching"
                 " covering its 24 thin vertices and no escape set",
-                "absorption route: degree-sum floor 46 at pair (0, 12) is below 5994/125",
             ),
         ),
     }
@@ -875,22 +845,20 @@ class TestStepTables:
         # Every row of K_{9,9,9} has n - n/3 bits.
         "hajnal-szemeredi": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
                              ("factorable", "pipeline"), ["hajnal-szemeredi"]),
-        "absorption": (dense60, "factor", 3, DENSE, ("factorable", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "pipeline", "absorption"]),
+        "equitable/dense": (dense60, "factor", 3, None, ("factorable", "pipeline"),
+                            ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
         "structured": (split_plus_singletons, "factor", 3, None, ("factorable", "pipeline"),
                        ["hajnal-szemeredi", "recognize", "pipeline"]),
         "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
                             ("factorable", "oracle"),
-                            ["hajnal-szemeredi", "recognize", "pipeline", "absorption", "oracle"]),
+                            ["hajnal-szemeredi", "recognize", "pipeline", "oracle"]),
         # Past the cap, procedure P on the complement at any degree.
         "equitable/factor": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3,
                              None, ("factorable", "pipeline"),
-                             ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
-                              "equitable"]),
+                             ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.3), "factor", 3, None,
                        ("unresolved", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
-                        "equitable"]),
+                       ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap procedure P, then the oracle, colours
         # G itself; beyond it the delegate reports the factor side's stages.
@@ -924,12 +892,10 @@ class TestStepTables:
         # of its complement with procedure P, at the end of its table.
         "delegate/equitable": (bridged_cliques, "coloring", 17, None,
                                ("colorable", "pipeline"),
-                               ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
-                                "equitable"]),
+                               ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
         "delegate/unresolved": (sparse60, "coloring", 3, None,
                                 ("unresolved", "pipeline"),
-                                ["hajnal-szemeredi", "recognize", "pipeline", "absorption",
-                                 "equitable"]),
+                                ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -210,6 +210,19 @@ def test_no_orphan_imports_or_private_helpers():
     assert orphans(Path(SRC) / "equitiler") == []
 
 
+def importers(package: Path, module: str):
+    """The files of the package with a relative from-import of `module`."""
+    return [path.name for path in sorted(package.glob("*.py"))
+            if any(isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+                   for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_only_the_package_root_imports_absorbing():
+    # No decision runs absorption, so decide.py and every other module do
+    # without absorbing.py; only the package root re-exports it.
+    assert importers(Path(SRC) / "equitiler", "absorbing") == ["__init__.py"]
+
+
 def test_orphan_check_sees_a_planted_import(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()

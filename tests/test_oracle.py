@@ -31,11 +31,9 @@ from _brute import (
     brute_independence_number,
     brute_induced,
     brute_kr_factor_exists,
-    brute_layered_profile,
     count_absorbers_exact,
     full_pass_backtrack,
     is_absorber_set,
-    layered_factor_exact,
     seed_backtrack,
     seed_classes,
     seed_equitable_coloring_exact,
@@ -391,40 +389,6 @@ class TestSearchEntry:
             for k in (n, n + 2):
                 assert _classes(rows, mask, k) == seed_classes(rows, mask, k)
         assert kr_factor_exact(g, 1).cliques == tuple(VertexSet([v]) for v in range(200))
-
-
-class TestLayeredFactor:
-    def test_matches_reference_random(self, rng):
-        for _ in range(80):
-            n = rng.randrange(1, 8)
-            r = rng.choice([2, 3, 4])
-            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
-            lf = layered_factor_exact(g, r)
-            assert lf.verify(g)
-            assert lf.profile() == brute_layered_profile(n, list(g.edges()), r)
-
-    def test_complete_seven(self):
-        lf = layered_factor_exact(Graph.complete(7), 3)
-        assert lf.profile() == (2, 0, 1)
-
-    def test_cycle_six(self):
-        lf = layered_factor_exact(cycle(6), 3)
-        assert lf.profile() == (0, 3, 0)
-
-    def test_profile_prefers_top_layer(self):
-        # Triangle joined to an edge by four cross edges: the best layering
-        # keeps one triangle and one edge rather than a triangle and two
-        # singletons, and the exact answer must see past the greedy trap.
-        g = Graph.from_edges(
-            5, [(0, 2), (0, 4), (2, 4), (1, 3), (0, 1), (1, 2), (2, 3), (0, 3)]
-        )
-        lf = layered_factor_exact(g, 3)
-        assert lf.profile() == (1, 1, 0)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            layered_factor_exact(Graph.empty(17), 3)
-        layered_factor_exact(Graph.empty(17), 3, cap=17)
 
 
 class TestAbsorbers:

@@ -286,7 +286,7 @@ class TestSparseSet:
     @pytest.mark.parametrize(
         "build, budget",
         [
-            # The absorption gate's probe on the dense workload's Ore input.
+            # `build_absorbing_set`'s sparse-set probe on random_ore(240) at alpha = 0.
             (lambda: random_ore(240, 3, 0), default_constants(3).gamma),
             (lambda: random_gnp(300, 0.5, 1), Fraction(1, 60)),
             (lambda: random_gnp(400, 0.7, 1), Fraction(1, 400)),
