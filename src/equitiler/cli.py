@@ -47,7 +47,9 @@ EXIT_INTERNAL = 4
 
 FORMATS = ("edgelist", "dimacs")
 
-_CONSTANT_FIELDS = {f.name for f in fields(ConstantsConfig)} - {"r"}
+# xi and epsilon scale absorption, which no decision runs, so a file may not
+# set them.
+_CONSTANT_FIELDS = {f.name for f in fields(ConstantsConfig)} - {"r", "xi", "epsilon"}
 
 
 class CliError(Exception):

@@ -324,7 +324,8 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     tuples of seeds; the vertices of the first cover's seeds are spoken for
     when the second runs, and each seed grows in turn away from every other
     seed and from the cliques grown so far.  Parity repair, when the
-    leftover block tiles by pairs, reads the same seeds.
+    leftover block tiles by pairs, keeps the grown cliques and may plant one
+    more pair seed beside them.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -354,7 +355,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     seed_tiling = Tiling(r, tuple(cliques))
 
     if d == 2:
-        seed_tiling, ts = parity_repair(g, gp, bases, seed_tiling)
+        seed_tiling, ts = parity_repair(g, gp, seed_tiling)
         resid = strip_tiling(p, seed_tiling)
     else:
         resid = strip_tiling(p, seed_tiling)

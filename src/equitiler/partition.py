@@ -229,8 +229,8 @@ def _sparse_set(
     64 vertices of the mask (here the universe), so with zero edges allowed
     a None there is a nonexistence proof.  Otherwise a degree floor that
     can refute the budget, then a deterministic hill climb of at most 200
-    swaps from each of two starts, so None is "not found", not a
-    nonexistence proof.  The climb keeps every inside-degree as bit-sliced
+    swaps from the `size` vertices of least degree, so None is "not found",
+    not a nonexistence proof.  The climb keeps every inside-degree as bit-sliced
     counters, so a swap costs O(log n) big-int operations, not a recount
     over the members.  Each vertex's degree inside the universe is counted
     once, into a plain list: the greedy's room count and the degree floor
@@ -254,57 +254,54 @@ def _sparse_set(
     # most |U| - size of its neighbours in U, so it keeps at least
     # d_U(v) - (|U| - size) of them inside S, and 2 e(S) is at least the sum
     # of the `size` smallest such terms (floored at 0) over U.  When that sum
-    # exceeds 2 * limit no subset meets the budget, so neither search below
-    # could return one: returning None here changes no answer.
+    # exceeds 2 * limit no subset meets the budget, so the climb below
+    # could not return one: returning None here changes no answer.
     slack = len(verts) - size
     if sum(max(0, d - slack) for d in sorted(degs)[:size]) > 2 * limit:
         return None
     # Edge counts are ints, so the climb compares them with the floor.
     cap = math.floor(limit)
-    # Hill climb from two deterministic starts, ejecting the most crowded
-    # member (highest index on ties) for the outside vertex with the fewest
-    # neighbours in the rest (lowest index on ties) until the edge budget is
-    # met, for at most 200 swaps or until no swap lowers the edge count.
-    # slices[b] holds bit b of every vertex's |N(v) & cur|; each pick is a
-    # scan over the slices from the top bit down.
+    # Hill climb from the least degrees (lowest index on ties), ejecting the
+    # most crowded member (highest index on ties) for the outside vertex with
+    # the fewest neighbours in the rest (lowest index on ties) until the edge
+    # budget is met, for at most 200 swaps or until no swap lowers the edge
+    # count.  slices[b] holds bit b of every vertex's |N(v) & cur|; each
+    # pick is a scan over the slices from the top bit down.
     by_degree = [verts[i] for i in sorted(range(len(verts)), key=degs.__getitem__)]
-    for order_list in (by_degree, verts):
-        cur = 0
-        slices: List[int] = []
-        for v in order_list[:size]:
-            cur |= 1 << v
-            _count_row(slices, g.adj[v], 1)
-        edges = sum((s & cur).bit_count() << b for b, s in enumerate(slices)) // 2
-        for _ in range(200):
-            if edges <= cap:
-                return VertexSet(cur)
-            top = cur
-            for s in reversed(slices):
-                t = top & s
-                if t:
-                    top = t
-            worst = top.bit_length() - 1
-            rest = cur & ~(1 << worst)
-            drop = (g.adj[worst] & cur).bit_count()
-            low = universe & ~cur
-            if not low:
-                break
-            # From here the counters read |N(v) & rest|.
-            _count_row(slices, g.adj[worst], -1)
-            for s in reversed(slices):
-                t = low & ~s
-                if t:
-                    low = t
-            best = (low & -low).bit_length() - 1
-            gain = drop - (g.adj[best] & rest).bit_count()
-            if gain <= 0:
-                break
-            _count_row(slices, g.adj[best], 1)
-            cur = rest | (1 << best)
-            edges -= gain
+    cur = 0
+    slices: List[int] = []
+    for v in by_degree[:size]:
+        cur |= 1 << v
+        _count_row(slices, g.adj[v], 1)
+    edges = sum((s & cur).bit_count() << b for b, s in enumerate(slices)) // 2
+    for _ in range(200):
         if edges <= cap:
-            return VertexSet(cur)
-    return None
+            break
+        top = cur
+        for s in reversed(slices):
+            t = top & s
+            if t:
+                top = t
+        worst = top.bit_length() - 1
+        rest = cur & ~(1 << worst)
+        drop = (g.adj[worst] & cur).bit_count()
+        low = universe & ~cur
+        if not low:
+            break
+        # From here the counters read |N(v) & rest|.
+        _count_row(slices, g.adj[worst], -1)
+        for s in reversed(slices):
+            t = low & ~s
+            if t:
+                low = t
+        best = (low & -low).bit_length() - 1
+        gain = drop - (g.adj[best] & rest).bit_count()
+        if gain <= 0:
+            break
+        _count_row(slices, g.adj[best], 1)
+        cur = rest | (1 << best)
+        edges -= gain
+    return VertexSet(cur) if edges <= cap else None
 
 
 def _count_row(slices: List[int], row: int, sign: int) -> None:

@@ -22,7 +22,6 @@ size gates.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -438,7 +437,6 @@ def _grow(
     core: int,
     need: Dict[Optional[int], int],
     forbid: int,
-    b_pick: Optional[int] = None,
 ) -> Tuple[Optional[int], Optional[int]]:
     """Complete one clique through its common neighborhood.
 
@@ -448,14 +446,11 @@ def _grow(
     cur = core
     nb = need.get(None, 0)
     if nb:
-        if b_pick is not None:
-            cur |= b_pick
-        else:
-            cand = g.common_neighbors(cur) & p.b.bits & ve & ~forbid
-            sub = find_clique_of_size(g, nb, inside=cand)
-            if sub is None:
-                return None, None
-            cur |= sub.bits
+        cand = g.common_neighbors(cur) & p.b.bits & ve & ~forbid
+        sub = find_clique_of_size(g, nb, inside=cand)
+        if sub is None:
+            return None, None
+        cur |= sub.bits
     pending = [k for k, c in need.items() if k is not None for _ in range(c)]
     while pending:
         best_key = None
@@ -514,36 +509,6 @@ def extend_base(g: Graph, q: GoodPartition, h: Base, w: VertexSet) -> Tiling:
     return Tiling(r, cliques)
 
 
-def _extensions(
-    g: Graph, q: GoodPartition, h: Base, wmask: int, cap: int
-) -> Iterator[Tuple[VertexSet, ...]]:
-    """All ways to grow `h` that differ in their leftover-block choices."""
-    p, n, r, s = _context(g, q)
-    ve = q.classification.excellent_everywhere().bits
-    try:
-        units = _units(q, r, h)
-    except PreconditionError:
-        return
-    base_forbid = wmask
-    for mask, _ in units:
-        base_forbid |= mask
-
-    def complete(idx: int, forbid: int, acc: List[int]) -> Iterator[Tuple[VertexSet, ...]]:
-        if idx == len(units):
-            yield tuple(VertexSet(c) for c in acc)
-            return
-        mask, need = units[idx]
-        nb = need.get(None, 0)
-        pool = g.common_neighbors(mask) & p.b.bits & ve & ~forbid
-        for bsub in islice(iter_cliques(g, nb, pool), cap):
-            got, _ = _grow(g, p, ve, mask, need, forbid, b_pick=bsub)
-            if got is None:
-                continue
-            yield from complete(idx + 1, forbid | got, acc + [got])
-
-    yield from complete(0, base_forbid, [])
-
-
 # ---------------------------------------------------------------------------
 # residual contraction
 
@@ -590,25 +555,23 @@ def contract_residual(
 # balanced multipartite factor
 
 
-def multipartite_factor(
-    g: Graph, blocks: Sequence[Sequence[int]], retries: int = 20
-) -> Optional[Tiling]:
+def multipartite_factor(g: Graph, blocks: Sequence[Sequence[int]]) -> Optional[Tiling]:
     """Cliques of g that each join one unit of every block.
 
     `blocks` holds disjoint vertex masks of g, the units, the same number
     per block and of one size within a block.  `contract_residual`, which
-    builds them, validates the blocks; this step does not.  Layer by layer,
-    partial cliques meet the next block's units through a bipartite
-    matching: a partial clique P meets unit U when P lies in the common
-    neighborhood N(U) of U.  The first pass is deterministic; when a layer
-    matching comes up short the whole build restarts with seeded shuffles.
-    Above the cross-degree threshold of (1 - 1/2k) of a block the first
-    pass always lands; below it the routine stays best-effort and may return
-    None.  Units that are cliques of g join into cliques of g, as a partial
-    clique meets a unit only inside N(U); the decider checks the answer, not
-    this step.  Each layer matching reads the blossom search's greedy seed
-    lazily (`_layer_matching`); only a short seed builds the layer graph,
-    one subset test per clique and unit, and runs `maximum_matching` on it.
+    builds them, validates the blocks; this step does not.  One
+    deterministic pass, block by block in the given order: partial cliques
+    meet the next block's units through a bipartite matching, where a
+    partial clique P meets unit U when P lies in the common neighborhood
+    N(U) of U.  Above the cross-degree threshold of (1 - 1/2k) of a block
+    the pass always lands; below it the routine is best-effort: a layer
+    matching that comes up short returns None, with no second pass.  Units
+    that are cliques of g join into cliques of g, as a partial clique meets
+    a unit only inside N(U); the decider checks the answer, not this step.
+    Each layer matching reads the blossom search's greedy seed lazily
+    (`_layer_matching`); only a short seed builds the layer graph, one
+    subset test per clique and unit, and runs `maximum_matching` on it.
     """
     k = len(blocks)
     if k == 0:
@@ -617,33 +580,14 @@ def multipartite_factor(
     if m == 0:
         return Tiling(k, ())
     r = sum(block[0].bit_count() for block in blocks)
-
-    # Per block, its units' common neighborhoods, found when the block first
-    # serves as a layer.
-    neighborhoods: Dict[int, List[int]] = {}
-    for attempt in range(max(1, retries)):
-        order = list(range(k))
-        # Unit indices per block; a shuffle permutes by length alone.
-        layout = [list(range(m)) for _ in blocks]
-        if attempt:
-            rng = random.Random(0xC1A0 + attempt)
-            rng.shuffle(order)
-            for row in layout:
-                rng.shuffle(row)
-        cliques = [blocks[order[0]][i] for i in layout[order[0]]]
-        for layer in order[1:]:
-            block, row = blocks[layer], layout[layer]
-            if layer not in neighborhoods:
-                neighborhoods[layer] = [g.common_neighbors(u) for u in block]
-            common = neighborhoods[layer]
-            pairs = _layer_matching(cliques, [common[ui] for ui in row])
-            if len(pairs) < m:
-                break
-            for ci, ui in pairs:
-                cliques[ci] |= block[row[ui]]
-        else:
-            return Tiling(r, tuple(VertexSet(c) for c in cliques))
-    return None
+    cliques = list(blocks[0])
+    for block in blocks[1:]:
+        pairs = _layer_matching(cliques, [g.common_neighbors(u) for u in block])
+        if len(pairs) < m:
+            return None
+        for ci, ui in pairs:
+            cliques[ci] |= block[ui]
+    return Tiling(r, tuple(VertexSet(c) for c in cliques))
 
 
 def _layer_matching(cliques: List[int], commons: List[int]) -> List[Tuple[int, int]]:
@@ -704,48 +648,19 @@ def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     return Tiling(2, tuple(VertexSet((1 << u) | (1 << v)) for u, v in mm.pairs))
 
 
-def _attribute(
-    bases: Sequence[Base], tiling: Tiling
-) -> List[Tuple[Base, Tuple[int, ...]]]:
-    """Match each seed to the tiling cliques that grew out of it."""
-    out = []
-    for h in bases:
-        idxs = []
-        ok = True
-        for comp in h.cliques:
-            hit = None
-            for j, cl in enumerate(tiling.cliques):
-                if comp.issubset(cl) and j not in idxs:
-                    hit = j
-                    break
-            if hit is None:
-                ok = False
-                break
-            idxs.append(hit)
-        if ok:
-            out.append((h, tuple(idxs)))
-    return out
-
-
-def parity_repair(
-    g: Graph,
-    q: GoodPartition,
-    bases: Sequence[Base],
-    tiling: Tiling,
-) -> Tuple[Tiling, Tiling]:
+def parity_repair(g: Graph, q: GoodPartition, tiling: Tiling) -> Tuple[Tiling, Tiling]:
     """Adjust the tiling until the leftover block admits a perfect matching.
 
     Only meaningful when the leftover block tiles by pairs.  Returns the
     seed tiling, unchanged when its leftover block already matches, together
     with that leftover block's tiling by pairs, so no caller has to match
-    the block again.  `bases` are the seeds `tiling` grew from.  The search
-    walks two bounded moves, at most REPAIR_BUDGET candidates in all: regrow
-    a seed with different leftover-block choices, or plant a fresh pair seed
-    on an edge inside a part, which `extend_base` grows once this step has
-    checked that its slack is positive.  A candidate is accepted only when
-    its cliques are disjoint r-cliques of G, by the checker's
-    `clique_tiles_cover`.  Running out of moves is a miss of the route, not
-    an error, and raises PreconditionError; an InternalContradiction
+    the block again.  The search makes one bounded move, at most
+    REPAIR_BUDGET candidates: it keeps `tiling` and plants one fresh pair
+    seed on an edge inside a part, which `extend_base` grows once this step
+    has checked that its slack is positive.  A candidate is accepted only
+    when its cliques are disjoint r-cliques of G, by the checker's
+    `clique_tiles_cover`.  Running out of candidates is a miss of the route,
+    not an error, and raises PreconditionError; an InternalContradiction
     propagates.
     """
     p, n, r, s = _context(g, q)
@@ -772,17 +687,6 @@ def parity_repair(
         return _pair_tiling(g, bmask & ~cov)
 
     def candidates() -> Iterator[Tiling]:
-        # regrow a seed with different leftover-block choices
-        for h, idxs in _attribute(bases, tiling):
-            keep = tuple(c for j, c in enumerate(tiling.cliques) if j not in idxs)
-            wmask = 0
-            for c in keep:
-                wmask |= c.bits
-            old = frozenset(tiling.cliques[j] for j in idxs)
-            for ext in islice(_extensions(g, q, h, wmask, cap=12), 40):
-                if frozenset(ext) == old:
-                    continue
-                yield Tiling(r, keep + ext)
         # plant a fresh pair seed on an edge inside a part
         tcov = tiling.covered.bits
         for i, part in enumerate(p.parts):

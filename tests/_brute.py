@@ -818,7 +818,7 @@ def seed_maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
     return Matching.from_array(match)
 
 
-def seed_quotient_factor(g, p, ts, retries: int = 20):
+def seed_quotient_factor(g, p, ts):
     """tiling.contract_residual and multipartite_factor while they built a
     quotient graph: each clique of `ts` contracted to one vertex, the factor
     found there and expanded back.  Preconditions are left out."""
@@ -853,62 +853,41 @@ def seed_quotient_factor(g, p, ts, retries: int = 20):
     ]
     parts.append(VertexSet(((1 << nn) - 1) ^ ((1 << t0) - 1)))
 
-    # multipartite_factor on the quotient
+    # multipartite_factor on the quotient, one pass in block order
     k = len(parts)
     m = len(parts[0])
-    order0 = list(range(k))
-    members = [sorted(iter_bits(a.bits)) for a in parts]
-    for attempt in range(max(1, retries)):
-        if attempt == 0:
-            order = order0
-            layout = [list(ms) for ms in members]
-        else:
-            rng = random.Random(0xC1A0 + attempt)
-            order = order0[:]
-            rng.shuffle(order)
-            layout = []
-            for ms in members:
-                row = list(ms)
-                rng.shuffle(row)
-                layout.append(row)
-        cliques = [1 << v for v in layout[order[0]]]
-        ok = True
-        for layer in order[1:]:
-            verts = layout[layer]
-            adj = [0] * (2 * m)
-            for ci, cm in enumerate(cliques):
-                for vi, v in enumerate(verts):
-                    if cm & gstar.adj[v] == cm:
-                        adj[ci] |= 1 << (m + vi)
-                        adj[m + vi] |= 1 << ci
-            mm = maximum_matching(Graph(2 * m, adj))
-            if len(mm.pairs) < m:
-                ok = False
-                break
-            for a, b in mm.pairs:
-                cliques[a] |= 1 << verts[b - m]
-        if not ok:
-            continue
-        t = Tiling(k, tuple(VertexSet(c) for c in cliques))
-        if not tiling_holds(gstar, t):
-            continue
-        if all((c.bits & a.bits).bit_count() == 1 for c in t.cliques for a in parts):
-            # expand
-            out = []
-            for c in t.cliques:
-                bits = 0
-                for v in c:
-                    bits |= originals[v].bits
-                out.append(VertexSet(bits))
-            return Tiling(len(out[0]), tuple(out))
-    return None
+    layout = [sorted(iter_bits(a.bits)) for a in parts]
+    cliques = [1 << v for v in layout[0]]
+    for verts in layout[1:]:
+        adj = [0] * (2 * m)
+        for ci, cm in enumerate(cliques):
+            for vi, v in enumerate(verts):
+                if cm & gstar.adj[v] == cm:
+                    adj[ci] |= 1 << (m + vi)
+                    adj[m + vi] |= 1 << ci
+        mm = maximum_matching(Graph(2 * m, adj))
+        if len(mm.pairs) < m:
+            return None
+        for a, b in mm.pairs:
+            cliques[a] |= 1 << verts[b - m]
+    t = Tiling(k, tuple(VertexSet(c) for c in cliques))
+    if not tiling_holds(gstar, t):
+        return None
+    if not all((c.bits & a.bits).bit_count() == 1 for c in t.cliques for a in parts):
+        return None
+    # expand
+    out = []
+    for c in t.cliques:
+        bits = 0
+        for v in c:
+            bits |= originals[v].bits
+        out.append(VertexSet(bits))
+    return Tiling(len(out[0]), tuple(out))
 
 
-def seed_multipartite_factor(
-    g: Graph, blocks: Sequence[Sequence[int]], retries: int = 20
-) -> Optional[Tiling]:
+def seed_multipartite_factor(g: Graph, blocks: Sequence[Sequence[int]]) -> Optional[Tiling]:
     """tiling.multipartite_factor while it tested each clique against each
-    unit of a layer one pair at a time."""
+    unit of a layer one pair at a time, in its one pass."""
     k = len(blocks)
     if k == 0:
         raise PreconditionError("need at least one part")
@@ -930,27 +909,15 @@ def seed_multipartite_factor(
 
     # Each unit with its common neighborhood, the meeting test's right side.
     units = [[(u, g.common_neighbors(u)) for u in block] for block in blocks]
-    for attempt in range(max(1, retries)):
-        order = list(range(k))
-        layout = [list(row) for row in units]
-        if attempt:
-            rng = random.Random(0xC1A0 + attempt)
-            rng.shuffle(order)
-            for row in layout:
-                rng.shuffle(row)
-        cliques = [u for u, _ in layout[order[0]]]
-        for layer in order[1:]:
-            row = layout[layer]
-            pairs = seed_layer_matching(cliques, [common for _, common in row])
-            if len(pairs) < m:
-                break
-            for ci, ui in pairs:
-                cliques[ci] |= row[ui][0]
-        else:
-            t = Tiling(r, tuple(VertexSet(c) for c in cliques))
-            if clique_tiles_cover(g, r, t.cliques) is not None:
-                return t
-    return None
+    cliques = [u for u, _ in units[0]]
+    for row in units[1:]:
+        pairs = seed_layer_matching(cliques, [common for _, common in row])
+        if len(pairs) < m:
+            return None
+        for ci, ui in pairs:
+            cliques[ci] |= row[ui][0]
+    t = Tiling(r, tuple(VertexSet(c) for c in cliques))
+    return t if clique_tiles_cover(g, r, t.cliques) is not None else None
 
 
 def seed_layer_matching(cliques: List[int], commons: List[int]) -> List[Edge]:
@@ -1614,34 +1581,27 @@ def seed_sparse_set(
         return VertexSet(lowest_vertices(found.bits, size))
     if limit < 1:
         return None
-    # Hill climb from two deterministic starts, ejecting the most crowded
-    # member for the best replacement until the edge budget is met.
-    starts = [
-        sorted(seed_iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
-        sorted(seed_iter_bits(universe)),
-    ]
-    for order_list in starts:
-        cur = 0
-        for v in order_list[:size]:
-            cur |= 1 << v
-        for _ in range(200):
-            edges = induced_edge_count(g, cur)
-            if edges <= limit:
-                return VertexSet(cur)
-            worst = max(seed_iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
-            rest = cur & ~(1 << worst)
-            drop = (g.adj[worst] & cur).bit_count()
-            best_v, best_gain = -1, 0
-            for o in seed_iter_bits(universe & ~cur):
-                gain = drop - (g.adj[o] & rest).bit_count()
-                if gain > best_gain:
-                    best_v, best_gain = o, gain
-            if best_v < 0:
-                break
-            cur = rest | (1 << best_v)
+    # Hill climb from the least degrees, ejecting the most crowded member
+    # for the best replacement until the edge budget is met.
+    start = sorted(seed_iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v))
+    cur = 0
+    for v in start[:size]:
+        cur |= 1 << v
+    for _ in range(200):
         if induced_edge_count(g, cur) <= limit:
-            return VertexSet(cur)
-    return None
+            break
+        worst = max(seed_iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
+        rest = cur & ~(1 << worst)
+        drop = (g.adj[worst] & cur).bit_count()
+        best_v, best_gain = -1, 0
+        for o in seed_iter_bits(universe & ~cur):
+            gain = drop - (g.adj[o] & rest).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = o, gain
+        if best_v < 0:
+            break
+        cur = rest | (1 << best_v)
+    return VertexSet(cur) if induced_edge_count(g, cur) <= limit else None
 
 
 # The sparse-set probe while its hill climb recounted every inside-degree,
@@ -1670,40 +1630,33 @@ def seed_recount_sparse_set(
     # most |U| - size of its neighbours in U, so it keeps at least
     # d_U(v) - (|U| - size) of them inside S, and 2 e(S) is at least the sum
     # of the `size` smallest such terms (floored at 0) over U.  When that sum
-    # exceeds 2 * limit no subset meets the budget, so neither search below
-    # could return one: returning None here changes no answer.
+    # exceeds 2 * limit no subset meets the budget, so the climb below
+    # could not return one: returning None here changes no answer.
     slack = universe.bit_count() - size
     inner = sorted((g.adj[v] & universe).bit_count() for v in iter_bits(universe))
     if sum(max(0, d - slack) for d in inner[:size]) > 2 * limit:
         return None
-    # Hill climb from two deterministic starts, ejecting the most crowded
-    # member for the best replacement until the edge budget is met.
-    starts = [
-        sorted(iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v)),
-        sorted(iter_bits(universe)),
-    ]
-    for order_list in starts:
-        cur = 0
-        for v in order_list[:size]:
-            cur |= 1 << v
-        for _ in range(200):
-            edges = induced_edge_count(g, cur)
-            if edges <= limit:
-                return VertexSet(cur)
-            worst = max(iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
-            rest = cur & ~(1 << worst)
-            drop = (g.adj[worst] & cur).bit_count()
-            best_v, best_gain = -1, 0
-            for o in iter_bits(universe & ~cur):
-                gain = drop - (g.adj[o] & rest).bit_count()
-                if gain > best_gain:
-                    best_v, best_gain = o, gain
-            if best_v < 0:
-                break
-            cur = rest | (1 << best_v)
+    # Hill climb from the least degrees, ejecting the most crowded member
+    # for the best replacement until the edge budget is met.
+    start = sorted(iter_bits(universe), key=lambda v: ((g.adj[v] & universe).bit_count(), v))
+    cur = 0
+    for v in start[:size]:
+        cur |= 1 << v
+    for _ in range(200):
         if induced_edge_count(g, cur) <= limit:
-            return VertexSet(cur)
-    return None
+            break
+        worst = max(iter_bits(cur), key=lambda v: ((g.adj[v] & cur).bit_count(), v))
+        rest = cur & ~(1 << worst)
+        drop = (g.adj[worst] & cur).bit_count()
+        best_v, best_gain = -1, 0
+        for o in iter_bits(universe & ~cur):
+            gain = drop - (g.adj[o] & rest).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = o, gain
+        if best_v < 0:
+            break
+        cur = rest | (1 << best_v)
+    return VertexSet(cur) if induced_edge_count(g, cur) <= limit else None
 
 
 # The absorbing-set build while each probe asked for four absorbers.

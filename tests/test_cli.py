@@ -329,7 +329,7 @@ class TestGen:
 class TestConstantsFile:
     def test_valid_overrides(self, capsys, write):
         graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"xi": "1/4", "epsilon": "1/10"}))
+        cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
         code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
         assert code == 0
 
@@ -347,6 +347,14 @@ class TestConstantsFile:
         assert code == 3
         assert "omega" in err
 
+    def test_absorption_scales_are_unknown(self, capsys, write):
+        # xi and epsilon scale absorption, which no decision runs.
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"xi": "1/4", "epsilon": "1/10"}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "unknown constants field(s): epsilon, xi" in err
+
     @pytest.mark.parametrize("s", ["abc", 7, 2.7])
     def test_bad_part_count_is_a_usage_error(self, capsys, write, s):
         graph = write("k6.txt", dumps(Graph.complete(6)))
@@ -356,7 +364,7 @@ class TestConstantsFile:
         assert "integer" in err
 
     @pytest.mark.parametrize("doc", [{"beta": "3/1000"}, {"beta_prime": "1/1000", "s": None},
-                                     {"zeta": "1/300", "xi": "1/4"}])
+                                     {"zeta": "1/300", "gamma": "1/40000"}])
     def test_scales_without_part_count_are_refused(self, capsys, write, doc):
         # Without s, refinement takes these scales from `for_s` of the peeled
         # part count, so the file's values would never be used.
@@ -377,14 +385,14 @@ class TestConstantsFile:
     @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
     def test_non_finite_number_is_a_usage_error(self, capsys, write, command, value):
         graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"xi": value}))
+        cfg = write("c.json", json.dumps({"gamma": value}))
         code, _, err = run(capsys, [command[0], graph, *command[1:], "--constants", cfg])
         assert code == 3
         assert "as a fraction" in err
 
     def test_trivial_arity_refused(self, capsys, write):
         graph = write("e3.txt", dumps(Graph(3, [0] * 3)))
-        cfg = write("c.json", json.dumps({"xi": "1/4"}))
+        cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
         code, _, err = run(capsys, ["decide", graph, "--k", "5", "--constants", cfg])
         assert code == 3
         assert ">= 2" in err

@@ -353,9 +353,11 @@ class TestFactorPipelines:
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
         assert tiling_holds(g, c.certificate)
+        return c
 
-    # Each of the next five inputs reaches one structured-route path that no
-    # other test and no benchmark case reaches.
+    # Each of the next five inputs reaches one structured-route path by name.
+    # The scoreboard's `cut` family (tests/test_regime.py) also runs the
+    # first three; no other test and no benchmark case runs the last two.
 
     def test_refinement_straddles_its_stage_matching(self):
         # The peel leaves an endpoint of the A edge outside the part, thin
@@ -376,17 +378,28 @@ class TestFactorPipelines:
         self.assert_pipeline_factor(cut_split(480, join_b0=False))
 
     def test_singleton_leftover_block(self):
-        # K_{20,20} joined to K_20: both sides peel off as parts and the
-        # leftover K_20 is tiled by single vertices (decide._block_tiling).
-        self.assert_pipeline_factor(multipartite((20, 20) + (1,) * 20))
+        # K_{20,20} joined to K_20, less one edge, so the Hajnal–Szemerédi
+        # gate fails: both sides peel off as parts and the leftover K_20 is
+        # tiled by single vertices (decide._block_tiling at d = 1).
+        c = self.assert_pipeline_factor(split_plus_singletons())
+        assert [stage for stage, _ in c.timings] == [
+            "hajnal-szemeredi", "recognize", "pipeline",
+        ]
 
-    def test_parity_repair_regrows_a_seed(self):
-        # The seed tiling leaves a leftover block with no perfect matching;
-        # regrowing a seed through other leftover-block vertices gives one
-        # that has (tiling._extensions).
+    def test_parity_repair_miss_falls_to_the_equitable_step(self):
+        # The seed tiling leaves a leftover block with no perfect matching,
+        # and no planted pair seed gives one: the structured route misses
+        # with a note, and procedure P on the complement tiles the input.
         g = build_ex2(120, 3, 5)
         g.add_edge(92, 116)
-        self.assert_pipeline_factor(without_edge(g, 71, 92))
+        c = self.assert_pipeline_factor(without_edge(g, 71, 92))
+        assert [stage for stage, _ in c.timings] == [
+            "hajnal-szemeredi", "recognize", "pipeline", "equitable",
+        ]
+        assert c.notes == (
+            "structured route: parity repair gave out: "
+            "no reachable tiling leaves a matchable leftover block",
+        )
 
     def test_weakened_split_stays_negative(self):
         g = without_edge(build_ex2(36, 3, 1), 5, 6)
@@ -437,8 +450,8 @@ class TestFactorPipelines:
         # still joins.
         real = decide_module.parity_repair
 
-        def planted(g, q, bases, tiling):
-            seeds, ts = real(g, q, bases, tiling)
+        def planted(g, q, tiling):
+            seeds, ts = real(g, q, tiling)
             pairs = list(ts.cliques)
             assert pairs[:2] == [vs(0, 1), vs(2, 3)]
             assert not g.has_edge(0, 2) and g.has_edge(1, 3)

@@ -293,8 +293,8 @@ class TestSparseSet:
         ],
     )
     def test_climbs_that_end_without_a_set(self, build, budget):
-        # The floor passes, so both starts climb until no swap lowers the
-        # edge count or the 200 swaps run out, and neither meets the limit.
+        # The floor passes, so the climb runs until no swap lowers the edge
+        # count or the 200 swaps run out, and it does not meet the limit.
         g = build()
         n = g.n
         assert self.climbs(g, g.full_mask, n // 3, budget * n * n)

@@ -178,9 +178,35 @@ def paper_only() -> List[Instance]:
     return out
 
 
+def cut_splits() -> List[Instance]:
+    """build_ex2(n, 3, 1) with one random edge inside A = {2m, ..., 3m - 1}
+    and one random vertex w of B1 cut off from all of A, once as it is and
+    once with the edge from w to B0 = {0}: the structured route's inputs
+    that a peel leaves thin toward its part, so refinement and the thin
+    cover have work to do."""
+    rng = random.Random(11)
+    out: List[Instance] = []
+    for n in (240, 480, 750):
+        m = n // 3
+        a = ((1 << m) - 1) << (2 * m)
+        for _ in range(3):
+            u, v = rng.sample(range(2 * m, 3 * m), 2)
+            w = rng.randrange(1, 2 * m)
+            g = build_ex2(n, 3, 1)
+            g.add_edge(u, v)
+            g.adj[w] &= ~a
+            for x in range(2 * m, 3 * m):
+                g.adj[x] &= ~(1 << w)
+            joined = g.copy()
+            joined.add_edge(0, w)
+            out += [(g, "factor", 3), (joined, "factor", 3)]
+    return out
+
+
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
     "boundary": (boundary, 36, 36, 36),
+    "cut": (cut_splits, 18, 12, 12),
     "tripartite": (tripartite, 6, 6, 6),
     "perturbed": (perturbed_odd_splits, 36, 34, 34),
     "sparse": (sparse, 48, 38, 38),

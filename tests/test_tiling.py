@@ -501,7 +501,7 @@ class TestContract:
     def test_factor_matches_the_quotient_reference(self, rng):
         # The units keep vertex and tiling order, so the factor found on g
         # is the one the contracted quotient graph gave, clique for clique,
-        # also when only a seeded retry finds it and when none does.
+        # and the one pass misses exactly where the quotient's did.
         outcomes = set()
         for density in (0.9, 0.75, 0.6):
             for _ in range(6):
@@ -520,12 +520,11 @@ class TestContract:
                 assert blocks[2] == tuple(c.bits for c in ts.cliques)
                 got = multipartite_factor(g, blocks)
                 assert got == seed_quotient_factor(g, p, ts)
-                first = multipartite_factor(g, blocks, retries=1)
-                outcomes.add((first is not None, got is not None))
+                outcomes.add(got is not None)
                 if got is not None:
                     assert clique_tiles_cover(g, got.r, got.cliques) is not None
                     assert got.covered == VertexSet(g.full_mask)
-        assert outcomes == {(True, True), (False, True), (False, False)}
+        assert outcomes == {True, False}
 
 
 def layered_random(rng, sizes, floor):
@@ -589,7 +588,7 @@ class TestMultipartite:
 
     def test_gives_up_honestly_below_threshold(self):
         g = Graph.empty(4)
-        t = multipartite_factor(g, units((0, 1), (2, 3)), retries=3)
+        t = multipartite_factor(g, units((0, 1), (2, 3)))
         assert t is None
 
 
@@ -664,29 +663,27 @@ class TestMultipartiteMatchesSeed:
         st.lists(st.integers(1, 3), min_size=2, max_size=4),
         st.integers(1, 8),
         st.sampled_from([0.5, 0.7, 0.9, 1.0]),
-        st.sampled_from([1, 20]),
         st.integers(0, 2),
         st.integers(0, 2**32 - 1),
     )
-    def test_same_tiling(self, unit_sizes, m, p, retries, extra, seed):
+    def test_same_tiling(self, unit_sizes, m, p, extra, seed):
         g, blocks = clique_units(random.Random(seed), unit_sizes, m, p, extra)
-        got = multipartite_factor(g, blocks, retries)
-        assert got == seed_multipartite_factor(g, blocks, retries)
+        got = multipartite_factor(g, blocks)
+        assert got == seed_multipartite_factor(g, blocks)
         if got is not None:
             assert clique_tiles_cover(g, got.r, got.cliques) is not None
 
-    def test_same_tiling_after_retries(self):
-        # Three sparse blocks, where the first pass often comes up short: the
-        # factors found only by a shuffled retry agree as well.
+    def test_same_tiling_on_sparse_blocks(self):
+        # Three sparse blocks, where the pass often comes up short: the
+        # reference lands and misses on the same draws.
         rng = random.Random(17)
         outcomes = set()
         for _ in range(60):
             g, blocks = clique_units(rng, (1, 1, 1), rng.randint(2, 6), 0.7)
             got = multipartite_factor(g, blocks)
             assert got == seed_multipartite_factor(g, blocks)
-            first = multipartite_factor(g, blocks, retries=1)
-            outcomes.add((first is not None, got is not None))
-        assert outcomes == {(True, True), (False, True), (False, False)}
+            outcomes.add(got is not None)
+        assert outcomes == {True, False}
 
     def test_one_unit_per_block(self):
         # One unit per block: the layer graph has one clique and one unit.
@@ -741,7 +738,7 @@ class TestParityRepair:
     def test_matchable_leftover_needs_nothing(self):
         g, q = q_split18()
         t0 = Tiling(3, ())
-        t, pairs = parity_repair(g, q, (), t0)
+        t, pairs = parity_repair(g, q, t0)
         assert t is t0
         assert pairs.r == 2 and clique_tiles_cover(g, 2, pairs.cliques) == q.partition.b.bits
 
@@ -749,13 +746,13 @@ class TestParityRepair:
         g = ex2_9()
         q = q_ex2_9(g)
         with pytest.raises(PreconditionError, match="parity repair gave out"):
-            parity_repair(g, q, (), Tiling(3, ()))
+            parity_repair(g, q, Tiling(3, ()))
         assert kr_factor_exact(g, 3) is None
 
     def test_part_edge_unlocks_a_repair(self):
         g = ex2_9_edge()
         q = q_ex2_9(g)
-        out, pairs = parity_repair(g, q, (), Tiling(3, ()))
+        out, pairs = parity_repair(g, q, Tiling(3, ()))
         assert set(out.cliques) == {vs(0, 6, 7), vs(1, 2, 3)}
         resid = q.partition.b - out.covered
         assert resid == vs(4, 5)
@@ -789,7 +786,7 @@ class TestParityRepair:
         monkeypatch.setattr(tiling_module, "_has_margin", margin)
         monkeypatch.setattr(tiling_module, "extend_base", extend)
         with pytest.raises(PreconditionError, match="parity repair gave out"):
-            parity_repair(g, q, (), Tiling(4, ()))
+            parity_repair(g, q, Tiling(4, ()))
         assert [h.left for h, ok in planted if not ok] == [vs(0, 6, 7)] * 10
         assert len(grown) == 20
         assert grown == [h for h, ok in planted if ok]
@@ -799,7 +796,7 @@ class TestParityRepair:
         g = k333()
         q = q_k333(g)
         with pytest.raises(PreconditionError):
-            parity_repair(g, q, (), Tiling(3, ()))
+            parity_repair(g, q, Tiling(3, ()))
 
 
 class TestPipeline:
@@ -815,7 +812,7 @@ class TestPipeline:
         assert seeds == ()
         assert cover_nonexcellent(g, q, seed_vertices(seeds)) == ()
 
-        t, ts = parity_repair(g, q, seeds, Tiling(3, ()))
+        t, ts = parity_repair(g, q, Tiling(3, ()))
         resid = strip_tiling(q.partition, t)
         assert ts.covered == resid.b
 
