@@ -23,12 +23,13 @@ degree below k.  The same procedure also runs with no degree gate, as the
 stuck procedure is a miss, and `_run` checks the classes it returns like
 any answer.  It runs on G padded to a multiple of k ahead of the exact
 colouring search, and on the complement of H at k = n/r as the factor
-table's last step before unresolved.  The structured route settles the
-paper's extremal case, an input with a sparse n/r-set; the paper takes
-the other case by absorption, and the factor table gives it to that
-`equitable` step instead.  Sub-problems (a leftover block, the units of
-the multipartite finish) are vertex masks of the input graph, so every
-clique found is already in its labels.
+table's last step before unresolved.  The structured route builds the
+factor of the paper's extremal case, an input with a sparse n/r-set: it
+answers YES or misses, since the extremal NO shapes are the recognizer's,
+which runs first.  The paper takes the other case by absorption, and the
+factor table gives it to that `equitable` step instead.  Sub-problems (a
+leftover block, the units of the multipartite finish) are vertex masks
+of the input graph, so every clique found is already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
@@ -297,16 +298,6 @@ def _equitable_coloring(g: Graph, k: int) -> DecisionCertificate:
     return _yes(Coloring(tuple(VertexSet(c & ~pad) for c in classes)), "pipeline")
 
 
-def _block_tiling(g: Graph, block: VertexSet, d: int) -> Optional[Tiling]:
-    """Tile `block` by d-cliques, d != 2: singly at d = 1, else by exact search.
-
-    Pairs are tiled by `parity_repair`, which matches the block itself.
-    """
-    if d > 1 and (len(block) > FALLBACK_CAP or len(block) % d):
-        return None
-    return kr_factor_exact(g, d, block.bits)
-
-
 def _vertices_of(seeds: Sequence[Base]) -> VertexSet:
     bits = 0
     for h in seeds:
@@ -317,15 +308,17 @@ def _vertices_of(seeds: Sequence[Base]) -> VertexSet:
 def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
-    The only NO is refinement's stage escape, an independent set beyond the
-    clique count inside a stage graph.
+    It answers YES or misses, and never NO: the NO shapes of the extremal
+    case are the recognizer's, which runs first.
 
     Refinement returns the good partition alone.  The two covers return
     tuples of seeds; the vertices of the first cover's seeds are spoken for
     when the second runs, and each seed grows in turn away from every other
-    seed and from the cliques grown so far.  Parity repair, when the
-    leftover block tiles by pairs, keeps the grown cliques and may plant one
-    more pair seed beside them.
+    seed and from the cliques grown so far.  The leftover block B tiles by
+    d = r - s cliques: by pairs at d = 2, through parity repair, which keeps
+    the grown cliques and may plant one more pair seed beside them; by its
+    single vertices at d = 1.  No exact search runs inside the route, so
+    d >= 3 is a miss.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -334,10 +327,7 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     p, s = peel_partition(g, r, cfg)
     if s == 0:
         raise PreconditionError("no sparse parts peeled")
-    got = refine_to_good(g, p, cfg)
-    if isinstance(got, Ex1Witness):
-        return _no(got, "pipeline")
-    gp = got
+    gp = refine_to_good(g, p, cfg)
     p = gp.partition
     d = r - p.s
 
@@ -357,11 +347,11 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     if d == 2:
         seed_tiling, ts = parity_repair(g, gp, seed_tiling)
         resid = strip_tiling(p, seed_tiling)
-    else:
+    elif d == 1:
         resid = strip_tiling(p, seed_tiling)
-        ts = _block_tiling(g, resid.b, d)
-        if ts is None:
-            raise PreconditionError("leftover block admits no clique tiling")
+        ts = Tiling(1, tuple(VertexSet(1 << v) for v in iter_bits(resid.b.bits)))
+    else:
+        raise PreconditionError(f"leftover block needs an exact search for its K_{d}-tiling")
 
     mf = multipartite_factor(g, contract_residual(g, resid, ts))
     if mf is None:
@@ -389,7 +379,7 @@ def decide_kr_factor(
                   since under the gate a factor exists and no witness of
                   a NO can;
       structured  the extremal pipeline, on an input with a sparse
-                  n/r-set to peel;
+                  n/r-set to peel: a YES or a miss;
       oracle      n <= FALLBACK_CAP: exact search;
       equitable   beyond that, procedure P on the complement at k = n/r,
                   with no degree gate; its classes are the factor;

@@ -61,12 +61,11 @@ def kr_factor_exact(g: Graph, r: int, inside: Optional[int] = None) -> Optional[
     so this colours the complement rows of G[inside] with the search of
     `equitable_coloring_exact` and returns the classes, in class order, as
     the cliques.  No graph is built.  The worst case is exponential, so
-    each caller bounds the mask: the decider's oracle step and
-    `decide._block_tiling` search at most FALLBACK_CAP vertices, and
-    `absorbing.absorb` an absorber's r^2 vertices with the r-set it
-    absorbs.  At r = 1, which the factor table's trivial step and
-    `decide._block_tiling` at d = 1 ask for at any size, the class count
-    is the vertex count, and the search returns the singletons at once.
+    each caller bounds the mask: the decider's oracle step searches at most
+    FALLBACK_CAP vertices, and `absorbing.absorb` an absorber's r^2
+    vertices with the r-set it absorbs.  At r = 1, which the factor table's
+    trivial step asks for at any size, the class count is the vertex
+    count, and the search returns the singletons at once.
     """
     mask = g.full_mask if inside is None else inside
     if r < 1:

@@ -12,8 +12,9 @@ clauses are read on those grades, except (A4)'s rescue clauses, which
 hold by construction, and the decider checks the factor built on it.  A
 partition's shape is checked where it is made or enters: `peel_partition`,
 `refine_to_good` and `classify`.  Refinement returns only the good
-partition (or its stage escape): the exchange rounds leave no record
-beyond the counts a stalled refinement quotes in its message.
+partition, or misses with PreconditionError; it never answers NO, since
+the NO shapes are the recognizer's, which runs first.  The exchange
+rounds leave no record beyond the counts a miss quotes in its message.
 Everything runs on bitmasks with Fraction constants rounded once to
 integer thresholds, so results are reproducible and never depend on
 float rounding.
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
-from .extremal import Ex1Witness, _independent_heuristic, independent_set_of_size
+from .extremal import _independent_heuristic, independent_set_of_size
 from .graphs import (
     Graph,
     VertexSet,
@@ -411,23 +412,20 @@ def _move(parts: List[int], b: int, v: int, dest: Optional[int]) -> int:
 
 def refine_to_good(
     g: Graph, p: RsPartition, cfg: Optional[ConstantsConfig] = None
-) -> Union[GoodPartition, Ex1Witness]:
+) -> GoodPartition:
     """Exchange loop turning a peeled partition into a good one.
 
     Round k grades vertices at delta = beta + (k-1)*alpha, swaps thin
     off-S outsiders into A_k against crowded insiders (lowest index
     first), and when thin vertices are left over, matches the enlarged
-    stage graph so each surviving edge straddles A_k.  The only other exit
-    is the stage escape: when no matching of the stage graph covers the
-    leftover thin vertices, an independent set of n/r + 1 vertices inside
-    it, which already rules every clique factor out.  The whole graph is
-    not searched for one: the recognizer has done that before the
-    decider refines.  When there is no escape set either, or when the
+    stage graph so each surviving edge straddles A_k.  When no matching
+    of the stage graph covers the leftover thin vertices, or when the
     result is not good, this raises PreconditionError: at this n the
     configured constants cannot honour the guarantees, and callers should
-    fall back to an exact method.  That message, and those of the rescue
-    matchings' InternalContradiction, end with each round's counts: the
-    thin and crowded vertices, the swaps and the leftover thin vertices.
+    fall back to another route.  The stalled refinement's message, and
+    those of the rescue matchings' InternalContradiction, end with each
+    round's counts: the thin and crowded vertices, the swaps and the
+    leftover thin vertices.
 
     Without `cfg` the scales come from `default_constants(r).for_s(s)`, s
     being the peeled part count, and likewise for a `cfg` whose s is unset.
@@ -449,7 +447,6 @@ def refine_to_good(
         cfg = cfg.for_s(s)
     elif cfg.s != s:
         raise PreconditionError(f"constants set s = {cfg.s}, but peeling found s = {s}")
-    target = size + 1
     parts, b = [x.bits for x in p.parts], p.b.bits
     rounds: List[str] = []
     # Level tables by block mask, shared by every grading of this call.
@@ -471,9 +468,12 @@ def refine_to_good(
             stage_mask = parts[k]
             for x in leftovers:
                 stage_mask |= 1 << x
-            matching = _stage_matching(g, stage_mask, leftovers, surplus, target, k)
-            if isinstance(matching, Ex1Witness):
-                return matching
+            matching = covering_matching(g, VertexSet(leftovers), surplus, stage_mask)
+            if matching is None:
+                raise PreconditionError(
+                    f"stage graph at round {k + 1} has no matching covering its "
+                    f"{surplus} thin vertices"
+                )
             b = _apply_straddle(parts, b, k, matching, leftovers, origins)
         rounds.append(
             f"round {k + 1}: thin={len(xs)} crowded={len(ys)} "
@@ -498,28 +498,6 @@ def refine_to_good(
             "refinement stalled: " + "; ".join(report) + note
         )
     return good
-
-
-def _stage_matching(
-    g: Graph,
-    stage_mask: int,
-    leftovers: List[int],
-    surplus: int,
-    target: int,
-    k: int,
-):
-    """A matching of the stage graph covering the `surplus` leftover thin
-    vertices, else the Ex1 escape; failing both, PreconditionError."""
-    m = covering_matching(g, VertexSet(leftovers), surplus, stage_mask)
-    if m is not None:
-        return m
-    escape = independent_set_of_size(g, target, stage_mask)
-    if escape is not None:
-        return Ex1Witness(escape)
-    raise PreconditionError(
-        f"stage graph at round {k + 1} has no matching covering its {surplus} "
-        f"thin vertices and no escape set"
-    )
 
 
 def _apply_straddle(

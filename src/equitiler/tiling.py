@@ -65,10 +65,6 @@ class SingleBase(NamedTuple):
     clique: VertexSet
 
     @property
-    def cliques(self) -> Tuple[VertexSet, ...]:
-        return (self.clique,)
-
-    @property
     def vertices(self) -> VertexSet:
         return self.clique
 
@@ -86,10 +82,6 @@ class DoubleBase(NamedTuple):
     right: VertexSet
     heavy_left: Optional[int]
     heavy_right: Optional[int]
-
-    @property
-    def cliques(self) -> Tuple[VertexSet, ...]:
-        return (self.left, self.right)
 
     @property
     def vertices(self) -> VertexSet:

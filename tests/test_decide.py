@@ -380,7 +380,7 @@ class TestFactorPipelines:
     def test_singleton_leftover_block(self):
         # K_{20,20} joined to K_20, less one edge, so the Hajnal–Szemerédi
         # gate fails: both sides peel off as parts and the leftover K_20 is
-        # tiled by single vertices (decide._block_tiling at d = 1).
+        # tiled by its single vertices (d = 1).
         c = self.assert_pipeline_factor(split_plus_singletons())
         assert [stage for stage, _ in c.timings] == [
             "hajnal-szemeredi", "recognize", "pipeline",
@@ -407,8 +407,9 @@ class TestFactorPipelines:
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "oracle")
 
     def test_tripartite_resolves_by_fallback(self):
-        # Refinement misses (no stage matching and no escape set), a
-        # PreconditionError that leaves a note and falls through.
+        # Refinement misses (no stage matching), a PreconditionError that
+        # leaves a note and falls through: the structured route never
+        # answers NO.
         c = decide_kr_factor(tripartite(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert tiling_holds(tripartite(9), c.certificate)
@@ -574,7 +575,7 @@ class TestMissNotes:
             lambda: tripartite(9),
             (
                 "structured route: stage graph at round 2 has no matching"
-                " covering its 18 thin vertices and no escape set",
+                " covering its 18 thin vertices",
             ),
         ),
         "parity-repair": (
@@ -607,7 +608,7 @@ class TestMissNotes:
             lambda: tripartite(12),
             (
                 "structured route: stage graph at round 2 has no matching"
-                " covering its 24 thin vertices and no escape set",
+                " covering its 24 thin vertices",
             ),
         ),
     }
@@ -768,20 +769,6 @@ class TestEquitable:
         )
         with pytest.raises(InternalContradiction, match="oracle route answer failed verification"):
             decide_equitable(Graph.complete(3), 3)
-
-    def test_failed_structured_independent_set_raises(self, monkeypatch):
-        # The structured route's NO is checked like the recognizer's: a
-        # refinement escape that is not independent is a bug, not a NO.
-        g = tripartite(9)
-        monkeypatch.setattr(
-            decide_module,
-            "refine_to_good",
-            lambda g, p, cfg: Ex1Witness(VertexSet(range(10))),
-        )
-        with pytest.raises(
-            InternalContradiction, match="structured route answer failed verification"
-        ):
-            decide_kr_factor(g, 3)
 
     @pytest.mark.parametrize(
         "p, seed, ceiling",

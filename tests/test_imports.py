@@ -223,6 +223,37 @@ def test_only_the_package_root_imports_absorbing():
     assert importers(Path(SRC) / "equitiler", "absorbing") == ["__init__.py"]
 
 
+# The structured route (partition.py, tiling.py) answers YES or misses: it
+# may search for a sparse part and build tilings, but it holds no witness
+# type of a NO and no exact search.
+ROUTE_MAY_IMPORT = {
+    "extremal": {"_independent_heuristic", "independent_set_of_size"},
+    "oracle": {"Tiling"},
+}
+
+
+def route_imports(package: Path):
+    """Each name that partition.py or tiling.py imports, at any depth, from
+    a module of ROUTE_MAY_IMPORT beyond the names it lists, or the module
+    itself, as "file: module.name" strings."""
+    found = []
+    for name in ("partition.py", "tiling.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module is None:
+                found.extend(f"{name}: {a.name}" for a in node.names if a.name in ROUTE_MAY_IMPORT)
+            elif node.module in ROUTE_MAY_IMPORT:
+                allowed = ROUTE_MAY_IMPORT[node.module]
+                found.extend(f"{name}: {node.module}.{a.name}" for a in node.names
+                             if a.name not in allowed)
+    return found
+
+
+def test_structured_route_imports_no_witness_or_exact_search():
+    assert route_imports(Path(SRC) / "equitiler") == []
+
+
 def test_orphan_check_sees_a_planted_import(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()

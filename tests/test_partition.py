@@ -418,8 +418,8 @@ class TestRefine:
 
     def test_join_escape_left_to_the_recognizer(self):
         # The four independent vertices are an Ex1 NO.  The decider's
-        # recognizer finds them before anything refines, so refinement does
-        # not search the whole graph again and misses on this partition.
+        # recognizer finds them before anything refines; refinement never
+        # answers NO, and misses on this partition.
         g = join_i4_k2()
         p, s = peel_partition(g, 3)
         assert s == 0  # every sparse vertex is low degree, nothing peelable

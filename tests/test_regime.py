@@ -203,8 +203,29 @@ def cut_splits() -> List[Instance]:
     return out
 
 
+# One copy of an 8-vertex graph with a perfect matching (0-4, 1-3, 2-7,
+# 5-6) that the greedy start and the three-edge augmenting paths of
+# `maximum_matching` leave short: the last augmenting path needs the
+# blossom search (`matching._augment_once`, with `lca` and `mark_path`).
+BLOSSOM_EDGES = ((0, 1), (0, 4), (1, 3), (1, 4), (2, 6), (2, 7), (3, 6), (4, 7), (5, 6), (5, 7))
+
+
+def blossoms() -> List[Instance]:
+    """7 and 13 disjoint copies of the blossom graph at vertex offsets of 8,
+    at r = 2: the matching step's YES by the blossom search."""
+    out: List[Instance] = []
+    for copies in (7, 13):
+        g = Graph.empty(8 * copies)
+        for c in range(copies):
+            for u, v in BLOSSOM_EDGES:
+                g.add_edge(8 * c + u, 8 * c + v)
+        out.append((g, "factor", 2))
+    return out
+
+
 # family: (draw, size, decided floor, polynomial floor)
 FAMILIES: dict = {
+    "blossom": (blossoms, 2, 2, 2),
     "boundary": (boundary, 36, 36, 36),
     "cut": (cut_splits, 18, 12, 12),
     "tripartite": (tripartite, 6, 6, 6),
