@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .certificates import (
     certificate_from_json,
@@ -28,6 +30,7 @@ from .certificates import (
     verify_certificate,
     vertex_sets_from_json,
 )
+from .constants import ConstantsConfig, default_constants
 from .decide import decide_equitable, decide_kr_factor
 from .errors import PreconditionError
 from .generators import FAMILIES, generate
@@ -43,6 +46,11 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 FORMATS = ("edgelist", "dimacs")
+
+# xi and epsilon scale absorption, which no decision runs, so a file may not
+# set them.
+_CONSTANT_FIELDS = {f.name for f in fields(ConstantsConfig)} - {"r", "xi", "epsilon"}
+
 
 class CliError(Exception):
     """Usage-level failure; reported on stderr with exit code 3."""
@@ -77,11 +85,58 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
     _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-def _fraction(value: str) -> Fraction:
+def _fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise CliError(f"number expected, got {value!r}")
+    if isinstance(value, (int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"cannot read {value!r} as a fraction") from None
+    if isinstance(value, float):
+        # JSON admits NaN and Infinity, which no Fraction can hold.
+        if not math.isfinite(value):
+            raise CliError(f"cannot read {value!r} as a fraction")
+        return Fraction(value).limit_denominator(10**12)
+    raise CliError(f"number expected, got {value!r}")
+
+
+def _load_constants(path: str, r: int) -> ConstantsConfig:
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot read {value!r} as a fraction") from None
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"constants file is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CliError("constants file must hold a JSON object")
+    unknown = sorted(set(doc) - _CONSTANT_FIELDS)
+    if unknown:
+        raise CliError(f"unknown constants field(s): {', '.join(unknown)}")
+    # Without s, refinement takes these scales from `for_s` of the peeled
+    # part count, so they would be ignored; with s set, refinement uses them
+    # only when s is the peeled count, and otherwise the route misses.
+    unused = sorted({"beta_prime", "beta", "zeta"} & set(doc))
+    if unused and doc.get("s") is None:
+        raise CliError(f"constants field(s) {', '.join(unused)} take effect only with s set")
+    if r < 2:
+        raise CliError(f"constants overrides need clique size >= 2, instance gives r={r}")
+    kwargs: Dict[str, object] = {}
+    for key, value in doc.items():
+        if key == "gammas":
+            if not isinstance(value, list):
+                raise CliError("gammas must be a list")
+            kwargs[key] = tuple(_fraction(v) for v in value)
+        elif key == "s":
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise CliError(f"s must be an integer, got {value!r}")
+            kwargs[key] = value
+        else:
+            kwargs[key] = _fraction(value)
+    cfg = replace(default_constants(r), **kwargs)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CliError(f"constants rejected: {exc}") from None
+    return cfg
 
 
 def _envelope(cert, *, command: str, mode: str, value: int, g: Graph) -> dict:
@@ -109,7 +164,11 @@ def cmd_decide(args) -> int:
     k = args.k
     if k < 1:
         raise CliError(f"--k must be positive, got {k}")
-    cert = decide_equitable(g, k)
+    cfg = None
+    if args.constants is not None:
+        q = (-g.n) % k
+        cfg = _load_constants(args.constants, (g.n + q) // k)
+    cert = decide_equitable(g, k, cfg=cfg)
     _emit_json(_envelope(cert, command="decide", mode="coloring", value=k, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -119,7 +178,8 @@ def cmd_factor(args) -> int:
     r = args.r
     if r < 1:
         raise CliError(f"--r must be positive, got {r}")
-    cert = decide_kr_factor(g, r)
+    cfg = _load_constants(args.constants, r) if args.constants is not None else None
+    cert = decide_kr_factor(g, r, cfg=cfg)
     _emit_json(_envelope(cert, command="factor", mode="factor", value=r, g=g), args.out)
     return _exit_for(cert.answer)
 
@@ -256,11 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="decide equitable k-colorability")
     graph_args(d)
     d.add_argument("--k", type=int, required=True)
+    d.add_argument("--constants", default=None, help="JSON file of scale overrides")
     d.set_defaults(fn=cmd_decide)
 
     f = sub.add_parser("factor", help="decide clique-factor existence")
     graph_args(f)
     f.add_argument("--r", type=int, required=True)
+    f.add_argument("--constants", default=None, help="JSON file of scale overrides")
     f.set_defaults(fn=cmd_factor)
 
     v = sub.add_parser("verify", help="re-verify a certificate against a graph")

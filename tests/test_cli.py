@@ -266,8 +266,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag, value", [("--r", "0"), ("--r", "-1"), ("--k", "0"), ("--k", "-2")])
     def test_bare_payload_value_below_one_is_a_usage_error(self, capsys, write, flag, value):
-        # As for `factor --r 0` and an envelope's value: once a clause of the
-        # payload check (exit 1).
+        # As for `factor --r 0` and an envelope's value: a usage error, not a
+        # failed clause of the payload check (exit 1).
         graph = write("k6.txt", dumps(Graph.complete(6)))
         cert = write("tile.json", json.dumps([[0, 1, 2], [3, 4, 5]]))
         code, out, err = run(capsys, ["verify", graph, cert, flag, value])
@@ -336,15 +336,76 @@ class TestGen:
         assert code == 3
 
 
-class TestConstantsOption:
-    @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
-    def test_constants_option_is_gone(self, capsys, write, command):
-        # The structured route takes its constants from the part count alone.
+class TestConstantsFile:
+    def test_valid_overrides(self, capsys, write):
         graph = write("k6.txt", dumps(Graph.complete(6)))
         cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
-        code, out, err = run(capsys, [command[0], graph, *command[1:], "--constants", cfg])
-        assert (code, out) == (3, "")
-        assert "--constants" in err
+        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 0
+
+    def test_hierarchy_rejection(self, capsys, write):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"gammas": ["1/200", "1/150", "1/30", "1/3"]}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "constants rejected" in err
+
+    def test_unknown_field(self, capsys, write):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"omega": 1}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "omega" in err
+
+    def test_absorption_scales_are_unknown(self, capsys, write):
+        # xi and epsilon scale absorption, which no decision runs.
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"xi": "1/4", "epsilon": "1/10"}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "unknown constants field(s): epsilon, xi" in err
+
+    @pytest.mark.parametrize("s", ["abc", 7, 2.7])
+    def test_bad_part_count_is_a_usage_error(self, capsys, write, s):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"s": s}))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "integer" in err
+
+    @pytest.mark.parametrize("doc", [{"beta": "3/1000"}, {"beta_prime": "1/1000", "s": None},
+                                     {"zeta": "1/300", "gamma": "1/40000"}])
+    def test_scales_without_part_count_are_refused(self, capsys, write, doc):
+        # Without s, refinement takes these scales from `for_s` of the peeled
+        # part count, so the file's values would never be used.
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps(doc))
+        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 3
+        assert "only with s set" in err
+        assert all(name in err for name in doc if name in ("beta", "beta_prime", "zeta"))
+
+    def test_scales_with_part_count_accepted(self, capsys, write):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"s": 1, "beta": "3/1000"}))
+        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
+        assert code == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
+    def test_non_finite_number_is_a_usage_error(self, capsys, write, command, value):
+        graph = write("k6.txt", dumps(Graph.complete(6)))
+        cfg = write("c.json", json.dumps({"gamma": value}))
+        code, _, err = run(capsys, [command[0], graph, *command[1:], "--constants", cfg])
+        assert code == 3
+        assert "as a fraction" in err
+
+    def test_trivial_arity_refused(self, capsys, write):
+        graph = write("e3.txt", dumps(Graph(3, [0] * 3)))
+        cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
+        code, _, err = run(capsys, ["decide", graph, "--k", "5", "--constants", cfg])
+        assert code == 3
+        assert ">= 2" in err
 
 
 class TestSweepCommand:
