@@ -10,24 +10,25 @@ input graph with `certificates.verify_certificate`, the checker that
 `equitiler verify` runs, before it leaves this module; the routes do not
 re-check their own.  At r = 2 the question is perfect matching, which the
 blossom search settles at every size: a YES is the matching, a NO its
-Tutte–Berge barrier.  When every vertex of H has degree at least
-n - n/r, the complement has maximum degree below k = n/r, and the
-Hajnal–Szemerédi theorem gives it an equitable k-colouring, built by
-`equitable.equitable_classes`: its classes are the factor.  That step
-runs ahead of the NO recognizer: under its gate the factor exists, so
-the recognizer could find no witness, and where the gate fails its scan
-stops at the first short row.  The colouring side reaches the step
-through its delegate, since padding adds a clique on q < k vertices, of
-degree below k.  The same procedure also runs with no degree gate, as the
-`equitable` step (`equitable.equitable_attempt`): outside the theorem a
-stuck procedure is a miss, and `_run` checks the classes it returns like
-any answer.  It runs on G padded to a multiple of k ahead of the exact
-colouring search, and on the complement of H at k = n/r as the factor
-table's last step before unresolved.  The structured route builds the
+Tutte–Berge barrier.  Procedure P (`equitable.equitable_attempt`) runs
+as the `equitable` step of each table: on G padded to a multiple of k
+ahead of the exact colouring search, and on the complement of H at
+k = n/r, whose classes are the factor, as the factor table's last step
+before unresolved.  Where P is stuck it misses, and `_run` checks the
+classes it returns like any answer.  The factor table's gate is the
+Hajnal–Szemerédi theorem: when every vertex of H has degree at least
+n - n/r, the complement has maximum degree below k = n/r, so its
+equitable k-colouring, the factor, exists.  Under the gate the table
+skips the steps the theorem makes moot: the recognizer could find no
+witness of a NO, and the structured route and the exact search could
+only re-derive the YES.  So the `equitable` step answers, and a stuck P
+there is a bug, which `equitable_attempt` raises.  The colouring side
+reaches the gate through its delegate, since padding adds a clique on
+q < k vertices, of degree below k.  The structured route builds the
 factor of the paper's extremal case, an input with a sparse n/r-set: it
 answers YES or misses, since the extremal NO shapes are the recognizer's,
 which runs first.  The paper takes the other case by absorption, and the
-factor table gives it to that `equitable` step instead.  Sub-problems (a
+factor table gives it to the `equitable` step instead.  Sub-problems (a
 leftover block, the units of the multipartite finish) are vertex masks
 of the input graph, so every clique found is already in its labels.
 
@@ -52,8 +53,8 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .certificates import DecisionCertificate, verify_certificate
-from .constants import ConstantsConfig, default_constants
-from .equitable import equitable_attempt, equitable_classes
+from .constants import ConstantsConfig
+from .equitable import equitable_attempt
 from .errors import InternalContradiction, PreconditionError
 from .extremal import (
     BicliqueObstruction,
@@ -171,13 +172,8 @@ def pad_to_divisible(g: Graph, k: int) -> Tuple[Graph, int]:
     q = (-g.n) % k
     if q == 0:
         return g, 0
-    padded = Graph.empty(g.n + q)
-    for v in range(g.n):
-        padded.adj[v] = g.adj[v]
-    for u in range(g.n, g.n + q):
-        for v in range(u + 1, g.n + q):
-            padded.add_edge(u, v)
-    return padded, q
+    pad = ((1 << (g.n + q)) - 1) ^ g.full_mask
+    return Graph(g.n + q, g.adj + [pad ^ (1 << v) for v in range(g.n, g.n + q)]), q
 
 
 def lift_coloring(t: Tiling, q: int, k: int) -> Coloring:
@@ -260,24 +256,9 @@ def _factor_r2(g: Graph) -> DecisionCertificate:
     return _yes(Tiling(2, pairs), "pipeline")
 
 
-def _hajnal_szemeredi_factor(g: Graph, r: int) -> Optional[DecisionCertificate]:
-    """The factor from an equitable colouring of the complement, when every
-    row of H has at least n - n/r bits; None at the first short row.
-
-    The complement then has maximum degree below k = n/r, so its k
-    independent classes of r vertices, r-cliques of H, always exist.
-    """
-    n = g.n
-    need = n - n // r
-    if not all(row.bit_count() >= need for row in g.adj):
-        return None
-    classes = equitable_classes(complement(g).adj, n // r)
-    return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
-
-
 def _equitable_factor(g: Graph, r: int) -> DecisionCertificate:
     """The factor from procedure P on the complement at k = n/r, at any
-    degree; a stuck procedure raises PreconditionError, a miss."""
+    degree; a stuck procedure misses, or raises a bug under the gate."""
     classes = equitable_attempt(complement(g).adj, g.n // r)
     return _yes(Tiling(r, tuple(VertexSet(c) for c in classes)), "pipeline")
 
@@ -285,16 +266,14 @@ def _equitable_factor(g: Graph, r: int) -> DecisionCertificate:
 def _equitable_coloring(g: Graph, k: int) -> DecisionCertificate:
     """An equitable k-colouring of G, k < n, from procedure P at any degree.
 
-    P runs on G padded as `pad_to_divisible` pads: a clique on q < k fresh
+    P runs on G padded by `pad_to_divisible`: a clique on q < k fresh
     vertices.  Each class holds at most one of them, so dropping them
     leaves class sizes within one.  A stuck procedure raises
     PreconditionError, a miss.
     """
-    n = g.n
-    q = (-n) % k
-    pad = ((1 << (n + q)) - 1) ^ g.full_mask
-    rows = g.adj + [pad ^ (1 << v) for v in range(n, n + q)]
-    classes = equitable_attempt(rows, k)
+    padded, _ = pad_to_divisible(g, k)
+    pad = padded.full_mask ^ g.full_mask
+    classes = equitable_attempt(padded.adj, k)
     return _yes(Coloring(tuple(VertexSet(c & ~pad) for c in classes)), "pipeline")
 
 
@@ -305,7 +284,7 @@ def _vertices_of(seeds: Sequence[Base]) -> VertexSet:
     return VertexSet(bits)
 
 
-def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertificate:
+def _structured_factor(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> DecisionCertificate:
     """The extremal-side pipeline: partition, seed, grow, repair, then join
     the parts and the leftover block's cliques into a multipartite factor.
     It answers YES or misses, and never NO: the NO shapes of the extremal
@@ -318,7 +297,9 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     d = r - s cliques: by pairs at d = 2, through parity repair, which keeps
     the grown cliques and may plant one more pair seed beside them; by its
     single vertices at d = 1.  No exact search runs inside the route, so
-    d >= 3 is a miss.
+    d >= 3 is a miss, raised as soon as peeling fixes s.  At d = 0 the
+    block is empty, and its contraction misses: no leftover cliques
+    balance the parts.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -327,9 +308,11 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     p, s = peel_partition(g, r, cfg)
     if s == 0:
         raise PreconditionError("no sparse parts peeled")
+    d = r - s
+    if d >= 3:
+        raise PreconditionError(f"leftover block needs an exact search for its K_{d}-tiling")
     gp = refine_to_good(g, p, cfg)
     p = gp.partition
-    d = r - p.s
 
     thin_seeds = cover_exceptional(g, gp)
     bases = thin_seeds + cover_nonexcellent(g, gp, _vertices_of(thin_seeds))
@@ -347,11 +330,9 @@ def _structured_factor(g: Graph, r: int, cfg: ConstantsConfig) -> DecisionCertif
     if d == 2:
         seed_tiling, ts = parity_repair(g, gp, seed_tiling)
         resid = strip_tiling(p, seed_tiling)
-    elif d == 1:
+    else:
         resid = strip_tiling(p, seed_tiling)
         ts = Tiling(1, tuple(VertexSet(1 << v) for v in iter_bits(resid.b.bits)))
-    else:
-        raise PreconditionError(f"leftover block needs an exact search for its K_{d}-tiling")
 
     mf = multipartite_factor(g, contract_residual(g, resid, ts))
     if mf is None:
@@ -370,28 +351,24 @@ def decide_kr_factor(
       trivial     n = 0 or r = 1: exact search, the empty factor or the
                   singletons;
       matching    r = 2: the perfect matching, or its Tutte–Berge barrier;
-      hajnal-szemeredi
-                  every row of H has at least n - n/r bits: an equitable
-                  n/r-colouring of the complement, whose classes are the
-                  factor (Hajnal–Szemerédi);
       recognizer  the odd split or an n/r + 1 independent set, a NO with
-                  its witness; it runs only where the gate above fails,
-                  since under the gate a factor exists and no witness of
-                  a NO can;
+                  its witness;
       structured  the extremal pipeline, on an input with a sparse
                   n/r-set to peel: a YES or a miss;
       oracle      n <= FALLBACK_CAP: exact search;
-      equitable   beyond that, procedure P on the complement at k = n/r,
-                  with no degree gate; its classes are the factor;
+      equitable   procedure P on the complement at k = n/r; its classes
+                  are the factor;
       unresolved  the honest answer when that misses too.
+    The gate, at r >= 3: every row of H has at least n - n/r bits, so the
+    factor exists (Hajnal–Szemerédi).  Under it the recognizer, the
+    structured route and the oracle are skipped, and `equitable` answers.
     """
     if r < 1:
         raise PreconditionError(f"r={r} must be positive")
     if g.n % r != 0:
         raise PreconditionError(f"r={r} does not divide n={g.n}")
-    # Only the structured route reads the constants, and it runs at r >= 3.
-    if cfg is None and r >= 3:
-        cfg = default_constants(r)
+    need = g.n - g.n // r
+    gated = r >= 3 and all(row.bit_count() >= need for row in g.adj)
 
     def recognize() -> Optional[DecisionCertificate]:
         # The odd split is an exact-match recognizer, so this costs little and
@@ -407,10 +384,9 @@ def decide_kr_factor(
     steps: Tuple[_Step, ...] = (
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
-        ("hajnal-szemeredi", "hajnal-szemeredi", lambda: _hajnal_szemeredi_factor(g, r)),
-        ("recognizer", "recognize", recognize),
-        ("structured", "pipeline", lambda: _structured_factor(g, r, cfg)),
-        ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP else None),
+        ("recognizer", "recognize", None if gated else recognize),
+        ("structured", "pipeline", None if gated else lambda: _structured_factor(g, r, cfg)),
+        ("oracle", "oracle", oracle if g.n <= FALLBACK_CAP and not gated else None),
         ("equitable", "equitable", lambda: _equitable_factor(g, r)),
         ("unresolved", None, lambda: _UNRESOLVED),
     )
@@ -473,15 +449,15 @@ def decide_equitable(
                   search would reach only after exponential time (its
                   clique pair carries no witness over to G);
       equitable   where the oracle step runs and k < n: procedure P on G
-                  padded to a multiple of k, with no degree gate, the
-                  padding dropped from its classes;
+                  padded to a multiple of k, the padding dropped from
+                  its classes; stuck under Δ(G) < k, it raises a bug;
       oracle      k >= n or n <= FALLBACK_CAP: exact colouring of G, which
                   settles what the factor table's own fallback would on
                   the padded complement, without the padding;
       delegate    beyond the cap, the factor table on the complement of G
                   padded to divisibility, its answer carried back to G;
-                  when Δ(G) < k its Hajnal–Szemerédi step answers, and
-                  its `equitable` step runs procedure P on padded G.
+                  when Δ(G) < k that table's gate holds, and its
+                  `equitable` step runs procedure P on padded G.
     An oracle NO hunts for a K_{k+1} or odd K_{m,2k-m} subgraph of G when
     the edge bound fails.  Under the bound the obstruction step's scan is
     complete: every edge of either subgraph sums to at least 2k, so a

@@ -21,12 +21,12 @@ takes it, it enters a class that holds none of its neighbours (one exists:
 it has fewer than k), which now has m + 1 vertices, and the solo-vertex
 case moves one vertex out of the unreachable classes (see `_Repair`).
 
-The same procedure also runs outside the theorem, on any rows, as an
-attempt (`equitable_attempt`): there the classes may not exist, and a
-vertex that meets every class or a repair with no solo move is a miss,
-raised as PreconditionError.  Every move keeps the classes independent
-and no larger than n/k, so classes the attempt returns are an equitable
-colouring at any degree.
+`equitable_attempt` runs the procedure on any rows and holds the one miss
+rule: a vertex that meets every class, or a repair with no solo move, is a
+miss (PreconditionError), unless every row has fewer than k bits, where
+the theorem promises the classes and it is a bug (InternalContradiction).
+Every move keeps the classes independent and no larger than n/k, so the
+classes it returns are an equitable colouring at any degree.
 """
 
 from __future__ import annotations
@@ -35,29 +35,24 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalContradiction, PreconditionError
 
-__all__ = ["equitable_attempt", "equitable_classes"]
-
-
-def equitable_classes(rows: Sequence[int], k: int) -> List[int]:
-    """Masks of k disjoint independent classes of n/k vertices covering the
-    graph with neighbour rows `rows`.
-
-    Needs k to divide n and every row to have fewer than k bits; then the
-    classes always exist, so a repair that finds no move raises
-    InternalContradiction.
-    """
-    try:
-        return equitable_attempt(rows, k)
-    except PreconditionError as e:
-        raise InternalContradiction(str(e)) from None
+__all__ = ["equitable_attempt"]
 
 
 def equitable_attempt(rows: Sequence[int], k: int) -> List[int]:
-    """The classes of `equitable_classes` at any degree, k dividing n.
+    """Masks of k disjoint independent classes of n/k vertices covering the
+    graph with neighbour rows `rows`, k dividing n.  A stuck procedure P
+    raises PreconditionError, or InternalContradiction when every row has
+    fewer than k bits."""
+    try:
+        return _procedure_p(rows, k)
+    except PreconditionError as e:
+        if all(row.bit_count() < k for row in rows):
+            raise InternalContradiction(str(e)) from None
+        raise
 
-    Raises PreconditionError where procedure P gets stuck: a vertex with
-    a neighbour in every class, or a repair with no solo move.
-    """
+
+def _procedure_p(rows: Sequence[int], k: int) -> List[int]:
+    """First-fit, then procedure P for each vertex it left out."""
     n = len(rows)
     m = n // k
     cls = [0] * k

@@ -1000,7 +1000,7 @@ class TestGenuineMutants:
 
     CASES = {
         "structured": (lambda: ex2_plus(240, 160, 161), "factor", 3, "pipeline"),
-        "hajnal-szemeredi": (lambda: random_gnp(240, 0.9, 0), "factor", 3, "pipeline"),
+        "gate": (lambda: random_gnp(240, 0.9, 0), "factor", 3, "pipeline"),
         # Procedure P misses this draw, so the exact search colours it.
         "exact-coloring": (lambda: random_gnp(30, 0.2, 7), "coloring", 6, "oracle"),
         "ex1": (lambda: build_ex1_like(240, 3), "factor", 3, "recognizer"),
@@ -1008,12 +1008,12 @@ class TestGenuineMutants:
         "biclique": (lambda: build_obstruction(9, 5), "coloring", 9, "recognizer"),
     }
     WITNESS = {
-        "structured": "tiling", "hajnal-szemeredi": "tiling", "exact-coloring": "coloring",
+        "structured": "tiling", "gate": "tiling", "exact-coloring": "coloring",
         "ex1": "independent-set", "ex2": "odd-split", "biclique": "biclique",
     }
     # Mutants accepted as true: a swap that keeps every clique a clique, or
     # every class independent.
-    ACCEPTED = {"structured": 1, "hajnal-szemeredi": 3, "exact-coloring": 1}
+    ACCEPTED = {"structured": 1, "gate": 3, "exact-coloring": 1}
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_mutant_is_rejected_or_true(self, name):

@@ -437,7 +437,7 @@ class TestBench:
         doc = json.loads(out)
         assert code == 0
         assert (doc["kind"], doc["provenance"]) == ("obstructed", "recognizer")
-        assert list(doc["stages"]) == ["hajnal-szemeredi", "recognize"]
+        assert list(doc["stages"]) == ["recognize"]
 
     def test_needs_one_mode(self, capsys, write):
         graph = write("c5.txt", dumps(cycle(5)))

@@ -99,7 +99,7 @@ def sparse60():
 
 def thinned(g, v, d):
     """g with v's highest neighbours cut off until v has degree d.  At
-    d < n - n/r the Hajnal–Szemerédi step's gate fails at v."""
+    d < n - n/r the Hajnal–Szemerédi gate fails at v."""
     out = g.copy()
     while out.degree(v) > d:
         u = out.adj[v].bit_length() - 1
@@ -227,11 +227,11 @@ class TestFactorLadder:
         assert payload_clauses(build_ex2(9, 3, 1), c.witness, 3, "factor") == []
 
     def test_complete_graph(self):
-        # K_9 is inside the Hajnal–Szemerédi gate, so that step answers; the
-        # exact oracle, called directly, tiles it too.
+        # K_9 is inside the Hajnal–Szemerédi gate, so the `equitable` step
+        # answers; the exact oracle, called directly, tiles it too.
         c = decide_kr_factor(Graph.complete(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
-        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi"]
+        assert [stage for stage, _ in c.timings] == ["equitable"]
         assert len(c.certificate.cliques) == 3
         assert tiling_holds(Graph.complete(9), c.certificate)
         t = kr_factor_exact(Graph.complete(9), 3)
@@ -301,14 +301,14 @@ class TestFactorPipelines:
             assert (c.kind, c.answer, c.provenance) == ("factorable", True, "pipeline")
             assert tiling_holds(g, c.certificate)
             assert [stage for stage, _ in c.timings] == [
-                "hajnal-szemeredi", "recognize", "pipeline", "equitable",
+                "recognize", "pipeline", "equitable",
             ]
             assert c.notes == ("structured route: no sparse parts peeled",)
 
     def test_medium_dense_falls_back_honestly(self):
         # No sparse part peels at n=30, so the decider lands on the exact
-        # search and says so.  Vertex 0 at degree 19 < 20 keeps the
-        # Hajnal–Szemerédi step out.
+        # search and says so.  Vertex 0 at degree 19 < 20 closes the
+        # Hajnal–Szemerédi gate.
         g = thinned(random_graph(random.Random(0xE0A1), 30, 0.9), 0, 19)
         c = decide_kr_factor(g, 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
@@ -382,9 +382,7 @@ class TestFactorPipelines:
         # gate fails: both sides peel off as parts and the leftover K_20 is
         # tiled by its single vertices (d = 1).
         c = self.assert_pipeline_factor(split_plus_singletons())
-        assert [stage for stage, _ in c.timings] == [
-            "hajnal-szemeredi", "recognize", "pipeline",
-        ]
+        assert [stage for stage, _ in c.timings] == ["recognize", "pipeline"]
 
     def test_parity_repair_miss_falls_to_the_equitable_step(self):
         # The seed tiling leaves a leftover block with no perfect matching,
@@ -393,9 +391,7 @@ class TestFactorPipelines:
         g = build_ex2(120, 3, 5)
         g.add_edge(92, 116)
         c = self.assert_pipeline_factor(without_edge(g, 71, 92))
-        assert [stage for stage, _ in c.timings] == [
-            "hajnal-szemeredi", "recognize", "pipeline", "equitable",
-        ]
+        assert [stage for stage, _ in c.timings] == ["recognize", "pipeline", "equitable"]
         assert c.notes == (
             "structured route: parity repair gave out: "
             "no reachable tiling leaves a matchable leftover block",
@@ -420,7 +416,7 @@ class TestFactorPipelines:
         # miss note: no absorption step runs before or after it.
         c = decide_kr_factor(ex2_plus(240, 160, 161), 3)
         assert (c.kind, c.provenance) == ("factorable", "pipeline")
-        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi", "recognize", "pipeline"]
+        assert [stage for stage, _ in c.timings] == ["recognize", "pipeline"]
         assert c.notes == ()
 
     def test_structured_contradiction_propagates(self, monkeypatch):
@@ -531,14 +527,14 @@ class TestStructuredCertificates:
 class TestDenseCertificates:
     """Certificate JSON, timings dropped, of two dense inputs, pinned by hash
     as in TestStructuredCertificates.  Both lie inside the Hajnal–Szemerédi
-    gate, so the decision is that step's tiling."""
+    gate, so the decision is the `equitable` step's tiling."""
 
     CASES = {
-        "hajnal-szemeredi/gnp(n=240,p=0.9)": (
+        "gate/gnp(n=240,p=0.9)": (
             lambda: decide_kr_factor(random_gnp(240, 0.9, 0), 3),
             "0e54076a4411203829874a9a9f94d96fbb6dedd8ff87bf290a21e84688838c3f",
         ),
-        "hajnal-szemeredi/ore(n=240,a=0)": (
+        "gate/ore(n=240,a=0)": (
             lambda: decide_kr_factor(random_ore(240, 3, 0, 0), 3),
             "c0552a2adbb0612351609138b12499eca4b5586f00cd16ef1ab77f65bf9a4838",
         ),
@@ -804,10 +800,10 @@ class TestEquitable:
         assert 0 < nodes <= ceiling
 
     def test_unresolved_exit(self):
-        # Three disjoint K_17 at k = 17 have Δ(G) = 16 < k: the delegate's
-        # Hajnal–Szemerédi step colours them.  One edge between two of the
-        # cliques makes Δ(G) = k, outside that step's gate, and procedure P
-        # still colours them.  The sparse draw also has Δ(G) = k; n = 60 is
+        # Three disjoint K_17 at k = 17 have Δ(G) = 16 < k: inside the
+        # delegate's Hajnal–Szemerédi gate, its `equitable` step colours
+        # them.  One edge between two of the cliques makes Δ(G) = k, outside
+        # the gate, and procedure P still colours them.  The sparse draw also has Δ(G) = k; n = 60 is
         # past the exact fallback cap and every route misses, so
         # decide_equitable gives up.
         g = disjoint_cliques(3, 17)
@@ -835,30 +831,27 @@ class TestStepTables:
         "matching": (lambda: cycle(30), "factor", 2, None,
                      ("factorable", "pipeline"), ["matching"]),
         "recognizer/odd-split": (lambda: build_ex2(36, 3, 1), "factor", 3, None,
-                                 ("obstructed", "recognizer"),
-                                 ["hajnal-szemeredi", "recognize"]),
+                                 ("obstructed", "recognizer"), ["recognize"]),
         # The recognizer answers before any search, at every n, once the
         # Hajnal–Szemerédi gate has failed at its first short row.
         "recognizer/independent-set": (lambda: build_ex1_like(12, 3), "factor", 3, None,
-                                       ("obstructed", "recognizer"),
-                                       ["hajnal-szemeredi", "recognize"]),
-        # Every row of K_{9,9,9} has n - n/3 bits.
-        "hajnal-szemeredi": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
-                             ("factorable", "pipeline"), ["hajnal-szemeredi"]),
+                                       ("obstructed", "recognizer"), ["recognize"]),
+        # Every row of K_{9,9,9} has n - n/3 bits: inside the gate only the
+        # `equitable` step runs.
+        "gate": (lambda: multipartite((9, 9, 9)), "factor", 3, None,
+                 ("factorable", "pipeline"), ["equitable"]),
         "equitable/dense": (dense60, "factor", 3, None, ("factorable", "pipeline"),
-                            ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
+                            ["recognize", "pipeline", "equitable"]),
         "structured": (split_plus_singletons, "factor", 3, None, ("factorable", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "pipeline"]),
+                       ["recognize", "pipeline"]),
         "fallback-oracle": (lambda: tripartite(9), "factor", 3, None,
-                            ("factorable", "oracle"),
-                            ["hajnal-szemeredi", "recognize", "pipeline", "oracle"]),
+                            ("factorable", "oracle"), ["recognize", "pipeline", "oracle"]),
         # Past the cap, procedure P on the complement at any degree.
         "equitable/factor": (lambda: random_graph(random.Random(0xE0A1), 60, 0.5), "factor", 3,
                              None, ("factorable", "pipeline"),
-                             ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
+                             ["recognize", "pipeline", "equitable"]),
         "unresolved": (lambda: random_graph(random.Random(0xE0A1), 60, 0.3), "factor", 3, None,
-                       ("unresolved", "pipeline"),
-                       ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
+                       ("unresolved", "pipeline"), ["recognize", "pipeline", "equitable"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap procedure P, then the oracle, colours
         # G itself; beyond it the delegate reports the factor side's stages.
@@ -882,20 +875,19 @@ class TestStepTables:
         "delegate": (lambda: cycle(50), "coloring", 25, None,
                      ("colorable", "pipeline"), ["matching"]),
         "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
-                               ("exact", "recognizer"), ["hajnal-szemeredi", "recognize"]),
-        # Δ(G) = 16 < k: the delegate's factor table colours the complement
-        # of its complement at the Hajnal–Szemerédi step.
-        "delegate/hajnal-szemeredi": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
-                                      ("colorable", "pipeline"),
-                                      ["hajnal-szemeredi"]),
+                               ("exact", "recognizer"), ["recognize"]),
+        # Δ(G) = 16 < k: inside the delegate's Hajnal–Szemerédi gate, its
+        # `equitable` step colours the complement of its complement.
+        "delegate/gate": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
+                          ("colorable", "pipeline"), ["equitable"]),
         # Δ(G) = k = 17: the delegate's factor table tiles the complement
         # of its complement with procedure P, at the end of its table.
         "delegate/equitable": (bridged_cliques, "coloring", 17, None,
                                ("colorable", "pipeline"),
-                               ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
+                               ["recognize", "pipeline", "equitable"]),
         "delegate/unresolved": (sparse60, "coloring", 3, None,
                                 ("unresolved", "pipeline"),
-                                ["hajnal-szemeredi", "recognize", "pipeline", "equitable"]),
+                                ["recognize", "pipeline", "equitable"]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

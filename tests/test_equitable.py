@@ -1,6 +1,7 @@
-"""The Hajnal–Szemerédi step: equitable colourings of graphs with Δ(G) < k,
-the factor step that reads them off the complement of a dense H, and the
-`equitable` step that runs the same procedure at any degree."""
+"""Procedure P: equitable colourings of graphs with Δ(G) < k, the factor
+table's Hajnal–Szemerédi gate, under which P's classes of the complement of
+a dense H are the factor, and the `equitable` step that runs the same
+procedure at any degree."""
 
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from equitiler import (
 from equitiler import decide as decide_module
 from equitiler import equitable as equitable_module
 from equitiler.certificates import payload_clauses, tiling_holds, verify_certificate
-from equitiler.equitable import equitable_attempt, equitable_classes
+from equitiler.equitable import equitable_attempt
 from equitiler.extremal import build_ex1_like, build_ex2, recognize_extremal
 
 # A 3-regular graph on 12 vertices, found by a seeded search that counted
@@ -72,11 +73,14 @@ def any_graphs(draw, max_n=16):
 
 
 class TestEquitableClasses:
+    """`equitable_attempt` under Δ(G) < k, where the classes always exist,
+    so a stuck procedure is a bug."""
+
     @settings(max_examples=300, deadline=None)
     @given(capped_graphs(max_n=24))
     def test_classes_exist_whenever_degrees_are_below_k(self, case):
         g, k = case
-        assert holds(g, k, equitable_classes(g.adj, k))
+        assert holds(g, k, equitable_attempt(g.adj, k))
 
     def test_disjoint_cliques_at_their_size(self):
         # 3K_17 at k = 17: every vertex has degree 16, first-fit alone.
@@ -84,7 +88,7 @@ class TestEquitableClasses:
         for b in range(0, 51, 17):
             for u, v in combinations(range(b, b + 17), 2):
                 g.add_edge(u, v)
-        assert holds(g, 17, equitable_classes(g.adj, 17))
+        assert holds(g, 17, equitable_attempt(g.adj, 17))
 
     def test_solo_move(self, monkeypatch):
         g = Graph.from_edges(12, SOLO_EDGES)
@@ -96,46 +100,62 @@ class TestEquitableClasses:
             return real(self, family, order, parent, witness)
 
         monkeypatch.setattr(equitable_module._Repair, "_solo_move", counted)
-        assert holds(g, 4, equitable_classes(g.adj, 4))
+        assert holds(g, 4, equitable_attempt(g.adj, 4))
         assert calls == [(4, 3)]
 
     def test_missed_solo_move_raises(self, monkeypatch):
         # With every reached class counted as on every other's path to the
-        # hole, no solo move is left: a bug of the procedure, raised, not a
-        # wrong answer.
+        # hole, no solo move is left.  Every row has fewer than k bits, so
+        # that is a bug of the procedure, raised, not a miss; the factor
+        # table's gate holds on the complement, and its `equitable` step
+        # raises the same.
         monkeypatch.setattr(
             equitable_module, "_subtrees", lambda order, parent: {c: -1 for c in order}
         )
         g = Graph.from_edges(12, SOLO_EDGES)
         with pytest.raises(InternalContradiction, match="no solo move"):
-            equitable_classes(g.adj, 4)
+            equitable_attempt(g.adj, 4)
         with pytest.raises(InternalContradiction, match="no solo move"):
             decide_kr_factor(complement(g), 3)
 
     def test_degree_at_k_can_leave_no_class(self):
-        # K_4 at k = 2 breaks the hypothesis: vertex 2 meets both classes.
-        with pytest.raises(InternalContradiction, match="neighbour in each of the 2 classes"):
-            equitable_classes(Graph.complete(4).adj, 2)
+        # K_4 at k = 2 breaks the hypothesis: vertex 2 meets both classes,
+        # a miss outside the theorem.
+        with pytest.raises(PreconditionError, match="neighbour in each of the 2 classes"):
+            equitable_attempt(Graph.complete(4).adj, 2)
+
+    def test_stuck_colouring_step_raises(self, monkeypatch):
+        # The colouring table's `equitable` step below the cap: Δ(G) = 3 < 4,
+        # so a repair forced stuck is a bug there too, not a note that the
+        # oracle papers over.
+        def stuck(self, family, order, parent, witness):
+            raise PreconditionError("procedure P found no solo move: forced")
+
+        monkeypatch.setattr(equitable_module._Repair, "_solo_move", stuck)
+        with pytest.raises(InternalContradiction, match="no solo move: forced"):
+            decide_equitable(Graph.from_edges(12, SOLO_EDGES), 4)
 
 
 class TestFactorStep:
+    """The factor table's Hajnal–Szemerédi gate: every row of H has at least
+    n - n/r bits.  Under it only the `equitable` step runs."""
+
     @settings(max_examples=300, deadline=None)
     @given(capped_graphs(max_n=18, min_m=3))
     def test_tiles_every_input_inside_its_gate(self, case):
-        # H = complement(G) has δ(H) >= n - n/r at r = n/k >= 3: the step
-        # always answers, its tiling holds, and the exact search agrees.  So
-        # no witness of a NO exists, and the recognizer, which runs after
-        # the step, would have had nothing to find.
+        # H = complement(G) has δ(H) >= n - n/r at r = n/k >= 3: the
+        # `equitable` step always answers, its tiling holds, and the exact
+        # search agrees.  So no witness of a NO exists, and the recognizer,
+        # skipped under the gate, would have had nothing to find.
         g, k = case
         h = complement(g)
         r = h.n // k
-        got = decide_module._hajnal_szemeredi_factor(h, r)
-        assert got is not None and tiling_holds(h, got.certificate)
-        assert kr_factor_exact(h, r) is not None
-        assert recognize_extremal(h, r) is None
         c = decide_kr_factor(h, r)
         assert (c.kind, c.provenance) == ("factorable", "pipeline")
-        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi"]
+        assert tiling_holds(h, c.certificate)
+        assert [stage for stage, _ in c.timings] == ["equitable"]
+        assert kr_factor_exact(h, r) is not None
+        assert recognize_extremal(h, r) is None
 
     @pytest.mark.parametrize(
         "build", [lambda: build_ex2(240, 3, 1), lambda: build_ex1_like(240, 3)], ids=["ex2", "ex1"]
@@ -147,20 +167,22 @@ class TestFactorStep:
         assert h.degree(0) < 240 - 80
         c = decide_kr_factor(h, 3)
         assert (c.kind, c.provenance) == ("obstructed", "recognizer")
-        assert [stage for stage, _ in c.timings] == ["hajnal-szemeredi", "recognize"]
+        assert [stage for stage, _ in c.timings] == ["recognize"]
 
     def test_one_short_row_closes_the_gate(self):
         # K_{3,3,3} has every row at n - n/3 = 6; without the edge 0-3,
-        # rows 0 and 3 have 5 and the step does not apply.
+        # rows 0 and 3 have 5 and the skipped steps run again.
         h = Graph.complete(9)
         for part in ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
             for u, v in combinations(part, 2):
                 h.adj[u] ^= 1 << v
                 h.adj[v] ^= 1 << u
-        assert decide_module._hajnal_szemeredi_factor(h, 3) is not None
+        c = decide_kr_factor(h, 3)
+        assert [stage for stage, _ in c.timings] == ["equitable"]
         h.adj[0] ^= 1 << 3
         h.adj[3] ^= 1 << 0
-        assert decide_module._hajnal_szemeredi_factor(h, 3) is None
+        c = decide_kr_factor(h, 3)
+        assert [stage for stage, _ in c.timings] == ["recognize", "pipeline", "oracle"]
 
 
 class TestEquitableStep:
@@ -200,8 +222,10 @@ class TestEquitableStep:
     def test_attempt_raises_precondition_errors(self, monkeypatch):
         with pytest.raises(PreconditionError, match="neighbour in each of the 2 classes"):
             equitable_attempt(Graph.complete(4).adj, 2)
+        # The edge 0-6 gives two rows k = 4 bits, outside the theorem, so
+        # the repair left with no solo move is a miss.
         monkeypatch.setattr(
             equitable_module, "_subtrees", lambda order, parent: {c: -1 for c in order}
         )
         with pytest.raises(PreconditionError, match="no solo move"):
-            equitable_attempt(Graph.from_edges(12, SOLO_EDGES).adj, 4)
+            equitable_attempt(Graph.from_edges(12, SOLO_EDGES + [(0, 6)]).adj, 4)

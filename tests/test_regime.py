@@ -203,6 +203,27 @@ def cut_splits() -> List[Instance]:
     return out
 
 
+def singletons() -> List[Instance]:
+    """The complete multipartite graph on parts m, m and m singletons, less
+    one random edge between the two big parts, twice for each m in 20, 40
+    and 80, at r = 3: the one short row closes the Hajnal–Szemerédi gate,
+    both big parts peel, and the structured route tiles the leftover
+    block by its single vertices (d = 1)."""
+    rng = random.Random(13)
+    out: List[Instance] = []
+    for m in (20, 40, 80):
+        full = (1 << 3 * m) - 1
+        a, b = (1 << m) - 1, ((1 << m) - 1) << m
+        for _ in range(2):
+            rows = [full ^ a] * m + [full ^ b] * m + [full ^ (1 << v) for v in range(2 * m, 3 * m)]
+            g = Graph(3 * m, rows)
+            u, v = rng.randrange(m), rng.randrange(m, 2 * m)
+            g.adj[u] ^= 1 << v
+            g.adj[v] ^= 1 << u
+            out.append((g, "factor", 3))
+    return out
+
+
 # One copy of an 8-vertex graph with a perfect matching (0-4, 1-3, 2-7,
 # 5-6) that the greedy start and the three-edge augmenting paths of
 # `maximum_matching` leave short: the last augmenting path needs the
@@ -230,6 +251,7 @@ FAMILIES: dict = {
     "cut": (cut_splits, 18, 12, 12),
     "tripartite": (tripartite, 6, 6, 6),
     "perturbed": (perturbed_odd_splits, 36, 34, 34),
+    "singletons": (singletons, 6, 6, 6),
     "sparse": (sparse, 48, 38, 38),
     "ore": (ore, 24, 24, 24),
     "paper_only": (paper_only, 24, 24, 24),
