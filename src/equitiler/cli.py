@@ -200,10 +200,11 @@ def _verify_envelope(g: Graph, doc: dict) -> Tuple[List[str], Optional[str]]:
     """Violated clauses, and why the answer went unchecked if it did."""
     mode = doc.get("mode")
     value = doc.get("value")
-    if mode not in ("coloring", "factor") or not isinstance(value, int):
+    if mode not in ("coloring", "factor") or value is None:
         raise CliError("certificate lacks its mode/value envelope fields")
-    if value < 1:
-        raise CliError(f"certificate value must be positive, got {value}")
+    # JSON's true is a Python int; as a value it is not 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CliError(f"certificate value must be a positive integer, got {value!r}")
     stored = doc.get("graph_hash")
     if isinstance(stored, str) and stored != g.content_hash():
         return ["graph hash mismatch: certificate was issued for a different graph"], None

@@ -27,10 +27,12 @@ reaches the gate through its delegate, since padding adds a clique on
 q < k vertices, of degree below k.  The structured route builds the
 factor of the paper's extremal case, an input with a sparse n/r-set: it
 answers YES or misses, since the extremal NO shapes are the recognizer's,
-which runs first.  The paper takes the other case by absorption, and the
-factor table gives it to the `equitable` step instead.  Sub-problems (a
-leftover block, the units of the multipartite finish) are vertex masks
-of the input graph, so every clique found is already in its labels.
+which runs first.  It misses at once unless the block left beside the
+peeled parts tiles by pairs or single vertices.  The paper takes the
+other case by absorption, and the factor table gives it to the
+`equitable` step instead.  Sub-problems (a leftover block, the units of
+the multipartite finish) are vertex masks of the input graph, so every
+clique found is already in its labels.
 
 Each mode is one ordered table of steps `(route, stage, run)`, run by
 `_run`: the first step to return a certificate decides.  Tables are built
@@ -296,10 +298,9 @@ def _structured_factor(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> Deci
     seed and from the cliques grown so far.  The leftover block B tiles by
     d = r - s cliques: by pairs at d = 2, through parity repair, which keeps
     the grown cliques and may plant one more pair seed beside them; by its
-    single vertices at d = 1.  No exact search runs inside the route, so
-    d >= 3 is a miss, raised as soon as peeling fixes s.  At d = 0 the
-    block is empty, and its contraction misses: no leftover cliques
-    balance the parts.
+    single vertices at d = 1.  Any other d is a miss, raised as soon as
+    peeling fixes s: no exact search runs inside the route for d >= 3,
+    and at d = 0 no leftover block is left to tile.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -309,6 +310,8 @@ def _structured_factor(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> Deci
     if s == 0:
         raise PreconditionError("no sparse parts peeled")
     d = r - s
+    if d == 0:
+        raise PreconditionError(f"{s} parts against r={r} leave no leftover block")
     if d >= 3:
         raise PreconditionError(f"leftover block needs an exact search for its K_{d}-tiling")
     gp = refine_to_good(g, p, cfg)
@@ -354,7 +357,8 @@ def decide_kr_factor(
       recognizer  the odd split or an n/r + 1 independent set, a NO with
                   its witness;
       structured  the extremal pipeline, on an input with a sparse
-                  n/r-set to peel: a YES or a miss;
+                  n/r-set to peel and a leftover block that tiles by
+                  pairs or single vertices: a YES or a miss;
       oracle      n <= FALLBACK_CAP: exact search;
       equitable   procedure P on the complement at k = n/r; its classes
                   are the factor;

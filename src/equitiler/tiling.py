@@ -3,14 +3,17 @@
 The extremal route covers a graph with r-cliques in two stages.  First a thin
 layer of *seeds*: tiny cliques (or pairs of cliques) whose common neighborhood
 stays fat toward every block of the partition, planted so that every vertex
-with an unusual degree pattern sits inside one.  Each seed then grows into one
-or two full r-cliques through its common neighborhood.  What remains is
-block-respecting and dense, so the leftover block can be tiled by small
-cliques and the rest finished as a balanced multipartite factor: every final
-clique joins one unit per block, a vertex of each part and one small clique
-of the leftover block, all found on the input graph itself.  Sub-problems are
-vertex masks of that graph: cliques come from `graphs.iter_cliques` and the
-leftover block's pairs from the blossom search on its mask.
+with an unusual degree pattern sits inside one.  A pair seed holds low-degree
+thin vertices beside a companion edge of a part, or plants the part edge that
+repairs the leftover block's parity; any other non-excellent part vertex gets
+no seed, and the route misses.  Each seed then grows into one or two full
+r-cliques through its common neighborhood.  What remains is block-respecting
+and dense, so the leftover block can be tiled by small cliques and the rest
+finished as a balanced multipartite factor: every final clique joins one unit
+per block, a vertex of each part and one small clique of the leftover block,
+all found on the input graph itself.  Sub-problems are vertex masks of that
+graph: cliques come from `graphs.iter_cliques` and the leftover block's pairs
+from the blossom search on its mask.
 
 A seed's slack is an exact rational, the largest margin by which its
 neighborhood inequalities hold, and `base_slack` measures it on demand: a
@@ -320,68 +323,42 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> Tuple[Base, 
     everywhere nor thin, outside `u`.
 
     `u` holds vertices already spoken for; targets inside `u` count as
-    covered by the caller.  Running out of candidates, or a partition with
-    no leftover block, is a miss and raises PreconditionError; a seed that
-    fails its margin check is a bug and raises InternalContradiction.
+    covered by the caller.  Each target in the leftover block gets a lone
+    seed: itself and an (r - s - 1)-clique of excellent leftover vertices
+    in its neighbourhood.  A target inside a part is a miss: peeled parts
+    are near-independent, so it has no partner there to pair with.  So is
+    running out of candidates, or a partition with no leftover block; each
+    raises PreconditionError.  A seed that fails its margin check is a bug
+    and raises InternalContradiction.
     """
     p, n, r, s = _context(g, q)
     if s >= r:
         raise PreconditionError(f"{s} parts against r={r} leave no leftover block")
-    cfg = q.constants
-    if len(u) ** 4 > (4 * r) ** 4 * cfg.alpha * n**4:
+    if len(u) ** 4 > (4 * r) ** 4 * q.constants.alpha * n**4:
         raise PreconditionError("avoid set too large for the cover")
-    thin = q.thin
     vex = 0
     for i in range(s):
-        vex |= thin.exceptional[i].bits
+        vex |= q.thin.exceptional[i].bits
     ve = q.classification.excellent_everywhere().bits
-    full = g.full_mask
-    targets = full & ~ve & ~vex & ~u.bits
+    targets = g.full_mask & ~ve & ~vex & ~u.bits
     bmask = p.b.bits
-    deg_cap = n - 2 * cfg.beta_prime * n
+    inside = targets & ~bmask
+    if inside:
+        v = (inside & -inside).bit_length() - 1
+        raise PreconditionError(f"vertex {v}: non-excellent inside part {p.part_of(v)}")
 
     bases: List[Base] = []
-    used = 0
+    used = u.bits
     for v in iter_bits(targets):
-        if (1 << v) & used:
-            continue
-        avoid = u.bits | used
-        i = p.part_of(v)
-        if i is not None:
-            w = None
-            for c in iter_bits(g.adj[v] & p.parts[i].bits & ve & ~avoid):
-                if g.degree(c) <= deg_cap:
-                    w = c
-                    break
-            if w is None:
-                raise PreconditionError(f"vertex {v}: no calm partner inside its part")
-            pair = (1 << v) | (1 << w)
-            cand = bmask & ve & ~avoid & ~pair
-            sub = find_clique_of_size(g, r - s + 1, inside=cand)
-            if sub is None:
-                raise PreconditionError(
-                    f"vertex {v}: leftover block holds no clique for its seed"
-                )
-            db = DoubleBase(VertexSet(pair), sub, i, None)
-            if not _has_margin(g, q, db):
-                raise InternalContradiction(
-                    f"vertex {v}: pair seed fails the margin check"
-                )
-            bases.append(db)
-            used |= pair | sub.bits
-        else:
-            cand = g.adj[v] & bmask & ve & ~avoid
-            sub = find_clique_of_size(g, r - s - 1, inside=cand)
-            if sub is None:
-                raise PreconditionError(f"vertex {v}: leftover block too thin around it")
-            cm = (1 << v) | sub.bits
-            sb = SingleBase(VertexSet(cm))
-            if not _has_margin(g, q, sb):
-                raise InternalContradiction(
-                    f"vertex {v}: leftover seed fails the margin check"
-                )
-            bases.append(sb)
-            used |= cm
+        cand = g.adj[v] & bmask & ve & ~used
+        sub = find_clique_of_size(g, r - s - 1, inside=cand)
+        if sub is None:
+            raise PreconditionError(f"vertex {v}: leftover block too thin around it")
+        sb = SingleBase(VertexSet((1 << v) | sub.bits))
+        if not _has_margin(g, q, sb):
+            raise InternalContradiction(f"vertex {v}: leftover seed fails the margin check")
+        bases.append(sb)
+        used |= sb.clique.bits
     return tuple(bases)
 
 

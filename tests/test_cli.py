@@ -243,17 +243,19 @@ class TestVerify:
 
     def test_value_below_one_is_a_usage_error(self, capsys, tmp_path, write):
         # The independent-set NO of the empty 6-vertex graph, asked at
-        # r = 0, once divided by zero (exit 4).
+        # r = 0, once divided by zero (exit 4); asked at r = true, it was
+        # checked at r = 1.
         graph = write("e6.txt", dumps(Graph.empty(6)))
         cert = tmp_path / "cert.json"
         code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--out", str(cert)])
         doc = json.loads(cert.read_text())
         assert code == 1 and doc["witness"]["type"] == "independent-set"
-        doc["value"] = 0
-        cert.write_text(json.dumps(doc))
-        code, _, err = run(capsys, ["verify", graph, str(cert)])
-        assert code == 3
-        assert "value must be positive" in err
+        for value in (0, True):
+            doc["value"] = value
+            cert.write_text(json.dumps(doc))
+            code, _, err = run(capsys, ["verify", graph, str(cert)])
+            assert code == 3
+            assert "value must be a positive integer" in err
 
     def test_bare_payload_needs_one_flag(self, capsys, write):
         graph = write("k6.txt", dumps(Graph.complete(6)))

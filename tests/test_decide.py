@@ -384,18 +384,15 @@ class TestFactorPipelines:
         c = self.assert_pipeline_factor(split_plus_singletons())
         assert [stage for stage, _ in c.timings] == ["recognize", "pipeline"]
 
-    def test_parity_repair_miss_falls_to_the_equitable_step(self):
-        # The seed tiling leaves a leftover block with no perfect matching,
-        # and no planted pair seed gives one: the structured route misses
-        # with a note, and procedure P on the complement tiles the input.
+    def test_part_vertex_miss_falls_to_the_equitable_step(self):
+        # Part vertex 92 loses its edge to 71 and is not excellent, so the
+        # non-excellent cover misses with a note, and procedure P on the
+        # complement tiles the input.
         g = build_ex2(120, 3, 5)
         g.add_edge(92, 116)
         c = self.assert_pipeline_factor(without_edge(g, 71, 92))
         assert [stage for stage, _ in c.timings] == ["recognize", "pipeline", "equitable"]
-        assert c.notes == (
-            "structured route: parity repair gave out: "
-            "no reachable tiling leaves a matchable leftover block",
-        )
+        assert c.notes == ("structured route: vertex 92: non-excellent inside part 0",)
 
     def test_weakened_split_stays_negative(self):
         g = without_edge(build_ex2(36, 3, 1), 5, 6)
@@ -403,13 +400,13 @@ class TestFactorPipelines:
         assert (c.kind, c.answer, c.provenance) == ("exact", False, "oracle")
 
     def test_tripartite_resolves_by_fallback(self):
-        # Refinement misses (no stage matching), a PreconditionError that
-        # leaves a note and falls through: the structured route never
-        # answers NO.
+        # All three parts peel, so no leftover block is left to tile: the
+        # route misses, a PreconditionError that leaves a note and falls
+        # through.  The structured route never answers NO.
         c = decide_kr_factor(tripartite(9), 3)
         assert (c.kind, c.answer, c.provenance) == ("factorable", True, "oracle")
         assert tiling_holds(tripartite(9), c.certificate)
-        assert c.notes[0].startswith("structured route: stage graph at round 2")
+        assert c.notes == ("structured route: 3 parts against r=3 leave no leftover block",)
 
     def test_structured_runs_before_absorption(self):
         # An extremal input is decided by the structured route, with no
@@ -569,10 +566,7 @@ class TestMissNotes:
     CASES = {
         "tripartite-9": (
             lambda: tripartite(9),
-            (
-                "structured route: stage graph at round 2 has no matching"
-                " covering its 18 thin vertices",
-            ),
+            ("structured route: 3 parts against r=3 leave no leftover block",),
         ),
         "parity-repair": (
             lambda: edited_ex2(36, 1, drop=[(5, 6)]),
@@ -581,10 +575,10 @@ class TestMissNotes:
                 " leaves a matchable leftover block",
             ),
         ),
-        "no-calm-partner": (
+        "part-vertex": (
             lambda: edited_ex2(120, 1, add=[(0, 24), (110, 106)], drop=[(10, 95)]),
             (
-                "structured route: vertex 95: no calm partner inside its part",
+                "structured route: vertex 95: non-excellent inside part 0",
             ),
         ),
         "refinement-stalled": (
@@ -602,10 +596,7 @@ class TestMissNotes:
         ),
         "tripartite-12": (
             lambda: tripartite(12),
-            (
-                "structured route: stage graph at round 2 has no matching"
-                " covering its 24 thin vertices",
-            ),
+            ("structured route: 3 parts against r=3 leave no leftover block",),
         ),
     }
 

@@ -34,6 +34,7 @@ from equitiler.partition import (
     _apply_straddle,
     _grade_thresholds,
     _sparse_set,
+    _violations,
     slack_threshold,
 )
 
@@ -45,7 +46,7 @@ from _brute import (
     rescue_problems,
     validate_good,
 )
-from conftest import cut_split, random_graph
+from conftest import cut_split, random_graph, without_edge
 
 
 def vs(*vals):
@@ -542,13 +543,17 @@ class TestValidate:
         assert validate_good(g, out) == []
 
     def test_edge_heavy_part_reported_with_count(self):
-        g = Graph.complete(9)
+        # In K_9 the part's 3 edges break (A1) and crowd its vertices; less
+        # the edge 0-3, vertex 3 is also not excellent toward the part.
         cfg = default_constants(3).for_s(1)
         p = RsPartition((vs(0, 1, 2),), vs(3, 4, 5, 6, 7, 8))
-        q = graded(g, p, (Matching(()),), cfg)
-        report = validate_good(g, q)
-        assert any("(A1)" in line and "3 edges" in line for line in report)
-        assert any("(A3)" in line for line in report)
+        heavy = ["(A1) part 1 induces 3 edges", "(A3) part 1 has 3 crowded vertices"]
+        dented = heavy + ["(A3) part 1 has 1 non-excellent vertices"]
+        dent = without_edge(Graph.complete(9), 0, 3)
+        for g, want in ((Graph.complete(9), heavy), (dent, dented)):
+            q = graded(g, p, (Matching(()),), cfg)
+            assert _violations(g, q) == want
+            assert validate_good(g, q) == want
 
     def test_overlapping_rescue_matchings_flagged(self):
         g = Graph.from_edges(12, [(0, 6), (0, 9)])

@@ -361,16 +361,11 @@ class TestCoverNonexcellent:
         with pytest.raises(PreconditionError, match="3 parts against r=3 leave no leftover block"):
             cover_nonexcellent(g, q_k333(g), vs())
 
-    def test_part_vertex_gets_a_pair_seed(self):
+    def test_part_vertex_is_a_miss(self):
+        # The one target, 12, lies inside the part: no seed is made for it.
         g, q = q_tri18_case1()
-        out = cover_nonexcellent(g, q, vs())
-        (b,) = out
-        assert isinstance(b, DoubleBase)
-        # The one target, 12, sits in the seed.
-        assert (b.left, b.right) == (vs(12, 13), vs(0, 1, 2))
-        assert (b.heavy_left, b.heavy_right) == (0, None)
-        assert base_slack(g, q, b) == Fraction(4, 9)
-        assert base_set_problems(out, g, q) == []
+        with pytest.raises(PreconditionError, match="^vertex 12: non-excellent inside part 0$"):
+            cover_nonexcellent(g, q, vs())
 
     def test_avoid_set_size_gate(self):
         # The gate reads only |u|, alpha, n and r: at alpha = 10^-7 and
@@ -385,8 +380,9 @@ class TestCoverNonexcellent:
         q = manual_good(g, [set(range(12, 18))], set(range(12)), tiny)
         with pytest.raises(PreconditionError, match="avoid set too large"):
             cover_nonexcellent(g, q, vs(8, 9, 10, 11))
-        out = cover_nonexcellent(g, q, vs(9, 10, 11))
-        assert seed_vertices(out) == vs(0, 1, 2, 12, 13)
+        # Admitted, the cover reaches its target, part vertex 12, and misses.
+        with pytest.raises(PreconditionError, match="vertex 12: non-excellent inside part 0"):
+            cover_nonexcellent(g, q, vs(9, 10, 11))
 
 
 class TestExtend:
