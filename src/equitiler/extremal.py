@@ -16,7 +16,14 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .graphs import Graph, VertexSet, iter_bits, lowest_vertices, max_independent_set
+from .graphs import (
+    Graph,
+    VertexSet,
+    _clique_cover_count,
+    iter_bits,
+    lowest_vertices,
+    max_independent_set,
+)
 
 __all__ = [
     "Ex1Witness",
@@ -280,13 +287,18 @@ def independent_set_of_size(
     `inside` is a vertex mask, all of V by default.  The search is exact
     up to 64 vertices of the mask (branch and bound, the result trimmed to
     its `size` lowest members) and greedy with plateau swaps beyond, so a
-    None answer is only conclusive in the exact regime.
+    None answer is only conclusive in the exact regime.  There a greedy
+    clique cover of fewer than `size` cliques answers None before the
+    search: no independent set meets a clique twice, so the search would
+    find fewer than `size` vertices and return None too.
     """
     if size <= 0:
         return VertexSet(0)
     mask = g.full_mask if inside is None else inside
     if mask.bit_count() > 64:
         return _independent_heuristic(g, size, mask)
+    if _clique_cover_count(g, mask, size) < size:
+        return None
     found = max_independent_set(g, mask)
     return VertexSet(lowest_vertices(found.bits, size)) if len(found) >= size else None
 
@@ -296,7 +308,9 @@ def recognize_extremal(g: Graph, r: int) -> Optional[ExtremalWitness]:
 
     The independent-set search is exact up to 64 vertices of the mask (here
     all of V) and greedy beyond, so a None answer is only conclusive at
-    small n.
+    small n.  There the None often comes from a greedy clique cover of
+    fewer than n/r + 1 cliques, before any search: an independent set meets
+    each clique once at most, so the search's own answer would be None.
     """
     if g.n % r != 0 or r < 2:
         return None

@@ -507,6 +507,30 @@ def max_clique(g: Graph, inside: int | None = None) -> VertexSet:
     return VertexSet(best_mask)
 
 
+def _clique_cover_count(g: Graph, mask: int, stop: int) -> int:
+    """The number of cliques in a greedy clique cover of G[mask], counted up
+    to `stop`.
+
+    Each clique starts at the lowest uncovered vertex and takes its lowest
+    uncovered common neighbours.  An independent set meets each clique of a
+    cover at most once, so alpha(G[mask]) is at most the full count, and a
+    return below `stop` proves that G[mask] has no independent set of
+    `stop` vertices (the colouring bound of Tomita & Seki's max-clique
+    search, on the complement).  One pass, no search.
+    """
+    adj = g.adj
+    count = 0
+    rest = mask
+    while rest and count < stop:
+        count += 1
+        cand = rest
+        while cand:
+            low = cand & -cand
+            rest ^= low
+            cand &= adj[low.bit_length() - 1]
+    return count
+
+
 def max_independent_set(g: Graph, inside: int | None = None) -> VertexSet:
     return max_clique(complement(g), inside)
 

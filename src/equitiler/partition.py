@@ -15,6 +15,12 @@ partition's shape is checked where it is made or enters: `peel_partition`,
 partition, or misses with PreconditionError; it never answers NO, since
 the NO shapes are the recognizer's, which runs first.  The exchange
 rounds leave no record beyond the counts a miss quotes in its message.
+The sparse-set search is exact on at most 64 vertices, and there a
+greedy clique cover can answer None before it searches: a set of n/r
+vertices with at most c edges holds an independent set of n/r - c
+vertices, and a cover by fewer cliques than that proves none exists.
+That None is the one the exact search or the hill climb would have
+returned, so peeling finds the same parts with or without the cover.
 Everything runs on bitmasks with Fraction constants rounded once to
 integer thresholds, so results are reproducible and never depend on
 float rounding.
@@ -32,6 +38,7 @@ from .extremal import _independent_heuristic, independent_set_of_size
 from .graphs import (
     Graph,
     VertexSet,
+    _clique_cover_count,
     as_fraction,
     induced_edge_count,
     iter_bits,
@@ -231,12 +238,17 @@ def _sparse_set(
     a None there is a nonexistence proof.  Otherwise a degree floor that
     can refute the budget, then a deterministic hill climb of at most 200
     swaps from the `size` vertices of least degree, so None is "not found",
-    not a nonexistence proof.  The climb keeps every inside-degree as bit-sliced
-    counters, so a swap costs O(log n) big-int operations, not a recount
-    over the members.  Each vertex's degree inside the universe is counted
-    once, into a plain list: the greedy's room count and the degree floor
-    read it unsorted or as sorted ints, and the vertices are put in degree
-    order only when the greedy or the climb runs.
+    not a nonexistence proof.  In the exact regime a None may also come
+    from a greedy clique cover, before the search or the climb: fewer than
+    `size` cliques rule out an independent `size`-set, and fewer than
+    size - cap rule out a set with at most cap = floor(budget * order^2)
+    edges, so the search or the climb would have returned None too.  The
+    climb keeps every inside-degree as bit-sliced counters, so a swap
+    costs O(log n) big-int operations, not a recount over the members.
+    Each vertex's degree inside the universe is counted once, into a plain
+    list: the greedy's room count and the degree floor read it unsorted or
+    as sorted ints, and the vertices are put in degree order only when the
+    greedy or the climb runs.
     """
     if universe.bit_count() < size or size <= 0:
         return None if size > 0 else VertexSet(0)
@@ -262,6 +274,12 @@ def _sparse_set(
         return None
     # Edge counts are ints, so the climb compares them with the floor.
     cap = math.floor(limit)
+    # Dropping one end of each edge of a set with at most `cap` edges leaves
+    # an independent set of size - cap vertices.  In the exact regime a
+    # greedy clique cover of fewer cliques proves none exists, so the climb
+    # below could not return a set either.
+    if len(verts) <= 64 and _clique_cover_count(g, universe, size - cap) < size - cap:
+        return None
     # Hill climb from the least degrees (lowest index on ties), ejecting the
     # most crowded member (highest index on ties) for the outside vertex with
     # the fewest neighbours in the rest (lowest index on ties) until the edge

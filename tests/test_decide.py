@@ -39,6 +39,7 @@ from equitiler import (
     random_ore,
 )
 from equitiler import decide as decide_module
+from equitiler import graphs as graphs_module
 from equitiler import oracle as oracle_module
 from equitiler.certificates import (
     biclique_holds,
@@ -604,6 +605,38 @@ class TestMissNotes:
     def test_notes(self, name):
         build, want = self.CASES[name]
         assert decide_kr_factor(build(), 3).notes == want
+
+
+class TestRefutedSearches:
+    """Two dense inputs in the exact regime, at most 64 vertices, with no
+    n/r + 1 independent set and no sparse n/r-set: a greedy clique cover
+    refutes the recognizer's search and both of peel's, so no
+    branch-and-bound search runs, and the decision keeps its stages and
+    its note."""
+
+    CASES = {
+        "ore-60": (lambda: random_ore(60, 3, Fraction(1, 50), 0), 3),
+        "gnp-64": (lambda: random_gnp(64, 0.85, 2), 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_no_clique_search(self, name, monkeypatch):
+        build, r = self.CASES[name]
+        g = build()
+        calls = []
+        search = graphs_module.max_clique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "max_clique", counted)
+        c = decide_kr_factor(g, r)
+        assert calls == []
+        assert [stage for stage, _ in c.timings] == ["recognize", "pipeline", "equitable"]
+        assert c.notes == ("structured route: no sparse parts peeled",)
+        assert (c.kind, c.provenance) == ("factorable", "pipeline")
+        assert verify_certificate(g, c, "factor", r) == []
 
 
 class TestEquitable:

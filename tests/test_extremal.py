@@ -396,15 +396,17 @@ class TestIndependentSetOfSize:
         for target in (n // 3 + 1, _greedy_size(g) + extra):
             self.check(g, target)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=2, max_value=120),
-        st.sampled_from([0.1, 0.5]),
+        st.sampled_from([0.1, 0.5, 0.8, 0.9]),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=20),
     )
     def test_inside_a_mask(self, n, p, seed, size):
-        # Exact up to 64 vertices of the mask, whatever n is.
+        # Exact up to 64 vertices of the mask, whatever n is.  At p = 0.8
+        # and 0.9 the clique-cover count often answers None before the
+        # search, and must agree with it.
         rng = random.Random(seed)
         g = random_graph(rng, n, p)
         inside = rng.getrandbits(n) & g.full_mask

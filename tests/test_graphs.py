@@ -15,6 +15,7 @@ from equitiler.generators import random_gnp
 from equitiler.graphs import (
     Graph,
     VertexSet,
+    _clique_cover_count,
     as_fraction,
     complement,
     connected_components,
@@ -431,6 +432,25 @@ def test_max_independent_set_matches_reference(rng):
         mis = max_independent_set(g)
         assert independent_in(g, mis.bits)
         assert len(mis) == brute_independence_number(n, list(g.edges()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 10),
+    p=st.sampled_from([0.2, 0.5, 0.8, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+    stop=st.integers(-1, 11),
+)
+def test_clique_cover_count_bounds_independence(n, p, seed, stop):
+    # The count is a sound refutation: it never falls below the
+    # independence number of G[mask] unless it has reached `stop`.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    mask = rng.getrandbits(n)
+    count = _clique_cover_count(g, mask, stop)
+    size, edges, _ = brute_induced(n, list(g.edges()), mask)
+    assert count >= min(stop, brute_independence_number(size, edges))
+    assert count <= max(stop, 0)
 
 
 def test_connected_components():

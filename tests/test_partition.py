@@ -169,6 +169,48 @@ class TestSparseSet:
             g, universe, size, budget, n
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 64),
+        p=st.sampled_from([0.6, 0.8]),
+        edges=st.integers(1, 5),
+        drop=st.integers(0, 5),
+    )
+    def test_dense_gnp_exact_regime(self, seed, n, p, edges, drop):
+        # At most 64 vertices: the clique-cover count may refute the climb
+        # before it starts, and must return what the climb would.
+        g = random_graph(random.Random(seed), n, p)
+        universe = g.full_mask >> drop << drop
+        size = n // 3
+        budget = Fraction(edges, n * n)
+        assert _sparse_set(g, universe, size, budget, n) == seed_sparse_set(
+            g, universe, size, budget, n
+        )
+
+    def test_tight_cover_keeps_the_climb(self):
+        # S = every third vertex of 30, three disjoint edges inside it, and
+        # every other pair joined: alpha = 10 - 3, and the greedy cover has
+        # exactly 7 cliques, so at a budget of 3 edges the bound must let
+        # the climb find S.
+        n, size = 30, 10
+        members = list(range(0, n, 3))
+        inside = set(members)
+        matched = {(members[0], members[1]), (members[2], members[3]), (members[4], members[5])}
+        g = Graph.from_edges(
+            n,
+            [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if u not in inside or v not in inside or (u, v) in matched
+            ],
+        )
+        budget = Fraction(3, n * n)
+        got = _sparse_set(g, g.full_mask, size, budget, n)
+        assert got == VertexSet(members)
+        assert got == seed_sparse_set(g, g.full_mask, size, budget, n)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 130))
     def test_sparse_gnp_greedy(self, seed, n):
