@@ -292,15 +292,16 @@ def _structured_factor(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> Deci
     It answers YES or misses, and never NO: the NO shapes of the extremal
     case are the recognizer's, which runs first.
 
-    Refinement returns the good partition alone.  The two covers return
+    Refinement grades the peeled partition once and returns it, with no
+    vertex moved, as a good partition, or misses.  The two covers return
     tuples of seeds; the vertices of the first cover's seeds are spoken for
     when the second runs, and each seed grows in turn away from every other
     seed and from the cliques grown so far.  The leftover block B tiles by
     d = r - s cliques: by pairs at d = 2, through parity repair, which keeps
-    the grown cliques and may plant one more pair seed beside them; by its
-    single vertices at d = 1.  Any other d is a miss, raised as soon as
-    peeling fixes s: no exact search runs inside the route for d >= 3,
-    and at d = 0 no leftover block is left to tile.
+    the grown cliques and makes one attempt to plant a pair seed beside
+    them; by its single vertices at d = 1.  Any other d is a miss, raised
+    as soon as peeling fixes s: no exact search runs inside the route for
+    d >= 3, and at d = 0 no leftover block is left to tile.
 
     A stage that gives out because the constants do not carry at this n
     raises PreconditionError, a miss of the route.  An InternalContradiction
@@ -315,7 +316,6 @@ def _structured_factor(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> Deci
     if d >= 3:
         raise PreconditionError(f"leftover block needs an exact search for its K_{d}-tiling")
     gp = refine_to_good(g, p, cfg)
-    p = gp.partition
 
     thin_seeds = cover_exceptional(g, gp)
     bases = thin_seeds + cover_nonexcellent(g, gp, _vertices_of(thin_seeds))

@@ -40,6 +40,10 @@ __all__ = [
     "find_biclique",
 ]
 
+# Masks of at most this many vertices are searched exactly: an independent
+# set by branch and bound, a sparse set (`partition._sparse_set`) after it.
+EXACT_LIMIT = 64
+
 
 class Ex1Witness(NamedTuple):
     """Independent set one larger than the clique count of any factor."""
@@ -295,7 +299,7 @@ def independent_set_of_size(
     if size <= 0:
         return VertexSet(0)
     mask = g.full_mask if inside is None else inside
-    if mask.bit_count() > 64:
+    if mask.bit_count() > EXACT_LIMIT:
         return _independent_heuristic(g, size, mask)
     if _clique_cover_count(g, mask, size) < size:
         return None

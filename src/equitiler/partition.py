@@ -1,23 +1,21 @@
-"""Sparse-part partitions: peel them off a graph, then refine to a good one.
+"""Sparse-part partitions: peel them off a graph, then check they are good.
 
 The extremal pipeline wants V(G) split into parts A_1..A_s of size n/r,
 each inducing very few edges, plus a leftover block B with no sparse
 n/r-subset.  `peel_partition` extracts such parts greedily.  Vertices are
 then graded per part by exact degree thresholds (bad inside a part,
-exceptional or excellent toward it), and `refine_to_good` swaps misplaced
-vertices between parts until the partition is good.  Within one
-refinement each block's degree row is counted once, whichever rounds
-grade it, and the final partition is graded once: the good-partition
-clauses are read on those grades, except (A4)'s rescue clauses, which
-hold by construction, and the decider checks the factor built on it.  A
-partition's shape is checked where it is made or enters: `peel_partition`,
-`refine_to_good` and `classify`.  Refinement returns only the good
-partition, or misses with PreconditionError; it never answers NO, since
-the NO shapes are the recognizer's, which runs first.  The exchange
-rounds leave no record beyond the counts a miss quotes in its message.
-The sparse-set search is exact on at most 64 vertices, and there a
-greedy clique cover can answer None before it searches: a set of n/r
-vertices with at most c edges holds an independent set of n/r - c
+exceptional or excellent toward it), and `refine_to_good` grades the
+peeled partition once, without moving a vertex: the good-partition
+clauses are read on those grades, and (A4)'s rescue clauses hold because
+a rescue matching that cannot be built is a miss.  The decider checks
+the factor built on the partition.  A partition's shape is checked
+where it is made or enters: `peel_partition`, `refine_to_good` and
+`classify`.  Refinement returns only the good partition, or misses with
+PreconditionError; it never answers NO, since the NO shapes are the
+recognizer's, which runs first.
+The sparse-set search is exact on at most EXACT_LIMIT (64) vertices, and
+there a greedy clique cover can answer None before it searches: a set of
+n/r vertices with at most c edges holds an independent set of n/r - c
 vertices, and a cover by fewer cliques than that proves none exists.
 That None is the one the exact search or the hill climb would have
 returned, so peeling finds the same parts with or without the cover.
@@ -30,11 +28,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .constants import ConstantsConfig, default_constants
 from .errors import InternalContradiction, PreconditionError
-from .extremal import _independent_heuristic, independent_set_of_size
+from .extremal import EXACT_LIMIT, _independent_heuristic, independent_set_of_size
 from .graphs import (
     Graph,
     VertexSet,
@@ -71,15 +69,6 @@ class RsPartition(NamedTuple):
     @property
     def s(self) -> int:
         return len(self.parts)
-
-    def part_of(self, v: int) -> Optional[int]:
-        """Index of the part holding v, or None when v sits in B."""
-        for i, p in enumerate(self.parts):
-            if v in p:
-                return i
-        if v in self.b:
-            return None
-        raise ValueError(f"vertex {v} not covered by the partition")
 
     def check(self, n: int) -> None:
         seen = 0
@@ -139,24 +128,19 @@ def classify(
     threshold, in the order given.  p's shape is checked here.
     """
     p.check(g.n)
-    return _classify(g, p, deltas, {})
+    return _classify(g, p, deltas)
 
 
-def _classify(
-    g: Graph, p: RsPartition, deltas: Tuple, counts: Dict[int, List[int]]
-) -> Tuple[VertexClassification, ...]:
-    """`classify` reading and filling `counts`, the level tables of
-    `_at_least` keyed by block mask: a table depends only on g and the mask,
-    so one dict serves every grading of g that shares it.  The caller has
-    checked p's shape."""
+def _classify(g: Graph, p: RsPartition, deltas: Tuple) -> Tuple[VertexClassification, ...]:
+    """`classify` on a partition whose shape the caller has checked."""
     n = g.n
     full = g.full_mask
-    deg = _at_least(g, full, counts)
+    deg = _at_least(g, full)
     # S is the vertices of degree strictly below the slack threshold.
     cut = math.ceil(slack_threshold(n, n // len(p.parts[0]) if p.parts else 1))
     slack = VertexSet(full & ~deg(cut))
-    rows = [_at_least(g, part.bits, counts) for part in p.parts]
-    row_b = _at_least(g, p.b.bits, counts)
+    rows = [_at_least(g, part.bits) for part in p.parts]
+    row_b = _at_least(g, p.b.bits)
     out = []
     for delta in deltas:
         d = as_fraction(delta)
@@ -187,21 +171,15 @@ def _classify(
     return tuple(out)
 
 
-def _at_least(g: Graph, mask: int, counts: Dict[int, List[int]]):
-    """t -> the mask of the vertices with at least t neighbours in `mask`.
-
-    The level table is counted on the first call for a mask and kept in
-    `counts` for the later ones."""
-    levels = counts.get(mask)
-    if levels is None:
-        size = mask.bit_count()
-        # levels[t] collects degree exactly t, then, ORed from the top, at least t.
-        levels = [0] * (size + 2)
-        for v, a in enumerate(g.adj):
-            levels[(a & mask).bit_count()] |= 1 << v
-        for t in range(size, -1, -1):
-            levels[t] |= levels[t + 1]
-        counts[mask] = levels
+def _at_least(g: Graph, mask: int):
+    """t -> the mask of the vertices with at least t neighbours in `mask`."""
+    size = mask.bit_count()
+    # levels[t] collects degree exactly t, then, ORed from the top, at least t.
+    levels = [0] * (size + 2)
+    for v, a in enumerate(g.adj):
+        levels[(a & mask).bit_count()] |= 1 << v
+    for t in range(size, -1, -1):
+        levels[t] |= levels[t + 1]
     top = len(levels) - 1
     return lambda t: levels[min(max(t, 0), top)]
 
@@ -234,11 +212,11 @@ def _sparse_set(
     """A size-subset of `universe` inducing at most budget * order^2 edges.
 
     First an independent set from `independent_set_of_size`, exact up to
-    64 vertices of the mask (here the universe), so with zero edges allowed
-    a None there is a nonexistence proof.  Otherwise a degree floor that
-    can refute the budget, then a deterministic hill climb of at most 200
-    swaps from the `size` vertices of least degree, so None is "not found",
-    not a nonexistence proof.  In the exact regime a None may also come
+    EXACT_LIMIT vertices of the mask (here the universe), so with zero
+    edges allowed a None there is a nonexistence proof.  Otherwise a degree
+    floor that can refute the budget, then a deterministic hill climb of at
+    most 200 swaps from the `size` vertices of least degree, so None is
+    "not found", not a nonexistence proof.  In the exact regime a None may also come
     from a greedy clique cover, before the search or the climb: fewer than
     `size` cliques rule out an independent `size`-set, and fewer than
     size - cap rule out a set with at most cap = floor(budget * order^2)
@@ -254,7 +232,7 @@ def _sparse_set(
         return None if size > 0 else VertexSet(0)
     verts = list(iter_bits(universe))
     degs = [(g.adj[v] & universe).bit_count() for v in verts]
-    if len(verts) > 64:
+    if len(verts) > EXACT_LIMIT:
         found = _independent_heuristic(g, size, universe, degs)
     else:
         found = independent_set_of_size(g, size, universe)
@@ -278,7 +256,7 @@ def _sparse_set(
     # an independent set of size - cap vertices.  In the exact regime a
     # greedy clique cover of fewer cliques proves none exists, so the climb
     # below could not return a set either.
-    if len(verts) <= 64 and _clique_cover_count(g, universe, size - cap) < size - cap:
+    if len(verts) <= EXACT_LIMIT and _clique_cover_count(g, universe, size - cap) < size - cap:
         return None
     # Hill climb from the least degrees (lowest index on ties), ejecting the
     # most crowded member (highest index on ties) for the outside vertex with
@@ -389,8 +367,9 @@ class GoodPartition(NamedTuple):
     off-S vertex that is thin toward A_i at beta/2 into A_i, each edge one
     thin vertex and one vertex of A_i; the matchings are pairwise disjoint.
     Refinement reads (S), (A1)-(A3) and (A4)'s "crowded and thin" on the
-    grades it carries; (A4)'s rescue clauses hold by construction
-    (`_rescue_matchings`).  The tiling stages trust the grades and shape.
+    grades it carries; (A4)'s rescue clauses hold because
+    `_rescue_matchings` misses where it cannot build them.  The tiling
+    stages trust the grades and shape.
     """
 
     partition: RsPartition
@@ -411,169 +390,61 @@ def _grade_thresholds(cfg: ConstantsConfig) -> Tuple[Fraction, Fraction, Fractio
     return (cfg.beta / 2, 2 * cfg.beta, 2 * cfg.beta_prime)
 
 
-def _assemble(parts: List[int], b: int) -> RsPartition:
-    return RsPartition(tuple(VertexSet(x) for x in parts), VertexSet(b))
-
-
-def _move(parts: List[int], b: int, v: int, dest: Optional[int]) -> int:
-    """Detach v from its current block and attach it to `dest` (None = B)."""
-    bit = 1 << v
-    for i in range(len(parts)):
-        parts[i] &= ~bit
-    b &= ~bit
-    if dest is None:
-        b |= bit
-    else:
-        parts[dest] |= bit
-    return b
-
-
 def refine_to_good(
     g: Graph, p: RsPartition, cfg: Optional[ConstantsConfig] = None
 ) -> GoodPartition:
-    """Exchange loop turning a peeled partition into a good one.
+    """Grade a peeled partition once and return it as a good partition.
 
-    Round k grades vertices at delta = beta + (k-1)*alpha, swaps thin
-    off-S outsiders into A_k against crowded insiders (lowest index
-    first), and when thin vertices are left over, matches the enlarged
-    stage graph so each surviving edge straddles A_k.  When no matching
-    of the stage graph covers the leftover thin vertices, or when the
-    result is not good, this raises PreconditionError: at this n the
-    configured constants cannot honour the guarantees, and callers should
-    fall back to another route.  The stalled refinement's message, and
-    those of the rescue matchings' InternalContradiction, end with each
-    round's counts: the thin and crowded vertices, the swaps and the
-    leftover thin vertices.
+    No vertex moves: the partition is graded at the three thresholds of
+    `_grade_thresholds`, the rescue matchings are built on its beta/2
+    grade, and the clauses (S) and (A1)-(A4) are read on those grades.
+    When a rescue matching cannot be built, or a clause fails, this raises
+    PreconditionError: at this n the configured constants cannot honour
+    the guarantees on this partition, and callers should fall back to
+    another route.
 
     Without `cfg` the scales come from `default_constants(r).for_s(s)`, s
     being the peeled part count, and likewise for a `cfg` whose s is unset.
     A `cfg` that names another s raises PreconditionError: its scales were
-    set for that count.  Each block's degree row is counted once per call,
-    however many gradings read it, and the final partition is graded once:
-    the clauses (S) and (A1)-(A4) are checked on the grades it carries.
+    set for that count.
     """
     n = g.n
     p.check(n)
     s = p.s
     if s < 1:
         raise PreconditionError("refinement needs at least one peeled part")
-    size = len(p.parts[0])
-    r = n // size
+    r = n // len(p.parts[0])
     if cfg is None:
         cfg = default_constants(r)
     if cfg.s is None:
         cfg = cfg.for_s(s)
     elif cfg.s != s:
         raise PreconditionError(f"constants set s = {cfg.s}, but peeling found s = {s}")
-    parts, b = [x.bits for x in p.parts], p.b.bits
-    rounds: List[str] = []
-    # Level tables by block mask, shared by every grading of this call.
-    counts: Dict[int, List[int]] = {}
-    for k in range(s):
-        delta = cfg.beta + k * cfg.alpha
-        cur = _assemble(parts, b)
-        (cls,) = _classify(g, cur, (delta,), counts)
-        xs = sorted(cls.off_low(cls.exceptional[k]).members())
-        ys = sorted(cls.bad[k].members())
-        t = min(len(xs), len(ys))
-        origins = {x: cur.part_of(x) for x in xs}
-        for x, y in zip(xs[:t], ys[:t]):
-            b = _move(parts, b, x, k)
-            b = _move(parts, b, y, origins[x])
-        surplus = len(xs) - t
-        if surplus > 0:
-            leftovers = xs[t:]
-            stage_mask = parts[k]
-            for x in leftovers:
-                stage_mask |= 1 << x
-            matching = covering_matching(g, VertexSet(leftovers), surplus, stage_mask)
-            if matching is None:
-                raise PreconditionError(
-                    f"stage graph at round {k + 1} has no matching covering its "
-                    f"{surplus} thin vertices"
-                )
-            b = _apply_straddle(parts, b, k, matching, leftovers, origins)
-        rounds.append(
-            f"round {k + 1}: thin={len(xs)} crowded={len(ys)} "
-            f"swapped={t} surplus={surplus}"
-        )
-        if any(m.bit_count() != size for m in parts):
-            raise InternalContradiction("exchange round changed a part size")
-    note = " [" + "; ".join(rounds) + "]"
-    final = _assemble(parts, b)
-    thin_cls, crowded_cls, cls = _classify(g, final, _grade_thresholds(cfg), counts)
+    thin_cls, crowded_cls, cls = _classify(g, p, _grade_thresholds(cfg))
     good = GoodPartition(
-        partition=final,
+        partition=p,
         classification=cls,
         thin=thin_cls,
         crowded=crowded_cls,
-        rescue=_rescue_matchings(g, thin_cls, note),
+        rescue=_rescue_matchings(g, thin_cls),
         constants=cfg,
     )
     report = _violations(g, good)
     if report:
-        raise PreconditionError(
-            "refinement stalled: " + "; ".join(report) + note
-        )
+        raise PreconditionError("refinement stalled: " + "; ".join(report))
     return good
 
 
-def _apply_straddle(
-    parts: List[int],
-    b: int,
-    k: int,
-    matching: Matching,
-    leftovers: List[int],
-    origins: Dict[int, Optional[int]],
-) -> int:
-    """Re-home vertices so every matching edge has one endpoint in part k.
-
-    Per edge one endpoint is marked excluded (staying outside A_k); all
-    other stage vertices are pulled in.  Every pulled-in leftover vacates
-    its origin slot, and the excluded A_k members fill those slots one for
-    one, so all block sizes are preserved.
-    """
-    left_bits = 0
-    for x in leftovers:
-        left_bits |= 1 << x
-    excluded = []
-    for u, v in matching.pairs:
-        u_left = bool((left_bits >> u) & 1)
-        v_left = bool((left_bits >> v) & 1)
-        if u_left == v_left:
-            excluded.append(max(u, v))
-        else:
-            excluded.append(u if u_left else v)
-    ex_mask = 0
-    for v in excluded:
-        ex_mask |= 1 << v
-    pulled = [x for x in leftovers if not ((ex_mask >> x) & 1)]
-    evicted = [v for v in excluded if (parts[k] >> v) & 1]
-    if len(pulled) != len(evicted):
-        raise InternalContradiction(
-            f"straddle bookkeeping off balance: {len(pulled)} in, {len(evicted)} out"
-        )
-    for x in pulled:
-        b = _move(parts, b, x, k)
-    for w, x in zip(sorted(evicted), pulled):
-        b = _move(parts, b, w, origins[x])
-    for u, v in matching.pairs:
-        if ((parts[k] >> u) & 1) + ((parts[k] >> v) & 1) != 1:
-            raise InternalContradiction(f"edge {u},{v} does not straddle part {k + 1}")
-    return b
-
-
-def _rescue_matchings(
-    g: Graph, cls: VertexClassification, note: str
-) -> Tuple[Matching, ...]:
+def _rescue_matchings(g: Graph, cls: VertexClassification) -> Tuple[Matching, ...]:
     """Disjoint matchings sending each thin off-S vertex into its part.
 
     `cls` is the partition's grade at beta/2, the one `GoodPartition`
-    carries as `thin`; `note` closes the message of a miss.  (A4)'s rescue
-    clauses hold by construction, so `_violations` does not read them: one
-    matching per part, whose auxiliary graph has only thin-to-part edges of
-    G; `used` keeps the matchings disjoint (a thin vertex already used
-    raises); and each covers every thin vertex, or the miss raises.
+    carries as `thin`.  One matching per part, whose auxiliary graph has
+    only thin-to-part edges of G; `used` keeps the matchings disjoint.  A
+    thin vertex already used by an earlier part's matching, or a part whose
+    matching cannot cover its thin vertices, is a miss and raises
+    PreconditionError.  (A4)'s rescue clauses therefore hold on every
+    partition this returns for, and `_violations` does not read them.
     """
     p = cls.partition
     used = 0
@@ -581,9 +452,8 @@ def _rescue_matchings(
     for i, part in enumerate(p.parts):
         need = cls.off_low(cls.exceptional[i])
         if used & need.bits:
-            raise InternalContradiction(
-                f"thin vertex shared between parts blocks disjoint rescue"
-                f" matchings{note}"
+            raise PreconditionError(
+                "thin vertex shared between parts blocks disjoint rescue matchings"
             )
         if len(need) == 0:
             out.append(Matching(()))
@@ -597,9 +467,8 @@ def _rescue_matchings(
                 aux.add_edge(pos[x], pos[y])
         m = covering_matching(aux, VertexSet(range(len(need))), len(need))
         if m is None:
-            raise InternalContradiction(
-                f"no rescue matching into part {i + 1} for {len(need)} thin "
-                f"vertices{note}"
+            raise PreconditionError(
+                f"no rescue matching into part {i + 1} for {len(need)} thin vertices"
             )
         pairs = tuple(sorted(tuple(sorted((locals_[u], locals_[v]))) for u, v in m.pairs))
         out.append(Matching(pairs))
@@ -616,8 +485,8 @@ def _within_root_budget(count: int, budget: Fraction, scale: int) -> bool:
 def _violations(g: Graph, q: GoodPartition) -> List[str]:
     """The clauses (S), (A1)-(A3) and (A4)'s "crowded and thin" that q
     breaks, read on the grades q carries.  q's partition must pass its
-    shape check and hold a part.  (A4)'s rescue clauses are not read: they
-    hold by construction (`_rescue_matchings`)."""
+    shape check and hold a part.  (A4)'s rescue clauses are not read:
+    `_rescue_matchings` misses where it cannot meet them."""
     cls_half, cls_b, cls_ne = q.thin, q.crowded, q.classification
     cfg = q.constants
     p = q.partition

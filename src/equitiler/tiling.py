@@ -26,8 +26,7 @@ size gates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .certificates import clique_tiles_cover
 from .errors import InternalContradiction, PreconditionError
@@ -345,7 +344,8 @@ def cover_nonexcellent(g: Graph, q: GoodPartition, u: VertexSet) -> Tuple[Base, 
     inside = targets & ~bmask
     if inside:
         v = (inside & -inside).bit_length() - 1
-        raise PreconditionError(f"vertex {v}: non-excellent inside part {p.part_of(v)}")
+        i = next(i for i, part in enumerate(p.parts) if v in part)
+        raise PreconditionError(f"vertex {v}: non-excellent inside part {i}")
 
     bases: List[Base] = []
     used = u.bits
@@ -596,10 +596,6 @@ def _layer_matching(cliques: List[int], commons: List[int]) -> List[Tuple[int, i
 # parity repair
 
 
-# Candidate tilings `parity_repair` checks before it gives out.
-REPAIR_BUDGET = 600
-
-
 def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     """A perfect matching of G[mask] as a tiling by pairs, or None.
 
@@ -617,68 +613,66 @@ def _pair_tiling(g: Graph, mask: int) -> Optional[Tiling]:
     return Tiling(2, tuple(VertexSet((1 << u) | (1 << v)) for u, v in mm.pairs))
 
 
+def _pair_seed(g: Graph, p: RsPartition, tcov: int, pool: int, size: int) -> Optional[DoubleBase]:
+    """The one pair seed `parity_repair` plants, or None: the first edge uv
+    of G inside a part and off `tcov` (parts in order), the lowest common
+    neighbour w of u and v in `pool`, and the first `size`-clique of `pool`
+    less w."""
+    for i, part in enumerate(p.parts):
+        uv = next(iter_cliques(g, 2, part.bits & ~tcov), None)
+        if uv is None:
+            continue
+        wc = g.common_neighbors(uv) & pool
+        if not wc:
+            return None
+        left = uv | (wc & -wc)
+        alt = next(iter_cliques(g, size, pool & ~left), None)
+        return None if alt is None else DoubleBase(VertexSet(left), VertexSet(alt), i, None)
+    return None
+
+
 def parity_repair(g: Graph, q: GoodPartition, tiling: Tiling) -> Tuple[Tiling, Tiling]:
     """Adjust the tiling until the leftover block admits a perfect matching.
 
     Only meaningful when the leftover block tiles by pairs.  Returns the
     seed tiling, unchanged when its leftover block already matches, together
     with that leftover block's tiling by pairs, so no caller has to match
-    the block again.  The search makes one bounded move, at most
-    REPAIR_BUDGET candidates: it keeps `tiling` and plants one fresh pair
-    seed on an edge inside a part, which `extend_base` grows once this step
-    has checked that its slack is positive.  A candidate is accepted only
-    when its cliques are disjoint r-cliques of G, by the checker's
-    `clique_tiles_cover`.  Running out of candidates is a miss of the route,
-    not an error, and raises PreconditionError; an InternalContradiction
-    propagates.
+    the block again.  Otherwise the repair makes one attempt: it keeps
+    `tiling` and plants one fresh pair seed (`_pair_seed`) on an edge
+    inside a part, which `extend_base` grows once this step has checked
+    that its slack is positive.  The grown tiling is accepted only when its
+    cliques are disjoint r-cliques of G, by the checker's
+    `clique_tiles_cover`, that cover every vertex the covers were obliged
+    to, leave the parts balanced and leave a leftover block that matches.
+    Any failure on the way is a miss of the route, not an error, and raises
+    PreconditionError; an InternalContradiction propagates.
     """
     p, n, r, s = _context(g, q)
     if r - s != 2:
         raise PreconditionError("repair applies only when the leftover tiles by pairs")
-    bmask = p.b.bits
-    pairs = _pair_tiling(g, bmask & ~tiling.covered.bits)
+    bmask, tcov = p.b.bits, tiling.covered.bits
+    pairs = _pair_tiling(g, bmask & ~tcov)
     if pairs is not None:
         return tiling, pairs
-    ve = q.classification.excellent_everywhere().bits
-    thin = q.thin
-    obligations = g.full_mask & ~ve
-    for i in range(s):
-        obligations |= thin.exceptional[i].bits
-
-    def leftover_pairs(t2: Tiling) -> Optional[Tiling]:
-        # The leftover block's pair tiling when t2 is an acceptable repair.
-        cov = clique_tiles_cover(g, r, t2.cliques)
-        if cov is None or obligations & ~cov:
-            return None
-        psizes = {(a.bits & ~cov).bit_count() for a in p.parts}
-        if len(psizes) > 1:
-            return None
-        return _pair_tiling(g, bmask & ~cov)
-
-    def candidates() -> Iterator[Tiling]:
-        # plant a fresh pair seed on an edge inside a part
-        tcov = tiling.covered.bits
-        for i, part in enumerate(p.parts):
-            free_part = part.bits & ~tcov
-            for uv in islice(iter_cliques(g, 2, free_part), 64):
-                wc = g.common_neighbors(uv) & bmask & ve & ~tcov
-                for wv in islice(iter_bits(wc), 8):
-                    left = uv | (1 << wv)
-                    pool = bmask & ve & ~tcov & ~left
-                    for alt in islice(iter_cliques(g, r - s + 1, pool), 24):
-                        h2 = DoubleBase(VertexSet(left), VertexSet(alt), i, None)
-                        if not _has_margin(g, q, h2):
-                            continue
-                        try:
-                            ext = extend_base(g, q, h2, VertexSet(tcov))
-                        except PreconditionError:
-                            continue
-                        yield Tiling(r, tiling.cliques + ext.cliques)
-
-    for cand in islice(candidates(), REPAIR_BUDGET):
-        pairs = leftover_pairs(cand)
-        if pairs is not None:
-            return cand, pairs
-    raise PreconditionError(
+    gave_out = PreconditionError(
         "parity repair gave out: no reachable tiling leaves a matchable leftover block"
     )
+    ve = q.classification.excellent_everywhere().bits
+    seed = _pair_seed(g, p, tcov, bmask & ve & ~tcov, r - s + 1)
+    if seed is None or not _has_margin(g, q, seed):
+        raise gave_out
+    try:
+        grown = extend_base(g, q, seed, tiling.covered)
+    except PreconditionError:
+        raise gave_out from None
+    out = Tiling(r, tiling.cliques + grown.cliques)
+    obligations = g.full_mask & ~ve
+    for i in range(s):
+        obligations |= q.thin.exceptional[i].bits
+    cov = clique_tiles_cover(g, r, out.cliques)
+    if cov is None or obligations & ~cov or len({(a.bits & ~cov).bit_count() for a in p.parts}) > 1:
+        raise gave_out
+    pairs = _pair_tiling(g, bmask & ~cov)
+    if pairs is None:
+        raise gave_out
+    return out, pairs

@@ -360,16 +360,17 @@ class TestFactorPipelines:
     # The scoreboard's `cut` family (tests/test_regime.py) also runs the
     # first three; no other test and no benchmark case runs the last two.
 
-    def test_refinement_straddles_its_stage_matching(self):
-        # The peel leaves an endpoint of the A edge outside the part, thin
-        # toward it with no crowded vertex to swap against, so refinement
-        # matches its stage graph (partition._apply_straddle).
+    def test_cut_endpoint_gets_a_leftover_block_seed(self):
+        # The peel takes the cut vertex 5 into the part and leaves 321, an
+        # endpoint of the A edge, in B.  321 is not excellent toward the part,
+        # but not thin toward it at beta/2 either, so refinement builds no
+        # rescue edge; the non-excellent cover plants the leftover-block seed
+        # {0, 321}, which grows into {0, 320, 321}.
         self.assert_pipeline_factor(cut_split(480))
 
     def test_rescue_matchings_are_built(self):
-        # From n = 750 that endpoint is still thin toward the part after
-        # refinement and gets its A edge as a rescue edge
-        # (partition._rescue_matchings).
+        # From n = 750 that endpoint, 501, is thin toward the part at beta/2
+        # and gets its A edge as a rescue edge (partition._rescue_matchings).
         self.assert_pipeline_factor(cut_split(750))
 
     def test_thin_low_vertex_gets_a_pair_seed(self):
@@ -585,8 +586,7 @@ class TestMissNotes:
         "refinement-stalled": (
             lambda: edited_ex2(120, 5, add=[(114, 108), (103, 110)]),
             (
-                "structured route: refinement stalled: (A3) part 1 has 4 crowded"
-                " vertices [round 1: thin=0 crowded=4 swapped=0 surplus=0]",
+                "structured route: refinement stalled: (A3) part 1 has 4 crowded vertices",
             ),
         ),
         "no-sparse-parts": (

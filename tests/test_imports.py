@@ -227,7 +227,7 @@ def test_only_the_package_root_imports_absorbing():
 # may search for a sparse part and build tilings, but it holds no witness
 # type of a NO and no exact search.
 ROUTE_MAY_IMPORT = {
-    "extremal": {"_independent_heuristic", "independent_set_of_size"},
+    "extremal": {"EXACT_LIMIT", "_independent_heuristic", "independent_set_of_size"},
     "oracle": {"Tiling"},
 }
 

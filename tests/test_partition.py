@@ -1,4 +1,4 @@
-"""Peeling, vertex grading, and the exchange refinement."""
+"""Peeling, vertex grading, and refinement's checks of a good partition."""
 
 import random
 from dataclasses import replace
@@ -31,7 +31,6 @@ from equitiler.certificates import payload_clauses
 from equitiler.errors import InternalContradiction, PreconditionError
 from equitiler.graphs import induced_edge_count, iter_bits, low_degree_set
 from equitiler.partition import (
-    _apply_straddle,
     _grade_thresholds,
     _sparse_set,
     _violations,
@@ -53,8 +52,7 @@ def vs(*vals):
     return VertexSet(vals)
 
 
-# Loose ladder so that thresholds bite at single-digit n: beta*n must reach 1
-# for an exchange to trigger at all.
+# Loose ladder so that thresholds bite at single-digit n: beta*n reaches 1.
 DESK_CFG = ConstantsConfig(
     r=3,
     gamma=Fraction(1, 200),
@@ -443,21 +441,46 @@ class TestRefine:
         p, s = peel_partition(g, 3)
         out = refine_to_good(g, p)
         assert isinstance(out, GoodPartition)
-        # No vertex changed blocks: nothing was swapped or left over.
+        # Refinement moves no vertex: the peeled partition comes back.
         assert out.partition == p
         assert validate_good(g, out) == []
 
-    def test_perturbed_odd_split_is_undone(self):
+    def test_perturbed_odd_split_is_a_miss(self):
+        # Refinement moves no vertex: the low-degree 0 stays in the part, so
+        # (S) fails, and all six vertices outside the part are non-excellent
+        # toward it.
         g = build_ex2(9, 3, 1)
         perturbed = RsPartition((vs(0, 7, 8),), vs(1, 2, 3, 4, 5, 6))
-        out = refine_to_good(g, perturbed, DESK_CFG)
-        assert isinstance(out, GoodPartition)
-        # One swap: the thin vertex 6 entered the part, and the crowded 0
-        # took its place in B.
-        assert out.partition.parts[0] - perturbed.parts[0] == vs(6)
-        assert perturbed.parts[0] - out.partition.parts[0] == vs(0)
-        assert out.partition == RsPartition((vs(6, 7, 8),), vs(1, 2, 3, 4, 5, 0))
-        assert validate_good(g, out) == []
+        with pytest.raises(PreconditionError) as err:
+            refine_to_good(g, perturbed, DESK_CFG)
+        assert str(err.value) == (
+            "refinement stalled: (S) low-degree vertices stray outside the leftover"
+            " block; (A3) part 1 has 6 non-excellent vertices"
+        )
+
+    def test_thin_vertex_without_a_part_neighbour_is_a_miss(self, monkeypatch):
+        # Vertex 1 of B1 loses its three edges into A and gains the edge
+        # 1-0, so it keeps degree 5 and stays off S.  At n = 9 thin toward
+        # the part means no neighbour in it, so no rescue edge exists: a
+        # miss, not a contradiction, and the partition is graded once as
+        # given, with no vertex moved.
+        g = build_ex2(9, 3, 1)
+        for v in (6, 7, 8):
+            g = without_edge(g, 1, v)
+        g.add_edge(0, 1)
+        p = RsPartition((vs(6, 7, 8),), vs(0, 1, 2, 3, 4, 5))
+        graded_partitions = []
+        real = partition_module._classify
+
+        def spy(g, p, *rest):
+            graded_partitions.append(p)
+            return real(g, p, *rest)
+
+        monkeypatch.setattr(partition_module, "_classify", spy)
+        with pytest.raises(PreconditionError) as err:
+            refine_to_good(g, p, DESK_CFG)
+        assert str(err.value) == "no rescue matching into part 1 for 1 thin vertices"
+        assert graded_partitions == [p]
 
     def test_join_escape_left_to_the_recognizer(self):
         # The four independent vertices are an Ex1 NO.  The decider's
@@ -480,35 +503,13 @@ class TestRefine:
         with pytest.raises(PreconditionError):
             refine_to_good(g, p)
 
-    def test_degree_drift_bounded_by_trace(self):
-        g = build_ex2(9, 3, 1)
-        perturbed = RsPartition((vs(0, 7, 8),), vs(1, 2, 3, 4, 5, 6))
-        before = perturbed.parts[0].bits
-        out = refine_to_good(g, perturbed, DESK_CFG)
-        after = out.partition.parts[0].bits
-        # Each swap and each leftover moves one vertex in and one out; the
-        # moves are read off the partitions, as two per vertex that entered.
-        moved = 2 * (after & ~before).bit_count()
-        assert moved == 2
-        for v in range(g.n):
-            drift = abs(
-                (g.adj[v] & after).bit_count() - (g.adj[v] & before).bit_count()
-            )
-            assert drift <= moved
-
-
     @pytest.mark.parametrize(
         "case",
         [
-            # The swap case: refinement moves vertices after the round's
-            # grading, so the final blocks are not the graded ones.
-            lambda: (
-                build_ex2(9, 3, 1), RsPartition((vs(0, 7, 8),), vs(1, 2, 3, 4, 5, 6)), DESK_CFG
-            ),
             lambda: peeled(ex2_plus(240, 160, 161)),
             lambda: peeled(ex2_plus(240, 0, 1)),
         ],
-        ids=["swap", "ex2+A", "ex2+B0B1"],
+        ids=["ex2+A", "ex2+B0B1"],
     )
     def test_carried_grades_match_a_fresh_grading(self, case):
         g, p, cfg = case()
@@ -517,15 +518,14 @@ class TestRefine:
         assert (out.thin, out.crowded, out.classification) == fresh
 
     def test_each_block_counted_once_when_nothing_moves(self, monkeypatch):
-        # The final grading reads the round's level tables: the whole vertex
-        # set, the part and B are each counted once in the call.
+        # One grading at three thresholds: the whole vertex set, the part
+        # and B are each counted once in the call.
         counted = []
         real = partition_module._at_least
 
-        def spy(g, mask, counts):
-            if mask not in counts:
-                counted.append(mask)
-            return real(g, mask, counts)
+        def spy(g, mask):
+            counted.append(mask)
+            return real(g, mask)
 
         monkeypatch.setattr(partition_module, "_at_least", spy)
         g = ex2_plus(240, 160, 161)
@@ -553,22 +553,6 @@ class TestRefine:
         out = refine_to_good(g, p, cfg)
         assert out.constants is cfg
         assert out.thin.delta == Fraction(1, 800)
-
-
-class TestApplyStraddle:
-    def test_leftover_pulled_in_and_part_vertex_evicted_to_its_origin(self):
-        # Part 0 = {0, 1, 2}, part 1 = {3, 4, 5}, B = {6, 7, 8}.  The
-        # leftovers are 3 (from part 1) and 6 (from B); the matching joins
-        # them and holds the edge 0-1 inside part 0.  Each edge excludes its
-        # larger endpoint, 6 and 1: leftover 3 is pulled into part 0 and 1
-        # takes its slot in part 1.
-        parts = [vs(0, 1, 2).bits, vs(3, 4, 5).bits]
-        matching = Matching(((0, 1), (3, 6)))
-        b = _apply_straddle(parts, vs(6, 7, 8).bits, 0, matching, [3, 6], {3: 1, 6: None})
-        assert parts == [vs(0, 2, 3).bits, vs(1, 4, 5).bits]
-        assert b == vs(6, 7, 8).bits
-        for u, v in matching.pairs:
-            assert ((parts[0] >> u) & 1) + ((parts[0] >> v) & 1) == 1
 
 
 def graded(g, p, rescue, cfg):
@@ -607,8 +591,8 @@ class TestValidate:
 
     def test_rescue_matchings_built_by_refinement(self):
         # In the odd split at n = 750 with an edge inside A = {500..749} and
-        # vertex 5 of B1 cut off from A, vertex 501 is still thin toward the
-        # part after refinement, and its A edge to 500 is its rescue edge.
+        # vertex 5 of B1 cut off from A, vertex 501 is left in B, thin toward
+        # the part at beta/2, and its A edge to 500 is its rescue edge.
         # The package no longer reads (A4)'s rescue clauses back; the
         # reference reads each one, and each break is caught.
         g = cut_split(750)
