@@ -84,7 +84,8 @@ def _enc_sets(sets) -> List[List[int]]:
 
 
 def _dec_set(row) -> VertexSet:
-    if not isinstance(row, list) or any(not isinstance(v, int) or v < 0 for v in row):
+    # JSON's true and false decode as bools, an int subclass, and are no vertex.
+    if not isinstance(row, list) or any(type(v) is not int or v < 0 for v in row):
         raise PreconditionError(f"vertex list expected, got {row!r}")
     if len(set(row)) != len(row):
         raise PreconditionError(f"repeated vertex in {row!r}")
@@ -135,7 +136,9 @@ def _decode_payload(doc) -> Optional[object]:
     kind = doc["type"]
     try:
         if kind == "tiling":
-            return Tiling(int(doc["r"]), tuple(_dec_set(c) for c in doc["cliques"]))
+            if type(doc["r"]) is not int:
+                raise ValueError(f"r must be an integer, got {doc['r']!r}")
+            return Tiling(doc["r"], tuple(_dec_set(c) for c in doc["cliques"]))
         if kind == "coloring":
             return Coloring(tuple(_dec_set(c) for c in doc["classes"]))
         if kind == "independent-set":

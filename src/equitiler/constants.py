@@ -5,8 +5,7 @@ touches floating point when deciding.  The ladder gamma << gamma_1 << ... <<
 gamma_r << gamma_{r+1} = 1/r is geometric with ratio 10 by default.  For a
 chosen part count s, the refinement scales alpha < beta' < beta must fit
 strictly inside (gamma_s, gamma_{s+1}); the default ladder leaves only a
-factor-10 window there, so they are placed at 2x, 4x, 8x gamma_s.  A custom
-ladder with more room gets the wider 10x spacing.
+factor-10 window there, so they are placed at 2x, 4x, 8x gamma_s.
 """
 
 from __future__ import annotations
@@ -75,16 +74,12 @@ class ConstantsConfig:
             raise ValueError(f"zeta={self.zeta} outside (0, 1/r]")
 
     def for_s(self, s: int) -> "ConstantsConfig":
-        """Refinement scales for a concrete part count s (1 <= s <= r)."""
+        """Refinement scales for a concrete part count s (1 <= s <= r):
+        alpha, beta' and beta at 2x, 4x and 8x gamma_s, zeta at gamma_{s+1}."""
         if not (1 <= s <= self.r):
             raise ValueError(f"s={s} outside 1..{self.r}")
         lo = self.gammas[s - 1]
-        hi = self.gammas[s]
-        if 1000 * lo < hi:
-            alpha, bp, beta = 10 * lo, 100 * lo, 1000 * lo
-        else:
-            alpha, bp, beta = 2 * lo, 4 * lo, 8 * lo
-        out = replace(self, s=s, alpha=alpha, beta_prime=bp, beta=beta, zeta=hi)
+        out = replace(self, s=s, alpha=2 * lo, beta_prime=4 * lo, beta=8 * lo, zeta=self.gammas[s])
         out.validate()
         return out
 

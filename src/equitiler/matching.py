@@ -205,34 +205,26 @@ def maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
     return Matching.from_array(match)
 
 
-def covering_matching(
-    g: Graph, x: VertexSet, d: int, inside: Optional[int] = None
-) -> Optional[Matching]:
-    """A matching of exactly d edges of G[inside] covering all of X (|X| = d),
-    or None.  `inside` defaults to all of V and must contain X.
+def covering_matching(g: Graph, x: VertexSet, d: int) -> Optional[Matching]:
+    """A matching of exactly d edges of G covering all of X (|X| = d), or None.
 
-    Exact via reduction to a perfect matching: add |inside| - 2d auxiliary
-    vertices, numbered from n up, joined to inside minus X; a perfect
-    matching of the auxiliary graph restricts to a d-matching of G[inside]
-    covering X, and conversely.
+    Exact via reduction to a perfect matching: add n - 2d auxiliary vertices,
+    numbered from n up, joined to V minus X; a perfect matching of the
+    auxiliary graph restricts to a d-matching of G covering X, and conversely.
     """
     if len(x) != d:
         raise PreconditionError(f"|X|={len(x)} must equal d={d}")
     n = g.n
-    if inside is None:
-        inside = g.full_mask
-    if x.bits & ~inside:
-        raise PreconditionError("X must lie inside the vertex mask")
-    extra = inside.bit_count() - 2 * d
+    extra = n - 2 * d
     if extra < 0:
         return None
-    outside = inside & ~x.bits
+    outside = g.full_mask & ~x.bits
     zs = ((1 << extra) - 1) << n
     adj = g.adj + [outside] * extra
     for v in iter_bits(outside):
         adj[v] |= zs
-    pm = maximum_matching(Graph(n + extra, adj), inside | zs)
-    if 2 * pm.size != inside.bit_count() + extra:
+    pm = maximum_matching(Graph(n + extra, adj))
+    if 2 * pm.size != n + extra:
         return None
     pairs = tuple(p for p in pm.pairs if p[1] < n)
     out = Matching(pairs)

@@ -241,6 +241,24 @@ class TestVerify:
         assert code == 1
         assert "do not partition" in json.loads(out)["first_violated"]
 
+    @pytest.mark.parametrize("forgery", ["boolean vertices", "fractional r", "boolean r"])
+    def test_json_booleans_and_fractions_are_usage_errors(self, capsys, tmp_path, write, forgery):
+        # On one edge, [[true], [false]] once passed as the colouring
+        # {1}, {0}, and a tiling's r of 2.9 or true was read as 2 or 1.
+        graph = write("e2.txt", dumps(Graph.from_edges(2, [(0, 1)])))
+        if forgery == "boolean vertices":
+            argv = ["verify", graph, write("b.json", json.dumps([[True], [False]])), "--k", "2"]
+        else:
+            cert = tmp_path / "cert.json"
+            code, _, _ = run(capsys, ["factor", graph, "--r", "2", "--out", str(cert)])
+            doc = json.loads(cert.read_text())
+            assert code == 0 and doc["certificate"]["r"] == 2
+            doc["certificate"]["r"] = 2.9 if forgery == "fractional r" else True
+            cert.write_text(json.dumps(doc))
+            argv = ["verify", graph, str(cert)]
+        code, _, _ = run(capsys, argv)
+        assert code == 3
+
     def test_value_below_one_is_a_usage_error(self, capsys, tmp_path, write):
         # The independent-set NO of the empty 6-vertex graph, asked at
         # r = 0, once divided by zero (exit 4); asked at r = true, it was
@@ -338,76 +356,15 @@ class TestGen:
         assert code == 3
 
 
-class TestConstantsFile:
-    def test_valid_overrides(self, capsys, write):
+class TestNoConstantsFile:
+    @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
+    def test_constants_option_is_unknown(self, capsys, write, command):
+        # The constant hierarchy depends on r alone; no file overrides it.
         graph = write("k6.txt", dumps(Graph.complete(6)))
         cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
-        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 0
-
-    def test_hierarchy_rejection(self, capsys, write):
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"gammas": ["1/200", "1/150", "1/30", "1/3"]}))
-        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 3
-        assert "constants rejected" in err
-
-    def test_unknown_field(self, capsys, write):
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"omega": 1}))
-        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 3
-        assert "omega" in err
-
-    def test_absorption_scales_are_unknown(self, capsys, write):
-        # xi and epsilon scale absorption, which no decision runs.
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"xi": "1/4", "epsilon": "1/10"}))
-        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 3
-        assert "unknown constants field(s): epsilon, xi" in err
-
-    @pytest.mark.parametrize("s", ["abc", 7, 2.7])
-    def test_bad_part_count_is_a_usage_error(self, capsys, write, s):
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"s": s}))
-        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 3
-        assert "integer" in err
-
-    @pytest.mark.parametrize("doc", [{"beta": "3/1000"}, {"beta_prime": "1/1000", "s": None},
-                                     {"zeta": "1/300", "gamma": "1/40000"}])
-    def test_scales_without_part_count_are_refused(self, capsys, write, doc):
-        # Without s, refinement takes these scales from `for_s` of the peeled
-        # part count, so the file's values would never be used.
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps(doc))
-        code, _, err = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 3
-        assert "only with s set" in err
-        assert all(name in err for name in doc if name in ("beta", "beta_prime", "zeta"))
-
-    def test_scales_with_part_count_accepted(self, capsys, write):
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"s": 1, "beta": "3/1000"}))
-        code, _, _ = run(capsys, ["factor", graph, "--r", "3", "--constants", cfg])
-        assert code == 0
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("command", [["factor", "--r", "3"], ["decide", "--k", "2"]])
-    def test_non_finite_number_is_a_usage_error(self, capsys, write, command, value):
-        graph = write("k6.txt", dumps(Graph.complete(6)))
-        cfg = write("c.json", json.dumps({"gamma": value}))
         code, _, err = run(capsys, [command[0], graph, *command[1:], "--constants", cfg])
         assert code == 3
-        assert "as a fraction" in err
-
-    def test_trivial_arity_refused(self, capsys, write):
-        graph = write("e3.txt", dumps(Graph(3, [0] * 3)))
-        cfg = write("c.json", json.dumps({"gamma": "1/40000"}))
-        code, _, err = run(capsys, ["decide", graph, "--k", "5", "--constants", cfg])
-        assert code == 3
-        assert ">= 2" in err
+        assert "--constants" in err
 
 
 class TestSweepCommand:

@@ -45,7 +45,7 @@ class TestRefinement:
         assert cfg.s == 1
         assert cfg.zeta == F(1, 300)
 
-    def test_wide_gap_uses_decades(self):
+    def test_wide_gap_keeps_the_doubling_spacing(self):
         base = default_constants(2)
         wide = replace(
             base,
@@ -57,7 +57,7 @@ class TestRefinement:
         )
         wide.validate()
         cfg = wide.for_s(1)
-        assert (cfg.alpha, cfg.beta_prime, cfg.beta) == (F(1, 10000), F(1, 1000), F(1, 100))
+        assert (cfg.alpha, cfg.beta_prime, cfg.beta) == (F(2, 100000), F(4, 100000), F(8, 100000))
 
     def test_refinement_ignores_preset_scales(self):
         # for_s rederives from the rung, so hand-set alpha never leaks through.
