@@ -206,35 +206,47 @@ def certificate_from_json(doc: Dict[str, object]) -> DecisionCertificate:
 
 
 def clique_tiles_cover(g: Graph, r: int, cliques: Sequence[VertexSet]) -> Optional[int]:
-    """The mask `cliques` cover when they are disjoint r-cliques of g, else None."""
+    """The mask `cliques` cover when they are disjoint r-cliques of g, else None.
+
+    Rows are symmetric (see `Graph`), so each pair of a set is read once:
+    each member, from the top down, against the members below it.  The sets
+    are disjoint exactly when their union has r vertices per set.
+    """
+    adj = g.adj
     seen = 0
     for c in cliques:
         bits = rest = c.bits
-        if bits.bit_count() != r or seen & bits or bits >> g.n:
+        if bits.bit_count() != r or bits >> g.n:
             return None
         while rest:
-            low = rest & -rest
-            if (g.adj[low.bit_length() - 1] | low) & bits != bits:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            if adj[top] & rest != rest:
                 return None
-            rest ^= low
         seen |= bits
-    return seen
+    return seen if seen.bit_count() == r * len(cliques) else None
 
 
 def _independent_cover(g: Graph, classes: Sequence[VertexSet]) -> Optional[int]:
-    """The mask `classes` cover when they are disjoint independent sets of g, else None."""
-    seen = 0
+    """The mask `classes` cover when they are disjoint independent sets of g, else None.
+
+    Each pair of a class is read once, from its higher member's row, as in
+    `clique_tiles_cover`; disjointness is one count of the union at the end.
+    """
+    adj = g.adj
+    seen = size = 0
     for c in classes:
         bits = rest = c.bits
-        if seen & bits or bits >> g.n:
+        if bits >> g.n:
             return None
+        size += bits.bit_count()
         while rest:
-            low = rest & -rest
-            if g.adj[low.bit_length() - 1] & bits:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            if adj[top] & rest:
                 return None
-            rest ^= low
         seen |= bits
-    return seen
+    return seen if seen.bit_count() == size else None
 
 
 def tiling_holds(g: Graph, t: Tiling) -> bool:

@@ -420,8 +420,8 @@ def _color_by_factor(g: Graph, k: int, cfg: Optional[ConstantsConfig]) -> Decisi
     a biclique on 2k of the at least 2k + 1 vertices, which proves nothing.
     The clique holds no padding vertex: the q < k padding vertices form a
     clique joined to nothing else, so no K_{k+1} of the padded graph meets
-    them.  Both drop the factor side's notes and keep its timings; an
-    unresolved answer comes back whole.
+    them.  Both keep the factor side's notes, ahead of their own, and its
+    timings; an unresolved answer comes back whole.
     """
     padded, q = pad_to_divisible(g, k)
     cert = decide_kr_factor(complement(padded), padded.n // k, cfg)
@@ -433,7 +433,7 @@ def _color_by_factor(g: Graph, k: int, cfg: Optional[ConstantsConfig]) -> Decisi
         w = cert.witness
         clique = CliqueObstruction(w.independent_set) if isinstance(w, Ex1Witness) else None
         out = _coloring_no(clique, cert.provenance)
-    return out._replace(timings=cert.timings)
+    return out._replace(notes=cert.notes + out.notes, timings=cert.timings)
 
 
 def decide_equitable(

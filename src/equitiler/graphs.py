@@ -103,22 +103,21 @@ def as_fraction(x) -> Fraction:
 class VertexSet:
     """Immutable vertex subset backed by one bitmask."""
 
-    __slots__ = ("bits", "_size")
+    __slots__ = ("bits",)
 
     def __init__(self, bits: int | Iterable[int] = 0):
         if not isinstance(bits, int):
             bits = mask_of(bits)
         if bits < 0:
             raise ValueError("negative bitmask")
-        # The slot descriptors' own setters, past the guard below.
+        # The slot descriptor's own setter, past the guard below.
         _set_bits(self, bits)
-        _set_size(self, bits.bit_count())
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("VertexSet is immutable")
 
     def __len__(self) -> int:
-        return self._size
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.bits)
@@ -155,11 +154,17 @@ class VertexSet:
 
 
 _set_bits = VertexSet.bits.__set__
-_set_size = VertexSet._size.__set__
 
 
 class Graph:
-    """Simple undirected graph; `adj[v]` is the neighbor bitmask of v."""
+    """Simple undirected graph; `adj[v]` is the neighbor bitmask of v.
+
+    Rows are symmetric (bit v of `adj[u]` is bit u of `adj[v]`), hold no
+    bit of their own vertex and none at n or above.  `add_edge`,
+    `complement`, `decide.pad_to_divisible` and the readers of `graphio`
+    keep them so, and the checks that read each pair of a set once, from
+    its higher member's row, rely on it.
+    """
 
     __slots__ = ("n", "adj")
 
@@ -237,15 +242,22 @@ class Graph:
     def common_neighbors(self, mask: int) -> int:
         """Bitmask of vertices adjacent to every vertex of `mask`; V for mask=0.
 
-        A one-vertex mask returns its row itself, which already leaves the
-        vertex out.
+        A one-vertex mask returns its row itself.  A wider one is peeled
+        inline from its top member down, with no generator: the masks asked
+        are a clique's few vertices.  No row holds its own vertex, so the
+        meet of the rows already leaves the mask out.
         """
-        if mask and not mask & (mask - 1):
-            return self.adj[mask.bit_length() - 1]
-        out = self.full_mask
-        for v in iter_bits(mask):
-            out &= self.adj[v]
-        return out & ~mask if mask else out
+        if not mask:
+            return self.full_mask
+        adj = self.adj
+        top = mask.bit_length() - 1
+        out = adj[top]
+        rest = mask ^ (1 << top)
+        while rest:
+            top = rest.bit_length() - 1
+            out &= adj[top]
+            rest ^= 1 << top
+        return out
 
     def induced(self, mask: int) -> Tuple["Graph", List[int]]:
         """Induced subgraph plus the old labels of its (reindexed) vertices.

@@ -154,9 +154,10 @@ def maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
     blossom augmentation.
 
     The seed matches each exposed vertex, in ascending order, to its lowest
-    exposed neighbor; a running mask of covered vertices keeps it at O(n)
-    bit operations.  One augmentation pass per remaining exposed vertex
-    then makes the matching maximum.
+    exposed neighbor; a mask of the exposed vertices, `inside` less both
+    ends of each pair so far, keeps it at O(n) bit operations.  One
+    augmentation pass per remaining exposed vertex then makes the matching
+    maximum.
 
     The seed leaves no two exposed vertices adjacent, and augmenting only
     shrinks the exposed set, so no augmenting path has a single edge.
@@ -177,16 +178,16 @@ def maximum_matching(g: Graph, inside: Optional[int] = None) -> Matching:
         inside = g.full_mask
     adj = g.adj
     match = [-1] * g.n
-    covered = 0
+    exposed = inside
     for v in iter_bits(inside):
         if match[v] == -1:
-            free = adj[v] & inside & ~covered
+            free = adj[v] & exposed
             if free:
-                u = (free & -free).bit_length() - 1
+                low = free & -free
+                u = low.bit_length() - 1
                 match[v] = u
                 match[u] = v
-                covered |= (1 << v) | (1 << u)
-    exposed = inside & ~covered
+                exposed ^= (1 << v) | low
     for v in iter_bits(exposed):
         if match[v] != -1:
             continue

@@ -1983,3 +1983,39 @@ def seed_ore_edge_bound(g: Graph, k: int) -> Tuple[bool, Optional[Edge]]:
                 worst = (u, (meet & -meet).bit_length() - 1)
                 break
     return worst_sum <= 2 * k, worst
+
+
+# The cover checks before each pair was read once: every member's row is
+# tested against its whole set, and each set against the union so far.
+
+
+def seed_clique_tiles_cover(g: Graph, r: int, cliques: Sequence[VertexSet]) -> Optional[int]:
+    """The mask `cliques` cover when they are disjoint r-cliques of g, else None."""
+    seen = 0
+    for c in cliques:
+        bits = rest = c.bits
+        if bits.bit_count() != r or seen & bits or bits >> g.n:
+            return None
+        while rest:
+            low = rest & -rest
+            if (g.adj[low.bit_length() - 1] | low) & bits != bits:
+                return None
+            rest ^= low
+        seen |= bits
+    return seen
+
+
+def seed_independent_cover(g: Graph, classes: Sequence[VertexSet]) -> Optional[int]:
+    """The mask `classes` cover when they are disjoint independent sets of g, else None."""
+    seen = 0
+    for c in classes:
+        bits = rest = c.bits
+        if seen & bits or bits >> g.n:
+            return None
+        while rest:
+            low = rest & -rest
+            if g.adj[low.bit_length() - 1] & bits:
+                return None
+            rest ^= low
+        seen |= bits
+    return seen

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from equitiler import DecisionCertificate, PreconditionError
 from equitiler.certificates import (
     SCHEMA,
+    _independent_cover,
     biclique_holds,
     certificate_from_json,
     certificate_to_json,
@@ -36,7 +37,7 @@ from equitiler.extremal import (
     ex2_witness,
 )
 from equitiler.generators import random_gnp
-from equitiler.graphs import Graph, VertexSet
+from equitiler.graphs import Graph, VertexSet, complement
 from equitiler.matching import TutteBarrier
 from equitiler.oracle import Coloring, Tiling, equitable_coloring_exact
 
@@ -47,6 +48,8 @@ from _brute import (
     brute_odd_components,
     is_clique_set,
     is_independent_set,
+    seed_clique_tiles_cover,
+    seed_independent_cover,
 )
 
 def ex2_plus(n, u, v):
@@ -768,6 +771,86 @@ class TestChecksMatchSetReferences:
             assert len(members) == n // r + 1
             assert independent_set_holds(Graph.from_edges(n, [(members[-1], members[-1] + 1)]), w, r)
             assert not independent_set_holds(Graph.from_edges(n, [(members[-2], members[-1])]), w, r)
+
+
+class TestCoversMatchTheSeedChecks:
+    """`clique_tiles_cover` and `_independent_cover` read each pair of a set
+    once, from its higher member's row, and test disjointness once, on the
+    union; the seed checks read every member's row against its whole set
+    and each set against the union so far.  On a symmetric graph they must
+    return the same mask, or None, on every family of sets."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_graph_and_sets())
+    # Two equal triangles; an empty set beside vertices n and n + 1; one
+    # vertex in two sets that are cliques and independent sets alike; only
+    # empty sets, which r = 0 tiles.
+    @example((3, [(0, 1), (0, 2), (1, 2)], [[0, 1, 2], [0, 1, 2]], 3, "factor"))
+    @example((4, [(0, 1)], [[], [4], [2, 5]], 1, "coloring"))
+    @example((4, [], [[0], [1], [1], [3]], 1, "coloring"))
+    @example((3, [], [[], []], 1, "factor"))
+    def test_agree_with_the_seed_checks(self, case):
+        # The strategy names vertices n and n + 1, lets sets overlap and
+        # draws empty ones; r runs over 0, the drawn value and every set's
+        # size, so that the size test passes for some set.
+        n, edges, sets, value, _ = case
+        g = Graph.from_edges(n, edges)
+        masks = tuple(VertexSet(s) for s in sets)
+        assert _independent_cover(g, masks) == seed_independent_cover(g, masks)
+        for r in {0, value, *map(len, sets)}:
+            assert clique_tiles_cover(g, r, masks) == seed_clique_tiles_cover(g, r, masks), r
+
+    @staticmethod
+    def _mutants(g, sets, holds):
+        """Each named flaw of the family `sets` of g, as (name, graph, sets):
+        a vertex shared by two sets that each still hold, vertex n, a set one
+        short, and the edge between the two highest and between the two
+        lowest members of the set holding vertex n - 1 or vertex 0 flipped."""
+        n = g.n
+        j, i, v = next(
+            (j, i, v)
+            for v in sets[0]
+            for j in range(len(sets) - 1, 0, -1)
+            for i in range(len(sets[j]))
+            if holds(sets[j][:i] + [v] + sets[j][i + 1:])
+        )
+        out = [("shared", g, sets[:j] + [sets[j][:i] + [v] + sets[j][i + 1:]] + sets[j + 1:])]
+        out.append(("vertex n", g, [sets[0][:-1] + [n]] + sets[1:]))
+        out.append(("one short", g, [sets[0][:-1]] + sets[1:]))
+        for end in (n - 1, 0):
+            s = next(s for s in sets if end in s)
+            for u, w in (s[-2:], s[:2]):
+                h = g.copy()
+                h.adj[u] ^= 1 << w
+                h.adj[w] ^= 1 << u
+                out.append((f"edge {u}-{w}", h, sets))
+        return out
+
+    def test_wide_masks_at_n960(self):
+        # The factor of G(960, 0.9) at r = 3, and the equitable colouring of
+        # its complement at k = 240 (classes of 4): each is accepted, and
+        # each flaw rejected, however far up the rows it sits.
+        g = random_gnp(960, 0.9, 0)
+        h = complement(g)
+        tiling = decide_kr_factor(g, 3).certificate
+        coloring = decide_equitable(h, 240).certificate
+        cliques = [sorted(c) for c in tiling.cliques]
+        classes = [sorted(c) for c in coloring.classes]
+        assert tiling_holds(g, tiling) and coloring_holds(h, coloring)
+        full = (1 << 960) - 1
+        assert clique_tiles_cover(g, 3, tiling.cliques) == full
+        assert _independent_cover(h, coloring.classes) == full
+        for what, gm, sets in self._mutants(g, cliques, lambda s: g.is_clique(sum(1 << v for v in s))):
+            masks = tuple(VertexSet(s) for s in sets)
+            assert clique_tiles_cover(gm, 3, masks) is None, what
+            assert seed_clique_tiles_cover(gm, 3, masks) is None, what
+            assert not tiling_holds(gm, Tiling(3, masks)), what
+        # A class is independent in h exactly when it is a clique of g.
+        for what, hm, sets in self._mutants(h, classes, lambda s: g.is_clique(sum(1 << v for v in s))):
+            masks = tuple(VertexSet(s) for s in sets)
+            got = _independent_cover(hm, masks)
+            assert got == seed_independent_cover(hm, masks), what
+            assert got != full and not coloring_holds(hm, Coloring(masks)), what
 
 
 class TestWitnessVerifyMethods:

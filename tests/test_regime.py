@@ -274,3 +274,17 @@ def test_family_floors(name):
             polynomial += c.provenance != "oracle"
     assert decided >= decided_floor
     assert polynomial >= polynomial_floor
+
+
+def test_colouring_keeps_the_factor_sides_notes():
+    # A colouring beyond the exact cap comes from the factor table on the
+    # padded complement, and that table's notes come back with it: here the
+    # structured route's miss before procedure P's YES.
+    g, mode, k = ore()[0]
+    assert (g.n, mode, k) == (60, "coloring", 3)
+    c = decide_equitable(g, k)
+    assert (c.answer, c.provenance) == (True, "pipeline")
+    assert c.notes == (
+        "edge degree-sum bound holds",
+        "structured route: leftover block needs an exact search for its K_19-tiling",
+    )
