@@ -5,12 +5,13 @@ k-coloring exactly when the complement of its padded form splits into k
 cliques of equal size.  A positive answer ships with a certificate, a
 structural NO with a witness, and anything the polynomial routes cannot
 settle beyond the exact-search cap is reported as unresolved rather than
-guessed.  Answers are checked in one place: `_run` checks each against the
-input graph with `certificates.verify_certificate`, the checker that
-`equitiler verify` runs, before it leaves this module; the routes do not
-re-check their own.  At r = 2 the question is perfect matching, which the
-blossom search settles at every size: a YES is the matching, a NO its
-Tutte–Berge barrier.  Procedure P (`equitable.equitable_attempt`) runs
+guessed.  `_run` checks each answer against the input graph with
+`certificates.verify_certificate`, the checker that `equitiler verify`
+runs, before it leaves this module; the routes do not re-check their own.
+A colouring NO whose witness stays on the padded complement is checked
+there first.  At r = 2 the question is perfect matching, which the blossom
+search settles at every size: a YES is the matching, a NO its Tutte–Berge
+barrier.  Procedure P (`equitable.equitable_attempt`) runs
 as the `equitable` step of each table: on G padded to a multiple of k
 ahead of the exact colouring search, and on the complement of H at
 k = n/r, whose classes are the factor, as the factor table's last step
@@ -23,7 +24,7 @@ skips the steps the theorem makes moot: the recognizer could find no
 witness of a NO, and the structured route and the exact search could
 only re-derive the YES.  So the `equitable` step answers, and a stuck P
 there is a bug, which `equitable_attempt` raises.  The colouring side
-reaches the gate through its delegate, since padding adds a clique on
+reaches the gate through its factor rows, since padding adds a clique on
 q < k vertices, of degree below k.  The structured route builds the
 factor of the paper's extremal case, an input with a sparse n/r-set: it
 answers YES or misses, since the extremal NO shapes are the recognizer's,
@@ -42,17 +43,17 @@ when it settles nothing, and raises PreconditionError when its route gives
 out: its constants do not carry at this n, or procedure P is stuck.
 `_run` catches only that and keeps the message as the note
 "{route} route: ...".  A step that runs is timed under its stage, if it
-names one.  An
-InternalContradiction is a bug, never a miss, and propagates to the
-caller.  So is an answer that fails its check: `_run` raises
-InternalContradiction with the checker's clauses.  `decide_kr_factor` and
-`decide_equitable` list their steps.
+names one.  An InternalContradiction is a bug, never a miss, and
+propagates to the caller.  So is an answer that fails its check: `_run`
+raises InternalContradiction with the checker's clauses.
+`decide_kr_factor` and `decide_equitable` list their steps.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .certificates import DecisionCertificate, verify_certificate
 from .constants import ConstantsConfig
@@ -62,9 +63,9 @@ from .extremal import (
     BicliqueObstruction,
     CliqueObstruction,
     Ex1Witness,
+    _complement_components,
     _few_degrees,
     _recognize_ex2,
-    find_biclique,
     recognize_extremal,
 )
 from .graphs import (
@@ -126,8 +127,15 @@ _UNRESOLVED = DecisionCertificate(
 _Step = Tuple[str, Optional[str], Optional[Callable[[], Optional[DecisionCertificate]]]]
 
 
+def _check(g: Graph, cert: DecisionCertificate, mode: str, value: int, route: str) -> None:
+    """Raise InternalContradiction unless `cert` holds on G in `mode` at `value`."""
+    clauses = verify_certificate(g, cert, mode, value)
+    if clauses:
+        raise InternalContradiction(f"{route} route answer failed verification: {'; '.join(clauses)}")
+
+
 def _run(
-    g: Graph, mode: str, value: int, steps: Tuple[_Step, ...], notes: List[str]
+    g: Graph, mode: str, value: int, steps: Iterable[_Step], notes: List[str]
 ) -> DecisionCertificate:
     """The first certificate a step returns, after the notes and timings so far.
 
@@ -148,11 +156,7 @@ def _run(
         if stage is not None:
             timings.append((stage, time.perf_counter() - t0))
         if cert is not None:
-            clauses = verify_certificate(g, cert, mode, value)
-            if clauses:
-                raise InternalContradiction(
-                    f"{route} route answer failed verification: {'; '.join(clauses)}"
-                )
+            _check(g, cert, mode, value, route)
             # Built directly: the record's `_replace` costs twice as much,
             # and the exact workload's calls take about 0.2 ms each.
             return DecisionCertificate(
@@ -205,24 +209,27 @@ def lift_coloring(t: Tiling, q: int, k: int) -> Coloring:
     return Coloring(tuple(classes))
 
 
+def _odd_biclique(g: Graph, k: int) -> Optional[BicliqueObstruction]:
+    """The odd K_{m,2k-m} spanning G with the least m, at n = 2k, or None.
+    Its sides are unions of components of G's complement, so its least odd
+    side is the least odd component, the lowest vertex's on a tie."""
+    if g.n != 2 * k:
+        return None
+    odd = (c for c in _complement_components(g) if c.bit_count() % 2)
+    a = min(odd, key=int.bit_count, default=0)
+    return BicliqueObstruction(VertexSet(a), VertexSet(g.full_mask ^ a)) if a else None
+
+
 def coloring_obstruction(g: Graph, k: int) -> Optional[Union[CliqueObstruction, BicliqueObstruction]]:
     """A K_{k+1} subgraph, or an odd K_{m,2k-m} spanning G, or None.
 
     `_run` checks the witness with the rest of the answer.  The clique is
     tried first.  Bicliques prove a NO only when they cover all of V, so
-    they are scanned, over odd m up to k, only when n = 2k.  A None answer
-    is a failed search, not a proof of absence.
+    n = 2k: an odd side is then an odd component of G's complement, and
+    None proves that neither subgraph exists.
     """
     hit = find_clique_of_size(g, k + 1)
-    if hit is not None:
-        return CliqueObstruction(hit)
-    if g.n != 2 * k:
-        return None
-    for m in range(1, k + 1, 2):
-        pair = find_biclique(g, m, 2 * k - m)
-        if pair is not None:
-            return BicliqueObstruction(pair[0], pair[1])
-    return None
+    return _odd_biclique(g, k) if hit is None else CliqueObstruction(hit)
 
 
 def _paper_obstruction(g: Graph, k: int) -> Optional[DecisionCertificate]:
@@ -231,23 +238,15 @@ def _paper_obstruction(g: Graph, k: int) -> Optional[DecisionCertificate]:
 
     Every edge of a K_{k+1} or of a K_{m,2k-m} already sums to at least 2k,
     so under the bound neither has an edge leaving it: a K_{k+1} is a whole
-    component, and a K_{m,2k-m} on n = 2k vertices is G itself: vertex 0's
-    side is its non-neighbours, and the other side its neighbours.  Both
-    are the witnesses `coloring_obstruction` returns: the clique of the
-    lowest vertex, and the smaller side first, or vertex 0's side on a tie.
+    component, and a K_{m,2k-m} on n = 2k vertices is G itself, its sides
+    the components of G's complement.  Both are `coloring_obstruction`'s
+    witnesses: the lowest vertex's clique, and `_odd_biclique`'s side.
     """
     for comp in connected_components(g):
         if len(comp) == k + 1 and g.is_clique(comp.bits):
             return _no(CliqueObstruction(comp), "recognizer")
-    if g.n != 2 * k:
-        return None
-    b = g.adj[0]
-    a = g.full_mask ^ b
-    if a.bit_count() % 2 == 0 or any(g.adj[v] != b for v in iter_bits(a)):
-        return None
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    return _no(BicliqueObstruction(VertexSet(a), VertexSet(b)), "recognizer")
+    w = _odd_biclique(g, k)
+    return None if w is None else _no(w, "recognizer")
 
 
 def _factor_r2(g: Graph) -> DecisionCertificate:
@@ -371,6 +370,11 @@ def decide_kr_factor(
         raise PreconditionError(f"r={r} must be positive")
     if g.n % r != 0:
         raise PreconditionError(f"r={r} does not divide n={g.n}")
+    return _run(g, "factor", r, _factor_steps(g, r, cfg), [])
+
+
+def _factor_steps(g: Graph, r: int, cfg: Optional[ConstantsConfig]) -> Tuple[_Step, ...]:
+    """The table of `decide_kr_factor`, for r >= 1 dividing n."""
     need = g.n - g.n // r
     gated = r >= 3 and all(row.bit_count() >= need for row in g.adj)
 
@@ -385,7 +389,7 @@ def decide_kr_factor(
         t = kr_factor_exact(g, r)
         return _no(None, "oracle") if t is None else _yes(t, "oracle")
 
-    steps: Tuple[_Step, ...] = (
+    return (
         ("trivial", "oracle", oracle if g.n == 0 or r == 1 else None),
         ("matching", "matching", (lambda: _factor_r2(g)) if r == 2 else None),
         ("recognizer", "recognize", None if gated else recognize),
@@ -394,14 +398,11 @@ def decide_kr_factor(
         ("equitable", "equitable", lambda: _equitable_factor(g, r)),
         ("unresolved", None, lambda: _UNRESOLVED),
     )
-    return _run(g, "factor", r, steps, [])
 
 
 def _coloring_no(witness: Optional[object], provenance: str) -> DecisionCertificate:
     """A colouring NO with `witness`, else one noting that none surfaced."""
-    if witness is None:
-        return _no(None, provenance, ("no subgraph witness surfaced",))
-    return _no(witness, provenance)
+    return _no(witness, provenance, ("no subgraph witness surfaced",) if witness is None else ())
 
 
 def _color_exactly(g: Graph, k: int, hunt: bool) -> DecisionCertificate:
@@ -412,28 +413,32 @@ def _color_exactly(g: Graph, k: int, hunt: bool) -> DecisionCertificate:
     return _coloring_no(coloring_obstruction(g, k) if hunt else None, "oracle")
 
 
-def _color_by_factor(g: Graph, k: int, cfg: Optional[ConstantsConfig]) -> DecisionCertificate:
-    """Decide the clique factor of the padded complement and carry it back.
-
-    A YES lifts to a colouring of G.  Of a NO's witness only an independent
-    set carries over, as a clique: the odd split's clique pair would become
-    a biclique on 2k of the at least 2k + 1 vertices, which proves nothing.
-    The clique holds no padding vertex: the q < k padding vertices form a
-    clique joined to nothing else, so no K_{k+1} of the padded graph meets
-    them.  Both keep the factor side's notes, ahead of their own, and its
-    timings; an unresolved answer comes back whole.
+def _carried_rows(g: Graph, k: int, cfg: Optional[ConstantsConfig]) -> Iterator[_Step]:
+    """The factor table's steps on the complement H of G padded by q < k
+    vertices, built once reached, answers carried to G.  `_run` checks on G
+    a lifted YES, or an independent set carried as a clique (of no padding
+    vertex: those are a clique joined to nothing else).  Any other witness
+    proves nothing about G, so it is checked on H and its NO carried bare.
     """
     padded, q = pad_to_divisible(g, k)
-    cert = decide_kr_factor(complement(padded), padded.n // k, cfg)
-    if cert.answer is None:
-        return cert
-    if cert.answer:
-        out = _yes(lift_coloring(cert.certificate, q, k), cert.provenance)
-    else:
-        w = cert.witness
-        clique = CliqueObstruction(w.independent_set) if isinstance(w, Ex1Witness) else None
-        out = _coloring_no(clique, cert.provenance)
-    return out._replace(notes=cert.notes + out.notes, timings=cert.timings)
+    h, r = complement(padded), padded.n // k
+
+    def carried(route: str, run: Callable[[], Optional[DecisionCertificate]]) -> Optional[DecisionCertificate]:
+        cert = run()
+        if cert is None or cert.answer is None:
+            return cert
+        if cert.answer:
+            try:
+                return _yes(lift_coloring(cert.certificate, q, k), cert.provenance)
+            except PreconditionError as e:
+                raise InternalContradiction(f"{route} route answer failed verification: {e}") from e
+        if isinstance(cert.witness, Ex1Witness):
+            return _coloring_no(CliqueObstruction(cert.witness.independent_set), cert.provenance)
+        _check(h, cert, "factor", r, route)
+        return _coloring_no(None, cert.provenance)
+
+    for route, stage, run in _factor_steps(h, r, cfg):
+        yield route, stage, None if run is None else lambda route=route, run=run: carried(route, run)
 
 
 def decide_equitable(
@@ -458,10 +463,9 @@ def decide_equitable(
       oracle      k >= n or n <= FALLBACK_CAP: exact colouring of G, which
                   settles what the factor table's own fallback would on
                   the padded complement, without the padding;
-      delegate    beyond the cap, the factor table on the complement of G
-                  padded to divisibility, its answer carried back to G;
-                  when Δ(G) < k that table's gate holds, and its
-                  `equitable` step runs procedure P on padded G.
+      factor rows beyond the cap, the factor table's steps on G's
+                  complement padded to divisibility, answers carried to G;
+                  under Δ(G) < k its gate holds, and P colours padded G.
     An oracle NO hunts for a K_{k+1} or odd K_{m,2k-m} subgraph of G when
     the edge bound fails.  Under the bound the obstruction step's scan is
     complete: every edge of either subgraph sums to at least 2k, so a
@@ -494,12 +498,13 @@ def decide_equitable(
     # padding on the small side misses 2m - s >= m vertices, and padding on
     # the large side would need the small side to be padding too.
     odd_split = exact and g.n % k == 0 and g.n >= 3 * k
-    steps: Tuple[_Step, ...] = (
+    steps: Iterable[_Step] = (
         ("obstruction", None, (lambda: _paper_obstruction(g, k)) if ok else None),
         ("recognizer", "recognize", recognize if odd_split else None),
         ("equitable", "equitable",
          (lambda: _equitable_coloring(g, k)) if exact and k < g.n else None),
         ("oracle", "oracle", (lambda: _color_exactly(g, k, not ok)) if exact else None),
-        ("delegate", None, lambda: _color_by_factor(g, k, cfg)),
     )
+    if not exact:
+        steps = chain(steps, _carried_rows(g, k, cfg))
     return _run(g, "coloring", k, steps, notes)

@@ -41,7 +41,14 @@ from equitiler.absorbing import (
 from equitiler.certificates import clique_tiles_cover, odd_split_holds, tiling_holds
 from equitiler.constants import ConstantsConfig, default_constants
 from equitiler.errors import InternalContradiction, PreconditionError
-from equitiler.extremal import Ex2Witness, independent_set_of_size
+from equitiler.extremal import (
+    BicliqueObstruction,
+    CliqueObstruction,
+    ColoringObstruction,
+    Ex2Witness,
+    find_biclique,
+    independent_set_of_size,
+)
 from equitiler.graphs import (
     Graph,
     OreStats,
@@ -2019,3 +2026,21 @@ def seed_independent_cover(g: Graph, classes: Sequence[VertexSet]) -> Optional[i
             rest ^= low
         seen |= bits
     return seen
+
+
+# The colouring witness hunt before the odd biclique was read off the
+# complement's components: a biclique search over odd m.
+
+
+def seed_coloring_obstruction(g: Graph, k: int) -> Optional[ColoringObstruction]:
+    """decide.coloring_obstruction trying each odd m up to k with find_biclique."""
+    hit = find_clique_of_size(g, k + 1)
+    if hit is not None:
+        return CliqueObstruction(hit)
+    if g.n != 2 * k:
+        return None
+    for m in range(1, k + 1, 2):
+        pair = find_biclique(g, m, 2 * k - m)
+        if pair is not None:
+            return BicliqueObstruction(pair[0], pair[1])
+    return None

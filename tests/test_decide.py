@@ -15,7 +15,6 @@ from equitiler import (
     BicliqueObstruction,
     CliqueObstruction,
     Coloring,
-    DecisionCertificate,
     Ex1Witness,
     Ex2Witness,
     Graph,
@@ -53,7 +52,7 @@ from equitiler.certificates import (
 from equitiler.matching import TutteBarrier, maximum_matching
 from equitiler.smallgraphs import iter_labeled_graphs_inplace
 
-from _brute import barrier_surplus
+from _brute import barrier_surplus, seed_coloring_obstruction
 from conftest import cut_split, random_graph, without_edge
 from test_regime import sparse_draw
 
@@ -218,6 +217,26 @@ class TestColoringObstruction:
 
     def test_even_square_has_none(self):
         assert coloring_obstruction(cycle(4), 2) is None
+
+    def test_matches_the_hunt(self):
+        # 32,834 labelled graphs, 2,387 of them with a biclique witness.
+        for n in (2, 4, 6):
+            for _, g in iter_labeled_graphs_inplace(n):
+                want = seed_coloring_obstruction(g, n // 2)
+                assert coloring_obstruction(g, n // 2) == want, g.adj
+
+    def test_even_components_end_the_biclique_search_at_once(self):
+        # The complement is three triangles joined to a hub vertex, plus 19
+        # disjoint edges: every component is even, so no odd K_{m,48-m}
+        # spans G.  A biclique search over odd m took about 40 s at m = 13
+        # alone (2-core machine, Python 3.11).
+        h = Graph.from_edges(48, [(0, v) for v in range(1, 10)] + [
+            e for t in (1, 4, 7) for e in combinations(range(t, t + 3), 2)
+        ] + [(v, v + 1) for v in range(10, 48, 2)])
+        g = complement(h)
+        t0 = time.perf_counter()
+        assert decide_module._odd_biclique(g, 24) is None
+        assert time.perf_counter() - t0 <= 0.1
 
 
 class TestFactorLadder:
@@ -708,15 +727,16 @@ class TestEquitable:
             assert verify_certificate(g, c, "coloring", a) == [], a
 
     def test_obstruction_scan_matches_the_hunt(self):
-        # Under the edge bound the scan's witness is the one
-        # `coloring_obstruction` hunts for, and at k >= 3 every NO has one.
+        # Under the edge bound the scan's witness is the one the reference
+        # hunt finds, and at k >= 3 every NO has one.
         for n in range(1, 6):
             for _, g in iter_labeled_graphs_inplace(n):
                 for k in range(1, n + 1):
                     if not ore_edge_bound(g, k)[0]:
                         continue
                     c = decide_module._paper_obstruction(g, k)
-                    assert (None if c is None else c.witness) == coloring_obstruction(g, k), (g.adj, k)
+                    want = seed_coloring_obstruction(g, k)
+                    assert (None if c is None else c.witness) == want, (g.adj, k)
                     if c is None and k >= 3:
                         assert equitable_coloring_exact(g, k) is not None, (g.adj, k)
 
@@ -825,7 +845,7 @@ class TestEquitable:
 
     def test_unresolved_exit(self):
         # Three disjoint K_17 at k = 17 have Δ(G) = 16 < k: inside the
-        # delegate's Hajnal–Szemerédi gate, its `equitable` step colours
+        # factor rows' Hajnal–Szemerédi gate, their `equitable` step colours
         # them.  One edge between two of the cliques makes Δ(G) = k, outside
         # the gate, and procedure P still colours them.  The sparse draw also has Δ(G) = k; n = 60 is
         # past the exact fallback cap and every route misses, so
@@ -878,7 +898,7 @@ class TestStepTables:
                        ("unresolved", "pipeline"), ["recognize", "pipeline", "equitable"]),
         # Colouring table: under the edge bound the untimed obstruction scan
         # answers first; up to the cap procedure P, then the oracle, colours
-        # G itself; beyond it the delegate reports the factor side's stages.
+        # G itself; beyond it the factor rows time the factor table's stages.
         "obstruction/clique": (lambda: Graph.complete(4), "coloring", 3, None,
                                ("obstructed", "recognizer"), []),
         "obstruction/biclique": (lambda: multipartite((23, 23)), "coloring", 23, None,
@@ -900,12 +920,12 @@ class TestStepTables:
                      ("colorable", "pipeline"), ["matching"]),
         "delegate/odd-split": (lambda: complement(build_ex2(54, 3, 1)), "coloring", 18, None,
                                ("exact", "recognizer"), ["recognize"]),
-        # Δ(G) = 16 < k: inside the delegate's Hajnal–Szemerédi gate, its
+        # Δ(G) = 16 < k: inside the factor rows' Hajnal–Szemerédi gate, their
         # `equitable` step colours the complement of its complement.
         "delegate/gate": (lambda: disjoint_cliques(3, 17), "coloring", 17, None,
                           ("colorable", "pipeline"), ["equitable"]),
-        # Δ(G) = k = 17: the delegate's factor table tiles the complement
-        # of its complement with procedure P, at the end of its table.
+        # Δ(G) = k = 17: the factor rows tile the complement of the
+        # complement with procedure P, at the end of the table.
         "delegate/equitable": (bridged_cliques, "coloring", 17, None,
                                ("colorable", "pipeline"),
                                ["recognize", "pipeline", "equitable"]),
@@ -931,7 +951,7 @@ class TestStepTables:
         def delegated(*args, **kwargs):
             raise Delegated
 
-        monkeypatch.setattr(decide_module, "decide_kr_factor", delegated)
+        monkeypatch.setattr(decide_module, "_factor_steps", delegated)
         for n in range(1, 6):
             for _, g in iter_labeled_graphs_inplace(n):
                 for k in range(1, n + 1):
@@ -955,14 +975,60 @@ class TestStepTables:
     def test_unverified_delegated_witness_raises(self, monkeypatch):
         # An independent set of the padded complement carries over as a
         # clique of G; one that is not a clique of G is not an exact NO.
-        bogus = DecisionCertificate(
-            "obstructed", False, None, Ex1Witness(VertexSet(range(6))), "recognizer", True
+        # The factor rows' recognizer runs on sparse60 at k = 3, outside
+        # their Hajnal–Szemerédi gate.
+        monkeypatch.setattr(
+            decide_module, "recognize_extremal", lambda g, r: Ex1Witness(VertexSet(range(4)))
         )
-        monkeypatch.setattr(decide_module, "decide_kr_factor", lambda *args: bogus)
         with pytest.raises(
-            InternalContradiction, match="delegate route answer failed verification"
+            InternalContradiction, match="recognizer route answer failed verification"
         ):
-            decide_equitable(Graph.empty(50), 5)
+            decide_equitable(sparse60(), 3)
+
+    @pytest.mark.parametrize("name, build, k, route, witness", [
+        ("recognize_extremal", sparse60, 3, "recognizer",
+         Ex2Witness((VertexSet(range(20)),), VertexSet([20]), VertexSet(range(21, 60)))),
+        ("pm_or_structure", lambda: Graph.empty(50), 25, "matching", TutteBarrier(VertexSet([0]))),
+    ])
+    def test_unverified_factor_witness_raises(self, monkeypatch, name, build, k, route, witness):
+        # An odd split or a Tutte barrier of the padded complement carries
+        # no witness over to G, so the factor rows check it there: a bogus
+        # one is a bug, not an exact NO.  Graph.empty(50) at k = 25 pads
+        # nothing, and its complement K_50 goes to the matching row.
+        monkeypatch.setattr(decide_module, name, lambda *args: witness)
+        with pytest.raises(InternalContradiction, match=f"{route} route answer failed verification"):
+            decide_equitable(build(), k)
+
+    def test_short_factor_row_tiling_raises(self, monkeypatch):
+        # A factor row's tiling of the padded complement with fewer than k
+        # cliques cannot lift to a k-colouring: a bug, not a miss.  Three
+        # disjoint K_17 at k = 17 lie inside the factor rows' gate.
+        monkeypatch.setattr(
+            decide_module, "_equitable_factor",
+            lambda g, r: decide_module._yes(Tiling(r, ()), "pipeline"),
+        )
+        with pytest.raises(InternalContradiction, match="equitable route answer failed verification"):
+            decide_equitable(disjoint_cliques(3, 17), 17)
+
+    def test_one_check_per_answer(self, monkeypatch):
+        # A colouring YES from the factor rows is checked once, on G, not
+        # also as a tiling of the padded complement.  A NO whose witness
+        # stays behind is checked on the padded complement, then on G.
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return verify_certificate(*args)
+
+        monkeypatch.setattr(decide_module, "verify_certificate", spy)
+        c = decide_equitable(complement(ex2_plus(240, 160, 161)), 80)
+        assert (c.kind, calls) == ("colorable", ["coloring"])
+        calls.clear()
+        c = decide_kr_factor(ex2_plus(240, 160, 161), 3)
+        assert (c.kind, calls) == ("factorable", ["factor"])
+        calls.clear()
+        c = decide_equitable(complement(build_ex2(54, 3, 1)), 18)
+        assert (c.kind, calls) == ("exact", ["factor", "coloring"])
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_no_odd_split_complements_a_padded_graph(self, r):
